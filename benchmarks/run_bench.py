@@ -32,9 +32,8 @@ performance trajectory of the relational substrate is tracked from PR to PR:
   clock (E2 fetch loop, A1-style analysis, E6 bulk load).
 * **E9** — *wall-clock* (not virtual) partition execution: the scan-heavy
   E3-style filtered-aggregate workload on an 8-partition table, measured
-  sequentially, on the GIL-bound thread fan-out and on the shared-nothing
-  process executor at 1/2/4 workers, next to the virtual makespan
-  prediction.  Results are consistency-checked to be byte-identical to the
+  sequentially and on the shared-nothing process executor at 1/2/4
+  workers, next to the virtual makespan prediction.  Results are consistency-checked to be byte-identical to the
   sequential engine; the recorded ``cpu_count`` qualifies how much of the
   virtual prediction the hardware can realize (a single-core machine cannot
   show multi-core speedups, however correct the executor).
@@ -557,9 +556,8 @@ def bench_e9(repeats: int, failures: list) -> dict:
     """Wall-clock process-parallel partition execution (8 partitions).
 
     Unlike every other scenario this measures the *real* clock: the virtual
-    model has charged partition scans as a per-partition makespan since PR 3,
-    but the thread fan-out realizing it is GIL-bound.  The process executor
-    is the first path whose wall clock can actually track the virtual
+    model charges partition scans as a per-partition makespan, and the
+    process executor is the path whose wall clock can actually track that
     prediction — bounded by the machine's core count, which is recorded so a
     single-core run is read as what it is.
     """
@@ -579,13 +577,6 @@ def bench_e9(repeats: int, failures: list) -> dict:
         "sequential_wall_s": round(sequential_wall, 6),
         "process": {},
     }
-
-    with _e9_database(parallel=4, executor="thread") as threaded:
-        if _e9_run(threaded) != reference:
-            failures.append("E9: thread executor diverges from sequential")
-        thread_wall = _wall(lambda: _e9_run(threaded), repeats)
-    report["thread4_wall_s"] = round(thread_wall, 6)
-    report["thread4_speedup"] = round(sequential_wall / thread_wall, 3)
 
     for workers in (1, 2, 4):
         with ProcessScanExecutor(workers=workers) as pool, \
@@ -992,7 +983,7 @@ def bench_e13(repeats: int, failures: list) -> dict:
     without it.  Rows must be byte-identical between the two — an ordered
     index is an access-path accelerator, never a semantics change — and
     QueryStats must be byte-identical across the row-at-a-time, vectorized
-    and thread fan-out engines at a fixed index configuration (range probes
+    and process-pool engines at a fixed index configuration (range probes
     and index-order pushdown are mode-independent).  The local target is the
     probe path beating the full-partition scan ≥ 2× on wall clock.
     """
@@ -1011,7 +1002,7 @@ def bench_e13(repeats: int, failures: list) -> dict:
     ):
         for mode, kwargs in (
             ("rowwise", {"vectorized": False}),
-            ("thread4", {"parallel": 4, "executor": "thread"}),
+            ("process2", {"parallel": 2, "executor": "process"}),
         ):
             with factory(**kwargs) as database:
                 mode_rows, mode_stats = _e13_run(database)
@@ -1135,7 +1126,7 @@ def main(argv=None) -> int:
           f"analysis {e8['analysis_speedup_depth8']}x; depth-1 parity: {parity}")
     e9 = report["scenarios"]["E9_wallclock"]
     print(f"E9  wall-clock at 8 partitions ({e9['cpu_count']} cpu): "
-          f"thread x4 {e9['thread4_speedup']}x, process "
+          f"process "
           + ", ".join(
               f"x{w} {entry['speedup']}x" for w, entry in e9["process"].items()
           )

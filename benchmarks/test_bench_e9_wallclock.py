@@ -2,15 +2,15 @@
 
 Every scenario before this one measures the *virtual* clock; E9 pins the
 first path whose **real** elapsed time can track the virtual per-partition
-makespan: the shared-nothing process executor (PR 5).  Three properties:
+makespan: the shared-nothing process executor.  Three properties:
 
-* the executor matrix (sequential, GIL-bound threads, worker processes) is
-  result-transparent on the scan-heavy workload — byte-identical rows, no
-  float tolerance, since all executors enumerate in partition order;
+* the executor matrix (sequential, worker processes) is result-transparent
+  on the scan-heavy workload — byte-identical rows, no float tolerance,
+  since both executors enumerate in partition order;
 * on a multi-core machine the process executor's wall clock beats the GIL:
-  process wall-clock ≤ thread wall-clock and speedup vs. sequential ≥ 1.0
-  (deliberately relaxed — CI machines are noisy and have few cores; the
-  persistent baseline in ``BENCH_relalg.json`` records the real ratios);
+  speedup vs. sequential ≥ 1.0 (deliberately relaxed — CI machines are
+  noisy and have few cores; the persistent baseline in
+  ``BENCH_relalg.json`` records the real ratios);
 * the assertions are scaled to the hardware: a single-core machine checks
   result transparency only, because no executor can beat sequential there.
 """
@@ -58,13 +58,16 @@ def _run(database: Database):
     return [database.query(sql, params).rows for sql, params in _QUERIES]
 
 
-def _best_wall(database: Database, rounds: int = 3) -> float:
-    """Best-of-N wall time (the standard noise-resistant benchmark read)."""
-    best = float("inf")
+def _best_walls(*databases: Database, rounds: int = 9) -> list:
+    """Best-of-N wall time per database (the standard noise-resistant
+    read), with the databases' runs interleaved round by round so a
+    machine-speed drift hits every contender alike."""
+    best = [float("inf")] * len(databases)
     for _ in range(rounds):
-        start = time.perf_counter()
-        _run(database)
-        best = min(best, time.perf_counter() - start)
+        for position, database in enumerate(databases):
+            start = time.perf_counter()
+            _run(database)
+            best[position] = min(best[position], time.perf_counter() - start)
     return best
 
 
@@ -73,8 +76,6 @@ class TestE9WallClock:
         sequential = _build()
         reference = _run(sequential)
         assert reference[0], "the workload must produce rows"
-        with _build(parallel=2, executor="thread") as threaded:
-            assert _run(threaded) == reference
         with _build(executor=process_pool) as parallel:
             assert _run(parallel) == reference
 
@@ -88,26 +89,18 @@ class TestE9WallClock:
         reference = _run(sequential)
 
         def measure():
-            sequential_wall = _best_wall(sequential)
-            with _build(parallel=workers, executor="thread") as threaded:
-                assert _run(threaded) == reference
-                thread_wall = _best_wall(threaded)
             with ProcessScanExecutor(workers=workers) as pool, \
                     _build(executor=pool) as parallel:
                 assert _run(parallel) == reference
-                process_wall = _best_wall(parallel)
-            return sequential_wall, thread_wall, process_wall
+                return _best_walls(sequential, parallel)
 
-        sequential_wall, thread_wall, process_wall = benchmark.pedantic(
+        sequential_wall, process_wall = benchmark.pedantic(
             measure, rounds=1, iterations=1
         )
         speedup = sequential_wall / process_wall
         benchmark.extra_info["sequential_wall_s"] = round(sequential_wall, 6)
-        benchmark.extra_info["thread_wall_s"] = round(thread_wall, 6)
         benchmark.extra_info["process_wall_s"] = round(process_wall, 6)
         benchmark.extra_info["process_speedup"] = round(speedup, 3)
-        # Relaxed CI bounds (see module docstring): the process executor
-        # must not lose to the GIL-bound thread pool, and must not lose to
-        # plain sequential execution.
-        assert process_wall <= thread_wall
+        # Relaxed CI bound (see module docstring): the process executor must
+        # not lose to plain sequential execution.
         assert speedup >= 1.0

@@ -104,7 +104,7 @@ def load_into_backend(
     and ``parallelism`` sets the backend's virtual scan workers (per-partition
     makespan charging) — the partition-sweep benchmark drives both.
     ``executor`` picks the engine-side fan-out realizing that parallelism
-    ("thread", "process" or "sequential"; see
+    ("process" or "sequential"; see
     :func:`repro.relalg.backends.backend`) — the E9 wall-clock benchmark
     sweeps it.
     """

@@ -91,12 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--db-executor",
-        choices=("sequential", "thread", "process"),
+        choices=("sequential", "process"),
         default=None,
         help="how the engine realizes --db-parallelism on real hardware: "
-        "'thread' (default when parallelism > 1; GIL-bound), 'process' "
-        "(shared-nothing worker processes — the wall clock can track the "
-        "virtual makespan) or 'sequential' (virtual-only parallelism)",
+        "'process' (shared-nothing worker processes — the wall clock can "
+        "track the virtual makespan) or 'sequential' (the default: "
+        "virtual-only parallelism)",
     )
     parser.add_argument(
         "--pipeline-depth",
@@ -151,7 +151,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--pipeline-depth must be >= 1")
     if args.pipeline_depth > 1 and args.strategy != "pushdown":
         parser.error("--pipeline-depth requires --strategy pushdown")
-    if args.db_executor in ("thread", "process") and args.db_parallelism < 2:
+    if args.db_executor == "process" and args.db_parallelism < 2:
         parser.error(
             f"--db-executor {args.db_executor} requires --db-parallelism >= 2"
         )
@@ -207,7 +207,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 strategy = PushdownStrategy(specification, mapping, client, ids)
             result = analyzer.analyze(pes=args.analyze_pes, strategy=strategy)
         finally:
-            # Release the engine's fan-out pools (worker threads/processes).
+            # Release the engine's fan-out pool (worker processes).
             client.close()
     else:
         strategy = ClientSideStrategy(specification)

@@ -488,30 +488,24 @@ class SimulatedBackend:
         #: instead of the serial sum.  ``1`` (the default) is the historical
         #: serial charging, byte-for-byte.
         self.parallelism = parallelism
-        # ``executor`` picks the engine-side fan-out realizing the modeled
-        # parallelism ("thread" — historical — or "process" for true
-        # multi-core; "sequential" keeps the virtual charge without any
-        # OS-level fan-out).  The virtual makespan charge is identical for
-        # all three: the executor decides whether the *wall* clock tracks it.
-        if executor in ("thread", "process") and parallelism < 2:
+        # ``executor="process"`` realizes the modeled parallelism with
+        # worker processes; otherwise (``None`` / "sequential") the virtual
+        # charge stands without any OS-level fan-out.  The virtual makespan
+        # charge is identical either way: the executor only decides whether
+        # the *wall* clock can track it.
+        if executor == "process" and parallelism < 2:
             # Mirror Database's validation: silently ignoring the requested
             # fan-out would make wall-clock comparisons measure the wrong
             # executor.
             raise ValueError(
                 f"executor={executor!r} requires parallelism >= 2 workers"
             )
-        if executor == "sequential":
-            engine_parallel = None
-            engine_executor: Optional[str] = None
-        else:
-            engine_parallel = parallelism if parallelism > 1 else None
-            engine_executor = executor if engine_parallel is not None else None
         self.database = database or Database(
             name=profile.name,
             engine=engine,
             n_partitions=n_partitions,
-            parallel=engine_parallel,
-            executor=engine_executor,
+            parallel=parallelism if executor == "process" else None,
+            executor=executor,
             wal_path=wal_path,
             wal_autocheckpoint=wal_autocheckpoint,
         )
@@ -752,10 +746,9 @@ class SimulatedBackend:
     def close(self) -> None:
         """Release the engine's partition fan-out pool (idempotent).
 
-        Only relevant for backends created with ``parallelism > 1`` — the
-        underlying :class:`Database` lazily spawns worker threads (or, with
-        ``executor="process"``, worker processes) that would otherwise idle
-        until process exit.
+        Only relevant for backends created with ``executor="process"`` — the
+        underlying :class:`Database` lazily spawns worker processes that
+        would otherwise idle until process exit.
         """
         self.database.close()
 
@@ -794,10 +787,10 @@ def backend(
     ``parallelism`` sets the virtual server's scan workers: scan costs are
     charged as the per-partition makespan over that many workers.
     ``executor`` picks how the engine realizes that parallelism on real
-    hardware — ``"thread"`` (historical default when ``parallelism > 1``),
-    ``"process"`` (shared-nothing worker processes; the wall clock can
-    actually track the virtual makespan) or ``"sequential"`` (virtual-only
-    parallelism, no OS fan-out).  ``wal_path`` attaches a write-ahead log to
+    hardware — ``"process"`` (shared-nothing worker processes; the wall
+    clock can actually track the virtual makespan) or ``None`` /
+    ``"sequential"`` (the default: virtual-only parallelism, no OS
+    fan-out).  ``wal_path`` attaches a write-ahead log to
     the backend's database (ignored when ``database`` is supplied), making
     its commits crash-durable; ``wal_autocheckpoint`` bounds that log.
     """

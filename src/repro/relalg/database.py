@@ -9,23 +9,18 @@ database client code even though everything runs in process.
 
 Every table the database creates is hash-partitioned by primary key into
 ``n_partitions`` shards (default 1: the historical single-partition layout,
-byte-for-byte).  ``parallel`` plus ``executor`` select how partitioned scans
-fan out:
+byte-for-byte).  ``executor`` selects how partitioned scans run:
 
 * ``executor="sequential"`` (the default) — partitions are enumerated in
   order on the calling thread;
-* ``executor="thread"`` — the driving scan level fans out over a
-  ``parallel``-worker thread pool (also the historical meaning of
-  ``Database(parallel=k)`` alone; GIL-bound, so the wall clock does not
-  follow the per-partition makespan);
-* ``executor="process"`` — the driving scan level fans out over a
-  shared-nothing, spawn-safe pool of ``parallel`` worker processes
+* ``executor="process"`` with ``parallel=k`` — the driving scan level fans
+  out over a shared-nothing, spawn-safe pool of ``k`` worker processes
   (:class:`~repro.relalg.parallel.ProcessScanExecutor`), each owning a
   disjoint subset of every table's shards; an existing executor instance can
   be passed directly (``Database(executor=pool)``) to share one pool between
   databases.
 
-All three return identical results and identical :class:`QueryStats`; the
+Both return identical results and identical :class:`QueryStats`; the
 database is a context manager (``with Database(...) as db:``) so worker
 pools cannot leak.
 
@@ -76,6 +71,7 @@ byte-identical to the WAL-less engine.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field, replace as _dataclass_replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -220,33 +216,33 @@ class Database:
             shared_executor = executor
             executor = "process"
         elif executor is None:
-            executor = "sequential" if parallel is None else "thread"
-        elif executor not in ("sequential", "thread", "process"):
+            executor = "sequential"
+        elif executor not in ("sequential", "process"):
             raise ValueError(
                 f"unknown executor {executor!r} (expected 'sequential', "
-                f"'thread', 'process' or a ProcessScanExecutor instance)"
+                f"'process' or a ProcessScanExecutor instance)"
             )
         if executor == "sequential" and parallel is not None:
             raise ValueError(
-                "executor='sequential' takes no parallel workers; "
-                "pass executor='thread' or 'process' with parallel=k"
+                "parallel workers require executor='process' (the "
+                "sequential executor takes no parallel=k)"
             )
         if (
-            executor in ("thread", "process")
+            executor == "process"
             and parallel is None
             and shared_executor is None
         ):
             raise ValueError(
-                f"executor={executor!r} requires parallel=<worker count>"
+                "executor='process' requires parallel=<worker count>"
             )
         self.name = name
         self.engine = engine
         #: Default partition count of every table this database creates.
         self.n_partitions = n_partitions
-        #: Worker count of the optional partition fan-out (None = sequential
+        #: Worker count of the optional process fan-out (None = sequential
         #: unless a shared process executor was passed in).
         self.parallel = parallel
-        #: Partition fan-out kind: "sequential", "thread" or "process".
+        #: Partition fan-out kind: "sequential" or "process".
         self.executor = executor
         #: Whether eligible plans drive their scans vectorized over columnar
         #: chunks (plan-time eligibility; row-at-a-time results and stats are
@@ -254,7 +250,6 @@ class Database:
         #: differential reference the fuzzers sweep against.
         self.vectorized = vectorized
         self.vectorized_chunk_size = vectorized_chunk_size
-        self._pool = None
         #: The process pool (owned and lazily created, or shared/borrowed).
         self._process_executor = shared_executor
         self._owns_executor = shared_executor is None
@@ -872,19 +867,9 @@ class Database:
                 actuals[_position] += 1
                 return True
 
-            instrumented.append(
-                _Level(
-                    binding=level.binding,
-                    table=level.table,
-                    offset=level.offset,
-                    end=level.end,
-                    access=level.access,
-                    filters=level.filters + [count],
-                    estimate=level.estimate,
-                    filter_exprs=list(level.filter_exprs),
-                    key_ast=level.key_ast,
-                )
-            )
+            counted = copy.copy(level)
+            counted.filters = level.filters + [count]
+            instrumented.append(counted)
         probe = _dataclass_replace(plan, levels=instrumented)
         stats = QueryStats()
         result = probe.execute(params, stats=stats)
@@ -958,21 +943,8 @@ class Database:
         return lines
 
     # ------------------------------------------------------------------ #
-    # parallel execution pools
+    # the process pool
     # ------------------------------------------------------------------ #
-
-    def _execution_pool(self):
-        """The lazily created thread fan-out pool (None when sequential)."""
-        if self.parallel is None or self.executor != "thread":
-            return None
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.parallel,
-                thread_name_prefix=f"relalg-{self.name}",
-            )
-        return self._pool
 
     def _process_pool(self) -> Optional["ProcessScanExecutor"]:
         """The process executor (lazily created when owned; None after a
@@ -982,7 +954,7 @@ class Database:
         return self._process_executor
 
     def close(self) -> None:
-        """Release the partition fan-out pools (idempotent).
+        """Release the process fan-out pool (idempotent).
 
         An owned process executor is shut down; a shared one merely forgets
         this database's shard replicas and keeps serving its other owners.
@@ -1009,9 +981,6 @@ class Database:
         if self._wal is not None:
             wal, self._wal = self._wal, None
             wal.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._process_executor is not None:
             executor, self._process_executor = self._process_executor, None
             if self._owns_executor:
@@ -1054,27 +1023,20 @@ class Database:
         if self.engine == "interpreted":
             executor = InterpretedSelectExecutor(self.tables, params)
             result = executor.execute(statement)
-        elif self.executor == "process":
+        else:
             plan = self._plan_for(statement, sql)
-            process_executor = self._process_pool()
-            if self._txn is not None and self._txn.staged:
-                # Worker shards hold only committed partition versions, so a
-                # fan-out would hide this session's staged writes; scan
-                # sequentially until the transaction resolves.
-                process_executor = None
+            process_executor = None
+            # Worker shards hold only committed partition versions, so a
+            # fan-out would hide this session's staged writes; scan
+            # sequentially until the transaction resolves.
+            if self.executor == "process" and (
+                self._txn is None or not self._txn.staged
+            ):
+                process_executor = self._process_pool()
             result = plan.execute(
                 params,
                 QueryStats(),
                 process_executor=process_executor,
-                vectorized=self._vectorized_now(),
-                chunk_size=self.vectorized_chunk_size,
-            )
-        else:
-            plan = self._plan_for(statement, sql)
-            result = plan.execute(
-                params,
-                QueryStats(),
-                pool=self._execution_pool(),
                 vectorized=self._vectorized_now(),
                 chunk_size=self.vectorized_chunk_size,
             )

@@ -27,7 +27,14 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from repro.relalg.compile import _apply_binop
 from repro.relalg.errors import ExecutionError, SchemaError
 from repro.relalg.semantics import check_select
-from repro.relalg.rowset import QueryStats, ResultSet, _SortKey, _hashable, _is_true
+from repro.relalg.rowset import (
+    QueryStats,
+    ResultSet,
+    _SortKey,
+    _hashable,
+    _is_true,
+    matches_nothing,
+)
 from repro.relalg.sqlast import (
     BinaryOperation,
     BinaryOperator,
@@ -174,15 +181,10 @@ class InterpretedSelectExecutor:
             )
             if index_plan is not None:
                 column, value, used = index_plan
-                # A NULL probe key never matches (`col = NULL` is NULL, i.e.
-                # falsy) — the seed's index path wrongly returned NULL rows
-                # here while its scan path filtered them out; both engines
-                # now agree with the scan semantics.  A NaN key never matches
-                # either (`NaN = NaN` is false), but the bucket lookup would
-                # hit when the probe is the stored NaN object itself.
+                # NULL and NaN probe keys never match, exactly as the scan
+                # path's `=` filter decides; every engine shares this rule.
                 candidates: Iterable[Tuple[Any, ...]] = (
-                    ()
-                    if value is None or value != value
+                    () if matches_nothing(value)
                     else table.lookup(column, value)
                 )
                 self.stats.index_lookups += 1

@@ -1,10 +1,10 @@
 """Shared-nothing process-pool execution of partitioned scan levels.
 
-The thread fan-out of :meth:`QueryPlan.execute
-<repro.relalg.planner.QueryPlan.execute>` is architecture-complete but
-GIL-bound: the wall clock never follows the per-partition makespan the
-virtual cost model charges.  This module closes that gap with real OS
-processes:
+The virtual cost model charges partitioned scans as a per-partition
+makespan; a thread pool cannot make the wall clock follow it (the GIL
+serializes the scan), so this module fans the driving scan level of
+:meth:`QueryPlan.execute <repro.relalg.planner.QueryPlan.execute>` out over
+real OS processes:
 
 * :class:`ProcessScanExecutor` keeps a persistent pool of **spawn-safe
   worker processes**.  Each worker owns a disjoint subset of every table's
@@ -528,7 +528,7 @@ class ProcessScanExecutor:
             # Covers (among others) range-probe driving levels and plans
             # with index-order pushdown: both must run sequentially in every
             # mode so their physical counters stay byte-identical across
-            # sequential / thread / process execution.
+            # sequential and process execution.
             return None
         if mode == "agg" and spec.partial_aggregate is None:
             return None

@@ -35,11 +35,18 @@ key, see :mod:`repro.relalg.storage`):
    transient hash table and probed per outer row, replacing the
    interpreter's O(outer × inner) rescans.
 3. :class:`PartitionScan` — everything else; applicable conjuncts become
-   filters.  The scan iterates partitions morsel-style, and
-   :meth:`QueryPlan.execute` optionally fans the partitions of the first
-   (driving) level out over a thread pool.
+   filters.  The scan iterates partitions morsel-style.
 
-NULL join keys never match (both probe kinds), matching ``=`` semantics.
+Every access path produces its candidates the same way —
+:meth:`AccessPath.open` returns ``(pid, rows)`` chunks plus the filters to
+apply, with ``pid=None`` wherever no per-partition scan attribution applies
+(single-partition tables, hash-probe hits) — so one enumeration loop serves
+every plan: single- and multi-partition tables alike, and driving levels
+that were already scanned elsewhere (vectorized chunks, process-pool
+chunks, index-order pushdown) enter that loop one level down.
+
+NULL and NaN join keys never match (both probe kinds), matching ``=``
+semantics (:func:`~repro.relalg.rowset.matches_nothing`).
 
 Join-order caveat for differential testing: the reference engine binds
 tables in syntactic order, so its :class:`QueryStats` are only comparable
@@ -71,7 +78,14 @@ from repro.relalg.compile import (
     compile_row_expr,
 )
 from repro.relalg.errors import ExecutionError, SchemaError
-from repro.relalg.rowset import QueryStats, ResultSet, _SortKey, _hashable, _is_true
+from repro.relalg.rowset import (
+    QueryStats,
+    ResultSet,
+    _SortKey,
+    _hashable,
+    _is_true,
+    matches_nothing,
+)
 from repro.relalg.sqlast import (
     BinaryOperation,
     BinaryOperator,
@@ -91,7 +105,6 @@ from repro.relalg.schema import ColumnType
 from repro.relalg.semantics import RangeInterval, analyze_select, proves_integer
 from repro.relalg.storage import (
     CHUNK_ROWS,
-    OrderedHashIndex,
     Table,
     TableStatistics,
     gather_columns,
@@ -125,12 +138,25 @@ class AccessPath:
 
     __slots__ = ()
 
+    def open(self, level: "_Level", index: int, row: List[Any], ctx: ExecContext):
+        """Candidates of ``level`` for the outer levels currently bound in ``row``.
+
+        Returns ``(chunks, filters)``: ``(pid, rows)`` chunks in storage
+        order — ``pid`` is ``None`` where no per-partition scan attribution
+        applies — and the filters every candidate must pass.  ``index`` is
+        the level's position (hash-join tables are cached per level).
+        """
+        raise NotImplementedError
+
 
 class PartitionScan(AccessPath):
     """Full scan, iterated partition by partition (morsel-style)."""
 
     __slots__ = ()
     kind = "scan"
+
+    def open(self, level, index, row, ctx):
+        return level.table.scan_chunks(), level.filters
 
 
 class IndexProbe(AccessPath):
@@ -153,9 +179,29 @@ class IndexProbe(AccessPath):
         self.fallback = fallback
         self.pruned = pruned
 
+    def open(self, level, index, row, ctx):
+        table = level.table
+        table_index = table.indexes.get(self.column)
+        if table_index is None:
+            # Stale plan (index dropped directly on the table): scan and
+            # re-apply the probe predicate as a filter.
+            return table.scan_chunks(), level.filters + [self.fallback]
+        key = self.key(row, ctx)
+        ctx.stats.index_lookups += 1
+        if matches_nothing(key):
+            return (), level.filters
+        if table.n_partitions > 1:
+            return table.probe_chunks(self.column, key), level.filters
+        # The hot single-partition probe, without the partition routing.
+        matches = table_index.parts[0].live_rows(key, table.partitions[0].rows)
+        return ((None, matches),), level.filters
+
 
 class HashJoinBuild(AccessPath):
-    """Build a transient hash table (partition by partition) and probe it."""
+    """Build a transient hash table (partition by partition) and probe it.
+
+    The table is built lazily, on the level's first probe of an execution.
+    """
 
     __slots__ = ("col_index", "key")
     kind = "hash-probe"
@@ -163,6 +209,20 @@ class HashJoinBuild(AccessPath):
     def __init__(self, col_index: int, key: RowFn) -> None:
         self.col_index = col_index
         self.key = key
+
+    def open(self, level, index, row, ctx):
+        hash_table = ctx.hash_tables.get(index)
+        if hash_table is None:
+            hash_table = ctx.hash_tables[index] = _build_hash_table(
+                level.table, self.col_index, ctx.stats
+            )
+        key = self.key(row, ctx)
+        ctx.stats.hash_probes += 1
+        if matches_nothing(key):
+            return (), level.filters
+        # Probe hits are point reads: partition attribution applies to the
+        # build scan (already charged), not to the hits.
+        return ((None, hash_table.get(key, ())),), level.filters
 
 
 class RangeProbe(AccessPath):
@@ -195,6 +255,30 @@ class RangeProbe(AccessPath):
         self.hi = hi
         self.hi_incl = hi_incl
         self.fallbacks = fallbacks
+
+    def open(self, level, index, row, ctx):
+        table = level.table
+        if table.ordered_index_for(self.column) is not None:
+            lo = self.lo(row, ctx) if self.lo is not None else None
+            hi = self.hi(row, ctx) if self.hi is not None else None
+            if (self.lo is not None and lo is None) or (
+                self.hi is not None and hi is None
+            ):
+                # A NULL bound makes the comparison UNKNOWN for every row:
+                # the probe matches nothing.
+                ctx.stats.range_probes += 1
+                return (), level.filters
+            ranged = table.range_chunks(
+                self.column, lo, self.lo_incl, hi, self.hi_incl
+            )
+            if ranged is not None:
+                ctx.stats.range_probes += 1
+                return ranged, level.filters
+        # Stale plan (ordered index dropped), or a bound whose type class is
+        # incomparable with the stored column: the filtered scan reproduces
+        # the reference engine's per-row semantics, comparison errors
+        # included.
+        return table.scan_chunks(), level.filters + self.fallbacks
 
 
 _SCAN = PartitionScan()
@@ -234,6 +318,14 @@ class _Level:
         #: Source AST of the probe key expression (probe access paths only).
         self.key_ast = key_ast
 
+    @property
+    def access_column(self) -> Optional[str]:
+        """The column the access path probes or builds on (``None`` for scans)."""
+        access = self.access
+        if type(access) is HashJoinBuild:
+            return self.table.schema.columns[access.col_index].name.lower()
+        return getattr(access, "column", None)
+
 
 # --------------------------------------------------------------------------- #
 # the plan
@@ -266,9 +358,6 @@ class QueryPlan:
     #: Lowered names of every table this plan reads (bindings + subqueries);
     #: the per-table plan-cache invalidation in ``Database`` keys off these.
     table_deps: Set[str]
-    #: Whether any bound table has more than one partition; single-partition
-    #: plans run the historical tight enumeration loop unchanged.
-    partitioned: bool
     #: Plans of the statement's scalar subqueries, snapshot at plan time
     #: (the same moment — and therefore the same statistics — as the
     #: subplans compiled into the expression closures), outermost first.
@@ -328,8 +417,8 @@ class QueryPlan:
     #: single-level scan plan — execution k-way merges the per-partition
     #: sorted runs and stops after ``limit + offset`` surviving rows,
     #: instead of scanning everything and sorting.  Mode-independent (the
-    #: thread/process fan-out is disabled for these plans) so every engine
-    #: mode reports identical counters.
+    #: process fan-out is disabled for these plans) so every engine mode
+    #: reports identical counters.
     index_order: Optional[Tuple[str, bool]] = None
 
     # ------------------------------------------------------------------ #
@@ -338,23 +427,19 @@ class QueryPlan:
         self,
         params: Sequence[Any] = (),
         stats: Optional[QueryStats] = None,
-        pool=None,
         process_executor=None,
         vectorized: bool = False,
         chunk_size: int = CHUNK_ROWS,
     ) -> ResultSet:
         """Run the plan and return the materialised result.
 
-        ``pool`` (a ``concurrent.futures`` executor) enables the optional
-        per-partition fan-out of the driving scan level over threads;
         ``process_executor`` (a
-        :class:`~repro.relalg.parallel.ProcessScanExecutor`) instead ships
-        the driving scan level's :class:`PlanSpec` to worker processes and
+        :class:`~repro.relalg.parallel.ProcessScanExecutor`) ships the
+        driving scan level's :class:`PlanSpec` to worker processes and
         merges their filtered row chunks in partition order (plans the
         executor cannot ship — see :attr:`PlanSpec.process_eligible` — fall
-        back to sequential execution).  ``None`` for both (the default)
-        executes sequentially with work accounting byte-identical to the
-        historical engine.
+        back to sequential execution).  ``None`` (the default) executes
+        sequentially; both report identical results and statistics.
 
         ``vectorized`` drives eligible plans (:attr:`vector_eligible`)
         batch-at-a-time over the driving table's columnar chunks of
@@ -366,56 +451,41 @@ class QueryPlan:
         stats = stats if stats is not None else QueryStats()
         ctx = ExecContext(self.tables, params, stats)
         use_vectorized = vectorized and self.vector_eligible
-        #: Batch hash-join probing rides any pre-filtered chunk stream (local
-        #: vectorized chunks or process-pool chunks); ``vectorized=False``
-        #: keeps the row-at-a-time probe as the differential reference.
-        batch_join = vectorized and self.vector_join_key is not None
         result_rows: Optional[List[Tuple[Any, ...]]] = None
         rows: List[Tuple[Any, ...]] = []
+        index_ordered = False
         # A proven contradiction skips enumeration outright: `rows` stays
         # empty and flows through the ordinary aggregation/projection
         # pipeline (ungrouped aggregates still emit their single row).
-        enumerated = self.contradiction
-        # Index-order pushdown runs before any fan-out decision so every
-        # engine mode takes the same enumeration (and reports the same
-        # counters); it returns None to fall back (index dropped, NaNs).
-        index_ordered = False
-        if not enumerated and self.index_order is not None:
-            pushed = self._enumerate_index_order(ctx)
-            if pushed is not None:
-                rows = pushed
-                enumerated = True
-                index_ordered = True
-        if not enumerated and process_executor is not None and self.partitioned:
-            if vectorized and self.partial_aggregate_spec is not None:
-                partials = process_executor.aggregate_chunks(self, params)
-                if partials is not None:
-                    result_rows = self._merge_partial_aggregate(partials, ctx)
-                    enumerated = True
-            if not enumerated and (
-                (chunks := process_executor.scan_chunks(self, params))
-                is not None
-            ):
-                rows = (
-                    self._enumerate_vector_join(ctx, chunks) if batch_join
-                    else self._enumerate(ctx, driving_chunks=chunks)
+        if not self.contradiction:
+            # A driving chunk stream replaces the first level's scan.
+            # Index-order pushdown comes first so every engine mode takes
+            # the same enumeration (and reports the same counters); it
+            # returns None to fall back (index dropped, NaNs).
+            driving = None
+            if self.index_order is not None:
+                driving = self._index_order_chunks(ctx)
+                index_ordered = driving is not None
+            if driving is None and process_executor is not None:
+                if vectorized and self.partial_aggregate_spec is not None:
+                    partials = process_executor.aggregate_chunks(self, params)
+                    if partials is not None:
+                        result_rows = self._merge_partial_aggregate(
+                            partials, ctx
+                        )
+                if result_rows is None:
+                    driving = process_executor.scan_chunks(self, params)
+            if result_rows is None:
+                if driving is None and use_vectorized:
+                    driving = self._vector_chunks(ctx, chunk_size)
+                # Batch hash-join probing rides any pre-filtered chunk
+                # stream; ``vectorized=False`` keeps the row-at-a-time probe
+                # as the differential reference.
+                rows = self._enumerate(
+                    ctx, driving,
+                    batch_join=driving is not None and vectorized
+                    and self.vector_join_key is not None,
                 )
-                enumerated = True
-        if not enumerated:
-            if pool is not None and self.parallel_partition_count() > 1:
-                rows = self._enumerate_parallel(
-                    ctx, pool, vectorized=use_vectorized, chunk_size=chunk_size
-                )
-            elif use_vectorized:
-                chunks = self._vector_chunks(ctx, chunk_size)
-                rows = (
-                    self._enumerate_vector_join(ctx, chunks) if batch_join
-                    else self._enumerate(ctx, driving_chunks=chunks)
-                )
-            elif not self.partitioned:
-                rows = self._enumerate_single(ctx)
-            else:
-                rows = self._enumerate(ctx)
 
         if result_rows is not None:
             pass  # process-pool partial aggregation already produced groups
@@ -479,20 +549,12 @@ class QueryPlan:
         for level in self.levels:
             cumulative *= max(level.estimate, 0.0)
             access = level.access
-            if type(access) is IndexProbe:
-                column: Optional[str] = access.column
-            elif type(access) is RangeProbe:
-                column = access.column
-            elif type(access) is HashJoinBuild:
-                column = level.table.schema.columns[access.col_index].name.lower()
-            else:
-                column = None
             described.append(
                 {
                     "binding": level.binding,
                     "table": level.table.name,
                     "access": access.kind,
-                    "column": column,
+                    "column": level.access_column,
                     "filters": len(level.filters),
                     "partitions": level.table.n_partitions,
                     "pruned": (
@@ -504,157 +566,28 @@ class QueryPlan:
             )
         return described
 
-    def parallel_partition_count(self) -> int:
-        """Partitions the driving level can fan out over (0 = not parallelizable)."""
-        if not self.levels:
-            return 0
-        if self.index_order is not None:
-            # Index-order pushdown replaces the partition fan-out; keeping
-            # these plans sequential in every mode keeps the counters
-            # identical across thread/process/sequential execution.
-            return 0
-        first = self.levels[0]
-        if type(first.access) is not PartitionScan:
-            return 0
-        return first.table.n_partitions if first.table.n_partitions > 1 else 0
-
     # ------------------------------------------------------------------ #
 
-    def _enumerate_single(self, ctx: ExecContext) -> List[Tuple[Any, ...]]:
-        """The historical tight enumeration loop for unpartitioned plans.
-
-        Every bound table has exactly one partition, so there is no chunk
-        iteration and no per-partition attribution — the inner loops (and
-        their work accounting) are byte-identical to the pre-partitioning
-        engine, which keeps the hot path at its original speed.
-        """
-        levels = self.levels
-        depth = len(levels)
-        stats = ctx.stats
-        row: List[Any] = [None] * self.layout.width
-        out: List[Tuple[Any, ...]] = []
-        append = out.append
-
-        def recurse(index: int) -> None:
-            if index == depth:
-                append(tuple(row))
-                return
-            level = levels[index]
-            table = level.table
-            access = level.access
-            filters = level.filters
-            if type(access) is IndexProbe:
-                table_index = table.indexes.get(access.column)
-                if table_index is None:
-                    # Stale plan (index dropped directly on the table): scan
-                    # and re-apply the probe predicate as a filter.
-                    candidates: Any = table.partitions[0].scan()
-                    filters = filters + [access.fallback]
-                else:
-                    key = access.key(row, ctx)
-                    stats.index_lookups += 1
-                    if key is None or key != key:
-                        # `= NULL` is UNKNOWN and `= NaN` is false for every
-                        # row; the bucket lookup would wrongly hit when the
-                        # probe is the very NaN object stored in the index.
-                        candidates = ()
-                    else:
-                        stored_rows = table.partitions[0].rows
-                        candidates = [
-                            stored
-                            for position in table_index.parts[0].lookup(key)
-                            if (stored := stored_rows[position]) is not None
-                        ]
-            elif type(access) is RangeProbe:
-                if table.ordered_index_for(access.column) is None:
-                    # Stale plan (ordered index dropped): scan and re-apply
-                    # the consumed range conjuncts as plain filters.
-                    candidates = table.partitions[0].scan()
-                    filters = filters + access.fallbacks
-                else:
-                    lo = access.lo(row, ctx) if access.lo is not None else None
-                    hi = access.hi(row, ctx) if access.hi is not None else None
-                    if (access.lo is not None and lo is None) or (
-                        access.hi is not None and hi is None
-                    ):
-                        # A NULL bound makes the comparison UNKNOWN for
-                        # every row: the probe matches nothing.
-                        stats.range_probes += 1
-                        candidates = ()
-                    else:
-                        ranged = table.range_chunks(
-                            access.column, lo, access.lo_incl,
-                            hi, access.hi_incl,
-                        )
-                        if ranged is None:
-                            # Bound type class incomparable with the stored
-                            # column: the filtered scan reproduces the
-                            # reference engine's per-row comparison error.
-                            candidates = table.partitions[0].scan()
-                            filters = filters + access.fallbacks
-                        else:
-                            stats.range_probes += 1
-                            candidates = [
-                                stored
-                                for _pid, matched in ranged
-                                for stored in matched
-                            ]
-            elif type(access) is HashJoinBuild:
-                hash_table = ctx.hash_tables.get(index)
-                if hash_table is None:
-                    hash_table = _build_hash_table(table, access.col_index, stats)
-                    ctx.hash_tables[index] = hash_table
-                key = access.key(row, ctx)
-                stats.hash_probes += 1
-                candidates = (
-                    () if key is None or key != key
-                    else hash_table.get(key, ())
-                )
-            else:
-                candidates = table.partitions[0].scan()
-            offset, end = level.offset, level.end
-            next_index = index + 1
-            scanned = 0
-            if filters:
-                for candidate in candidates:
-                    scanned += 1
-                    row[offset:end] = candidate
-                    for predicate in filters:
-                        if not predicate(row, ctx):
-                            break
-                    else:
-                        recurse(next_index)
-            else:
-                for candidate in candidates:
-                    scanned += 1
-                    row[offset:end] = candidate
-                    recurse(next_index)
-            stats.rows_scanned += scanned
-
-        recurse(0)
-        # Every fully joined slot row passed all its predicates en route.
-        stats.rows_joined += len(out)
-        return out
-
     def _enumerate(
-        self,
-        ctx: ExecContext,
-        restrict_partition: Optional[int] = None,
-        driving_chunks=None,
+        self, ctx: ExecContext, driving=None, batch_join: bool = False
     ) -> List[Tuple[Any, ...]]:
         """Nested-loop/hash join over the planned levels; returns slot rows.
 
-        Partition-aware variant (at least one bound table is partitioned):
-        scans and probes iterate per-partition chunks and attribute scan work
-        to :attr:`QueryStats.partition_rows_scanned`.  ``restrict_partition``
-        limits the *first* level's scan to one partition (the thread fan-out
-        path enumerates each partition in its own worker and concatenates in
-        partition order).  ``driving_chunks`` — ``(pid, surviving rows,
-        scanned count)`` triples in partition order — replaces the first
-        level's scan entirely: the process-pool workers already scanned and
-        filtered the driving partitions, so this level only charges the
-        reported scan work (per partition, exactly as a local scan would)
-        and recurses into the inner levels per surviving row.
+        The one enumeration loop of the compiled engine.  Each level asks
+        its access path for ``(pid, rows)`` candidate chunks (see
+        :meth:`AccessPath.open`), binds every candidate into the slot row,
+        applies the level's filters and descends; a chunk's scan work is
+        charged to ``rows_scanned`` and, when ``pid`` is not ``None``, to
+        :attr:`QueryStats.partition_rows_scanned`.
+
+        ``driving`` — ``(pid, surviving rows, scanned count)`` triples in
+        partition order — replaces the first level's scan entirely: the
+        vectorized chunk scan, the process-pool workers or the index-order
+        merge already scanned and filtered the driving table, so this level
+        only charges the reported scan work (per partition, exactly as a
+        local scan would) and descends per surviving row — or, with
+        ``batch_join``, probes the inner hash join a whole chunk at a time
+        (see :meth:`_batch_join`).
         """
         levels = self.levels
         depth = len(levels)
@@ -663,164 +596,34 @@ class QueryPlan:
         row: List[Any] = [None] * self.layout.width
         out: List[Tuple[Any, ...]] = []
         append = out.append
+        # A single-level plan's candidate IS its full slot row: filters read
+        # it directly and survivors append wholesale, skipping the slot-row
+        # splice and copy.
+        whole = depth == 1
 
         def recurse(index: int) -> None:
-            if index == depth:
-                append(tuple(row))
-                return
-            if index == 0 and driving_chunks is not None:
-                level = levels[0]
-                offset, end = level.offset, level.end
-                total = 0
-                if depth == 1:
-                    # Single-level plan: each surviving driving row IS the
-                    # full slot row, so survivors append wholesale — the
-                    # splice/recurse cycle per row would rebuild the same
-                    # tuples one by one.
-                    extend = out.extend
-                    for pid, survivors, scanned in driving_chunks:
-                        extend(survivors)
-                        if scanned and pid is not None:
-                            pscan[pid] = pscan.get(pid, 0) + scanned
-                        total += scanned
-                    stats.rows_scanned += total
-                    return
-                for pid, survivors, scanned in driving_chunks:
-                    for candidate in survivors:
-                        row[offset:end] = candidate
-                        recurse(1)
-                    # ``pid is None`` marks a single-partition driving table
-                    # (vectorized chunks): its scan work is charged to the
-                    # flat counter only, exactly like the row-at-a-time
-                    # single-partition candidates path.
-                    if scanned and pid is not None:
-                        pscan[pid] = pscan.get(pid, 0) + scanned
-                    total += scanned
-                stats.rows_scanned += total
-                return
             level = levels[index]
-            table = level.table
-            access = level.access
-            filters = level.filters
-            multi = table.n_partitions > 1
-            #: Per-partition (pid, candidates) chunks for partitioned tables;
-            #: single-partition tables use the flat ``candidates`` fast path
-            #: (the historical inner loop, byte-for-byte work accounting).
-            chunks: Any = None
-            candidates: Any = None
-            if type(access) is IndexProbe:
-                table_index = table.indexes.get(access.column)
-                if table_index is None:
-                    # Stale plan (index dropped directly on the table): scan
-                    # and re-apply the probe predicate as a filter.
-                    filters = filters + [access.fallback]
-                    if multi:
-                        chunks = table.scan_chunks()
-                    else:
-                        candidates = table.partitions[0].scan()
-                else:
-                    key = access.key(row, ctx)
-                    stats.index_lookups += 1
-                    if key is None or key != key:
-                        # NULL/NaN probes match nothing (see _enumerate_single).
-                        candidates = ()
-                    elif multi:
-                        chunks = table.probe_chunks(access.column, key)
-                    else:
-                        stored_rows = table.partitions[0].rows
-                        candidates = [
-                            stored
-                            for position in table_index.parts[0].lookup(key)
-                            if (stored := stored_rows[position]) is not None
-                        ]
-            elif type(access) is RangeProbe:
-                if table.ordered_index_for(access.column) is None:
-                    # Stale plan (ordered index dropped): scan and re-apply
-                    # the consumed range conjuncts as plain filters.
-                    filters = filters + access.fallbacks
-                    if multi:
-                        chunks = table.scan_chunks()
-                    else:
-                        candidates = table.partitions[0].scan()
-                else:
-                    lo = access.lo(row, ctx) if access.lo is not None else None
-                    hi = access.hi(row, ctx) if access.hi is not None else None
-                    if (access.lo is not None and lo is None) or (
-                        access.hi is not None and hi is None
-                    ):
-                        # NULL bounds match nothing (see _enumerate_single).
-                        stats.range_probes += 1
-                        candidates = ()
-                    else:
-                        ranged = table.range_chunks(
-                            access.column, lo, access.lo_incl,
-                            hi, access.hi_incl,
-                        )
-                        if ranged is None:
-                            # Incomparable bound type class: filtered scan
-                            # reproduces the reference per-row error.
-                            filters = filters + access.fallbacks
-                            if multi:
-                                chunks = table.scan_chunks()
-                            else:
-                                candidates = table.partitions[0].scan()
-                        elif multi:
-                            stats.range_probes += 1
-                            chunks = ranged
-                        else:
-                            stats.range_probes += 1
-                            candidates = [
-                                stored
-                                for _pid, matched in ranged
-                                for stored in matched
-                            ]
-            elif type(access) is HashJoinBuild:
-                hash_table = ctx.hash_tables.get(index)
-                if hash_table is None:
-                    hash_table = _build_hash_table(table, access.col_index, stats)
-                    ctx.hash_tables[index] = hash_table
-                key = access.key(row, ctx)
-                stats.hash_probes += 1
-                # Probe hits are point reads; partition attribution applies
-                # to the build scan (already charged), not to the hits.
-                candidates = (
-                    () if key is None or key != key
-                    else hash_table.get(key, ())
-                )
-            else:
-                if index == 0 and restrict_partition is not None:
-                    chunks = (
-                        (restrict_partition,
-                         table.partitions[restrict_partition].scan()),
-                    )
-                elif multi:
-                    chunks = table.scan_chunks()
-                else:
-                    candidates = table.partitions[0].scan()
+            chunks, filters = level.access.open(level, index, row, ctx)
             offset, end = level.offset, level.end
             next_index = index + 1
-            if chunks is None:
-                scanned = 0
-                if filters:
-                    for candidate in candidates:
-                        scanned += 1
-                        row[offset:end] = candidate
-                        for predicate in filters:
-                            if not predicate(row, ctx):
-                                break
-                        else:
-                            recurse(next_index)
-                else:
-                    for candidate in candidates:
-                        scanned += 1
-                        row[offset:end] = candidate
-                        recurse(next_index)
-                stats.rows_scanned += scanned
-                return
+            last = next_index == depth
             total = 0
             for pid, candidates in chunks:
                 scanned = 0
-                if filters:
+                if whole:
+                    if filters:
+                        for candidate in candidates:
+                            scanned += 1
+                            for predicate in filters:
+                                if not predicate(candidate, ctx):
+                                    break
+                            else:
+                                append(candidate)
+                    else:
+                        before = len(out)
+                        out.extend(candidates)
+                        scanned = len(out) - before
+                else:
                     for candidate in candidates:
                         scanned += 1
                         row[offset:end] = candidate
@@ -828,25 +631,39 @@ class QueryPlan:
                             if not predicate(row, ctx):
                                 break
                         else:
-                            recurse(next_index)
-                else:
-                    for candidate in candidates:
-                        scanned += 1
-                        row[offset:end] = candidate
-                        recurse(next_index)
-                if scanned:
+                            if last:
+                                append(tuple(row))
+                            else:
+                                recurse(next_index)
+                if scanned and pid is not None:
                     pscan[pid] = pscan.get(pid, 0) + scanned
                 total += scanned
             stats.rows_scanned += total
 
-        recurse(0)
+        if driving is None:
+            recurse(0)
+        else:
+            offset, end = levels[0].offset, levels[0].end
+            join_chunk = self._batch_join(ctx, append) if batch_join else None
+            total = 0
+            for pid, survivors, scanned in driving:
+                if join_chunk is not None:
+                    join_chunk(survivors)
+                elif whole:
+                    out.extend(survivors)
+                else:
+                    for candidate in survivors:
+                        row[offset:end] = candidate
+                        recurse(1)
+                if scanned and pid is not None:
+                    pscan[pid] = pscan.get(pid, 0) + scanned
+                total += scanned
+            stats.rows_scanned += total
         # Every fully joined slot row passed all its predicates en route.
         stats.rows_joined += len(out)
         return out
 
-    def _enumerate_index_order(
-        self, ctx: ExecContext
-    ) -> Optional[List[Tuple[Any, ...]]]:
+    def _index_order_chunks(self, ctx: ExecContext):
         """ORDER BY + LIMIT pushdown over the driving ordered index.
 
         Single-level plans whose lone sort key is an ordered-indexed column
@@ -856,10 +673,14 @@ class QueryPlan:
         keys come out in partition-major storage order, ascending and
         descending alike, exactly where the stable full sort of a
         partition-major scan places them; NULLs sort last ascending / first
-        descending, in scan order.  Returns ``None`` to fall back to the
-        scan-then-sort path when the index was dropped behind the plan
-        cache's back or any partition holds NaN values (their full-sort
-        placement depends on failed comparisons the merge cannot reproduce).
+        descending, in scan order.
+
+        Returns a driving chunk stream for :meth:`_enumerate` — one
+        ``(pid, survivors, 1)`` triple per visited row, filters already
+        applied — or ``None`` to fall back to the scan-then-sort path when
+        the index was dropped behind the plan cache's back or any partition
+        holds NaN values (their full-sort placement depends on failed
+        comparisons the merge cannot reproduce).
         """
         column, ascending = self.index_order
         level = self.levels[0]
@@ -870,11 +691,6 @@ class QueryPlan:
         parts = table_index.parts
         if any(part.nans for part in parts):
             return None
-        stats = ctx.stats
-        pscan = stats.partition_rows_scanned
-        multi = table.n_partitions > 1
-        filters = level.filters
-        needed = (self.limit or 0) + (self.offset or 0)
 
         def run_stream(pid: int):
             for value, position in parts[pid].run:
@@ -916,54 +732,44 @@ class QueryPlan:
         candidates = (
             chain(ordered, nulls) if ascending else chain(nulls, ordered)
         )
-
         partitions = table.partitions
-        out: List[Tuple[Any, ...]] = []
-        append = out.append
-        scanned: Dict[int, int] = {}
-        total = 0
-        for _value, pid, position in candidates:
-            stored = partitions[pid].rows[position]
-            if stored is None:
-                continue  # defensive: the index drops deleted rows eagerly
-            total += 1
-            if multi:
-                scanned[pid] = scanned.get(pid, 0) + 1
-            if filters:
-                passed = True
+        multi = table.n_partitions > 1
+        filters = level.filters
+        needed = (self.limit or 0) + (self.offset or 0)
+
+        def chunks():
+            kept = 0
+            for _value, pid, position in candidates:
+                stored = partitions[pid].rows[position]
+                if stored is None:
+                    continue  # defensive: the index drops deleted rows eagerly
                 for predicate in filters:
                     if not predicate(stored, ctx):
-                        passed = False
+                        survivors: Tuple[Tuple[Any, ...], ...] = ()
                         break
-                if not passed:
-                    continue
-            append(stored)
-            if len(out) >= needed:
-                break
-        stats.rows_scanned += total
-        if multi:
-            for pid, count in scanned.items():
-                pscan[pid] = pscan.get(pid, 0) + count
-        stats.rows_joined += len(out)
-        return out
+                else:
+                    survivors = (stored,)
+                    kept += 1
+                yield (pid if multi else None), survivors, 1
+                if survivors and kept >= needed:
+                    return
 
-    def _vector_chunks(
-        self, ctx: ExecContext, chunk_size: int, only_pid: Optional[int] = None
-    ):
+        return chunks()
+
+    def _vector_chunks(self, ctx: ExecContext, chunk_size: int):
         """Vectorized driving scan: yield ``(pid, survivors, scanned)``.
 
         One triple per columnar chunk of the driving table, in partition
         order — the same shape the process-pool workers return, consumed by
-        the same ``driving_chunks`` seam of :meth:`_enumerate`, so the work
+        the same ``driving`` seam of :meth:`_enumerate`, so the work
         accounting is charged identically.  ``pid`` is ``None`` for
         single-partition driving tables (no per-partition attribution, like
-        the row-at-a-time candidates path).
+        the row-at-a-time scan).
         """
         table = self.levels[0].table
         predicate = self.vector_filter
         multi = table.n_partitions > 1
-        pids = range(table.n_partitions) if only_pid is None else (only_pid,)
-        for pid in pids:
+        for pid in range(table.n_partitions):
             out_pid = pid if multi else None
             for block, cols in table.partitions[pid].column_chunks(chunk_size):
                 scanned = len(block)
@@ -976,83 +782,74 @@ class QueryPlan:
                     )
                 yield out_pid, survivors, scanned
 
-    def _enumerate_vector_join(
-        self, ctx: ExecContext, driving_chunks
-    ) -> List[Tuple[Any, ...]]:
-        """Batch hash-join probing over a pre-filtered driving chunk stream.
+    def _batch_join(self, ctx: ExecContext, append):
+        """Batch hash-join probing of pre-filtered driving chunks.
 
         The two-level scan→hash-join shape (:attr:`vector_join_key` set):
-        probe keys are evaluated column-at-a-time per chunk of surviving
-        driving rows, each key probes the shared hash table once, and joined
-        rows are built by tuple concatenation — replacing one key-closure
-        call, one dict probe and one slice-splice per outer row.  Work
-        accounting matches the row path exactly: one ``hash_probes`` per
-        surviving outer row, every iterated candidate charged to
-        ``rows_scanned``, the hash table built lazily on the first
-        surviving row, and residual probe-level filters applied per joined
-        row with the row path's own closures (in candidate order).
+        returns a closure over one chunk of surviving driving rows that
+        evaluates the probe keys column-at-a-time, probes the shared hash
+        table once per key and appends the joined rows (built by tuple
+        concatenation) — replacing one key-closure call, one dict probe and
+        one slice-splice per outer row.  Work accounting matches the row
+        path exactly: one ``hash_probes`` per surviving outer row, every
+        iterated candidate charged to ``rows_scanned``, the hash table built
+        lazily on the first surviving row, and residual probe-level filters
+        applied per joined row with the row path's own closures (in
+        candidate order).
         """
         stats = ctx.stats
-        pscan = stats.partition_rows_scanned
         level = self.levels[1]
-        access = level.access
         filters = level.filters
-        d_level = self.levels[0]
-        d_offset, d_end = d_level.offset, d_level.end
+        d_offset, d_end = self.levels[0].offset, self.levels[0].end
         driving_first = d_offset == 0
         kkind, kfn = self.vector_join_key[0], self.vector_join_key[1]
         needed = self.vector_join_key[2] if kkind == "vec" else ()
         d_width = d_end - d_offset
-        hash_table = ctx.hash_tables.get(1)
-        out: List[Tuple[Any, ...]] = []
-        append = out.append
-        total = 0
-        probe_scanned = 0
-        for pid, survivors, scanned in driving_chunks:
-            if survivors:
-                if hash_table is None:
-                    hash_table = _build_hash_table(
-                        level.table, access.col_index, stats
-                    )
-                    ctx.hash_tables[1] = hash_table
-                n = len(survivors)
-                if kkind == "const":
-                    keys: Any = [kfn(ctx)] * n
+
+        def join_chunk(survivors) -> None:
+            if not survivors:
+                return
+            hash_table = ctx.hash_tables.get(1)
+            if hash_table is None:
+                hash_table = ctx.hash_tables[1] = _build_hash_table(
+                    level.table, level.access.col_index, stats
+                )
+            n = len(survivors)
+            if kkind == "const":
+                keys: Any = [kfn(ctx)] * n
+            else:
+                cols = gather_columns(survivors, needed, d_width)
+                keys = kfn(cols, n, ctx)
+            stats.hash_probes += n
+            get = hash_table.get
+            probed = 0
+            for srow, key in zip(survivors, keys):
+                if key is None or key != key:
+                    continue  # matches_nothing(key), inlined per row
+                candidates = get(key, ())
+                if not candidates:
+                    continue
+                probed += len(candidates)
+                if filters:
+                    for candidate in candidates:
+                        joined = (
+                            srow + candidate if driving_first
+                            else candidate + srow
+                        )
+                        for predicate in filters:
+                            if not predicate(joined, ctx):
+                                break
+                        else:
+                            append(joined)
+                elif driving_first:
+                    for candidate in candidates:
+                        append(srow + candidate)
                 else:
-                    cols = gather_columns(survivors, needed, d_width)
-                    keys = kfn(cols, n, ctx)
-                stats.hash_probes += n
-                get = hash_table.get
-                for srow, key in zip(survivors, keys):
-                    if key is None or key != key:
-                        continue  # NULL/NaN keys match nothing
-                    candidates = get(key, ())
-                    if not candidates:
-                        continue
-                    probe_scanned += len(candidates)
-                    if filters:
-                        for candidate in candidates:
-                            joined = (
-                                srow + candidate if driving_first
-                                else candidate + srow
-                            )
-                            for predicate in filters:
-                                if not predicate(joined, ctx):
-                                    break
-                            else:
-                                append(joined)
-                    elif driving_first:
-                        for candidate in candidates:
-                            append(srow + candidate)
-                    else:
-                        for candidate in candidates:
-                            append(candidate + srow)
-            if scanned and pid is not None:
-                pscan[pid] = pscan.get(pid, 0) + scanned
-            total += scanned
-        stats.rows_scanned += total + probe_scanned
-        stats.rows_joined += len(out)
-        return out
+                    for candidate in candidates:
+                        append(candidate + srow)
+            stats.rows_scanned += probed
+
+        return join_chunk
 
     def _merge_partial_aggregate(
         self, partials, ctx: ExecContext
@@ -1134,57 +931,6 @@ class QueryPlan:
             result.append(tuple(values))
         return result
 
-    def _enumerate_parallel(
-        self, ctx: ExecContext, pool, vectorized: bool = False,
-        chunk_size: int = CHUNK_ROWS,
-    ) -> List[Tuple[Any, ...]]:
-        """Fan the driving scan level's partitions out over ``pool``.
-
-        Hash-join tables are built once, up front, so the workers share them
-        read-only (the sequential path builds them lazily on first probe;
-        the parallel path may therefore build a table a lazy run would have
-        skipped — the counters still record exactly the work performed).
-        Results are concatenated in partition order, so the row order —
-        and hence every downstream result — is identical to the sequential
-        partition-major enumeration.  With ``vectorized`` each worker drives
-        its partition through the columnar chunk scan instead of the
-        row-at-a-time restriction.
-        """
-        for index, level in enumerate(self.levels):
-            if type(level.access) is HashJoinBuild and (
-                index not in ctx.hash_tables
-            ):
-                ctx.hash_tables[index] = _build_hash_table(
-                    level.table, level.access.col_index, ctx.stats
-                )
-
-        batch_join = vectorized and self.vector_join_key is not None
-
-        def run_partition(pid: int) -> Tuple[List[Tuple[Any, ...]], QueryStats]:
-            sub_stats = QueryStats()
-            sub_ctx = ExecContext(ctx.tables, ctx.params, sub_stats)
-            sub_ctx.hash_tables = ctx.hash_tables
-            if vectorized:
-                chunks = self._vector_chunks(sub_ctx, chunk_size, only_pid=pid)
-                rows = (
-                    self._enumerate_vector_join(sub_ctx, chunks) if batch_join
-                    else self._enumerate(sub_ctx, driving_chunks=chunks)
-                )
-            else:
-                rows = self._enumerate(sub_ctx, restrict_partition=pid)
-            return rows, sub_stats
-
-        futures = [
-            pool.submit(run_partition, pid)
-            for pid in range(self.parallel_partition_count())
-        ]
-        out: List[Tuple[Any, ...]] = []
-        for future in futures:
-            rows, sub_stats = future.result()
-            out.extend(rows)
-            ctx.stats.merge(sub_stats)
-        return out
-
     def _aggregate(
         self, rows: List[Tuple[Any, ...]], ctx: ExecContext
     ) -> List[Tuple[Any, ...]]:
@@ -1252,7 +998,6 @@ def _build_hash_table(
     exact order a sequential full scan would produce.
     """
     pscan = stats.partition_rows_scanned
-    multi = table.n_partitions > 1
     hash_table: Dict[Any, List[Tuple[Any, ...]]] = {}
     for pid, rows_iter in table.scan_chunks():
         built = 0
@@ -1261,7 +1006,7 @@ def _build_hash_table(
             value = stored[col_index]
             if value is not None:
                 hash_table.setdefault(value, []).append(stored)
-        if multi and built:
+        if built and pid is not None:
             pscan[pid] = pscan.get(pid, 0) + built
         stats.rows_scanned += built
     return hash_table
@@ -1290,7 +1035,8 @@ class LevelSpec:
     n_partitions: int
     offset: int
     end: int
-    #: Access-path kind: ``"scan"``, ``"index-probe"`` or ``"hash-probe"``.
+    #: Access-path kind: ``"scan"``, ``"index-probe"``, ``"range-probe"`` or
+    #: ``"hash-probe"``.
     access: str
     #: Probe/build column (``None`` for plain scans).
     column: Optional[str]
@@ -1348,22 +1094,10 @@ def lower_plan(plan: QueryPlan) -> PlanSpec:
     )
     levels = []
     for level in plan.levels:
+        # Only the driving level of a spec executes worker-side, and only a
+        # plain scan is process-eligible there; every other access path is
+        # lowered as descriptive data.
         access = level.access
-        if type(access) is IndexProbe:
-            column: Optional[str] = access.column
-            pruned = access.pruned
-        elif type(access) is RangeProbe:
-            # Only the driving level of a spec executes worker-side, and a
-            # range-probe driving level is never process-eligible; inner
-            # levels are lowered as descriptive data only.
-            column = access.column
-            pruned = False
-        elif type(access) is HashJoinBuild:
-            column = level.table.schema.columns[access.col_index].name.lower()
-            pruned = False
-        else:
-            column = None
-            pruned = False
         levels.append(
             LevelSpec(
                 binding=level.binding,
@@ -1373,17 +1107,22 @@ def lower_plan(plan: QueryPlan) -> PlanSpec:
                 offset=level.offset,
                 end=level.end,
                 access=access.kind,
-                column=column,
+                column=level.access_column,
                 key_ast=level.key_ast,
-                pruned=pruned,
+                pruned=type(access) is IndexProbe and access.pruned,
                 filter_asts=tuple(level.filter_exprs),
             )
         )
+    driving = plan.levels[0] if plan.levels else None
     eligible = (
-        plan.parallel_partition_count() > 1
-        and not any(
-            expr_has_subquery(expr) for expr in plan.levels[0].filter_exprs
-        )
+        driving is not None
+        and type(driving.access) is PartitionScan
+        and driving.table.n_partitions > 1
+        # Index-order pushdown replaces the partition fan-out; keeping these
+        # plans sequential in every mode keeps the counters identical across
+        # process and sequential execution.
+        and plan.index_order is None
+        and not any(expr_has_subquery(expr) for expr in driving.filter_exprs)
     )
     return PlanSpec(
         bindings=bindings,
@@ -1724,7 +1463,6 @@ def plan_select(statement: SelectStatement, tables: Dict[str, Table]) -> QueryPl
         limit=statement.limit,
         offset=statement.offset,
         table_deps=statement_table_deps(statement),
-        partitioned=any(table.n_partitions > 1 for _binding, table in bindings),
         subquery_plans=[
             plan_select(subselect, tables)
             for subselect in _direct_subselects(statement)

@@ -16,7 +16,18 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.relalg.errors import ExecutionError
 
-__all__ = ["QueryStats", "ResultSet", "merge_partition_counts"]
+__all__ = ["QueryStats", "ResultSet", "matches_nothing", "merge_partition_counts"]
+
+
+def matches_nothing(key: Any) -> bool:
+    """Whether an equality probe with ``key`` matches no row at all.
+
+    ``col = NULL`` is UNKNOWN and ``col = NaN`` is false for every row, yet
+    a bucket lookup would hit the NULL entries secondary indexes store, or
+    the very NaN object stored in an index.  Every engine's index and hash
+    probes consult this one rule before looking a key up.
+    """
+    return key is None or key != key
 
 
 def merge_partition_counts(target: Dict[int, int], source: Dict[int, int]) -> None:

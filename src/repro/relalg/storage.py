@@ -256,6 +256,19 @@ class HashIndex:
             return _EMPTY_VIEW
         return PositionsView(bucket)
 
+    def live_rows(
+        self, value: Any, rows: List[Optional[Tuple[Any, ...]]]
+    ) -> List[Tuple[Any, ...]]:
+        """The live rows of ``rows`` (this index's partition row list) whose
+        indexed column equals ``value``, in position order."""
+        bucket = self._buckets.get(value)
+        if bucket is None:
+            return []
+        return [
+            stored for position in bucket
+            if (stored := rows[position]) is not None
+        ]
+
     def restore(self, value: Any, position: int) -> None:
         """Re-insert an entry at its original ascending-position bucket slot.
 
@@ -1093,10 +1106,22 @@ class Table:
                 if row is not None:
                     yield row
 
-    def scan_chunks(self) -> Iterator[Tuple[int, Iterator[Tuple[Any, ...]]]]:
-        """Per-partition scan: yields ``(partition_id, live-row iterator)``."""
-        for pid, partition in enumerate(self.partitions):
-            yield pid, partition.scan()
+    def scan_chunks(
+        self,
+    ) -> Sequence[Tuple[Optional[int], Iterator[Tuple[Any, ...]]]]:
+        """Per-partition scan: ``(partition_id, live-row iterator)`` pairs.
+
+        Like :meth:`probe_chunks` and :meth:`range_chunks`, a
+        single-partition table reports its one chunk with ``partition_id``
+        ``None``: there is nothing to attribute per partition, so executors
+        charge its work to the flat counters only.
+        """
+        if self.n_partitions == 1:
+            return ((None, self.partitions[0].scan()),)
+        return [
+            (pid, partition.scan())
+            for pid, partition in enumerate(self.partitions)
+        ]
 
     def partition_snapshot(self, pid: int) -> Tuple[int, List[Tuple[Any, ...]]]:
         """``(version, live rows)`` of one shard, as plain picklable data.
@@ -1172,10 +1197,11 @@ class Table:
 
     def probe_chunks(
         self, column: str, key: Any
-    ) -> Optional[List[Tuple[int, List[Tuple[Any, ...]]]]]:
+    ) -> Optional[List[Tuple[Optional[int], List[Tuple[Any, ...]]]]]:
         """Indexed equality probe, pruned to one partition when possible.
 
-        Returns ``(partition_id, matching live rows)`` pairs, or ``None``
+        Returns ``(partition_id, matching live rows)`` pairs (``None`` ids
+        on a single-partition table, see :meth:`scan_chunks`), or ``None``
         when no index exists on ``column`` (the caller falls back to a
         filtered scan).  A probe on the partition column touches exactly one
         partition; any other indexed column probes every partition's local
@@ -1187,20 +1213,18 @@ class Table:
         # NB: a NULL key is a legitimate bucket lookup here (secondary
         # indexes store NULL entries; ``Table.lookup`` relies on it) — the
         # no-match-on-NULL semantics of ``=`` probes live in the executor.
-        if self.n_partitions > 1 and column.lower() == self.partition_column:
+        multi = self.n_partitions > 1
+        if multi and column.lower() == self.partition_column:
             pids: Iterable[int] = (self.partition_of_key(key),)
         else:
             pids = range(self.n_partitions)
-        chunks: List[Tuple[int, List[Tuple[Any, ...]]]] = []
+        chunks: List[Tuple[Optional[int], List[Tuple[Any, ...]]]] = []
         for pid in pids:
-            stored_rows = self.partitions[pid].rows
-            matches = [
-                stored
-                for position in table_index.parts[pid].lookup(key)
-                if (stored := stored_rows[position]) is not None
-            ]
+            matches = table_index.parts[pid].live_rows(
+                key, self.partitions[pid].rows
+            )
             if matches:
-                chunks.append((pid, matches))
+                chunks.append((pid if multi else None, matches))
         return chunks
 
     def range_chunks(
@@ -1210,10 +1234,11 @@ class Table:
         lo_incl: bool,
         hi: Any,
         hi_incl: bool,
-    ) -> Optional[List[Tuple[int, List[Tuple[Any, ...]]]]]:
+    ) -> Optional[List[Tuple[Optional[int], List[Tuple[Any, ...]]]]]:
         """Ordered-index range probe over every partition's sorted run.
 
-        Returns ``(partition_id, matching live rows)`` pairs with each
+        Returns ``(partition_id, matching live rows)`` pairs (``None`` ids
+        on a single-partition table, see :meth:`scan_chunks`) with each
         partition's rows in **position order** — the order a filtered scan of
         that partition would deliver them — so a range probe is observably
         indistinguishable from the scan it replaces (value order is an
@@ -1237,7 +1262,8 @@ class Table:
                 return None
         if lo is None and hi is None:
             return None
-        chunks: List[Tuple[int, List[Tuple[Any, ...]]]] = []
+        multi = self.n_partitions > 1
+        chunks: List[Tuple[Optional[int], List[Tuple[Any, ...]]]] = []
         for pid, partition in enumerate(self.partitions):
             part = table_index.parts[pid]
             if not isinstance(part, OrderedHashIndex):
@@ -1252,7 +1278,7 @@ class Table:
                 if (stored := stored_rows[position]) is not None
             ]
             if matches:
-                chunks.append((pid, matches))
+                chunks.append((pid if multi else None, matches))
         return chunks
 
     def lookup(self, column: str, value: Any) -> Iterator[Tuple[Any, ...]]:

@@ -272,10 +272,15 @@ class RecordingExecutor:
         if self.progress_path is not None:
             # By the time execute returned, the statement's WAL record was
             # fsynced, so advertising the boundary as durable is truthful.
-            with open(self.progress_path, "w", encoding="utf-8") as handle:
+            # Written aside and renamed into place: a SIGKILL between a
+            # truncate and a write must never leave the parent reading an
+            # empty report.
+            staged = self.progress_path + ".tmp"
+            with open(staged, "w", encoding="utf-8") as handle:
                 handle.write(str(self.boundary))
                 handle.flush()
                 os.fsync(handle.fileno())
+            os.replace(staged, self.progress_path)
 
 
 # --------------------------------------------------------------------------- #

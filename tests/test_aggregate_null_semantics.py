@@ -12,7 +12,7 @@ SQL-92 aggregate rules the engine must follow:
 
 Every statement runs on the interpreted reference, the row-at-a-time
 compiled engine, the vectorized compiled engine (the default), a
-multi-partition vectorized database, the thread fan-out and the
+multi-partition vectorized database and the
 process-pool executor (which merges partial aggregate states where
 provably mergeable); all flavours must return the same rows, and they
 must equal the hand-computed expectation.
@@ -42,9 +42,6 @@ def _databases(process_pool=None):
         "rowwise": Database(engine="compiled", n_partitions=1, vectorized=False),
         "vectorized": Database(engine="compiled", n_partitions=1),
         "partitioned": Database(engine="compiled", n_partitions=4),
-        "thread": Database(
-            engine="compiled", n_partitions=4, parallel=2, executor="thread"
-        ),
     }
     if process_pool is not None:
         flavours["process"] = Database(

@@ -127,8 +127,7 @@ def _read_progress(progress_path):
         text = Path(progress_path).read_text().strip()
         return int(text) if text else 0
     except (FileNotFoundError, ValueError):
-        # The child truncates before rewriting, so a read can catch the file
-        # empty; treat it as "no newer boundary reported yet".
+        # Nothing reported yet (the child renames each report into place).
         return 0
 
 

@@ -221,7 +221,9 @@ class TestFiveModeParity:
             "interp": _fill(Database(engine="interpreted"), rows),
             "rowwise": _fill(Database(n_partitions=1, vectorized=False), rows),
             "vector": _fill(Database(n_partitions=1), rows),
-            "thread": _fill(Database(n_partitions=1, parallel=2), rows),
+            "small-chunks": _fill(
+                Database(n_partitions=1, vectorized_chunk_size=3), rows
+            ),
             "process": _fill(Database(n_partitions=1, executor=process_pool), rows),
         }
         results = {name: db.query(sql, params) for name, db in databases.items()}

@@ -1,6 +1,6 @@
 """Cross-cutting property-based tests (hypothesis) on core invariants,
 plus the seeded differential fuzzers: compiled engine vs. the seed
-AST-walking engine, and the executor matrix (sequential / thread / process)
+AST-walking engine, and the executor matrix (sequential / rowwise / process)
 against the sequential reference — each replayed from a persistent seed
 corpus before random exploration."""
 
@@ -526,20 +526,19 @@ def _run_engine_differential_case(seed):
 
 
 # --------------------------------------------------------------------------- #
-# Executor-differential fuzzer: sequential vs. thread vs. process executors
+# Executor-differential fuzzer: sequential vs. rowwise vs. process executors
 # --------------------------------------------------------------------------- #
 #
-# Every seeded case builds the same random schema in twelve databases — the
-# executor matrix {sequential, rowwise (vectorized off), thread, process}
+# Every seeded case builds the same random schema in nine databases — the
+# executor matrix {sequential, rowwise (vectorized off), process}
 # × n_partitions {1, 4, 7} —
 # and replays one random statement stream of SELECTs (including multi-table
 # GROUP BY/HAVING) *interleaved with DML* (INSERT/DELETE between SELECTs,
 # exercising the process executor's shard re-sync) against all of them.  At
-# every partition count the thread and process executors must return rows
+# every partition count the rowwise and process executors must return rows
 # byte-identical to the sequential reference (same partition-major
 # enumeration order — no float tolerance needed) with sequential-identical
-# QueryStats; the one carve-out is the thread executor's documented eager
-# hash-table prebuild, where only the result-side counter is comparable.
+# QueryStats, per-partition attribution included, on every plan shape.
 
 _EXECUTOR_FUZZ_CASES = 200
 _EXECUTOR_FUZZ_PARTITIONS = (1, 4, 7)
@@ -615,7 +614,6 @@ def _run_executor_differential_case(seed, process_pool):
             groups[parts] = {
                 "sequential": Database(n_partitions=parts),
                 "rowwise": Database(n_partitions=parts, vectorized=False),
-                "thread": Database(n_partitions=parts, parallel=3),
                 "process": Database(n_partitions=parts, executor=process_pool),
             }
             for database in groups[parts].values():
@@ -633,32 +631,16 @@ def _run_executor_differential_case(seed, process_pool):
                         sql, group["sequential"].tables, seed
                     )
                     reference = group["sequential"].query(sql, payload)
-                    plan = plan_select(
-                        parse_sql(sql), group["sequential"].tables
-                    )
-                    uses_hash_join = any(
-                        level["access"] == "hash-probe"
-                        for level in plan.describe()
-                    )
-                    for kind in ("rowwise", "thread", "process"):
+                    for kind in ("rowwise", "process"):
                         result = group[kind].query(sql, payload)
                         label = (seed, sql, parts, kind)
                         assert result.columns == reference.columns, label
                         assert result.rows == reference.rows, label
-                        if kind != "thread" or not uses_hash_join:
-                            assert result.stats == reference.stats, label
-                            assert (
-                                result.stats.partition_rows_scanned
-                                == reference.stats.partition_rows_scanned
-                            ), label
-                        else:
-                            # The thread fan-out prebuilds hash-join tables
-                            # eagerly (documented); only the result-side
-                            # counter is comparable on those plans.
-                            assert (
-                                result.stats.rows_returned
-                                == reference.stats.rows_returned
-                            ), label
+                        assert result.stats == reference.stats, label
+                        assert (
+                            result.stats.partition_rows_scanned
+                            == reference.stats.partition_rows_scanned
+                        ), label
                 else:
                     affected = {}
                     for kind, database in group.items():
@@ -668,7 +650,6 @@ def _run_executor_differential_case(seed, process_pool):
                             affected[kind] = database.execute(sql, payload)
                     label = (seed, sql, parts)
                     assert affected["rowwise"] == affected["sequential"], label
-                    assert affected["thread"] == affected["sequential"], label
                     assert affected["process"] == affected["sequential"], label
         # The mistyped rejection must be byte-identical across the whole
         # executor matrix too — both as a SELECT and as a DELETE predicate

@@ -284,7 +284,6 @@ class TestWorkerRobustness:
     def test_close_is_idempotent_across_all_executors(self, process_pool):
         databases = [
             Database(n_partitions=4),
-            Database(n_partitions=4, parallel=2, executor="thread"),
             Database(n_partitions=4, parallel=2, executor="process"),
             Database(n_partitions=4, executor=process_pool),
         ]
@@ -315,8 +314,8 @@ class TestWorkerRobustness:
         assert pool.running
         db.close()
         assert not pool.running
-        # Mirroring the thread pool, a closed owned executor is recreated on
-        # the next parallel statement.
+        # A closed owned executor is recreated on the next parallel
+        # statement.
         assert db.query("SELECT COUNT(*) FROM m WHERE x > ?", [0.0]).scalar() == 119
         db.close()
 
@@ -376,15 +375,13 @@ class TestWorkerRobustness:
 class TestExecutorSelection:
     def test_default_is_sequential(self):
         assert Database().executor == "sequential"
-        assert Database(parallel=2).executor == "thread"  # historical meaning
+        assert Database(parallel=2, executor="process").executor == "process"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown executor"):
             Database(executor="fibers")
         with pytest.raises(ValueError, match="parallel"):
             Database(executor="process")
-        with pytest.raises(ValueError, match="parallel"):
-            Database(executor="thread")
         with pytest.raises(ValueError, match="sequential"):
             Database(parallel=2, executor="sequential")
         with pytest.raises(ValueError, match="workers"):
@@ -398,16 +395,17 @@ class TestExecutorSelection:
         # execution); it mirrors Database's validation instead.
         with pytest.raises(ValueError, match="parallelism"):
             backend("oracle7", executor="process")
-        with pytest.raises(ValueError, match="parallelism"):
-            backend("oracle7", executor="thread")
 
-    def test_thread_executor_still_matches_sequential(self):
-        sequential = _sequential()
-        with _populate(
-            Database(n_partitions=5, parallel=3, executor="thread")
-        ) as db:
-            sql, params = _QUERIES[0]
-            expected = sequential.query(sql, params)
-            got = db.query(sql, params)
-            assert got.rows == expected.rows
-            assert got.stats == expected.stats
+    def test_thread_executor_is_refused(self):
+        # Parallel workers are worker processes: a thread request is refused
+        # with a typed error, never silently run sequentially.
+        with pytest.raises(ValueError, match="unknown executor 'thread'"):
+            Database(parallel=2, executor="thread")
+        with pytest.raises(ValueError, match="executor='process'"):
+            Database(parallel=2)
+        with pytest.raises(ValueError, match="unknown executor 'thread'"):
+            backend("oracle7", parallelism=2, executor="thread")
+        # Virtual parallelism alone stays: the backend charges the makespan
+        # and the engine executes sequentially.
+        with backend("oracle7", n_partitions=4, parallelism=4) as served:
+            assert served.database.executor == "sequential"

@@ -4,7 +4,7 @@ Covers the hash-partitioned :class:`~repro.relalg.storage.Table` (composite
 and absent partition keys, cross-partition batch atomicity, per-partition
 tombstone compaction), the maintained cardinality statistics (including
 staleness after DELETE-heavy workloads), partition-pruned index probes, the
-EXPLAIN surface, the thread-pool partition fan-out and the per-partition
+EXPLAIN surface, the process-pool partition fan-out and the per-partition
 virtual cost charging of the simulated backends.
 """
 
@@ -351,7 +351,6 @@ class TestParallelExecution:
         )
         return db
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
     @pytest.mark.parametrize(
         "sql, params",
         [
@@ -364,13 +363,9 @@ class TestParallelExecution:
             ),
         ],
     )
-    def test_parallel_matches_sequential(self, sql, params, executor, process_pool):
-        kwargs = (
-            {"parallel": 3} if executor == "thread"
-            else {"executor": process_pool}
-        )
+    def test_parallel_matches_sequential(self, sql, params, process_pool):
         sequential = self._make()
-        with self._make(**kwargs) as parallel:
+        with self._make(executor=process_pool) as parallel:
             expected = sequential.query(sql, params)
             got = parallel.query(sql, params)
             assert got.columns == expected.columns
@@ -388,7 +383,9 @@ class TestParallelExecution:
             Database(parallel="2")
         with pytest.raises(ExecutionError, match="parallel"):
             Database(parallel=True)
-        with Database(parallel=2) as db:
+        with pytest.raises(ValueError, match="executor='process'"):
+            Database(parallel=2)  # parallel workers mean worker processes
+        with Database(parallel=2, executor="process") as db:
             db.close()  # idempotent even if the pool was never created
 
     def test_vectorized_chunk_size_validation(self):

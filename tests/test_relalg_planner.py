@@ -174,6 +174,50 @@ class TestHashJoin:
             assert len(result) == 5
 
 
+class TestStalePlanFallback:
+    """A cached plan whose index was dropped directly on the table — behind
+    the plan cache's back — falls back to a filtered scan with the same rows,
+    at every partition count."""
+
+    @pytest.mark.parametrize("n_partitions", [1, 4])
+    @pytest.mark.parametrize(
+        "column, ddl_suffix, sql, params",
+        [
+            ("g", "", "SELECT id FROM t WHERE g = ? ORDER BY id", [2]),
+            (
+                "v", " ORDERED",
+                "SELECT id FROM t WHERE v > ? AND v <= ? ORDER BY id",
+                [3.0, 9.5],
+            ),
+        ],
+    )
+    def test_dropped_index_falls_back_to_a_filtered_scan(
+        self, n_partitions, column, ddl_suffix, sql, params
+    ):
+        db = Database(n_partitions=n_partitions)
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, v FLOAT)")
+        db.executemany(
+            "INSERT INTO t (id, g, v) VALUES (?, ?, ?)",
+            [(i, i % 5, i * 0.5) for i in range(40)],
+        )
+        db.execute(f"CREATE INDEX t_{column} ON t ({column}){ddl_suffix}")
+        probed = db.query(sql, params)
+        assert probed.stats.index_lookups + probed.stats.range_probes == 1
+        assert probed.stats.rows_scanned < 40
+
+        db.table("t").drop_index(column)
+        fallback = db.query(sql, params)
+        assert db.plan_cache_info()["hits"] == 1  # the stale plan ran
+        assert fallback.rows == probed.rows
+        assert fallback.stats.index_lookups == fallback.stats.range_probes == 0
+        assert fallback.stats.rows_scanned == 40
+        scanned_per_partition = fallback.stats.partition_rows_scanned
+        if n_partitions == 1:
+            assert scanned_per_partition == {}
+        else:
+            assert sum(scanned_per_partition.values()) == 40
+
+
 class TestPlanCache:
     def test_repeated_execution_hits_the_plan_cache(self, db):
         sql = "SELECT id FROM measurements WHERE region = ?"

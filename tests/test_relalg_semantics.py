@@ -49,7 +49,6 @@ def _engines(process_pool):
         "interpreted": _populate(Database(engine="interpreted")),
         "vectorized": _populate(Database(n_partitions=3)),
         "row-at-a-time": _populate(Database(n_partitions=3, vectorized=False)),
-        "thread": _populate(Database(n_partitions=3, parallel=3)),
         "process": _populate(Database(n_partitions=3, executor=process_pool)),
     }
 
