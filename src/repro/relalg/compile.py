@@ -15,9 +15,13 @@ per-row dict-of-dicts environment.  This module removes both per-row costs:
   the interpreted engine exactly (NULL propagation, DISTINCT, empty groups).
 
 ``ctx`` is an :class:`ExecContext` carrying the positional parameters, the
-:class:`~repro.relalg.rowset.QueryStats` counters and the table catalog (the
-latter is needed by scalar subqueries, which are planned at compile time and
-executed with fresh counters that are merged back).
+:class:`~repro.relalg.rowset.QueryStats` counters and the table catalog.
+Scalar subqueries are planned at compile time and run at most once per
+execution: the first reference executes the plan with fresh counters, and
+every later reference in the same execution replays the memoized value and
+merges those counters again (subqueries cannot be correlated, so the value
+depends only on the parameters and the tables, which a statement does not
+change while it reads them).
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ GroupFn = Callable[[List[Tuple[Any, ...]], "ExecContext"], Any]
 class ExecContext:
     """Per-execution state threaded through every compiled closure."""
 
-    __slots__ = ("tables", "params", "stats", "hash_tables")
+    __slots__ = ("tables", "params", "stats", "hash_tables", "subquery_memo")
 
     def __init__(
         self,
@@ -81,6 +85,9 @@ class ExecContext:
         self.stats = stats
         #: Lazily built hash-join tables, keyed by plan level index.
         self.hash_tables: Dict[int, Dict[Any, List[Tuple[Any, ...]]]] = {}
+        #: Scalar subquery results of this execution, keyed by the compiled
+        #: subquery closure: ``(value, QueryStats of the run)``.
+        self.subquery_memo: Dict[RowFn, Tuple[Any, QueryStats]] = {}
 
 
 class SlotLayout:
@@ -358,17 +365,31 @@ def _compile_subquery(expr: ScalarSubquery, tables: Dict[str, Table]) -> RowFn:
     plan = plan_select(expr.select, tables)
 
     def subquery_fn(row: Sequence[Any], ctx: ExecContext) -> Any:
+        stats = ctx.stats
+        memo = ctx.subquery_memo.get(subquery_fn)
+        if memo is not None:
+            # Replay: charge the counters of the first run again, so the
+            # totals equal those of re-running the plan at every reference.
+            value, sub = memo
+            stats.merge(sub)
+            stats.subqueries += 1
+            stats.subquery_replays += 1 + sub.subqueries - sub.subquery_replays
+            return value
         result = plan.execute(ctx.params, QueryStats())
-        ctx.stats.merge(result.stats)
-        ctx.stats.subqueries += 1
+        sub = result.stats
+        stats.merge(sub)
+        stats.subqueries += 1
         if len(result.rows) == 0:
-            return None
-        if len(result.rows) != 1 or len(result.columns) != 1:
+            value = None
+        elif len(result.rows) != 1 or len(result.columns) != 1:
             raise ExecutionError(
                 f"scalar subquery returned {len(result.rows)} row(s) × "
                 f"{len(result.columns)} column(s)"
             )
-        return result.rows[0][0]
+        else:
+            value = result.rows[0][0]
+        ctx.subquery_memo[subquery_fn] = (value, sub)
+        return value
 
     return subquery_fn
 

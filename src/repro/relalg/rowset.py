@@ -60,15 +60,25 @@ class QueryStats:
     ``rows_returned``
         rows of the final (projected, ordered, limited) result;
     ``subqueries``
-        scalar subqueries executed (their counters are merged in).
+        scalar subquery references evaluated (their counters are merged in).
+
+    ``subqueries`` and the counters merged from subqueries describe the
+    reference evaluation, which runs a subquery's plan at every reference —
+    the work the backends' virtual cost model charges.  The compiled engine
+    runs each subquery plan once per execution of its parent and, at every
+    later reference, *replays* it: the memoized value is returned and the
+    first run's counters are merged again without redoing the work.
+    ``subquery_replays`` counts those replayed evaluations, including the
+    nested subquery evaluations a replay re-charges, so ``subqueries -
+    subquery_replays`` is the number of subquery plans actually executed.
 
     ``partition_rows_scanned`` breaks the scan work down per storage
     partition (partition id → rows scanned there).  Executors only fill it
     for tables with more than one partition — an empty mapping means "all
     work in partition 0", which keeps single-partition statement counters
-    byte-identical to the historical (and interpreted-engine) values.  The
-    field is excluded from equality so differential stat comparisons between
-    engines stay meaningful.
+    byte-identical to the historical (and interpreted-engine) values.  It
+    and ``subquery_replays`` are excluded from equality so differential stat
+    comparisons between engines stay meaningful.
     """
 
     rows_scanned: int = 0
@@ -81,6 +91,7 @@ class QueryStats:
     partition_rows_scanned: Dict[int, int] = field(
         default_factory=dict, compare=False, repr=False
     )
+    subquery_replays: int = field(default=0, compare=False, repr=False)
 
     def merge(self, other: "QueryStats") -> None:
         """Accumulate the counters of a nested (sub)query."""
@@ -89,6 +100,7 @@ class QueryStats:
         self.range_probes += other.range_probes
         self.rows_joined += other.rows_joined
         self.subqueries += other.subqueries
+        self.subquery_replays += other.subquery_replays
         self.hash_probes += other.hash_probes
         merge_partition_counts(
             self.partition_rows_scanned, other.partition_rows_scanned

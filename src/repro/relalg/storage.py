@@ -955,38 +955,51 @@ class Table:
     ) -> int:
         """Delete all live rows for which ``predicate(row_tuple)`` is true.
 
-        Each partition checks its own tombstone ratio afterwards and compacts
-        independently.  Inside a transaction both side effects are deferred
-        to commit: versions stay at their committed value and compaction is
-        postponed (it would renumber the positions the undo chain records).
-        ``collect``, when given, receives the deleted row images in deletion
-        order (partition-major, position order) — the write-ahead log records
+        The predicate is decided for every live row of every partition
+        (partition-major, position order) before any row is tombstoned, so
+        a predicate that reads this table — ``x = (SELECT MIN(x) FROM t)``
+        — sees the table as it was when the statement started, and a
+        predicate that raises deletes nothing.  Each partition then checks
+        its own tombstone ratio and compacts independently.  Inside a
+        transaction both side effects are deferred to commit: versions stay
+        at their committed value and compaction is postponed (it would
+        renumber the positions the undo chain records).  ``collect``, when
+        given, receives the deleted row images in deletion order
+        (partition-major, position order) — the write-ahead log records
         them for deterministic replay.
         """
+        victims = [
+            [
+                position
+                for position, row in enumerate(partition.rows)
+                if row is not None and predicate(row)
+            ]
+            for partition in self.partitions
+        ]
         column_indexes = self._index_column_map()
         txn = self.txn
         deleted = 0
-        for pid, partition in enumerate(self.partitions):
-            partition_deleted = 0
-            for position, row in enumerate(partition.rows):
-                if row is None:
-                    continue
-                if predicate(row):
-                    partition.rows[position] = None
-                    partition.live_count -= 1
-                    for index in self.indexes.values():
-                        index.parts[pid].remove(row[index.column_index], position)
-                    if txn is not None:
-                        txn.note_delete(self, pid, position, row)
-                    if collect is not None:
-                        collect.append(row)
-                    partition_deleted += 1
-            if partition_deleted:
-                partition.invalidate_chunks()
-                if txn is None:
-                    partition.version += 1
-                    partition.maybe_compact(column_indexes)
-            deleted += partition_deleted
+        for pid, (partition, positions) in enumerate(
+            zip(self.partitions, victims)
+        ):
+            if not positions:
+                continue
+            rows = partition.rows
+            for position in positions:
+                row = rows[position]
+                rows[position] = None
+                for index in self.indexes.values():
+                    index.parts[pid].remove(row[index.column_index], position)
+                if txn is not None:
+                    txn.note_delete(self, pid, position, row)
+                if collect is not None:
+                    collect.append(row)
+            partition.live_count -= len(positions)
+            partition.invalidate_chunks()
+            if txn is None:
+                partition.version += 1
+                partition.maybe_compact(column_indexes)
+            deleted += len(positions)
         self.mutations += deleted
         return deleted
 

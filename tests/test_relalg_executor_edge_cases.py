@@ -259,9 +259,11 @@ class TestScalarSubqueryStatsMerging:
             "SELECT id FROM runs WHERE pes = (SELECT MAX(run_id) FROM measurements)"
         )
         assert [row[0] for row in result] == [1]
-        # runs is scanned (2 rows); the subquery runs once per scanned row
-        # and scans measurements fully each time.
+        # runs is scanned (2 rows); the subquery is charged once per scanned
+        # row, a full scan of measurements each time (it runs for the first
+        # row and is replayed for the second).
         assert result.stats.subqueries == 2
+        assert result.stats.subquery_replays == 1
         assert result.stats.rows_scanned == 2 + 2 * 5
         assert result.stats.rows_returned == 1  # outer rows only
 
@@ -271,6 +273,7 @@ class TestScalarSubqueryStatsMerging:
         )
         assert result.scalar() == 2
         assert result.stats.subqueries == 1
+        assert result.stats.subquery_replays == 0
         assert result.stats.index_lookups == 1
         assert result.stats.rows_scanned == 5 + 1
 
@@ -280,6 +283,7 @@ class TestScalarSubqueryStatsMerging:
         )
         assert result.rows == [(1, 5), (2, 5)]
         assert result.stats.subqueries == 2
+        assert result.stats.subquery_replays == 1
         assert result.stats.rows_scanned == 2 + 2 * 5
 
     def test_subquery_stats_match_the_interpreted_engine(self, db):
@@ -290,3 +294,103 @@ class TestScalarSubqueryStatsMerging:
         compiled = db.query(sql)
         interpreted = InterpretedSelectExecutor(db.tables).execute(parse_sql(sql))
         assert compiled.stats == interpreted.stats
+        # The reference engine re-runs the subquery; only the compiled
+        # engine replays it, and equality ignores the replay count.
+        assert compiled.stats.subquery_replays == 1
+        assert interpreted.stats.subquery_replays == 0
+
+    def test_nested_subqueries_run_each_plan_once(self, db, monkeypatch):
+        """A SublinearSpeedup-shaped statement: a difference of two scalar
+        subqueries, one keyed by a join whose filter nests a MIN.  Each of
+        the five plans runs once, however often its subquery is referenced."""
+        from repro.relalg.interp import InterpretedSelectExecutor
+        from repro.relalg.planner import QueryPlan
+        from repro.relalg.sqlparser import parse_sql
+
+        db.execute("CREATE TABLE dual (dummy INTEGER)")
+        db.execute("INSERT INTO dual (dummy) VALUES (0)")
+        sql = (
+            "SELECT ((SELECT m1.value FROM measurements m1 "
+            "WHERE m1.region = ? AND m1.run_id = ?) - "
+            "(SELECT m2.value FROM measurements m2 WHERE m2.region = ? AND "
+            "m2.run_id = (SELECT m3.run_id FROM measurements m3 "
+            "JOIN runs r3 ON r3.id = m3.run_id WHERE m3.region = ? AND "
+            "r3.pes = (SELECT MIN(r4.pes) FROM measurements m4 "
+            "JOIN runs r4 ON r4.id = m4.run_id WHERE m4.region = ?)))) "
+            "AS value FROM dual"
+        )
+        params = ["loop", 2, "loop", "loop", "loop"]
+        runs = {}
+        execute = QueryPlan.execute
+
+        def spy(plan, *args, **kwargs):
+            runs[id(plan)] = runs.get(id(plan), 0) + 1
+            return execute(plan, *args, **kwargs)
+
+        monkeypatch.setattr(QueryPlan, "execute", spy)
+        result = db.query(sql, params)
+        monkeypatch.undo()
+        assert result.rows == [(8.0 - 4.0,)]
+        # The m2 subquery references the m3 subquery once per loop row (2),
+        # and the m3 subquery references MIN once per joined loop row (2):
+        # 1 (m1) + 1 (m2) + 2 (m3) + 2 * 2 (MIN).  The second MIN reference
+        # is a replay, and so is the second m3 reference with the two MIN
+        # evaluations it re-charges.
+        assert result.stats.subqueries == 8
+        assert result.stats.subquery_replays == 1 + (1 + 2)
+        assert sorted(runs.values()) == [1] * 5
+        executed_subqueries = sum(runs.values()) - 1
+        assert executed_subqueries == (
+            result.stats.subqueries - result.stats.subquery_replays
+        )
+        interpreted = InterpretedSelectExecutor(db.tables, params).execute(
+            parse_sql(sql)
+        )
+        assert interpreted.rows == result.rows
+        assert interpreted.stats == result.stats
+
+    def test_no_memo_leaks_across_executions(self, db):
+        sql = (
+            "SELECT id, (SELECT MAX(value) FROM measurements WHERE run_id = ?) "
+            "FROM runs"
+        )
+        first = db.query(sql, [1])
+        second = db.query(sql, [2])
+        assert db.plan_cache_info() == {"hits": 1, "misses": 1, "size": 1}
+        assert first.rows == [(1, 10.0), (2, 10.0)]
+        assert second.rows == [(1, 8.0), (2, 8.0)]
+        assert first.stats.subquery_replays == 1
+        assert second.stats.subquery_replays == 1
+        # Each DELETE execution evaluates its own subquery: a leaked memo
+        # would make the second one look for 10.0 again and delete nothing.
+        deleted = db.executemany(
+            "DELETE FROM measurements WHERE value = "
+            "(SELECT MAX(value) FROM measurements WHERE run_id = ?)",
+            [(1,), (2,)],
+        )
+        assert deleted == 2
+        assert db.query("SELECT id FROM measurements ORDER BY id").rows == [
+            (2,), (3,), (5,)
+        ]
+
+    def test_multi_row_subquery_still_raises_and_stores_nothing(self, db):
+        from repro.relalg.compile import ExecContext, SlotLayout, compile_row_expr
+        from repro.relalg.interp import InterpretedSelectExecutor
+        from repro.relalg.sqlparser import parse_sql
+
+        sql = "SELECT id FROM runs WHERE pes = (SELECT id FROM runs)"
+        message = r"scalar subquery returned 2 row\(s\) × 1 column\(s\)"
+        with pytest.raises(ExecutionError, match=message):
+            db.query(sql)
+        with pytest.raises(ExecutionError, match=message):
+            InterpretedSelectExecutor(db.tables).execute(parse_sql(sql))
+        # Every reference re-runs the failing plan: nothing is memoized.
+        subquery = parse_sql(sql).where.right
+        fn = compile_row_expr(subquery, SlotLayout([]), db.tables)
+        ctx = ExecContext(db.tables, [], QueryStats())
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match=message):
+                fn((), ctx)
+        assert ctx.subquery_memo == {}
+        assert ctx.stats.subqueries == 2
+        assert ctx.stats.subquery_replays == 0

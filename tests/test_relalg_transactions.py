@@ -300,6 +300,44 @@ class TestWriteAheadLog:
             Database(n_partitions=4, wal_path=str(wal_path))
 
 
+class TestDeleteDecidesBeforeTombstoning:
+    """A DELETE decides every row against the table as it was when the
+    statement started, then tombstones: a predicate reading its own table
+    sees no half-deleted state, and a failing predicate deletes nothing."""
+
+    @staticmethod
+    def _five(n_partitions, **kwargs):
+        database = Database(n_partitions=n_partitions, **kwargs)
+        database.execute("CREATE TABLE s (x INTEGER PRIMARY KEY)")
+        database.executemany(
+            "INSERT INTO s (x) VALUES (?)", [(x,) for x in range(1, 6)]
+        )
+        return database
+
+    @pytest.mark.parametrize("n_partitions", [1, 4])
+    def test_self_referencing_delete_removes_one_row(self, tmp_path, n_partitions):
+        wal_path = str(tmp_path / "self.wal")
+        db = self._five(n_partitions, wal_path=wal_path)
+        assert db.execute("DELETE FROM s WHERE x = (SELECT MIN(x) FROM s)") == 1
+        remaining = db.query("SELECT x FROM s ORDER BY x").rows
+        assert remaining == [(2,), (3,), (4,), (5,)]
+        expected = _state(db)
+        db.close()
+        with Database(n_partitions=n_partitions, wal_path=wal_path) as recovered:
+            assert recovered.query("SELECT x FROM s ORDER BY x").rows == remaining
+            assert _state(recovered) == expected
+
+    @pytest.mark.parametrize("n_partitions", [1, 4])
+    def test_failing_predicate_deletes_nothing(self, n_partitions):
+        with self._five(n_partitions) as db:
+            before = _state(db)
+            # 10 / (4 - x) passes for x = 1..3 and divides by zero at x = 4.
+            with pytest.raises(ExecutionError, match="division by zero"):
+                db.execute("DELETE FROM s WHERE 10 / (4 - x) > 0")
+            assert _state(db) == before
+            assert db.query("SELECT COUNT(*) FROM s").scalar() == 5
+
+
 class TestClientPassThrough:
     def test_native_client_charges_transaction_statements(self):
         client = NativeClient(backend("oracle7"))
