@@ -273,11 +273,11 @@ class ApprenticeParser:
 
         fields = line.split(_SEP)
         record = fields[0]
-        handler = getattr(self, f"_parse_{record.lower()}", None)
+        handler = _RECORD_HANDLERS.get(record.upper())
         if handler is None:
             raise ApprenticeFormatError(f"unknown record type {record!r}", lineno)
         try:
-            handler(fields, lineno)
+            handler(self, fields, lineno)
         except (ValueError, KeyError) as exc:
             if isinstance(exc, ApprenticeFormatError):
                 raise
@@ -440,3 +440,18 @@ class ApprenticeParser:
         if run is None:
             raise ApprenticeFormatError(f"unknown run id {run_id!r}", lineno)
         return run
+
+
+#: Record type → the :class:`ApprenticeParser` method parsing its fields.
+_RECORD_HANDLERS = {
+    "PROGRAM": ApprenticeParser._parse_program,
+    "VERSION": ApprenticeParser._parse_version,
+    "SOURCE": ApprenticeParser._parse_source,
+    "RUN": ApprenticeParser._parse_run,
+    "FUNCTION": ApprenticeParser._parse_function,
+    "REGION": ApprenticeParser._parse_region,
+    "TOTAL": ApprenticeParser._parse_total,
+    "TYPED": ApprenticeParser._parse_typed,
+    "CALLSITE": ApprenticeParser._parse_callsite,
+    "CALLTIMING": ApprenticeParser._parse_calltiming,
+}

@@ -134,6 +134,9 @@ class DatabaseLoader:
         self.rows_inserted = 0
         #: (table, column tuple) → buffered parameter rows awaiting a flush.
         self._pending: Dict[Tuple[str, Tuple[str, ...]], List[List[Any]]] = {}
+        #: (table, value keys) → the (table, column tuple) those values
+        #: insert into: the keys the generated schema has, in value order.
+        self._shapes: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, Tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------------ #
     # schema creation
@@ -311,20 +314,32 @@ class DatabaseLoader:
     # ------------------------------------------------------------------ #
 
     def _insert(self, table: str, values: Dict[str, Any]) -> None:
-        """Insert one row, skipping columns the generated schema does not have."""
-        schema = self.mapping.schemas[table]
-        known = {c.name for c in schema.columns}
-        items = [(k, v) for k, v in values.items() if k in known]
-        columns = tuple(name for name, _ in items)
-        params = [value for _, value in items]
+        """Insert one row, skipping columns the generated schema does not have.
+
+        The columns are resolved once per table and shape of ``values`` (its
+        keys in order); every later row of that shape reuses them.
+        """
+        shape = (table, tuple(values))
+        key = self._shapes.get(shape)
+        if key is None:
+            known = {c.name for c in self.mapping.schemas[table].columns}
+            key = (table, tuple(name for name in values if name in known))
+            self._shapes[shape] = key
+        columns = key[1]
+        if len(columns) == len(values):
+            params = list(values.values())
+        else:
+            params = [values[name] for name in columns]
         if self.batch_size is None:
-            self.executor.execute(self._insert_sql(table, columns), params)
+            self.executor.execute(self._insert_sql(*key), params)
             self.rows_inserted += 1
             return
-        pending = self._pending.setdefault((table, columns), [])
+        pending = self._pending.get(key)
+        if pending is None:
+            pending = self._pending[key] = []
         pending.append(params)
         if len(pending) >= self.batch_size:
-            self._flush_one((table, columns))
+            self._flush_one(key)
 
     def flush(self) -> None:
         """Issue every buffered INSERT batch (load() flushes automatically)."""

@@ -10,9 +10,9 @@ Translation pipeline (per property)::
 
     property declaration
       1. inline specification functions      (Duration(r,t) → Summary body …)
-      2. inline LET definitions              (closed expressions over params)
-      3. re-run type inference               (annotates every node)
-      4. translate each condition /
+         and LET definitions, in one pass    (a fresh tree over the params)
+      2. re-run type inference               (annotates every node)
+      3. translate each condition /
          confidence / severity expression    (SQL text + parameter slots)
 
 The central ideas of the translation:
@@ -39,7 +39,7 @@ fallback), so adding new properties can never silently produce wrong results.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -190,26 +190,40 @@ class PropertyCompiler:
             substitutions[let_def.name] = inlined
         return substitutions
 
-    def _inline(self, expr: Expr, substitutions: Mapping[str, Expr]) -> Expr:
-        """Inline specification functions and substitute LET names."""
-        return _substitute(self._inline_functions(expr), substitutions)
+    def _inline(
+        self,
+        expr: Expr,
+        env: Mapping[str, Expr],
+        bound: frozenset = frozenset(),
+    ) -> Expr:
+        """A fresh copy of ``expr`` with specification functions inlined and
+        the free identifiers named in ``env`` replaced.
 
-    def _inline_functions(self, expr: Expr) -> Expr:
-        """Recursively replace calls of specification functions by their body."""
-        expr = copy.deepcopy(expr)
-
-        def rewrite(node: Expr) -> Expr:
-            node = _map_children(node, rewrite)
-            if isinstance(node, FunctionCall) and node.name in self.index.functions:
-                decl = self.index.functions[node.name]
-                body = self._inline_functions(decl.body)
-                mapping = {
-                    param.name: arg for param, arg in zip(decl.params, node.args)
-                }
-                return _substitute(body, mapping)
-            return node
-
-        return rewrite(expr)
+        ``env`` maps LET names (or, inside an inlined function body, the
+        function's parameters) to already inlined expressions; every use gets
+        its own copy.  Names bound by a set comprehension or aggregate inside
+        ``expr`` (``bound``) shadow ``env``.  A function call's arguments are
+        inlined in the caller's ``env``, and its body in an ``env`` of just
+        its parameters.  The result shares no node with ``expr``, ``env`` or
+        the specification, so type-annotating it leaves them untouched.
+        """
+        if isinstance(expr, Identifier) and expr.name in env and expr.name not in bound:
+            return _copy_tree(env[expr.name])
+        if isinstance(expr, FunctionCall) and expr.name in self.index.functions:
+            decl = self.index.functions[expr.name]
+            args = {
+                param.name: self._inline(arg, env, bound)
+                for param, arg in zip(decl.params, expr.args)
+            }
+            return self._inline(decl.body, args)
+        inner = bound
+        if isinstance(expr, (SetComprehension, AggregateExpr)) and expr.var:
+            inner = bound | {expr.var}
+        return _map_children(
+            expr,
+            lambda child: self._inline(child, env, bound),
+            lambda child: self._inline(child, env, inner),
+        )
 
     def _annotate(self, expr: Expr, param_types: Mapping[str, Type]) -> None:
         """Run type inference over an inlined expression (annotates nodes)."""
@@ -249,57 +263,52 @@ class PropertyCompiler:
 # --------------------------------------------------------------------------- #
 
 
-def _map_children(node: Expr, fn) -> Expr:
-    """Return ``node`` with every direct child expression rewritten by ``fn``."""
+def _map_children(node: Expr, fn, scoped_fn=None) -> Expr:
+    """A new node like ``node`` whose direct child expressions are ``fn(child)``
+    (a leaf is copied).
+
+    ``scoped_fn`` (default ``fn``) rewrites instead the children that see the
+    node's bound variable: a comprehension's predicate, and an aggregate's
+    value and predicate.
+    """
+    scoped_fn = scoped_fn or fn
+    location = node.location
     if isinstance(node, AttributeAccess):
-        node.obj = fn(node.obj)
-    elif isinstance(node, FunctionCall):
-        node.args = [fn(arg) for arg in node.args]
-    elif isinstance(node, UnaryExpr):
-        node.operand = fn(node.operand)
-    elif isinstance(node, BinaryExpr):
-        node.left = fn(node.left)
-        node.right = fn(node.right)
-    elif isinstance(node, SetComprehension):
-        node.source = fn(node.source)
-        if node.predicate is not None:
-            node.predicate = fn(node.predicate)
-    elif isinstance(node, AggregateExpr):
-        node.value = fn(node.value)
-        if node.source is not None:
-            node.source = fn(node.source)
-        if node.predicate is not None:
-            node.predicate = fn(node.predicate)
-    return node
+        return AttributeAccess(
+            location=location, obj=fn(node.obj), attribute=node.attribute
+        )
+    if isinstance(node, FunctionCall):
+        return FunctionCall(
+            location=location, name=node.name, args=[fn(arg) for arg in node.args]
+        )
+    if isinstance(node, UnaryExpr):
+        return UnaryExpr(location=location, op=node.op, operand=fn(node.operand))
+    if isinstance(node, BinaryExpr):
+        return BinaryExpr(
+            location=location, op=node.op, left=fn(node.left), right=fn(node.right)
+        )
+    if isinstance(node, SetComprehension):
+        return SetComprehension(
+            location=location,
+            var=node.var,
+            source=fn(node.source),
+            predicate=None if node.predicate is None else scoped_fn(node.predicate),
+        )
+    if isinstance(node, AggregateExpr):
+        return AggregateExpr(
+            location=location,
+            func=node.func,
+            value=scoped_fn(node.value),
+            var=node.var,
+            source=None if node.source is None else fn(node.source),
+            predicate=None if node.predicate is None else scoped_fn(node.predicate),
+        )
+    return dataclasses.replace(node)
 
 
-def _substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace free identifiers by (deep copies of) their mapped expressions."""
-    if not mapping:
-        return expr
-
-    def rewrite(node: Expr, bound: frozenset) -> Expr:
-        if isinstance(node, Identifier):
-            if node.name in mapping and node.name not in bound:
-                return copy.deepcopy(mapping[node.name])
-            return node
-        if isinstance(node, SetComprehension):
-            node.source = rewrite(node.source, bound)
-            inner = bound | {node.var}
-            if node.predicate is not None:
-                node.predicate = rewrite(node.predicate, inner)
-            return node
-        if isinstance(node, AggregateExpr):
-            if node.source is not None:
-                node.source = rewrite(node.source, bound)
-            inner = bound | {node.var} if node.var else bound
-            node.value = rewrite(node.value, inner)
-            if node.predicate is not None:
-                node.predicate = rewrite(node.predicate, inner)
-            return node
-        return _map_children(node, lambda child: rewrite(child, bound))
-
-    return rewrite(copy.deepcopy(expr), frozenset())
+def _copy_tree(expr: Expr) -> Expr:
+    """A copy of ``expr`` that shares no node with it."""
+    return _map_children(expr, _copy_tree)
 
 
 # --------------------------------------------------------------------------- #

@@ -57,6 +57,29 @@ def _next_id() -> int:
     return next(_id_counter)
 
 
+def _timing_keys(owner: object, slot: str, timings: list, key_of) -> set:
+    """The duplicate-check keys of ``timings``, kept beside the list.
+
+    ``owner.<slot>`` holds one key per timing, so an ``add_*`` method checks
+    a new timing in constant time instead of scanning the list.  The set is
+    rebuilt whenever its size no longer matches the list's length: a timing
+    appended to the list directly, bypassing ``add_*``, is still seen.
+    """
+    keys = owner.__dict__.get(slot)
+    if keys is None or len(keys) != len(timings):
+        keys = {key_of(timing) for timing in timings}
+        setattr(owner, slot, keys)
+    return keys
+
+
+def _run_key(timing) -> int:
+    return timing.Run.uid
+
+
+def _run_type_key(timing) -> tuple:
+    return (timing.Run.uid, timing.Type)
+
+
 class RegionKind(enum.Enum):
     """Kinds of program regions COSY identifies (paper, Section 3).
 
@@ -325,23 +348,27 @@ class Region:
 
     def add_total_timing(self, timing: TotalTiming) -> None:
         """Attach summary timing for one test run (at most one per run)."""
-        if any(t.Run == timing.Run for t in self.TotTimes):
+        keys = _timing_keys(self, "_total_keys", self.TotTimes, _run_key)
+        key = _run_key(timing)
+        if key in keys:
             raise DataModelError(
                 f"region {self.name!r} already has a TotalTiming for run "
                 f"{timing.Run.uid}"
             )
         self.TotTimes.append(timing)
+        keys.add(key)
 
     def add_typed_timing(self, timing: TypedTiming) -> None:
         """Attach a typed timing (at most one per run and timing type)."""
-        if any(
-            t.Run == timing.Run and t.Type is timing.Type for t in self.TypTimes
-        ):
+        keys = _timing_keys(self, "_typed_keys", self.TypTimes, _run_type_key)
+        key = _run_type_key(timing)
+        if key in keys:
             raise DataModelError(
                 f"region {self.name!r} already has a TypedTiming of type "
                 f"{timing.Type.value} for run {timing.Run.uid}"
             )
         self.TypTimes.append(timing)
+        keys.add(key)
 
     def summary(self, run: TestRun) -> TotalTiming:
         """Return the unique :class:`TotalTiming` for ``run``.
@@ -402,12 +429,15 @@ class FunctionCall:
 
     def add_call_timing(self, timing: CallTiming) -> None:
         """Attach statistics for one test run (at most one per run)."""
-        if any(t.Run == timing.Run for t in self.Sums):
+        keys = _timing_keys(self, "_sum_keys", self.Sums, _run_key)
+        key = _run_key(timing)
+        if key in keys:
             raise DataModelError(
                 f"call site {self.uid} already has a CallTiming for run "
                 f"{timing.Run.uid}"
             )
         self.Sums.append(timing)
+        keys.add(key)
 
     def timing_for(self, run: TestRun) -> CallTiming:
         """Return the unique :class:`CallTiming` for ``run``."""

@@ -26,6 +26,7 @@ change while it reads them).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.relalg.errors import ExecutionError
@@ -1218,7 +1219,7 @@ def _compile_const_expr(expr: SqlExpr) -> ConstFn:
 
 def compile_insert_binder(
     statement: InsertStatement, table: Table
-) -> Callable[[Sequence[Any]], List[List[Any]]]:
+) -> Callable[[Sequence[Any]], List[Sequence[Any]]]:
     """Compile an INSERT statement into a parameter binder.
 
     The returned ``bind(params)`` produces one full-width positional value
@@ -1243,7 +1244,7 @@ def compile_insert_binder(
             )
         compiled_rows.append([_compile_const_expr(e) for e in row_exprs])
 
-    def bind(params: Sequence[Any]) -> List[List[Any]]:
+    def bind_values(params: Sequence[Any]) -> List[List[Any]]:
         rows: List[List[Any]] = []
         for fns in compiled_rows:
             if positions is None:
@@ -1255,4 +1256,37 @@ def compile_insert_binder(
                 rows.append(row)
         return rows
 
+    if not all(
+        isinstance(expr, Placeholder) for row in statement.rows for expr in row
+    ):
+        return bind_values
+    # Every value is a '?': each row is the parameters gathered by index into
+    # schema column order.  A short parameter row takes the per-value path,
+    # which raises the error for the first missing parameter.
+    needed = 1 + max(
+        (expr.index for row in statement.rows for expr in row), default=-1
+    )
+    gatherers: List[Callable[[Sequence[Any]], Sequence[Any]]] = []
+    for row_exprs in statement.rows:
+        if positions is None:
+            gather: List[Optional[int]] = [expr.index for expr in row_exprs]
+        else:
+            gather = [None] * width
+            for position, expr in zip(positions, row_exprs):
+                gather[position] = expr.index
+        gatherers.append(_gatherer(gather))
+
+    def bind(params: Sequence[Any]) -> List[Sequence[Any]]:
+        if len(params) < needed:
+            return bind_values(params)
+        return [gatherer(params) for gatherer in gatherers]
+
     return bind
+
+
+def _gatherer(gather: List[Optional[int]]) -> Callable[[Sequence[Any]], Sequence[Any]]:
+    """``params`` → the value row whose column ``i`` is ``params[gather[i]]``
+    (``None`` where ``gather[i]`` is ``None``)."""
+    if len(gather) > 1 and None not in gather:
+        return itemgetter(*gather)
+    return lambda params: [None if i is None else params[i] for i in gather]

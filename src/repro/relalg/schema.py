@@ -99,6 +99,15 @@ class ColumnType(enum.Enum):
         raise AssertionError(f"unhandled column type {self}")
 
 
+#: Column types that store a value of exactly this Python type unchanged:
+#: :meth:`ColumnType.validate` would return the value itself.
+_EXACT_TYPES = {
+    ColumnType.INTEGER: int,
+    ColumnType.FLOAT: float,
+    ColumnType.VARCHAR: str,
+}
+
+
 @dataclass(frozen=True)
 class Column:
     """One column of a table."""
@@ -107,6 +116,14 @@ class Column:
     type: ColumnType
     nullable: bool = True
     primary_key: bool = False
+    #: A value of exactly this type is stored as-is, without calling
+    #: :meth:`ColumnType.validate` (``None``: every value is validated).
+    exact_type: Optional[type] = field(
+        init=False, default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "exact_type", _EXACT_TYPES.get(self.type))
 
     def sql(self) -> str:
         """Canonical SQL fragment of the column definition."""
@@ -172,6 +189,9 @@ class TableSchema:
             )
         validated: List[Any] = []
         for column, value in zip(self.columns, values):
+            if type(value) is column.exact_type:
+                validated.append(value)
+                continue
             coerced = column.type.validate(value)
             if coerced is None and (column.primary_key or not column.nullable):
                 raise IntegrityError(

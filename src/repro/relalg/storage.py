@@ -256,6 +256,11 @@ class HashIndex:
             return _EMPTY_VIEW
         return PositionsView(bucket)
 
+    def has_key(self, value: Any) -> bool:
+        """Whether some row position is indexed under ``value`` (the truth
+        value of :meth:`lookup`, without building a view)."""
+        return bool(self._buckets.get(value))
+
     def live_rows(
         self, value: Any, rows: List[Optional[Tuple[Any, ...]]]
     ) -> List[Tuple[Any, ...]]:
@@ -877,7 +882,7 @@ class Table:
         pid = self._partition_of_row(row)
         if primary is not None:
             key = row[primary.column_index]
-            if primary.parts[pid].lookup(key):
+            if primary.parts[pid].has_key(key):
                 raise IntegrityError(
                     f"duplicate primary key {key!r} in table {self.name!r}"
                 )
@@ -922,7 +927,7 @@ class Table:
             seen = set()
             for row, pid in zip(validated, assignments):
                 key = row[key_index]
-                if key in seen or primary.parts[pid].lookup(key):
+                if key in seen or primary.parts[pid].has_key(key):
                     raise IntegrityError(
                         f"duplicate primary key {key!r} in table {self.name!r}"
                     )

@@ -155,3 +155,9 @@ class TestParserErrors:
         text = "APPRENTICE-SUMMARY|1.0\nBOGUS|x\n"
         with pytest.raises(ApprenticeFormatError, match="line 2"):
             ApprenticeParser().loads(text)
+
+    @pytest.mark.parametrize("record", ["LINE", "REQUIRE", "LOOKUP_REGION"])
+    def test_parser_method_names_are_not_record_types(self, record):
+        text = f"APPRENTICE-SUMMARY|1.0\n{record}|x\n"
+        with pytest.raises(ApprenticeFormatError, match="^line 2: unknown record type"):
+            ApprenticeParser().loads(text)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.asl import parse_asl, check_asl
+from repro.asl.ast_nodes import walk
+from repro.asl.specs import cosy_specification
 from repro.compiler import (
     DUAL_TABLE,
     PRIMARY_KEY,
@@ -182,6 +184,69 @@ class TestPropertyCompilation:
         assert values == [7, 3] or values == [3, 7]
         with pytest.raises(KeyError, match="missing value"):
             query.bind({"r": 7})
+
+    def test_compiling_leaves_the_specification_untouched(self):
+        # Inlining builds fresh trees, so typing them must not write to the
+        # checked specification's own nodes.  Every node's inferred_type is
+        # replaced by a marker first, so that even a write of the very same
+        # type object shows.
+        spec = cosy_specification()
+        roots = [decl.body for decl in spec.index.functions.values()]
+        for decl in spec.index.properties.values():
+            roots += [let_def.value for let_def in decl.let_defs]
+            roots += [condition.expr for condition in decl.conditions]
+            roots += [entry.expr for entry in decl.confidence.entries]
+            roots += [entry.expr for entry in decl.severity.entries]
+        nodes = [node for root in roots for node in walk(root)]
+        for node in nodes:
+            node.inferred_type = object()
+
+        def state():
+            return [
+                {key: (id(value), value) for key, value in vars(node).items()}
+                for node in nodes
+            ]
+
+        before = state()
+        compiled = PropertyCompiler(spec, generate_schema(spec)).compile_all()
+        assert state() == before
+        assert set(compiled) == set(spec.index.properties)
+
+    def test_function_bodies_do_not_see_the_callers_let_names(self):
+        # A function body is inlined in its own scope, as the ASL evaluator
+        # evaluates it: its FrequentBarrierThreshold is the constant even
+        # where the calling property's LET block shadows that name.
+        from repro.asl.specs.cosy_model import COSY_DATA_MODEL
+        from repro.asl.specs.cosy_properties import COSY_PROPERTIES
+
+        extra = """
+        float LongRuns(Region r) =
+            COUNT(s WHERE s IN r.TotTimes AND s.Incl > FrequentBarrierThreshold);
+        Property Shadowing(Region r, TestRun t, Region Basis) {
+            LET float FrequentBarrierThreshold = 7
+            IN
+            CONDITION: LongRuns(r) > FrequentBarrierThreshold;
+            CONFIDENCE: 1;
+            SEVERITY: LongRuns(r);
+        }
+        Property Plain(Region r, TestRun t, Region Basis) {
+            LET float Other = 7
+            IN
+            CONDITION: LongRuns(r) > Other;
+            CONFIDENCE: 1;
+            SEVERITY: LongRuns(r);
+        }
+        """
+        spec = check_asl(
+            parse_asl(COSY_DATA_MODEL)
+            .merge(parse_asl(COSY_PROPERTIES))
+            .merge(parse_asl(extra))
+        )
+        compiler = PropertyCompiler(spec, generate_schema(spec))
+        shadowing = compiler.compile_property("Shadowing").all_queries()
+        plain = compiler.compile_property("Plain").all_queries()
+        assert [q.sql for q in shadowing] == [q.sql for q in plain]
+        assert "Incl > 100" in shadowing[0].sql
 
     def test_unknown_property_is_reported(self, cosy_spec, schema_mapping):
         compiler = PropertyCompiler(cosy_spec, schema_mapping)
