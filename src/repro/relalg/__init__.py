@@ -15,10 +15,11 @@ paper's COSY prototype (Oracle 7, MS Access, MS SQL Server, Postgres):
   catalog-driven type inference, typed :class:`SemanticError` diagnostics
   raised before any row is touched, constant folding, contradiction
   detection and the lint warnings EXPLAIN surfaces under ``analysis:``;
-* :mod:`repro.relalg.executor`, :mod:`repro.relalg.database` — plan-driven
-  query execution and the database facade (with its statement-level plan
-  cache); :mod:`repro.relalg.interp` keeps the seed AST-walking engine as the
-  differential-testing and benchmark baseline;
+* :mod:`repro.relalg.database` — the database facade: plan-driven query
+  execution with its statement-level plan cache;
+  :mod:`repro.relalg.rowset` holds the result and counter types every engine
+  shares, and :mod:`repro.relalg.interp` keeps the seed AST-walking engine as
+  the differential-testing and benchmark baseline;
 * :mod:`repro.relalg.backends` — virtual cost models of the four backends the
   paper compares (Section 5), with the event-timeline virtual clock and the
   overlap-aware pipelining scheduler;
@@ -61,7 +62,6 @@ from repro.relalg.errors import (
     SqlSyntaxError,
     TransactionWarning,
 )
-from repro.relalg.executor import QueryStats, ResultSet, SelectExecutor
 from repro.relalg.interp import InterpretedSelectExecutor
 from repro.relalg.planner import (
     AccessPath,
@@ -74,6 +74,7 @@ from repro.relalg.planner import (
     lower_plan,
     plan_select,
 )
+from repro.relalg.rowset import QueryStats, ResultSet
 from repro.relalg.schema import Column, ColumnType, TableSchema
 from repro.relalg.semantics import (
     Analysis,
@@ -141,7 +142,6 @@ __all__ = [
     "RelalgError",
     "ResultSet",
     "SchemaError",
-    "SelectExecutor",
     "SemanticError",
     "SimulatedBackend",
     "SqlParser",

@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.relalg.database import Database
 from repro.relalg.errors import ExecutionError
-from repro.relalg.executor import ResultSet
+from repro.relalg.rowset import ResultSet
 
 __all__ = [
     "BackendProfile",

@@ -34,7 +34,7 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.relalg.backends import PipelinedTimeline, SimulatedBackend
 from repro.relalg.errors import ExecutionError
-from repro.relalg.executor import ResultSet
+from repro.relalg.rowset import ResultSet
 
 __all__ = [
     "ClientCosts",

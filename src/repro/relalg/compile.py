@@ -14,14 +14,16 @@ per-row dict-of-dicts environment.  This module removes both per-row costs:
   *group* of rows (aggregate queries), mirroring the reference semantics of
   the interpreted engine exactly (NULL propagation, DISTINCT, empty groups).
 
-``ctx`` is an :class:`ExecContext` carrying the positional parameters, the
-:class:`~repro.relalg.rowset.QueryStats` counters and the table catalog.
-Scalar subqueries are planned at compile time and run at most once per
-execution: the first reference executes the plan with fresh counters, and
-every later reference in the same execution replays the memoized value and
-merges those counters again (subqueries cannot be correlated, so the value
-depends only on the parameters and the tables, which a statement does not
-change while it reads them).
+``ctx`` is an :class:`ExecContext` carrying the positional parameters and
+the :class:`~repro.relalg.rowset.QueryStats` counters.  This module plans
+nothing: a scalar subquery compiles into a closure over the plan that the
+caller's ``plan_subquery`` callback returns for its SELECT node (the
+planner's per-statement memo, so each node is planned once).  That plan runs
+at most once per execution: the first reference executes it with fresh
+counters, and every later reference in the same execution replays the
+memoized value and merges those counters again (subqueries cannot be
+correlated, so the value depends only on the parameters and the tables,
+which a statement does not change while it reads them).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.relalg.sqlast import (
     Literal,
     Placeholder,
     ScalarSubquery,
+    SelectStatement,
     SqlExpr,
     Star,
     UnaryOperation,
@@ -68,20 +71,18 @@ __all__ = [
 RowFn = Callable[[Sequence[Any], "ExecContext"], Any]
 #: A compiled per-group expression: ``fn(group_rows, ctx) -> value``.
 GroupFn = Callable[[List[Tuple[Any, ...]], "ExecContext"], Any]
+#: ``plan_subquery(select) -> QueryPlan``: the planner's per-statement memo,
+#: which plans a scalar subquery's SELECT node on first request and returns
+#: that same plan on every later one.
+SubqueryPlanner = Callable[[SelectStatement], Any]
 
 
 class ExecContext:
     """Per-execution state threaded through every compiled closure."""
 
-    __slots__ = ("tables", "params", "stats", "hash_tables", "subquery_memo")
+    __slots__ = ("params", "stats", "hash_tables", "subquery_memo")
 
-    def __init__(
-        self,
-        tables: Dict[str, Table],
-        params: Sequence[Any],
-        stats: QueryStats,
-    ) -> None:
-        self.tables = tables
+    def __init__(self, params: Sequence[Any], stats: QueryStats) -> None:
         self.params = params
         self.stats = stats
         #: Lazily built hash-join tables, keyed by plan level index.
@@ -247,7 +248,7 @@ _SCALAR_FUNCTIONS: Dict[str, Callable[..., Any]] = {
 
 
 def compile_row_expr(
-    expr: SqlExpr, layout: SlotLayout, tables: Dict[str, Table]
+    expr: SqlExpr, layout: SlotLayout, plan_subquery: SubqueryPlanner
 ) -> RowFn:
     """Compile ``expr`` into a closure evaluated against one slot row."""
     if isinstance(expr, Literal):
@@ -271,7 +272,7 @@ def compile_row_expr(
         slot = layout.resolve(expr)
         return lambda row, ctx: row[slot]
     if isinstance(expr, UnaryOperation):
-        operand = compile_row_expr(expr.operand, layout, tables)
+        operand = compile_row_expr(expr.operand, layout, plan_subquery)
         if expr.op == "NOT":
             return lambda row, ctx: (
                 None if (v := operand(row, ctx)) is None else not _is_true(v)
@@ -281,8 +282,8 @@ def compile_row_expr(
         )
     if isinstance(expr, BinaryOperation):
         op = expr.op
-        left = compile_row_expr(expr.left, layout, tables)
-        right = compile_row_expr(expr.right, layout, tables)
+        left = compile_row_expr(expr.left, layout, plan_subquery)
+        right = compile_row_expr(expr.right, layout, plan_subquery)
         if op is BinaryOperator.AND:
             return lambda row, ctx: (
                 _is_true(left(row, ctx)) and _is_true(right(row, ctx))
@@ -307,13 +308,16 @@ def compile_row_expr(
             op, left(row, ctx), right(row, ctx), expr
         )
     if isinstance(expr, IsNull):
-        operand = compile_row_expr(expr.operand, layout, tables)
+        operand = compile_row_expr(expr.operand, layout, plan_subquery)
         if expr.negated:
             return lambda row, ctx: operand(row, ctx) is not None
         return lambda row, ctx: operand(row, ctx) is None
     if isinstance(expr, InList):
-        operand = compile_row_expr(expr.operand, layout, tables)
-        items = [compile_row_expr(item, layout, tables) for item in expr.items]
+        operand = compile_row_expr(expr.operand, layout, plan_subquery)
+        items = [
+            compile_row_expr(item, layout, plan_subquery)
+            for item in expr.items
+        ]
         negated = expr.negated
 
         def in_fn(row: Sequence[Any], ctx: ExecContext) -> Any:
@@ -330,19 +334,19 @@ def compile_row_expr(
             raise ExecutionError(
                 f"aggregate function {expr.name} is not allowed here"
             )
-        return _compile_scalar_function(expr, layout, tables)
+        return _compile_scalar_function(expr, layout, plan_subquery)
     if isinstance(expr, ScalarSubquery):
-        return _compile_subquery(expr, tables)
+        return _compile_subquery(expr, plan_subquery)
     if isinstance(expr, Star):
         raise ExecutionError("'*' is only valid in SELECT lists and COUNT(*)")
     raise ExecutionError(f"unsupported expression {expr!r}")
 
 
 def _compile_scalar_function(
-    expr: FunctionExpr, layout: SlotLayout, tables: Dict[str, Table]
+    expr: FunctionExpr, layout: SlotLayout, plan_subquery: SubqueryPlanner
 ) -> RowFn:
     name = expr.name.upper()
-    args = [compile_row_expr(arg, layout, tables) for arg in expr.args]
+    args = [compile_row_expr(arg, layout, plan_subquery) for arg in expr.args]
     if name == "COALESCE":
         def coalesce_fn(row: Sequence[Any], ctx: ExecContext) -> Any:
             for arg in args:
@@ -359,11 +363,10 @@ def _compile_scalar_function(
     raise ExecutionError(f"unknown function {expr.name!r}")
 
 
-def _compile_subquery(expr: ScalarSubquery, tables: Dict[str, Table]) -> RowFn:
-    # Imported lazily: the planner imports this module at load time.
-    from repro.relalg.planner import plan_select
-
-    plan = plan_select(expr.select, tables)
+def _compile_subquery(
+    expr: ScalarSubquery, plan_subquery: SubqueryPlanner
+) -> RowFn:
+    plan = plan_subquery(expr.select)
 
     def subquery_fn(row: Sequence[Any], ctx: ExecContext) -> Any:
         stats = ctx.stats
@@ -1085,7 +1088,7 @@ def compile_batch_aggregate(
 
 
 def compile_group_expr(
-    expr: SqlExpr, layout: SlotLayout, tables: Dict[str, Table]
+    expr: SqlExpr, layout: SlotLayout, plan_subquery: SubqueryPlanner
 ) -> GroupFn:
     """Compile an expression that may contain aggregate functions.
 
@@ -1095,11 +1098,11 @@ def compile_group_expr(
     literals / parameters / scalar subqueries ignore the group entirely.
     """
     if isinstance(expr, FunctionExpr) and expr.is_aggregate:
-        return _compile_aggregate_function(expr, layout, tables)
+        return _compile_aggregate_function(expr, layout, plan_subquery)
     if isinstance(expr, BinaryOperation):
         op = expr.op
-        left = compile_group_expr(expr.left, layout, tables)
-        right = compile_group_expr(expr.right, layout, tables)
+        left = compile_group_expr(expr.left, layout, plan_subquery)
+        right = compile_group_expr(expr.right, layout, plan_subquery)
         if op in (BinaryOperator.AND, BinaryOperator.OR):
             # The interpreter evaluates both children before combining.
             if op is BinaryOperator.AND:
@@ -1113,7 +1116,7 @@ def compile_group_expr(
             op, left(group, ctx), right(group, ctx)
         )
     if isinstance(expr, UnaryOperation):
-        operand = compile_group_expr(expr.operand, layout, tables)
+        operand = compile_group_expr(expr.operand, layout, plan_subquery)
         if expr.op == "NOT":
             return lambda group, ctx: (
                 None if (v := operand(group, ctx)) is None else not _is_true(v)
@@ -1122,23 +1125,23 @@ def compile_group_expr(
             None if (v := operand(group, ctx)) is None else -v
         )
     if isinstance(expr, (Literal, Placeholder, ScalarSubquery)):
-        row_fn = compile_row_expr(expr, layout, tables)
+        row_fn = compile_row_expr(expr, layout, plan_subquery)
         return lambda group, ctx: row_fn((), ctx)
     # Plain column references (and scalar functions over them) pick the value
     # of the first row of the group.
-    row_fn = compile_row_expr(expr, layout, tables)
+    row_fn = compile_row_expr(expr, layout, plan_subquery)
     return lambda group, ctx: (row_fn(group[0], ctx) if group else None)
 
 
 def _compile_aggregate_function(
-    expr: FunctionExpr, layout: SlotLayout, tables: Dict[str, Table]
+    expr: FunctionExpr, layout: SlotLayout, plan_subquery: SubqueryPlanner
 ) -> GroupFn:
     name = expr.name.upper()
     if name == "COUNT" and (not expr.args or isinstance(expr.args[0], Star)):
         return lambda group, ctx: len(group)
     if not expr.args:
         raise ExecutionError(f"aggregate {name} requires an argument")
-    arg = compile_row_expr(expr.args[0], layout, tables)
+    arg = compile_row_expr(expr.args[0], layout, plan_subquery)
     distinct = expr.distinct
 
     def values_of(group: List[Tuple[Any, ...]], ctx: ExecContext) -> List[Any]:

@@ -88,16 +88,15 @@ from repro.relalg.errors import (
     SchemaError,
     TransactionWarning,
 )
-from repro.relalg.executor import QueryStats, ResultSet
 from repro.relalg.interp import InterpretedSelectExecutor
 from repro.relalg.parallel import ProcessScanExecutor
-from repro.relalg.rowset import merge_partition_counts
 from repro.relalg.planner import (
     QueryPlan,
     _Level,
-    expr_table_deps,
     plan_select,
+    subquery_planner,
 )
+from repro.relalg.rowset import QueryStats, ResultSet
 from repro.relalg.schema import Column, ColumnType, TableSchema
 from repro.relalg.semantics import check_delete
 from repro.relalg.sqlast import (
@@ -131,28 +130,46 @@ _DepSnapshot = Tuple[Tuple[str, int], ...]
 
 @dataclass
 class ExecutionSummary:
-    """Cumulative statistics of every statement a database has executed."""
+    """Cumulative statistics of every statement a database has executed.
+
+    ``select_stats`` is the field-by-field sum of every SELECT's
+    ``result.stats``: accumulated through the one merge rule
+    (:meth:`QueryStats.merge`), plus ``rows_returned``, which ``merge``
+    leaves out for subqueries.  It is a member rather than a base class:
+    ``merge`` also runs at every subquery reference, and a second receiver
+    type de-specializes its attribute accesses, which doubled their cost.
+    """
 
     statements: int = 0
     selects: int = 0
     inserts: int = 0
     rows_inserted: int = 0
-    rows_returned: int = 0
-    rows_scanned: int = 0
-    index_lookups: int = 0
-    #: Scan work per storage partition (partition id → rows scanned there);
-    #: empty means every scan ran against single-partition tables.
-    partition_rows_scanned: Dict[int, int] = field(default_factory=dict)
+    select_stats: QueryStats = field(default_factory=QueryStats)
+
+    @property
+    def rows_returned(self) -> int:
+        return self.select_stats.rows_returned
+
+    @property
+    def rows_scanned(self) -> int:
+        return self.select_stats.rows_scanned
+
+    @property
+    def index_lookups(self) -> int:
+        return self.select_stats.index_lookups
+
+    @property
+    def partition_rows_scanned(self) -> Dict[int, int]:
+        """Scan work per storage partition (partition id → rows scanned
+        there); empty means every scan ran against single-partition
+        tables."""
+        return self.select_stats.partition_rows_scanned
 
     def record_select(self, stats: QueryStats) -> None:
         self.statements += 1
         self.selects += 1
-        self.rows_returned += stats.rows_returned
-        self.rows_scanned += stats.rows_scanned
-        self.index_lookups += stats.index_lookups
-        merge_partition_counts(
-            self.partition_rows_scanned, stats.partition_rows_scanned
-        )
+        self.select_stats.merge(stats)
+        self.select_stats.rows_returned += stats.rows_returned
 
     def record_insert(self, rows: int) -> None:
         self.statements += 1
@@ -1111,10 +1128,6 @@ class Database:
         self, statement: DeleteStatement, params: Sequence[Any]
     ) -> int:
         table = self.table(statement.table)
-        # Statements whose WHERE clause would deterministically raise on
-        # every row (e.g. an ordered comparison between a VARCHAR column and
-        # a number) are rejected before any row is touched, on every engine.
-        check_delete(statement, self.tables)
         # Collect deleted row images while a WAL is attached: the images are
         # the log record (replay re-deletes exactly these rows).
         collect: Optional[List[Tuple[Any, ...]]] = (
@@ -1130,15 +1143,26 @@ class Database:
             if entry is not None and self._deps_valid(entry[0]):
                 predicate_fn = entry[2]
             else:
+                # A WHERE clause that would deterministically raise on every
+                # row (e.g. an ordered comparison between a VARCHAR column
+                # and a number) is rejected before any row is touched, on
+                # every engine.  A cached predicate passed this check under
+                # the same table epochs, so only a miss re-runs it.
+                analysis = check_delete(statement, self.tables)
+                plan_subquery, subplans = subquery_planner(
+                    self.tables, analysis
+                )
                 layout = SlotLayout([(table.name.lower(), table)])
                 predicate_fn = compile_row_expr(
-                    statement.where, layout, self.tables
+                    statement.where, layout, plan_subquery
                 )
-                deps = {table.name.lower()} | expr_table_deps(statement.where)
+                deps = {table.name.lower()}
+                for subplan in subplans.values():
+                    deps |= subplan.table_deps
                 self._delete_predicate_cache[id(statement)] = (
                     self._snapshot_deps(deps), statement, predicate_fn
                 )
-            ctx = ExecContext(self.tables, list(params), QueryStats())
+            ctx = ExecContext(list(params), QueryStats())
 
             def predicate(row: Tuple[Any, ...]) -> bool:
                 value = predicate_fn(row, ctx)

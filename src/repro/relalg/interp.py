@@ -8,7 +8,7 @@ nested loops with at best a single-column index probe.
 It is kept, unchanged in semantics, for two reasons:
 
 * **differential testing** — the plan-driven engine
-  (:mod:`repro.relalg.planner` / :mod:`repro.relalg.executor`) must produce
+  (:mod:`repro.relalg.planner` / :mod:`repro.relalg.compile`) must produce
   identical results, and identical :class:`~repro.relalg.rowset.QueryStats`
   on the index-probe paths the A1 ablation measures;
 * **benchmarking** — ``benchmarks/run_bench.py`` reports the compiled

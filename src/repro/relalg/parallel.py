@@ -60,6 +60,7 @@ from repro.relalg.compile import (
 from repro.relalg.errors import ExecutionError
 from repro.relalg.planner import PlanSpec, QueryPlan, lower_plan
 from repro.relalg.rowset import QueryStats, _hashable
+from repro.relalg.sqlast import SelectStatement
 from repro.relalg.storage import gather_rows
 
 __all__ = [
@@ -91,14 +92,26 @@ _SPEC_IDS = itertools.count(1)
 # --------------------------------------------------------------------------- #
 
 
+def _no_subquery_plans(select: SelectStatement) -> QueryPlan:
+    """Worker-side subquery callback: workers hold no catalog to plan in.
+
+    Specs with scalar subqueries in the driving filters are never shipped
+    (see :attr:`PlanSpec.process_eligible`), so reaching this is an engine
+    bug, reported as a typed error.
+    """
+    raise ExecutionError(
+        "scalar subqueries cannot run in a process worker (the plan spec "
+        "is not process-eligible)"
+    )
+
+
 def _compile_driving_scan(spec: PlanSpec):
     """Rehydrate the driving scan level of a shipped spec into closures.
 
     The worker-side counterpart of :func:`~repro.relalg.planner.lower_plan`:
     rebuild the slot layout from column names, re-compile the filter ASTs
-    with :func:`~repro.relalg.compile.compile_row_expr` (an empty catalog is
-    safe — specs with scalar subqueries in the driving filters are never
-    shipped, see :attr:`PlanSpec.process_eligible`).  When the filters also
+    with :func:`~repro.relalg.compile.compile_row_expr` (the subquery
+    callback is :func:`_no_subquery_plans`).  When the filters also
     batch-compile (:func:`~repro.relalg.compile.compile_batch_predicate`),
     the worker scans its columnar shards vectorized — one predicate dispatch
     per shard — and only materialises the surviving rows.
@@ -106,7 +119,8 @@ def _compile_driving_scan(spec: PlanSpec):
     layout = SlotLayout.from_column_names(spec.bindings)
     driving = spec.driving
     filter_fns = [
-        compile_row_expr(expr, layout, {}) for expr in driving.filter_asts
+        compile_row_expr(expr, layout, _no_subquery_plans)
+        for expr in driving.filter_asts
     ]
     batch_fn = (
         compile_batch_predicate(
@@ -126,7 +140,7 @@ def _compile_driving_scan(spec: PlanSpec):
             tuple(
                 (kind, ref)
                 if ref is None or type(ref) is int
-                else (kind, compile_row_expr(ref, layout, {}))
+                else (kind, compile_row_expr(ref, layout, _no_subquery_plans))
                 for kind, ref in items
             ),
         )
@@ -181,7 +195,7 @@ def _scan_shard(shards, entry, ctx, pid):
 
 def _worker_scan(shards, entry, params, pids):
     """Scan + filter the requested shards; returns per-partition chunks."""
-    ctx = ExecContext({}, list(params), QueryStats())
+    ctx = ExecContext(list(params), QueryStats())
     results: List[Tuple[int, List[Tuple[Any, ...]], int]] = []
     for pid in pids:
         survivors, scanned = _scan_shard(shards, entry, ctx, pid)
@@ -258,7 +272,7 @@ def _worker_aggregate(shards, entry, params, pids):
     merges the states in partition order.
     """
     key_slots, items = entry[6]
-    ctx = ExecContext({}, list(params), QueryStats())
+    ctx = ExecContext(list(params), QueryStats())
     results: List[Tuple[int, List[Any], int, int]] = []
     for pid in pids:
         survivors, scanned = _scan_shard(shards, entry, ctx, pid)

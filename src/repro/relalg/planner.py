@@ -14,7 +14,13 @@ statement:
   reference engine's physical-counter contract), one explicit
   :class:`AccessPath` per table binding,
   the residual filters of every level, and compiled projection / aggregation
-  / ordering closures (see :mod:`repro.relalg.compile`);
+  / ordering closures (see :mod:`repro.relalg.compile`).  This is the only
+  module that plans or analyzes a SELECT, once per SELECT node: a scalar
+  subquery is planned on its first reference through the statement's memo
+  (:func:`subquery_planner`), with the analysis its parent's analysis kept
+  for it, and the compiled closures, :attr:`QueryPlan.subquery_plans`
+  (EXPLAIN) and :attr:`QueryPlan.table_deps` (the plan cache) all read that
+  one plan;
 * :class:`QueryPlan.execute` runs the plan against the live tables — the
   plan is parameter-free and is reused across executions and parameter
   bindings (the statement-level plan cache lives in
@@ -70,6 +76,7 @@ from repro.relalg.compile import (
     GroupFn,
     RowFn,
     SlotLayout,
+    SubqueryPlanner,
     compile_batch_aggregate,
     compile_batch_expr,
     compile_batch_predicate,
@@ -102,7 +109,12 @@ from repro.relalg.sqlast import (
     UnaryOperation,
 )
 from repro.relalg.schema import ColumnType
-from repro.relalg.semantics import RangeInterval, analyze_select, proves_integer
+from repro.relalg.semantics import (
+    Analysis,
+    RangeInterval,
+    analyze_select,
+    proves_integer,
+)
 from repro.relalg.storage import (
     CHUNK_ROWS,
     Table,
@@ -120,11 +132,9 @@ __all__ = [
     "QueryPlan",
     "RangeProbe",
     "expr_has_subquery",
-    "expr_table_deps",
     "lower_plan",
     "plan_select",
-    "statement_subselects",
-    "statement_table_deps",
+    "subquery_planner",
 ]
 
 
@@ -337,7 +347,6 @@ class QueryPlan:
     """A fully compiled SELECT: reusable across executions and parameters."""
 
     statement: SelectStatement
-    tables: Dict[str, Table]
     layout: SlotLayout
     levels: List[_Level]
     columns: List[str]
@@ -355,13 +364,15 @@ class QueryPlan:
     limit: Optional[int]
     #: Rows to skip before the LIMIT window (``LIMIT n OFFSET m``).
     offset: Optional[int]
-    #: Lowered names of every table this plan reads (bindings + subqueries);
-    #: the per-table plan-cache invalidation in ``Database`` keys off these.
+    #: Lowered names of every table this plan reads: its own bindings plus
+    #: the ``table_deps`` of its subquery plans.  The per-table plan-cache
+    #: invalidation in ``Database`` keys off these.
     table_deps: Set[str]
-    #: Plans of the statement's scalar subqueries, snapshot at plan time
-    #: (the same moment — and therefore the same statistics — as the
-    #: subplans compiled into the expression closures), outermost first.
-    #: EXPLAIN reads these so it reports what actually executes.
+    #: Plans of the scalar subqueries in the statement's own clauses, in
+    #: clause order: the very objects its compiled expressions execute (one
+    #: plan per SELECT node, from the planner's per-statement memo), so
+    #: EXPLAIN reports what actually executes.  Nested subqueries hang off
+    #: their own subquery plan.
     subquery_plans: List["QueryPlan"]
     #: Whether the chosen join order equals the statement's syntactic binding
     #: order (the order the reference engine always uses).  Differential
@@ -449,7 +460,7 @@ class QueryPlan:
         row-at-a-time path, which remains the differential reference.
         """
         stats = stats if stats is not None else QueryStats()
-        ctx = ExecContext(self.tables, params, stats)
+        ctx = ExecContext(params, stats)
         use_vectorized = vectorized and self.vector_eligible
         result_rows: Optional[List[Tuple[Any, ...]]] = None
         rows: List[Tuple[Any, ...]] = []
@@ -1243,30 +1254,63 @@ proves_integer`) a closed ``+``/``-``/``*``/unary-minus expression over
 
 def plan_select(statement: SelectStatement, tables: Dict[str, Table]) -> QueryPlan:
     """Plan (and compile) one SELECT statement against a table catalog."""
+    return _plan_select(statement, tables, None)
+
+
+def subquery_planner(
+    tables: Dict[str, Table], analysis: Optional[Analysis]
+) -> Tuple[SubqueryPlanner, Dict[int, QueryPlan]]:
+    """One statement's subquery-plan memo and the callback that fills it.
+
+    The callback plans a scalar subquery's SELECT node on its first request,
+    with the analysis ``analysis`` keeps for that node, and returns the same
+    plan on every later request.  The memo maps ``id()`` of the SELECT node
+    to its plan, so a node referenced from several compiled expressions (an
+    index probe's key and its stale-index fallback), EXPLAIN and the plan
+    cache's dependencies all see one plan.
+    """
+    plans: Dict[int, QueryPlan] = {}
+    handed = analysis.subqueries if analysis is not None else {}
+
+    def plan_subquery(select: SelectStatement) -> QueryPlan:
+        plan = plans.get(id(select))
+        if plan is None:
+            plan = _plan_select(select, tables, handed.get(id(select)))
+            plans[id(select)] = plan
+        return plan
+
+    return plan_subquery, plans
+
+
+def _plan_select(
+    statement: SelectStatement,
+    tables: Dict[str, Table],
+    analysis: Optional[Analysis],
+) -> QueryPlan:
     bindings = _bindings(statement, tables)
     layout = SlotLayout(bindings)
-    conjuncts = _conjuncts(statement)
     # Static semantic analysis: typed rejection before any compilation, then
-    # the folded/pruned conjunct rewrite feeds planning.  Cached implicitly:
-    # the analysis lives and dies with the plan (same plan cache, same
-    # per-table schema-epoch invalidation).
-    analysis = analyze_select(statement, tables, conjuncts=conjuncts)
+    # the folded/pruned conjunct rewrite feeds planning.  A subquery's
+    # analysis was made with its parent's and arrives as ``analysis``.
+    # Cached implicitly: the analysis lives and dies with the plan (same
+    # plan cache, same per-table schema-epoch invalidation).
+    if analysis is None:
+        analysis = analyze_select(statement, tables)
     if analysis.errors:
         raise analysis.errors[0]
-    contradiction = False
-    analysis_report: Tuple[str, ...] = ()
-    intervals: Dict[Tuple[str, str], RangeInterval] = {}
-    if analysis.applicable and analysis.conjuncts is not None:
-        conjuncts = analysis.conjuncts
-        contradiction = analysis.contradiction
-        analysis_report = analysis.report
-        intervals = analysis.intervals
+    # ``_bindings`` succeeded, so the analysis built the same scope and its
+    # conjunct list is set.
+    conjuncts = analysis.conjuncts
+    contradiction = analysis.contradiction
+    analysis_report = analysis.report
+    intervals = analysis.intervals
+    plan_subquery = subquery_planner(tables, analysis)[0]
     required = {
         id(conjunct): _required_bindings(conjunct, bindings)
         for conjunct in conjuncts
     }
     levels = _plan_levels(
-        bindings, conjuncts, required, layout, tables, intervals
+        bindings, conjuncts, required, layout, plan_subquery, intervals
     )
     columns = _output_columns(statement, bindings)
 
@@ -1322,15 +1366,16 @@ def plan_select(statement: SelectStatement, tables: Dict[str, Table]) -> QueryPl
     partial_aggregate_spec = None
     if statement.is_aggregate_query:
         group_key_fns = [
-            compile_row_expr(expr, layout, tables) for expr in statement.group_by
+            compile_row_expr(expr, layout, plan_subquery)
+            for expr in statement.group_by
         ]
         having_fn = (
-            compile_group_expr(statement.having, layout, tables)
+            compile_group_expr(statement.having, layout, plan_subquery)
             if statement.having is not None
             else None
         )
         item_group_fns = [
-            compile_group_expr(item.expr, layout, tables)
+            compile_group_expr(item.expr, layout, plan_subquery)
             for item in statement.items
         ]
         projector = None
@@ -1359,7 +1404,7 @@ def plan_select(statement: SelectStatement, tables: Dict[str, Table]) -> QueryPl
         having_fn = None
         item_group_fns = None
         projector, identity, projection_slots = _compile_projection(
-            statement, layout, tables
+            statement, layout, plan_subquery
         )
         if projection_slots is not None and len(projection_slots) > 1:
             batch_projector = itemgetter(*projection_slots)
@@ -1395,7 +1440,7 @@ def plan_select(statement: SelectStatement, tables: Dict[str, Table]) -> QueryPl
                         # engine's exact error and evaluation order.
                         return [_row(row, ctx) for row in rows]
 
-    order_spec = _compile_order(statement, columns, layout, tables)
+    order_spec = _compile_order(statement, columns, layout, plan_subquery)
 
     # ORDER BY + LIMIT pushdown eligibility: single-level non-aggregate
     # scan plan whose lone sort key is (an output projection of) an
@@ -1447,9 +1492,16 @@ def plan_select(statement: SelectStatement, tables: Dict[str, Table]) -> QueryPl
     else:
         report["top-k"] = "vectorized (bounded heap)"
 
+    # A direct subquery that no expression compiled (an ORDER BY matching an
+    # aggregate output column) is still planned here, once, for EXPLAIN.
+    subquery_plans = [
+        plan_subquery(subselect) for subselect in _direct_subselects(statement)
+    ]
+    table_deps = {table.name.lower() for _binding, table in bindings}
+    for subplan in subquery_plans:
+        table_deps |= subplan.table_deps
     return QueryPlan(
         statement=statement,
-        tables=tables,
         layout=layout,
         levels=levels,
         columns=columns,
@@ -1462,11 +1514,8 @@ def plan_select(statement: SelectStatement, tables: Dict[str, Table]) -> QueryPl
         distinct=statement.distinct,
         limit=statement.limit,
         offset=statement.offset,
-        table_deps=statement_table_deps(statement),
-        subquery_plans=[
-            plan_select(subselect, tables)
-            for subselect in _direct_subselects(statement)
-        ],
+        table_deps=table_deps,
+        subquery_plans=subquery_plans,
         follows_syntactic_order=(
             [level.binding for level in levels]
             == [binding for binding, _table in bindings]
@@ -1535,32 +1584,6 @@ def _direct_subselects(select: SelectStatement) -> List[SelectStatement]:
     return found
 
 
-def statement_subselects(statement: SelectStatement) -> List[SelectStatement]:
-    """All scalar-subquery SELECTs of a statement, outermost first."""
-    found: List[SelectStatement] = []
-    for subselect in _direct_subselects(statement):
-        found.append(subselect)
-        found.extend(statement_subselects(subselect))
-    return found
-
-
-def statement_table_deps(statement: SelectStatement) -> Set[str]:
-    """Lowered names of every table a SELECT reads, subqueries included."""
-    deps: Set[str] = set()
-    for select in [statement, *statement_subselects(statement)]:
-        for ref in list(select.from_tables) + [j.table for j in select.joins]:
-            deps.add(ref.name.lower())
-    return deps
-
-
-def expr_table_deps(expr: SqlExpr) -> Set[str]:
-    """Lowered names of tables an expression reads through scalar subqueries."""
-    deps: Set[str] = set()
-    for subselect in _expr_subselects(expr):
-        deps.update(statement_table_deps(subselect))
-    return deps
-
-
 # -- FROM / WHERE ----------------------------------------------------------- #
 
 
@@ -1584,22 +1607,6 @@ def _bindings(
         seen.add(binding)
         bindings.append((binding, table))
     return bindings
-
-
-def _conjuncts(statement: SelectStatement) -> List[SqlExpr]:
-    conjuncts: List[SqlExpr] = []
-    for join in statement.joins:
-        if join.on is not None:
-            conjuncts.extend(_split_and(join.on))
-    if statement.where is not None:
-        conjuncts.extend(_split_and(statement.where))
-    return conjuncts
-
-
-def _split_and(expr: SqlExpr) -> List[SqlExpr]:
-    if isinstance(expr, BinaryOperation) and expr.op is BinaryOperator.AND:
-        return _split_and(expr.left) + _split_and(expr.right)
-    return [expr]
 
 
 def _required_bindings(
@@ -1907,7 +1914,7 @@ def _plan_levels(
     conjuncts: List[SqlExpr],
     required: Dict[int, Set[str]],
     layout: SlotLayout,
-    tables: Dict[str, Table],
+    plan_subquery: SubqueryPlanner,
     intervals: Optional[Dict[Tuple[str, str], RangeInterval]] = None,
 ) -> List[_Level]:
     remaining = list(bindings)
@@ -2018,8 +2025,8 @@ def _plan_levels(
             key_ast = key_expr
             access = IndexProbe(
                 column.lower(),
-                compile_row_expr(key_expr, layout, tables),
-                compile_row_expr(used, layout, tables),
+                compile_row_expr(key_expr, layout, plan_subquery),
+                compile_row_expr(used, layout, plan_subquery),
                 pruned=(
                     table.n_partitions > 1
                     and column.lower() == table.partition_column
@@ -2040,16 +2047,19 @@ def _plan_levels(
             access = RangeProbe(
                 column,
                 (
-                    compile_row_expr(lo_expr, layout, tables)
+                    compile_row_expr(lo_expr, layout, plan_subquery)
                     if lo_expr is not None else None
                 ),
                 lo_incl,
                 (
-                    compile_row_expr(hi_expr, layout, tables)
+                    compile_row_expr(hi_expr, layout, plan_subquery)
                     if hi_expr is not None else None
                 ),
                 hi_incl,
-                [compile_row_expr(p, layout, tables) for p in used_list],
+                [
+                    compile_row_expr(p, layout, plan_subquery)
+                    for p in used_list
+                ],
             )
             used_ids = {id(p) for p in used_list}
             filters = [p for p in applicable if id(p) not in used_ids]
@@ -2068,7 +2078,7 @@ def _plan_levels(
                 key_ast = key_expr
                 access = HashJoinBuild(
                     table.schema.column_index(column),
-                    compile_row_expr(key_expr, layout, tables),
+                    compile_row_expr(key_expr, layout, plan_subquery),
                 )
                 filters = [p for p in applicable if p is not used]
                 estimate = _probe_estimate(
@@ -2091,7 +2101,9 @@ def _plan_levels(
                 offset=offset,
                 end=end,
                 access=access,
-                filters=[compile_row_expr(p, layout, tables) for p in filters],
+                filters=[
+                    compile_row_expr(p, layout, plan_subquery) for p in filters
+                ],
                 estimate=estimate,
                 filter_exprs=list(filters),
                 key_ast=key_ast,
@@ -2102,7 +2114,7 @@ def _plan_levels(
         # Conjuncts referencing unknown bindings: compiling reports the error
         # with the interpreter's message.
         for predicate in pending:
-            compile_row_expr(predicate, layout, tables)
+            compile_row_expr(predicate, layout, plan_subquery)
     return levels
 
 
@@ -2140,7 +2152,9 @@ def _column_name(expr: SqlExpr) -> str:
 
 
 def _compile_projection(
-    statement: SelectStatement, layout: SlotLayout, tables: Dict[str, Table]
+    statement: SelectStatement,
+    layout: SlotLayout,
+    plan_subquery: SubqueryPlanner,
 ) -> Tuple[Optional[Callable], bool, Optional[List[int]]]:
     """Compile the select list; detects the ``SELECT *`` identity fast path.
 
@@ -2165,7 +2179,9 @@ def _compile_projection(
         elif isinstance(item.expr, ColumnRef):
             parts.append(("slots", [layout.resolve(item.expr)]))
         else:
-            parts.append(("fn", compile_row_expr(item.expr, layout, tables)))
+            parts.append(
+                ("fn", compile_row_expr(item.expr, layout, plan_subquery))
+            )
 
     if (
         len(parts) == 1
@@ -2194,7 +2210,7 @@ def _compile_order(
     statement: SelectStatement,
     columns: List[str],
     layout: SlotLayout,
-    tables: Dict[str, Table],
+    plan_subquery: SubqueryPlanner,
 ) -> List[Tuple[str, Any, bool]]:
     """Compile ORDER BY items: output-column positions or source-row closures."""
     if not statement.order_by:
@@ -2225,7 +2241,9 @@ def _compile_order(
                 )
             spec.append(("col", matched, item.ascending))
         else:
-            spec.append(
-                ("expr", compile_row_expr(expr, layout, tables), item.ascending)
-            )
+            spec.append((
+                "expr",
+                compile_row_expr(expr, layout, plan_subquery),
+                item.ascending,
+            ))
     return spec

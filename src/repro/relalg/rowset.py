@@ -1,12 +1,9 @@
 """Result containers and counters shared by every execution engine.
 
-:class:`QueryStats` and :class:`ResultSet` used to live in
-:mod:`repro.relalg.executor`; they moved into this dependency-free module when
-the engine was split into a planner (:mod:`repro.relalg.planner`), an
-expression compiler (:mod:`repro.relalg.compile`) and two executors (the
-plan-driven :class:`~repro.relalg.executor.SelectExecutor` and the reference
-:class:`~repro.relalg.interp.InterpretedSelectExecutor`).  The old import
-locations keep working — :mod:`repro.relalg.executor` re-exports both names.
+:class:`QueryStats` and :class:`ResultSet` live in this dependency-free
+module so the planner (:mod:`repro.relalg.planner`), the expression compiler
+(:mod:`repro.relalg.compile`) and the reference engine
+(:class:`~repro.relalg.interp.InterpretedSelectExecutor`) share them.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.relalg.errors import ExecutionError
 
-__all__ = ["QueryStats", "ResultSet", "matches_nothing", "merge_partition_counts"]
+__all__ = ["QueryStats", "ResultSet", "matches_nothing"]
 
 
 def matches_nothing(key: Any) -> bool:
@@ -28,14 +25,6 @@ def matches_nothing(key: Any) -> bool:
     probes consult this one rule before looking a key up.
     """
     return key is None or key != key
-
-
-def merge_partition_counts(target: Dict[int, int], source: Dict[int, int]) -> None:
-    """Accumulate per-partition scan counts (the single merge rule shared by
-    :meth:`QueryStats.merge` and the database-level execution summary)."""
-    if source:
-        for pid, scanned in source.items():
-            target[pid] = target.get(pid, 0) + scanned
 
 
 @dataclass
@@ -94,7 +83,11 @@ class QueryStats:
     subquery_replays: int = field(default=0, compare=False, repr=False)
 
     def merge(self, other: "QueryStats") -> None:
-        """Accumulate the counters of a nested (sub)query."""
+        """Accumulate the counters of a nested (sub)query.
+
+        The single merge rule: the database-level execution summary
+        accumulates every statement's counters through it as well.
+        """
         self.rows_scanned += other.rows_scanned
         self.index_lookups += other.index_lookups
         self.range_probes += other.range_probes
@@ -102,9 +95,10 @@ class QueryStats:
         self.subqueries += other.subqueries
         self.subquery_replays += other.subquery_replays
         self.hash_probes += other.hash_probes
-        merge_partition_counts(
-            self.partition_rows_scanned, other.partition_rows_scanned
-        )
+        if other.partition_rows_scanned:
+            target = self.partition_rows_scanned
+            for pid, scanned in other.partition_rows_scanned.items():
+                target[pid] = target.get(pid, 0) + scanned
 
 
 @dataclass

@@ -2,9 +2,12 @@
 
 The engine's front half mirrors the ASL property compiler: ``asl/semantic.py``
 type-checks property specifications before any evaluation, and this module
-gives the SQL layer the same contract.  :func:`analyze_select` runs once at
-plan time (the plan cache makes the result as durable as the plan itself —
-both are invalidated by the same per-table schema epochs) and produces:
+gives the SQL layer the same contract.  :func:`analyze_select` runs once per
+SELECT node at plan time: a scalar subquery is analyzed with its parent and
+its analysis kept in the parent's (:attr:`Analysis.subqueries`) for the
+planner to hand down.  The plan cache makes the result as durable as the
+plan itself — both are invalidated by the same per-table schema epochs.  The
+analysis produces:
 
 * **type inference** — an INTEGER/FLOAT/BOOLEAN/VARCHAR/TIMESTAMP/NULL
   lattice (:class:`SqlType`) over column references, literals, arithmetic,
@@ -211,25 +214,26 @@ class Analysis:
     )
     #: Inferred type per select item (``None`` for ``*`` items).
     item_types: List[Optional[SqlType]] = field(default_factory=list)
+    #: The analysis of every scalar subquery of the statement's own clauses,
+    #: keyed by ``id()`` of the subquery's SELECT node (nested subqueries
+    #: live in their parent subquery's analysis).  The planner hands each
+    #: one down when it plans that subquery, so no node is analyzed twice.
+    subqueries: Dict[int, "Analysis"] = field(default_factory=dict)
 
 
 def analyze_select(
-    statement: SelectStatement,
-    tables: Dict[str, Table],
-    conjuncts: Optional[Sequence[SqlExpr]] = None,
+    statement: SelectStatement, tables: Dict[str, Table]
 ) -> Analysis:
     """Analyze one SELECT statement against the catalog.
 
-    ``conjuncts`` is the planner's pre-split WHERE/ON conjunct list; when
-    supplied, the returned :attr:`Analysis.conjuncts` is that list folded
-    and pruned in the same order, ready to feed ``_plan_levels``.  Without
-    it the analyzer splits the statement itself (standalone callers such as
-    the differential-fuzzer oracle).
+    :attr:`Analysis.conjuncts` is the statement's ON/WHERE conjunct list
+    (joins first, in syntactic order) folded and pruned, ready to feed the
+    planner's ``_plan_levels``.
     """
     analyzer = _Analyzer(statement, tables)
     if not analyzer.applicable:
         return Analysis(applicable=False)
-    analyzer.analyze(conjuncts)
+    analyzer.analyze()
     return analyzer.result
 
 
@@ -245,19 +249,27 @@ def check_select(statement: SelectStatement, tables: Dict[str, Table]) -> None:
         raise analysis.errors[0]
 
 
-def check_delete(statement: DeleteStatement, tables: Dict[str, Table]) -> None:
-    """Type-check a DELETE's WHERE clause before any row is examined."""
+def check_delete(
+    statement: DeleteStatement, tables: Dict[str, Table]
+) -> Optional[Analysis]:
+    """Type-check a DELETE's WHERE clause before any row is examined.
+
+    Returns the WHERE clause's analysis (its :attr:`Analysis.subqueries`
+    feed the planning of the clause's scalar subqueries), or ``None`` when
+    there is no WHERE clause or no such table.
+    """
     if statement.where is None:
-        return
+        return None
     table = tables.get(statement.table.lower())
     if table is None:
-        return  # the executor's own unknown-table path raises SchemaError
+        return None  # the executor's own unknown-table path raises SchemaError
     select = SelectStatement(
         from_tables=[TableRef(name=statement.table)], where=statement.where
     )
     analysis = analyze_select(select, tables)
     if analysis.errors:
         raise analysis.errors[0]
+    return analysis
 
 
 # --------------------------------------------------------------------------- #
@@ -433,7 +445,7 @@ class _Analyzer:
 
     # -- entry point ------------------------------------------------------------
 
-    def analyze(self, conjuncts: Optional[Sequence[SqlExpr]]) -> None:
+    def analyze(self) -> None:
         statement = self.statement
         for item in statement.items:
             if isinstance(item.expr, Star):
@@ -462,7 +474,7 @@ class _Analyzer:
         del self.result.errors[n_errors:]
         del self.result.warnings[n_warnings:]
 
-        self._process_conjuncts(conjuncts)
+        self._process_conjuncts(self._split_conjuncts())
         report = list(self.result.report)
         report.extend(f"warning: {text}" for text in self.result.warnings)
         self.result.report = tuple(report)
@@ -481,11 +493,7 @@ class _Analyzer:
 
     # -- conjunct rewriting -----------------------------------------------------
 
-    def _process_conjuncts(
-        self, conjuncts: Optional[Sequence[SqlExpr]]
-    ) -> None:
-        if conjuncts is None:
-            conjuncts = self._split_conjuncts()
+    def _process_conjuncts(self, conjuncts: List[SqlExpr]) -> None:
         report: List[str] = []
         processed: List[SqlExpr] = []
         contradiction = False
@@ -1056,6 +1064,7 @@ class _Analyzer:
 
     def _infer_subquery(self, expr: ScalarSubquery) -> SqlType:
         sub = analyze_select(expr.select, self.tables)
+        self.result.subqueries[id(expr.select)] = sub
         self.result.errors.extend(sub.errors)
         if len(sub.item_types) == 1 and sub.item_types[0] is not None:
             return sub.item_types[0]

@@ -419,7 +419,13 @@ class SqlParser:
                 continue
             if self._at_keyword("JOIN", "INNER", "LEFT"):
                 self._accept_keyword("INNER")
-                self._accept_keyword("LEFT")
+                if self._at_keyword("LEFT"):
+                    # Both engines implement inner joins only; running an
+                    # outer join as one would silently drop rows.
+                    raise SqlSyntaxError(
+                        "LEFT JOIN is not supported (only inner joins are)",
+                        self._peek().position,
+                    )
                 self._expect_keyword("JOIN")
                 table = self._parse_table_ref()
                 on = None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.relalg import Database, ExecutionError
-from repro.relalg.executor import QueryStats
+from repro.relalg.rowset import QueryStats
 
 
 @pytest.fixture()
@@ -376,6 +376,7 @@ class TestScalarSubqueryStatsMerging:
     def test_multi_row_subquery_still_raises_and_stores_nothing(self, db):
         from repro.relalg.compile import ExecContext, SlotLayout, compile_row_expr
         from repro.relalg.interp import InterpretedSelectExecutor
+        from repro.relalg.planner import subquery_planner
         from repro.relalg.sqlparser import parse_sql
 
         sql = "SELECT id FROM runs WHERE pes = (SELECT id FROM runs)"
@@ -386,8 +387,10 @@ class TestScalarSubqueryStatsMerging:
             InterpretedSelectExecutor(db.tables).execute(parse_sql(sql))
         # Every reference re-runs the failing plan: nothing is memoized.
         subquery = parse_sql(sql).where.right
-        fn = compile_row_expr(subquery, SlotLayout([]), db.tables)
-        ctx = ExecContext(db.tables, [], QueryStats())
+        fn = compile_row_expr(
+            subquery, SlotLayout([]), subquery_planner(db.tables, None)[0]
+        )
+        ctx = ExecContext([], QueryStats())
         for _ in range(2):
             with pytest.raises(ExecutionError, match=message):
                 fn((), ctx)

@@ -23,7 +23,7 @@ from repro.relalg import (
     plan_select,
 )
 from repro.relalg.compile import ExecContext, SlotLayout, compile_row_expr
-from repro.relalg.executor import QueryStats
+from repro.relalg.rowset import QueryStats
 from repro.relalg.parallel import _compile_driving_scan
 
 
@@ -139,7 +139,7 @@ class TestPlanSpecLowering:
         assert table_uid == db.table("m").uid
         assert batch_fn is not None  # plain comparisons batch-compile
         assert (offset, end, width) == (0, 4, 4)
-        ctx = ExecContext({}, [3, 20.0], QueryStats())
+        ctx = ExecContext([3, 20.0], QueryStats())
         survivors = []
         row = [None] * width
         for _pid, chunk in db.table("m").scan_chunks():

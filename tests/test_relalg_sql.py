@@ -1,5 +1,6 @@
 """Tests of the SQL parser, the executor and the database facade."""
 
+import dataclasses
 import datetime as dt
 
 import pytest
@@ -9,6 +10,7 @@ from repro.relalg import (
     Database,
     ExecutionError,
     IntegrityError,
+    QueryStats,
     ResultSet,
     SchemaError,
     SqlSyntaxError,
@@ -109,6 +111,40 @@ class TestSqlParser:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(SqlSyntaxError, match="trailing"):
             parse_sql("SELECT * FROM t garbage extra")
+
+
+class TestLeftJoinRejected:
+    """Both engines implement inner joins only, so an outer join must not
+    parse: it used to run as an inner join and silently drop the unmatched
+    left rows."""
+
+    @staticmethod
+    def _db(engine):
+        database = Database(engine=engine)
+        database.execute("CREATE TABLE a (id INTEGER PRIMARY KEY)")
+        database.execute(
+            "CREATE TABLE b (id INTEGER PRIMARY KEY, a_id INTEGER)"
+        )
+        database.executemany("INSERT INTO a (id) VALUES (?)", [(1,), (2,)])
+        database.execute("INSERT INTO b (id, a_id) VALUES (1, 1)")
+        return database
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    @pytest.mark.parametrize(
+        "join", ["LEFT JOIN", "INNER LEFT JOIN", "left join"]
+    )
+    def test_left_join_raises_at_the_left_token(self, engine, join):
+        sql = f"SELECT a.id, b.id FROM a {join} b ON b.a_id = a.id"
+        message = "LEFT JOIN is not supported"
+        with pytest.raises(SqlSyntaxError, match=message) as info:
+            self._db(engine).query(sql)
+        assert info.value.position == sql.upper().index("LEFT")
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("join", ["JOIN", "INNER JOIN"])
+    def test_inner_join_spellings_still_parse(self, engine, join):
+        sql = f"SELECT a.id, b.id FROM a {join} b ON b.a_id = a.id"
+        assert self._db(engine).query(sql).rows == [(1, 1)]
 
 
 class TestSelectExecution:
@@ -286,6 +322,76 @@ class TestDmlAndDdl:
         assert summary.rows_inserted == 8
         assert db.total_rows() == 8
         assert db.row_counts()["TestRun"] == 3
+
+
+class TestExecutionSummaryIsTheSumOfStatementStats:
+    """``Database.summary`` accumulates every SELECT's counters through the
+    one merge rule, so it equals their field-by-field sum — partition
+    attribution and replayed subqueries included."""
+
+    STREAM = [
+        ("SELECT id FROM m WHERE s = ?", ["b"]),  # scan
+        ("SELECT id, x FROM m WHERE g = ?", [3]),  # index probe
+        ("SELECT id FROM m WHERE x BETWEEN 10 AND 30", []),  # range probe
+        ("SELECT m.id, r.id FROM m JOIN r ON r.tag = m.s WHERE m.g = ?", [1]),
+        (
+            "SELECT id FROM m WHERE x > (SELECT AVG(v) FROM r "
+            "WHERE v < (SELECT MAX(g) FROM m))",
+            [],
+        ),
+        ("SELECT id, x FROM m WHERE g = ?", [4]),  # a plan-cache hit
+    ]
+
+    @pytest.mark.parametrize("n_partitions", [1, 4])
+    def test_mixed_stream(self, n_partitions):
+        database = Database(n_partitions=n_partitions)
+        database.execute(
+            "CREATE TABLE m (id INTEGER PRIMARY KEY, g INTEGER, x INTEGER, "
+            "s VARCHAR)"
+        )
+        database.execute("CREATE INDEX m_g ON m (g)")
+        database.execute("CREATE INDEX m_x ON m (x) ORDERED")
+        database.execute(
+            "CREATE TABLE r (id INTEGER PRIMARY KEY, tag VARCHAR, v INTEGER)"
+        )
+        database.executemany(
+            "INSERT INTO m (id, g, x, s) VALUES (?, ?, ?, ?)",
+            [(i, i % 5, i * 3 % 50, "abc"[i % 3]) for i in range(1, 41)],
+        )
+        database.executemany(
+            "INSERT INTO r (id, tag, v) VALUES (?, ?, ?)",
+            [(i, "abcd"[i % 4], i) for i in range(1, 13)],
+        )
+        before = dataclasses.replace(database.summary)
+        results = [database.query(sql, params) for sql, params in self.STREAM]
+
+        summary = database.summary
+        assert summary.statements - before.statements == len(self.STREAM)
+        assert summary.selects == len(self.STREAM)
+        totals = summary.select_stats
+        for stat in dataclasses.fields(QueryStats):
+            values = [getattr(result.stats, stat.name) for result in results]
+            if stat.name == "partition_rows_scanned":
+                expected = {}
+                for per_partition in values:
+                    for pid, scanned in per_partition.items():
+                        expected[pid] = expected.get(pid, 0) + scanned
+            else:
+                expected = sum(values)
+            assert getattr(totals, stat.name) == expected, stat.name
+        # The stream reaches every access path and counter.
+        for name in (
+            "index_lookups", "range_probes", "hash_probes", "rows_joined",
+            "subqueries", "subquery_replays",
+        ):
+            assert getattr(totals, name) > 0, name
+        assert bool(totals.partition_rows_scanned) == (n_partitions > 1)
+        # The summary's own counter names read the same sums.
+        for name in (
+            "rows_returned", "rows_scanned", "index_lookups",
+            "partition_rows_scanned",
+        ):
+            assert getattr(summary, name) == getattr(totals, name), name
 
 
 class TestAggregateSemanticsAgainstPython:
