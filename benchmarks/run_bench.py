@@ -859,7 +859,6 @@ def _e12_disable_batch_rungs(database, queries):
     for _snapshot, plan in database._plan_cache.values():
         plan.vector_aggregate = None
         plan.vector_join_key = None
-        plan.vector_projector = None
 
 
 def bench_e12(repeats: int, failures: list) -> dict:

@@ -77,4 +77,3 @@ class TestBatchPipelineBaseline:
             for _snapshot, plan in scan_only._plan_cache.values():
                 assert plan.vector_aggregate is None
                 assert plan.vector_join_key is None
-                assert plan.vector_projector is None

@@ -28,6 +28,7 @@ which a statement does not change while it reads them).
 
 from __future__ import annotations
 
+import operator
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -61,7 +62,6 @@ __all__ = [
     "compile_batch_aggregate",
     "compile_batch_expr",
     "compile_batch_predicate",
-    "compile_batch_projection",
     "compile_row_expr",
     "compile_group_expr",
     "compile_insert_binder",
@@ -234,12 +234,81 @@ def _apply_binop(
     raise ExecutionError(f"unhandled operator {op}")
 
 
-_SCALAR_FUNCTIONS: Dict[str, Callable[..., Any]] = {
-    "ABS": lambda a: None if a is None else abs(a),
-    "LENGTH": lambda a: None if a is None else len(a),
-    "LOWER": lambda a: None if a is None else str(a).lower(),
-    "UPPER": lambda a: None if a is None else str(a).upper(),
+def _negate(value: Any, source: Optional[SqlExpr] = None) -> Any:
+    """Unary minus with the engine's NULL semantics and typed errors."""
+    if value is None:
+        return None
+    try:
+        return -value
+    except TypeError:
+        raise ExecutionError(
+            f"invalid operand for -: {value!r}{_source_suffix(source)}"
+        ) from None
+
+
+#: The one-argument scalar functions, over non-NULL values.
+_SCALAR_FUNCTIONS: Dict[str, Callable[[Any], Any]] = {
+    "ABS": abs,
+    "LENGTH": len,
+    "LOWER": lambda a: str(a).lower(),
+    "UPPER": lambda a: str(a).upper(),
 }
+
+
+def _apply_function(
+    name: str, value: Any, source: Optional[SqlExpr] = None
+) -> Any:
+    """A :data:`_SCALAR_FUNCTIONS` call: NULL in, NULL out, typed errors."""
+    if value is None:
+        return None
+    try:
+        return _SCALAR_FUNCTIONS[name](value)
+    except TypeError:
+        raise ExecutionError(
+            f"invalid argument for {name}: {value!r}{_source_suffix(source)}"
+        ) from None
+
+
+#: Final folds over one group's NULL-stripped (and DISTINCT-deduped) value
+#: list, shared by the row, batch and interpreted aggregates so accumulation
+#: order (and hence float results) is the same in every engine.
+_AGG_FOLDS: Dict[str, Callable[[List[Any]], Any]] = {
+    "COUNT": len,
+    "SUM": lambda values: sum(values) if values else None,
+    "AVG": lambda values: (sum(values) / len(values)) if values else None,
+    "MIN": lambda values: min(values) if values else None,
+    "MAX": lambda values: max(values) if values else None,
+}
+
+#: The pairwise step of every fold that can raise, replayed to name the
+#: value it could not combine.
+_FOLD_STEPS: Dict[str, Callable[[Any, Any], Any]] = {
+    "SUM": operator.add, "AVG": operator.add, "MIN": min, "MAX": max,
+}
+
+
+def _apply_fold(
+    name: str, values: List[Any], source: Optional[SqlExpr] = None
+) -> Any:
+    """An :data:`_AGG_FOLDS` fold with typed errors.
+
+    The fold itself runs unchanged (float accumulation stays byte-identical);
+    only when it raises are the values replayed pairwise, to name the first
+    one the running result cannot absorb.
+    """
+    try:
+        return _AGG_FOLDS[name](values)
+    except TypeError:
+        step = _FOLD_STEPS[name]
+        acc = 0 if step is operator.add else values[0]
+        for value in values:
+            try:
+                acc = step(acc, value)
+            except TypeError:
+                break
+        raise ExecutionError(
+            f"invalid value for {name}: {value!r}{_source_suffix(source)}"
+        ) from None
 
 
 # --------------------------------------------------------------------------- #
@@ -277,9 +346,7 @@ def compile_row_expr(
             return lambda row, ctx: (
                 None if (v := operand(row, ctx)) is None else not _is_true(v)
             )
-        return lambda row, ctx: (
-            None if (v := operand(row, ctx)) is None else -v
-        )
+        return lambda row, ctx: _negate(operand(row, ctx), expr)
     if isinstance(expr, BinaryOperation):
         op = expr.op
         left = compile_row_expr(expr.left, layout, plan_subquery)
@@ -296,10 +363,8 @@ def compile_row_expr(
             # The hottest predicate form; specialise it.
             def eq_fn(row: Sequence[Any], ctx: ExecContext) -> Any:
                 a = left(row, ctx)
-                if a is None:
-                    return None
                 b = right(row, ctx)
-                if b is None:
+                if a is None or b is None:
                     return None
                 return a == b
 
@@ -356,10 +421,9 @@ def _compile_scalar_function(
             return None
 
         return coalesce_fn
-    fn = _SCALAR_FUNCTIONS.get(name)
-    if fn is not None and len(args) == 1:
+    if name in _SCALAR_FUNCTIONS and len(args) == 1:
         arg = args[0]
-        return lambda row, ctx: fn(arg(row, ctx))
+        return lambda row, ctx: _apply_function(name, arg(row, ctx), expr)
     raise ExecutionError(f"unknown function {expr.name!r}")
 
 
@@ -431,22 +495,24 @@ def _gather(
 
 
 _BATCH_PY_OPS = {
-    BinaryOperator.ADD: lambda a, b: a + b,
-    BinaryOperator.SUB: lambda a, b: a - b,
-    BinaryOperator.MUL: lambda a, b: a * b,
-    BinaryOperator.DIV: lambda a, b: a / b,
-    BinaryOperator.NE: lambda a, b: a != b,
-    BinaryOperator.LT: lambda a, b: a < b,
-    BinaryOperator.LE: lambda a, b: a <= b,
-    BinaryOperator.GT: lambda a, b: a > b,
-    BinaryOperator.GE: lambda a, b: a >= b,
+    BinaryOperator.ADD: operator.add,
+    BinaryOperator.SUB: operator.sub,
+    BinaryOperator.MUL: operator.mul,
+    BinaryOperator.DIV: operator.truediv,
+    BinaryOperator.EQ: operator.eq,
+    BinaryOperator.NE: operator.ne,
+    BinaryOperator.LT: operator.lt,
+    BinaryOperator.LE: operator.le,
+    BinaryOperator.GT: operator.gt,
+    BinaryOperator.GE: operator.ge,
 }
 
 
 def _batch_binop(op: BinaryOperator, left: _BatchNode,
                  right: _BatchNode,
                  source: Optional[SqlExpr] = None) -> _BatchNode:
-    """Batch form of a non-logical binary operator.
+    """Batch form of a non-logical binary operator (at least one operand
+    reads a column).
 
     The fast inner comprehension uses the raw Python operator; if it raises
     (mixed-type comparison, division by zero) the chunk is re-evaluated
@@ -458,57 +524,6 @@ def _batch_binop(op: BinaryOperator, left: _BatchNode,
     """
     lkind, lfn = left[0], left[1]
     rkind, rfn = right[0], right[1]
-    if op is BinaryOperator.EQ:
-        # Mirror the row path's specialised eq_fn: the right operand is only
-        # evaluated when the left came out non-NULL.
-        if lkind == "const" and rkind == "const":
-            def eq_const(ctx: ExecContext) -> Any:
-                a = lfn(ctx)
-                if a is None:
-                    return None
-                b = rfn(ctx)
-                if b is None:
-                    return None
-                return a == b
-
-            return ("const", eq_const)
-        if lkind == "const":
-            def eq_cv(cols, n, ctx):
-                a = lfn(ctx)
-                if a is None:
-                    return [None] * n
-                return [None if v is None else a == v
-                        for v in rfn(cols, n, ctx)]
-
-            return ("vec", eq_cv, right[2])
-        if rkind == "const":
-            def eq_vc(cols, n, ctx):
-                a = lfn(cols, n, ctx)
-                out: List[Any] = [None] * n
-                idxs = [i for i, v in enumerate(a) if v is not None]
-                if not idxs:
-                    return out
-                b = rfn(ctx)
-                if b is None:
-                    return out
-                for i in idxs:
-                    out[i] = a[i] == b
-                return out
-
-            return ("vec", eq_vc, left[2])
-
-        def eq_vv(cols, n, ctx):
-            return [
-                None if (x is None or y is None) else x == y
-                for x, y in zip(lfn(cols, n, ctx), rfn(cols, n, ctx))
-            ]
-
-        return ("vec", eq_vv, left[2] | right[2])
-    if lkind == "const" and rkind == "const":
-        return (
-            "const",
-            lambda ctx: _apply_binop(op, lfn(ctx), rfn(ctx), source),
-        )
     py = _BATCH_PY_OPS[op]
     if lkind == "const":
         def op_cv(cols, n, ctx):
@@ -561,12 +576,6 @@ def _batch_logical(op: BinaryOperator, left: _BatchNode,
     lkind, lfn = left[0], left[1]
     rkind, rfn = right[0], right[1]
     conjunction = op is BinaryOperator.AND
-    if lkind == "const" and rkind == "const":
-        if conjunction:
-            return ("const",
-                    lambda ctx: _is_true(lfn(ctx)) and _is_true(rfn(ctx)))
-        return ("const",
-                lambda ctx: _is_true(lfn(ctx)) or _is_true(rfn(ctx)))
     if lkind == "const":
         def logical_cv(cols, n, ctx):
             decided = _is_true(lfn(ctx))
@@ -603,80 +612,92 @@ def _batch_logical(op: BinaryOperator, left: _BatchNode,
     return ("vec", logical_v, needed)
 
 
-def _batch_node(expr: SqlExpr, layout: SlotLayout, offset: int,
-                end: int) -> Optional[_BatchNode]:
-    """Compile ``expr`` into a batch node, or ``None`` if not vectorizable.
+def _row_independent(expr: SqlExpr) -> bool:
+    """Whether ``expr`` reads no column, no subquery and no aggregate."""
+    if isinstance(expr, (Literal, Placeholder)):
+        return True
+    if isinstance(expr, (UnaryOperation, IsNull)):
+        return _row_independent(expr.operand)
+    if isinstance(expr, BinaryOperation):
+        return _row_independent(expr.left) and _row_independent(expr.right)
+    if isinstance(expr, InList):
+        return _row_independent(expr.operand) and all(
+            _row_independent(item) for item in expr.items
+        )
+    if isinstance(expr, FunctionExpr):
+        return not expr.is_aggregate and all(
+            _row_independent(arg) for arg in expr.args
+        )
+    return False
 
-    ``[offset, end)`` is the slot range of the driving binding — the only
-    columns a chunk materialises.  Anything outside it (join slots), scalar
-    subqueries and unknown functions fall back to the row-at-a-time path by
-    returning ``None``.
+
+def _no_subqueries(select: SelectStatement) -> Any:
+    """Subquery callback of batch constants, which hold no subqueries."""
+    raise ExecutionError("a batch constant cannot hold a scalar subquery")
+
+
+def compile_batch_expr(expr: SqlExpr, layout: SlotLayout, offset: int,
+                       end: int) -> Optional[_BatchNode]:
+    """Compile one expression into a batch node, or ``None``.
+
+    ``("const", fn(ctx))`` for a row-independent expression, compiled by
+    :func:`compile_row_expr` (the one implementation of scalar semantics),
+    or ``("vec", fn(columns, n, ctx), needed)`` for a column-dependent one,
+    where ``needed`` holds the chunk positions it reads.  ``[offset, end)``
+    is the slot range the caller can materialise as columns; expressions
+    reaching outside it (or containing scalar subqueries, row-dependent IN
+    lists or unknown functions) return ``None`` and stay on the
+    row-at-a-time path.
+
+    Callers batch-compile only expressions the row compiler has already
+    compiled (driving and worker-side filters, hash-join keys, group keys,
+    aggregate arguments), so compiling a constant subtree again cannot raise.
     """
-    if isinstance(expr, Literal):
-        value = expr.value
-        return ("const", lambda ctx: value)
-    if isinstance(expr, Placeholder):
-        index = expr.index
-        needed = index + 1
-
-        def param_fn(ctx: ExecContext) -> Any:
-            params = ctx.params
-            if index >= len(params):
-                raise ExecutionError(
-                    f"statement uses {needed} parameter(s) but only "
-                    f"{len(params)} were supplied"
-                )
-            return params[index]
-
-        return ("const", param_fn)
+    if _row_independent(expr):
+        fn = compile_row_expr(expr, layout, _no_subqueries)
+        return ("const", lambda ctx: fn((), ctx))
     if isinstance(expr, ColumnRef):
         slot = layout.resolve(expr)
         if not offset <= slot < end:
             return None
         j = slot - offset
         return ("vec", lambda cols, n, ctx: cols[j], frozenset((j,)))
+    # Below, every node reads a column, so at least one child is a "vec".
     if isinstance(expr, UnaryOperation):
-        operand = _batch_node(expr.operand, layout, offset, end)
+        operand = compile_batch_expr(expr.operand, layout, offset, end)
         if operand is None:
             return None
-        okind, ofn = operand[0], operand[1]
+        ofn = operand[1]
         if expr.op == "NOT":
-            if okind == "const":
-                return ("const", lambda ctx: (
-                    None if (v := ofn(ctx)) is None else not _is_true(v)
-                ))
             return ("vec", lambda cols, n, ctx: [
                 None if v is None else not _is_true(v)
                 for v in ofn(cols, n, ctx)
             ], operand[2])
-        if okind == "const":
-            return ("const", lambda ctx: (
-                None if (v := ofn(ctx)) is None else -v
-            ))
-        return ("vec", lambda cols, n, ctx: [
-            None if v is None else -v for v in ofn(cols, n, ctx)
-        ], operand[2])
+
+        def negate_vec(cols, n, ctx):
+            values = ofn(cols, n, ctx)
+            try:
+                return [None if v is None else -v for v in values]
+            except TypeError:
+                return [_negate(v, expr) for v in values]
+
+        return ("vec", negate_vec, operand[2])
     if isinstance(expr, BinaryOperation):
-        left = _batch_node(expr.left, layout, offset, end)
+        left = compile_batch_expr(expr.left, layout, offset, end)
         if left is None:
             return None
-        right = _batch_node(expr.right, layout, offset, end)
+        right = compile_batch_expr(expr.right, layout, offset, end)
         if right is None:
             return None
         if expr.op in (BinaryOperator.AND, BinaryOperator.OR):
             return _batch_logical(expr.op, left, right)
         return _batch_binop(expr.op, left, right, expr)
     if isinstance(expr, IsNull):
-        operand = _batch_node(expr.operand, layout, offset, end)
+        operand = compile_batch_expr(expr.operand, layout, offset, end)
         if operand is None:
             return None
-        okind, ofn = operand[0], operand[1]
-        negated = expr.negated
-        if okind == "const":
-            if negated:
-                return ("const", lambda ctx: ofn(ctx) is not None)
-            return ("const", lambda ctx: ofn(ctx) is None)
-        if negated:
+        ofn = operand[1]
+        if expr.negated:
             return ("vec", lambda cols, n, ctx: [
                 v is not None for v in ofn(cols, n, ctx)
             ], operand[2])
@@ -684,27 +705,20 @@ def _batch_node(expr: SqlExpr, layout: SlotLayout, offset: int,
             v is None for v in ofn(cols, n, ctx)
         ], operand[2])
     if isinstance(expr, InList):
-        operand = _batch_node(expr.operand, layout, offset, end)
+        operand = compile_batch_expr(expr.operand, layout, offset, end)
         if operand is None:
             return None
         item_nodes = [
-            _batch_node(item, layout, offset, end) for item in expr.items
+            compile_batch_expr(item, layout, offset, end)
+            for item in expr.items
         ]
         # Row-dependent list members would need per-row re-evaluation; leave
         # those predicates to the row engine.
         if any(node is None or node[0] != "const" for node in item_nodes):
             return None
         item_fns = [node[1] for node in item_nodes]
-        okind, ofn = operand[0], operand[1]
+        ofn = operand[1]
         negated = expr.negated
-        if okind == "const":
-            def in_const(ctx: ExecContext) -> Any:
-                value = ofn(ctx)
-                members = [fn(ctx) for fn in item_fns]
-                found = value in members
-                return (not found) if negated else found
-
-            return ("const", in_const)
 
         def in_vec(cols, n, ctx):
             values = ofn(cols, n, ctx)
@@ -727,22 +741,11 @@ def _batch_function(expr: FunctionExpr, layout: SlotLayout, offset: int,
         return None
     name = expr.name.upper()
     arg_nodes = [
-        _batch_node(arg, layout, offset, end) for arg in expr.args
+        compile_batch_expr(arg, layout, offset, end) for arg in expr.args
     ]
     if any(node is None for node in arg_nodes):
         return None
     if name == "COALESCE":
-        if all(node[0] == "const" for node in arg_nodes):
-            fns = [node[1] for node in arg_nodes]
-
-            def coalesce_const(ctx: ExecContext) -> Any:
-                for fn in fns:
-                    value = fn(ctx)
-                    if value is not None:
-                        return value
-                return None
-
-            return ("const", coalesce_const)
         needed = frozenset().union(
             *(node[2] for node in arg_nodes if node[0] == "vec")
         )
@@ -778,14 +781,16 @@ def _batch_function(expr: FunctionExpr, layout: SlotLayout, offset: int,
     fn = _SCALAR_FUNCTIONS.get(name)
     if fn is None or len(arg_nodes) != 1:
         return None
-    node = arg_nodes[0]
-    if node[0] == "const":
-        afn = node[1]
-        return ("const", lambda ctx: fn(afn(ctx)))
-    afn = node[1]
-    return ("vec", lambda cols, n, ctx: [
-        fn(v) for v in afn(cols, n, ctx)
-    ], node[2])
+    afn = arg_nodes[0][1]
+
+    def function_vec(cols, n, ctx):
+        values = afn(cols, n, ctx)
+        try:
+            return [None if v is None else fn(v) for v in values]
+        except TypeError:
+            return [_apply_function(name, v, expr) for v in values]
+
+    return ("vec", function_vec, arg_nodes[0][2])
 
 
 def compile_batch_predicate(
@@ -798,7 +803,9 @@ def compile_batch_predicate(
     row set between conjuncts exactly as the row engine's per-row
     short-circuit does: a later conjunct only ever sees — and can only ever
     raise for — rows that passed every earlier one.  It returns ascending
-    chunk-local row indexes, or ``None`` when every row survived.
+    chunk-local row indexes, or ``None`` when every row survived.  It has
+    no side effects, so a caller whose chunk raises replays that chunk
+    through the row filters to raise the row engine's error, at its row.
 
     Returns ``None`` (not vectorizable) when any conjunct contains a scalar
     subquery, a column outside the driving binding, a row-dependent IN list
@@ -806,7 +813,7 @@ def compile_batch_predicate(
     """
     compiled: List[_BatchNode] = []
     for expr in exprs:
-        node = _batch_node(expr, layout, offset, end)
+        node = compile_batch_expr(expr, layout, offset, end)
         if node is None:
             return None
         compiled.append(node)
@@ -832,97 +839,6 @@ def compile_batch_predicate(
         return sel
 
     return predicate
-
-
-def compile_batch_expr(
-    expr: SqlExpr, layout: SlotLayout, offset: int, end: int
-) -> Optional[_BatchNode]:
-    """Compile one expression into a batch node, or ``None``.
-
-    Public entry point over the node compiler: ``("const", fn(ctx))`` for
-    row-independent expressions, ``("vec", fn(columns, n, ctx), needed)``
-    for column-dependent ones.  ``[offset, end)`` is the slot range the
-    caller can materialise as columns; expressions reaching outside it (or
-    containing scalar subqueries, row-dependent IN lists or unknown
-    functions) return ``None`` and stay on the row-at-a-time path.
-    """
-    return _batch_node(expr, layout, offset, end)
-
-
-def compile_batch_projection(
-    statement: Any, layout: SlotLayout
-) -> Optional[Callable[[List[Tuple[Any, ...]], "ExecContext"],
-                       List[Tuple[Any, ...]]]]:
-    """Compile the select list into one whole-result batch projector.
-
-    Generalises the all-ColumnRef ``batch_projector`` fast path: arithmetic,
-    COALESCE and scalar functions evaluate column-at-a-time over the joined
-    rows (``fn(rows, ctx) -> projected rows``).  Returns ``None`` when any
-    item fails to batch-compile (scalar subqueries, unknown functions) — the
-    caller keeps the per-row projector.
-
-    The closure is pure with respect to ``ctx`` (nothing that batch-compiles
-    touches the statistics counters), so a caller catching an error here may
-    replay the per-row projector to reproduce the row engine's exact error
-    and evaluation order.
-    """
-    width = layout.width
-    parts: List[Tuple[Any, ...]] = []
-    for item in statement.items:
-        expr = item.expr
-        if isinstance(expr, Star):
-            for binding, _table in layout.bindings:
-                if expr.table is not None and expr.table.lower() != binding:
-                    continue
-                offset, end = layout.range_of(binding)
-                parts.extend(("slot", j) for j in range(offset, end))
-            continue
-        if isinstance(expr, ColumnRef):
-            parts.append(("slot", layout.resolve(expr)))
-            continue
-        node = _batch_node(expr, layout, 0, width)
-        if node is None:
-            return None
-        parts.append(node)
-    needed: set = set()
-    for part in parts:
-        if part[0] == "slot":
-            needed.add(part[1])
-        elif part[0] == "vec":
-            needed |= part[2]
-
-    def project_batch(rows, ctx):
-        n = len(rows)
-        if not n:
-            return []
-        cols: List[Optional[List[Any]]] = [None] * width
-        for j in needed:
-            cols[j] = [row[j] for row in rows]
-        out_cols = []
-        for part in parts:
-            kind = part[0]
-            if kind == "slot":
-                out_cols.append(cols[part[1]])
-            elif kind == "const":
-                out_cols.append([part[1](ctx)] * n)
-            else:
-                out_cols.append(part[1](cols, n, ctx))
-        return list(zip(*out_cols))
-
-    return project_batch
-
-
-#: Final folds over one group's NULL-stripped (and DISTINCT-deduped) value
-#: list — the exact reductions :func:`_compile_aggregate_function` applies,
-#: shared by the batch aggregator so accumulation order (and hence float
-#: results) stays byte-identical.
-_BATCH_AGG_FOLDS: Dict[str, Callable[[List[Any]], Any]] = {
-    "COUNT": lambda values: len(values),
-    "SUM": lambda values: sum(values) if values else None,
-    "AVG": lambda values: (sum(values) / len(values)) if values else None,
-    "MIN": lambda values: min(values) if values else None,
-    "MAX": lambda values: max(values) if values else None,
-}
 
 
 def compile_batch_aggregate(
@@ -956,7 +872,7 @@ def compile_batch_aggregate(
     width = layout.width
     key_nodes: List[_BatchNode] = []
     for expr in statement.group_by:
-        node = _batch_node(expr, layout, 0, width)
+        node = compile_batch_expr(expr, layout, 0, width)
         if node is None:
             return None
         key_nodes.append(node)
@@ -972,11 +888,10 @@ def compile_batch_aggregate(
                 not expr.args or isinstance(expr.args[0], Star)
             ):
                 plan = ("count*",)
-            elif name in _BATCH_AGG_FOLDS and expr.args:
-                node = _batch_node(expr.args[0], layout, 0, width)
+            elif name in _AGG_FOLDS and expr.args:
+                node = compile_batch_expr(expr.args[0], layout, 0, width)
                 if node is not None:
-                    plan = ("fold", _BATCH_AGG_FOLDS[name], node,
-                            expr.distinct)
+                    plan = ("fold", _AGG_FOLDS[name], node, expr.distinct)
         if plan is None:
             plan = ("group", item_group_fns[index])
         else:
@@ -1104,7 +1019,8 @@ def compile_group_expr(
         left = compile_group_expr(expr.left, layout, plan_subquery)
         right = compile_group_expr(expr.right, layout, plan_subquery)
         if op in (BinaryOperator.AND, BinaryOperator.OR):
-            # The interpreter evaluates both children before combining.
+            # Short-circuit, like the row path and the interpreter: the
+            # right child runs only when the left one did not decide.
             if op is BinaryOperator.AND:
                 return lambda group, ctx: (
                     _is_true(left(group, ctx)) and _is_true(right(group, ctx))
@@ -1121,9 +1037,7 @@ def compile_group_expr(
             return lambda group, ctx: (
                 None if (v := operand(group, ctx)) is None else not _is_true(v)
             )
-        return lambda group, ctx: (
-            None if (v := operand(group, ctx)) is None else -v
-        )
+        return lambda group, ctx: _negate(operand(group, ctx), expr)
     if isinstance(expr, (Literal, Placeholder, ScalarSubquery)):
         row_fn = compile_row_expr(expr, layout, plan_subquery)
         return lambda group, ctx: row_fn((), ctx)
@@ -1157,27 +1071,9 @@ def _compile_aggregate_function(
             values = unique
         return values
 
-    if name == "COUNT":
-        return lambda group, ctx: len(values_of(group, ctx))
-    if name == "SUM":
-        return lambda group, ctx: (
-            sum(values) if (values := values_of(group, ctx)) else None
-        )
-    if name == "AVG":
-        return lambda group, ctx: (
-            (sum(values) / len(values))
-            if (values := values_of(group, ctx))
-            else None
-        )
-    if name == "MIN":
-        return lambda group, ctx: (
-            min(values) if (values := values_of(group, ctx)) else None
-        )
-    if name == "MAX":
-        return lambda group, ctx: (
-            max(values) if (values := values_of(group, ctx)) else None
-        )
-    raise ExecutionError(f"unknown aggregate {name}")
+    if name not in _AGG_FOLDS:
+        raise ExecutionError(f"unknown aggregate {name}")
+    return lambda group, ctx: _apply_fold(name, values_of(group, ctx), expr)
 
 
 # --------------------------------------------------------------------------- #

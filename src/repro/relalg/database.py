@@ -112,7 +112,7 @@ from repro.relalg.sqlast import (
     Statement,
 )
 from repro.relalg.sqlparser import parse_sql
-from repro.relalg.storage import CHUNK_ROWS, Table, Transaction
+from repro.relalg.storage import Table, Transaction
 from repro.relalg.wal import (
     WriteAheadLog,
     decode_row,
@@ -194,7 +194,6 @@ class Database:
         wal_autocheckpoint: Optional[int] = 4_000_000,
         wal_hook=None,
         vectorized: bool = True,
-        vectorized_chunk_size: int = CHUNK_ROWS,
     ) -> None:
         if engine not in ("compiled", "interpreted"):
             raise ValueError(
@@ -216,18 +215,6 @@ class Database:
                 raise ExecutionError(
                     f"parallel must be >= 2 workers (or None), got {parallel}"
                 )
-        if type(vectorized_chunk_size) is not int:
-            # Typed: reject here instead of failing deep inside chunk
-            # building (range() with a non-int chunk size).
-            raise ExecutionError(
-                f"vectorized_chunk_size must be an int, "
-                f"got {type(vectorized_chunk_size).__name__}"
-            )
-        if vectorized_chunk_size < 1:
-            raise ExecutionError(
-                f"vectorized_chunk_size must be positive, "
-                f"got {vectorized_chunk_size}"
-            )
         shared_executor: Optional[ProcessScanExecutor] = None
         if isinstance(executor, ProcessScanExecutor):
             shared_executor = executor
@@ -266,7 +253,6 @@ class Database:
         #: preserved byte for byte).  ``False`` pins the row engine — the
         #: differential reference the fuzzers sweep against.
         self.vectorized = vectorized
-        self.vectorized_chunk_size = vectorized_chunk_size
         #: The process pool (owned and lazily created, or shared/borrowed).
         self._process_executor = shared_executor
         self._owns_executor = shared_executor is None
@@ -1055,7 +1041,6 @@ class Database:
                 QueryStats(),
                 process_executor=process_executor,
                 vectorized=self._vectorized_now(),
-                chunk_size=self.vectorized_chunk_size,
             )
         self.summary.record_select(result.stats)
         return result

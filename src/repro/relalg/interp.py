@@ -24,7 +24,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.relalg.compile import _apply_binop
+from repro.relalg.compile import (
+    _AGG_FOLDS,
+    _SCALAR_FUNCTIONS,
+    _apply_binop,
+    _apply_fold,
+    _apply_function,
+    _negate,
+)
 from repro.relalg.errors import ExecutionError, SchemaError
 from repro.relalg.semantics import check_select
 from repro.relalg.rowset import (
@@ -423,7 +430,7 @@ class InterpretedSelectExecutor:
             value = self._eval(expr.operand, env)
             if expr.op == "NOT":
                 return None if value is None else (not _is_true(value))
-            return None if value is None else -value
+            return _negate(value, expr)
         if isinstance(expr, BinaryOperation):
             return self._eval_binary(expr, env, source=expr)
         if isinstance(expr, IsNull):
@@ -469,20 +476,15 @@ class InterpretedSelectExecutor:
 
     def _eval_scalar_function(self, expr: FunctionExpr, env: RowEnv) -> Any:
         name = expr.name.upper()
-        args = [self._eval(arg, env) for arg in expr.args]
-        if name == "ABS" and len(args) == 1:
-            return None if args[0] is None else abs(args[0])
         if name == "COALESCE":
-            for arg in args:
-                if arg is not None:
-                    return arg
+            # Stops at the first non-NULL argument, like the compiled engine.
+            for arg in expr.args:
+                value = self._eval(arg, env)
+                if value is not None:
+                    return value
             return None
-        if name == "LENGTH" and len(args) == 1:
-            return None if args[0] is None else len(args[0])
-        if name == "LOWER" and len(args) == 1:
-            return None if args[0] is None else str(args[0]).lower()
-        if name == "UPPER" and len(args) == 1:
-            return None if args[0] is None else str(args[0]).upper()
+        if name in _SCALAR_FUNCTIONS and len(expr.args) == 1:
+            return _apply_function(name, self._eval(expr.args[0], env), expr)
         raise ExecutionError(f"unknown function {expr.name!r}")
 
     def _eval_subquery(self, expr: ScalarSubquery, env: RowEnv) -> Any:
@@ -506,6 +508,15 @@ class InterpretedSelectExecutor:
         if isinstance(expr, FunctionExpr) and expr.is_aggregate:
             return self._aggregate_value(expr, group)
         if isinstance(expr, BinaryOperation):
+            # AND/OR stop at the deciding operand, like every other walk.
+            if expr.op is BinaryOperator.AND:
+                return _is_true(self._eval_aggregate(expr.left, group)) and (
+                    _is_true(self._eval_aggregate(expr.right, group))
+                )
+            if expr.op is BinaryOperator.OR:
+                return _is_true(self._eval_aggregate(expr.left, group)) or (
+                    _is_true(self._eval_aggregate(expr.right, group))
+                )
             clone = BinaryOperation(
                 op=expr.op,
                 left=Literal(self._eval_aggregate(expr.left, group)),
@@ -516,7 +527,7 @@ class InterpretedSelectExecutor:
             value = self._eval_aggregate(expr.operand, group)
             if expr.op == "NOT":
                 return None if value is None else (not _is_true(value))
-            return None if value is None else -value
+            return _negate(value, expr)
         if isinstance(expr, (Literal, Placeholder, ScalarSubquery)):
             return self._eval(expr, {})
         # Plain column references inside an aggregate query pick the value of
@@ -545,17 +556,9 @@ class InterpretedSelectExecutor:
                     seen.add(key)
                     unique.append(value)
             values = unique
-        if name == "COUNT":
-            return len(values)
-        if name == "SUM":
-            return sum(values) if values else None
-        if name == "AVG":
-            return (sum(values) / len(values)) if values else None
-        if name == "MIN":
-            return min(values) if values else None
-        if name == "MAX":
-            return max(values) if values else None
-        raise ExecutionError(f"unknown aggregate {name}")
+        if name not in _AGG_FOLDS:
+            raise ExecutionError(f"unknown aggregate {name}")
+        return _apply_fold(name, values, expr)
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -58,7 +58,7 @@ from repro.relalg.compile import (
     compile_row_expr,
 )
 from repro.relalg.errors import ExecutionError
-from repro.relalg.planner import PlanSpec, QueryPlan, lower_plan
+from repro.relalg.planner import PlanSpec, QueryPlan, filter_rows, lower_plan
 from repro.relalg.rowset import QueryStats, _hashable
 from repro.relalg.sqlast import SelectStatement
 from repro.relalg.storage import gather_rows
@@ -171,26 +171,20 @@ def _scan_shard(shards, entry, ctx, pid):
         )
     scanned = shard[0]
     if not filter_fns:
-        survivors = _shard_rows(shard)
-    elif batch_fn is not None:
+        return _shard_rows(shard), scanned
+    if batch_fn is not None:
         cols = shard[1]
-        sel = batch_fn(cols, scanned, ctx)
-        if sel is None:
-            survivors = _shard_rows(shard)
+        try:
+            sel = batch_fn(cols, scanned, ctx)
+        except Exception:  # lint: allow-broad-except
+            pass  # the row filters below raise the row engine's error
         else:
-            survivors = gather_rows(cols, sel)
-    else:
-        survivors = []
-        row: List[Any] = [None] * width
-        keep = survivors.append
-        for candidate in _shard_rows(shard):
-            row[offset:end] = candidate
-            for predicate in filter_fns:
-                if not predicate(row, ctx):
-                    break
-            else:
-                keep(candidate)
-    return survivors, scanned
+            if sel is None:
+                return _shard_rows(shard), scanned
+            return gather_rows(cols, sel), scanned
+    return filter_rows(
+        _shard_rows(shard), filter_fns, ctx, offset, end, width
+    ), scanned
 
 
 def _worker_scan(shards, entry, params, pids):

@@ -80,7 +80,6 @@ from repro.relalg.compile import (
     compile_batch_aggregate,
     compile_batch_expr,
     compile_batch_predicate,
-    compile_batch_projection,
     compile_group_expr,
     compile_row_expr,
 )
@@ -115,8 +114,8 @@ from repro.relalg.semantics import (
     analyze_select,
     proves_integer,
 )
+from repro.relalg import storage
 from repro.relalg.storage import (
-    CHUNK_ROWS,
     Table,
     TableStatistics,
     gather_columns,
@@ -132,6 +131,7 @@ __all__ = [
     "QueryPlan",
     "RangeProbe",
     "expr_has_subquery",
+    "filter_rows",
     "lower_plan",
     "plan_select",
     "subquery_planner",
@@ -396,10 +396,6 @@ class QueryPlan:
     #: ineligible.  The closure returns ``None`` (side-effect free) when a
     #: fold errors — execution then replays :meth:`_aggregate` row-at-a-time.
     vector_aggregate: Optional[Callable] = None
-    #: Whole-result batch projection for expression select lists (see
-    #: :func:`~repro.relalg.compile.compile_batch_projection`); the
-    #: all-slot case keeps the cheaper :attr:`batch_projector`.
-    vector_projector: Optional[Callable] = None
     #: Batch hash-join probe key: the probe key of a two-level
     #: scan→hash-join plan, compiled over the driving binding's slot range.
     #: ``None`` when the plan shape or the key expression is ineligible.
@@ -440,7 +436,6 @@ class QueryPlan:
         stats: Optional[QueryStats] = None,
         process_executor=None,
         vectorized: bool = False,
-        chunk_size: int = CHUNK_ROWS,
     ) -> ResultSet:
         """Run the plan and return the materialised result.
 
@@ -454,10 +449,11 @@ class QueryPlan:
 
         ``vectorized`` drives eligible plans (:attr:`vector_eligible`)
         batch-at-a-time over the driving table's columnar chunks of
-        ``chunk_size`` rows: one predicate dispatch per chunk instead of one
-        closure call per row, with results *and* statistics byte-identical
-        to the row-at-a-time scan.  Ineligible plans silently keep the
-        row-at-a-time path, which remains the differential reference.
+        ``storage.CHUNK_ROWS`` rows: one predicate dispatch per chunk
+        instead of one closure call per row, with results *and* statistics
+        byte-identical to the row-at-a-time scan.  Ineligible plans silently
+        keep the row-at-a-time path, which remains the differential
+        reference.
         """
         stats = stats if stats is not None else QueryStats()
         ctx = ExecContext(params, stats)
@@ -488,7 +484,7 @@ class QueryPlan:
                     driving = process_executor.scan_chunks(self, params)
             if result_rows is None:
                 if driving is None and use_vectorized:
-                    driving = self._vector_chunks(ctx, chunk_size)
+                    driving = self._vector_chunks(ctx)
                 # Batch hash-join probing rides any pre-filtered chunk
                 # stream; ``vectorized=False`` keeps the row-at-a-time probe
                 # as the differential reference.
@@ -509,8 +505,6 @@ class QueryPlan:
             result_rows = list(rows)
         elif use_vectorized and self.batch_projector is not None:
             result_rows = list(map(self.batch_projector, rows))
-        elif use_vectorized and self.vector_projector is not None:
-            result_rows = self.vector_projector(rows, ctx)
         else:
             projector = self.projector
             result_rows = [projector(row, ctx) for row in rows]
@@ -767,7 +761,7 @@ class QueryPlan:
 
         return chunks()
 
-    def _vector_chunks(self, ctx: ExecContext, chunk_size: int):
+    def _vector_chunks(self, ctx: ExecContext):
         """Vectorized driving scan: yield ``(pid, survivors, scanned)``.
 
         One triple per columnar chunk of the driving table, in partition
@@ -775,22 +769,35 @@ class QueryPlan:
         the same ``driving`` seam of :meth:`_enumerate`, so the work
         accounting is charged identically.  ``pid`` is ``None`` for
         single-partition driving tables (no per-partition attribution, like
-        the row-at-a-time scan).
+        the row-at-a-time scan).  A chunk whose batch predicate raises is
+        replayed through the level's row filters (see :func:`filter_rows`),
+        which raise the row engine's error.
         """
-        table = self.levels[0].table
+        level = self.levels[0]
+        table = level.table
         predicate = self.vector_filter
         multi = table.n_partitions > 1
+        chunk_rows = storage.CHUNK_ROWS
         for pid in range(table.n_partitions):
             out_pid = pid if multi else None
-            for block, cols in table.partitions[pid].column_chunks(chunk_size):
+            for block, cols in table.partitions[pid].column_chunks(chunk_rows):
                 scanned = len(block)
                 if predicate is None:
                     survivors: List[Tuple[Any, ...]] = block
                 else:
-                    sel = predicate(cols, scanned, ctx)
-                    survivors = (
-                        block if sel is None else [block[i] for i in sel]
-                    )
+                    try:
+                        sel = predicate(cols, scanned, ctx)
+                    except Exception:  # lint: allow-broad-except
+                        # The batch predicate is pure, so the row filters
+                        # can replay the chunk and raise the row error.
+                        survivors = filter_rows(
+                            block, level.filters, ctx, level.offset,
+                            level.end, self.layout.width,
+                        )
+                    else:
+                        survivors = (
+                            block if sel is None else [block[i] for i in sel]
+                        )
                 yield out_pid, survivors, scanned
 
     def _batch_join(self, ctx: ExecContext, append):
@@ -998,6 +1005,35 @@ class QueryPlan:
         else:
             positions = sorted(range(len(result_rows)), key=key_for)
         return [result_rows[p] for p in positions]
+
+
+def filter_rows(
+    candidates: Sequence[Tuple[Any, ...]],
+    filters: Sequence[RowFn],
+    ctx: ExecContext,
+    offset: int,
+    end: int,
+    width: int,
+) -> List[Tuple[Any, ...]]:
+    """The stored rows of one driving level that pass all its row filters.
+
+    Row by row and conjunct by conjunct, in order — the row engine's
+    evaluation order, so a filter that raises raises the row engine's error
+    at its row.  Each candidate fills slots ``[offset, end)`` of a slot row
+    ``width`` wide.  Shared by the vectorized scan's replay of a raising
+    chunk and by the process workers' shard scan.
+    """
+    survivors: List[Tuple[Any, ...]] = []
+    keep = survivors.append
+    row: List[Any] = [None] * width
+    for candidate in candidates:
+        row[offset:end] = candidate
+        for predicate in filters:
+            if not predicate(row, ctx):
+                break
+        else:
+            keep(candidate)
+    return survivors
 
 
 def _build_hash_table(
@@ -1362,7 +1398,6 @@ def _plan_select(
         )
 
     vector_aggregate = None
-    vector_projector = None
     partial_aggregate_spec = None
     if statement.is_aggregate_query:
         group_key_fns = [
@@ -1421,24 +1456,9 @@ def _plan_select(
         elif batch_projector is not None or identity:
             report["projection"] = "vectorized (slot projection)"
         else:
-            raw_projector = compile_batch_projection(statement, layout)
-            if raw_projector is None:
-                report["projection"] = (
-                    "row-at-a-time (projection does not batch-compile)"
-                )
-            else:
-                report["projection"] = "vectorized (batch expressions)"
-                row_projector = projector
-
-                def vector_projector(rows, ctx, _batch=raw_projector,
-                                     _row=row_projector):
-                    try:
-                        return _batch(rows, ctx)
-                    except Exception:  # lint: allow-broad-except
-                        # Batch items are pure (no subqueries batch-compile),
-                        # so replaying the row projector reproduces the row
-                        # engine's exact error and evaluation order.
-                        return [_row(row, ctx) for row in rows]
+            report["projection"] = (
+                "row-at-a-time (projection does not batch-compile)"
+            )
 
     order_spec = _compile_order(statement, columns, layout, plan_subquery)
 
@@ -1524,7 +1544,6 @@ def _plan_select(
         vector_filter=vector_filter,
         batch_projector=batch_projector,
         vector_aggregate=vector_aggregate,
-        vector_projector=vector_projector,
         vector_join_key=vector_join_key,
         partial_aggregate_spec=partial_aggregate_spec,
         vector_report=report,

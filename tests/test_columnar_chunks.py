@@ -11,7 +11,7 @@ row-at-a-time so staged writes stay visible).
 
 import pytest
 
-from repro.relalg import CHUNK_ROWS, Database
+from repro.relalg import CHUNK_ROWS, Database, storage
 
 _DDL = "CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, x FLOAT)"
 _INS = "INSERT INTO t (id, g, x) VALUES (?, ?, ?)"
@@ -71,11 +71,12 @@ class TestChunkLayout:
 
 @pytest.mark.parametrize("chunk_size", [1, 3, CHUNK_ROWS])
 class TestChunkedQueriesMatchRowwise:
-    def test_tombstones_mid_chunk(self, chunk_size):
+    def test_tombstones_mid_chunk(self, chunk_size, monkeypatch):
         # Delete a stripe of rows (far below the compaction threshold, so
         # the row lists keep tombstones in the middle of every chunk), then
         # compare the vectorized scan against row-at-a-time.
-        with _filled(vectorized_chunk_size=chunk_size) as vectorized, _filled(
+        monkeypatch.setattr(storage, "CHUNK_ROWS", chunk_size)
+        with _filled() as vectorized, _filled(
             vectorized=False
         ) as rowwise:
             for database in (vectorized, rowwise):
@@ -91,8 +92,9 @@ class TestChunkedQueriesMatchRowwise:
                 assert got.rows == expected.rows, sql
                 assert got.stats == expected.stats, sql
 
-    def test_dml_inside_open_transaction(self, chunk_size):
-        with _filled(vectorized_chunk_size=chunk_size) as database:
+    def test_dml_inside_open_transaction(self, chunk_size, monkeypatch):
+        monkeypatch.setattr(storage, "CHUNK_ROWS", chunk_size)
+        with _filled() as database:
             count_sql = "SELECT COUNT(*) FROM t WHERE x > ?"
             # Warm the chunk caches with a vectorized scan.
             assert database.query(count_sql, [10.0]).rows == [(30,)]
@@ -119,8 +121,11 @@ class TestChunkedQueriesMatchRowwise:
                 "SELECT id FROM t WHERE id = ?", [1]
             ).rows == [(1,)]
 
-    def test_commit_inside_transaction_then_vectorized_reads(self, chunk_size):
-        with _filled(vectorized_chunk_size=chunk_size) as database:
+    def test_commit_inside_transaction_then_vectorized_reads(
+        self, chunk_size, monkeypatch
+    ):
+        monkeypatch.setattr(storage, "CHUNK_ROWS", chunk_size)
+        with _filled() as database:
             assert database.query("SELECT COUNT(*) FROM t").rows == [(50,)]
             database.begin()
             database.executemany(
@@ -184,7 +189,10 @@ class TestVectorizationReport:
     def test_projection_report(self):
         with _filled() as database:
             exprs = database.explain("SELECT id * 2 + 1, COALESCE(g, -1) FROM t")
-            assert "projection: vectorized (batch expressions)" in exprs
+            assert (
+                "projection: row-at-a-time (projection does not batch-compile)"
+                in exprs
+            )
             slots = database.explain("SELECT id, g FROM t")
             assert "projection: vectorized (slot projection)" in slots
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.relalg import Database
+from repro.relalg import Database, storage
 from repro.relalg.errors import ExecutionError, SemanticError
 from repro.relalg.planner import plan_select
 from repro.relalg.sqlparser import parse_sql
@@ -221,12 +221,14 @@ class TestFiveModeParity:
             "interp": _fill(Database(engine="interpreted"), rows),
             "rowwise": _fill(Database(n_partitions=1, vectorized=False), rows),
             "vector": _fill(Database(n_partitions=1), rows),
-            "small-chunks": _fill(
-                Database(n_partitions=1, vectorized_chunk_size=3), rows
-            ),
             "process": _fill(Database(n_partitions=1, executor=process_pool), rows),
         }
         results = {name: db.query(sql, params) for name, db in databases.items()}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(storage, "CHUNK_ROWS", 3)
+            results["small-chunks"] = _fill(
+                Database(n_partitions=1), rows
+            ).query(sql, params)
         reference = results["interp"]
         for name, result in results.items():
             assert result.columns == reference.columns, (name, sql)

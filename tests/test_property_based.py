@@ -334,8 +334,8 @@ def _random_select(rng):
             [],
         )
     if kind == "project":
-        # Expression projections (arithmetic, COALESCE, scalar functions):
-        # the generalized batch-projection path.
+        # Expression projections (arithmetic, COALESCE, scalar functions),
+        # projected row-at-a-time after a vectorized scan.
         return (
             f"SELECT id, x * ? + 1, COALESCE(g, -1), ABS(id - ?) FROM m "
             f"ORDER BY id{direction}{limit}",

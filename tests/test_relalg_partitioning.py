@@ -388,20 +388,6 @@ class TestParallelExecution:
         with Database(parallel=2, executor="process") as db:
             db.close()  # idempotent even if the pool was never created
 
-    def test_vectorized_chunk_size_validation(self):
-        with pytest.raises(ExecutionError, match="vectorized_chunk_size"):
-            Database(vectorized_chunk_size=0)
-        with pytest.raises(ExecutionError, match="vectorized_chunk_size"):
-            Database(vectorized_chunk_size=-5)
-        with pytest.raises(ExecutionError, match="vectorized_chunk_size"):
-            Database(vectorized_chunk_size="1024")
-        with pytest.raises(ExecutionError, match="vectorized_chunk_size"):
-            Database(vectorized_chunk_size=True)
-        with Database(vectorized_chunk_size=1) as db:
-            db.execute("CREATE TABLE t (id INTEGER)")
-            db.execute("INSERT INTO t VALUES (1)")
-            assert db.query("SELECT COUNT(*) FROM t").scalar() == 1
-
 
 class TestBackendPartitionCharging:
     def test_effective_scan_rows_makespan(self):
