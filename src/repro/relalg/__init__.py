@@ -67,7 +67,6 @@ from repro.relalg.planner import (
     AccessPath,
     HashJoinBuild,
     IndexProbe,
-    LevelSpec,
     PartitionScan,
     PlanSpec,
     QueryPlan,
@@ -82,7 +81,6 @@ from repro.relalg.semantics import (
     analyze_select,
     check_delete,
     check_select,
-    proves_integer,
 )
 from repro.relalg.sqlparser import SqlParser, parse_sql, tokenize_sql
 from repro.relalg.compile import compile_batch_predicate
@@ -126,7 +124,6 @@ __all__ = [
     "IndexProbe",
     "IntegrityError",
     "InterpretedSelectExecutor",
-    "LevelSpec",
     "NativeClient",
     "Partition",
     "PartitionScan",
@@ -166,7 +163,6 @@ __all__ = [
     "lower_plan",
     "parse_sql",
     "plan_select",
-    "proves_integer",
     "restore_state",
     "snapshot_state",
     "stable_hash",

@@ -177,8 +177,14 @@ class SlotLayout:
 
 
 def _source_suffix(source: Optional[SqlExpr]) -> str:
-    """`` in <expr>`` attribution, rendered lazily (errors only)."""
-    return f" in {format_expr(source)}" if source is not None else ""
+    """`` in <expr>`` attribution, rendered lazily (errors only).
+
+    A node constant folding rebuilt names its unfolded ``origin``, so every
+    engine prints the expression the user wrote.
+    """
+    if source is None:
+        return ""
+    return f" in {format_expr(getattr(source, 'origin', None) or source)}"
 
 
 def _apply_binop(

@@ -271,9 +271,6 @@ class Database:
         self._insert_binder_cache: Dict[
             int, Tuple[_DepSnapshot, Statement, Any]
         ] = {}
-        #: Global DDL counter (kept for introspection; invalidation is per
-        #: table via ``_table_epochs``).
-        self._schema_epoch = 0
         #: lowered table name → epoch, bumped by every DDL touching the table.
         self._table_epochs: Dict[str, int] = {}
         self._plan_hits = 0
@@ -778,7 +775,6 @@ class Database:
         long-lived database under schema churn does not accumulate dead
         plans, binders and their pinned statements.
         """
-        self._schema_epoch += 1
         self._table_epochs[key] = self._table_epochs.get(key, 0) + 1
         self._plan_cache = {
             sql: entry
@@ -932,11 +928,6 @@ class Database:
                 status = plan.vector_report.get(rung)
                 if status is not None:
                     lines.append(f"{indent}  {rung}: {status}")
-            if plan.partial_aggregate_spec is not None:
-                lines.append(
-                    f"{indent}  partial-aggregation: mergeable "
-                    f"(process workers fold shard-local group state)"
-                )
         lines.append(f"{indent}analysis:")
         if plan.analysis_report:
             for finding in plan.analysis_report:

@@ -33,7 +33,8 @@ real OS processes:
 * A scan request fans the driving level's partitions out to their owners;
   every worker scans its shards, applies the driving level's re-compiled
   residual filters and returns the surviving rows plus the scanned count per
-  partition.  The parent merges the chunks **in partition order**, so the
+  partition — workers only scan and filter, they never join or aggregate.
+  The parent merges the chunks **in partition order**, so the
   downstream join levels, aggregation, ordering and the
   :class:`~repro.relalg.rowset.QueryStats` partition attribution are
   byte-identical to the sequential enumeration.
@@ -59,7 +60,7 @@ from repro.relalg.compile import (
 )
 from repro.relalg.errors import ExecutionError
 from repro.relalg.planner import PlanSpec, QueryPlan, filter_rows, lower_plan
-from repro.relalg.rowset import QueryStats, _hashable
+from repro.relalg.rowset import QueryStats
 from repro.relalg.sqlast import SelectStatement
 from repro.relalg.storage import gather_rows
 
@@ -76,9 +77,9 @@ DEFAULT_WORKER_TIMEOUT = 60.0
 #: Compiled plan specs a worker retains before evicting the oldest.  The
 #: parent mirrors the same FIFO rule over the spec ids it believes each
 #: worker holds (see :class:`_Worker.note_spec`), so both sides always agree
-#: on what is cached — an evicted spec is simply re-shipped.  The limit
-#: travels inside every scan request (it is an executor parameter), so the
-#: two sides can never run different limits.
+#: on what is cached — an evicted spec is simply re-shipped.  The parent
+#: reads the limit once per fan-out and sends it inside every scan request,
+#: so the two sides can never run different limits.
 DEFAULT_SPEC_CACHE_LIMIT = 512
 
 #: Process-global spec generation counter: ids stay unique even when one
@@ -117,36 +118,17 @@ def _compile_driving_scan(spec: PlanSpec):
     per shard — and only materialises the surviving rows.
     """
     layout = SlotLayout.from_column_names(spec.bindings)
-    driving = spec.driving
     filter_fns = [
         compile_row_expr(expr, layout, _no_subquery_plans)
-        for expr in driving.filter_asts
+        for expr in spec.filter_asts
     ]
     batch_fn = (
-        compile_batch_predicate(
-            driving.filter_asts, layout, driving.offset, driving.end
-        )
-        if driving.filter_asts
+        compile_batch_predicate(spec.filter_asts, layout, spec.offset, spec.end)
+        if spec.filter_asts
         else None
     )
-    partial = spec.partial_aggregate
-    if partial is not None:
-        # Aggregate items arrive as plain slots or (for proven-INTEGER
-        # expressions like SUM(a + b)) as ASTs; compile the ASTs into row
-        # accessors once per shipped spec.
-        key_slots, items = partial
-        partial = (
-            key_slots,
-            tuple(
-                (kind, ref)
-                if ref is None or type(ref) is int
-                else (kind, compile_row_expr(ref, layout, _no_subquery_plans))
-                for kind, ref in items
-            ),
-        )
     return (
-        driving.table_uid, driving.offset, driving.end, spec.width,
-        filter_fns, batch_fn, partial,
+        spec.table_uid, spec.offset, spec.end, spec.width, filter_fns, batch_fn
     )
 
 
@@ -162,7 +144,7 @@ def _shard_rows(shard) -> List[Tuple[Any, ...]]:
 
 def _scan_shard(shards, entry, ctx, pid):
     """Scan + filter one owned shard: ``(surviving rows, scanned count)``."""
-    table_uid, offset, end, width, filter_fns, batch_fn, _agg = entry
+    table_uid, offset, end, width, filter_fns, batch_fn = entry
     shard = shards.get((table_uid, pid))
     if shard is None:
         raise ExecutionError(
@@ -197,84 +179,6 @@ def _worker_scan(shards, entry, params, pids):
     return results
 
 
-def _fold_partial_aggregate(survivors, key_slots, items, ctx):
-    """Fold one shard's surviving rows into partial per-group states.
-
-    Group keys are ``_hashable``-wrapped column tuples in shard-local
-    first-seen row order — the exact keys (and, restricted to this shard,
-    the exact order) the sequential fold assigns.  Item states are the
-    mergeable partial forms the parent recombines in partition order:
-    plain counts, ``(sum, count)`` pairs for SUM/AVG, the shard min/max
-    (or ``None`` when every value is NULL) and the shard-local first value.
-
-    An item's value source is either an int slot (a plain column read) or a
-    compiled row accessor (a proven-INTEGER expression — cannot raise, see
-    :func:`~repro.relalg.semantics.proves_integer`), evaluated with ``ctx``.
-    """
-    groups: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    order: List[Tuple[Any, ...]] = []
-    if key_slots:
-        for row in survivors:
-            key = tuple(_hashable(row[j]) for j in key_slots)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = group = []
-                order.append(key)
-            group.append(row)
-    elif survivors:
-        groups[()] = survivors
-        order.append(())
-    results = []
-    for key in order:
-        rows = groups[key]
-        states: List[Any] = []
-        for kind, slot in items:
-            if kind == "count*":
-                states.append(len(rows))
-                continue
-            if kind == "first":  # the shard's first row decides
-                row = rows[0]
-                states.append(
-                    row[slot] if type(slot) is int else slot(row, ctx)
-                )
-                continue
-            if type(slot) is int:
-                values = [v for row in rows if (v := row[slot]) is not None]
-            else:
-                values = [v for row in rows if (v := slot(row, ctx)) is not None]
-            if kind == "count":
-                states.append(len(values))
-            elif kind in ("sum", "avg"):
-                states.append((sum(values), len(values)))
-            elif kind == "min":
-                states.append(min(values) if values else None)
-            elif kind == "max":
-                states.append(max(values) if values else None)
-            else:
-                raise ExecutionError(f"unknown partial-aggregate kind {kind!r}")
-        results.append((key, states))
-    return results
-
-
-def _worker_aggregate(shards, entry, params, pids):
-    """Scan, filter and partially aggregate the requested shards.
-
-    Returns ``(pid, folded groups, scanned count, survivor count)`` per
-    partition — the shard-side half of provably-mergeable partial
-    aggregation (see
-    :func:`~repro.relalg.planner._classify_partial_aggregate`); the parent
-    merges the states in partition order.
-    """
-    key_slots, items = entry[6]
-    ctx = ExecContext(list(params), QueryStats())
-    results: List[Tuple[int, List[Any], int, int]] = []
-    for pid in pids:
-        survivors, scanned = _scan_shard(shards, entry, ctx, pid)
-        folded = _fold_partial_aggregate(survivors, key_slots, items, ctx)
-        results.append((pid, folded, scanned, len(survivors)))
-    return results
-
-
 def _worker_main(conn) -> None:
     """Entry point of one pool worker (top-level: spawn pickles it by name).
 
@@ -300,8 +204,7 @@ def _worker_main(conn) -> None:
             return
         try:
             if kind == "scan":
-                (_, spec_id, spec, params, pids, sync, cache_limit,
-                 mode) = message
+                _, spec_id, spec, params, pids, sync, cache_limit = message
                 for uid, pid, count, cols in sync:
                     shards[(uid, pid)] = [count, cols, None]
                 if spec is not None:
@@ -319,8 +222,7 @@ def _worker_main(conn) -> None:
                         f"worker has no compiled spec {spec_id} and none "
                         f"was shipped; sync protocol violated"
                     )
-                run = _worker_aggregate if mode == "agg" else _worker_scan
-                reply = ("ok", run(shards, entry, params, pids))
+                reply = ("ok", _worker_scan(shards, entry, params, pids))
             elif kind == "forget":
                 uids = set(message[1])
                 for key in [k for k in shards if k[0] in uids]:
@@ -389,23 +291,16 @@ class ProcessScanExecutor:
         self,
         workers: int = 2,
         timeout: float = DEFAULT_WORKER_TIMEOUT,
-        start_method: str = "spawn",
-        spec_cache_limit: int = DEFAULT_SPEC_CACHE_LIMIT,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         if timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        if spec_cache_limit < 1:
-            raise ValueError(
-                f"spec_cache_limit must be positive, got {spec_cache_limit}"
-            )
         import multiprocessing
 
         self.workers = workers
         self.timeout = timeout
-        self.spec_cache_limit = spec_cache_limit
-        self._mp = multiprocessing.get_context(start_method)
+        self._mp = multiprocessing.get_context("spawn")
         self._handles: List[_Worker] = []
         self._closed = False
 
@@ -507,26 +402,6 @@ class ProcessScanExecutor:
         Raises :class:`ExecutionError` when a worker fails (died, hung,
         protocol error); the pool is rebuilt by the next statement.
         """
-        return self._fanout(plan, params, "rows")
-
-    def aggregate_chunks(
-        self, plan: QueryPlan, params: Sequence[Any]
-    ) -> Optional[List[Tuple[int, List[Any], int, int]]]:
-        """Scan *and partially aggregate* a plan's driving level on the pool.
-
-        For plans carrying a :attr:`PlanSpec.partial_aggregate` recipe the
-        workers fold their shards' surviving rows into per-group partial
-        states and return ``(pid, groups, scanned count, survivor count)``
-        per partition in partition order — only fold state crosses the
-        process boundary, not the surviving rows.  Returns ``None`` when the
-        plan cannot be shipped or carries no recipe: the caller falls back
-        to :meth:`scan_chunks` (and, failing that, local execution).
-        """
-        return self._fanout(plan, params, "agg")
-
-    def _fanout(
-        self, plan: QueryPlan, params: Sequence[Any], mode: str
-    ) -> Optional[List[Tuple[Any, ...]]]:
         spec = getattr(plan, "_process_spec", None)
         if spec is None:
             spec = lower_plan(plan)
@@ -538,10 +413,9 @@ class ProcessScanExecutor:
             # mode so their physical counters stay byte-identical across
             # sequential and process execution.
             return None
-        if mode == "agg" and spec.partial_aggregate is None:
-            return None
         spec_id = plan._process_spec_id
         table = plan.levels[0].table
+        cache_limit = DEFAULT_SPEC_CACHE_LIMIT
         self._ensure_started()
         width = len(self._handles)
         jobs: List[Tuple[_Worker, List[int]]] = []
@@ -564,7 +438,7 @@ class ProcessScanExecutor:
                 handle.conn.send(
                     (
                         "scan", spec_id, payload, list(params), pids, sync,
-                        self.spec_cache_limit, mode,
+                        cache_limit,
                     )
                 )
             except (BrokenPipeError, OSError) as exc:
@@ -574,22 +448,20 @@ class ProcessScanExecutor:
                     f"{exc}"
                 ) from exc
             if payload is not None:
-                handle.note_spec(spec_id, self.spec_cache_limit)
+                handle.note_spec(spec_id, cache_limit)
             jobs.append((handle, pids))
-        chunks: Dict[int, Tuple[Any, ...]] = {}
+        chunks: Dict[int, Tuple[int, List[Tuple[Any, ...]], int]] = {}
         worker_error: Optional[str] = None
         for handle, _pids in jobs:
             status, body = self._recv(handle)
             if status == "err":
                 worker_error = worker_error or body
                 continue
-            for pid, *rest in body:
-                chunks[pid] = tuple(rest)
+            for chunk in body:
+                chunks[chunk[0]] = chunk
         if worker_error is not None:
             raise ExecutionError(worker_error)
-        return [
-            (pid, *chunks[pid]) for pid in range(table.n_partitions)
-        ]
+        return [chunks[pid] for pid in range(table.n_partitions)]
 
     def _recv(self, handle: _Worker) -> Tuple[str, Any]:
         """One worker reply, bounded by the request timeout (never a hang)."""

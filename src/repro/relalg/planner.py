@@ -107,13 +107,7 @@ from repro.relalg.sqlast import (
     TableRef,
     UnaryOperation,
 )
-from repro.relalg.schema import ColumnType
-from repro.relalg.semantics import (
-    Analysis,
-    RangeInterval,
-    analyze_select,
-    proves_integer,
-)
+from repro.relalg.semantics import Analysis, RangeInterval, analyze_select
 from repro.relalg import storage
 from repro.relalg.storage import (
     Table,
@@ -125,7 +119,6 @@ __all__ = [
     "AccessPath",
     "HashJoinBuild",
     "IndexProbe",
-    "LevelSpec",
     "PartitionScan",
     "PlanSpec",
     "QueryPlan",
@@ -400,13 +393,6 @@ class QueryPlan:
     #: scan→hash-join plan, compiled over the driving binding's slot range.
     #: ``None`` when the plan shape or the key expression is ineligible.
     vector_join_key: Optional[Tuple[Any, ...]] = None
-    #: Provably-mergeable partial aggregation the process-pool workers can
-    #: fold shard-side: ``(group_by ASTs, item kind/AST pairs)`` — plain
-    #: picklable data, shipped inside the :class:`PlanSpec`.  ``None``
-    #: whenever merging partial states could diverge from the sequential
-    #: fold (float SUM/AVG reassociation, DISTINCT, HAVING, joins).
-    partial_aggregate_spec: Optional[Tuple[Tuple[SqlExpr, ...],
-                                           Tuple[Tuple[Any, ...], ...]]] = None
     #: Per-rung vectorization report for EXPLAIN: rung name → human-readable
     #: status ("vectorized…", "row-at-a-time (reason)", "n/a (reason)").
     vector_report: Dict[str, str] = field(default_factory=dict)
@@ -474,29 +460,19 @@ class QueryPlan:
                 driving = self._index_order_chunks(ctx)
                 index_ordered = driving is not None
             if driving is None and process_executor is not None:
-                if vectorized and self.partial_aggregate_spec is not None:
-                    partials = process_executor.aggregate_chunks(self, params)
-                    if partials is not None:
-                        result_rows = self._merge_partial_aggregate(
-                            partials, ctx
-                        )
-                if result_rows is None:
-                    driving = process_executor.scan_chunks(self, params)
-            if result_rows is None:
-                if driving is None and use_vectorized:
-                    driving = self._vector_chunks(ctx)
-                # Batch hash-join probing rides any pre-filtered chunk
-                # stream; ``vectorized=False`` keeps the row-at-a-time probe
-                # as the differential reference.
-                rows = self._enumerate(
-                    ctx, driving,
-                    batch_join=driving is not None and vectorized
-                    and self.vector_join_key is not None,
-                )
+                driving = process_executor.scan_chunks(self, params)
+            if driving is None and use_vectorized:
+                driving = self._vector_chunks(ctx)
+            # Batch hash-join probing rides any pre-filtered chunk stream;
+            # ``vectorized=False`` keeps the row-at-a-time probe as the
+            # differential reference.
+            rows = self._enumerate(
+                ctx, driving,
+                batch_join=driving is not None and vectorized
+                and self.vector_join_key is not None,
+            )
 
-        if result_rows is not None:
-            pass  # process-pool partial aggregation already produced groups
-        elif self.item_group_fns is not None:
+        if self.item_group_fns is not None:
             if use_vectorized and self.vector_aggregate is not None:
                 result_rows = self.vector_aggregate(rows, ctx)
             if result_rows is None:
@@ -869,86 +845,6 @@ class QueryPlan:
 
         return join_chunk
 
-    def _merge_partial_aggregate(
-        self, partials, ctx: ExecContext
-    ) -> List[Tuple[Any, ...]]:
-        """Merge the process-pool workers' per-partition aggregate states.
-
-        ``partials`` is ``(pid, groups, scanned, survivors)`` per partition
-        in partition order, where ``groups`` lists ``(key, item states)`` in
-        the shard's first-seen row order.  Merging in partition order
-        reconstructs the sequential fold exactly: group output order is
-        first appearance in partition-major row order, per-item states merge
-        with associative-by-construction rules (see
-        :func:`_classify_partial_aggregate`), and the scan/join counters are
-        charged as the local enumeration would have.
-        """
-        stats = ctx.stats
-        pscan = stats.partition_rows_scanned
-        kinds = [spec[0] for spec in self.partial_aggregate_spec[1]]
-        merged: Dict[Tuple[Any, ...], List[Any]] = {}
-        order: List[Tuple[Any, ...]] = []
-        total = 0
-        joined = 0
-        for pid, groups, scanned, survivors in partials:
-            if scanned:
-                pscan[pid] = pscan.get(pid, 0) + scanned
-            total += scanned
-            joined += survivors
-            for key, states in groups:
-                state = merged.get(key)
-                if state is None:
-                    merged[key] = list(states)
-                    order.append(key)
-                    continue
-                for i, kind in enumerate(kinds):
-                    incoming = states[i]
-                    if kind in ("count*", "count"):
-                        state[i] += incoming
-                    elif kind in ("sum", "avg"):
-                        state[i] = (
-                            state[i][0] + incoming[0],
-                            state[i][1] + incoming[1],
-                        )
-                    elif kind == "min":
-                        if incoming is not None and (
-                            state[i] is None or incoming < state[i]
-                        ):
-                            state[i] = incoming
-                    elif kind == "max":
-                        if incoming is not None and (
-                            state[i] is None or incoming > state[i]
-                        ):
-                            state[i] = incoming
-                    # "first": keep the earliest partition's value
-        stats.rows_scanned += total
-        stats.rows_joined += joined
-        if not order and not self.statement.group_by:
-            # An ungrouped aggregate of zero rows still yields one row —
-            # synthesise the empty-group fold the row path produces.
-            empty = []
-            for kind in kinds:
-                if kind in ("count*", "count"):
-                    empty.append(0)
-                else:
-                    empty.append(None)
-            return [tuple(empty)]
-        result: List[Tuple[Any, ...]] = []
-        for key in order:
-            state = merged[key]
-            values = []
-            for i, kind in enumerate(kinds):
-                if kind == "sum":
-                    values.append(state[i][0] if state[i][1] else None)
-                elif kind == "avg":
-                    values.append(
-                        state[i][0] / state[i][1] if state[i][1] else None
-                    )
-                else:
-                    values.append(state[i])
-            result.append(tuple(values))
-        return result
-
     def _aggregate(
         self, rows: List[Tuple[Any, ...]], ctx: ExecContext
     ) -> List[Tuple[Any, ...]]:
@@ -1065,66 +961,41 @@ def _build_hash_table(
 
 
 @dataclass(frozen=True)
-class LevelSpec:
-    """One join level of a :class:`PlanSpec`: plain data, no closures.
-
-    The expression fields hold :class:`~repro.relalg.sqlast.SqlExpr` ASTs —
-    frozen dataclasses of literals, column references and operators that
-    pickle cleanly — instead of the compiled closures the live
-    :class:`_Level` carries.  A worker process re-compiles them locally with
-    :func:`~repro.relalg.compile.compile_row_expr` over the rehydrated slot
-    layout, recovering the exact per-row semantics of the parent's plan.
-    """
-
-    binding: str
-    table: str
-    table_uid: int
-    n_partitions: int
-    offset: int
-    end: int
-    #: Access-path kind: ``"scan"``, ``"index-probe"``, ``"range-probe"`` or
-    #: ``"hash-probe"``.
-    access: str
-    #: Probe/build column (``None`` for plain scans).
-    column: Optional[str]
-    #: Probe key expression AST (``None`` for plain scans).
-    key_ast: Optional[SqlExpr]
-    pruned: bool
-    filter_asts: Tuple[SqlExpr, ...]
-
-
-@dataclass(frozen=True)
 class PlanSpec:
-    """A serializable lowering of one :class:`QueryPlan`.
+    """A serializable lowering of one :class:`QueryPlan`'s driving scan.
 
     Compiled plans are closures over live :class:`Table` objects and cannot
-    cross a process boundary; the spec is the plain-data projection that can:
-    the slot layout as ``(binding, column names)`` pairs, and one
-    :class:`LevelSpec` per join level in execution order.  The process-pool
-    executor ships it to workers once per (statement, plan generation) — the
-    parent's plan cache already keys plans by SQL text and per-table schema
-    epoch, so a re-planned statement produces a fresh spec and the worker's
-    cached compilation is superseded with it.
+    cross a process boundary; the spec is the plain-data projection of the
+    only part a process worker runs: the slot layout as ``(binding, column
+    names)`` pairs, and the driving level's table, slot range and residual
+    filters.  The filters travel as :class:`~repro.relalg.sqlast.SqlExpr`
+    ASTs — frozen dataclasses of literals, column references and operators
+    that pickle cleanly — and a worker re-compiles them locally with
+    :func:`~repro.relalg.compile.compile_row_expr` over the rehydrated slot
+    layout, recovering the exact per-row semantics of the parent's plan.
+    The inner join levels, aggregation and ordering always run in the
+    parent.  The process-pool executor ships the spec to workers once per
+    (statement, plan generation) — the parent's plan cache already keys
+    plans by SQL text and per-table schema epoch, so a re-planned statement
+    produces a fresh spec and the worker's cached compilation is superseded
+    with it.
 
-    ``process_eligible`` marks specs whose *driving* level a shared-nothing
+    ``process_eligible`` marks specs whose driving level a shared-nothing
     worker can execute against its local shards alone: a partitioned full
     scan whose residual filters are self-contained (no scalar subqueries —
     those read other tables, which live only in the parent).
     """
 
     bindings: Tuple[Tuple[str, Tuple[str, ...]], ...]
-    levels: Tuple[LevelSpec, ...]
     width: int
+    #: :attr:`Table.uid <repro.relalg.storage.Table.uid>` of the driving
+    #: table: worker shard replicas are keyed by it.
+    table_uid: int
+    #: The driving binding's slot range ``[offset, end)`` in a joined row.
+    offset: int
+    end: int
+    filter_asts: Tuple[SqlExpr, ...]
     process_eligible: bool
-    #: Slot-addressed partial-aggregation recipe (see
-    #: :func:`_classify_partial_aggregate`); ``None`` when the plan cannot
-    #: provably merge per-partition fold states.
-    partial_aggregate: Optional[Tuple[Tuple[int, ...],
-                                      Tuple[Tuple[Any, Any], ...]]] = None
-
-    @property
-    def driving(self) -> LevelSpec:
-        return self.levels[0]
 
 
 def expr_has_subquery(expr: SqlExpr) -> bool:
@@ -1133,37 +1004,11 @@ def expr_has_subquery(expr: SqlExpr) -> bool:
 
 
 def lower_plan(plan: QueryPlan) -> PlanSpec:
-    """Lower a compiled plan into its plain-data :class:`PlanSpec`."""
+    """Lower a compiled plan's driving scan into its plain-data :class:`PlanSpec`."""
     layout = plan.layout
-    bindings = tuple(
-        (binding, tuple(layout.columns[binding]))
-        for binding, _table in layout.bindings
-    )
-    levels = []
-    for level in plan.levels:
-        # Only the driving level of a spec executes worker-side, and only a
-        # plain scan is process-eligible there; every other access path is
-        # lowered as descriptive data.
-        access = level.access
-        levels.append(
-            LevelSpec(
-                binding=level.binding,
-                table=level.table.name,
-                table_uid=level.table.uid,
-                n_partitions=level.table.n_partitions,
-                offset=level.offset,
-                end=level.end,
-                access=access.kind,
-                column=level.access_column,
-                key_ast=level.key_ast,
-                pruned=type(access) is IndexProbe and access.pruned,
-                filter_asts=tuple(level.filter_exprs),
-            )
-        )
-    driving = plan.levels[0] if plan.levels else None
+    driving = plan.levels[0]
     eligible = (
-        driving is not None
-        and type(driving.access) is PartitionScan
+        type(driving.access) is PartitionScan
         and driving.table.n_partitions > 1
         # Index-order pushdown replaces the partition fan-out; keeping these
         # plans sequential in every mode keeps the counters identical across
@@ -1172,115 +1017,17 @@ def lower_plan(plan: QueryPlan) -> PlanSpec:
         and not any(expr_has_subquery(expr) for expr in driving.filter_exprs)
     )
     return PlanSpec(
-        bindings=bindings,
-        levels=tuple(levels),
+        bindings=tuple(
+            (binding, tuple(layout.columns[binding]))
+            for binding, _table in layout.bindings
+        ),
         width=layout.width,
+        table_uid=driving.table.uid,
+        offset=driving.offset,
+        end=driving.end,
+        filter_asts=tuple(driving.filter_exprs),
         process_eligible=eligible,
-        partial_aggregate=plan.partial_aggregate_spec,
     )
-
-
-def _classify_partial_aggregate(
-    statement: SelectStatement, levels: List[_Level], layout: SlotLayout
-) -> Optional[Tuple[Tuple[int, ...], Tuple[Tuple[Any, Any], ...]]]:
-    """Slot-addressed recipe for provably-mergeable partial aggregation.
-
-    Process-pool workers can fold aggregate state per shard and let the
-    parent merge it — but only when merging partial states is *guaranteed*
-    to reproduce the sequential fold byte-for-byte.  That holds for:
-
-    - a single-level partitioned scan (joins would need cross-partition
-      rows), no HAVING (needs group rows), no DISTINCT-in-aggregate (needs
-      the cross-partition value sets);
-    - group keys that are plain column slots — column reads cannot raise,
-      so worker-side evaluation order can never surface an error the row
-      path would have raised elsewhere;
-    - SUM/AVG/MIN/MAX restricted to *proven INTEGER* arguments: a bare
-      INTEGER column slot, or (via :func:`~repro.relalg.semantics.\
-proves_integer`) a closed ``+``/``-``/``*``/unary-minus expression over
-      INTEGER columns and int literals — the schema validates INTEGER
-      columns to Python ints (bools rejected, integral floats coerced),
-      and integer arithmetic is exact, associative and cannot raise.
-      Float folds reassociate under merging (and NaN breaks MIN/MAX), so
-      they fall back;
-    - COUNT over any column (NULL-skipping is order-free) and group-constant
-      select items that are plain columns ("first": the merge keeps the
-      earliest partition's shard-local first value, which *is* the group's
-      first row in partition-major order).
-
-    Returns ``(key_slots, ((kind, slot-or-AST-or-None), ...))`` or ``None``;
-    AST-valued items are compiled into row accessors worker-side by
-    :func:`~repro.relalg.parallel._compile_driving_scan`.
-    Ungrouped statements additionally require every item to be an aggregate:
-    the empty-input synthesis in :meth:`QueryPlan._merge_partial_aggregate`
-    only knows the aggregate folds' empty values.
-    """
-    if len(levels) != 1 or type(levels[0].access) is not PartitionScan:
-        return None
-    if statement.having is not None:
-        return None
-    table = levels[0].table
-    key_slots: List[int] = []
-    for expr in statement.group_by:
-        if type(expr) is not ColumnRef:
-            return None
-        try:
-            key_slots.append(layout.resolve(expr))
-        except Exception:  # lint: allow-broad-except
-            return None
-    items: List[Tuple[Any, Any]] = []
-    for item in statement.items:
-        expr = item.expr
-        if isinstance(expr, FunctionExpr) and expr.is_aggregate:
-            name = expr.name.upper()
-            if expr.distinct:
-                return None
-            if name == "COUNT" and (
-                not expr.args or isinstance(expr.args[0], Star)
-            ):
-                items.append(("count*", None))
-                continue
-            if name not in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
-                return None
-            if not expr.args:
-                return None
-            arg = expr.args[0]
-            if type(arg) is ColumnRef:
-                try:
-                    slot = layout.resolve(arg)
-                except Exception:  # lint: allow-broad-except
-                    return None
-                if name == "COUNT":
-                    items.append(("count", slot))
-                    continue
-                if table.schema.columns[slot].type is not ColumnType.INTEGER:
-                    return None
-                items.append((name.lower(), slot))
-                continue
-            if name == "COUNT":
-                # COUNT over a computed expression could raise worker-side;
-                # stay conservative.
-                return None
-
-            def column_type_of(ref: ColumnRef) -> Optional[ColumnType]:
-                try:
-                    return table.schema.columns[layout.resolve(ref)].type
-                except Exception:  # lint: allow-broad-except
-                    return None
-
-            if not proves_integer(arg, column_type_of):
-                return None
-            items.append((name.lower(), arg))
-            continue
-        if not statement.group_by:
-            return None
-        if type(expr) is not ColumnRef:
-            return None
-        try:
-            items.append(("first", layout.resolve(expr)))
-        except Exception:  # lint: allow-broad-except
-            return None
-    return tuple(key_slots), tuple(items)
 
 
 # --------------------------------------------------------------------------- #
@@ -1398,7 +1145,6 @@ def _plan_select(
         )
 
     vector_aggregate = None
-    partial_aggregate_spec = None
     if statement.is_aggregate_query:
         group_key_fns = [
             compile_row_expr(expr, layout, plan_subquery)
@@ -1431,9 +1177,6 @@ def _plan_select(
                 else "row-at-a-time (group keys or aggregate arguments do "
                      "not batch-compile)"
             )
-        partial_aggregate_spec = _classify_partial_aggregate(
-            statement, levels, layout
-        )
     else:
         group_key_fns = None
         having_fn = None
@@ -1545,7 +1288,6 @@ def _plan_select(
         batch_projector=batch_projector,
         vector_aggregate=vector_aggregate,
         vector_join_key=vector_join_key,
-        partial_aggregate_spec=partial_aggregate_spec,
         vector_report=report,
         contradiction=contradiction,
         analysis_report=analysis_report,

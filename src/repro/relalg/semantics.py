@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.relalg.compile import _apply_binop
 from repro.relalg.errors import SemanticError
@@ -82,7 +82,6 @@ __all__ = [
     "analyze_select",
     "check_select",
     "check_delete",
-    "proves_integer",
 ]
 
 
@@ -273,38 +272,6 @@ def check_delete(
 
 
 # --------------------------------------------------------------------------- #
-# planner helpers
-# --------------------------------------------------------------------------- #
-
-
-def proves_integer(
-    expr: SqlExpr, column_type_of: Callable[[ColumnRef], Optional[ColumnType]]
-) -> bool:
-    """True when ``expr`` is a closed INTEGER-typed arithmetic fragment.
-
-    Used by ``_classify_partial_aggregate`` to widen process-executor
-    mergeability beyond bare INTEGER column refs: integer ``+``/``-``/``*``
-    and unary minus are exact, associative and cannot raise, so per-shard
-    partial aggregate states over such expressions merge losslessly.
-    Division is excluded (it returns float), as are placeholders, functions
-    and subqueries (their values are not provable at plan time).
-    """
-    if isinstance(expr, Literal):
-        return type(expr.value) is int
-    if isinstance(expr, ColumnRef):
-        return column_type_of(expr) is ColumnType.INTEGER
-    if isinstance(expr, UnaryOperation):
-        return expr.op == "-" and proves_integer(expr.operand, column_type_of)
-    if isinstance(expr, BinaryOperation):
-        return expr.op in (
-            BinaryOperator.ADD, BinaryOperator.SUB, BinaryOperator.MUL
-        ) and proves_integer(
-            expr.left, column_type_of
-        ) and proves_integer(expr.right, column_type_of)
-    return False
-
-
-# --------------------------------------------------------------------------- #
 # constant folding
 # --------------------------------------------------------------------------- #
 
@@ -387,14 +354,16 @@ def _fold_expr(expr: SqlExpr) -> SqlExpr:
         if left is expr.left and right is expr.right:
             return expr
         return BinaryOperation(
-            op=expr.op, left=left, right=right, position=expr.position
+            op=expr.op, left=left, right=right, position=expr.position,
+            origin=expr.origin or expr,
         )
     if isinstance(expr, UnaryOperation):
         operand = _fold_expr(expr.operand)
         if operand is expr.operand:
             return expr
         return UnaryOperation(
-            op=expr.op, operand=operand, position=expr.position
+            op=expr.op, operand=operand, position=expr.position,
+            origin=expr.origin or expr,
         )
     if isinstance(expr, IsNull):
         operand = _fold_expr(expr.operand)

@@ -126,6 +126,9 @@ class BinaryOperation(SqlExpr):
     left: SqlExpr
     right: SqlExpr
     position: Optional[int] = field(default=None, compare=False)
+    #: The node as the user wrote it, when constant folding rebuilt this one
+    #: (see ``semantics._fold_expr``): error messages name ``origin``.
+    origin: Optional[SqlExpr] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,8 @@ class UnaryOperation(SqlExpr):
     op: str  # "NOT" | "-"
     operand: SqlExpr
     position: Optional[int] = field(default=None, compare=False)
+    #: The unfolded original, as on :class:`BinaryOperation`.
+    origin: Optional[SqlExpr] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ SQL-92 aggregate rules the engine must follow:
 Every statement runs on the interpreted reference, the row-at-a-time
 compiled engine, the vectorized compiled engine (the default), a
 multi-partition vectorized database and the
-process-pool executor (which merges partial aggregate states where
-provably mergeable); all flavours must return the same rows, and they
-must equal the hand-computed expectation.
+process-pool executor (whose workers ship filtered rows; the parent
+aggregates); all flavours must return the same rows, and they must equal
+the hand-computed expectation.
 """
 
 import pytest
@@ -152,8 +152,7 @@ class TestAggregateNullSkipping:
         )
 
     def test_avg_of_integer_column_divides_exactly(self, flavours):
-        # Integer sums stay exact ints until the final division — including
-        # across process workers merging (sum, count) partial states.
+        # Integer sums stay exact ints until the final division.
         _assert_everywhere(
             flavours,
             "SELECT g, SUM(id), AVG(id) FROM m GROUP BY g ORDER BY g",

@@ -152,7 +152,6 @@ class TestVectorizationReport:
             assert "join-probe: n/a (no join levels)" in text
             assert "projection: n/a (aggregate query)" in text
             assert "top-k: n/a (no ORDER BY)" in text
-            assert "partial-aggregation: mergeable" in text
 
     def test_row_fallback_reasons_are_reported(self):
         with _filled() as database:
@@ -167,11 +166,8 @@ class TestVectorizationReport:
                 "scan: row-at-a-time (driving filters do not batch-compile)"
                 in subquery
             )
-            # A float SUM is not mergeable across process shards, yet still
-            # batch-aggregates locally.
             floats = database.explain("SELECT g, SUM(x) FROM t GROUP BY g")
             assert "aggregate: vectorized (per-group column folds)" in floats
-            assert "partial-aggregation" not in floats
 
     def test_top_k_report(self):
         with _filled() as database:

@@ -550,9 +550,8 @@ def _random_executor_select(rng):
     can check exactly (float HAVING boundaries are order-sensitive, but all
     executors enumerate in the same partition-major order)."""
     if rng.random() < 0.3:
-        # A LIMIT sometimes rides along: HAVING plans are ineligible for
-        # partial aggregation, so this exercises top-k over a locally
-        # aggregated (non-merged) result on every executor.
+        # A LIMIT sometimes rides along: this exercises top-k over an
+        # aggregated result on every executor.
         limit = f" LIMIT {rng.randint(1, 5)}" if rng.random() < 0.4 else ""
         if rng.random() < 0.5:
             return (

@@ -1,8 +1,7 @@
 """Plan-time semantic analysis: typed rejections identical across every
 engine, the conservative-acceptance contract, constant folding and
 contradiction pruning with exact stats, the EXPLAIN ``analysis:`` section,
-partial-aggregate widening over proven-INTEGER expressions, error
-attribution, and the engine-invariant lint pass."""
+error attribution, and the engine-invariant lint pass."""
 
 from __future__ import annotations
 
@@ -15,11 +14,9 @@ import pytest
 from repro.relalg import (
     Database,
     ExecutionError,
-    QueryPlan,
     SemanticError,
     analyze_select,
     parse_sql,
-    plan_select,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -279,64 +276,6 @@ class TestExplainAnalysis:
         db = _populate(Database())
         text = db.explain("SELECT id FROM m WHERE s = 5")
         assert "mixed-type comparison s = 5" in text
-
-
-# --------------------------------------------------------------------------- #
-# partial-aggregate widening over proven-INTEGER expressions
-# --------------------------------------------------------------------------- #
-
-class TestPartialAggregateWidening:
-    def test_integer_expression_ships_partial_states(self):
-        db = _populate(Database(n_partitions=3))
-        plan = plan_select(
-            parse_sql("SELECT g, SUM(g + id) FROM m GROUP BY g"), db.tables
-        )
-        assert plan.partial_aggregate_spec is not None
-        kinds = [kind for kind, _ in plan.partial_aggregate_spec[1]]
-        assert "sum" in kinds
-
-    def test_float_sum_stays_unmergeable(self):
-        # Pinned: float addition is not associative across shards.
-        db = _populate(Database(n_partitions=3))
-        plan = plan_select(
-            parse_sql("SELECT g, SUM(x) FROM m GROUP BY g"), db.tables
-        )
-        assert plan.partial_aggregate_spec is None
-        assert "partial-aggregation" not in db.explain(
-            "SELECT g, SUM(x) FROM m GROUP BY g"
-        )
-
-    def test_untyped_expressions_stay_unmergeable(self):
-        db = _populate(Database(n_partitions=3))
-        for sql in (
-            "SELECT g, SUM(id / 2) FROM m GROUP BY g",  # DIV may yield float
-            "SELECT g, SUM(id + ?) FROM m GROUP BY g",  # placeholder untyped
-        ):
-            plan = plan_select(parse_sql(sql), db.tables)
-            assert plan.partial_aggregate_spec is None, sql
-
-    def test_explain_reports_mergeable(self):
-        db = _populate(Database(n_partitions=3))
-        text = db.explain("SELECT g, SUM(g + id) FROM m GROUP BY g")
-        assert "partial-aggregation: mergeable" in text
-
-    def test_process_executor_takes_the_merge_path(
-        self, process_pool, monkeypatch
-    ):
-        sql = "SELECT g, SUM(g + id), AVG(id + id), COUNT(*) FROM m GROUP BY g ORDER BY g"
-        expected = _populate(Database(n_partitions=3)).execute(sql).rows
-
-        merged = []
-        original = QueryPlan._merge_partial_aggregate
-
-        def spy(self, partials, ctx):
-            merged.append(len(partials))
-            return original(self, partials, ctx)
-
-        monkeypatch.setattr(QueryPlan, "_merge_partial_aggregate", spy)
-        db = _populate(Database(n_partitions=3, executor=process_pool))
-        assert db.execute(sql).rows == expected
-        assert merged, "partial-aggregate merge path was not taken"
 
 
 # --------------------------------------------------------------------------- #
