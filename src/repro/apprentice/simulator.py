@@ -40,8 +40,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.apprentice.program_model import (
     CallSpec,
     CommPattern,
@@ -49,7 +47,7 @@ from repro.apprentice.program_model import (
     RegionSpec,
     WorkloadSpec,
 )
-from repro.apprentice.rng import imbalanced_shares, rng_for
+from repro.apprentice.rng import imbalanced_shares, mean, pairwise_sum, rng_for, std
 from repro.datamodel import (
     CallTiming,
     Function,
@@ -102,27 +100,34 @@ class SimulationConfig:
 
 @dataclass
 class RegionMeasurement:
-    """Per-process measurements of one region in one run (before aggregation)."""
+    """Per-process measurements of one region in one run (before aggregation).
+
+    Every vector holds one value per process.  The element-wise arithmetic of
+    the simulator follows a fixed operand order (``serial + (parallel / P) *
+    share``, ``(count * time_per_call) * share``, ...): regrouping it changes
+    the last bits of every simulated repository, which
+    ``tests/corpus/simulator_digests.json`` pins.
+    """
 
     #: Useful computation per process (seconds).
-    compute: np.ndarray
+    compute: List[float]
     #: Time per process, per timing type (seconds).  The computation types
     #: (FloatingPoint, IntegerOps, LoadStore) are a *breakdown* of ``compute``
     #: and are not added again when forming the exclusive time.
-    typed: Dict[TimingType, np.ndarray]
+    typed: Dict[TimingType, List[float]]
 
     @property
-    def exclusive(self) -> np.ndarray:
+    def exclusive(self) -> List[float]:
         """Per-process exclusive time: computation plus all overhead types."""
-        return self.compute + self.overhead
+        return [c + o for c, o in zip(self.compute, self.overhead)]
 
     @property
-    def overhead(self) -> np.ndarray:
+    def overhead(self) -> List[float]:
         """Per-process overhead time (only overhead-classified types)."""
-        total = np.zeros_like(self.compute)
+        total = [0.0] * len(self.compute)
         for timing_type, values in self.typed.items():
             if timing_type.is_overhead:
-                total = total + values
+                total = [t + v for t, v in zip(total, values)]
         return total
 
 
@@ -248,22 +253,28 @@ class ExecutionSimulator:
         serial_work = spec.work * spec.serial_fraction * clock_factor
         parallel_work = spec.work * (1.0 - spec.serial_fraction) * clock_factor
         shares = imbalanced_shares(rng, pes, spec.imbalance)
-        compute = serial_work + (parallel_work / pes) * shares
+        per_pe_work = [(parallel_work / pes) * s for s in shares]
+        compute = [serial_work + w for w in per_pe_work]
 
-        typed: Dict[TimingType, np.ndarray] = {}
+        typed: Dict[TimingType, List[float]] = {}
 
-        def add(timing_type: TimingType, values: np.ndarray) -> None:
-            if np.all(values <= 0):
+        def add(timing_type: TimingType, values: List[float]) -> None:
+            if all(v <= 0 for v in values):
                 return
             existing = typed.get(timing_type)
-            typed[timing_type] = values if existing is None else existing + values
+            typed[timing_type] = (
+                values if existing is None else [e + v for e, v in zip(existing, values)]
+            )
+
+        def scaled(values: List[float], factor: float) -> List[float]:
+            return [v * factor for v in values]
 
         # -- useful computation, broken down into the Apprentice work types ----
         if spec.work > 0:
             ls_fraction = max(0.0, 1.0 - spec.fp_fraction - spec.int_fraction)
-            add(TimingType.FloatingPoint, compute * spec.fp_fraction)
-            add(TimingType.IntegerOps, compute * spec.int_fraction)
-            add(TimingType.LoadStore, compute * ls_fraction)
+            add(TimingType.FloatingPoint, scaled(compute, spec.fp_fraction))
+            add(TimingType.IntegerOps, scaled(compute, spec.int_fraction))
+            add(TimingType.LoadStore, scaled(compute, ls_fraction))
 
         # -- barrier synchronisation: waiting comes from the work spread ------
         # Load imbalance is modelled as *persistent*: the same processes are
@@ -272,64 +283,69 @@ class ExecutionSimulator:
         # waiting time is (max - own) share of the parallel work regardless of
         # how many barrier phases the work is split into.
         if spec.barriers > 0 and pes > 1:
-            per_pe_work = (parallel_work / pes) * shares
-            wait = per_pe_work.max() - per_pe_work
-            latency = cfg.barrier_latency * math.log2(pes) if pes > 1 else 0.0
-            add(TimingType.Barrier, wait + latency * spec.barriers)
+            slowest = max(per_pe_work)
+            latency = cfg.barrier_latency * math.log2(pes) * spec.barriers
+            add(TimingType.Barrier, [(slowest - w) + latency for w in per_pe_work])
         elif spec.barriers > 0:
-            add(TimingType.Barrier, np.full(pes, cfg.barrier_latency * spec.barriers))
+            add(TimingType.Barrier, [cfg.barrier_latency * spec.barriers] * pes)
 
         # -- communication ------------------------------------------------------
         comm = self._comm_time(spec, pes)
         if comm > 0:
             if spec.comm_pattern is CommPattern.NEAREST:
-                add(TimingType.SendOverhead, np.full(pes, comm * 0.40))
-                add(TimingType.ReceiveOverhead, np.full(pes, comm * 0.30))
-                add(TimingType.MessageWait, np.full(pes, comm * 0.30))
+                add(TimingType.SendOverhead, [comm * 0.40] * pes)
+                add(TimingType.ReceiveOverhead, [comm * 0.30] * pes)
+                add(TimingType.MessageWait, [comm * 0.30] * pes)
             elif spec.comm_pattern is CommPattern.REDUCTION:
-                add(TimingType.Reduce, np.full(pes, comm * 0.85))
-                add(TimingType.MessageWait, np.full(pes, comm * 0.15))
+                add(TimingType.Reduce, [comm * 0.85] * pes)
+                add(TimingType.MessageWait, [comm * 0.15] * pes)
             elif spec.comm_pattern is CommPattern.BROADCAST:
-                add(TimingType.Broadcast, np.full(pes, comm * 0.9))
-                add(TimingType.MessageWait, np.full(pes, comm * 0.1))
+                add(TimingType.Broadcast, [comm * 0.9] * pes)
+                add(TimingType.MessageWait, [comm * 0.1] * pes)
             elif spec.comm_pattern is CommPattern.ALLTOALL:
-                add(TimingType.AllToAll, np.full(pes, comm * 0.7))
-                add(TimingType.MessagePacking, np.full(pes, comm * 0.2))
-                add(TimingType.MessageWait, np.full(pes, comm * 0.1))
+                add(TimingType.AllToAll, [comm * 0.7] * pes)
+                add(TimingType.MessagePacking, [comm * 0.2] * pes)
+                add(TimingType.MessageWait, [comm * 0.1] * pes)
 
         # -- input / output ------------------------------------------------------
         if spec.io_time > 0:
             if spec.io_parallel:
                 per_pe = spec.io_time / pes
-                add(TimingType.IORead, np.full(pes, per_pe * 0.4))
-                add(TimingType.IOWrite, np.full(pes, per_pe * 0.6))
+                add(TimingType.IORead, [per_pe * 0.4] * pes)
+                add(TimingType.IOWrite, [per_pe * 0.6] * pes)
             else:
                 # Serialised I/O: process 0 performs the transfer, the others
                 # wait for completion.
-                io = np.zeros(pes)
-                io[0] = spec.io_time
-                wait = np.full(pes, spec.io_time)
-                wait[0] = 0.0
-                add(TimingType.IOWrite, io * 0.7)
-                add(TimingType.IORead, io * 0.3)
-                add(TimingType.EventWait, wait)
-            add(TimingType.IOOpenClose, np.full(pes, min(1e-4, spec.io_time * 1e-3)))
+                rest = pes - 1
+                add(TimingType.IOWrite, [spec.io_time * 0.7] + [0.0] * rest)
+                add(TimingType.IORead, [spec.io_time * 0.3] + [0.0] * rest)
+                add(TimingType.EventWait, [0.0] + [spec.io_time] * rest)
+            add(TimingType.IOOpenClose, [min(1e-4, spec.io_time * 1e-3)] * pes)
 
         # -- memory system -------------------------------------------------------
         if cfg.cache_miss_fraction > 0 and spec.work > 0:
-            add(TimingType.CacheMiss, compute * cfg.cache_miss_fraction)
+            add(TimingType.CacheMiss, scaled(compute, cfg.cache_miss_fraction))
 
         # -- instrumentation overhead ---------------------------------------------
         instr = self.workload.instrumentation_per_region
         if instr > 0:
-            add(TimingType.Instrumentation, np.full(pes, instr))
+            add(TimingType.Instrumentation, [instr] * pes)
 
         # -- measurement jitter ------------------------------------------------
         if cfg.measurement_jitter > 0:
-            noise = 1.0 + cfg.measurement_jitter * rng.standard_normal(pes)
-            noise = np.clip(noise, 0.5, 1.5)
-            compute = compute * noise
-            typed = {k: np.maximum(v * noise, 0.0) for k, v in typed.items()}
+            # The noise is clipped to [0.5, 1.5] and the jittered times are
+            # floored at 0.0; a NaN passes through both (numpy's clip and
+            # maximum semantics).
+            jitter = cfg.measurement_jitter
+            noise = [
+                0.5 if (x := 1.0 + jitter * z) < 0.5 else 1.5 if x > 1.5 else x
+                for z in rng.standard_normal(pes)
+            ]
+            compute = [c * n for c, n in zip(compute, noise)]
+            typed = {
+                k: [0.0 if (x := v * n) < 0.0 else x for v, n in zip(values, noise)]
+                for k, values in typed.items()
+            }
 
         return RegionMeasurement(compute=compute, typed=typed)
 
@@ -353,9 +369,9 @@ class ExecutionSimulator:
     ) -> Tuple[float, float, Dict[TimingType, float]]:
         """Store timings for ``spec`` and return (excl_sum, incl_sum, typed_sums)."""
         measurement = measurements[spec.name]
-        excl_sum = float(measurement.exclusive.sum())
+        excl_sum = pairwise_sum(measurement.exclusive)
         typed_sums: Dict[TimingType, float] = {
-            timing_type: float(values.sum())
+            timing_type: pairwise_sum(values)
             for timing_type, values in measurement.typed.items()
         }
         incl_sum = excl_sum
@@ -367,9 +383,13 @@ class ExecutionSimulator:
             for timing_type, value in child_typed.items():
                 typed_sums[timing_type] = typed_sums.get(timing_type, 0.0) + value
 
-        overhead_sum = sum(
-            value for timing_type, value in typed_sums.items() if timing_type.is_overhead
-        )
+        # Added left to right: the built-in sum() compensates float rounding
+        # from Python 3.12 on, which would make the data depend on the
+        # interpreter version.
+        overhead_sum = 0.0
+        for timing_type, value in typed_sums.items():
+            if timing_type.is_overhead:
+                overhead_sum += value
         region = self._region_objects[spec.name]
         region.add_total_timing(
             TotalTiming(Run=run, Excl=excl_sum, Incl=incl_sum, Ovhd=overhead_sum)
@@ -394,38 +414,40 @@ class ExecutionSimulator:
         rng = rng_for(
             cfg.seed, self.workload.name, region_spec.name, call_spec.callee, pes
         )
-        counts = call_spec.calls_per_pe * imbalanced_shares(
-            rng, pes, call_spec.count_imbalance
-        )
-        times = (
-            counts
-            * call_spec.time_per_call
-            * imbalanced_shares(rng, pes, call_spec.imbalance)
-        )
+        counts = [
+            call_spec.calls_per_pe * s
+            for s in imbalanced_shares(rng, pes, call_spec.count_imbalance)
+        ]
+        times = [
+            (c * call_spec.time_per_call) * s
+            for c, s in zip(counts, imbalanced_shares(rng, pes, call_spec.imbalance))
+        ]
         if call_spec.callee == "barrier":
             # Calls to the barrier routine absorb the barrier waiting time of
             # their region; this is what makes the LoadImbalance refinement of
             # SyncCost observable in the call statistics (paper, Section 4.2).
             barrier_wait = measurements[region_spec.name].typed.get(TimingType.Barrier)
             if barrier_wait is not None:
-                times = times + barrier_wait
+                times = [t + w for t, w in zip(times, barrier_wait)]
 
+        min_calls, max_calls = min(counts), max(counts)
+        min_time, max_time = min(times), max(times)
         call = self._call_objects[(region_spec.name, call_spec.callee)]
         call.add_call_timing(
             CallTiming(
                 Run=run,
-                MinCalls=float(counts.min()),
-                MaxCalls=float(counts.max()),
-                MeanCalls=float(counts.mean()),
-                StdevCalls=float(counts.std()),
-                MinTime=float(times.min()),
-                MaxTime=float(times.max()),
-                MeanTime=float(times.mean()),
-                StdevTime=float(times.std()),
-                MinCallsPe=int(counts.argmin()),
-                MaxCallsPe=int(counts.argmax()),
-                MinTimePe=int(times.argmin()),
-                MaxTimePe=int(times.argmax()),
+                MinCalls=min_calls,
+                MaxCalls=max_calls,
+                MeanCalls=mean(counts),
+                StdevCalls=std(counts),
+                MinTime=min_time,
+                MaxTime=max_time,
+                MeanTime=mean(times),
+                StdevTime=std(times),
+                MinCallsPe=counts.index(min_calls),
+                MaxCallsPe=counts.index(max_calls),
+                MinTimePe=times.index(min_time),
+                MaxTimePe=times.index(max_time),
             )
         )
 

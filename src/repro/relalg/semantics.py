@@ -819,13 +819,17 @@ class _Analyzer:
             return self._infer_unary(expr, allow_aggregate, in_aggregate)
         if isinstance(expr, BinaryOperation):
             return self._infer_binary(expr, allow_aggregate, in_aggregate)
+        # Aggregates may sit under arithmetic, comparisons, NOT, AND and OR
+        # only: IS NULL, IN and scalar-function operands are row
+        # expressions in every engine, so an aggregate there is rejected
+        # here, before any row, instead of when (or whether) it is reached.
         if isinstance(expr, IsNull):
-            self._infer(expr.operand, allow_aggregate, in_aggregate)
+            self._infer(expr.operand, False, in_aggregate)
             return SqlType.BOOLEAN
         if isinstance(expr, InList):
-            self._infer(expr.operand, allow_aggregate, in_aggregate)
+            self._infer(expr.operand, False, in_aggregate)
             for item in expr.items:
-                self._infer(item, allow_aggregate, in_aggregate)
+                self._infer(item, False, in_aggregate)
             return SqlType.BOOLEAN
         if isinstance(expr, FunctionExpr):
             return self._infer_function(expr, allow_aggregate, in_aggregate)
@@ -980,10 +984,7 @@ class _Analyzer:
                     return SqlType.INTEGER
                 return SqlType.FLOAT if arg is SqlType.FLOAT else SqlType.UNKNOWN
             return arg  # MIN / MAX: any homogeneous column type works
-        arg_types = [
-            self._infer(arg, allow_aggregate, in_aggregate)
-            for arg in expr.args
-        ]
+        arg_types = [self._infer(arg, False, in_aggregate) for arg in expr.args]
         if name == "COALESCE":
             return self._join_types(arg_types)
         if len(arg_types) != 1:

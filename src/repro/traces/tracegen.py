@@ -15,9 +15,7 @@ bottleneck, not byte-level realism.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List
 
 from repro.apprentice.program_model import CommPattern, RegionSpec, WorkloadSpec
 from repro.apprentice.rng import imbalanced_shares, rng_for
@@ -39,7 +37,7 @@ class TraceGenerator:
         if pes <= 0:
             raise ValueError("pes must be positive")
         trace = Trace(pes=pes)
-        clocks = np.zeros(pes)
+        clocks = [0.0] * pes
         for function in self.workload.functions:
             self._emit_region(function.body, pes, clocks, trace)
         return trace.finalize()
@@ -47,40 +45,42 @@ class TraceGenerator:
     # ------------------------------------------------------------------ #
 
     def _emit_region(
-        self, spec: RegionSpec, pes: int, clocks: np.ndarray, trace: Trace
+        self, spec: RegionSpec, pes: int, clocks: List[float], trace: Trace
     ) -> None:
+        # ``clocks`` holds each process's current time and is advanced in
+        # place; its operand order is pinned by the trace digests in
+        # ``tests/corpus/simulator_digests.json``.
         rng = rng_for(self.seed, "trace", self.workload.name, spec.name, pes)
         for pe in range(pes):
             trace.add(
-                Event(time=float(clocks[pe]), pe=pe, kind=EventKind.ENTER,
+                Event(time=clocks[pe], pe=pe, kind=EventKind.ENTER,
                       region=spec.name)
             )
 
         serial = spec.work * spec.serial_fraction
         parallel = spec.work * (1.0 - spec.serial_fraction)
         shares = imbalanced_shares(rng, pes, spec.imbalance)
-        compute = serial + (parallel / pes) * shares
-        clocks += compute
+        clocks[:] = [c + (serial + (parallel / pes) * s) for c, s in zip(clocks, shares)]
 
         # Communication events.
         comm_time = self._comm_time(spec, pes)
         if comm_time > 0:
-            partners = np.roll(np.arange(pes), 1)
             messages = 2 if spec.comm_pattern is CommPattern.NEAREST else max(1, pes // 2)
             size = 8192 if spec.comm_pattern is CommPattern.ALLTOALL else 65536
             for pe in range(pes):
+                partner = (pe - 1) % pes
                 for message in range(messages):
-                    send_time = float(clocks[pe]) + comm_time * (message + 0.25) / messages
+                    send_time = clocks[pe] + comm_time * (message + 0.25) / messages
                     trace.add(
                         Event(time=send_time, pe=pe, kind=EventKind.SEND,
-                              region=spec.name, partner=int(partners[pe]), size=size)
+                              region=spec.name, partner=partner, size=size)
                     )
                     trace.add(
                         Event(time=send_time + comm_time / (2 * messages),
-                              pe=int(partners[pe]), kind=EventKind.RECV,
+                              pe=partner, kind=EventKind.RECV,
                               region=spec.name, partner=pe, size=size)
                     )
-            clocks += comm_time
+            clocks[:] = [c + comm_time for c in clocks]
 
         # I/O events.
         if spec.io_time > 0:
@@ -90,40 +90,40 @@ class TraceGenerator:
                 )
                 if io_share > 0:
                     trace.add(
-                        Event(time=float(clocks[pe]), pe=pe, kind=EventKind.IO_BEGIN,
+                        Event(time=clocks[pe], pe=pe, kind=EventKind.IO_BEGIN,
                               region=spec.name, size=int(io_share * 1e7))
                     )
                     trace.add(
-                        Event(time=float(clocks[pe]) + io_share, pe=pe,
+                        Event(time=clocks[pe] + io_share, pe=pe,
                               kind=EventKind.IO_END, region=spec.name,
                               size=int(io_share * 1e7))
                     )
             if spec.io_parallel:
-                clocks += spec.io_time / pes
+                clocks[:] = [c + spec.io_time / pes for c in clocks]
             else:
-                clocks[:] = clocks.max() + spec.io_time
+                clocks[:] = [max(clocks) + spec.io_time] * pes
 
         # Barrier: everyone waits for the slowest process.
         if spec.barriers > 0 and pes > 1:
             for pe in range(pes):
                 trace.add(
-                    Event(time=float(clocks[pe]), pe=pe,
+                    Event(time=clocks[pe], pe=pe,
                           kind=EventKind.BARRIER_ENTER, region=spec.name)
                 )
-            release = float(clocks.max()) + 5e-6 * math.log2(pes) * spec.barriers
+            release = max(clocks) + 5e-6 * math.log2(pes) * spec.barriers
             for pe in range(pes):
                 trace.add(
                     Event(time=release, pe=pe, kind=EventKind.BARRIER_EXIT,
                           region=spec.name)
                 )
-            clocks[:] = release
+            clocks[:] = [release] * pes
 
         for child in spec.children:
             self._emit_region(child, pes, clocks, trace)
 
         for pe in range(pes):
             trace.add(
-                Event(time=float(clocks[pe]), pe=pe, kind=EventKind.EXIT,
+                Event(time=clocks[pe], pe=pe, kind=EventKind.EXIT,
                       region=spec.name)
             )
 

@@ -1,6 +1,7 @@
 """Tests of the simulator's RNG helpers and the synthetic program model."""
 
-import numpy as np
+import statistics
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,25 +30,25 @@ class TestStableSeed:
     def test_rng_for_is_deterministic(self):
         a = rng_for("workload", "region", 8).standard_normal(4)
         b = rng_for("workload", "region", 8).standard_normal(4)
-        np.testing.assert_array_equal(a, b)
+        assert a == b
 
 
 class TestImbalancedShares:
     def test_zero_imbalance_is_perfectly_balanced(self):
         shares = imbalanced_shares(rng_for("x"), 8, 0.0)
-        np.testing.assert_allclose(shares, np.ones(8))
+        assert shares == [1.0] * 8
 
     def test_mean_is_exactly_one(self):
         shares = imbalanced_shares(rng_for("y"), 16, 0.5)
-        assert shares.mean() == pytest.approx(1.0)
+        assert statistics.fmean(shares) == pytest.approx(1.0)
 
     def test_all_shares_positive(self):
         shares = imbalanced_shares(rng_for("z"), 64, 1.5)
-        assert (shares > 0).all()
+        assert all(s > 0 for s in shares)
 
     def test_single_process_has_no_imbalance(self):
         shares = imbalanced_shares(rng_for("w"), 1, 0.9)
-        np.testing.assert_allclose(shares, [1.0])
+        assert shares == [1.0]
 
     def test_rejects_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -63,14 +64,14 @@ class TestImbalancedShares:
     @settings(max_examples=60, deadline=None)
     def test_properties_hold_for_arbitrary_parameters(self, count, imbalance, seed):
         shares = imbalanced_shares(rng_for(seed), count, imbalance)
-        assert shares.shape == (count,)
-        assert (shares > 0).all()
-        assert shares.mean() == pytest.approx(1.0, rel=1e-9)
+        assert len(shares) == count
+        assert all(s > 0 for s in shares)
+        assert statistics.fmean(shares) == pytest.approx(1.0, rel=1e-9)
 
     def test_higher_imbalance_gives_higher_spread(self):
         low = imbalanced_shares(rng_for("s"), 256, 0.1)
         high = imbalanced_shares(rng_for("s"), 256, 0.9)
-        assert high.std() > low.std()
+        assert statistics.pstdev(high) > statistics.pstdev(low)
 
 
 class TestRegionSpecValidation:

@@ -17,6 +17,9 @@ same typed error message:
   key, GROUP BY key, aggregate argument) at 1 and 4 partitions, over a
   filled and an empty table;
 * the evaluation-order, typed-error and vectorized-filter-error cases;
+* aggregates nested under IS NULL, IN, COALESCE or a scalar function,
+  which the analyzer rejects before any row, over a filled and an empty
+  table;
 * a seeded evaluation-order fuzzer over random single-table statements.
 """
 
@@ -335,6 +338,62 @@ class TestVectorizedFilterErrors:
             assert _outcome(database, _CROSS_CONJUNCT, [0]) == (
                 "error", "ExecutionError", "division by zero in x / ?"
             )
+
+
+# --------------------------------------------------------------------------- #
+# aggregates nested under row-level operators
+# --------------------------------------------------------------------------- #
+
+#: ids 1-8, g = id % 2, x NULL at id 3.
+_NESTED_ROWS = [(i, i % 2, None if i == 3 else float(i), None) for i in range(1, 9)]
+
+#: ``(statement, position of the nested SUM)``.  The interpreter used to
+#: return rows whenever the aggregate was never reached: when the left
+#: operand of AND decided, or when an empty table formed no group.
+_NESTED_AGGREGATES = [
+    pytest.param(
+        "SELECT g, COUNT(*) FROM t GROUP BY g "
+        "HAVING COUNT(*) > 5 AND SUM(x) IS NULL", 61, id="is-null",
+    ),
+    pytest.param(
+        "SELECT g, COALESCE(SUM(x), 0) FROM t GROUP BY g", 19, id="coalesce",
+    ),
+    pytest.param(
+        "SELECT g FROM t GROUP BY g HAVING SUM(x) IN (16, 17)", 34,
+        id="in-operand",
+    ),
+    pytest.param(
+        "SELECT g FROM t GROUP BY g HAVING COUNT(*) > 5 AND 16 IN (SUM(x), 1)",
+        58, id="in-item",
+    ),
+    pytest.param(
+        "SELECT g FROM t GROUP BY g HAVING COUNT(*) > 5 AND ABS(SUM(x)) > 1",
+        55, id="scalar-function",
+    ),
+]
+
+
+class TestNestedAggregatesRejected:
+    @pytest.mark.parametrize("filled", [True, False], ids=["filled", "empty"])
+    @pytest.mark.parametrize("sql,position", _NESTED_AGGREGATES)
+    def test_every_engine_rejects_before_any_row(self, sql, position, filled):
+        assert _agreed(sql, rows=_NESTED_ROWS if filled else []) == (
+            "error",
+            "SemanticError",
+            f"aggregate function SUM is not allowed here (at character {position})",
+        )
+
+    @pytest.mark.parametrize("filled", [True, False], ids=["filled", "empty"])
+    def test_row_operators_inside_aggregates_and_arithmetic_over_them_run(
+        self, filled
+    ):
+        outcome = _agreed(
+            "SELECT COUNT(x IS NULL), SUM(COALESCE(x, 0)), MAX(ABS(x)), "
+            "-SUM(x) + 1 FROM t HAVING NOT SUM(x) > 100",
+            rows=_NESTED_ROWS if filled else [],
+        )
+        # On the empty table SUM(x) is NULL, so HAVING drops the one group.
+        assert outcome[2] == (("(8, 33.0, 8.0, -32.0)",) if filled else ())
 
 
 # --------------------------------------------------------------------------- #
