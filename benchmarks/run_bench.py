@@ -402,7 +402,7 @@ def bench_e8(scenario, failures: list) -> dict:
         fetch_s[str(window)] = round(pipeline.elapsed, 9)
         if window > 1:
             # The serialized work components of the fetch workload, read off
-            # the explicit event timeline (identical at every window > 1).
+            # the scheduled pipeline slots (identical at every window > 1).
             server_work_s = round(sum(s.server_seconds for s in slots), 9)
             client_work_s = round(client.client_time, 9)
 

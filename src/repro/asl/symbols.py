@@ -25,7 +25,7 @@ from repro.asl.ast_nodes import (
     PropertyDecl,
 )
 from repro.asl.errors import AslNameError, SourceLocation
-from repro.asl.types import ClassType, EnumType, Type
+from repro.asl.types import EnumType, Type
 
 __all__ = ["MISSING", "Scope", "ClassInfo", "SpecificationIndex"]
 
@@ -211,7 +211,3 @@ class SpecificationIndex:
         return {
             name: info.base for name, info in self.classes.items() if info.base
         }
-
-    def class_type(self, name: str) -> ClassType:
-        self.class_info(name)
-        return ClassType(name=name)

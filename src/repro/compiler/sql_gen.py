@@ -113,10 +113,6 @@ class CompiledProperty:
     #: (guard or None, query) pairs for the severity specification.
     severity: List[Tuple[Optional[str], CompiledQuery]] = field(default_factory=list)
 
-    @property
-    def parameter_names(self) -> List[str]:
-        return [p.name for p in self.decl.params]
-
     def all_queries(self) -> List[CompiledQuery]:
         """Every generated query (used by tests and the CLI ``--show-sql``)."""
         result = [query for _, query in self.conditions]

@@ -20,12 +20,11 @@ lower-case to keep them visually distinct from the paper's attributes.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as _dt
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 from repro.datamodel.timing_types import TimingType
 
@@ -623,8 +622,3 @@ class Program:
             if version.label == label:
                 return version
         raise KeyError(f"program {self.Name!r} has no version labelled {label!r}")
-
-
-def entity_fields(entity: object) -> Sequence[str]:
-    """Return the dataclass field names of ``entity`` (helper for exporters)."""
-    return [f.name for f in dataclasses.fields(entity)]

@@ -21,10 +21,12 @@ paper's COSY prototype (Oracle 7, MS Access, MS SQL Server, Postgres):
   shares, and :mod:`repro.relalg.interp` keeps the seed AST-walking engine as
   the differential-testing and benchmark baseline;
 * :mod:`repro.relalg.backends` — virtual cost models of the four backends the
-  paper compares (Section 5), with the event-timeline virtual clock and the
+  paper compares (Section 5): each wire statement is measured once and
+  charged either on the serial clock (a completion frontier) or on the
   overlap-aware pipelining scheduler;
 * :mod:`repro.relalg.client` — native (C-like) vs. bridged (JDBC-like) client
-  API layers, plus the pipelined submit/gather ``AsyncClient``;
+  API layers, which charge their marshalling for what the backend shipped,
+  plus the pipelined submit/gather ``AsyncClient``;
 * :mod:`repro.relalg.wal` — write-ahead durability: the append-only log, the
   checkpoint sidecar, crash recovery and the byte-identical state
   fingerprints the crash harness checks against.
@@ -38,7 +40,6 @@ from repro.relalg.backends import (
     PipelinedTimeline,
     SimulatedBackend,
     StatementCost,
-    TimelineEvent,
     VirtualClock,
     backend,
 )
@@ -149,7 +150,6 @@ __all__ = [
     "TableIndex",
     "TableSchema",
     "TableStatistics",
-    "TimelineEvent",
     "Transaction",
     "TransactionWarning",
     "VirtualClock",

@@ -22,20 +22,36 @@ the single-record fetch and the relative factors quoted above are reproduced;
 the E1/E2 benchmarks then measure whether the *relative ordering and rough
 factors* match the paper.
 
-The clock is an explicit **event timeline** (:class:`TimelineEvent` spans),
-not a scalar accumulator: serially charged statements append back-to-back
-spans with the historical float arithmetic (byte-identical totals), while the
-overlap-aware :class:`PipelinedTimeline` schedules up to ``window`` in-flight
+The backend measures each **wire statement** — one round trip to the
+simulated server: a single statement, one DML batch of ``executemany`` or one
+SELECT of it — exactly once, as a :class:`StatementCost`
+(:meth:`SimulatedBackend.wire_statements` is the only place the batching rule
+lives).  Two places turn that cost into virtual time: the serial clock, which
+:meth:`SimulatedBackend.execute` / :meth:`~SimulatedBackend.executemany`
+advance by ``cost.total`` per wire statement, and the overlap-aware
+:class:`PipelinedTimeline`, which schedules up to ``window`` in-flight
 statements whose round-trip components overlap and whose server-side work
 serializes — the model behind the ``AsyncClient`` pipelining layer and the E8
-overlap benchmark.
+overlap benchmark.  The :class:`VirtualClock` itself keeps only its
+completion frontier.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.relalg.database import Database
 from repro.relalg.errors import ExecutionError
@@ -45,8 +61,6 @@ __all__ = [
     "BackendProfile",
     "BACKEND_PROFILES",
     "DEFAULT_BATCH_SIZE",
-    "MAX_TIMELINE_EVENTS",
-    "TimelineEvent",
     "VirtualClock",
     "StatementCost",
     "PipelineSlot",
@@ -57,11 +71,6 @@ __all__ = [
 
 #: Parameter rows shipped per ``executemany`` round trip unless overridden.
 DEFAULT_BATCH_SIZE = 100
-
-#: Upper bound of the retained timeline trace; when exceeded, the oldest half
-#: is compacted away.  The completion frontier — not the trace — is the
-#: accounting source of truth, so totals are unaffected.
-MAX_TIMELINE_EVENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -163,60 +172,23 @@ BACKEND_PROFILES: Dict[str, BackendProfile] = {
 }
 
 
-@dataclass(slots=True)
-class TimelineEvent:
-    """One span on the virtual timeline (a value object; treat as immutable).
-
-    ``kind`` names what occupied the span: ``"connect"`` (connection setup),
-    ``"statement"`` (a serially charged statement), ``"client"`` (client-side
-    marshalling charged serially) or ``"pipelined"`` (the full submit →
-    complete lifetime of an overlapped statement — pipelined spans of
-    concurrent statements overlap each other on the timeline).
-
-    One event is appended per charged statement, so creation sits on the hot
-    path: a slotted, non-frozen dataclass skips the ``object.__setattr__``
-    toll frozen dataclasses pay per field.
-    """
-
-    kind: str
-    start: float
-    end: float
-    label: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
 class VirtualClock:
-    """Virtual elapsed time as an explicit event timeline.
+    """Virtual elapsed time: the completion frontier of everything charged.
 
-    The clock keeps an ordered list of :class:`TimelineEvent` spans plus a
-    *completion frontier* (:attr:`elapsed`).  Serial charging
-    (:meth:`advance`) appends a span starting at the frontier and accumulates
-    with the exact float arithmetic of the historical scalar clock, so serial
-    totals stay byte-identical to the pre-timeline implementation.
-    Overlap-aware charging (:class:`PipelinedTimeline`) records spans that
-    *start before* the frontier — concurrent statements overlap on the
-    timeline — and pushes the frontier forward with :meth:`advance_to`.
-
-    The trace is bounded: beyond :data:`MAX_TIMELINE_EVENTS` spans the
-    oldest half is dropped, so long-lived backends keep a recent-history
-    window instead of growing without bound.  All totals live in the
-    frontier, never in the trace.
+    Serial charging (:meth:`advance`) adds to the frontier with one float
+    addition per charge, so a total depends only on the charges and their
+    order.  The overlap scheduler (:class:`PipelinedTimeline`) computes its
+    own schedule and moves the frontier forward with :meth:`advance_to`.
     """
 
     def __init__(self) -> None:
         self._elapsed = 0.0
-        self.events: List[TimelineEvent] = []
 
-    def advance(self, seconds: float, kind: str = "serial", label: str = "") -> None:
+    def advance(self, seconds: float) -> None:
         """Charge ``seconds`` serially, starting at the completion frontier."""
         if seconds < 0:
             raise ValueError(f"cannot advance the clock by {seconds}")
-        start = self._elapsed
         self._elapsed += seconds
-        self._record(TimelineEvent(kind, start, self._elapsed, label))
 
     def advance_to(self, instant: float) -> None:
         """Move the completion frontier forward to ``instant``.
@@ -228,22 +200,12 @@ class VirtualClock:
         if instant > self._elapsed:
             self._elapsed = instant
 
-    def record(self, event: TimelineEvent) -> None:
-        """Append an already positioned (possibly overlapping) span."""
-        self._record(event)
-
-    def _record(self, event: TimelineEvent) -> None:
-        self.events.append(event)
-        if len(self.events) > MAX_TIMELINE_EVENTS:
-            del self.events[: len(self.events) // 2]
-
     @property
     def elapsed(self) -> float:
         return self._elapsed
 
     def reset(self) -> None:
         self._elapsed = 0.0
-        self.events.clear()
 
 
 @dataclass(slots=True)
@@ -310,7 +272,6 @@ class PipelineSlot:
     """The scheduled lifecycle of one overlapped statement (virtual seconds;
     a value object — treat as immutable)."""
 
-    label: str
     #: When the client began dispatching the statement.
     submitted: float
     #: When the request left the client (dispatch marshalling done).
@@ -337,8 +298,7 @@ class PipelinedTimeline:
     """Overlap-aware scheduler over a :class:`VirtualClock`.
 
     Models a client that keeps up to ``window`` statements in flight on one
-    pipelined connection.  Per statement *i* (an explicit event timeline, not
-    a scalar accumulator):
+    pipelined connection.  Per statement *i*:
 
     * ``submitted_i = max(client dispatch channel free, completed_{i-window})``
       — the client dispatches serially and holds at most ``window``
@@ -364,9 +324,8 @@ class PipelinedTimeline:
     Round-trip components of concurrent statements therefore overlap while
     server work accumulates serially, so a round-trip-bound workload
     approaches that serialized-chain floor as the window grows and a
-    CPU-bound workload stays flat.  :meth:`drain` commits the scheduled
-    slots to the clock as overlapping ``"pipelined"`` spans and moves the
-    completion frontier to the last completion.
+    CPU-bound workload stays flat.  :meth:`drain` moves the clock's
+    completion frontier to the last scheduled completion.
     """
 
     def __init__(self, clock: VirtualClock, window: int) -> None:
@@ -374,7 +333,6 @@ class PipelinedTimeline:
             raise ValueError(f"window must be positive, got {window}")
         self.clock = clock
         self.window = window
-        self._slots: List[PipelineSlot] = []
         self._completions: List[float] = []
         self._base: Optional[float] = None
         self._client_free = 0.0
@@ -384,16 +342,15 @@ class PipelinedTimeline:
     @property
     def pending(self) -> int:
         """Scheduled but not yet drained statements."""
-        return len(self._slots)
+        return len(self._completions)
 
     def submit(
         self,
         cost: StatementCost,
         dispatch_seconds: float = 0.0,
         receive_seconds: float = 0.0,
-        label: str = "",
     ) -> PipelineSlot:
-        """Schedule one statement; returns its slot on the event timeline.
+        """Schedule one statement; returns its slot.
 
         ``dispatch_seconds`` / ``receive_seconds`` are the client-side
         marshalling costs on the request and response side (both serialize on
@@ -421,8 +378,7 @@ class PipelinedTimeline:
         completed = max(responded, self._last_completion) + receive_seconds
         self._last_completion = completed
         self._completions.append(completed)
-        slot = PipelineSlot(
-            label=label,
+        return PipelineSlot(
             submitted=submitted,
             dispatched=dispatched,
             server_start=server_start,
@@ -430,27 +386,18 @@ class PipelinedTimeline:
             responded=responded,
             completed=completed,
         )
-        self._slots.append(slot)
-        return slot
 
     def drain(self) -> float:
-        """Commit every scheduled slot to the clock; returns the new elapsed.
+        """Commit every scheduled statement to the clock; returns the new
+        elapsed.
 
-        Records one overlapping ``"pipelined"`` span per statement and moves
-        the completion frontier to the last completion.  Idempotent when
-        nothing is pending; the next :meth:`submit` starts a fresh window
-        from the (possibly advanced) frontier.
+        Moves the completion frontier to the last completion.  Idempotent
+        when nothing is pending; the next :meth:`submit` starts a fresh
+        window from the (possibly advanced) frontier.
         """
         if self._base is None:
             return self.clock.elapsed
-        for slot in self._slots:
-            self.clock.record(
-                TimelineEvent(
-                    "pipelined", slot.submitted, slot.completed, slot.label
-                )
-            )
         self.clock.advance_to(self._last_completion)
-        self._slots.clear()
         self._completions.clear()
         self._base = None
         return self.clock.elapsed
@@ -510,37 +457,14 @@ class SimulatedBackend:
             wal_autocheckpoint=wal_autocheckpoint,
         )
         self.clock = VirtualClock()
+        #: Wire statements executed, the parameters they bound, and the rows
+        #: they inserted and returned: the client stack charges its
+        #: marshalling from deltas of these.
         self.statements_executed = 0
+        self.params_shipped = 0
         self.rows_inserted = 0
         self.rows_fetched = 0
         self._connected = False
-
-    def _partition_snapshot(self) -> Optional[Dict[int, int]]:
-        """Pre-statement copy of the per-partition scan counters.
-
-        ``None`` for serial backends: the delta is only needed for the
-        parallel makespan charge, so serial charging skips the bookkeeping.
-        """
-        if self.parallelism <= 1:
-            return None
-        return dict(self.database.summary.partition_rows_scanned)
-
-    def _charged_scan_rows(
-        self, partitions_before: Optional[Dict[int, int]], scanned: int
-    ) -> int:
-        """Scan rows to charge for one statement, given the pre-statement
-        snapshot from :meth:`_partition_snapshot` (shared by ``execute`` and
-        ``executemany`` so both paths always charge under the same rule)."""
-        if partitions_before is None:
-            return scanned
-        partition_deltas = {
-            pid: count - partitions_before.get(pid, 0)
-            for pid, count in (
-                self.database.summary.partition_rows_scanned.items()
-            )
-            if count != partitions_before.get(pid, 0)
-        }
-        return self._effective_scan_rows(partition_deltas, scanned)
 
     def _effective_scan_rows(
         self, partition_deltas: Dict[int, int], total_scanned: int
@@ -575,53 +499,60 @@ class SimulatedBackend:
     def connect(self) -> None:
         """Establish the (virtual) connection; charged only once."""
         if not self._connected:
-            self.clock.advance(
-                self.profile.connect_latency, kind="connect",
-                label=self.profile.name,
-            )
+            self.clock.advance(self.profile.connect_latency)
             self._connected = True
 
-    def _measured_execute(
-        self, sql: str, params: Sequence[Any]
-    ) -> Tuple[Union[ResultSet, int], StatementCost]:
-        """Execute one statement and measure its cost without charging it."""
-        summary = self.database.summary
-        scanned_before = summary.rows_scanned
-        inserted_before = summary.rows_inserted
-        partitions_before = self._partition_snapshot()
-        result = self.database.execute(sql, params)
-        scanned = self._charged_scan_rows(
-            partitions_before, summary.rows_scanned - scanned_before
-        )
-        # Inserted rows come from the summary delta, not the integer result:
-        # DELETE also returns an affected-row count but must not be charged
-        # insert costs.
-        inserted = summary.rows_inserted - inserted_before
-        returned = len(result.rows) if isinstance(result, ResultSet) else 0
-        return result, StatementCost(self.profile, inserted, returned, scanned)
+    def _measure(
+        self,
+        run: Callable[[str, Any], Any],
+        sql: str,
+        arg: Any,
+        shipped: int,
+    ) -> Tuple[Any, StatementCost]:
+        """Send one wire statement — ``run(sql, arg)`` on the engine — and
+        measure its cost without charging it.
 
-    def _account(self, cost: StatementCost) -> None:
-        """Update the statement/row counters for one executed statement."""
+        The cost comes from deltas of the engine's summary counters: the rows
+        the statement returned, inserted and read (the read rows as the
+        per-partition makespan when the backend models ``parallelism`` scan
+        workers).  A statement that raises is not counted: the backend's
+        counters, ``shipped`` parameters included, describe only the wire
+        statements that executed.
+        """
+        summary = self.database.summary
+        stats = summary.select_stats
+        scanned_before = stats.rows_scanned
+        returned_before = stats.rows_returned
+        inserted_before = summary.rows_inserted
+        # Serial backends skip the per-partition bookkeeping: only the
+        # parallel makespan charge needs it.
+        partitions_before = (
+            dict(stats.partition_rows_scanned) if self.parallelism > 1 else None
+        )
+        value = run(sql, arg)
+        scanned = stats.rows_scanned - scanned_before
+        if partitions_before is not None:
+            scanned = self._effective_scan_rows(
+                {
+                    pid: count - partitions_before.get(pid, 0)
+                    for pid, count in stats.partition_rows_scanned.items()
+                    if count != partitions_before.get(pid, 0)
+                },
+                scanned,
+            )
+        cost = StatementCost(
+            self.profile,
+            summary.rows_inserted - inserted_before,
+            stats.rows_returned - returned_before,
+            scanned,
+        )
         self.statements_executed += 1
+        self.params_shipped += shipped
         self.rows_inserted += cost.rows_inserted
         self.rows_fetched += cost.rows_returned
+        return value, cost
 
-    def execute(self, sql: str, params: Sequence[Any] = ()) -> Union[ResultSet, int]:
-        """Execute one statement, charging the backend's virtual costs.
-
-        The engine's statement-level plan cache makes *client-side* repeated
-        execution cheap; the virtual cost model still charges the full
-        per-statement round trip and per-row work, because the simulated
-        server would perform it regardless of how the client prepared the
-        statement.
-        """
-        self.connect()
-        result, cost = self._measured_execute(sql, params)
-        self.clock.advance(cost.total, kind="statement", label=sql[:60])
-        self._account(cost)
-        return result
-
-    def execute_pipelined(
+    def send(
         self, sql: str, params: Sequence[Any] = ()
     ) -> Tuple[Union[ResultSet, int], StatementCost]:
         """Execute one statement *without* advancing the virtual clock.
@@ -632,9 +563,20 @@ class SimulatedBackend:
         ``AsyncClient``) owns the timing instead of the serial clock.
         """
         self.connect()
-        result, cost = self._measured_execute(sql, params)
-        self._account(cost)
-        return result, cost
+        return self._measure(self.database.execute, sql, params, len(params))
+
+    def execute(self, sql: str, params: Sequence[Any] = ()) -> Union[ResultSet, int]:
+        """Execute one statement, charging the backend's virtual costs.
+
+        The engine's statement-level plan cache makes *client-side* repeated
+        execution cheap; the virtual cost model still charges the full
+        per-statement round trip and per-row work, because the simulated
+        server would perform it regardless of how the client prepared the
+        statement.
+        """
+        result, cost = self.send(sql, params)
+        self.clock.advance(cost.total)
+        return result
 
     def executemany(
         self,
@@ -644,69 +586,66 @@ class SimulatedBackend:
     ) -> int:
         """Execute a parametrised statement over many rows, batched.
 
-        DML parameter rows are shipped in batches of ``batch_size`` (default:
-        the backend's configured size).  The virtual cost model charges **one
-        round trip per batch** plus the per-row server work of every row in
-        it — row-at-a-time submission pays the round trip and the per-insert
-        statement overhead per row, which is exactly the gap the paper's bulk
-        MS-Access-vs-Oracle load observation comes from.  Each batch commits
-        atomically (see :meth:`Database.executemany`); a failing batch leaves
-        earlier batches applied.
-
-        SELECT statements cannot be batched on the wire (the era's client
-        APIs batch updates only — a result set needs its own round trip), so
-        they are executed and charged one statement at a time.
+        Charges ``cost.total`` per wire statement of :meth:`wire_statements`,
+        in order: **one round trip per DML batch** plus the per-row server
+        work of every row in it — row-at-a-time submission pays the round
+        trip and the per-insert statement overhead per row, which is exactly
+        the gap the paper's bulk MS-Access-vs-Oracle load observation comes
+        from — and one round trip per SELECT parameter row.  Each batch
+        commits atomically (see :meth:`Database.executemany`); a failing
+        batch leaves earlier batches applied and charged.  Returns the
+        affected rows (DML) or the returned rows (SELECT).
         """
-        size = batch_size if batch_size is not None else self.batch_size
+        total = 0
+        for count, cost, _shipped in self.wire_statements(
+            sql, param_rows, batch_size
+        ):
+            self.clock.advance(cost.total)
+            total += count
+        return total
+
+    def wire_statements(
+        self,
+        sql: str,
+        param_rows: Iterable[Sequence[Any]],
+        batch_size: Optional[int] = None,
+    ) -> Iterator[Tuple[int, StatementCost, int]]:
+        """Send ``sql`` over ``param_rows`` as the wire carries it, uncharged.
+
+        The one place the batching rule lives.  DML parameter rows ship in
+        batches of ``batch_size`` (default: the backend's configured size),
+        one wire statement per batch.  SELECTs cannot be batched on the wire
+        (the era's client APIs batch updates only — a result set needs its
+        own round trip), so they ship one wire statement per parameter row.
+
+        Yields ``(count, cost, params_shipped)`` per wire statement, after
+        running it: the affected rows (DML) or returned rows (SELECT), its
+        :class:`StatementCost` and the number of parameters it bound.  The
+        caller turns the cost into virtual time — the serial clock
+        (:meth:`executemany`) or the overlap timeline (``AsyncClient``).
+        The batch size and the statement kind are checked when this is
+        called, so a malformed statement raises before the first wire
+        statement is requested.
+        """
+        size = self.batch_size if batch_size is None else batch_size
         if size < 1:
             raise ValueError(f"batch_size must be positive, got {size}")
         rows = list(param_rows)
-        if not rows:
-            return 0
-        if self.database.is_select(sql):
-            total = 0
-            for params in rows:
-                total += len(self.query(sql, params))
-            return total
-        self.connect()
-        total = 0
+        if rows and self.database.is_select(sql):
+            size = 1
+        return self._ship(sql, rows, size)
+
+    def _ship(
+        self, sql: str, rows: List[Sequence[Any]], size: int
+    ) -> Iterator[Tuple[int, StatementCost, int]]:
         for start in range(0, len(rows), size):
-            affected, cost = self._measured_batch(sql, rows[start:start + size])
-            total += affected
-            self.clock.advance(cost.total, kind="statement", label=sql[:60])
-            self._account(cost)
-        return total
-
-    def _measured_batch(
-        self, sql: str, batch: Sequence[Sequence[Any]]
-    ) -> Tuple[int, StatementCost]:
-        """Execute one DML batch and measure its cost without charging it."""
-        summary = self.database.summary
-        scanned_before = summary.rows_scanned
-        returned_before = summary.rows_returned
-        inserted_before = summary.rows_inserted
-        partitions_before = self._partition_snapshot()
-        affected = self.database.executemany(sql, batch)
-        inserted = summary.rows_inserted - inserted_before
-        returned = summary.rows_returned - returned_before
-        scanned = self._charged_scan_rows(
-            partitions_before, summary.rows_scanned - scanned_before
-        )
-        return affected, StatementCost(self.profile, inserted, returned, scanned)
-
-    def executemany_pipelined(
-        self, sql: str, batch: Sequence[Sequence[Any]]
-    ) -> Tuple[int, StatementCost]:
-        """Execute one already-batched DML statement without clock charging.
-
-        The pipelined counterpart of one :meth:`executemany` batch: the
-        caller (``AsyncClient``) splits the parameter rows into backend-sized
-        batches and schedules each batch's cost on its overlap timeline.
-        """
-        self.connect()
-        affected, cost = self._measured_batch(sql, batch)
-        self._account(cost)
-        return affected, cost
+            batch = rows[start:start + size]
+            shipped = sum(map(len, batch))
+            self.connect()
+            count, cost = self._measure(
+                self.database.executemany, sql, batch, shipped
+            )
+            yield count, cost, shipped
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """Execute a statement that must be a SELECT."""
@@ -740,6 +679,7 @@ class SimulatedBackend:
         """Reset the virtual clock (keeps the data and the connection)."""
         self.clock.reset()
         self.statements_executed = 0
+        self.params_shipped = 0
         self.rows_inserted = 0
         self.rows_fetched = 0
 

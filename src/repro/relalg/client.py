@@ -17,14 +17,22 @@ This module models the two client stacks on top of a
 The E2 benchmark fetches records through both clients and reports the
 slowdown factor, which should land in the paper's 2–4× band.
 
+Both stacks charge their marshalling through one formula
+(:meth:`ClientCosts.dispatch_seconds` + :meth:`ClientCosts.receive_seconds`)
+applied to what the backend actually shipped: its statement, parameter and
+fetched-row counters.  The batching rule itself lives only in the backend
+(:meth:`~repro.relalg.backends.SimulatedBackend.wire_statements`).
+
 On top of either stack, :class:`AsyncClient` adds the era's standard
 mitigation for round-trip-bound workloads: **request pipelining**.  Its
 submit/gather API keeps up to ``window`` statements in flight; the network
 round trips of concurrent statements overlap on the virtual timeline while
 the server-side work still serializes (see
-:class:`~repro.relalg.backends.PipelinedTimeline`).  With ``window=1`` it
-degenerates to the serial client byte for byte — the E8 benchmark measures
-how the overlap closes the gap to the serialized-work floor.
+:class:`~repro.relalg.backends.PipelinedTimeline`).  It schedules the same
+per-wire-statement measurements the serial path charges, so with
+``window=1`` it degenerates to the serial client byte for byte — the E8
+benchmark measures how the overlap closes the gap to the serialized-work
+floor.
 """
 
 from __future__ import annotations
@@ -32,7 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.relalg.backends import PipelinedTimeline, SimulatedBackend
+from repro.relalg.backends import (
+    PipelinedTimeline,
+    SimulatedBackend,
+    StatementCost,
+)
 from repro.relalg.errors import ExecutionError
 from repro.relalg.rowset import ResultSet
 
@@ -57,6 +69,15 @@ class ClientCosts:
     #: Cost per bound parameter.
     per_param: float
 
+    def dispatch_seconds(self, statements: int, params: int) -> float:
+        """Send-side marshalling of ``statements`` wire statements binding
+        ``params`` parameters in total."""
+        return self.per_call * statements + self.per_param * params
+
+    def receive_seconds(self, rows: int) -> float:
+        """Receive-side marshalling of ``rows`` fetched result rows."""
+        return self.per_row * rows
+
 
 class DatabaseClient:
     """Base class of the two client API layers."""
@@ -77,15 +98,7 @@ class DatabaseClient:
         """Execute one statement through this client stack."""
         result = self.backend.execute(sql, params)
         rows = len(result.rows) if isinstance(result, ResultSet) else 0
-        overhead = (
-            self.costs.per_call
-            + self.costs.per_param * len(params)
-            + self.costs.per_row * rows
-        )
-        self.client_time += overhead
-        self.backend.clock.advance(overhead, kind="client")
-        self.calls += 1
-        self.rows_fetched += rows
+        self._charge(1, len(params), rows)
         return result
 
     def executemany(self, sql: str, param_rows: Iterable[Sequence[Any]]) -> int:
@@ -94,47 +107,36 @@ class DatabaseClient:
         The rows are handed to the backend's batched ``executemany`` (one
         virtual round trip per backend DML batch; SELECTs execute per row —
         they cannot be batched on the wire); the client stack charges its
-        per-call marshalling once per backend statement — one per batch for
-        DML, one per row for SELECT — plus the per-parameter binding cost and
-        the per-row fetch cost of every returned row.
+        marshalling for the wire statements the backend executed — per-call
+        once per statement, the binding cost of every parameter they shipped
+        and the fetch cost of every returned row — in one charge after the
+        backend's.
         """
-        rows = list(param_rows)
-        if not rows:
-            return 0
-        fetched_before = self.backend.rows_fetched
-        statements_before = self.backend.statements_executed
+        backend = self.backend
+        statements = backend.statements_executed
+        params = backend.params_shipped
+        fetched = backend.rows_fetched
         try:
-            total = self.backend.executemany(sql, rows)
+            return backend.executemany(sql, param_rows)
         finally:
-            # Charge the marshalling of whatever the backend actually
-            # applied — on a mid-batch failure earlier sub-batches have
-            # committed and advanced the clock, so the client must account
-            # for them too.
-            fetched = self.backend.rows_fetched - fetched_before
-            statements = self.backend.statements_executed - statements_before
-            if statements == 0:
-                # Nothing executed (e.g. the statement failed to parse):
-                # nothing was shipped, and ``sql`` may not even be valid, so
-                # don't re-parse it to classify the statement kind.
-                shipped: List[Sequence[Any]] = []
-            elif self.backend.database.is_select(sql):
-                # SELECTs execute per parameter row — one backend statement
-                # ships exactly one parameter row, so a mid-run failure must
-                # not charge the binding cost of rows that never went out.
-                shipped = rows[:statements]
-            else:
-                # DML ships one backend-sized batch per statement.
-                shipped = rows[: statements * self.backend.batch_size]
-            overhead = (
-                self.costs.per_call * statements
-                + self.costs.per_param * sum(len(params) for params in shipped)
-                + self.costs.per_row * fetched
+            # Also on a failure: the wire statements before it executed and
+            # advanced the clock, so their marshalling is charged too.
+            self._charge(
+                backend.statements_executed - statements,
+                backend.params_shipped - params,
+                backend.rows_fetched - fetched,
             )
-            self.client_time += overhead
-            self.backend.clock.advance(overhead, kind="client")
-            self.calls += statements
-            self.rows_fetched += fetched
-        return total
+
+    def _charge(self, statements: int, params: int, rows: int) -> None:
+        """Charge the marshalling of executed wire statements serially."""
+        overhead = (
+            self.costs.dispatch_seconds(statements, params)
+            + self.costs.receive_seconds(rows)
+        )
+        self.client_time += overhead
+        self.backend.clock.advance(overhead)
+        self.calls += statements
+        self.rows_fetched += rows
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """Execute a statement that must be a SELECT."""
@@ -203,12 +205,12 @@ class NativeClient(DatabaseClient):
     """A thin, C-like database driver."""
 
     api_name = "native"
+    #: Marshalling costs of the native stack; :class:`BridgedClient` scales
+    #: them.
+    COSTS = ClientCosts(per_call=1.5e-5, per_row=2.0e-6, per_param=5.0e-7)
 
     def __init__(self, backend: SimulatedBackend) -> None:
-        super().__init__(
-            backend,
-            ClientCosts(per_call=1.5e-5, per_row=2.0e-6, per_param=5.0e-7),
-        )
+        super().__init__(backend, self.COSTS)
 
 
 class PendingResult:
@@ -291,26 +293,25 @@ class AsyncClient:
             pending = PendingResult(sql, value, done=True)
             self._pending.append(pending)
             return pending
-        value, cost = self.client.backend.execute_pipelined(sql, params)
-        rows = len(value.rows) if isinstance(value, ResultSet) else 0
-        return self._schedule(sql, value, cost, len(params), rows)
+        value, cost = self.client.backend.send(sql, params)
+        return self._schedule(sql, value, cost, len(params))
 
-    def _schedule(self, sql, value, cost, bound_params, fetched_rows) -> PendingResult:
-        """Schedule one executed statement on the overlap timeline and charge
-        the client-side marshalling (shared by submit and executemany so both
-        paths always account under the same rule)."""
-        dispatch = (
-            self.client.costs.per_call
-            + self.client.costs.per_param * bound_params
-        )
-        receive = self.client.costs.per_row * fetched_rows
+    def _schedule(
+        self, sql: str, value: Any, cost: StatementCost, shipped: int
+    ) -> PendingResult:
+        """Schedule one executed wire statement on the overlap timeline and
+        charge the client-side marshalling of its ``shipped`` parameters and
+        fetched rows."""
+        costs = self.client.costs
+        fetched = cost.rows_returned
+        dispatch = costs.dispatch_seconds(1, shipped)
+        receive = costs.receive_seconds(fetched)
         slot = self.timeline.submit(
-            cost, dispatch_seconds=dispatch, receive_seconds=receive,
-            label=sql[:60],
+            cost, dispatch_seconds=dispatch, receive_seconds=receive
         )
         self.client.client_time += dispatch + receive
         self.client.calls += 1
-        self.client.rows_fetched += fetched_rows
+        self.client.rows_fetched += fetched
         pending = PendingResult(sql, value, slot=slot)
         self._pending.append(pending)
         return pending
@@ -346,11 +347,10 @@ class AsyncClient:
     def executemany(self, sql: str, param_rows: Iterable[Sequence[Any]]) -> int:
         """Pipelined counterpart of :meth:`DatabaseClient.executemany`.
 
-        DML parameter rows are split into backend-sized batches and each
-        batch's round trip joins the in-flight window; SELECT statements
-        (which execute per parameter row) are pipelined row by row.  Gathers
-        the pipeline before returning — also on a mid-batch failure, so the
-        clock always accounts for the batches that did commit.  With
+        Each wire statement of the backend's batching rule (one per DML
+        batch, one per SELECT parameter row) joins the in-flight window.
+        Gathers the pipeline before returning — also on a mid-batch failure,
+        so the clock always accounts for the batches that did commit.  With
         ``window=1`` this is the serial client's ``executemany`` verbatim.
         """
         rows = list(param_rows)
@@ -358,25 +358,12 @@ class AsyncClient:
             return 0
         if self.timeline is None:
             return self.client.executemany(sql, rows)
-        backend = self.client.backend
-        if backend.database.is_select(sql):
-            submitted: List[PendingResult] = []
-            try:
-                for params in rows:
-                    submitted.append(self.submit(sql, params))
-            finally:
-                self.gather()
-            return sum(len(pending.result().rows) for pending in submitted)
+        statements = self.client.backend.wire_statements(sql, rows)
         total = 0
         try:
-            for start in range(0, len(rows), backend.batch_size):
-                batch = rows[start:start + backend.batch_size]
-                affected, cost = backend.executemany_pipelined(sql, batch)
-                total += affected
-                self._schedule(
-                    sql, affected, cost,
-                    sum(len(params) for params in batch), cost.rows_returned,
-                )
+            for count, cost, shipped in statements:
+                self._schedule(sql, count, cost, shipped)
+                total += count
         finally:
             self.gather()
         return total
@@ -477,7 +464,7 @@ class BridgedClient(DatabaseClient):
     def __init__(self, backend: SimulatedBackend, slowdown: float = 3.0) -> None:
         if slowdown <= 1.0:
             raise ValueError("the bridged client must be slower than the native one")
-        native = ClientCosts(per_call=1.5e-5, per_row=2.0e-6, per_param=5.0e-7)
+        native = NativeClient.COSTS
         super().__init__(
             backend,
             ClientCosts(

@@ -132,12 +132,14 @@ _DepSnapshot = Tuple[Tuple[str, int], ...]
 class ExecutionSummary:
     """Cumulative statistics of every statement a database has executed.
 
-    ``select_stats`` is the field-by-field sum of every SELECT's
-    ``result.stats``: accumulated through the one merge rule
-    (:meth:`QueryStats.merge`), plus ``rows_returned``, which ``merge``
-    leaves out for subqueries.  It is a member rather than a base class:
-    ``merge`` also runs at every subquery reference, and a second receiver
-    type de-specializes its attribute accesses, which doubled their cost.
+    ``select_stats`` is the field-by-field sum of the read work of every
+    statement: each SELECT's ``result.stats`` and each DELETE's scan of its
+    table plus its subqueries, accumulated through the one merge rule
+    (:meth:`QueryStats.merge`), plus the SELECTs' ``rows_returned``, which
+    ``merge`` leaves out for subqueries.  It is a member rather than a base
+    class: ``merge`` also runs at every subquery reference, and a second
+    receiver type de-specializes its attribute accesses, which doubled their
+    cost.
     """
 
     statements: int = 0
@@ -170,6 +172,10 @@ class ExecutionSummary:
         self.selects += 1
         self.select_stats.merge(stats)
         self.select_stats.rows_returned += stats.rows_returned
+
+    def record_delete(self, stats: QueryStats) -> None:
+        self.statements += 1
+        self.select_stats.merge(stats)
 
     def record_insert(self, rows: int) -> None:
         self.statements += 1
@@ -1109,6 +1115,11 @@ class Database:
         collect: Optional[List[Tuple[Any, ...]]] = (
             [] if self._wal is not None and not self._wal_replaying else None
         )
+        # A DELETE reads every live row of its table — it decides each one
+        # before tombstoning any — so it is charged a full scan, per
+        # partition on partitioned tables, plus its subqueries' counters.
+        stats = QueryStats()
+        read = [partition.live_count for partition in table.partitions]
         if statement.where is None:
             deleted = table.delete_where(lambda row: True, collect=collect)
         else:
@@ -1138,13 +1149,19 @@ class Database:
                 self._delete_predicate_cache[id(statement)] = (
                     self._snapshot_deps(deps), statement, predicate_fn
                 )
-            ctx = ExecContext(list(params), QueryStats())
+            ctx = ExecContext(list(params), stats)
 
             def predicate(row: Tuple[Any, ...]) -> bool:
                 value = predicate_fn(row, ctx)
                 return bool(value) and value is not None
 
             deleted = table.delete_where(predicate, collect=collect)
+        stats.rows_scanned += sum(read)
+        if table.n_partitions > 1:
+            pscan = stats.partition_rows_scanned
+            for pid, count in enumerate(read):
+                if count:
+                    pscan[pid] = pscan.get(pid, 0) + count
         if collect:
             xid = self._txn.txn_id if self._txn is not None else 0
             self._wal_log(
@@ -1159,7 +1176,7 @@ class Database:
             )
             if self._txn is None:
                 self._maybe_autocheckpoint()
-        self.summary.record_other()
+        self.summary.record_delete(stats)
         return deleted
 
     # ------------------------------------------------------------------ #

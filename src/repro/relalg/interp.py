@@ -33,7 +33,7 @@ from repro.relalg.compile import (
     _negate,
 )
 from repro.relalg.errors import ExecutionError, SchemaError
-from repro.relalg.semantics import check_select
+from repro.relalg.semantics import check_select, resolve_order_by
 from repro.relalg.rowset import (
     QueryStats,
     ResultSet,
@@ -97,6 +97,15 @@ class InterpretedSelectExecutor:
         # (same analyzer, same SemanticError), so the reference engine and
         # the compiled engines stay differentially identical.
         check_select(statement, self.tables)
+        # Resolved before any row is read, exactly where the planner resolves
+        # it, so a bad ORDER BY raises the same error on an empty table.
+        order = (
+            resolve_order_by(
+                statement, self._output_columns(statement, bindings)
+            )
+            if statement.order_by
+            else []
+        )
         conjuncts = self._conjuncts(statement)
         rows = list(self._enumerate_rows(bindings, conjuncts))
 
@@ -105,8 +114,8 @@ class InterpretedSelectExecutor:
         else:
             columns, result_rows = self._project(statement, bindings, rows)
 
-        if statement.order_by:
-            result_rows = self._order(statement, rows, result_rows, columns)
+        if order:
+            result_rows = self._order(order, rows, result_rows)
 
         if statement.distinct:
             seen = set()
@@ -338,44 +347,22 @@ class InterpretedSelectExecutor:
 
     def _order(
         self,
-        statement: SelectStatement,
+        order: List[Tuple[Optional[int], SqlExpr, bool]],
         rows: List[RowEnv],
         result_rows: List[Tuple[Any, ...]],
-        columns: List[str],
     ) -> List[Tuple[Any, ...]]:
-        """Apply ORDER BY (output aliases, positions or source expressions)."""
-        lowered = [c.lower() for c in columns]
+        """Apply ORDER BY, resolved by :func:`resolve_order_by`: output
+        columns by index, anything else evaluated on the source row."""
 
         def key_for(position: int) -> Tuple:
-            keys = []
-            for item in statement.order_by:
-                value: Any = None
-                expr = item.expr
-                if isinstance(expr, ColumnRef) and expr.table is None and (
-                    expr.name.lower() in lowered
-                ):
-                    value = result_rows[position][lowered.index(expr.name.lower())]
-                elif isinstance(expr, Literal) and isinstance(expr.value, int):
-                    value = result_rows[position][expr.value - 1]
-                elif statement.is_aggregate_query:
-                    # `ORDER BY COUNT(*)` names no output column, but the
-                    # expression may be one of the output expressions
-                    # (position-insensitive structural equality).
-                    matched = None
-                    for index, out_item in enumerate(statement.items):
-                        if out_item.expr == expr:
-                            matched = index
-                            break
-                    if matched is None:
-                        raise ExecutionError(
-                            "ORDER BY of an aggregate query must reference "
-                            "output columns"
-                        )
-                    value = result_rows[position][matched]
-                else:
-                    value = self._eval(expr, rows[position])
-                keys.append(_SortKey(value, item.ascending))
-            return tuple(keys)
+            return tuple(
+                _SortKey(
+                    self._eval(expr, rows[position]) if index is None
+                    else result_rows[position][index],
+                    ascending,
+                )
+                for index, expr, ascending in order
+            )
 
         positions = sorted(range(len(result_rows)), key=key_for)
         return [result_rows[p] for p in positions]

@@ -99,7 +99,6 @@ from repro.relalg.sqlast import (
     FunctionExpr,
     InList,
     IsNull,
-    Literal,
     ScalarSubquery,
     SelectStatement,
     SqlExpr,
@@ -107,7 +106,12 @@ from repro.relalg.sqlast import (
     TableRef,
     UnaryOperation,
 )
-from repro.relalg.semantics import Analysis, RangeInterval, analyze_select
+from repro.relalg.semantics import (
+    Analysis,
+    RangeInterval,
+    analyze_select,
+    resolve_order_by,
+)
 from repro.relalg import storage
 from repro.relalg.storage import (
     Table,
@@ -1222,11 +1226,8 @@ def _plan_select(
         order_kind, payload, ascending = order_spec[0]
         slot: Optional[int] = None
         if order_kind == "col":
-            if identity:
-                slot = payload if 0 <= payload < layout.width else None
-            elif projection_slots is not None and (
-                0 <= payload < len(projection_slots)
-            ):
+            # resolve_order_by guarantees an index inside the select list.
+            if projection_slots is not None:
                 slot = projection_slots[payload]
         elif isinstance(statement.order_by[0].expr, ColumnRef):
             try:
@@ -1974,37 +1975,8 @@ def _compile_order(
     plan_subquery: SubqueryPlanner,
 ) -> List[Tuple[str, Any, bool]]:
     """Compile ORDER BY items: output-column positions or source-row closures."""
-    if not statement.order_by:
-        return []
-    lowered = [c.lower() for c in columns]
-    spec: List[Tuple[str, Any, bool]] = []
-    for item in statement.order_by:
-        expr = item.expr
-        if isinstance(expr, ColumnRef) and expr.table is None and (
-            expr.name.lower() in lowered
-        ):
-            spec.append(("col", lowered.index(expr.name.lower()), item.ascending))
-        elif isinstance(expr, Literal) and isinstance(expr.value, int):
-            spec.append(("col", expr.value - 1, item.ascending))
-        elif statement.is_aggregate_query:
-            # `ORDER BY COUNT(*)` names no output column, but the expression
-            # may *be* one of the output expressions (position-insensitive
-            # structural equality) — match those before rejecting.
-            matched: Optional[int] = None
-            for index, out_item in enumerate(statement.items):
-                if out_item.expr == expr:
-                    matched = index
-                    break
-            if matched is None:
-                raise ExecutionError(
-                    "ORDER BY of an aggregate query must reference output "
-                    "columns"
-                )
-            spec.append(("col", matched, item.ascending))
-        else:
-            spec.append((
-                "expr",
-                compile_row_expr(expr, layout, plan_subquery),
-                item.ascending,
-            ))
-    return spec
+    return [
+        ("col", index, ascending) if index is not None
+        else ("expr", compile_row_expr(expr, layout, plan_subquery), ascending)
+        for index, expr, ascending in resolve_order_by(statement, columns)
+    ]

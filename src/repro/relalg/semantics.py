@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.relalg.compile import _apply_binop
-from repro.relalg.errors import SemanticError
+from repro.relalg.errors import ExecutionError, SemanticError
 from repro.relalg.rowset import _is_true
 from repro.relalg.schema import ColumnType
 from repro.relalg.sqlast import (
@@ -82,6 +82,7 @@ __all__ = [
     "analyze_select",
     "check_select",
     "check_delete",
+    "resolve_order_by",
 ]
 
 
@@ -269,6 +270,55 @@ def check_delete(
     if analysis.errors:
         raise analysis.errors[0]
     return analysis
+
+
+def resolve_order_by(
+    statement: SelectStatement, columns: Sequence[str]
+) -> List[Tuple[Optional[int], SqlExpr, bool]]:
+    """Resolve the ORDER BY items against the output columns.
+
+    The one resolution rule, applied once per statement by every engine
+    before a row is read.  An item sorts by an output column when it is a
+    bare name of one (output names shadow source columns), a 1-based
+    position, or — in an aggregate query — an expression structurally equal
+    to a select-list item; otherwise it sorts by a source-row expression.
+    An aggregate query has no source rows left to sort by, and a position
+    must name a column, so anything else raises a typed
+    :class:`ExecutionError`, on a filled and on an empty table alike.
+
+    Returns ``(output index or None, expression, ascending)`` per item.
+    """
+    lowered = [column.lower() for column in columns]
+    resolved: List[Tuple[Optional[int], SqlExpr, bool]] = []
+    for item in statement.order_by:
+        expr = item.expr
+        index: Optional[int] = None
+        if isinstance(expr, ColumnRef) and expr.table is None and (
+            expr.name.lower() in lowered
+        ):
+            index = lowered.index(expr.name.lower())
+        elif isinstance(expr, Literal) and isinstance(expr.value, int):
+            if not 1 <= expr.value <= len(columns):
+                raise ExecutionError(
+                    f"ORDER BY position {expr.value} is not in the select "
+                    f"list (1..{len(columns)})"
+                )
+            index = expr.value - 1
+        elif statement.is_aggregate_query:
+            # `ORDER BY COUNT(*)` names no output column, but the expression
+            # may *be* one of the output expressions (position-insensitive
+            # structural equality) — match those before rejecting.
+            for position, out_item in enumerate(statement.items):
+                if out_item.expr == expr:
+                    index = position
+                    break
+            else:
+                raise ExecutionError(
+                    "ORDER BY of an aggregate query must reference output "
+                    "columns"
+                )
+        resolved.append((index, expr, item.ascending))
+    return resolved
 
 
 # --------------------------------------------------------------------------- #

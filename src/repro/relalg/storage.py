@@ -548,9 +548,6 @@ class TableIndex:
             return sum(counts)
         return max(counts, default=0)
 
-    def distinct_counts_per_partition(self) -> List[int]:
-        return [part.distinct_count() for part in self.parts]
-
     def __len__(self) -> int:
         return sum(len(part) for part in self.parts)
 
@@ -899,10 +896,6 @@ class Table:
             index.parts[pid].add(row[index.column_index], position)
         self.mutations += 1
         return position
-
-    def insert_mapping(self, mapping: Dict[str, Any]) -> int:
-        """Insert a row given as a column→value mapping."""
-        return self.insert(self.schema.row_from_mapping(mapping))
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
         """Validate and insert a batch of positional rows; returns the count.

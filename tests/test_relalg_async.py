@@ -2,7 +2,7 @@
 
 Covers the PR-4 contract:
 
-* the serial clock is now an explicit event timeline whose totals are
+* the serial clock keeps only its completion frontier, whose totals are
   byte-identical to the historical scalar accumulator;
 * ``AsyncClient`` at ``window=1`` is byte-identical to the serial client
   stack (the E2 fetch loop and the E6 bulk load are the anchors);
@@ -51,17 +51,6 @@ def fetch_ids(count, table_rows=64):
 
 
 class TestTimelineClock:
-    def test_advance_records_back_to_back_events(self):
-        clock = VirtualClock()
-        clock.advance(0.5, kind="statement", label="one")
-        clock.advance(0.25, kind="client")
-        assert [e.kind for e in clock.events] == ["statement", "client"]
-        assert clock.events[0].start == 0.0
-        assert clock.events[0].end == 0.5
-        assert clock.events[1].start == 0.5
-        assert clock.events[0].label == "one"
-        assert clock.elapsed == clock.events[-1].end
-
     def test_serial_totals_match_the_scalar_arithmetic(self):
         # The frontier accumulates with `elapsed += seconds`, exactly like
         # the pre-timeline scalar clock.
@@ -85,19 +74,6 @@ class TestTimelineClock:
         clock.advance(1.0)
         clock.reset()
         assert clock.elapsed == 0.0
-        assert clock.events == []
-
-    def test_event_trace_is_bounded(self):
-        from repro.relalg.backends import MAX_TIMELINE_EVENTS
-
-        clock = VirtualClock()
-        for _ in range(MAX_TIMELINE_EVENTS + 10):
-            clock.advance(1e-9)
-        # The trace keeps a recent-history window; the frontier keeps the
-        # full total regardless of compaction.
-        assert len(clock.events) <= MAX_TIMELINE_EVENTS
-        assert clock.events[-1].end == clock.elapsed
-        assert clock.elapsed == pytest.approx(1e-9 * (MAX_TIMELINE_EVENTS + 10))
 
 
 class TestStatementCost:
@@ -166,11 +142,9 @@ class TestPipelinedTimeline:
         clock = VirtualClock()
         timeline = PipelinedTimeline(clock, window=4)
         for _ in range(3):
-            timeline.submit(self._cost(), label="q")
+            timeline.submit(self._cost())
         elapsed = timeline.drain()
         assert clock.elapsed == elapsed
-        pipelined = [e for e in clock.events if e.kind == "pipelined"]
-        assert len(pipelined) == 3
         assert timeline.pending == 0
         assert timeline.drain() == elapsed
 

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.bench import identical_table_contents
 from repro.relalg import (
     BACKEND_PROFILES,
+    AsyncClient,
     BridgedClient,
     ExecutionError,
+    IntegrityError,
     NativeClient,
     SimulatedBackend,
     SqlSyntaxError,
@@ -231,3 +234,100 @@ class TestExecutemanyAccounting:
             client.executemany("SELEC x FROM t", [(1,), (2,)])
         assert client.calls == 0
         assert client.client_time == 0.0
+
+
+# --------------------------------------------------------------------------- #
+# the client stack charges what was shipped: serial ≡ depth-1 pipeline
+# --------------------------------------------------------------------------- #
+
+_INSERT = "INSERT INTO t (id, x) VALUES (?, ?)"
+
+
+def _execute(client):
+    for key in (3, 17, 42, 999):
+        client.execute("SELECT x FROM t WHERE id = ?", [key])
+    client.execute(_INSERT, [1000, 1.0])
+    client.execute("DELETE FROM t WHERE x > ?", [45.5])
+
+
+def _dml_executemany(client):
+    # 30 rows at batch size 7: batches of 7, 7, 7, 7 and 2 rows.
+    assert client.executemany(
+        _INSERT, [(100 + i, float(i)) for i in range(30)]
+    ) == 30
+
+
+def _select_executemany(client):
+    assert client.executemany(
+        "SELECT x FROM t WHERE id > ?", [(0,), (10,), (45,), (60,)]
+    ) == 50 + 40 + 5
+
+
+def _duplicate_in_third_batch(client):
+    rows = [(100 + i, float(i)) for i in range(20)]
+    rows[16] = (3, 0.0)  # a stored key, inside the third batch (rows 14-20)
+    with pytest.raises(IntegrityError):
+        client.executemany(_INSERT, rows)
+
+
+def _select_fails_on_fourth_row(client):
+    with pytest.raises(ExecutionError):
+        client.executemany(
+            "SELECT x FROM t WHERE id = ?", [(1,), (2,), (3,), (), (5,)]
+        )
+
+
+_SCENARIOS = [
+    pytest.param(_execute, id="execute"),
+    pytest.param(_dml_executemany, id="dml-executemany"),
+    pytest.param(_select_executemany, id="select-executemany"),
+    pytest.param(_duplicate_in_third_batch, id="duplicate-in-third-batch"),
+    pytest.param(_select_fails_on_fourth_row, id="select-fails-on-fourth-row"),
+]
+
+
+def _run(factory, scenario, window=None):
+    client = factory(SimulatedBackend(BACKEND_PROFILES["oracle7"], batch_size=7))
+    layer = client if window is None else AsyncClient(client, window=window)
+    layer.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x FLOAT)")
+    layer.executemany(_INSERT, [(i + 1, float(i)) for i in range(50)])
+    scenario(layer)
+    return layer
+
+
+class TestClientStackChargesWhatWasShipped:
+    """``DatabaseClient`` and ``AsyncClient`` schedule the same per-wire-
+    statement measurements: at window 1 every virtual time is bit for bit
+    the serial one, and at window 8 the work done is the same."""
+
+    @pytest.mark.parametrize("factory", [NativeClient, BridgedClient])
+    @pytest.mark.parametrize("scenario", _SCENARIOS)
+    def test_depth_one_pipeline_is_bit_identical(self, factory, scenario):
+        serial = _run(factory, scenario)
+        piped = _run(factory, scenario, window=1)
+        assert piped.elapsed.hex() == serial.elapsed.hex()
+        assert piped.client_time.hex() == serial.client_time.hex()
+        assert (piped.calls, piped.rows_fetched) == (
+            serial.calls, serial.rows_fetched
+        )
+
+    @pytest.mark.parametrize("factory", [NativeClient, BridgedClient])
+    @pytest.mark.parametrize("scenario", _SCENARIOS)
+    def test_deep_pipeline_ships_the_same_work(self, factory, scenario):
+        serial = _run(factory, scenario)
+        piped = _run(factory, scenario, window=8)
+        assert piped.in_flight == 0
+        assert (piped.calls, piped.rows_fetched) == (
+            serial.calls, serial.rows_fetched
+        )
+        assert piped.backend.params_shipped == serial.backend.params_shipped
+        assert identical_table_contents(
+            serial.backend.database, piped.backend.database
+        )
+
+    def test_executemany_charges_the_shipped_parameters(self):
+        serial = _run(NativeClient, _duplicate_in_third_batch)
+        # Setup: CREATE (0 parameters) and 50 rows in 8 batches; then two
+        # full batches of the failing run committed before the third raised.
+        assert serial.backend.statements_executed == 1 + 8 + 2
+        assert serial.backend.params_shipped == 2 * (50 + 14)

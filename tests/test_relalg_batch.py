@@ -315,7 +315,8 @@ class TestBackendBatchCosts:
 
     def test_delete_is_not_charged_insert_costs(self):
         # Regression: DELETE returns an affected-row count, which must not be
-        # mistaken for inserted rows by the cost model.
+        # mistaken for inserted rows by the cost model.  It is charged the
+        # ten rows it reads.
         simulated = backend("oracle7")
         simulated.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
         simulated.executemany("INSERT INTO t (id) VALUES (?)", [(i,) for i in range(10)])
@@ -325,6 +326,70 @@ class TestBackendBatchCosts:
         assert simulated.rows_inserted == inserted_before
         assert simulated.elapsed - before == pytest.approx(
             simulated.profile.round_trip
+            + 10 * simulated.profile.per_scanned_row
+        )
+
+
+class TestDeleteReadsAreCharged:
+    """A DELETE decides every live row of its table, so it is counted and
+    charged a full scan of it — per partition on partitioned tables — plus
+    its subqueries' counters, exactly what a SELECT with the same WHERE
+    clause reads."""
+
+    def _loaded(self, rows=200, **options):
+        simulated = backend("oracle7", **options)
+        simulated.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x FLOAT)")
+        simulated.executemany(
+            "INSERT INTO t (id, x) VALUES (?, ?)",
+            [(i, float(i)) for i in range(rows)],
+        )
+        return simulated
+
+    @pytest.mark.parametrize(
+        "where,params",
+        [
+            ("x > ?", [150.5]),
+            ("x = (SELECT MIN(x) FROM t)", []),
+        ],
+        ids=["predicate", "subquery"],
+    )
+    def test_delete_reads_what_the_equivalent_select_reads(self, where, params):
+        simulated = self._loaded()
+        stats = simulated.query(f"SELECT COUNT(*) FROM t WHERE {where}", params).stats
+        summary = simulated.database.summary
+        scanned, subqueries = summary.rows_scanned, summary.select_stats.subqueries
+        before = simulated.elapsed
+        simulated.execute(f"DELETE FROM t WHERE {where}", params)
+        assert summary.rows_scanned - scanned == stats.rows_scanned
+        assert summary.select_stats.subqueries - subqueries == stats.subqueries
+        profile = simulated.profile
+        assert simulated.elapsed - before == pytest.approx(
+            profile.round_trip + stats.rows_scanned * profile.per_scanned_row
+        )
+
+    def test_delete_without_where_reads_every_live_row(self):
+        simulated = self._loaded()
+        simulated.execute("DELETE FROM t WHERE x < ?", [50])
+        scanned = simulated.database.summary.rows_scanned
+        simulated.execute("DELETE FROM t")
+        assert simulated.database.summary.rows_scanned - scanned == 150
+
+    def test_partitioned_delete_is_charged_its_makespan(self):
+        simulated = self._loaded(rows=400, n_partitions=4, parallelism=4)
+        summary = simulated.database.summary
+        table = simulated.database.table("t")
+        loads = [partition.live_count for partition in table.partitions]
+        partitions = dict(summary.partition_rows_scanned)
+        before = simulated.elapsed
+        simulated.execute("DELETE FROM t WHERE x > ?", [10])
+        assert {
+            pid: count - partitions.get(pid, 0)
+            for pid, count in summary.partition_rows_scanned.items()
+        } == dict(enumerate(loads))
+        makespan = max(max(loads), -(-sum(loads) // 4))
+        assert simulated.elapsed - before == pytest.approx(
+            simulated.profile.round_trip
+            + makespan * simulated.profile.per_scanned_row
         )
 
 

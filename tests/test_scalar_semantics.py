@@ -20,6 +20,8 @@ same typed error message:
 * aggregates nested under IS NULL, IN, COALESCE or a scalar function,
   which the analyzer rejects before any row, over a filled and an empty
   table;
+* ORDER BY items, resolved once per statement by one rule before any row,
+  over a filled and an empty table;
 * a seeded evaluation-order fuzzer over random single-table statements.
 """
 
@@ -394,6 +396,85 @@ class TestNestedAggregatesRejected:
         )
         # On the empty table SUM(x) is NULL, so HAVING drops the one group.
         assert outcome[2] == (("(8, 33.0, 8.0, -32.0)",) if filled else ())
+
+
+# --------------------------------------------------------------------------- #
+# ORDER BY resolution: one rule, before any row
+# --------------------------------------------------------------------------- #
+
+_AGGREGATE_ORDER_ERROR = (
+    "error",
+    "ExecutionError",
+    "ORDER BY of an aggregate query must reference output columns",
+)
+
+
+class TestOrderByResolution:
+    """Every engine resolves ORDER BY through ``resolve_order_by`` once per
+    statement, so an item that names no output column of an aggregate
+    query, or a position outside the select list, raises the same typed
+    error whether or not the table holds a row."""
+
+    @pytest.mark.parametrize("engine", list(_ENGINES))
+    @pytest.mark.parametrize("filled", [True, False], ids=["filled", "empty"])
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            pytest.param(
+                "SELECT g, SUM(x) FROM t GROUP BY g ORDER BY ABS(SUM(x))",
+                id="grouped",
+            ),
+            pytest.param(
+                "SELECT SUM(x) FROM t ORDER BY ABS(SUM(x))", id="ungrouped"
+            ),
+        ],
+    )
+    def test_aggregate_order_by_off_the_select_list_raises(
+        self, sql, filled, engine
+    ):
+        with _database(engine, _THREE if filled else []) as database:
+            assert _outcome(database, sql, []) == _AGGREGATE_ORDER_ERROR
+
+    @pytest.mark.parametrize(
+        "sql,filled_rows,empty_rows",
+        [
+            pytest.param(
+                "SELECT g, SUM(x) FROM t GROUP BY g ORDER BY SUM(x) DESC",
+                ("(2, 3.0)", "(1, 1.0)"), (),
+                id="grouped",
+            ),
+            pytest.param(
+                "SELECT g, SUM(x) FROM t GROUP BY g ORDER BY 2 DESC",
+                ("(2, 3.0)", "(1, 1.0)"), (),
+                id="grouped-position",
+            ),
+            pytest.param(
+                "SELECT SUM(x) FROM t ORDER BY SUM(x)", ("(4.0,)",),
+                ("(None,)",), id="ungrouped",
+            ),
+        ],
+    )
+    def test_order_by_a_select_list_aggregate_sorts(
+        self, sql, filled_rows, empty_rows
+    ):
+        assert _agreed(sql)[2] == filled_rows
+        assert _agreed(sql, rows=[])[2] == empty_rows
+
+    @pytest.mark.parametrize("engine", list(_ENGINES))
+    @pytest.mark.parametrize("filled", [True, False], ids=["filled", "empty"])
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_order_by_position_outside_the_select_list_raises(
+        self, position, filled, engine
+    ):
+        with _database(engine, _THREE if filled else []) as database:
+            assert _outcome(
+                database, f"SELECT id, x FROM t ORDER BY {position}", []
+            ) == (
+                "error",
+                "ExecutionError",
+                f"ORDER BY position {position} is not in the select list "
+                "(1..2)",
+            )
 
 
 # --------------------------------------------------------------------------- #
