@@ -6,13 +6,17 @@ and writes ``BENCH_relalg.json`` (wall time + QueryStats per scenario), so the
 performance trajectory of the relational substrate is tracked from PR to PR:
 
 * **A1** — index ablation on the medium "scalable" scenario: full COSY
-  pushdown analysis with and without the generated foreign-key indexes.  The
-  compiled engine's :class:`QueryStats` are asserted byte-identical to the
-  seed (interpreted) engine on both variants.
+  pushdown analysis with and without the generated foreign-key indexes, and
+  ``single_key`` — the indexes minus the three timing tables' ``Run_id``
+  ones, so every timing subquery probes its owner index alone (the work
+  before index probes intersected several keys).  The compiled engine's
+  :class:`QueryStats` are asserted byte-identical to the seed (interpreted)
+  engine on every variant.
 * **A2** — ASL reference interpreter (compiled closures) vs. generated SQL on
   the small mixed scenario, with a severity-identity check between the paths.
 * **E3** — client-side vs. pushdown work distribution on the medium scenario:
-  virtual elapsed time advantage, plus the wall-time speedup of the compiled
+  virtual elapsed time advantage (and the pushdown's virtual time on the
+  ``single_key`` schema of A1), plus the wall-time speedup of the compiled
   engine over the seed executor on the pushdown path (the PR's headline
   number; property SQL is precompiled so the measurement isolates query
   execution, exactly as the A2 pytest benchmark does).
@@ -98,19 +102,31 @@ def _summary_fingerprint(database) -> dict:
     }
 
 
+#: The timing tables whose ``Run_id`` index the ``single_key`` variants drop.
+_TIMING_TABLES = ("TotalTiming", "TypedTiming", "CallTiming")
+
+
 def _pushdown_setup(scenario, backend_name, with_indexes, engine,
-                    n_partitions=1, parallelism=1):
+                    n_partitions=1, parallelism=1, single_key=False):
     """Load a backend and precompile the pushdown strategy (not measured).
 
     The wall-time measurements below time :meth:`CosyAnalyzer.analyze` only —
     the repeated per-query work the plan cache and compiled expressions
     target — not the one-time data load (E1's concern) or the one-time
     ASL→SQL property compilation (reported separately by A2).
+
+    ``single_key`` drops the timing tables' ``Run_id`` indexes after the
+    load, before any statement is planned: each timing subquery then probes
+    its owner index alone and filters the run, as every engine did before
+    index probes intersected all indexed equality conjuncts.
     """
     client, ids = load_into_backend(
         scenario, backend_name, with_indexes=with_indexes, engine=engine,
         n_partitions=n_partitions, parallelism=parallelism,
     )
+    if single_key:
+        for name in _TIMING_TABLES:
+            client.backend.database.table(name).drop_index("Run_id")
     strategy = PushdownStrategy(
         scenario.specification, scenario.mapping, client, ids
     )
@@ -121,12 +137,17 @@ def _pushdown_setup(scenario, backend_name, with_indexes, engine,
 
 def bench_a1(scenario, repeats: int, failures: list) -> dict:
     report: dict = {}
-    for with_indexes, key in ((True, "indexed"), (False, "full_scan")):
+    for with_indexes, single_key, key in (
+        (True, False, "indexed"),
+        (True, True, "single_key"),
+        (False, False, "full_scan"),
+    ):
         fingerprints = {}
         instances = {}
         for engine in ("compiled", "interpreted"):
             client, strategy = _pushdown_setup(
-                scenario, "ms_access", with_indexes, engine
+                scenario, "ms_access", with_indexes, engine,
+                single_key=single_key,
             )
             result = scenario.analyzer.analyze(strategy=strategy)
             fingerprints[engine] = _summary_fingerprint(client.backend.database)
@@ -144,7 +165,8 @@ def bench_a1(scenario, repeats: int, failures: list) -> dict:
                 f"{fingerprints}"
             )
         _, timed_strategy = _pushdown_setup(
-            scenario, "ms_access", with_indexes, "compiled"
+            scenario, "ms_access", with_indexes, "compiled",
+            single_key=single_key,
         )
         wall = _wall(
             lambda: scenario.analyzer.analyze(strategy=timed_strategy),
@@ -202,6 +224,11 @@ def bench_e3(scenario, repeats: int, failures: list) -> dict:
                                                  "compiled")
     push_client.backend.reset_clock()
     scenario.analyzer.analyze(strategy=push_strategy)
+    single_client, single_strategy = _pushdown_setup(
+        scenario, "oracle7", True, "compiled", single_key=True
+    )
+    single_client.backend.reset_clock()
+    scenario.analyzer.analyze(strategy=single_strategy)
     fetch_client, ids = load_into_backend(scenario, "oracle7", engine="compiled")
     fetch_strategy = ClientSideStrategy(
         scenario.specification, client=fetch_client, ids=ids
@@ -234,6 +261,10 @@ def bench_e3(scenario, repeats: int, failures: list) -> dict:
             "rows_transferred": push_client.rows_fetched,
             "statements": push_strategy.statements_issued,
             "plan_cache": push_client.plan_cache_info(),
+        },
+        "pushdown_single_key": {
+            "virtual_s": round(single_client.elapsed, 6),
+            "statements": single_strategy.statements_issued,
         },
         "client": {
             "virtual_s": round(fetch_client.elapsed, 6),
@@ -1099,8 +1130,11 @@ def main(argv=None) -> int:
     a1 = report["scenarios"]["A1_index_ablation"]
     print(f"wrote {output}")
     print(f"A1  scan reduction (indexed vs full scan): "
-          f"{a1['scan_reduction']}x, stats identical to seed: "
-          f"{a1['indexed']['stats_identical_to_seed'] and a1['full_scan']['stats_identical_to_seed']}")
+          f"{a1['scan_reduction']}x; rows scanned indexed "
+          f"{a1['indexed']['query_stats']['rows_scanned']} vs single-key "
+          f"{a1['single_key']['query_stats']['rows_scanned']}; stats "
+          f"identical to seed: "
+          f"{all(a1[key]['stats_identical_to_seed'] for key in ('indexed', 'single_key', 'full_scan'))}")
     print(f"A2  interpreter {report['scenarios']['A2_interp_vs_sql']['interpreter_wall_s']}s "
           f"vs SQL {report['scenarios']['A2_interp_vs_sql']['sql_wall_s']}s")
     print(f"E3  pushdown virtual advantage: {e3['virtual_advantage']}x; "

@@ -355,6 +355,10 @@ def compile_row_expr(
         return lambda row, ctx: _negate(operand(row, ctx), expr)
     if isinstance(expr, BinaryOperation):
         op = expr.op
+        if op is BinaryOperator.OR:
+            member_fn = _compile_literal_or_set(expr, layout)
+            if member_fn is not None:
+                return member_fn
         left = compile_row_expr(expr.left, layout, plan_subquery)
         right = compile_row_expr(expr.right, layout, plan_subquery)
         if op is BinaryOperator.AND:
@@ -411,6 +415,65 @@ def compile_row_expr(
     if isinstance(expr, Star):
         raise ExecutionError("'*' is only valid in SELECT lists and COUNT(*)")
     raise ExecutionError(f"unsupported expression {expr!r}")
+
+
+def _literal_class(value: Any) -> Optional[str]:
+    """The type class of a literal a hashed OR-set may hold (``None``: the
+    literal cannot join one — NULL, NaN, or neither a number nor a string)."""
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, (bool, int, float)) and value == value:
+        return "number"
+    return None
+
+
+def _compile_literal_or_set(
+    expr: BinaryOperation, layout: SlotLayout
+) -> Optional[RowFn]:
+    """An OR-chain of ``col = literal`` terms as one hashed membership test.
+
+    Applies when every leaf of the flattened OR tree equates the same slot
+    with a literal (either side), and the literals share one type class
+    (:func:`_literal_class`); returns ``None`` for any other shape.
+    ``row[slot] in frozenset(literals)`` returns exactly the bool the chain
+    of ``=`` closures returns: ``True`` when some literal equals the value
+    (membership uses the same ``==``, and equal numbers hash alike), and
+    ``False`` for NULL, which the chain's UNKNOWN leaves also give.  No leaf
+    can raise, so no error is lost; columns resolve in leaf order, so an
+    unknown column raises the chain's first error.
+    """
+    leaves: List[SqlExpr] = []
+    pending: List[SqlExpr] = [expr]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, BinaryOperation) and node.op is BinaryOperator.OR:
+            pending.append(node.right)
+            pending.append(node.left)
+        else:
+            leaves.append(node)
+    terms: List[Tuple[ColumnRef, Any]] = []
+    for leaf in leaves:
+        if not (
+            isinstance(leaf, BinaryOperation) and leaf.op is BinaryOperator.EQ
+        ):
+            return None
+        if isinstance(leaf.left, ColumnRef) and isinstance(leaf.right, Literal):
+            terms.append((leaf.left, leaf.right.value))
+        elif isinstance(leaf.right, ColumnRef) and isinstance(
+            leaf.left, Literal
+        ):
+            terms.append((leaf.right, leaf.left.value))
+        else:
+            return None
+    classes = {_literal_class(value) for _ref, value in terms}
+    if len(classes) != 1 or None in classes:
+        return None
+    slots = {layout.resolve(ref) for ref, _value in terms}
+    if len(slots) != 1:
+        return None
+    slot = slots.pop()
+    members = frozenset(value for _ref, value in terms)
+    return lambda row, ctx: row[slot] in members
 
 
 def _compile_scalar_function(

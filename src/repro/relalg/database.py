@@ -804,7 +804,7 @@ class Database:
         """A human-readable execution plan of one SELECT statement.
 
         Reports the join order, the access path chosen per binding (with the
-        probe column), partition layout and pruning, residual filter counts
+        probed columns), partition layout and pruning, residual filter counts
         and the plan-time cardinality estimates — for the outer plan and,
         nested, for every scalar subquery.  A trailing ``analysis:`` section
         lists the plan-time semantic findings: conjuncts rewritten by
@@ -874,6 +874,7 @@ class Database:
 
             counted = copy.copy(level)
             counted.filters = level.filters + [count]
+            counted.fallback_filters = level.fallback_filters + [count]
             instrumented.append(counted)
         probe = _dataclass_replace(plan, levels=instrumented)
         stats = QueryStats()

@@ -3,7 +3,8 @@
 This is the engine the repository seeded with: it re-walks the SQL AST for
 every row — :meth:`_eval` dispatches on node type per predicate per row, the
 required-bindings sets are recomputed at every join level and joins are
-nested loops with at best a single-column index probe.
+nested loops with at best an index probe per level (every indexed equality
+conjunct of the level, their buckets intersected — the planner's rule).
 
 It is kept, unchanged in semantics, for two reasons:
 
@@ -17,7 +18,12 @@ It is kept, unchanged in semantics, for two reasons:
 
 One bug of the seed is fixed in both engines: pending predicates are
 partitioned by node *identity* rather than structural equality, so duplicate
-conjuncts (``WHERE a = 1 AND a = 1``) are each filed exactly once.
+conjuncts (``WHERE a = 1 AND a = 1``) are each filed exactly once.  And the
+access rule both engines share changed once: a level's index probe takes
+every indexed equality conjunct (see :meth:`_index_probe`), evaluates each
+key once per probe and lets its errors raise — the seed skipped a probe
+whose key raised, and so returned ``[]`` on an empty table where the
+compiled engine raised.
 """
 
 from __future__ import annotations
@@ -191,20 +197,28 @@ class InterpretedSelectExecutor:
             ]
             applicable_ids = {id(p) for p in applicable}
             later = [p for p in pending if id(p) not in applicable_ids]
-            # Try an index lookup driven by an equality predicate.
-            index_plan = self._index_probe(
-                table, binding, applicable, env, bindings, bound - {binding}
+            # Try an index probe driven by the equality predicates.
+            probe = self._index_probe(
+                table, binding, applicable, bindings, bound - {binding}
             )
-            if index_plan is not None:
-                column, value, used = index_plan
-                # NULL and NaN probe keys never match, exactly as the scan
-                # path's `=` filter decides; every engine shares this rule.
-                candidates: Iterable[Tuple[Any, ...]] = (
-                    () if matches_nothing(value)
-                    else table.lookup(column, value)
-                )
-                self.stats.index_lookups += 1
-                filters = [p for p in applicable if p is not used]
+            if probe:
+                # Every key is evaluated once per probe, in conjunct order,
+                # and its errors raise; NULL and NaN keys never match,
+                # exactly as the scan path's `=` filter decides (every
+                # engine shares this rule).
+                keys = []
+                for column, key_expr, _used in probe:
+                    keys.append((column, self._eval(key_expr, env)))
+                    self.stats.index_lookups += 1
+                candidates: Iterable[Tuple[Any, ...]] = ()
+                if not any(matches_nothing(key) for _column, key in keys):
+                    candidates = [
+                        row
+                        for _pid, rows in table.probe_chunks(keys)
+                        for row in rows
+                    ]
+                used_ids = {id(used) for _column, _key_expr, used in probe}
+                filters = [p for p in applicable if id(p) not in used_ids]
             else:
                 candidates = table.scan()
                 filters = applicable
@@ -222,11 +236,20 @@ class InterpretedSelectExecutor:
         table: Table,
         binding: str,
         predicates: List[SqlExpr],
-        env: RowEnv,
         bindings: List[Tuple[str, Table]],
         already_bound: set,
-    ) -> Optional[Tuple[str, Any, SqlExpr]]:
-        """Find an equality predicate usable as an index probe on ``table``."""
+    ) -> List[Tuple[str, SqlExpr, SqlExpr]]:
+        """The equality predicates one index probe on ``table`` consumes.
+
+        The first equality predicate on an indexed column of ``binding``
+        whose other side is computable from the already bound rows, then
+        every later one on a *different* indexed column; a second predicate
+        on an already-probed column stays a filter.  Returns ``(column, key
+        expression, predicate)`` triples in predicate order (empty: no
+        probe).
+        """
+        keys: List[Tuple[str, SqlExpr, SqlExpr]] = []
+        probed = set()
         for predicate in predicates:
             if not (
                 isinstance(predicate, BinaryOperation)
@@ -248,12 +271,11 @@ class InterpretedSelectExecutor:
                 # The other side must be computable from the already bound rows.
                 if not self._required_bindings(other, bindings) <= already_bound:
                     continue
-                try:
-                    value = self._eval(other, env)
-                except ExecutionError:
-                    continue
-                return this.name, value, predicate
-        return None
+                if this.name.lower() not in probed:
+                    probed.add(this.name.lower())
+                    keys.append((this.name, other, predicate))
+                break
+        return keys
 
     def _required_bindings(
         self, expr: SqlExpr, bindings: List[Tuple[str, Table]]

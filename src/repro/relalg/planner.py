@@ -32,9 +32,10 @@ key, see :mod:`repro.relalg.storage`):
 
 1. :class:`IndexProbe` — an equality conjunct ``col = expr`` where ``col`` is
    an indexed column of this binding and ``expr`` is computable from the
-   levels already bound.  A probe on the table's partition column (the
-   single-column primary key) is *partition-pruned*: it touches exactly one
-   partition's local index.
+   levels already bound, plus every later such conjunct on a different
+   indexed column: one probe intersects their index buckets.  A probe with
+   a key on the table's partition column (the single-column primary key)
+   is *partition-pruned*: it touches exactly one partition's local indexes.
 2. :class:`HashJoinBuild` — an equality conjunct joining an *unindexed*
    column of this binding to an expression over already-bound levels: the
    table is scanned partition by partition once per execution into a
@@ -68,7 +69,9 @@ from dataclasses import dataclass, field
 from heapq import merge as _heap_merge, nsmallest
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.relalg.compile import (
     BatchPredicate,
@@ -167,41 +170,61 @@ class PartitionScan(AccessPath):
 
 
 class IndexProbe(AccessPath):
-    """Equality probe into a per-partition hash index.
+    """Equality probe into per-partition hash indexes, on one or more columns.
 
-    ``pruned`` marks probes on the partition column: they touch exactly one
-    partition.  ``fallback`` is the compiled probe predicate, applied as a
-    plain filter if the index disappears behind the plan cache's back
-    (direct ``Table.drop_index`` calls bypass the schema epochs).
+    ``keys`` holds one ``(column, compiled key)`` pair per indexed equality
+    conjunct the probe consumes, in conjunct order (see
+    :func:`_probe_keys`); several keys intersect their buckets
+    (:meth:`~repro.relalg.storage.Table.probe_chunks`).  Every key is
+    evaluated once per probe and counts one index lookup; a NULL or NaN key
+    matches nothing.  ``pruned`` marks probes with a key on the partition
+    column: they touch exactly one partition.  If a probed index disappears
+    behind the plan cache's back (direct ``Table.drop_index`` calls bypass
+    the schema epochs), the level scans and applies its conjuncts in their
+    original order (:attr:`_Level.fallback_filters`).
     """
 
-    __slots__ = ("column", "key", "fallback", "pruned")
+    __slots__ = ("keys", "columns", "pruned")
     kind = "index-probe"
 
-    def __init__(
-        self, column: str, key: RowFn, fallback: RowFn, pruned: bool
-    ) -> None:
-        self.column = column
-        self.key = key
-        self.fallback = fallback
+    def __init__(self, keys: List[Tuple[str, RowFn]], pruned: bool) -> None:
+        self.keys = keys
+        self.columns = [column for column, _key in keys]
         self.pruned = pruned
 
     def open(self, level, index, row, ctx):
         table = level.table
-        table_index = table.indexes.get(self.column)
-        if table_index is None:
-            # Stale plan (index dropped directly on the table): scan and
-            # re-apply the probe predicate as a filter.
-            return table.scan_chunks(), level.filters + [self.fallback]
-        key = self.key(row, ctx)
-        ctx.stats.index_lookups += 1
-        if matches_nothing(key):
+        indexes = table.indexes
+        if len(self.keys) == 1 and table.n_partitions == 1:
+            # The hot single-partition one-key probe, without the partition
+            # routing.
+            column, key_fn = self.keys[0]
+            table_index = indexes.get(column)
+            if table_index is None:
+                return table.scan_chunks(), level.fallback_filters
+            key = key_fn(row, ctx)
+            ctx.stats.index_lookups += 1
+            if matches_nothing(key):
+                return (), level.filters
+            matches = table_index.parts[0].live_rows(
+                key, table.partitions[0].rows
+            )
+            return ((None, matches),), level.filters
+        for column in self.columns:
+            if column not in indexes:
+                return table.scan_chunks(), level.fallback_filters
+        stats = ctx.stats
+        keys = []
+        nothing = False
+        for column, key_fn in self.keys:
+            key = key_fn(row, ctx)
+            stats.index_lookups += 1
+            if matches_nothing(key):
+                nothing = True
+            keys.append((column, key))
+        if nothing:
             return (), level.filters
-        if table.n_partitions > 1:
-            return table.probe_chunks(self.column, key), level.filters
-        # The hot single-partition probe, without the partition routing.
-        matches = table_index.parts[0].live_rows(key, table.partitions[0].rows)
-        return ((None, matches),), level.filters
+        return table.probe_chunks(keys), level.filters
 
 
 class HashJoinBuild(AccessPath):
@@ -236,15 +259,16 @@ class RangeProbe(AccessPath):
     """Bisect an ordered index's sorted runs with a sargable range predicate.
 
     ``lo``/``hi`` are the compiled bound expressions (``None`` = unbounded on
-    that side), ``lo_incl``/``hi_incl`` their inclusivity.  ``fallbacks``
-    are the compiled source conjuncts, re-applied as plain filters when the
+    that side), ``lo_incl``/``hi_incl`` their inclusivity.  When the
     ordered index disappears behind the plan cache's back or a bound's
-    runtime type class cannot be compared against the stored column — the
-    filtered scan then reproduces the reference engine's per-row semantics
-    (including its typed comparison errors).
+    runtime type class cannot be compared against the stored column, the
+    level scans and applies its conjuncts in their original order
+    (:attr:`_Level.fallback_filters`) — the filtered scan then reproduces
+    the reference engine's per-row semantics, including which typed error
+    it raises first.
     """
 
-    __slots__ = ("column", "lo", "lo_incl", "hi", "hi_incl", "fallbacks")
+    __slots__ = ("column", "lo", "lo_incl", "hi", "hi_incl")
     kind = "range-probe"
 
     def __init__(
@@ -254,14 +278,12 @@ class RangeProbe(AccessPath):
         lo_incl: bool,
         hi: Optional[RowFn],
         hi_incl: bool,
-        fallbacks: List[RowFn],
     ) -> None:
         self.column = column
         self.lo = lo
         self.lo_incl = lo_incl
         self.hi = hi
         self.hi_incl = hi_incl
-        self.fallbacks = fallbacks
 
     def open(self, level, index, row, ctx):
         table = level.table
@@ -285,7 +307,7 @@ class RangeProbe(AccessPath):
         # incomparable with the stored column: the filtered scan reproduces
         # the reference engine's per-row semantics, comparison errors
         # included.
-        return table.scan_chunks(), level.filters + self.fallbacks
+        return table.scan_chunks(), level.fallback_filters
 
 
 _SCAN = PartitionScan()
@@ -296,7 +318,7 @@ class _Level:
 
     __slots__ = (
         "binding", "table", "offset", "end", "access", "filters", "estimate",
-        "filter_exprs", "key_ast",
+        "filter_exprs", "key_ast", "fallback_filters",
     )
 
     def __init__(
@@ -310,6 +332,7 @@ class _Level:
         estimate: float,
         filter_exprs: Optional[List[SqlExpr]] = None,
         key_ast: Optional[SqlExpr] = None,
+        fallback_filters: Optional[List[RowFn]] = None,
     ) -> None:
         self.binding = binding
         self.table = table
@@ -322,15 +345,26 @@ class _Level:
         #: Source ASTs of ``filters`` — the plain-data form :func:`lower_plan`
         #: lowers into a :class:`PlanSpec` (compiled closures do not pickle).
         self.filter_exprs = filter_exprs if filter_exprs is not None else []
-        #: Source AST of the probe key expression (probe access paths only).
+        #: Source AST of the hash-join probe key expression.
         self.key_ast = key_ast
+        #: Every conjunct of the level — the ones the access path consumed
+        #: and ``filters`` — compiled, in their original conjunct order: what
+        #: a probe whose index or bound turned unusable applies to a full
+        #: scan instead, so the scan raises the reference engine's errors in
+        #: the reference engine's order.
+        self.fallback_filters = (
+            fallback_filters if fallback_filters is not None else filters
+        )
 
     @property
     def access_column(self) -> Optional[str]:
-        """The column the access path probes or builds on (``None`` for scans)."""
+        """The column(s) the access path probes or builds on (``None`` for
+        scans); a multi-key index probe lists its columns in key order."""
         access = self.access
         if type(access) is HashJoinBuild:
             return self.table.schema.columns[access.col_index].name.lower()
+        if type(access) is IndexProbe:
+            return ", ".join(access.columns)
         return getattr(access, "column", None)
 
 
@@ -1542,23 +1576,24 @@ def _residual_selectivity(
 # -- join ordering and access-path selection -------------------------------- #
 
 
-def _probe_candidate(
+def _probe_candidates(
     table: Table,
     binding: str,
     predicates: List[SqlExpr],
     already_bound: Set[str],
     bindings: List[Tuple[str, Table]],
     indexed: bool,
-) -> Optional[Tuple[str, SqlExpr, SqlExpr]]:
-    """First equality conjunct usable as a probe on ``table``.
+) -> Iterator[Tuple[str, SqlExpr, SqlExpr]]:
+    """The equality conjuncts usable as a probe on ``table``, in order.
 
-    ``indexed=True`` looks for an index probe (mirroring the interpreted
-    engine's choice exactly); ``indexed=False`` looks for a hash-join probe:
+    ``indexed=True`` looks for index probes (mirroring the interpreted
+    engine's choice exactly); ``indexed=False`` looks for hash-join probes:
     an *unindexed* column equated with an expression over at least one
     already-bound binding (a constant equality stays a plain filter — hashing
     a whole table to probe it with one constant would only reshuffle work).
 
-    Returns ``(column_name, key_expression, predicate)`` or ``None``.
+    Yields ``(column_name, key_expression, predicate)``, at most once per
+    predicate.
     """
     for predicate in predicates:
         if not (
@@ -1584,8 +1619,52 @@ def _probe_candidate(
                 continue
             if not indexed and not other_required:
                 continue
-            return this.name, other, predicate
-    return None
+            yield this.name, other, predicate
+            break
+
+
+def _probe_candidate(
+    table: Table,
+    binding: str,
+    predicates: List[SqlExpr],
+    already_bound: Set[str],
+    bindings: List[Tuple[str, Table]],
+    indexed: bool,
+) -> Optional[Tuple[str, SqlExpr, SqlExpr]]:
+    """The first of :func:`_probe_candidates`, or ``None``."""
+    return next(
+        _probe_candidates(
+            table, binding, predicates, already_bound, bindings, indexed
+        ),
+        None,
+    )
+
+
+def _probe_keys(
+    table: Table,
+    binding: str,
+    predicates: List[SqlExpr],
+    already_bound: Set[str],
+    bindings: List[Tuple[str, Table]],
+) -> List[Tuple[str, SqlExpr, SqlExpr]]:
+    """Every ``(column_name, key_expression, predicate)`` one index probe
+    consumes, in conjunct order.
+
+    The first is :func:`_probe_candidate`'s choice; after it come the later
+    equality conjuncts on a *different* indexed column of ``binding`` whose
+    other side is already bound.  A second conjunct on an already-probed
+    column stays a filter.  The interpreted engine's ``_index_probe``
+    applies the same rule, so both engines probe (and count) alike.
+    """
+    keys: List[Tuple[str, SqlExpr, SqlExpr]] = []
+    probed: Set[str] = set()
+    for column, key_expr, predicate in _probe_candidates(
+        table, binding, predicates, already_bound, bindings, indexed=True
+    ):
+        if column.lower() not in probed:
+            probed.add(column.lower())
+            keys.append((column, key_expr, predicate))
+    return keys
 
 
 _RANGE_OPERATORS = frozenset(
@@ -1776,25 +1855,29 @@ def _plan_levels(
         pending = [p for p in pending if id(p) not in applied_ids]
 
         table_stats = statistics[binding]
-        probe = _probe_candidate(
-            table, binding, applicable, bound - {binding},
-            bindings, indexed=True,
+        probe_keys = _probe_keys(
+            table, binding, applicable, bound - {binding}, bindings
         )
         access: AccessPath
         key_ast: Optional[SqlExpr] = None
-        if probe is not None:
-            column, key_expr, used = probe
-            key_ast = key_expr
+        consumed: List[SqlExpr] = []
+        if probe_keys:
             access = IndexProbe(
-                column.lower(),
-                compile_row_expr(key_expr, layout, plan_subquery),
-                compile_row_expr(used, layout, plan_subquery),
-                pruned=(
-                    table.n_partitions > 1
-                    and column.lower() == table.partition_column
+                [
+                    (column.lower(),
+                     compile_row_expr(key_expr, layout, plan_subquery))
+                    for column, key_expr, _used in probe_keys
+                ],
+                pruned=table.n_partitions > 1 and any(
+                    column.lower() == table.partition_column
+                    for column, _key_expr, _used in probe_keys
                 ),
             )
-            filters = [p for p in applicable if p is not used]
+            consumed = [used for _column, _key_expr, used in probe_keys]
+            # Costed as the first key's probe, the later keys as the
+            # residual filters they were before the probe consumed them:
+            # the join order and EXPLAIN's estimates stay what they were.
+            column, _key_expr, used = probe_keys[0]
             estimate = _probe_estimate(
                 table_stats, column, indexed=True
             ) * _residual_selectivity(
@@ -1805,7 +1888,7 @@ def _plan_levels(
                 table, binding, applicable, bound - {binding}, bindings
             )
         ) is not None:
-            column, lo_expr, lo_incl, hi_expr, hi_incl, used_list = found
+            column, lo_expr, lo_incl, hi_expr, hi_incl, consumed = found
             access = RangeProbe(
                 column,
                 (
@@ -1818,17 +1901,11 @@ def _plan_levels(
                     if hi_expr is not None else None
                 ),
                 hi_incl,
-                [
-                    compile_row_expr(p, layout, plan_subquery)
-                    for p in used_list
-                ],
             )
-            used_ids = {id(p) for p in used_list}
-            filters = [p for p in applicable if id(p) not in used_ids]
             estimate = _range_probe_estimate(
                 table_stats, column, intervals.get((binding, column))
             ) * _residual_selectivity(
-                applicable, used_list, interval_index[binding], table_stats
+                applicable, consumed, interval_index[binding], table_stats
             )
         else:
             probe = _probe_candidate(
@@ -1842,7 +1919,7 @@ def _plan_levels(
                     table.schema.column_index(column),
                     compile_row_expr(key_expr, layout, plan_subquery),
                 )
-                filters = [p for p in applicable if p is not used]
+                consumed = [used]
                 estimate = _probe_estimate(
                     table_stats, column, indexed=False
                 ) * _residual_selectivity(
@@ -1850,11 +1927,18 @@ def _plan_levels(
                 )
             else:
                 access = _SCAN
-                filters = applicable
                 estimate = table_stats.row_count * _residual_selectivity(
                     applicable, None, interval_index[binding], table_stats
                 )
 
+        conjunct_fns = [
+            compile_row_expr(p, layout, plan_subquery) for p in applicable
+        ]
+        consumed_ids = {id(p) for p in consumed}
+        residual = [
+            position for position, p in enumerate(applicable)
+            if id(p) not in consumed_ids
+        ]
         offset, end = layout.range_of(binding)
         levels.append(
             _Level(
@@ -1863,12 +1947,11 @@ def _plan_levels(
                 offset=offset,
                 end=end,
                 access=access,
-                filters=[
-                    compile_row_expr(p, layout, plan_subquery) for p in filters
-                ],
+                filters=[conjunct_fns[position] for position in residual],
                 estimate=estimate,
-                filter_exprs=list(filters),
+                filter_exprs=[applicable[position] for position in residual],
                 key_ast=key_ast,
+                fallback_filters=conjunct_fns,
             )
         )
 

@@ -315,6 +315,45 @@ class HashIndex:
         return sum(len(positions) for positions in self._buckets.values())
 
 
+def _probe_partition(
+    parts_of: Sequence[List[HashIndex]],
+    keys: Sequence[Tuple[str, Any]],
+    pid: int,
+    rows: List[Optional[Tuple[Any, ...]]],
+) -> List[Tuple[Any, ...]]:
+    """The live rows of partition ``pid`` whose positions lie in the bucket
+    of every key, in position order.
+
+    ``parts_of[i]`` are the per-partition indexes of ``keys[i]``'s column.
+    Several keys walk the smallest bucket and keep the positions present in
+    all the others.  Buckets iterate in ascending position (see
+    :meth:`HashIndex.restore`), so the result is ordered exactly like a
+    filtered read of any one of the buckets.
+    """
+    if len(keys) == 1:
+        return parts_of[0][pid].live_rows(keys[0][1], rows)
+    buckets: List[Dict[int, None]] = []
+    for parts, (_column, key) in zip(parts_of, keys):
+        bucket = parts[pid]._buckets.get(key)
+        if not bucket:
+            return []
+        buckets.append(bucket)
+    buckets.sort(key=len)
+    smallest = buckets[0]
+    if len(buckets) == 2:
+        other = buckets[1]
+        return [
+            stored for position in smallest
+            if position in other and (stored := rows[position]) is not None
+        ]
+    others = buckets[1:]
+    return [
+        stored for position in smallest
+        if all(position in bucket for bucket in others)
+        and (stored := rows[position]) is not None
+    ]
+
+
 #: Sentinel greater than any partition-local position; ``(value, _AFTER_LAST)``
 #: sorts after every real ``(value, position)`` run entry.
 _AFTER_LAST = float("inf")
@@ -1207,35 +1246,46 @@ class Table:
         return [row for row in rows if row is not None]
 
     def probe_chunks(
-        self, column: str, key: Any
+        self, keys: Sequence[Tuple[str, Any]]
     ) -> Optional[List[Tuple[Optional[int], List[Tuple[Any, ...]]]]]:
-        """Indexed equality probe, pruned to one partition when possible.
+        """Indexed equality probe on one or more columns, pruned to one
+        partition when possible.
 
-        Returns ``(partition_id, matching live rows)`` pairs (``None`` ids
-        on a single-partition table, see :meth:`scan_chunks`), or ``None``
-        when no index exists on ``column`` (the caller falls back to a
-        filtered scan).  A probe on the partition column touches exactly one
-        partition; any other indexed column probes every partition's local
-        index.
+        ``keys`` are ``(column, key)`` pairs; a row matches when every
+        column equals its key.  Returns ``(partition_id, matching live
+        rows)`` pairs (``None`` ids on a single-partition table, see
+        :meth:`scan_chunks`), or ``None`` when some column has no index (the
+        caller falls back to a filtered scan).  Several keys intersect their
+        buckets per partition (:func:`_probe_partition`), so the rows
+        come out in position order — exactly the rows, in the order, that
+        filtering the first key's bucket by the other keys would keep.  A
+        key on the partition column touches exactly one partition; otherwise
+        every partition's local indexes are probed.
         """
-        table_index = self.indexes.get(column.lower())
-        if table_index is None:
-            return None
+        parts_of: List[List[HashIndex]] = []
+        for column, _key in keys:
+            table_index = self.indexes.get(column.lower())
+            if table_index is None:
+                return None
+            parts_of.append(table_index.parts)
         # NB: a NULL key is a legitimate bucket lookup here (secondary
         # indexes store NULL entries; ``Table.lookup`` relies on it) — the
         # no-match-on-NULL semantics of ``=`` probes live in the executor.
-        multi = self.n_partitions > 1
-        if multi and column.lower() == self.partition_column:
-            pids: Iterable[int] = (self.partition_of_key(key),)
-        else:
-            pids = range(self.n_partitions)
+        if self.n_partitions == 1:
+            matches = _probe_partition(parts_of, keys, 0, self.partitions[0].rows)
+            return [(None, matches)] if matches else []
+        pids: Iterable[int] = range(self.n_partitions)
+        for column, key in keys:
+            if column.lower() == self.partition_column:
+                pids = (self.partition_of_key(key),)
+                break
         chunks: List[Tuple[Optional[int], List[Tuple[Any, ...]]]] = []
         for pid in pids:
-            matches = table_index.parts[pid].live_rows(
-                key, self.partitions[pid].rows
+            matches = _probe_partition(
+                parts_of, keys, pid, self.partitions[pid].rows
             )
             if matches:
-                chunks.append((pid if multi else None, matches))
+                chunks.append((pid, matches))
         return chunks
 
     def range_chunks(
@@ -1294,7 +1344,7 @@ class Table:
 
     def lookup(self, column: str, value: Any) -> Iterator[Tuple[Any, ...]]:
         """Rows whose ``column`` equals ``value`` (uses the index when present)."""
-        chunks = self.probe_chunks(column, value)
+        chunks = self.probe_chunks(((column, value),))
         if chunks is not None:
             for _pid, matches in chunks:
                 yield from matches

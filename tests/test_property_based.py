@@ -194,8 +194,13 @@ class TestSqlFilterEquivalence:
 # only the returned-row counter is compared.  A ``vectorized=False``
 # compiled database at ``n_partitions=1`` additionally pins the columnar
 # batch path byte-identical (rows and full QueryStats) to row-at-a-time.
+# The multi-key axis runs every multi-key statement kind (two and three
+# indexed equality conjuncts on one binding, at the driving and an inner
+# level, NULL/parameter/subquery keys, a duplicated column) per seed under
+# the same oracle.
 
 _FUZZ_CASES = 200
+_MULTI_KEY_FUZZ_CASES = 100
 _FUZZ_PARTITION_COUNTS = (1, 4, 7)
 _FUZZ_STRINGS = ["alpha", "beta", "gamma", None]
 
@@ -214,6 +219,10 @@ def _random_schema(rng):
         "CREATE TABLE m (id INTEGER PRIMARY KEY, g INTEGER, x FLOAT,"
         " s VARCHAR, o FLOAT)",
         "CREATE TABLE r (id INTEGER PRIMARY KEY, m_id INTEGER, v FLOAT)",
+        # Always present, so the multi-key statements below always meet two
+        # indexed columns of ``m`` (the primary key and ``s``); no other
+        # generated statement has an equality on ``s``.
+        "CREATE INDEX idx_m_s ON m (s)",
     ]
     if rng.random() < 0.5:
         ddl.append("CREATE INDEX idx_m_g ON m (g)")
@@ -397,6 +406,62 @@ def _random_select(rng):
     )
 
 
+#: Multi-key statement kinds: two or three equality conjuncts on indexed
+#: columns of one binding, which one index probe consumes together (their
+#: buckets intersected).  ``m.id`` and ``m.s`` are always indexed; ``m.g``
+#: and ``r.m_id`` are when the seeded DDL created their indexes.
+_MULTI_KEY_KINDS = (
+    "primary_and_secondary", "two_secondary", "three_keys",
+    "duplicated_column", "subquery_key", "inner_level",
+)
+
+
+def _random_multi_key_select(rng, kind):
+    """One (sql, params) pair of a multi-key kind; every ORDER BY totally
+    orders the rows.  Keys are parameters (sometimes NULL), a scalar
+    subquery (NULL over an empty selection) or outer-level columns."""
+    string = rng.choice(_FUZZ_STRINGS)
+    group = rng.choice([None, 0, 1, 2, 3])
+    if kind == "primary_and_secondary":
+        # The primary key prunes to one partition; ``s`` narrows within it.
+        return (
+            "SELECT id, g, s FROM m WHERE id = ? AND s = ? ORDER BY id",
+            [rng.randint(0, 26), string],
+        )
+    if kind == "two_secondary":
+        return (
+            f"SELECT id, x FROM m WHERE g = ? AND s = ? "
+            f"ORDER BY id{rng.choice(['', ' DESC'])}",
+            [group, string],
+        )
+    if kind == "three_keys":
+        return (
+            "SELECT id, o FROM m WHERE s = ? AND id > ? AND g = ? AND id = ? "
+            "ORDER BY id",
+            [string, rng.randint(-1, 5), group, rng.randint(0, 26)],
+        )
+    if kind == "duplicated_column":
+        # The second conjunct on ``g`` stays a filter.
+        return (
+            "SELECT id FROM m WHERE g = ? AND s = ? AND g = ? ORDER BY id",
+            [group, string, rng.choice([group, rng.randint(0, 3)])],
+        )
+    if kind == "subquery_key":
+        return (
+            "SELECT id, s FROM m WHERE s = ? "
+            "AND g = (SELECT MIN(m_id) FROM r WHERE v > ?) ORDER BY id",
+            [string, round(rng.uniform(0.0, 110.0), 3)],
+        )
+    # An inner join level probed on ``r.m_id`` (when indexed) and the
+    # primary key at once, both keys bound from the outer row (``m.g`` may
+    # be NULL).
+    return (
+        "SELECT m.id, r.id, r.v FROM m, r "
+        "WHERE m.s = ? AND r.m_id = m.id AND r.id = m.g ORDER BY m.id, r.id",
+        [string],
+    )
+
+
 def _rows_equivalent(got_rows, expected_rows) -> bool:
     """Row equality up to float-addition associativity.
 
@@ -463,66 +528,102 @@ def _assert_identical_rejection(databases, seed, sql):
     assert len(messages) == 1, (seed, sql, messages)
 
 
+def _assert_engines_agree(seed, sql, params, compiled, rowwise, interpreted):
+    """The engine-differential oracle for one statement: identical results
+    at every partition count, byte-identical rows and QueryStats between
+    the vectorized and row-at-a-time compiled engines, and QueryStats
+    identical to the interpreted reference wherever the plan does the
+    reference's physical work.  Returns the single-partition plan."""
+    single = compiled[1]
+    _assert_analyzer_accepts(sql, single.tables, seed)
+    plan = plan_select(parse_sql(sql), single.tables)
+    uses_hash_join = any(
+        level["access"] == "hash-probe" for level in plan.describe()
+    )
+    uses_ordered_index = plan.index_order is not None or any(
+        level["access"] == "range-probe" for level in plan.describe()
+    )
+    expected = interpreted.query(sql, params)
+    got = None
+    for parts, database in compiled.items():
+        result = database.query(sql, params)
+        assert result.columns == expected.columns, (sql, parts)
+        if parts == 1:
+            # The single-partition engine scans in the reference
+            # engine's order: results must be identical to the bit.
+            assert result.rows == expected.rows, (sql, parts)
+            got = result
+        else:
+            assert _rows_equivalent(result.rows, expected.rows), (sql, parts)
+    # The vectorized default must be invisible: the row-at-a-time
+    # compiled engine returns byte-identical rows AND QueryStats at the
+    # same partition count (the columnar path does the same logical
+    # work, only batched).
+    row_result = rowwise.query(sql, params)
+    assert row_result.columns == got.columns, sql
+    assert row_result.rows == got.rows, sql
+    assert row_result.stats == got.stats, sql
+    if uses_hash_join or uses_ordered_index or not plan.follows_syntactic_order:
+        # The seed engine has no hash joins, no statistics-driven join
+        # reordering, and no ordered indexes; on those plans the
+        # compiled engine does strictly different physical work (range
+        # probes bisect, index-order pushdown stops early), so only the
+        # result-side counter is comparable.  The rowwise-vs-vectorized
+        # assertion above still pins full QueryStats across compiled
+        # modes — range probes and pushdown are mode-independent.
+        assert got.stats.rows_returned == expected.stats.rows_returned
+    else:
+        assert got.stats == expected.stats, sql
+    return plan
+
+
+def _assert_plans_stayed_cached(compiled, rowwise):
+    """No DDL ran after the warm-up, so every cached plan stayed valid:
+    one miss per distinct SQL text, never a re-miss from invalidation."""
+    for database in list(compiled.values()) + [rowwise]:
+        info = database.plan_cache_info()
+        assert info["misses"] == info["size"]
+
+
 def _run_engine_differential_case(seed):
     """One engine-differential case: compiled (at every partition count)
     against the interpreted reference, shared by the corpus replay and the
     random exploration."""
     rng = random.Random(seed)
     compiled, rowwise, interpreted = _random_databases(rng)
-    single = compiled[1]
     for _ in range(4):
         sql, params = _random_select(rng)
-        _assert_analyzer_accepts(sql, single.tables, seed)
-        plan = plan_select(parse_sql(sql), single.tables)
-        uses_hash_join = any(
-            level["access"] == "hash-probe" for level in plan.describe()
-        )
-        uses_ordered_index = plan.index_order is not None or any(
-            level["access"] == "range-probe" for level in plan.describe()
-        )
-        expected = interpreted.query(sql, params)
-        got = None
-        for parts, database in compiled.items():
-            result = database.query(sql, params)
-            assert result.columns == expected.columns, (sql, parts)
-            if parts == 1:
-                # The single-partition engine scans in the reference
-                # engine's order: results must be identical to the bit.
-                assert result.rows == expected.rows, (sql, parts)
-                got = result
-            else:
-                assert _rows_equivalent(result.rows, expected.rows), (sql, parts)
-        # The vectorized default must be invisible: the row-at-a-time
-        # compiled engine returns byte-identical rows AND QueryStats at the
-        # same partition count (the columnar path does the same logical
-        # work, only batched).
-        row_result = rowwise.query(sql, params)
-        assert row_result.columns == got.columns, sql
-        assert row_result.rows == got.rows, sql
-        assert row_result.stats == got.stats, sql
-        if uses_hash_join or uses_ordered_index or not plan.follows_syntactic_order:
-            # The seed engine has no hash joins, no statistics-driven join
-            # reordering, and no ordered indexes; on those plans the
-            # compiled engine does strictly different physical work (range
-            # probes bisect, index-order pushdown stops early), so only the
-            # result-side counter is comparable.  The rowwise-vs-vectorized
-            # assertion above still pins full QueryStats across compiled
-            # modes — range probes and pushdown are mode-independent.
-            assert got.stats.rows_returned == expected.stats.rows_returned
-        else:
-            assert got.stats == expected.stats, sql
-    # No DDL ran after the warm-up, so every cached plan stayed valid:
-    # one miss per distinct SQL text, never a re-miss from invalidation.
+        _assert_engines_agree(seed, sql, params, compiled, rowwise, interpreted)
     # (This must precede the rejection oracle: a rejected statement counts a
     # plan-cache miss without ever caching a plan.)
-    for database in list(compiled.values()) + [rowwise]:
-        info = database.plan_cache_info()
-        assert info["misses"] == info["size"]
+    _assert_plans_stayed_cached(compiled, rowwise)
     _assert_identical_rejection(
         list(compiled.values()) + [rowwise, interpreted],
         seed,
         _MISTYPED_POOL[seed % len(_MISTYPED_POOL)],
     )
+
+
+def _run_multi_key_case(seed):
+    """Every multi-key statement kind once, on the seed's random schema,
+    under the engine-differential oracle.  Drawn after the schema from the
+    same generator, so the main cases' statement streams (and the corpus
+    they replay) are untouched.  The always-indexed ``id``/``s`` pair makes
+    sure the probe really intersects in every case."""
+    rng = random.Random(seed)
+    compiled, rowwise, interpreted = _random_databases(rng)
+    multi_key_levels = 0
+    for kind in _MULTI_KEY_KINDS:
+        sql, params = _random_multi_key_select(rng, kind)
+        plan = _assert_engines_agree(
+            seed, sql, params, compiled, rowwise, interpreted
+        )
+        multi_key_levels += sum(
+            level["access"] == "index-probe" and "," in level["column"]
+            for level in plan.describe()
+        )
+    assert multi_key_levels >= 1, seed
+    _assert_plans_stayed_cached(compiled, rowwise)
 
 
 # --------------------------------------------------------------------------- #
@@ -709,6 +810,10 @@ class TestEngineDifferentialFuzzer:
     @pytest.mark.parametrize("seed", range(_FUZZ_CASES))
     def test_compiled_and_interpreted_engines_agree(self, seed):
         _run_engine_differential_case(seed)
+
+    @pytest.mark.parametrize("seed", range(_MULTI_KEY_FUZZ_CASES))
+    def test_multi_key_probes_agree(self, seed):
+        _run_multi_key_case(seed)
 
 
 class TestExecutorDifferentialFuzzer:

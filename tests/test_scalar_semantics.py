@@ -22,6 +22,9 @@ same typed error message:
   table;
 * ORDER BY items, resolved once per statement by one rule before any row,
   over a filled and an empty table;
+* index probes: a probe that falls back to a scan applies its level's
+  conjuncts in their original order, and probe keys raise their errors
+  before any row, over a filled and an empty table;
 * a seeded evaluation-order fuzzer over random single-table statements.
 """
 
@@ -475,6 +478,133 @@ class TestOrderByResolution:
                 f"ORDER BY position {position} is not in the select list "
                 "(1..2)",
             )
+
+
+# --------------------------------------------------------------------------- #
+# index probes: fallbacks in conjunct order, probe keys that raise
+# --------------------------------------------------------------------------- #
+
+#: One row whose ``1 / b`` divides by zero: a statement over it raises
+#: unless a conjunct evaluated earlier rejects the row.
+_PROBE_ROW = (1, 2, 0, 5)
+
+
+def _probe_database(engine, indexes, rows):
+    database = Database(**_ENGINES[engine])
+    database.execute(
+        "CREATE TABLE p (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, "
+        "c INTEGER)"
+    )
+    for column, suffix in indexes:
+        database.execute(f"CREATE INDEX p_{column} ON p ({column}){suffix}")
+    database.executemany(
+        "INSERT INTO p (id, a, b, c) VALUES (?, ?, ?, ?)", rows
+    )
+    database.execute(_U_DDL)
+    database.executemany("INSERT INTO u (id, k) VALUES (?, ?)", [(1, 2), (2, 3)])
+    return database
+
+
+def _agreed_probe(sql, params=(), indexes=(), dropped=(), rows=(_PROBE_ROW,)):
+    """The one result or error every engine gives ``sql``, after the
+    ``dropped`` indexes were dropped directly on the table.
+
+    The compiled engines run the statement once before the drop, so the
+    second run executes the cached plan, whose probe falls back to a scan.
+    Counters are left out: that scan and the reference engine's probe on a
+    remaining index do different work, by design.
+    """
+    outcomes = {}
+    for engine in _ENGINES:
+        with _probe_database(engine, indexes, list(rows)) as database:
+            if dropped:
+                _outcome(database, sql, list(params))
+                for column in dropped:
+                    database.table("p").drop_index(column)
+            outcomes[engine] = _outcome(database, sql, list(params))[:3]
+            if dropped and engine != "interpreted":
+                assert database.plan_cache_info()["hits"] == 1, engine
+    assert len(set(outcomes.values())) == 1, (sql, params, outcomes)
+    return outcomes["interpreted"]
+
+
+_NO_ROWS = ("rows", ("id",), ())
+_ZERO_DIVISION = ("error", "ExecutionError", "division by zero in 1 / b")
+
+
+class TestProbeFallbackOrder:
+    """A probe that cannot use its index scans the table and applies the
+    level's conjuncts in their original order, so it raises what the
+    reference engine raises, and only when the reference engine does."""
+
+    def test_range_probe_with_an_incomparable_bound(self):
+        assert _agreed_probe(
+            "SELECT id FROM p WHERE a > ? AND 1 / b > 0", ["x"],
+            indexes=[("a", " ORDERED")],
+        ) == (
+            "error", "ExecutionError",
+            "cannot compare 2 and 'x': '>' not supported between instances "
+            "of 'int' and 'str' in a > ?",
+        )
+
+    def test_hash_probe_whose_index_was_dropped(self):
+        assert _agreed_probe(
+            "SELECT id FROM p WHERE a = 1 AND 1 / b > 0",
+            indexes=[("a", "")], dropped=["a"],
+        ) == _NO_ROWS
+
+    @pytest.mark.parametrize("dropped", ["c", "a"])
+    def test_multi_key_probe_with_one_index_dropped(self, dropped):
+        assert _agreed_probe(
+            "SELECT id FROM p WHERE c = 6 AND 1 / b > 0 AND a = 2",
+            indexes=[("a", ""), ("c", "")], dropped=[dropped],
+        ) == _NO_ROWS
+
+    @pytest.mark.parametrize(
+        "sql,params,indexes,dropped",
+        [
+            pytest.param("SELECT id FROM p WHERE 1 / b > 0 AND a > ?", ["x"],
+                         [("a", " ORDERED")], [], id="range"),
+            pytest.param("SELECT id FROM p WHERE 1 / b > 0 AND a = 1", [],
+                         [("a", "")], ["a"], id="hash"),
+            pytest.param(
+                "SELECT id FROM p WHERE 1 / b > 0 AND c = 6 AND a = 2", [],
+                [("a", ""), ("c", "")], ["c"], id="multi-key",
+            ),
+        ],
+    )
+    def test_residual_filter_written_first_raises_everywhere(
+        self, sql, params, indexes, dropped
+    ):
+        assert _agreed_probe(
+            sql, params, indexes=indexes, dropped=dropped
+        ) == _ZERO_DIVISION
+
+
+class TestProbeKeyErrors:
+    """Every probe key is evaluated once per probe, before any row is read,
+    and its error raises on every engine — whether the table holds rows or
+    not, and whether an earlier key's bucket is empty or not."""
+
+    @pytest.mark.parametrize("rows", [[_PROBE_ROW], []], ids=["filled", "empty"])
+    def test_a_subquery_key_that_raises(self, rows):
+        assert _agreed_probe(
+            "SELECT id FROM p WHERE a = (SELECT k FROM u)",
+            indexes=[("a", "")], rows=rows,
+        ) == (
+            "error", "ExecutionError",
+            "scalar subquery returned 2 row(s) × 1 column(s)",
+        )
+
+    @pytest.mark.parametrize("first", [7, 2], ids=["empty-bucket", "match"])
+    def test_every_key_is_evaluated(self, first):
+        assert _agreed_probe(
+            "SELECT id FROM p WHERE a = ? AND b = ?", [first],
+            indexes=[("a", ""), ("b", "")],
+        ) == (
+            "error", "ExecutionError",
+            "statement uses 2 parameter(s) but only 1 were supplied",
+        )
 
 
 # --------------------------------------------------------------------------- #
