@@ -16,10 +16,10 @@ processor count into Apprentice-style summary data.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.datamodel.entities import RegionKind
+from repro.records import Record
 
 __all__ = [
     "CommPattern",
@@ -60,8 +60,7 @@ class CommPattern(enum.Enum):
     BROADCAST = "broadcast"
 
 
-@dataclass
-class CallSpec:
+class CallSpec(Record):
     """A call site inside a region.
 
     Attributes
@@ -81,13 +80,23 @@ class CallSpec:
         Coefficient of variation of the per-process *call count*.
     """
 
-    callee: str
-    calls_per_pe: float = 1.0
-    time_per_call: float = 1e-4
-    imbalance: float = 0.0
-    count_imbalance: float = 0.0
+    __slots__ = (
+        "callee", "calls_per_pe", "time_per_call", "imbalance", "count_imbalance",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        callee: str,
+        calls_per_pe: float = 1.0,
+        time_per_call: float = 1e-4,
+        imbalance: float = 0.0,
+        count_imbalance: float = 0.0,
+    ) -> None:
+        self.callee = callee
+        self.calls_per_pe = calls_per_pe
+        self.time_per_call = time_per_call
+        self.imbalance = imbalance
+        self.count_imbalance = count_imbalance
         if self.calls_per_pe < 0:
             raise WorkloadError("CallSpec.calls_per_pe must be >= 0")
         if self.time_per_call < 0:
@@ -96,8 +105,7 @@ class CallSpec:
             raise WorkloadError("CallSpec imbalance values must be >= 0")
 
 
-@dataclass
-class RegionSpec:
+class RegionSpec(Record):
     """One program region and its performance-relevant behaviour.
 
     Work is expressed in seconds of useful computation on a single processor
@@ -105,25 +113,50 @@ class RegionSpec:
     among the processes of a run.
     """
 
-    name: str
-    kind: RegionKind = RegionKind.BASIC_BLOCK
-    work: float = 0.0
-    serial_fraction: float = 0.0
-    imbalance: float = 0.0
-    barriers: int = 0
-    comm_pattern: CommPattern = CommPattern.NONE
-    comm_time: float = 0.0
-    io_time: float = 0.0
-    io_parallel: bool = True
-    fp_fraction: float = 0.55
-    int_fraction: float = 0.20
-    children: List["RegionSpec"] = field(default_factory=list)
-    calls: List[CallSpec] = field(default_factory=list)
-    source_file: str = ""
-    first_line: int = 0
-    last_line: int = 0
+    __slots__ = (
+        "name", "kind", "work", "serial_fraction", "imbalance", "barriers",
+        "comm_pattern", "comm_time", "io_time", "io_parallel", "fp_fraction",
+        "int_fraction", "children", "calls", "source_file", "first_line",
+        "last_line",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        kind: RegionKind = RegionKind.BASIC_BLOCK,
+        work: float = 0.0,
+        serial_fraction: float = 0.0,
+        imbalance: float = 0.0,
+        barriers: int = 0,
+        comm_pattern: CommPattern = CommPattern.NONE,
+        comm_time: float = 0.0,
+        io_time: float = 0.0,
+        io_parallel: bool = True,
+        fp_fraction: float = 0.55,
+        int_fraction: float = 0.20,
+        children: Optional[List["RegionSpec"]] = None,
+        calls: Optional[List[CallSpec]] = None,
+        source_file: str = "",
+        first_line: int = 0,
+        last_line: int = 0,
+    ) -> None:
+        self.name = name
+        self.kind = kind
+        self.work = work
+        self.serial_fraction = serial_fraction
+        self.imbalance = imbalance
+        self.barriers = barriers
+        self.comm_pattern = comm_pattern
+        self.comm_time = comm_time
+        self.io_time = io_time
+        self.io_parallel = io_parallel
+        self.fp_fraction = fp_fraction
+        self.int_fraction = int_fraction
+        self.children = [] if children is None else children
+        self.calls = [] if calls is None else calls
+        self.source_file = source_file
+        self.first_line = first_line
+        self.last_line = last_line
         if self.work < 0:
             raise WorkloadError(f"region {self.name!r}: work must be >= 0")
         if not 0.0 <= self.serial_fraction <= 1.0:
@@ -176,14 +209,14 @@ class RegionSpec:
         raise KeyError(f"no region named {name!r} below {self.name!r}")
 
 
-@dataclass
-class FunctionSpec:
+class FunctionSpec(Record):
     """A subprogram of the synthetic application."""
 
-    name: str
-    body: RegionSpec
+    __slots__ = ("name", "body")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, body: RegionSpec) -> None:
+        self.name = name
+        self.body = body
         if self.body.kind not in (RegionKind.SUBPROGRAM, RegionKind.PROGRAM):
             # The body region represents the whole function.
             self.body.kind = RegionKind.SUBPROGRAM
@@ -193,8 +226,7 @@ class FunctionSpec:
         return self.body.walk()
 
 
-@dataclass
-class WorkloadSpec:
+class WorkloadSpec(Record):
     """A complete synthetic application.
 
     Attributes
@@ -214,13 +246,24 @@ class WorkloadSpec:
         ``Instrumentation`` typed time.
     """
 
-    name: str
-    functions: List[FunctionSpec] = field(default_factory=list)
-    entry: str = "main"
-    reference_clock_mhz: int = 300
-    instrumentation_per_region: float = 5e-5
+    __slots__ = (
+        "name", "functions", "entry", "reference_clock_mhz",
+        "instrumentation_per_region",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        functions: Optional[List[FunctionSpec]] = None,
+        entry: str = "main",
+        reference_clock_mhz: int = 300,
+        instrumentation_per_region: float = 5e-5,
+    ) -> None:
+        self.name = name
+        self.functions = [] if functions is None else functions
+        self.entry = entry
+        self.reference_clock_mhz = reference_clock_mhz
+        self.instrumentation_per_region = instrumentation_per_region
         if not self.name:
             raise WorkloadError("workload name must not be empty")
         if self.reference_clock_mhz <= 0:

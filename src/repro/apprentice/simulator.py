@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apprentice.program_model import (
@@ -62,44 +61,56 @@ from repro.datamodel import (
     TotalTiming,
     TypedTiming,
 )
+from repro.records import Record
 
 __all__ = ["SimulationConfig", "ExecutionSimulator", "RegionMeasurement", "simulate"]
 
 
-@dataclass
-class SimulationConfig:
+class SimulationConfig(Record):
     """Parameters of the simulated machine and measurement environment."""
 
-    #: Processor counts to execute; one :class:`TestRun` is produced per entry.
-    pe_counts: Sequence[int] = (1, 2, 4, 8, 16, 32)
-    #: Clock speed of the simulated machine in MHz (Cray T3E-900: 450 MHz).
-    clock_mhz: int = 300
-    #: Base latency of one barrier operation (seconds, scaled by ``log2 P``).
-    barrier_latency: float = 5.0e-6
-    #: Relative measurement noise applied to every aggregated timing.
-    measurement_jitter: float = 0.01
-    #: Fraction of computation time additionally spent on cache misses.
-    cache_miss_fraction: float = 0.04
-    #: Start timestamp of the first run; subsequent runs are one minute apart.
-    start_time: _dt.datetime = field(
-        default_factory=lambda: _dt.datetime(2000, 1, 17, 9, 0, 0)
+    __slots__ = (
+        "pe_counts", "clock_mhz", "barrier_latency", "measurement_jitter",
+        "cache_miss_fraction", "start_time", "seed",
     )
-    #: Additional seed mixed into every random draw.
-    seed: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.pe_counts:
+    def __init__(
+        self,
+        pe_counts: Sequence[int] = (1, 2, 4, 8, 16, 32),
+        clock_mhz: int = 300,
+        barrier_latency: float = 5.0e-6,
+        measurement_jitter: float = 0.01,
+        cache_miss_fraction: float = 0.04,
+        start_time: Optional[_dt.datetime] = None,
+        seed: int = 0,
+    ) -> None:
+        #: Processor counts to execute; one :class:`TestRun` is produced per entry.
+        self.pe_counts = pe_counts
+        #: Clock speed of the simulated machine in MHz (Cray T3E-900: 450 MHz).
+        self.clock_mhz = clock_mhz
+        #: Base latency of one barrier operation (seconds, scaled by ``log2 P``).
+        self.barrier_latency = barrier_latency
+        #: Relative measurement noise applied to every aggregated timing.
+        self.measurement_jitter = measurement_jitter
+        #: Fraction of computation time additionally spent on cache misses.
+        self.cache_miss_fraction = cache_miss_fraction
+        #: Start timestamp of the first run; subsequent runs are one minute apart.
+        self.start_time = (
+            _dt.datetime(2000, 1, 17, 9, 0, 0) if start_time is None else start_time
+        )
+        #: Additional seed mixed into every random draw.
+        self.seed = seed
+        if not pe_counts:
             raise ValueError("pe_counts must not be empty")
-        if any(p <= 0 for p in self.pe_counts):
-            raise ValueError(f"pe_counts must be positive, got {self.pe_counts}")
-        if self.clock_mhz <= 0:
+        if any(p <= 0 for p in pe_counts):
+            raise ValueError(f"pe_counts must be positive, got {pe_counts}")
+        if clock_mhz <= 0:
             raise ValueError("clock_mhz must be positive")
-        if self.measurement_jitter < 0:
+        if measurement_jitter < 0:
             raise ValueError("measurement_jitter must be >= 0")
 
 
-@dataclass
-class RegionMeasurement:
+class RegionMeasurement(Record):
     """Per-process measurements of one region in one run (before aggregation).
 
     Every vector holds one value per process.  The element-wise arithmetic of
@@ -109,12 +120,19 @@ class RegionMeasurement:
     ``tests/corpus/simulator_digests.json`` pins.
     """
 
-    #: Useful computation per process (seconds).
-    compute: List[float]
-    #: Time per process, per timing type (seconds).  The computation types
-    #: (FloatingPoint, IntegerOps, LoadStore) are a *breakdown* of ``compute``
-    #: and are not added again when forming the exclusive time.
-    typed: Dict[TimingType, List[float]]
+    __slots__ = ("compute", "typed")
+
+    def __init__(
+        self,
+        compute: List[float],
+        typed: Dict[TimingType, List[float]],
+    ) -> None:
+        #: Useful computation per process (seconds).
+        self.compute = compute
+        #: Time per process, per timing type (seconds).  The computation types
+        #: (FloatingPoint, IntegerOps, LoadStore) are a *breakdown* of ``compute``
+        #: and are not added again when forming the exclusive time.
+        self.typed = typed
 
     @property
     def exclusive(self) -> List[float]:

@@ -18,10 +18,12 @@ checker and the SQL compiler can produce precise diagnostics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.asl.errors import SourceLocation
+from repro.records import FrozenRecord, Record, slot_setters
+
+_unknown = SourceLocation.unknown
 
 __all__ = [
     # types
@@ -64,16 +66,24 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class TypeRef:
+class TypeRef(FrozenRecord):
     """A syntactic reference to a type, e.g. ``float`` or ``setof Region``."""
 
-    name: str
-    is_set: bool = False
-    location: SourceLocation = field(default_factory=SourceLocation.unknown, compare=False)
+    __slots__ = ("name", "is_set", "location")
+    _uncompared = ("location",)
+
+    def __init__(
+        self, name: str, is_set: bool = False, location: Optional[SourceLocation] = None
+    ) -> None:
+        _type_ref_name(self, name)
+        _type_ref_is_set(self, is_set)
+        _type_ref_location(self, _unknown() if location is None else location)
 
     def __str__(self) -> str:
         return f"setof {self.name}" if self.is_set else self.name
+
+
+_type_ref_name, _type_ref_is_set, _type_ref_location = slot_setters(TypeRef)
 
 
 # --------------------------------------------------------------------------- #
@@ -81,63 +91,105 @@ class TypeRef:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
-class Expr:
-    """Base class of every ASL expression node."""
+class Expr(Record):
+    """Base class of every ASL expression node.
 
-    location: SourceLocation = field(
-        default_factory=SourceLocation.unknown, compare=False
-    )
+    Each subclass's constructor takes ``location`` first, then its own fields.
+    Equality ignores ``location``; the semantic checker annotates each node
+    with ``inferred_type``, which is not a field.
+    """
+
+    __slots__ = ("location", "inferred_type")
+    _fields = ("location",)
+    _uncompared = ("location",)
+
+    def __init__(self, location: Optional[SourceLocation] = None) -> None:
+        self.location = _unknown() if location is None else location
 
     def children(self) -> Sequence["Expr"]:
         """Direct sub-expressions (used by generic tree walks)."""
         return ()
 
 
-@dataclass
 class IntLiteral(Expr):
-    value: int = 0
+    __slots__ = ("value",)
+
+    def __init__(self, location: Optional[SourceLocation] = None, value: int = 0) -> None:
+        self.location = _unknown() if location is None else location
+        self.value = value
 
 
-@dataclass
 class FloatLiteral(Expr):
-    value: float = 0.0
+    __slots__ = ("value",)
+
+    def __init__(
+        self, location: Optional[SourceLocation] = None, value: float = 0.0
+    ) -> None:
+        self.location = _unknown() if location is None else location
+        self.value = value
 
 
-@dataclass
 class StringLiteral(Expr):
-    value: str = ""
+    __slots__ = ("value",)
+
+    def __init__(self, location: Optional[SourceLocation] = None, value: str = "") -> None:
+        self.location = _unknown() if location is None else location
+        self.value = value
 
 
-@dataclass
 class BoolLiteral(Expr):
-    value: bool = False
+    __slots__ = ("value",)
+
+    def __init__(
+        self, location: Optional[SourceLocation] = None, value: bool = False
+    ) -> None:
+        self.location = _unknown() if location is None else location
+        self.value = value
 
 
-@dataclass
 class Identifier(Expr):
     """A reference to a parameter, LET definition, constant or enum member."""
 
-    name: str = ""
+    __slots__ = ("name",)
+
+    def __init__(self, location: Optional[SourceLocation] = None, name: str = "") -> None:
+        self.location = _unknown() if location is None else location
+        self.name = name
 
 
-@dataclass
 class AttributeAccess(Expr):
     """``object.Attribute`` — navigation along the data model."""
 
-    obj: Expr = field(default_factory=Expr)
-    attribute: str = ""
+    __slots__ = ("obj", "attribute")
+
+    def __init__(
+        self,
+        location: Optional[SourceLocation] = None,
+        obj: Optional[Expr] = None,
+        attribute: str = "",
+    ) -> None:
+        self.location = _unknown() if location is None else location
+        self.obj = Expr() if obj is None else obj
+        self.attribute = attribute
 
     def children(self) -> Sequence[Expr]:
         return (self.obj,)
 
 
-@dataclass
 class FunctionCall(Expr):
     """A call of a user-defined specification function, e.g. ``Duration(r, t)``."""
 
-    name: str = ""
-    args: List[Expr] = field(default_factory=list)
+    __slots__ = ("name", "args")
+
+    def __init__(
+        self,
+        location: Optional[SourceLocation] = None,
+        name: str = "",
+        args: Optional[List[Expr]] = None,
+    ) -> None:
+        self.location = _unknown() if location is None else location
+        self.name = name
+        self.args = [] if args is None else args
 
     def children(self) -> Sequence[Expr]:
         return tuple(self.args)
@@ -148,10 +200,18 @@ class UnaryOp(enum.Enum):
     NOT = "NOT"
 
 
-@dataclass
 class UnaryExpr(Expr):
-    op: UnaryOp = UnaryOp.NEG
-    operand: Expr = field(default_factory=Expr)
+    __slots__ = ("op", "operand")
+
+    def __init__(
+        self,
+        location: Optional[SourceLocation] = None,
+        op: UnaryOp = UnaryOp.NEG,
+        operand: Optional[Expr] = None,
+    ) -> None:
+        self.location = _unknown() if location is None else location
+        self.op = op
+        self.operand = Expr() if operand is None else operand
 
     def children(self) -> Sequence[Expr]:
         return (self.operand,)
@@ -198,23 +258,41 @@ class BinaryOp(enum.Enum):
         )
 
 
-@dataclass
 class BinaryExpr(Expr):
-    op: BinaryOp = BinaryOp.ADD
-    left: Expr = field(default_factory=Expr)
-    right: Expr = field(default_factory=Expr)
+    __slots__ = ("op", "left", "right")
+
+    def __init__(
+        self,
+        location: Optional[SourceLocation] = None,
+        op: BinaryOp = BinaryOp.ADD,
+        left: Optional[Expr] = None,
+        right: Optional[Expr] = None,
+    ) -> None:
+        self.location = _unknown() if location is None else location
+        self.op = op
+        self.left = Expr() if left is None else left
+        self.right = Expr() if right is None else right
 
     def children(self) -> Sequence[Expr]:
         return (self.left, self.right)
 
 
-@dataclass
 class SetComprehension(Expr):
     """``{ var IN source WITH predicate }`` — selection from a set."""
 
-    var: str = ""
-    source: Expr = field(default_factory=Expr)
-    predicate: Optional[Expr] = None
+    __slots__ = ("var", "source", "predicate")
+
+    def __init__(
+        self,
+        location: Optional[SourceLocation] = None,
+        var: str = "",
+        source: Optional[Expr] = None,
+        predicate: Optional[Expr] = None,
+    ) -> None:
+        self.location = _unknown() if location is None else location
+        self.var = var
+        self.source = Expr() if source is None else source
+        self.predicate = predicate
 
     def children(self) -> Sequence[Expr]:
         if self.predicate is None:
@@ -222,7 +300,6 @@ class SetComprehension(Expr):
         return (self.source, self.predicate)
 
 
-@dataclass
 class AggregateExpr(Expr):
     """An aggregate over a set.
 
@@ -236,11 +313,23 @@ class AggregateExpr(Expr):
       ``var`` that satisfy the optional predicate.
     """
 
-    func: str = "SUM"
-    value: Expr = field(default_factory=Expr)
-    var: str = ""
-    source: Optional[Expr] = None
-    predicate: Optional[Expr] = None
+    __slots__ = ("func", "value", "var", "source", "predicate")
+
+    def __init__(
+        self,
+        location: Optional[SourceLocation] = None,
+        func: str = "SUM",
+        value: Optional[Expr] = None,
+        var: str = "",
+        source: Optional[Expr] = None,
+        predicate: Optional[Expr] = None,
+    ) -> None:
+        self.location = _unknown() if location is None else location
+        self.func = func
+        self.value = Expr() if value is None else value
+        self.var = var
+        self.source = source
+        self.predicate = predicate
 
     @property
     def is_unique(self) -> bool:
@@ -260,23 +349,35 @@ class AggregateExpr(Expr):
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
-class AttributeDecl:
+class AttributeDecl(Record):
     """One attribute of a data-model class, e.g. ``setof TestRun Runs;``."""
 
-    type: TypeRef
-    name: str
-    location: SourceLocation = field(default_factory=SourceLocation.unknown)
+    __slots__ = ("type", "name", "location")
+
+    def __init__(
+        self, type: TypeRef, name: str, location: Optional[SourceLocation] = None
+    ) -> None:
+        self.type = type
+        self.name = name
+        self.location = _unknown() if location is None else location
 
 
-@dataclass
-class ClassDecl:
+class ClassDecl(Record):
     """A data-model class (attributes only, optional single inheritance)."""
 
-    name: str
-    attributes: List[AttributeDecl] = field(default_factory=list)
-    base: Optional[str] = None
-    location: SourceLocation = field(default_factory=SourceLocation.unknown)
+    __slots__ = ("name", "attributes", "base", "location")
+
+    def __init__(
+        self,
+        name: str,
+        attributes: Optional[List[AttributeDecl]] = None,
+        base: Optional[str] = None,
+        location: Optional[SourceLocation] = None,
+    ) -> None:
+        self.name = name
+        self.attributes = [] if attributes is None else attributes
+        self.base = base
+        self.location = _unknown() if location is None else location
 
     def attribute(self, name: str) -> Optional[AttributeDecl]:
         """Return the attribute declared *directly* on this class, if any."""
@@ -286,17 +387,23 @@ class ClassDecl:
         return None
 
 
-@dataclass
-class EnumDecl:
+class EnumDecl(Record):
     """An enumeration type, e.g. the Apprentice ``TimingType``."""
 
-    name: str
-    members: List[str] = field(default_factory=list)
-    location: SourceLocation = field(default_factory=SourceLocation.unknown)
+    __slots__ = ("name", "members", "location")
+
+    def __init__(
+        self,
+        name: str,
+        members: Optional[List[str]] = None,
+        location: Optional[SourceLocation] = None,
+    ) -> None:
+        self.name = name
+        self.members = [] if members is None else members
+        self.location = _unknown() if location is None else location
 
 
-@dataclass
-class ConstantDecl:
+class ConstantDecl(Record):
     """A named constant usable in property expressions.
 
     The paper's ``LoadImbalance`` property refers to an ``ImbalanceThreshold``
@@ -304,62 +411,105 @@ class ConstantDecl:
     specification document while still being overridable by the tool.
     """
 
-    type: TypeRef
-    name: str
-    value: Expr
-    location: SourceLocation = field(default_factory=SourceLocation.unknown)
+    __slots__ = ("type", "name", "value", "location")
+
+    def __init__(
+        self,
+        type: TypeRef,
+        name: str,
+        value: Expr,
+        location: Optional[SourceLocation] = None,
+    ) -> None:
+        self.type = type
+        self.name = name
+        self.value = value
+        self.location = _unknown() if location is None else location
 
 
-@dataclass
-class Param:
+class Param(Record):
     """A formal parameter of a function or property."""
 
-    type: TypeRef
-    name: str
-    location: SourceLocation = field(default_factory=SourceLocation.unknown)
+    __slots__ = ("type", "name", "location")
+
+    def __init__(
+        self, type: TypeRef, name: str, location: Optional[SourceLocation] = None
+    ) -> None:
+        self.type = type
+        self.name = name
+        self.location = _unknown() if location is None else location
 
 
-@dataclass
-class FunctionDecl:
+class FunctionDecl(Record):
     """A specification function, e.g. ``float Duration(Region r, TestRun t) = …;``."""
 
-    return_type: TypeRef
-    name: str
-    params: List[Param]
-    body: Expr
-    location: SourceLocation = field(default_factory=SourceLocation.unknown)
+    __slots__ = ("return_type", "name", "params", "body", "location")
+
+    def __init__(
+        self,
+        return_type: TypeRef,
+        name: str,
+        params: List[Param],
+        body: Expr,
+        location: Optional[SourceLocation] = None,
+    ) -> None:
+        self.return_type = return_type
+        self.name = name
+        self.params = params
+        self.body = body
+        self.location = _unknown() if location is None else location
 
 
-@dataclass
-class LetDef:
+class LetDef(Record):
     """One definition inside a property's ``LET … IN`` block."""
 
-    type: TypeRef
-    name: str
-    value: Expr
-    location: SourceLocation = field(default_factory=SourceLocation.unknown)
+    __slots__ = ("type", "name", "value", "location")
+
+    def __init__(
+        self,
+        type: TypeRef,
+        name: str,
+        value: Expr,
+        location: Optional[SourceLocation] = None,
+    ) -> None:
+        self.type = type
+        self.name = name
+        self.value = value
+        self.location = _unknown() if location is None else location
 
 
-@dataclass
-class ConditionClause:
+class ConditionClause(Record):
     """One condition of a property, optionally labelled with a condition id."""
 
-    expr: Expr
-    cond_id: Optional[str] = None
-    location: SourceLocation = field(default_factory=SourceLocation.unknown)
+    __slots__ = ("expr", "cond_id", "location")
+
+    def __init__(
+        self,
+        expr: Expr,
+        cond_id: Optional[str] = None,
+        location: Optional[SourceLocation] = None,
+    ) -> None:
+        self.expr = expr
+        self.cond_id = cond_id
+        self.location = _unknown() if location is None else location
 
 
-@dataclass
-class GuardedExpr:
+class GuardedExpr(Record):
     """A confidence/severity value, optionally guarded by a condition id."""
 
-    expr: Expr
-    guard: Optional[str] = None
-    location: SourceLocation = field(default_factory=SourceLocation.unknown)
+    __slots__ = ("expr", "guard", "location")
+
+    def __init__(
+        self,
+        expr: Expr,
+        guard: Optional[str] = None,
+        location: Optional[SourceLocation] = None,
+    ) -> None:
+        self.expr = expr
+        self.guard = guard
+        self.location = _unknown() if location is None else location
 
 
-@dataclass
-class ValueSpec:
+class ValueSpec(Record):
     """A confidence or severity specification.
 
     ``is_max`` is true when the specification uses the ``MAX( … )`` form of
@@ -367,22 +517,44 @@ class ValueSpec:
     expression.
     """
 
-    entries: List[GuardedExpr] = field(default_factory=list)
-    is_max: bool = False
-    location: SourceLocation = field(default_factory=SourceLocation.unknown)
+    __slots__ = ("entries", "is_max", "location")
+
+    def __init__(
+        self,
+        entries: Optional[List[GuardedExpr]] = None,
+        is_max: bool = False,
+        location: Optional[SourceLocation] = None,
+    ) -> None:
+        self.entries = [] if entries is None else entries
+        self.is_max = is_max
+        self.location = _unknown() if location is None else location
 
 
-@dataclass
-class PropertyDecl:
+class PropertyDecl(Record):
     """A complete ASL performance property (Figure 1)."""
 
-    name: str
-    params: List[Param] = field(default_factory=list)
-    let_defs: List[LetDef] = field(default_factory=list)
-    conditions: List[ConditionClause] = field(default_factory=list)
-    confidence: ValueSpec = field(default_factory=ValueSpec)
-    severity: ValueSpec = field(default_factory=ValueSpec)
-    location: SourceLocation = field(default_factory=SourceLocation.unknown)
+    __slots__ = (
+        "name", "params", "let_defs", "conditions", "confidence", "severity",
+        "location",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        params: Optional[List[Param]] = None,
+        let_defs: Optional[List[LetDef]] = None,
+        conditions: Optional[List[ConditionClause]] = None,
+        confidence: Optional[ValueSpec] = None,
+        severity: Optional[ValueSpec] = None,
+        location: Optional[SourceLocation] = None,
+    ) -> None:
+        self.name = name
+        self.params = [] if params is None else params
+        self.let_defs = [] if let_defs is None else let_defs
+        self.conditions = [] if conditions is None else conditions
+        self.confidence = ValueSpec() if confidence is None else confidence
+        self.severity = ValueSpec() if severity is None else severity
+        self.location = _unknown() if location is None else location
 
     def condition_ids(self) -> List[str]:
         """All declared condition identifiers, in declaration order."""
@@ -392,12 +564,16 @@ class PropertyDecl:
 Declaration = Union[ClassDecl, EnumDecl, ConstantDecl, FunctionDecl, PropertyDecl]
 
 
-@dataclass
-class AslProgram:
+class AslProgram(Record):
     """A parsed ASL specification document (data model + properties)."""
 
-    declarations: List[Declaration] = field(default_factory=list)
-    filename: str = "<asl>"
+    __slots__ = ("declarations", "filename")
+
+    def __init__(
+        self, declarations: Optional[List[Declaration]] = None, filename: str = "<asl>"
+    ) -> None:
+        self.declarations = [] if declarations is None else declarations
+        self.filename = filename
 
     # -- typed views -----------------------------------------------------------
 

@@ -7,8 +7,9 @@ the offending line and column of the specification document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
+
+from repro.records import FrozenRecord, slot_setters
 
 __all__ = [
     "SourceLocation",
@@ -21,13 +22,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(FrozenRecord):
     """A position inside an ASL specification document."""
 
-    line: int = 0
-    column: int = 0
-    filename: str = "<asl>"
+    __slots__ = ("line", "column", "filename")
+
+    def __init__(self, line: int = 0, column: int = 0, filename: str = "<asl>") -> None:
+        _location_line(self, line)
+        _location_column(self, column)
+        _location_filename(self, filename)
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"
@@ -35,7 +38,10 @@ class SourceLocation:
     @classmethod
     def unknown(cls) -> "SourceLocation":
         """A placeholder location for synthesised nodes."""
-        return cls(line=0, column=0, filename="<synthesised>")
+        return cls(0, 0, "<synthesised>")
+
+
+_location_line, _location_column, _location_filename = slot_setters(SourceLocation)
 
 
 class AslError(Exception):

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.asl.ast_nodes import (
@@ -59,28 +58,45 @@ from repro.asl.compile import AslExprCompiler, CompiledProperty
 from repro.asl.errors import AslEvaluationError, AslNameError
 from repro.asl.semantic import CheckedSpecification
 from repro.asl.symbols import MISSING, Scope
+from repro.records import Record
 
 __all__ = ["AslEvaluator", "PropertyEvaluation", "default_enum_binding"]
 
 
-@dataclass
-class PropertyEvaluation:
-    """The result of evaluating one property in one context."""
+class PropertyEvaluation(Record):
+    """The result of evaluating one property in one context.
 
-    property_name: str
-    #: The parameter binding the property was evaluated with.
-    parameters: Dict[str, Any] = field(default_factory=dict)
-    #: Whether at least one condition was satisfied.
-    holds: bool = False
-    #: The confidence value (0..1) computed from the confidence specification.
-    confidence: float = 0.0
-    #: The severity value computed from the severity specification.
-    severity: float = 0.0
-    #: Value of each condition; keys are condition identifiers where declared,
-    #: otherwise the 1-based position of the condition.
-    conditions: Dict[str, bool] = field(default_factory=dict)
-    #: Values of the LET definitions (useful for reports and debugging).
-    let_values: Dict[str, Any] = field(default_factory=dict)
+    ``parameters`` is the binding the property was evaluated with; ``holds``
+    whether at least one condition was satisfied; ``confidence`` (0..1) and
+    ``severity`` come from the confidence and severity specifications.
+    ``conditions`` holds the value of each condition, keyed by its condition
+    identifier where declared, otherwise by its 1-based position, and
+    ``let_values`` the values of the LET definitions (for reports and
+    debugging).
+    """
+
+    __slots__ = (
+        "property_name", "parameters", "holds", "confidence", "severity",
+        "conditions", "let_values",
+    )
+
+    def __init__(
+        self,
+        property_name: str,
+        parameters: Optional[Dict[str, Any]] = None,
+        holds: bool = False,
+        confidence: float = 0.0,
+        severity: float = 0.0,
+        conditions: Optional[Dict[str, bool]] = None,
+        let_values: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.property_name = property_name
+        self.parameters = {} if parameters is None else parameters
+        self.holds = holds
+        self.confidence = confidence
+        self.severity = severity
+        self.conditions = {} if conditions is None else conditions
+        self.let_values = {} if let_values is None else let_values
 
     def is_problem(self, threshold: float) -> bool:
         """Performance property → performance problem iff severity > threshold."""

@@ -1,4 +1,4 @@
-"""Hand-written lexer for the APART Specification Language.
+"""Lexer for the APART Specification Language.
 
 The lexer converts an ASL specification document into a stream of
 :class:`~repro.asl.tokens.Token` objects.  It supports
@@ -11,18 +11,33 @@ The lexer converts an ASL specification document into a stream of
 Identifiers keep their original spelling; keyword recognition lower-cases the
 spelling first because the paper uses both ``PROPERTY`` (grammar) and
 ``Property`` (examples).
+
+One compiled regular expression finds every token; line and column numbers
+come from the offsets of the newlines the skipped whitespace and comments
+contain.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+import re
+from typing import List
 
 from repro.asl.errors import AslLexError, SourceLocation
 from repro.asl.tokens import KEYWORDS, Token, TokenType
 
 __all__ = ["Lexer", "tokenize"]
 
-_SINGLE_CHAR_TOKENS = {
+_OPERATORS = {
+    "==": TokenType.EQ,
+    "!=": TokenType.NE,
+    "<=": TokenType.LE,
+    ">=": TokenType.GE,
+    "->": TokenType.ARROW,
+    "=": TokenType.ASSIGN,
+    "<": TokenType.LT,
+    ">": TokenType.GT,
+    "-": TokenType.MINUS,
+    "/": TokenType.SLASH,
     "(": TokenType.LPAREN,
     ")": TokenType.RPAREN,
     "{": TokenType.LBRACE,
@@ -38,6 +53,98 @@ _SINGLE_CHAR_TOKENS = {
     "%": TokenType.PERCENT,
 }
 
+#: One match per token: skipped whitespace and comments, then one
+#: alternative per token class: 1 a word with an ASCII start, 2 a number
+#: (decimal digits), 3 a string, 4 an unterminated block comment, 5 an
+#: operator, 6 a word with any other start, 7 the end of the input, 8 any
+#: other character.  ``\w`` is ``str.isalnum`` plus ``_`` and ``\d`` is
+#: ``str.isdecimal``; the rarer characters that ``str.isalpha`` or
+#: ``str.isdigit`` classify differently are sorted out in group 6 and by
+#: :func:`_scan_number`.
+_TOKEN = re.compile(
+    r"""
+    [ \t\r\n]*(?:(?://[^\n]*|/\*[\s\S]*?\*/)[ \t\r\n]*)*
+    (?:([A-Za-z_]\w*)
+    |(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    |("(?:[^"\\\n]|\\[nt"\\])*")
+    |(/\*)
+    |(==|!=|<=|>=|->|[=<>\-/(){}\[\],;:.+*%])
+    |([^\W\d]\w*)
+    |(\Z)
+    |([\s\S]))
+    """,
+    re.VERBOSE,
+)
+_STRING_BODY = re.compile(r'(?:[^"\\\n]|\\[nt"\\])*')
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+
+def _scan_number(source: str, pos: int) -> tuple:
+    """End offset and float-ness of the literal at ``pos``, by ``str.isdigit``.
+
+    The regular expression's number group only knows decimal digits; this
+    exact scan runs when a literal touches any other character that could
+    continue it (``²``, a letter, ``.``, ``_``).
+    """
+    length = len(source)
+
+    def digits(at: int) -> int:
+        while at < length and source[at].isdigit():
+            at += 1
+        return at
+
+    def peek(at: int) -> str:
+        return source[at] if at < length else ""
+
+    end = digits(pos)
+    is_float = False
+    if peek(end) == "." and peek(end + 1).isdigit():
+        is_float = True
+        end = digits(end + 1)
+    if peek(end) in ("e", "E") and (
+        peek(end + 1).isdigit()
+        or (peek(end + 1) in "+-" and peek(end + 2).isdigit())
+    ):
+        is_float = True
+        end = digits(end + 2 if peek(end + 1) in "+-" else end + 1)
+    return end, is_float
+
+
+def _word(text: str, location: SourceLocation) -> Token:
+    keyword = KEYWORDS.get(text.lower())
+    if keyword is None:
+        return Token(TokenType.IDENT, text, location, text)
+    if keyword is TokenType.TRUE:
+        return Token(keyword, text, location, True)
+    if keyword is TokenType.FALSE:
+        return Token(keyword, text, location, False)
+    return Token(keyword, text, location)
+
+
+def _number(
+    source: str, start: int, end: int, is_float: bool, location: SourceLocation
+) -> Token:
+    text = source[start:end]
+    after = source[end : end + 1]
+    if after.isalpha() or after == "_":
+        raise AslLexError(
+            f"invalid character {after!r} after numeric literal {text!r}",
+            location,
+        )
+    try:
+        if is_float:
+            return Token(TokenType.FLOAT, text, location, float(text))
+        return Token(TokenType.INT, text, location, int(text))
+    except ValueError:
+        pass
+    bad = next((char for char in text if char.isdigit() and not char.isdecimal()), None)
+    if bad is not None:
+        raise AslLexError(f"invalid digit {bad!r} in numeric literal", location) from None
+    raise AslLexError(
+        f"integer literal of {len(text)} digits is too long", location
+    ) from None
+
 
 class Lexer:
     """Tokenises one ASL specification document."""
@@ -45,192 +152,75 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<asl>") -> None:
         self.source = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # ------------------------------------------------------------------ #
 
     def tokens(self) -> List[Token]:
         """Tokenise the whole document and return the token list (incl. EOF)."""
+        source = self.source
+        filename = self.filename
         result: List[Token] = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.type is TokenType.EOF:
-                return result
-
-    def next_token(self) -> Token:
-        """Return the next token, skipping whitespace and comments."""
-        self._skip_trivia()
-        if self.pos >= len(self.source):
-            return Token(TokenType.EOF, "", self._location())
-        location = self._location()
-        char = self.source[self.pos]
-
-        if char.isalpha() or char == "_":
-            return self._lex_word(location)
-        if char.isdigit():
-            return self._lex_number(location)
-        if char == '"':
-            return self._lex_string(location)
-        return self._lex_operator(location)
-
-    # ------------------------------------------------------------------ #
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(line=self.line, column=self.column, filename=self.filename)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            char = self.source[self.pos]
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self.source[self.pos] != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self.source[self.pos] == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
+        append = result.append
+        line = 1
+        line_start = 0
+        newline = source.find("\n")
+        for match in _TOKEN.finditer(source):
+            group = match.lastindex
+            start = match.start(group)
+            while 0 <= newline < start:
+                line += 1
+                line_start = newline + 1
+                newline = source.find("\n", line_start)
+            location = SourceLocation(line, start - line_start + 1, filename)
+            text = match.group(group)
+            if group == 1:
+                append(_word(text, location))
+            elif group == 5:
+                append(Token(_OPERATORS[text], text, location))
+            elif group == 2:
+                end = match.end()
+                after = source[end : end + 1]
+                if after.isalnum() or after == "_" or after == ".":
+                    end, is_float = _scan_number(source, start)
                 else:
-                    raise AslLexError("unterminated block comment", start)
-            else:
-                return
-
-    def _lex_word(self, location: SourceLocation) -> Token:
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self.source[self.pos].isalnum() or self.source[self.pos] == "_"
-        ):
-            self._advance()
-        text = self.source[start : self.pos]
-        keyword = KEYWORDS.get(text.lower())
-        if keyword is TokenType.TRUE:
-            return Token(TokenType.TRUE, text, location, value=True)
-        if keyword is TokenType.FALSE:
-            return Token(TokenType.FALSE, text, location, value=False)
-        if keyword is not None:
-            return Token(keyword, text, location)
-        return Token(TokenType.IDENT, text, location, value=text)
-
-    def _lex_number(self, location: SourceLocation) -> Token:
-        start = self.pos
-        is_float = False
-        while self.pos < len(self.source) and self.source[self.pos].isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self.pos < len(self.source) and self.source[self.pos].isdigit():
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self.pos < len(self.source) and self.source[self.pos].isdigit():
-                self._advance()
-        text = self.source[start : self.pos]
-        if self._peek().isalpha() or self._peek() == "_":
-            raise AslLexError(
-                f"invalid character {self._peek()!r} after numeric literal {text!r}",
-                location,
-            )
-        if is_float:
-            return Token(TokenType.FLOAT, text, location, value=float(text))
-        return Token(TokenType.INT, text, location, value=int(text))
-
-    def _lex_string(self, location: SourceLocation) -> Token:
-        if self.source[self.pos] != '"':
-            raise AslLexError(
-                f"string literal expected at {self.source[self.pos]!r}",
-                location,
-            )
-        self._advance()
-        parts: List[str] = []
-        while True:
-            if self.pos >= len(self.source):
-                raise AslLexError("unterminated string literal", location)
-            char = self.source[self.pos]
-            if char == "\n":
-                raise AslLexError("newline inside string literal", location)
-            if char == '"':
-                self._advance()
+                    is_float = not text.isdecimal()
+                append(_number(source, start, end, is_float, location))
+            elif group == 3:
+                text = text[1:-1]
+                if "\\" in text:
+                    text = _ESCAPE.sub(lambda escape: _ESCAPES[escape.group(1)], text)
+                append(Token(TokenType.STRING, text, location, text))
+            elif group == 7:
                 break
-            if char == "\\":
-                escape = self._peek(1)
-                mapping = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                if escape not in mapping:
-                    raise AslLexError(
-                        f"unknown escape sequence '\\{escape}'", self._location()
-                    )
-                parts.append(mapping[escape])
-                self._advance(2)
+            elif group == 6:
+                char = text[0]
+                if char.isdigit():
+                    end, is_float = _scan_number(source, start)
+                    append(_number(source, start, end, is_float, location))
+                elif char.isalpha():
+                    append(_word(text, location))
+                else:
+                    raise AslLexError(f"unexpected character {char!r}", location)
+            elif group == 4:
+                raise AslLexError("unterminated block comment", location)
+            elif text == '"':
+                self._string_error(start, location)
             else:
-                parts.append(char)
-                self._advance()
-        text = "".join(parts)
-        return Token(TokenType.STRING, text, location, value=text)
+                raise AslLexError(f"unexpected character {text!r}", location)
+        append(Token(TokenType.EOF, "", location))
+        return result
 
-    def _lex_operator(self, location: SourceLocation) -> Token:
-        two = self.source[self.pos : self.pos + 2]
-        if two == "==":
-            self._advance(2)
-            return Token(TokenType.EQ, two, location)
-        if two == "!=":
-            self._advance(2)
-            return Token(TokenType.NE, two, location)
-        if two == "<=":
-            self._advance(2)
-            return Token(TokenType.LE, two, location)
-        if two == ">=":
-            self._advance(2)
-            return Token(TokenType.GE, two, location)
-        if two == "->":
-            self._advance(2)
-            return Token(TokenType.ARROW, two, location)
-        char = self.source[self.pos]
-        if char == "=":
-            self._advance()
-            return Token(TokenType.ASSIGN, char, location)
-        if char == "<":
-            self._advance()
-            return Token(TokenType.LT, char, location)
-        if char == ">":
-            self._advance()
-            return Token(TokenType.GT, char, location)
-        if char == "-":
-            self._advance()
-            return Token(TokenType.MINUS, char, location)
-        if char == "/":
-            self._advance()
-            return Token(TokenType.SLASH, char, location)
-        token_type = _SINGLE_CHAR_TOKENS.get(char)
-        if token_type is None:
-            raise AslLexError(f"unexpected character {char!r}", location)
-        self._advance()
-        return Token(token_type, char, location)
+    def _string_error(self, start: int, location: SourceLocation) -> None:
+        """Raise the error of the malformed string literal at ``start``."""
+        end = _STRING_BODY.match(self.source, start + 1).end()
+        char = self.source[end : end + 1]
+        if not char:
+            raise AslLexError("unterminated string literal", location)
+        if char == "\n":
+            raise AslLexError("newline inside string literal", location)
+        escape = self.source[end + 1 : end + 2]
+        raise AslLexError(
+            f"unknown escape sequence '\\{escape}'",
+            SourceLocation(location.line, location.column + end - start, self.filename),
+        )
 
 
 def tokenize(source: str, filename: str = "<asl>") -> List[Token]:

@@ -106,11 +106,15 @@ class Parser:
     # ------------------------------------------------------------------ #
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # ``_advance`` never moves past EOF, so only a lookahead can overrun.
+        if offset:
+            return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        return self.tokens[self.index]
 
     def _at(self, token_type: TokenType, offset: int = 0) -> bool:
-        return self._peek(offset).type is token_type
+        if offset:
+            return self._peek(offset).type is token_type
+        return self.tokens[self.index].type is token_type
 
     def _advance(self) -> Token:
         token = self.tokens[self.index]
@@ -119,7 +123,7 @@ class Parser:
         return token
 
     def _expect(self, token_type: TokenType, context: str) -> Token:
-        token = self._peek()
+        token = self.tokens[self.index]
         if token.type is not token_type:
             raise AslParseError(
                 f"expected {token_type.value!r} {context}, found "
@@ -129,7 +133,8 @@ class Parser:
         return self._advance()
 
     def _accept(self, token_type: TokenType) -> Optional[Token]:
-        if self._at(token_type):
+        token = self.tokens[self.index]
+        if token.type is token_type:
             return self._advance()
         return None
 

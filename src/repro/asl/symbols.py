@@ -14,7 +14,6 @@ Two kinds of symbol tables are used:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.asl.ast_nodes import (
@@ -26,6 +25,7 @@ from repro.asl.ast_nodes import (
 )
 from repro.asl.errors import AslNameError, SourceLocation
 from repro.asl.types import EnumType, Type
+from repro.records import Record
 
 __all__ = ["MISSING", "Scope", "ClassInfo", "SpecificationIndex"]
 
@@ -107,16 +107,27 @@ class Scope(Generic[T]):
             scope = scope.parent
 
 
-@dataclass
-class ClassInfo:
-    """Resolved information about one data-model class."""
+class ClassInfo(Record):
+    """Resolved information about one data-model class.
 
-    decl: ClassDecl
-    #: Attribute name → resolved type, *including inherited attributes*.
-    attributes: Dict[str, Type] = field(default_factory=dict)
-    #: Attribute name → name of the class that declares it (for SQL mapping).
-    declared_in: Dict[str, str] = field(default_factory=dict)
-    base: Optional[str] = None
+    ``attributes`` maps each attribute name to its resolved type, *including
+    inherited attributes*; ``declared_in`` maps it to the name of the class
+    that declares it (for SQL mapping).
+    """
+
+    __slots__ = ("decl", "attributes", "declared_in", "base")
+
+    def __init__(
+        self,
+        decl: ClassDecl,
+        attributes: Optional[Dict[str, Type]] = None,
+        declared_in: Optional[Dict[str, str]] = None,
+        base: Optional[str] = None,
+    ) -> None:
+        self.decl = decl
+        self.attributes = {} if attributes is None else attributes
+        self.declared_in = {} if declared_in is None else declared_in
+        self.base = base
 
     @property
     def name(self) -> str:

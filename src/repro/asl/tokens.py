@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Union
 
 from repro.asl.errors import SourceLocation
+from repro.records import FrozenRecord, slot_setters
 
 __all__ = ["TokenType", "Token", "KEYWORDS", "AGGREGATE_NAMES"]
 
@@ -99,14 +99,25 @@ KEYWORDS = {
 AGGREGATE_NAMES = frozenset({"UNIQUE", "SUM", "MIN", "MAX", "AVG", "COUNT"})
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(FrozenRecord):
     """One lexical token with its source location."""
 
-    type: TokenType
-    text: str
-    location: SourceLocation
-    value: Union[int, float, str, None] = None
+    __slots__ = ("type", "text", "location", "value")
+
+    def __init__(
+        self,
+        type: TokenType,
+        text: str,
+        location: SourceLocation,
+        value: Union[int, float, str, None] = None,
+    ) -> None:
+        _token_type(self, type)
+        _token_text(self, text)
+        _token_location(self, location)
+        _token_value(self, value)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.type.name}({self.text!r})"
+
+
+_token_type, _token_text, _token_location, _token_value = slot_setters(Token)

@@ -20,8 +20,9 @@ exist.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
+
+from repro.records import FrozenRecord, slot_setters
 
 __all__ = [
     "Type",
@@ -45,8 +46,10 @@ __all__ = [
 ]
 
 
-class Type:
-    """Base class of all ASL types."""
+class Type(FrozenRecord):
+    """Base class of all ASL types (immutable, compared by value)."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:  # pragma: no cover - overridden
         return self.__class__.__name__
@@ -63,54 +66,75 @@ class ScalarKind(enum.Enum):
     SOURCECODE = "SourceCode"
 
 
-@dataclass(frozen=True)
 class ScalarType(Type):
     """A built-in scalar type."""
 
-    kind: ScalarKind
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: ScalarKind) -> None:
+        _scalar_kind(self, kind)
 
     def __str__(self) -> str:
         return self.kind.value
 
 
-@dataclass(frozen=True)
+(_scalar_kind,) = slot_setters(ScalarType)
+
+
 class ClassType(Type):
     """A class declared in the data model section."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _class_name(self, name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+(_class_name,) = slot_setters(ClassType)
+
+
 class EnumType(Type):
     """An enumeration type declared in the data model section."""
 
-    name: str
-    members: Tuple[str, ...] = ()
+    __slots__ = ("name", "members")
+
+    def __init__(self, name: str, members: Tuple[str, ...] = ()) -> None:
+        _enum_name(self, name)
+        _enum_members(self, members)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+_enum_name, _enum_members = slot_setters(EnumType)
+
+
 class SetType(Type):
     """A homogeneous set of elements (``setof T``)."""
 
-    element: Type
+    __slots__ = ("element",)
+
+    def __init__(self, element: Type) -> None:
+        _set_element(self, element)
 
     def __str__(self) -> str:
         return f"setof {self.element}"
 
 
-@dataclass(frozen=True)
+(_set_element,) = slot_setters(SetType)
+
+
 class AnyType(Type):
     """The error-recovery type: compatible with everything.
 
     The semantic checker assigns ``ANY`` to sub-expressions it could not type
     so that one mistake does not produce a cascade of follow-up errors.
     """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "<any>"

@@ -37,7 +37,6 @@ repository.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.compiler.schema_gen import DUAL_TABLE, PRIMARY_KEY, SchemaMapping
@@ -53,6 +52,7 @@ from repro.datamodel import (
     TotalTiming,
     TypedTiming,
 )
+from repro.records import Record
 
 __all__ = [
     "SqlExecutor",
@@ -78,11 +78,13 @@ class SqlExecutor(Protocol):
 DEFAULT_LOAD_BATCH_SIZE = 100
 
 
-@dataclass
-class ObjectIds:
+class ObjectIds(Record):
     """Mapping from entity objects (by uid) to their relational row ids."""
 
-    by_class: Dict[str, Dict[int, int]] = field(default_factory=dict)
+    __slots__ = ("by_class",)
+
+    def __init__(self, by_class: Optional[Dict[str, Dict[int, int]]] = None) -> None:
+        self.by_class = {} if by_class is None else by_class
 
     def assign(self, class_name: str, uid: int) -> int:
         ids = self.by_class.setdefault(class_name, {})

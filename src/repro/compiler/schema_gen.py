@@ -32,7 +32,6 @@ expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.asl.ast_nodes import ClassDecl
@@ -51,6 +50,7 @@ from repro.asl.types import (
     SetType,
     Type,
 )
+from repro.records import FrozenRecord, Record, slot_setters
 from repro.relalg.schema import Column, ColumnType, TableSchema
 
 __all__ = ["AttributeMapping", "ClassMapping", "SchemaMapping", "generate_schema"]
@@ -71,29 +71,50 @@ _SCALAR_COLUMN_TYPES: Dict[Type, ColumnType] = {
 }
 
 
-@dataclass(frozen=True)
-class AttributeMapping:
+class AttributeMapping(FrozenRecord):
     """How one ASL attribute is represented relationally."""
 
-    #: ``scalar`` | ``enum`` | ``reference`` | ``collection``
-    kind: str
-    #: Column holding the value / foreign key.  For collections this column
-    #: lives on the *element* table, not on the owner.
-    column: str
-    #: Table the column lives on.
-    table: str
-    #: Referenced class (for ``reference`` and ``collection`` attributes).
-    target_class: Optional[str] = None
+    __slots__ = ("kind", "column", "table", "target_class")
+
+    def __init__(
+        self,
+        kind: str,
+        column: str,
+        table: str,
+        target_class: Optional[str] = None,
+    ) -> None:
+        #: ``scalar`` | ``enum`` | ``reference`` | ``collection``
+        _mapping_kind(self, kind)
+        #: Column holding the value / foreign key.  For collections this column
+        #: lives on the *element* table, not on the owner.
+        _mapping_column(self, column)
+        #: Table the column lives on.
+        _mapping_table(self, table)
+        #: Referenced class (for ``reference`` and ``collection`` attributes).
+        _mapping_target_class(self, target_class)
 
 
-@dataclass
-class ClassMapping:
+(
+    _mapping_kind, _mapping_column, _mapping_table, _mapping_target_class,
+) = slot_setters(AttributeMapping)
+
+
+class ClassMapping(Record):
     """Relational mapping of one ASL class."""
 
-    class_name: str
-    table: str
-    primary_key: str = PRIMARY_KEY
-    attributes: Dict[str, AttributeMapping] = field(default_factory=dict)
+    __slots__ = ("class_name", "table", "primary_key", "attributes")
+
+    def __init__(
+        self,
+        class_name: str,
+        table: str,
+        primary_key: str = PRIMARY_KEY,
+        attributes: Optional[Dict[str, AttributeMapping]] = None,
+    ) -> None:
+        self.class_name = class_name
+        self.table = table
+        self.primary_key = primary_key
+        self.attributes = {} if attributes is None else attributes
 
 
 class SchemaMapping:

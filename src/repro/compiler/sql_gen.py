@@ -39,8 +39,6 @@ fallback), so adding new properties can never silently produce wrong results.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.asl.ast_nodes import (
@@ -65,6 +63,7 @@ from repro.asl.semantic import CheckedSpecification, SemanticChecker
 from repro.asl.symbols import Scope
 from repro.asl.types import ClassType, EnumType, SetType, Type
 from repro.compiler.schema_gen import DUAL_TABLE, PRIMARY_KEY, SchemaMapping
+from repro.records import Record
 
 __all__ = [
     "PushdownError",
@@ -78,16 +77,18 @@ class PushdownError(AslError):
     """Raised when an expression cannot be translated into the SQL subset."""
 
 
-@dataclass
-class CompiledQuery:
+class CompiledQuery(Record):
     """One generated SQL query computing a scalar value.
 
     ``param_slots`` names, for every ``?`` in textual order, the property
     parameter whose row id (or scalar value) must be bound at execution time.
     """
 
-    sql: str
-    param_slots: List[str] = field(default_factory=list)
+    __slots__ = ("sql", "param_slots")
+
+    def __init__(self, sql: str, param_slots: Optional[List[str]] = None) -> None:
+        self.sql = sql
+        self.param_slots = [] if param_slots is None else param_slots
 
     def bind(self, values: Mapping[str, Any]) -> List[Any]:
         """Positional parameter list for ``values`` (param name → id/value)."""
@@ -100,18 +101,27 @@ class CompiledQuery:
             ) from None
 
 
-@dataclass
-class CompiledProperty:
+class CompiledProperty(Record):
     """All generated queries of one property."""
 
-    name: str
-    decl: PropertyDecl
-    #: (condition id or 1-based position as string, query) pairs.
-    conditions: List[Tuple[str, CompiledQuery]] = field(default_factory=list)
-    #: (guard or None, query) pairs for the confidence specification.
-    confidence: List[Tuple[Optional[str], CompiledQuery]] = field(default_factory=list)
-    #: (guard or None, query) pairs for the severity specification.
-    severity: List[Tuple[Optional[str], CompiledQuery]] = field(default_factory=list)
+    __slots__ = ("name", "decl", "conditions", "confidence", "severity")
+
+    def __init__(
+        self,
+        name: str,
+        decl: PropertyDecl,
+        conditions: Optional[List[Tuple[str, CompiledQuery]]] = None,
+        confidence: Optional[List[Tuple[Optional[str], CompiledQuery]]] = None,
+        severity: Optional[List[Tuple[Optional[str], CompiledQuery]]] = None,
+    ) -> None:
+        self.name = name
+        self.decl = decl
+        #: (condition id or 1-based position as string, query) pairs.
+        self.conditions = [] if conditions is None else conditions
+        #: (guard or None, query) pairs for the confidence specification.
+        self.confidence = [] if confidence is None else confidence
+        #: (guard or None, query) pairs for the severity specification.
+        self.severity = [] if severity is None else severity
 
     def all_queries(self) -> List[CompiledQuery]:
         """Every generated query (used by tests and the CLI ``--show-sql``)."""
@@ -299,7 +309,11 @@ def _map_children(node: Expr, fn, scoped_fn=None) -> Expr:
             source=None if node.source is None else fn(node.source),
             predicate=None if node.predicate is None else scoped_fn(node.predicate),
         )
-    return dataclasses.replace(node)
+    if isinstance(node, Identifier):
+        return Identifier(location=location, name=node.name)
+    # A literal (or a bare placeholder ``Expr``): its fields, not its
+    # ``inferred_type`` annotation.
+    return type(node)(*[getattr(node, name) for name in node._fields])
 
 
 def _copy_tree(expr: Expr) -> Expr:

@@ -20,7 +20,6 @@ The evaluation itself is delegated to one of the strategies in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.asl.errors import AslEvaluationError
@@ -41,6 +40,7 @@ from repro.datamodel import (
     Region,
     TestRun,
 )
+from repro.records import Record
 
 __all__ = ["PropertyInstance", "AnalysisResult", "CosyAnalyzer"]
 
@@ -48,22 +48,37 @@ __all__ = ["PropertyInstance", "AnalysisResult", "CosyAnalyzer"]
 DEFAULT_THRESHOLD = 0.05
 
 
-@dataclass
-class PropertyInstance:
+class PropertyInstance(Record):
     """One evaluated property in one context (region or call site, one run)."""
 
-    property_name: str
-    #: Human-readable description of the subject (region name or call site).
-    subject: str
-    #: ``region`` or ``call``.
-    subject_kind: str
-    #: The test run the property was evaluated for.
-    run_pes: int
-    holds: bool
-    confidence: float
-    severity: float
-    #: Values of the individual conditions (by condition id / position).
-    conditions: Dict[str, bool] = field(default_factory=dict)
+    __slots__ = (
+        "property_name", "subject", "subject_kind", "run_pes", "holds",
+        "confidence", "severity", "conditions",
+    )
+
+    def __init__(
+        self,
+        property_name: str,
+        subject: str,
+        subject_kind: str,
+        run_pes: int,
+        holds: bool,
+        confidence: float,
+        severity: float,
+        conditions: Optional[Dict[str, bool]] = None,
+    ) -> None:
+        self.property_name = property_name
+        #: Human-readable description of the subject (region name or call site).
+        self.subject = subject
+        #: ``region`` or ``call``.
+        self.subject_kind = subject_kind
+        #: The test run the property was evaluated for.
+        self.run_pes = run_pes
+        self.holds = holds
+        self.confidence = confidence
+        self.severity = severity
+        #: Values of the individual conditions (by condition id / position).
+        self.conditions = {} if conditions is None else conditions
 
     def is_problem(self, threshold: float) -> bool:
         """Performance property → performance problem iff severity > threshold."""
@@ -76,22 +91,35 @@ class PropertyInstance:
         )
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(Record):
     """The ranked outcome of one COSY analysis."""
 
-    program: str
-    version: str
-    run_pes: int
-    basis: str
-    threshold: float
-    strategy: str
-    instances: List[PropertyInstance] = field(default_factory=list)
-    #: Number of property evaluations that failed (e.g. missing data) and were
-    #: skipped; COSY reports but tolerates them.
-    skipped: int = 0
+    __slots__ = (
+        "program", "version", "run_pes", "basis", "threshold", "strategy",
+        "instances", "skipped",
+    )
 
-    # -- ranking -----------------------------------------------------------------
+    def __init__(
+        self,
+        program: str,
+        version: str,
+        run_pes: int,
+        basis: str,
+        threshold: float,
+        strategy: str,
+        instances: Optional[List[PropertyInstance]] = None,
+        skipped: int = 0,
+    ) -> None:
+        self.program = program
+        self.version = version
+        self.run_pes = run_pes
+        self.basis = basis
+        self.threshold = threshold
+        self.strategy = strategy
+        self.instances = [] if instances is None else instances
+        #: Number of property evaluations that failed (e.g. missing data) and were
+        #: skipped; COSY reports but tolerates them.
+        self.skipped = skipped
 
     def ranked(self) -> List[PropertyInstance]:
         """All property instances that hold, ranked by decreasing severity."""

@@ -16,8 +16,9 @@ register additional properties parsed from their own specification documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+
+from repro.records import FrozenRecord, slot_setters
 
 __all__ = ["SubjectKind", "PropertyRegistration", "PropertyRegistry", "default_registry"]
 
@@ -29,23 +30,37 @@ class SubjectKind:
     CALL = "call"
 
 
-@dataclass(frozen=True)
-class PropertyRegistration:
+class PropertyRegistration(FrozenRecord):
     """How one ASL property is instantiated by the analyzer."""
 
-    #: Name of the ASL property declaration.
-    name: str
-    #: ``SubjectKind.REGION`` or ``SubjectKind.CALL``.
-    subject: str = SubjectKind.REGION
-    #: For call-site properties: restrict evaluation to these callees
-    #: (``None`` = all call sites).
-    only_callees: Optional[FrozenSet[str]] = None
-    #: Short description used in reports.
-    description: str = ""
+    __slots__ = ("name", "subject", "only_callees", "description")
+
+    def __init__(
+        self,
+        name: str,
+        subject: str = SubjectKind.REGION,
+        only_callees: Optional[FrozenSet[str]] = None,
+        description: str = "",
+    ) -> None:
+        #: Name of the ASL property declaration.
+        _registration_name(self, name)
+        #: ``SubjectKind.REGION`` or ``SubjectKind.CALL``.
+        _registration_subject(self, subject)
+        #: For call-site properties: restrict evaluation to these callees
+        #: (``None`` = all call sites).
+        _registration_only_callees(self, only_callees)
+        #: Short description used in reports.
+        _registration_description(self, description)
 
     def accepts_callee(self, callee: str) -> bool:
         """Whether a call site with this callee should be evaluated."""
         return self.only_callees is None or callee in self.only_callees
+
+
+(
+    _registration_name, _registration_subject, _registration_only_callees,
+    _registration_description,
+) = slot_setters(PropertyRegistration)
 
 
 class PropertyRegistry:

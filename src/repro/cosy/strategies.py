@@ -42,7 +42,6 @@ Two strategies implement that comparison:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence, Union
 
 from repro.asl.errors import AslEvaluationError

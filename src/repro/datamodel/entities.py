@@ -23,10 +23,10 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.datamodel.timing_types import TimingType
+from repro.records import Record
 
 __all__ = [
     "RegionKind",
@@ -64,7 +64,7 @@ def _timing_keys(owner: object, slot: str, timings: list, key_of) -> set:
     rebuilt whenever its size no longer matches the list's length: a timing
     appended to the list directly, bypassing ``add_*``, is still seen.
     """
-    keys = owner.__dict__.get(slot)
+    keys = getattr(owner, slot, None)
     if keys is None or len(keys) != len(timings):
         keys = {key_of(timing) for timing in timings}
         setattr(owner, slot, keys)
@@ -94,15 +94,17 @@ class RegionKind(enum.Enum):
     BASIC_BLOCK = "basic_block"
 
 
-@dataclass
-class SourceCode:
+class SourceCode(Record):
     """Program source text stored with a program version.
 
     The paper's ``ProgVersion`` class has a ``SourceCode Code`` attribute; COSY
     stores the source so that reports can point at the offending lines.
     """
 
-    files: Dict[str, str] = field(default_factory=dict)
+    __slots__ = ("files",)
+
+    def __init__(self, files: Optional[Dict[str, str]] = None) -> None:
+        self.files = {} if files is None else files
 
     def add_file(self, path: str, text: str) -> None:
         """Register (or replace) a source file."""
@@ -119,8 +121,7 @@ class SourceCode:
         return sum(len(text.splitlines()) for text in self.files.values())
 
 
-@dataclass
-class TestRun:
+class TestRun(Record):
     """One execution of a program version on a processor configuration.
 
     ASL::
@@ -132,17 +133,24 @@ class TestRun:
         }
     """
 
-    Start: _dt.datetime
-    NoPe: int
-    Clockspeed: int
-    uid: int = field(default_factory=_next_id)
+    __slots__ = ("Start", "NoPe", "Clockspeed", "uid")
 
-    def __post_init__(self) -> None:
-        if self.NoPe <= 0:
-            raise DataModelError(f"TestRun.NoPe must be positive, got {self.NoPe}")
-        if self.Clockspeed <= 0:
+    def __init__(
+        self,
+        Start: _dt.datetime,
+        NoPe: int,
+        Clockspeed: int,
+        uid: Optional[int] = None,
+    ) -> None:
+        self.Start = Start
+        self.NoPe = NoPe
+        self.Clockspeed = Clockspeed
+        self.uid = _next_id() if uid is None else uid
+        if NoPe <= 0:
+            raise DataModelError(f"TestRun.NoPe must be positive, got {NoPe}")
+        if Clockspeed <= 0:
             raise DataModelError(
-                f"TestRun.Clockspeed must be positive, got {self.Clockspeed}"
+                f"TestRun.Clockspeed must be positive, got {Clockspeed}"
             )
 
     def __hash__(self) -> int:
@@ -155,8 +163,7 @@ class TestRun:
         return f"TestRun(uid={self.uid}, NoPe={self.NoPe}, Clockspeed={self.Clockspeed})"
 
 
-@dataclass
-class TotalTiming:
+class TotalTiming(Record):
     """Summed-up exclusive/inclusive/overhead time of a region in one run.
 
     ASL::
@@ -171,29 +178,35 @@ class TotalTiming:
     All timings in the database are sums over all processes of the run.
     """
 
-    Run: TestRun
-    Excl: float
-    Incl: float
-    Ovhd: float
-    uid: int = field(default_factory=_next_id)
+    __slots__ = ("Run", "Excl", "Incl", "Ovhd", "uid")
 
-    def __post_init__(self) -> None:
-        for name in ("Excl", "Incl", "Ovhd"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        Run: TestRun,
+        Excl: float,
+        Incl: float,
+        Ovhd: float,
+        uid: Optional[int] = None,
+    ) -> None:
+        self.Run = Run
+        self.Excl = Excl
+        self.Incl = Incl
+        self.Ovhd = Ovhd
+        self.uid = _next_id() if uid is None else uid
+        for name, value in (("Excl", Excl), ("Incl", Incl), ("Ovhd", Ovhd)):
             if value < 0:
                 raise DataModelError(f"TotalTiming.{name} must be >= 0, got {value}")
-        if self.Incl + 1e-9 < self.Excl:
+        if Incl + 1e-9 < Excl:
             raise DataModelError(
                 "TotalTiming.Incl must be >= TotalTiming.Excl "
-                f"(Incl={self.Incl}, Excl={self.Excl})"
+                f"(Incl={Incl}, Excl={Excl})"
             )
 
     def __hash__(self) -> int:
         return hash(self.uid)
 
 
-@dataclass
-class TypedTiming:
+class TypedTiming(Record):
     """Time a region spent in one of the 25 Apprentice work/overhead types.
 
     ASL::
@@ -208,25 +221,29 @@ class TypedTiming:
     repository enforces this invariant.
     """
 
-    Run: TestRun
-    Type: TimingType
-    Time: float
-    uid: int = field(default_factory=_next_id)
+    __slots__ = ("Run", "Type", "Time", "uid")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.Type, TimingType):
-            raise DataModelError(
-                f"TypedTiming.Type must be a TimingType, got {self.Type!r}"
-            )
-        if self.Time < 0:
-            raise DataModelError(f"TypedTiming.Time must be >= 0, got {self.Time}")
+    def __init__(
+        self,
+        Run: TestRun,
+        Type: TimingType,
+        Time: float,
+        uid: Optional[int] = None,
+    ) -> None:
+        self.Run = Run
+        self.Type = Type
+        self.Time = Time
+        self.uid = _next_id() if uid is None else uid
+        if not isinstance(Type, TimingType):
+            raise DataModelError(f"TypedTiming.Type must be a TimingType, got {Type!r}")
+        if Time < 0:
+            raise DataModelError(f"TypedTiming.Time must be >= 0, got {Time}")
 
     def __hash__(self) -> int:
         return hash(self.uid)
 
 
-@dataclass
-class CallTiming:
+class CallTiming(Record):
     """Across-process statistics of one call site in one test run.
 
     ASL (described in prose in the paper): a ``CallTiming`` stores, for the
@@ -239,32 +256,58 @@ class CallTiming:
     respective category is memorised (the ``*Pe`` attributes).
     """
 
-    Run: TestRun
-    MinCalls: float
-    MaxCalls: float
-    MeanCalls: float
-    StdevCalls: float
-    MinTime: float
-    MaxTime: float
-    MeanTime: float
-    StdevTime: float
-    MinCallsPe: int = 0
-    MaxCallsPe: int = 0
-    MinTimePe: int = 0
-    MaxTimePe: int = 0
-    uid: int = field(default_factory=_next_id)
+    __slots__ = (
+        "Run", "MinCalls", "MaxCalls", "MeanCalls", "StdevCalls", "MinTime",
+        "MaxTime", "MeanTime", "StdevTime", "MinCallsPe", "MaxCallsPe",
+        "MinTimePe", "MaxTimePe", "uid",
+    )
 
-    def __post_init__(self) -> None:
-        if self.MinCalls > self.MaxCalls + 1e-9:
+    def __init__(
+        self,
+        Run: TestRun,
+        MinCalls: float,
+        MaxCalls: float,
+        MeanCalls: float,
+        StdevCalls: float,
+        MinTime: float,
+        MaxTime: float,
+        MeanTime: float,
+        StdevTime: float,
+        MinCallsPe: int = 0,
+        MaxCallsPe: int = 0,
+        MinTimePe: int = 0,
+        MaxTimePe: int = 0,
+        uid: Optional[int] = None,
+    ) -> None:
+        self.Run = Run
+        self.MinCalls = MinCalls
+        self.MaxCalls = MaxCalls
+        self.MeanCalls = MeanCalls
+        self.StdevCalls = StdevCalls
+        self.MinTime = MinTime
+        self.MaxTime = MaxTime
+        self.MeanTime = MeanTime
+        self.StdevTime = StdevTime
+        self.MinCallsPe = MinCallsPe
+        self.MaxCallsPe = MaxCallsPe
+        self.MinTimePe = MinTimePe
+        self.MaxTimePe = MaxTimePe
+        self.uid = _next_id() if uid is None else uid
+        if MinCalls > MaxCalls + 1e-9:
             raise DataModelError(
-                f"CallTiming.MinCalls ({self.MinCalls}) > MaxCalls ({self.MaxCalls})"
+                f"CallTiming.MinCalls ({MinCalls}) > MaxCalls ({MaxCalls})"
             )
-        if self.MinTime > self.MaxTime + 1e-9:
+        if MinTime > MaxTime + 1e-9:
             raise DataModelError(
-                f"CallTiming.MinTime ({self.MinTime}) > MaxTime ({self.MaxTime})"
+                f"CallTiming.MinTime ({MinTime}) > MaxTime ({MaxTime})"
             )
-        for name in ("StdevCalls", "StdevTime", "MeanCalls", "MeanTime"):
-            if getattr(self, name) < 0:
+        for name, value in (
+            ("StdevCalls", StdevCalls),
+            ("StdevTime", StdevTime),
+            ("MeanCalls", MeanCalls),
+            ("MeanTime", MeanTime),
+        ):
+            if value < 0:
                 raise DataModelError(f"CallTiming.{name} must be >= 0")
 
     def __hash__(self) -> int:
@@ -282,8 +325,7 @@ class CallTiming:
         return self.StdevTime / self.MeanTime
 
 
-@dataclass
-class Region:
+class Region(Record):
     """A program region with its parent and its measured performance data.
 
     ASL::
@@ -298,15 +340,35 @@ class Region:
     ``last_line`` attributes identify the region in reports and exports.
     """
 
-    name: str
-    kind: RegionKind = RegionKind.BASIC_BLOCK
-    ParentRegion: Optional["Region"] = None
-    TotTimes: List[TotalTiming] = field(default_factory=list)
-    TypTimes: List[TypedTiming] = field(default_factory=list)
-    source_file: str = ""
-    first_line: int = 0
-    last_line: int = 0
-    uid: int = field(default_factory=_next_id)
+    #: The last three slots are private: the children the repository
+    #: registers and the duplicate-check keys of the two timing lists.
+    __slots__ = (
+        "name", "kind", "ParentRegion", "TotTimes", "TypTimes", "source_file",
+        "first_line", "last_line", "uid", "_children", "_total_keys", "_typed_keys",
+    )
+    _fields = __slots__[:-3]
+
+    def __init__(
+        self,
+        name: str,
+        kind: RegionKind = RegionKind.BASIC_BLOCK,
+        ParentRegion: Optional["Region"] = None,
+        TotTimes: Optional[List[TotalTiming]] = None,
+        TypTimes: Optional[List[TypedTiming]] = None,
+        source_file: str = "",
+        first_line: int = 0,
+        last_line: int = 0,
+        uid: Optional[int] = None,
+    ) -> None:
+        self.name = name
+        self.kind = kind
+        self.ParentRegion = ParentRegion
+        self.TotTimes = [] if TotTimes is None else TotTimes
+        self.TypTimes = [] if TypTimes is None else TypTimes
+        self.source_file = source_file
+        self.first_line = first_line
+        self.last_line = last_line
+        self.uid = _next_id() if uid is None else uid
 
     def __hash__(self) -> int:
         return hash(self.uid)
@@ -404,8 +466,7 @@ class Region:
         return [t.Run for t in self.TotTimes]
 
 
-@dataclass
-class FunctionCall:
+class FunctionCall(Record):
     """A call site of a function with per-process call statistics.
 
     ASL::
@@ -417,11 +478,23 @@ class FunctionCall:
         }
     """
 
-    Caller: "Function"
-    CallingReg: Region
-    Sums: List[CallTiming] = field(default_factory=list)
-    callee_name: str = ""
-    uid: int = field(default_factory=_next_id)
+    #: ``_sum_keys`` is private: the duplicate-check keys of ``Sums``.
+    __slots__ = ("Caller", "CallingReg", "Sums", "callee_name", "uid", "_sum_keys")
+    _fields = __slots__[:-1]
+
+    def __init__(
+        self,
+        Caller: "Function",
+        CallingReg: Region,
+        Sums: Optional[List[CallTiming]] = None,
+        callee_name: str = "",
+        uid: Optional[int] = None,
+    ) -> None:
+        self.Caller = Caller
+        self.CallingReg = CallingReg
+        self.Sums = [] if Sums is None else Sums
+        self.callee_name = callee_name
+        self.uid = _next_id() if uid is None else uid
 
     def __hash__(self) -> int:
         return hash(self.uid)
@@ -449,8 +522,7 @@ class FunctionCall:
         return matches[0]
 
 
-@dataclass
-class Function:
+class Function(Record):
     """A subprogram with its call sites and regions.
 
     ASL::
@@ -462,10 +534,19 @@ class Function:
         }
     """
 
-    Name: str
-    Calls: List[FunctionCall] = field(default_factory=list)
-    Regions: List[Region] = field(default_factory=list)
-    uid: int = field(default_factory=_next_id)
+    __slots__ = ("Name", "Calls", "Regions", "uid")
+
+    def __init__(
+        self,
+        Name: str,
+        Calls: Optional[List[FunctionCall]] = None,
+        Regions: Optional[List[Region]] = None,
+        uid: Optional[int] = None,
+    ) -> None:
+        self.Name = Name
+        self.Calls = [] if Calls is None else Calls
+        self.Regions = [] if Regions is None else Regions
+        self.uid = _next_id() if uid is None else uid
 
     def __hash__(self) -> int:
         return hash(self.uid)
@@ -501,8 +582,7 @@ class Function:
         return roots[0]
 
 
-@dataclass
-class ProgVersion:
+class ProgVersion(Record):
     """One compiled version of a program with its runs and static structure.
 
     ASL::
@@ -515,12 +595,23 @@ class ProgVersion:
         }
     """
 
-    Compilation: _dt.datetime
-    Functions: List[Function] = field(default_factory=list)
-    Runs: List[TestRun] = field(default_factory=list)
-    Code: SourceCode = field(default_factory=SourceCode)
-    label: str = ""
-    uid: int = field(default_factory=_next_id)
+    __slots__ = ("Compilation", "Functions", "Runs", "Code", "label", "uid")
+
+    def __init__(
+        self,
+        Compilation: _dt.datetime,
+        Functions: Optional[List[Function]] = None,
+        Runs: Optional[List[TestRun]] = None,
+        Code: Optional[SourceCode] = None,
+        label: str = "",
+        uid: Optional[int] = None,
+    ) -> None:
+        self.Compilation = Compilation
+        self.Functions = [] if Functions is None else Functions
+        self.Runs = [] if Runs is None else Runs
+        self.Code = SourceCode() if Code is None else Code
+        self.label = label
+        self.uid = _next_id() if uid is None else uid
 
     def __hash__(self) -> int:
         return hash(self.uid)
@@ -586,8 +677,7 @@ class ProgVersion:
         raise DataModelError("program version has no regions")
 
 
-@dataclass
-class Program:
+class Program(Record):
     """A single application identified by its name.
 
     ASL::
@@ -598,9 +688,17 @@ class Program:
         }
     """
 
-    Name: str
-    Versions: List[ProgVersion] = field(default_factory=list)
-    uid: int = field(default_factory=_next_id)
+    __slots__ = ("Name", "Versions", "uid")
+
+    def __init__(
+        self,
+        Name: str,
+        Versions: Optional[List[ProgVersion]] = None,
+        uid: Optional[int] = None,
+    ) -> None:
+        self.Name = Name
+        self.Versions = [] if Versions is None else Versions
+        self.uid = _next_id() if uid is None else uid
 
     def __hash__(self) -> int:
         return hash(self.uid)

@@ -39,7 +39,6 @@ completion frontier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -53,6 +52,7 @@ from typing import (
     Union,
 )
 
+from repro.records import FrozenRecord, Record, slot_setters
 from repro.relalg.database import Database
 from repro.relalg.errors import ExecutionError
 from repro.relalg.rowset import ResultSet
@@ -73,30 +73,47 @@ __all__ = [
 DEFAULT_BATCH_SIZE = 100
 
 
-@dataclass(frozen=True)
-class BackendProfile:
+class BackendProfile(FrozenRecord):
     """Virtual cost model of one database backend."""
 
-    #: Short identifier, e.g. ``oracle7``.
-    name: str
-    #: Human-readable description for reports.
-    description: str
-    #: Whether the backend runs on a remote server (adds network round trips).
-    remote: bool
-    #: One-time connection establishment latency (seconds).
-    connect_latency: float
-    #: Latency of one statement round trip client → server → client (seconds).
-    round_trip: float
-    #: Server-side per-INSERT-statement overhead (parse, constraint setup,
-    #: logging, commit) — charged once per statement, so a batched
-    #: ``executemany`` amortises it over the whole batch (seconds).
-    per_insert_statement: float
-    #: Server-side cost of inserting one row (seconds).
-    per_insert_row: float
-    #: Cost of returning one result row to the client (seconds).
-    per_fetch_row: float
-    #: Server-side cost of scanning/joining one stored row (seconds).
-    per_scanned_row: float
+    __slots__ = (
+        "name", "description", "remote", "connect_latency", "round_trip",
+        "per_insert_statement", "per_insert_row", "per_fetch_row",
+        "per_scanned_row",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        remote: bool,
+        connect_latency: float,
+        round_trip: float,
+        per_insert_statement: float,
+        per_insert_row: float,
+        per_fetch_row: float,
+        per_scanned_row: float,
+    ) -> None:
+        #: Short identifier, e.g. ``oracle7``.
+        _profile_name(self, name)
+        #: Human-readable description for reports.
+        _profile_description(self, description)
+        #: Whether the backend runs on a remote server (adds network round trips).
+        _profile_remote(self, remote)
+        #: One-time connection establishment latency (seconds).
+        _profile_connect_latency(self, connect_latency)
+        #: Latency of one statement round trip client → server → client (seconds).
+        _profile_round_trip(self, round_trip)
+        #: Server-side per-INSERT-statement overhead (parse, constraint setup,
+        #: logging, commit) — charged once per statement, so a batched
+        #: ``executemany`` amortises it over the whole batch (seconds).
+        _profile_per_insert_statement(self, per_insert_statement)
+        #: Server-side cost of inserting one row (seconds).
+        _profile_per_insert_row(self, per_insert_row)
+        #: Cost of returning one result row to the client (seconds).
+        _profile_per_fetch_row(self, per_fetch_row)
+        #: Server-side cost of scanning/joining one stored row (seconds).
+        _profile_per_scanned_row(self, per_scanned_row)
 
     def statement_cost(
         self,
@@ -120,6 +137,13 @@ class BackendProfile:
         if rows_inserted:
             cost += self.per_insert_statement
         return cost
+
+
+(
+    _profile_name, _profile_description, _profile_remote, _profile_connect_latency,
+    _profile_round_trip, _profile_per_insert_statement, _profile_per_insert_row,
+    _profile_per_fetch_row, _profile_per_scanned_row,
+) = slot_setters(BackendProfile)
 
 
 #: The four backends compared in the paper.  The absolute values are synthetic;
@@ -208,8 +232,7 @@ class VirtualClock:
         self._elapsed = 0.0
 
 
-@dataclass(slots=True)
-class StatementCost:
+class StatementCost(Record):
     """Virtual cost breakdown of one executed statement (a value object;
     treat as immutable — created once per statement, on the hot path).
 
@@ -227,10 +250,19 @@ class StatementCost:
       the backend models ``parallelism`` scan workers.
     """
 
-    profile: BackendProfile
-    rows_inserted: int
-    rows_returned: int
-    rows_scanned: int
+    __slots__ = ("profile", "rows_inserted", "rows_returned", "rows_scanned")
+
+    def __init__(
+        self,
+        profile: BackendProfile,
+        rows_inserted: int,
+        rows_returned: int,
+        rows_scanned: int,
+    ) -> None:
+        self.profile = profile
+        self.rows_inserted = rows_inserted
+        self.rows_returned = rows_returned
+        self.rows_scanned = rows_scanned
 
     @property
     def total(self) -> float:
@@ -267,22 +299,35 @@ class StatementCost:
         )
 
 
-@dataclass(slots=True)
-class PipelineSlot:
+class PipelineSlot(Record):
     """The scheduled lifecycle of one overlapped statement (virtual seconds;
     a value object — treat as immutable)."""
 
-    #: When the client began dispatching the statement.
-    submitted: float
-    #: When the request left the client (dispatch marshalling done).
-    dispatched: float
-    #: When the server started / finished processing the statement.
-    server_start: float
-    server_end: float
-    #: When the full response reached the client.
-    responded: float
-    #: When the client finished receiving/unmarshalling the response.
-    completed: float
+    __slots__ = (
+        "submitted", "dispatched", "server_start", "server_end", "responded",
+        "completed",
+    )
+
+    def __init__(
+        self,
+        submitted: float,
+        dispatched: float,
+        server_start: float,
+        server_end: float,
+        responded: float,
+        completed: float,
+    ) -> None:
+        #: When the client began dispatching the statement.
+        self.submitted = submitted
+        #: When the request left the client (dispatch marshalling done).
+        self.dispatched = dispatched
+        #: When the server started / finished processing the statement.
+        self.server_start = server_start
+        self.server_end = server_end
+        #: When the full response reached the client.
+        self.responded = responded
+        #: When the client finished receiving/unmarshalling the response.
+        self.completed = completed
 
     @property
     def server_seconds(self) -> float:

@@ -37,9 +37,9 @@ floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.records import FrozenRecord, slot_setters
 from repro.relalg.backends import (
     PipelinedTimeline,
     SimulatedBackend,
@@ -58,16 +58,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClientCosts:
+class ClientCosts(FrozenRecord):
     """Marshalling costs of one client API stack (seconds)."""
 
-    #: Fixed cost per executed statement (statement preparation, call setup).
-    per_call: float
-    #: Cost per fetched result row (cursor advance, type conversion).
-    per_row: float
-    #: Cost per bound parameter.
-    per_param: float
+    __slots__ = ("per_call", "per_row", "per_param")
+
+    def __init__(self, per_call: float, per_row: float, per_param: float) -> None:
+        #: Fixed cost per executed statement (statement preparation, call setup).
+        _costs_per_call(self, per_call)
+        #: Cost per fetched result row (cursor advance, type conversion).
+        _costs_per_row(self, per_row)
+        #: Cost per bound parameter.
+        _costs_per_param(self, per_param)
 
     def dispatch_seconds(self, statements: int, params: int) -> float:
         """Send-side marshalling of ``statements`` wire statements binding
@@ -77,6 +79,9 @@ class ClientCosts:
     def receive_seconds(self, rows: int) -> float:
         """Receive-side marshalling of ``rows`` fetched result rows."""
         return self.per_row * rows
+
+
+_costs_per_call, _costs_per_row, _costs_per_param = slot_setters(ClientCosts)
 
 
 class DatabaseClient:

@@ -73,9 +73,9 @@ from __future__ import annotations
 
 import copy
 import warnings
-from dataclasses import dataclass, field, replace as _dataclass_replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.records import Record
 from repro.relalg.compile import (
     ExecContext,
     SlotLayout,
@@ -128,8 +128,7 @@ __all__ = ["Database", "ExecutionSummary"]
 _DepSnapshot = Tuple[Tuple[str, int], ...]
 
 
-@dataclass
-class ExecutionSummary:
+class ExecutionSummary(Record):
     """Cumulative statistics of every statement a database has executed.
 
     ``select_stats`` is the field-by-field sum of the read work of every
@@ -142,11 +141,21 @@ class ExecutionSummary:
     cost.
     """
 
-    statements: int = 0
-    selects: int = 0
-    inserts: int = 0
-    rows_inserted: int = 0
-    select_stats: QueryStats = field(default_factory=QueryStats)
+    __slots__ = ("statements", "selects", "inserts", "rows_inserted", "select_stats")
+
+    def __init__(
+        self,
+        statements: int = 0,
+        selects: int = 0,
+        inserts: int = 0,
+        rows_inserted: int = 0,
+        select_stats: Optional[QueryStats] = None,
+    ) -> None:
+        self.statements = statements
+        self.selects = selects
+        self.inserts = inserts
+        self.rows_inserted = rows_inserted
+        self.select_stats = QueryStats() if select_stats is None else select_stats
 
     @property
     def rows_returned(self) -> int:
@@ -876,7 +885,8 @@ class Database:
             counted.filters = level.filters + [count]
             counted.fallback_filters = level.fallback_filters + [count]
             instrumented.append(counted)
-        probe = _dataclass_replace(plan, levels=instrumented)
+        probe = copy.copy(plan)
+        probe.levels = instrumented
         stats = QueryStats()
         result = probe.execute(params, stats=stats)
         self.summary.record_select(stats)

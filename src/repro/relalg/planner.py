@@ -65,7 +65,6 @@ engine lacks it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import merge as _heap_merge, nsmallest
 from itertools import chain
 from operator import itemgetter
@@ -73,6 +72,7 @@ from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
+from repro.records import FrozenRecord, Record, slot_setters
 from repro.relalg.compile import (
     BatchPredicate,
     ExecContext,
@@ -373,84 +373,126 @@ class _Level:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
-class QueryPlan:
-    """A fully compiled SELECT: reusable across executions and parameters."""
+class QueryPlan(Record):
+    """A fully compiled SELECT: reusable across executions and parameters.
 
-    statement: SelectStatement
-    layout: SlotLayout
-    levels: List[_Level]
-    columns: List[str]
-    #: ``None`` for aggregate queries.
-    projector: Optional[Callable[[Tuple[Any, ...], ExecContext], Tuple[Any, ...]]]
-    #: Shortcut: the projection is the identity over the full slot row.
-    identity_projection: bool
-    #: Aggregate machinery (``None`` entries for non-aggregate queries).
-    group_key_fns: Optional[List[RowFn]]
-    having_fn: Optional[GroupFn]
-    item_group_fns: Optional[List[GroupFn]]
-    #: ORDER BY: ('col', output_index, ascending) | ('expr', row_fn, ascending)
-    order_spec: List[Tuple[str, Any, bool]]
-    distinct: bool
-    limit: Optional[int]
-    #: Rows to skip before the LIMIT window (``LIMIT n OFFSET m``).
-    offset: Optional[int]
-    #: Lowered names of every table this plan reads: its own bindings plus
-    #: the ``table_deps`` of its subquery plans.  The per-table plan-cache
-    #: invalidation in ``Database`` keys off these.
-    table_deps: Set[str]
-    #: Plans of the scalar subqueries in the statement's own clauses, in
-    #: clause order: the very objects its compiled expressions execute (one
-    #: plan per SELECT node, from the planner's per-statement memo), so
-    #: EXPLAIN reports what actually executes.  Nested subqueries hang off
-    #: their own subquery plan.
-    subquery_plans: List["QueryPlan"]
-    #: Whether the chosen join order equals the statement's syntactic binding
-    #: order (the order the reference engine always uses).  Differential
-    #: tests compare physical counters only when this holds.
-    follows_syntactic_order: bool
-    #: Whether the driving level can be scanned vectorized: a
-    #: :class:`PartitionScan` whose residual filters all batch-compiled (see
-    #: :func:`~repro.relalg.compile.compile_batch_predicate`).  Decided at
-    #: plan time; execution still needs ``vectorized=True`` to opt in.
-    vector_eligible: bool = False
-    #: The compiled batch predicate over the driving level's chunks
-    #: (``None`` when the driving level has no filters, or is ineligible).
-    vector_filter: Optional[BatchPredicate] = None
-    #: ``row -> output tuple`` over slot positions only (an ``itemgetter``
-    #: under the hood), when the whole select list is slot-addressed.  The
-    #: vectorized path maps it over the joined rows in one C-level pass;
-    #: ``None`` falls back to :attr:`projector`.
-    batch_projector: Optional[Callable[[Tuple[Any, ...]], Tuple[Any, ...]]] = None
-    #: Batch grouped aggregation over the joined rows (see
-    #: :func:`~repro.relalg.compile.compile_batch_aggregate`); ``None`` when
-    #: ineligible.  The closure returns ``None`` (side-effect free) when a
-    #: fold errors — execution then replays :meth:`_aggregate` row-at-a-time.
-    vector_aggregate: Optional[Callable] = None
-    #: Batch hash-join probe key: the probe key of a two-level
-    #: scan→hash-join plan, compiled over the driving binding's slot range.
-    #: ``None`` when the plan shape or the key expression is ineligible.
-    vector_join_key: Optional[Tuple[Any, ...]] = None
-    #: Per-rung vectorization report for EXPLAIN: rung name → human-readable
-    #: status ("vectorized…", "row-at-a-time (reason)", "n/a (reason)").
-    vector_report: Dict[str, str] = field(default_factory=dict)
-    #: True when static analysis proved some conjunct false for every row
-    #: (``WHERE 1 = 2``, ``x = 1 AND x = 2``): execution skips enumeration
-    #: entirely — zero rows scanned, zero index lookups — and the normal
-    #: aggregation/projection pipeline runs over the empty row set.
-    contradiction: bool = False
-    #: Findings of the plan-time semantic analysis (folds, dropped
-    #: conjuncts, contradictions, lint warnings) for EXPLAIN's ``analysis:``
-    #: section.
-    analysis_report: Tuple[str, ...] = ()
-    #: ORDER BY + LIMIT pushed onto index order: ``(column, ascending)``
-    #: when the single sort key is an ordered-indexed column of a
-    #: single-level scan plan — execution k-way merges the per-partition
-    #: sorted runs and stops after ``limit + offset`` surviving rows,
-    #: instead of scanning everything and sorting.  Mode-independent (the
-    #: process fan-out is disabled for these plans) so every engine mode
-    #: reports identical counters.
-    index_order: Optional[Tuple[str, bool]] = None
+    ``_process_spec`` and ``_process_spec_id`` are private: the process
+    executor caches the plan's lowering there.
+    """
+
+    __slots__ = (
+        "statement", "layout", "levels", "columns", "projector",
+        "identity_projection", "group_key_fns", "having_fn", "item_group_fns",
+        "order_spec", "distinct", "limit", "offset", "table_deps", "subquery_plans",
+        "follows_syntactic_order", "vector_eligible", "vector_filter",
+        "batch_projector", "vector_aggregate", "vector_join_key", "vector_report",
+        "contradiction", "analysis_report", "index_order", "_process_spec",
+        "_process_spec_id",
+    )
+    _fields = __slots__[:-2]
+
+    def __init__(
+        self,
+        statement: SelectStatement,
+        layout: SlotLayout,
+        levels: List[_Level],
+        columns: List[str],
+        projector: Optional[Callable[[Tuple[Any, ...], ExecContext], Tuple[Any, ...]]],
+        identity_projection: bool,
+        group_key_fns: Optional[List[RowFn]],
+        having_fn: Optional[GroupFn],
+        item_group_fns: Optional[List[GroupFn]],
+        order_spec: List[Tuple[str, Any, bool]],
+        distinct: bool,
+        limit: Optional[int],
+        offset: Optional[int],
+        table_deps: Set[str],
+        subquery_plans: List["QueryPlan"],
+        follows_syntactic_order: bool,
+        vector_eligible: bool = False,
+        vector_filter: Optional[BatchPredicate] = None,
+        batch_projector: Optional[Callable[[Tuple[Any, ...]], Tuple[Any, ...]]] = None,
+        vector_aggregate: Optional[Callable] = None,
+        vector_join_key: Optional[Tuple[Any, ...]] = None,
+        vector_report: Optional[Dict[str, str]] = None,
+        contradiction: bool = False,
+        analysis_report: Tuple[str, ...] = (),
+        index_order: Optional[Tuple[str, bool]] = None,
+    ) -> None:
+        self.statement = statement
+        self.layout = layout
+        self.levels = levels
+        self.columns = columns
+        #: ``None`` for aggregate queries.
+        self.projector = projector
+        #: Shortcut: the projection is the identity over the full slot row.
+        self.identity_projection = identity_projection
+        #: Aggregate machinery (``None`` entries for non-aggregate queries).
+        self.group_key_fns = group_key_fns
+        self.having_fn = having_fn
+        self.item_group_fns = item_group_fns
+        #: ORDER BY: ('col', output_index, ascending) | ('expr', row_fn, ascending)
+        self.order_spec = order_spec
+        self.distinct = distinct
+        self.limit = limit
+        #: Rows to skip before the LIMIT window (``LIMIT n OFFSET m``).
+        self.offset = offset
+        #: Lowered names of every table this plan reads: its own bindings plus
+        #: the ``table_deps`` of its subquery plans.  The per-table plan-cache
+        #: invalidation in ``Database`` keys off these.
+        self.table_deps = table_deps
+        #: Plans of the scalar subqueries in the statement's own clauses, in
+        #: clause order: the very objects its compiled expressions execute (one
+        #: plan per SELECT node, from the planner's per-statement memo), so
+        #: EXPLAIN reports what actually executes.  Nested subqueries hang off
+        #: their own subquery plan.
+        self.subquery_plans = subquery_plans
+        #: Whether the chosen join order equals the statement's syntactic binding
+        #: order (the order the reference engine always uses).  Differential
+        #: tests compare physical counters only when this holds.
+        self.follows_syntactic_order = follows_syntactic_order
+        #: Whether the driving level can be scanned vectorized: a
+        #: :class:`PartitionScan` whose residual filters all batch-compiled (see
+        #: :func:`~repro.relalg.compile.compile_batch_predicate`).  Decided at
+        #: plan time; execution still needs ``vectorized=True`` to opt in.
+        self.vector_eligible = vector_eligible
+        #: The compiled batch predicate over the driving level's chunks
+        #: (``None`` when the driving level has no filters, or is ineligible).
+        self.vector_filter = vector_filter
+        #: ``row -> output tuple`` over slot positions only (an ``itemgetter``
+        #: under the hood), when the whole select list is slot-addressed.  The
+        #: vectorized path maps it over the joined rows in one C-level pass;
+        #: ``None`` falls back to :attr:`projector`.
+        self.batch_projector = batch_projector
+        #: Batch grouped aggregation over the joined rows (see
+        #: :func:`~repro.relalg.compile.compile_batch_aggregate`); ``None`` when
+        #: ineligible.  The closure returns ``None`` (side-effect free) when a
+        #: fold errors — execution then replays :meth:`_aggregate` row-at-a-time.
+        self.vector_aggregate = vector_aggregate
+        #: Batch hash-join probe key: the probe key of a two-level
+        #: scan→hash-join plan, compiled over the driving binding's slot range.
+        #: ``None`` when the plan shape or the key expression is ineligible.
+        self.vector_join_key = vector_join_key
+        #: Per-rung vectorization report for EXPLAIN: rung name → human-readable
+        #: status ("vectorized…", "row-at-a-time (reason)", "n/a (reason)").
+        self.vector_report = {} if vector_report is None else vector_report
+        #: True when static analysis proved some conjunct false for every row
+        #: (``WHERE 1 = 2``, ``x = 1 AND x = 2``): execution skips enumeration
+        #: entirely — zero rows scanned, zero index lookups — and the normal
+        #: aggregation/projection pipeline runs over the empty row set.
+        self.contradiction = contradiction
+        #: Findings of the plan-time semantic analysis (folds, dropped
+        #: conjuncts, contradictions, lint warnings) for EXPLAIN's ``analysis:``
+        #: section.
+        self.analysis_report = analysis_report
+        #: ORDER BY + LIMIT pushed onto index order: ``(column, ascending)``
+        #: when the single sort key is an ordered-indexed column of a
+        #: single-level scan plan — execution k-way merges the per-partition
+        #: sorted runs and stops after ``limit + offset`` surviving rows,
+        #: instead of scanning everything and sorting.  Mode-independent (the
+        #: process fan-out is disabled for these plans) so every engine mode
+        #: reports identical counters.
+        self.index_order = index_order
 
     # ------------------------------------------------------------------ #
 
@@ -998,8 +1040,7 @@ def _build_hash_table(
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class PlanSpec:
+class PlanSpec(FrozenRecord):
     """A serializable lowering of one :class:`QueryPlan`'s driving scan.
 
     Compiled plans are closures over live :class:`Table` objects and cannot
@@ -1007,7 +1048,7 @@ class PlanSpec:
     only part a process worker runs: the slot layout as ``(binding, column
     names)`` pairs, and the driving level's table, slot range and residual
     filters.  The filters travel as :class:`~repro.relalg.sqlast.SqlExpr`
-    ASTs — frozen dataclasses of literals, column references and operators
+    ASTs — frozen records of literals, column references and operators
     that pickle cleanly — and a worker re-compiles them locally with
     :func:`~repro.relalg.compile.compile_row_expr` over the rehydrated slot
     layout, recovering the exact per-row semantics of the parent's plan.
@@ -1024,16 +1065,37 @@ class PlanSpec:
     those read other tables, which live only in the parent).
     """
 
-    bindings: Tuple[Tuple[str, Tuple[str, ...]], ...]
-    width: int
-    #: :attr:`Table.uid <repro.relalg.storage.Table.uid>` of the driving
-    #: table: worker shard replicas are keyed by it.
-    table_uid: int
-    #: The driving binding's slot range ``[offset, end)`` in a joined row.
-    offset: int
-    end: int
-    filter_asts: Tuple[SqlExpr, ...]
-    process_eligible: bool
+    __slots__ = (
+        "bindings", "width", "table_uid", "offset", "end", "filter_asts",
+        "process_eligible",
+    )
+
+    def __init__(
+        self,
+        bindings: Tuple[Tuple[str, Tuple[str, ...]], ...],
+        width: int,
+        table_uid: int,
+        offset: int,
+        end: int,
+        filter_asts: Tuple[SqlExpr, ...],
+        process_eligible: bool,
+    ) -> None:
+        _spec_bindings(self, bindings)
+        _spec_width(self, width)
+        #: :attr:`Table.uid <repro.relalg.storage.Table.uid>` of the driving
+        #: table: worker shard replicas are keyed by it.
+        _spec_table_uid(self, table_uid)
+        #: The driving binding's slot range ``[offset, end)`` in a joined row.
+        _spec_offset(self, offset)
+        _spec_end(self, end)
+        _spec_filter_asts(self, filter_asts)
+        _spec_process_eligible(self, process_eligible)
+
+
+(
+    _spec_bindings, _spec_width, _spec_table_uid, _spec_offset, _spec_end,
+    _spec_filter_asts, _spec_process_eligible,
+) = slot_setters(PlanSpec)
 
 
 def expr_has_subquery(expr: SqlExpr) -> bool:

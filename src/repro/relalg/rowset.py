@@ -8,9 +8,9 @@ module so the planner (:mod:`repro.relalg.planner`), the expression compiler
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.records import Record
 from repro.relalg.errors import ExecutionError
 
 __all__ = ["QueryStats", "ResultSet", "matches_nothing"]
@@ -27,8 +27,7 @@ def matches_nothing(key: Any) -> bool:
     return key is None or key != key
 
 
-@dataclass
-class QueryStats:
+class QueryStats(Record):
     """Counters describing the work one query performed.
 
     The counters record *physical* work:
@@ -70,17 +69,36 @@ class QueryStats:
     comparisons between engines stay meaningful.
     """
 
-    rows_scanned: int = 0
-    index_lookups: int = 0
-    range_probes: int = 0
-    rows_joined: int = 0
-    rows_returned: int = 0
-    subqueries: int = 0
-    hash_probes: int = 0
-    partition_rows_scanned: Dict[int, int] = field(
-        default_factory=dict, compare=False, repr=False
+    __slots__ = (
+        "rows_scanned", "index_lookups", "range_probes", "rows_joined",
+        "rows_returned", "subqueries", "hash_probes", "partition_rows_scanned",
+        "subquery_replays",
     )
-    subquery_replays: int = field(default=0, compare=False, repr=False)
+    _uncompared = _unshown = ("partition_rows_scanned", "subquery_replays")
+
+    def __init__(
+        self,
+        rows_scanned: int = 0,
+        index_lookups: int = 0,
+        range_probes: int = 0,
+        rows_joined: int = 0,
+        rows_returned: int = 0,
+        subqueries: int = 0,
+        hash_probes: int = 0,
+        partition_rows_scanned: Optional[Dict[int, int]] = None,
+        subquery_replays: int = 0,
+    ) -> None:
+        self.rows_scanned = rows_scanned
+        self.index_lookups = index_lookups
+        self.range_probes = range_probes
+        self.rows_joined = rows_joined
+        self.rows_returned = rows_returned
+        self.subqueries = subqueries
+        self.hash_probes = hash_probes
+        self.partition_rows_scanned = (
+            {} if partition_rows_scanned is None else partition_rows_scanned
+        )
+        self.subquery_replays = subquery_replays
 
     def merge(self, other: "QueryStats") -> None:
         """Accumulate the counters of a nested (sub)query.
@@ -101,13 +119,20 @@ class QueryStats:
                 target[pid] = target.get(pid, 0) + scanned
 
 
-@dataclass
-class ResultSet:
+class ResultSet(Record):
     """The materialised result of a SELECT."""
 
-    columns: List[str]
-    rows: List[Tuple[Any, ...]]
-    stats: QueryStats = field(default_factory=QueryStats)
+    __slots__ = ("columns", "rows", "stats")
+
+    def __init__(
+        self,
+        columns: List[str],
+        rows: List[Tuple[Any, ...]],
+        stats: Optional[QueryStats] = None,
+    ) -> None:
+        self.columns = columns
+        self.rows = rows
+        self.stats = QueryStats() if stats is None else stats
 
     def scalar(self) -> Any:
         """The single value of a 1×1 result; raises otherwise."""

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.records import FrozenRecord, Record, slot_setters
 from repro.relalg.errors import IntegrityError, SchemaError
 
 __all__ = ["ColumnType", "Column", "TableSchema"]
@@ -108,22 +108,29 @@ _EXACT_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class Column:
-    """One column of a table."""
+class Column(FrozenRecord):
+    """One column of a table.
 
-    name: str
-    type: ColumnType
-    nullable: bool = True
-    primary_key: bool = False
-    #: A value of exactly this type is stored as-is, without calling
-    #: :meth:`ColumnType.validate` (``None``: every value is validated).
-    exact_type: Optional[type] = field(
-        init=False, default=None, repr=False, compare=False
-    )
+    ``exact_type`` is derived, not a field: a value of exactly this type is
+    stored as-is, without calling :meth:`ColumnType.validate` (``None``:
+    every value is validated).
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exact_type", _EXACT_TYPES.get(self.type))
+    __slots__ = ("name", "type", "nullable", "primary_key", "exact_type")
+    _fields = __slots__[:-1]
+
+    def __init__(
+        self,
+        name: str,
+        type: ColumnType,
+        nullable: bool = True,
+        primary_key: bool = False,
+    ) -> None:
+        _column_name(self, name)
+        _column_type(self, type)
+        _column_nullable(self, nullable)
+        _column_primary_key(self, primary_key)
+        _column_exact_type(self, _EXACT_TYPES.get(type))
 
     def sql(self) -> str:
         """Canonical SQL fragment of the column definition."""
@@ -135,14 +142,20 @@ class Column:
         return " ".join(parts)
 
 
-@dataclass
-class TableSchema:
+(
+    _column_name, _column_type, _column_nullable, _column_primary_key,
+    _column_exact_type,
+) = slot_setters(Column)
+
+
+class TableSchema(Record):
     """Schema of one table (column order matters for positional inserts)."""
 
-    name: str
-    columns: List[Column] = field(default_factory=list)
+    __slots__ = ("name", "columns")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, columns: Optional[List[Column]] = None) -> None:
+        self.name = name
+        self.columns = [] if columns is None else columns
         names = [c.name.lower() for c in self.columns]
         duplicates = {n for n in names if names.count(n) > 1}
         if duplicates:

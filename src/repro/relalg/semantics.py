@@ -49,9 +49,9 @@ QueryStats relative to the interpreter for such statements.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.records import Record
 from repro.relalg.compile import _apply_binop
 from repro.relalg.errors import ExecutionError, SemanticError
 from repro.relalg.rowset import _is_true
@@ -134,8 +134,7 @@ def _type_class(sql_type: SqlType) -> Optional[str]:
     return None
 
 
-@dataclass
-class RangeInterval:
+class RangeInterval(Record):
     """The tightest literal interval the range conjuncts on one
     ``(binding, column)`` pair imply.
 
@@ -145,12 +144,23 @@ class RangeInterval:
     list by identity.
     """
 
-    lo: Any = None
-    lo_incl: bool = True
-    lo_expr: Optional[SqlExpr] = None
-    hi: Any = None
-    hi_incl: bool = True
-    hi_expr: Optional[SqlExpr] = None
+    __slots__ = ("lo", "lo_incl", "lo_expr", "hi", "hi_incl", "hi_expr")
+
+    def __init__(
+        self,
+        lo: Any = None,
+        lo_incl: bool = True,
+        lo_expr: Optional[SqlExpr] = None,
+        hi: Any = None,
+        hi_incl: bool = True,
+        hi_expr: Optional[SqlExpr] = None,
+    ) -> None:
+        self.lo = lo
+        self.lo_incl = lo_incl
+        self.lo_expr = lo_expr
+        self.hi = hi
+        self.hi_incl = hi_incl
+        self.hi_expr = hi_expr
 
     @property
     def empty(self) -> bool:
@@ -183,42 +193,58 @@ class RangeInterval:
         return True
 
 
-@dataclass
-class Analysis:
+class Analysis(Record):
     """The result of analyzing one SELECT statement.
 
     ``applicable`` is False when the statement's scope could not be built
     (unknown table, duplicate binding) — those raise through the existing
     :class:`SchemaError`/:class:`ExecutionError` paths before analysis
     matters, and every other field is then empty/None.
+
+    ``report`` holds the human-readable findings for EXPLAIN's
+    ``analysis:`` section (folds, dropped conjuncts, contradictions,
+    warnings).  ``conjuncts`` is the planner's conjunct list after folding
+    and always-true elimination, or ``None`` when the analysis was not
+    applicable.  ``contradiction`` is True when some conjunct is provably
+    false for every row — the planner skips the scan entirely (zero rows
+    enumerated, zero stats).  ``intervals`` maps ``(binding, lowered
+    column)`` to the tightest literal range interval the conjuncts imply; it
+    feeds the planner's range selectivity so stacked conjuncts on one column
+    estimate as a single interval instead of a product of independent
+    selectivities.  ``item_types`` is the inferred type per select item
+    (``None`` for ``*`` items).  ``subqueries`` holds the analysis of every
+    scalar subquery of the statement's own clauses, keyed by ``id()`` of the
+    subquery's SELECT node (nested subqueries live in their parent
+    subquery's analysis).  The planner hands each one down when it plans
+    that subquery, so no node is analyzed twice.
     """
 
-    applicable: bool = True
-    errors: List[SemanticError] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
-    #: Human-readable findings for EXPLAIN's ``analysis:`` section
-    #: (folds, dropped conjuncts, contradictions, warnings).
-    report: Tuple[str, ...] = ()
-    #: The planner's conjunct list after folding and always-true elimination,
-    #: or ``None`` when the analysis was not applicable.
-    conjuncts: Optional[List[SqlExpr]] = None
-    #: True when some conjunct is provably false for every row — the planner
-    #: skips the scan entirely (zero rows enumerated, zero stats).
-    contradiction: bool = False
-    #: ``(binding, lowered column) -> `` tightest literal range interval the
-    #: conjuncts imply; feeds the planner's range selectivity so stacked
-    #: conjuncts on one column estimate as a single interval instead of a
-    #: product of independent selectivities.
-    intervals: Dict[Tuple[str, str], RangeInterval] = field(
-        default_factory=dict
+    __slots__ = (
+        "applicable", "errors", "warnings", "report", "conjuncts", "contradiction",
+        "intervals", "item_types", "subqueries",
     )
-    #: Inferred type per select item (``None`` for ``*`` items).
-    item_types: List[Optional[SqlType]] = field(default_factory=list)
-    #: The analysis of every scalar subquery of the statement's own clauses,
-    #: keyed by ``id()`` of the subquery's SELECT node (nested subqueries
-    #: live in their parent subquery's analysis).  The planner hands each
-    #: one down when it plans that subquery, so no node is analyzed twice.
-    subqueries: Dict[int, "Analysis"] = field(default_factory=dict)
+
+    def __init__(
+        self,
+        applicable: bool = True,
+        errors: Optional[List[SemanticError]] = None,
+        warnings: Optional[List[str]] = None,
+        report: Tuple[str, ...] = (),
+        conjuncts: Optional[List[SqlExpr]] = None,
+        contradiction: bool = False,
+        intervals: Optional[Dict[Tuple[str, str], RangeInterval]] = None,
+        item_types: Optional[List[Optional[SqlType]]] = None,
+        subqueries: Optional[Dict[int, "Analysis"]] = None,
+    ) -> None:
+        self.applicable = applicable
+        self.errors = [] if errors is None else errors
+        self.warnings = [] if warnings is None else warnings
+        self.report = report
+        self.conjuncts = conjuncts
+        self.contradiction = contradiction
+        self.intervals = {} if intervals is None else intervals
+        self.item_types = [] if item_types is None else item_types
+        self.subqueries = {} if subqueries is None else subqueries
 
 
 def analyze_select(

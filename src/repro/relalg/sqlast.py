@@ -10,8 +10,9 @@ ordering, scalar subqueries and parameter placeholders.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
+
+from repro.records import FrozenRecord, Record, slot_setters
 
 __all__ = [
     "SqlExpr",
@@ -55,43 +56,68 @@ AGGREGATE_FUNCTIONS = frozenset({"SUM", "MIN", "MAX", "AVG", "COUNT"})
 # --------------------------------------------------------------------------- #
 
 
-class SqlExpr:
-    """Base class of SQL expressions."""
+class SqlExpr(FrozenRecord):
+    """Base class of SQL expressions (immutable, hashable, compared by value)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Literal(SqlExpr):
     """A literal value (number, string, boolean or NULL)."""
 
-    value: Any
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        _literal_value(self, value)
 
 
-@dataclass(frozen=True)
+(_literal_value,) = slot_setters(Literal)
+
+
 class ColumnRef(SqlExpr):
     """A (possibly qualified) column reference, e.g. ``r.region_id``."""
 
-    name: str
-    table: Optional[str] = None
-    #: Character offset of the reference in the statement text, used for
-    #: diagnostics only; excluded from equality so AST comparisons ignore it.
-    position: Optional[int] = field(default=None, compare=False)
+    #: ``position`` is the character offset of the reference in the statement
+    #: text, used for diagnostics only; equality ignores it.
+    __slots__ = ("name", "table", "position")
+    _uncompared = ("position",)
+
+    def __init__(
+        self, name: str, table: Optional[str] = None, position: Optional[int] = None
+    ) -> None:
+        _column_name(self, name)
+        _column_table(self, table)
+        _column_position(self, position)
 
     def __str__(self) -> str:
         return f"{self.table}.{self.name}" if self.table else self.name
 
 
-@dataclass(frozen=True)
+_column_name, _column_table, _column_position = slot_setters(ColumnRef)
+
+
 class Star(SqlExpr):
     """``*`` (only valid in ``SELECT *`` and ``COUNT(*)``)."""
 
-    table: Optional[str] = None
+    __slots__ = ("table",)
+
+    def __init__(self, table: Optional[str] = None) -> None:
+        _star_table(self, table)
 
 
-@dataclass(frozen=True)
+(_star_table,) = slot_setters(Star)
+
+
 class Placeholder(SqlExpr):
     """A ``?`` parameter placeholder (bound positionally at execution time)."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        _placeholder_index(self, index)
+
+
+(_placeholder_index,) = slot_setters(Placeholder)
 
 
 class BinaryOperator(enum.Enum):
@@ -120,62 +146,122 @@ class BinaryOperator(enum.Enum):
         )
 
 
-@dataclass(frozen=True)
 class BinaryOperation(SqlExpr):
-    op: BinaryOperator
-    left: SqlExpr
-    right: SqlExpr
-    position: Optional[int] = field(default=None, compare=False)
-    #: The node as the user wrote it, when constant folding rebuilt this one
-    #: (see ``semantics._fold_expr``): error messages name ``origin``.
-    origin: Optional[SqlExpr] = field(default=None, compare=False, repr=False)
+    #: ``origin`` is the node as the user wrote it, when constant folding
+    #: rebuilt this one (see ``semantics._fold_expr``): error messages name it.
+    __slots__ = ("op", "left", "right", "position", "origin")
+    _uncompared = ("position", "origin")
+    _unshown = ("origin",)
+
+    def __init__(
+        self,
+        op: BinaryOperator,
+        left: SqlExpr,
+        right: SqlExpr,
+        position: Optional[int] = None,
+        origin: Optional[SqlExpr] = None,
+    ) -> None:
+        _binary_op(self, op)
+        _binary_left(self, left)
+        _binary_right(self, right)
+        _binary_position(self, position)
+        _binary_origin(self, origin)
 
 
-@dataclass(frozen=True)
+_binary_op, _binary_left, _binary_right, _binary_position, _binary_origin = (
+    slot_setters(BinaryOperation)
+)
+
+
 class UnaryOperation(SqlExpr):
     """``NOT expr`` or ``-expr``."""
 
-    op: str  # "NOT" | "-"
-    operand: SqlExpr
-    position: Optional[int] = field(default=None, compare=False)
-    #: The unfolded original, as on :class:`BinaryOperation`.
-    origin: Optional[SqlExpr] = field(default=None, compare=False, repr=False)
+    #: ``origin``: the unfolded original, as on :class:`BinaryOperation`.
+    __slots__ = ("op", "operand", "position", "origin")
+    _uncompared = ("position", "origin")
+    _unshown = ("origin",)
+
+    def __init__(
+        self,
+        op: str,  # "NOT" | "-"
+        operand: SqlExpr,
+        position: Optional[int] = None,
+        origin: Optional[SqlExpr] = None,
+    ) -> None:
+        _unary_op(self, op)
+        _unary_operand(self, operand)
+        _unary_position(self, position)
+        _unary_origin(self, origin)
 
 
-@dataclass(frozen=True)
+_unary_op, _unary_operand, _unary_position, _unary_origin = slot_setters(UnaryOperation)
+
+
 class FunctionExpr(SqlExpr):
     """A function call; aggregate functions are listed in AGGREGATE_FUNCTIONS."""
 
-    name: str
-    args: Tuple[SqlExpr, ...] = ()
-    distinct: bool = False
-    position: Optional[int] = field(default=None, compare=False)
+    __slots__ = ("name", "args", "distinct", "position")
+    _uncompared = ("position",)
+
+    def __init__(
+        self,
+        name: str,
+        args: Tuple[SqlExpr, ...] = (),
+        distinct: bool = False,
+        position: Optional[int] = None,
+    ) -> None:
+        _function_name(self, name)
+        _function_args(self, args)
+        _function_distinct(self, distinct)
+        _function_position(self, position)
 
     @property
     def is_aggregate(self) -> bool:
         return self.name.upper() in AGGREGATE_FUNCTIONS
 
 
-@dataclass(frozen=True)
+_function_name, _function_args, _function_distinct, _function_position = (
+    slot_setters(FunctionExpr)
+)
+
+
 class IsNull(SqlExpr):
-    operand: SqlExpr
-    negated: bool = False
+    __slots__ = ("operand", "negated")
+
+    def __init__(self, operand: SqlExpr, negated: bool = False) -> None:
+        _is_null_operand(self, operand)
+        _is_null_negated(self, negated)
 
 
-@dataclass(frozen=True)
+_is_null_operand, _is_null_negated = slot_setters(IsNull)
+
+
 class InList(SqlExpr):
     """``expr IN (v1, v2, …)`` over literal/parameter values."""
 
-    operand: SqlExpr
-    items: Tuple[SqlExpr, ...]
-    negated: bool = False
+    __slots__ = ("operand", "items", "negated")
+
+    def __init__(
+        self, operand: SqlExpr, items: Tuple[SqlExpr, ...], negated: bool = False
+    ) -> None:
+        _in_list_operand(self, operand)
+        _in_list_items(self, items)
+        _in_list_negated(self, negated)
 
 
-@dataclass(frozen=True)
+_in_list_operand, _in_list_items, _in_list_negated = slot_setters(InList)
+
+
 class ScalarSubquery(SqlExpr):
     """A parenthesised SELECT used as a scalar value."""
 
-    select: "SelectStatement"
+    __slots__ = ("select",)
+
+    def __init__(self, select: "SelectStatement") -> None:
+        _subquery_select(self, select)
+
+
+(_subquery_select,) = slot_setters(ScalarSubquery)
 
 
 def format_expr(expr: SqlExpr) -> str:
@@ -237,16 +323,23 @@ def format_expr(expr: SqlExpr) -> str:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class SelectItem:
-    expr: SqlExpr
-    alias: Optional[str] = None
+class SelectItem(FrozenRecord):
+    __slots__ = ("expr", "alias")
+
+    def __init__(self, expr: SqlExpr, alias: Optional[str] = None) -> None:
+        _item_expr(self, expr)
+        _item_alias(self, alias)
 
 
-@dataclass(frozen=True)
-class TableRef:
-    name: str
-    alias: Optional[str] = None
+_item_expr, _item_alias = slot_setters(SelectItem)
+
+
+class TableRef(FrozenRecord):
+    __slots__ = ("name", "alias")
+
+    def __init__(self, name: str, alias: Optional[str] = None) -> None:
+        _table_name(self, name)
+        _table_alias(self, alias)
 
     @property
     def binding(self) -> str:
@@ -254,30 +347,60 @@ class TableRef:
         return self.alias or self.name
 
 
-@dataclass(frozen=True)
-class Join:
-    table: TableRef
-    on: Optional[SqlExpr] = None
+_table_name, _table_alias = slot_setters(TableRef)
 
 
-@dataclass(frozen=True)
-class OrderItem:
-    expr: SqlExpr
-    ascending: bool = True
+class Join(FrozenRecord):
+    __slots__ = ("table", "on")
+
+    def __init__(self, table: TableRef, on: Optional[SqlExpr] = None) -> None:
+        _join_table(self, table)
+        _join_on(self, on)
 
 
-@dataclass
-class SelectStatement:
-    items: List[SelectItem] = field(default_factory=list)
-    from_tables: List[TableRef] = field(default_factory=list)
-    joins: List[Join] = field(default_factory=list)
-    where: Optional[SqlExpr] = None
-    group_by: List[SqlExpr] = field(default_factory=list)
-    having: Optional[SqlExpr] = None
-    order_by: List[OrderItem] = field(default_factory=list)
-    limit: Optional[int] = None
-    offset: Optional[int] = None
-    distinct: bool = False
+_join_table, _join_on = slot_setters(Join)
+
+
+class OrderItem(FrozenRecord):
+    __slots__ = ("expr", "ascending")
+
+    def __init__(self, expr: SqlExpr, ascending: bool = True) -> None:
+        _order_expr(self, expr)
+        _order_ascending(self, ascending)
+
+
+_order_expr, _order_ascending = slot_setters(OrderItem)
+
+
+class SelectStatement(Record):
+    __slots__ = (
+        "items", "from_tables", "joins", "where", "group_by", "having",
+        "order_by", "limit", "offset", "distinct",
+    )
+
+    def __init__(
+        self,
+        items: Optional[List[SelectItem]] = None,
+        from_tables: Optional[List[TableRef]] = None,
+        joins: Optional[List[Join]] = None,
+        where: Optional[SqlExpr] = None,
+        group_by: Optional[List[SqlExpr]] = None,
+        having: Optional[SqlExpr] = None,
+        order_by: Optional[List[OrderItem]] = None,
+        limit: Optional[int] = None,
+        offset: Optional[int] = None,
+        distinct: bool = False,
+    ) -> None:
+        self.items = [] if items is None else items
+        self.from_tables = [] if from_tables is None else from_tables
+        self.joins = [] if joins is None else joins
+        self.where = where
+        self.group_by = [] if group_by is None else group_by
+        self.having = having
+        self.order_by = [] if order_by is None else order_by
+        self.limit = limit
+        self.offset = offset
+        self.distinct = distinct
 
     @property
     def is_aggregate_query(self) -> bool:
@@ -303,63 +426,94 @@ def _contains_aggregate(expr: SqlExpr) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ColumnDef:
-    name: str
-    type_name: str
-    nullable: bool = True
-    primary_key: bool = False
+class ColumnDef(FrozenRecord):
+    __slots__ = ("name", "type_name", "nullable", "primary_key")
+
+    def __init__(
+        self, name: str, type_name: str, nullable: bool = True, primary_key: bool = False
+    ) -> None:
+        _def_name(self, name)
+        _def_type_name(self, type_name)
+        _def_nullable(self, nullable)
+        _def_primary_key(self, primary_key)
 
 
-@dataclass
-class CreateTableStatement:
-    table: str
-    columns: List[ColumnDef] = field(default_factory=list)
-    if_not_exists: bool = False
+_def_name, _def_type_name, _def_nullable, _def_primary_key = slot_setters(ColumnDef)
 
 
-@dataclass
-class CreateIndexStatement:
-    name: str
-    table: str
-    column: str
-    #: ``CREATE INDEX ... ORDERED``: additionally maintain a sorted run per
-    #: partition so range predicates and ORDER BY can use index order.
-    ordered: bool = False
+class CreateTableStatement(Record):
+    __slots__ = ("table", "columns", "if_not_exists")
+
+    def __init__(
+        self,
+        table: str,
+        columns: Optional[List[ColumnDef]] = None,
+        if_not_exists: bool = False,
+    ) -> None:
+        self.table = table
+        self.columns = [] if columns is None else columns
+        self.if_not_exists = if_not_exists
 
 
-@dataclass
-class InsertStatement:
-    table: str
-    columns: List[str] = field(default_factory=list)
-    rows: List[List[SqlExpr]] = field(default_factory=list)
+class CreateIndexStatement(Record):
+    #: ``ordered`` (``CREATE INDEX ... ORDERED``): additionally maintain a
+    #: sorted run per partition so range predicates and ORDER BY can use
+    #: index order.
+    __slots__ = ("name", "table", "column", "ordered")
+
+    def __init__(self, name: str, table: str, column: str, ordered: bool = False) -> None:
+        self.name = name
+        self.table = table
+        self.column = column
+        self.ordered = ordered
 
 
-@dataclass
-class DeleteStatement:
-    table: str
-    where: Optional[SqlExpr] = None
+class InsertStatement(Record):
+    __slots__ = ("table", "columns", "rows")
+
+    def __init__(
+        self,
+        table: str,
+        columns: Optional[List[str]] = None,
+        rows: Optional[List[List[SqlExpr]]] = None,
+    ) -> None:
+        self.table = table
+        self.columns = [] if columns is None else columns
+        self.rows = [] if rows is None else rows
 
 
-@dataclass
-class DropTableStatement:
-    table: str
-    if_exists: bool = False
+class DeleteStatement(Record):
+    __slots__ = ("table", "where")
+
+    def __init__(self, table: str, where: Optional[SqlExpr] = None) -> None:
+        self.table = table
+        self.where = where
 
 
-@dataclass(frozen=True)
-class BeginStatement:
+class DropTableStatement(Record):
+    __slots__ = ("table", "if_exists")
+
+    def __init__(self, table: str, if_exists: bool = False) -> None:
+        self.table = table
+        self.if_exists = if_exists
+
+
+class BeginStatement(FrozenRecord):
     """``BEGIN [TRANSACTION | WORK]`` — open an explicit transaction."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class CommitStatement:
+
+class CommitStatement(FrozenRecord):
     """``COMMIT [TRANSACTION | WORK]`` — make the open transaction durable."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class RollbackStatement:
+
+class RollbackStatement(FrozenRecord):
     """``ROLLBACK [TRANSACTION | WORK]`` — undo the open transaction."""
+
+    __slots__ = ()
 
 
 Statement = Union[

@@ -26,9 +26,10 @@ scalar subqueries.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass
+import re
 from typing import Any, List, Optional, Tuple
 
+from repro.records import FrozenRecord, slot_setters
 from repro.relalg.errors import SqlSyntaxError
 from repro.relalg.sqlast import (
     BeginStatement,
@@ -76,98 +77,106 @@ _KEYWORDS = {
     "ROLLBACK", "TRANSACTION", "WORK",
 }
 
-_TWO_CHAR = {"<=", ">=", "<>", "!="}
-_SINGLE_CHAR = set("()+-*/,.<>=?;")
+#: One match per token: skipped whitespace and ``--`` comments, then one
+#: alternative per token class: 1 a word with an ASCII start, 2 a number
+#: (decimal digits), 3 a string (``''`` escapes a quote), 4 an operator,
+#: 5 a word with any other start, 6 the end of the input, 7 any other
+#: character.  ``\s`` is ``str.isspace``, ``\w`` is ``str.isalnum`` plus
+#: ``_`` and ``\d`` is ``str.isdecimal``; the rarer characters that
+#: ``str.isalpha`` or ``str.isdigit`` classify differently are sorted out in
+#: group 5.
+_TOKEN = re.compile(
+    r"""
+    \s*(?:--[^\n]*\s*)*
+    (?:([A-Za-z_]\w*)
+    |(\d+(?:\.\d*)?(?:[eE](?:[+-]\d*|\d+))?|\.\d+(?:[eE](?:[+-]\d*|\d+))?)
+    |('(?:[^']|'')*')(?!')
+    |(<=|>=|<>|!=|[()+\-*/,.<>=?;])
+    |([^\W\d]\w*)
+    |(\Z)
+    |([\s\S]))
+    """,
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
-class SqlToken:
-    kind: str  # KEYWORD | IDENT | NUMBER | STRING | OP | EOF
-    text: str
-    value: Any = None
-    position: int = 0
+class SqlToken(FrozenRecord):
+    __slots__ = ("kind", "text", "value", "position")
+
+    def __init__(
+        self, kind: str, text: str, value: Any = None, position: int = 0
+    ) -> None:
+        _token_kind(self, kind)  # KEYWORD | IDENT | NUMBER | STRING | OP | EOF
+        _token_text(self, text)
+        _token_value(self, value)
+        _token_position(self, position)
+
+
+_token_kind, _token_text, _token_value, _token_position = slot_setters(SqlToken)
+
+
+def _number_value(text: str, start: int) -> Any:
+    try:
+        return int(text) if text.isdecimal() else float(text)
+    except ValueError:
+        pass
+    if text.isdecimal():
+        raise SqlSyntaxError(
+            f"integer literal of {len(text)} digits is too long", start
+        ) from None
+    raise SqlSyntaxError(f"invalid numeric literal {text!r}", start) from None
+
+
+def _bad_digit(char: str, start: int) -> SqlSyntaxError:
+    return SqlSyntaxError(f"invalid digit {char!r} in numeric literal", start)
 
 
 def tokenize_sql(sql: str) -> List[SqlToken]:
     """Tokenise one SQL statement."""
     tokens: List[SqlToken] = []
-    pos = 0
-    length = len(sql)
-    while pos < length:
-        char = sql[pos]
-        if char.isspace():
-            pos += 1
-            continue
-        if sql.startswith("--", pos):
-            newline = sql.find("\n", pos)
-            pos = length if newline == -1 else newline + 1
-            continue
-        if char.isalpha() or char == "_":
-            start = pos
-            while pos < length and (sql[pos].isalnum() or sql[pos] == "_"):
-                pos += 1
-            text = sql[start:pos]
+    append = tokens.append
+    for match in _TOKEN.finditer(sql):
+        group = match.lastindex
+        text = match.group(group)
+        start = match.start(group)
+        if group == 1:
             upper = text.upper()
             if upper in _KEYWORDS:
-                tokens.append(SqlToken("KEYWORD", upper, position=start))
+                append(SqlToken("KEYWORD", upper, None, start))
             else:
-                tokens.append(SqlToken("IDENT", text, position=start))
-            continue
-        if char.isdigit() or (
-            char == "." and pos + 1 < length and sql[pos + 1].isdigit()
-        ):
-            start = pos
-            seen_dot = False
-            seen_exp = False
-            while pos < length:
-                c = sql[pos]
-                if c.isdigit():
-                    pos += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    pos += 1
-                elif c in "eE" and not seen_exp and pos + 1 < length and (
-                    sql[pos + 1].isdigit() or sql[pos + 1] in "+-"
-                ):
-                    seen_exp = True
-                    pos += 2 if sql[pos + 1] in "+-" else 1
-                else:
-                    break
-            text = sql[start:pos]
-            value: Any = float(text) if (seen_dot or seen_exp) else int(text)
-            tokens.append(SqlToken("NUMBER", text, value=value, position=start))
-            continue
-        if char == "'":
-            start = pos
-            pos += 1
-            chars: List[str] = []
-            while True:
-                if pos >= length:
-                    raise SqlSyntaxError("unterminated string literal", start)
-                if sql[pos] == "'":
-                    if pos + 1 < length and sql[pos + 1] == "'":
-                        chars.append("'")
-                        pos += 2
-                        continue
-                    pos += 1
-                    break
-                chars.append(sql[pos])
-                pos += 1
-            tokens.append(
-                SqlToken("STRING", "".join(chars), value="".join(chars), position=start)
-            )
-            continue
-        two = sql[pos : pos + 2]
-        if two in _TWO_CHAR:
-            tokens.append(SqlToken("OP", "<>" if two == "!=" else two, position=pos))
-            pos += 2
-            continue
-        if char in _SINGLE_CHAR:
-            tokens.append(SqlToken("OP", char, position=pos))
-            pos += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {char!r}", pos)
-    tokens.append(SqlToken("EOF", "", position=length))
+                append(SqlToken("IDENT", text, None, start))
+        elif group == 4:
+            if text == "." and sql[start + 1 : start + 2].isdigit():
+                raise _bad_digit(sql[start + 1], start)
+            append(SqlToken("OP", "<>" if text == "!=" else text, None, start))
+        elif group == 2:
+            # A digit that is not a decimal digit (``²``) continues the literal
+            # but cannot be converted: the literal is invalid.
+            end = match.end()
+            after = sql[end : end + 1]
+            if after.isdigit():
+                raise _bad_digit(after, start)
+            if (after == "e" or after == "E") and "e" not in text and "E" not in text:
+                if sql[end + 1 : end + 2].isdigit():
+                    raise _bad_digit(sql[end + 1], start)
+            append(SqlToken("NUMBER", text, _number_value(text, start), start))
+        elif group == 3:
+            value = text[1:-1].replace("''", "'")
+            append(SqlToken("STRING", value, value, start))
+        elif group == 6:
+            break
+        elif group == 5:
+            char = text[0]
+            if char.isdigit():
+                raise _bad_digit(char, start)
+            if not char.isalpha():
+                raise SqlSyntaxError(f"unexpected character {char!r}", start)
+            append(SqlToken("IDENT", text, None, start))
+        elif text == "'":
+            raise SqlSyntaxError("unterminated string literal", start)
+        else:
+            raise SqlSyntaxError(f"unexpected character {text!r}", start)
+    append(SqlToken("EOF", "", None, len(sql)))
     return tokens
 
 
@@ -187,7 +196,10 @@ class SqlParser:
     # -- plumbing -----------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> SqlToken:
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        # ``_advance`` never moves past EOF, so only a lookahead can overrun.
+        if offset:
+            return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        return self.tokens[self.index]
 
     def _advance(self) -> SqlToken:
         token = self.tokens[self.index]
@@ -196,16 +208,17 @@ class SqlParser:
         return token
 
     def _at_keyword(self, *keywords: str) -> bool:
-        token = self._peek()
+        token = self.tokens[self.index]
         return token.kind == "KEYWORD" and token.text in keywords
 
     def _accept_keyword(self, *keywords: str) -> Optional[SqlToken]:
-        if self._at_keyword(*keywords):
+        token = self.tokens[self.index]
+        if token.kind == "KEYWORD" and token.text in keywords:
             return self._advance()
         return None
 
     def _expect_keyword(self, keyword: str) -> SqlToken:
-        token = self._peek()
+        token = self.tokens[self.index]
         if token.kind != "KEYWORD" or token.text != keyword:
             raise SqlSyntaxError(
                 f"expected {keyword}, found {token.text or 'end of input'!r}",
@@ -214,17 +227,18 @@ class SqlParser:
         return self._advance()
 
     def _at_op(self, op: str) -> bool:
-        token = self._peek()
+        token = self.tokens[self.index]
         return token.kind == "OP" and token.text == op
 
     def _accept_op(self, op: str) -> bool:
-        if self._at_op(op):
-            self._advance()
+        token = self.tokens[self.index]
+        if token.kind == "OP" and token.text == op:
+            self.index += 1
             return True
         return False
 
     def _expect_op(self, op: str) -> None:
-        token = self._peek()
+        token = self.tokens[self.index]
         if token.kind != "OP" or token.text != op:
             raise SqlSyntaxError(
                 f"expected {op!r}, found {token.text or 'end of input'!r}",

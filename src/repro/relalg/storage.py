@@ -59,9 +59,9 @@ import bisect
 import datetime as _dt
 import itertools
 import zlib
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.records import Record
 from repro.relalg.errors import ExecutionError, IntegrityError, SchemaError
 from repro.relalg.schema import ColumnType, TableSchema
 
@@ -604,8 +604,7 @@ class TableIndex:
 _HISTOGRAM_BUCKETS = 16
 
 
-@dataclass
-class ColumnHistogram:
+class ColumnHistogram(Record):
     """An equi-width value histogram of one ordered-indexed numeric column.
 
     Built from the live sorted runs (NULL/NaN values are excluded from
@@ -615,13 +614,25 @@ class ColumnHistogram:
     bucket closed at ``hi``.
     """
 
-    column: str
-    lo: float
-    hi: float
-    width: float
-    counts: List[int]
-    total: int
-    table_rows: int
+    __slots__ = ("column", "lo", "hi", "width", "counts", "total", "table_rows")
+
+    def __init__(
+        self,
+        column: str,
+        lo: float,
+        hi: float,
+        width: float,
+        counts: List[int],
+        total: int,
+        table_rows: int,
+    ) -> None:
+        self.column = column
+        self.lo = lo
+        self.hi = hi
+        self.width = width
+        self.counts = counts
+        self.total = total
+        self.table_rows = table_rows
 
     def _cdf(self, x: float) -> float:
         """Estimated number of run values strictly below ``x`` (linear
@@ -660,27 +671,43 @@ class ColumnHistogram:
         return min(1.0, self.estimate_rows(lo, hi) / self.table_rows)
 
 
-@dataclass
-class TableStatistics:
+class TableStatistics(Record):
     """A point-in-time cardinality snapshot of one table.
 
     ``mutations`` is the table's DML counter at snapshot time; comparing it
     with the live counter tells how stale the snapshot has become (e.g. after
     a DELETE-heavy workload ran against a plan whose estimates were recorded
-    earlier).
+    earlier).  ``index_distinct`` maps each lowered indexed column to its
+    distinct-key estimate across all partitions, ``histograms`` each lowered
+    ordered-indexed numeric column to its equi-width value histogram, and
+    ``ordered_columns`` lists the lowered column names carrying an ordered
+    index at snapshot time.
     """
 
-    table: str
-    n_partitions: int
-    row_count: int
-    partition_rows: List[int] = field(default_factory=list)
-    #: lowered indexed column → distinct-key estimate across all partitions.
-    index_distinct: Dict[str, int] = field(default_factory=dict)
-    #: lowered ordered-indexed numeric column → equi-width value histogram.
-    histograms: Dict[str, ColumnHistogram] = field(default_factory=dict)
-    #: lowered column names carrying an ordered index at snapshot time.
-    ordered_columns: List[str] = field(default_factory=list)
-    mutations: int = 0
+    __slots__ = (
+        "table", "n_partitions", "row_count", "partition_rows", "index_distinct",
+        "histograms", "ordered_columns", "mutations",
+    )
+
+    def __init__(
+        self,
+        table: str,
+        n_partitions: int,
+        row_count: int,
+        partition_rows: Optional[List[int]] = None,
+        index_distinct: Optional[Dict[str, int]] = None,
+        histograms: Optional[Dict[str, ColumnHistogram]] = None,
+        ordered_columns: Optional[List[str]] = None,
+        mutations: int = 0,
+    ) -> None:
+        self.table = table
+        self.n_partitions = n_partitions
+        self.row_count = row_count
+        self.partition_rows = [] if partition_rows is None else partition_rows
+        self.index_distinct = {} if index_distinct is None else index_distinct
+        self.histograms = {} if histograms is None else histograms
+        self.ordered_columns = [] if ordered_columns is None else ordered_columns
+        self.mutations = mutations
 
     def distinct_for(self, column: str) -> Optional[int]:
         return self.index_distinct.get(column.lower())

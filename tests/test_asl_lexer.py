@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.asl import AslLexError, tokenize
+from repro.asl import AslLexError, parse_asl, tokenize
 from repro.asl.tokens import TokenType
 
 
@@ -108,6 +108,25 @@ class TestLexErrors:
     def test_unknown_escape(self):
         with pytest.raises(AslLexError, match="unknown escape"):
             tokenize(r'"\q"')
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("²", "invalid digit '²'"),
+            ("1²", "invalid digit '²'"),
+            ("3.③", "invalid digit '③'"),
+            ("9" * 4400, "integer literal of 4400 digits is too long"),
+        ],
+        ids=["superscript", "digit-superscript", "circled", "4400-digits"],
+    )
+    def test_invalid_numeric_literals_raise_at_the_literal(self, literal, message):
+        # ``str.isdigit`` accepts ``²`` and ``③`` but ``int`` does not, and
+        # ``int`` refuses more than 4,300 digits: both used to escape as a
+        # bare ValueError.
+        source = f"PROPERTY P(Region r) {{\n  CONDITION: 1 > {literal};\n}}"
+        with pytest.raises(AslLexError, match=message) as info:
+            parse_asl(source)
+        assert (info.value.location.line, info.value.location.column) == (2, 18)
 
 
 class TestPaperFragments:

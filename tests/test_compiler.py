@@ -201,9 +201,17 @@ class TestPropertyCompilation:
         for node in nodes:
             node.inferred_type = object()
 
+        def attributes(node):
+            names = [
+                name
+                for klass in type(node).__mro__
+                for name in klass.__dict__.get("__slots__", ())
+            ]
+            return {name: getattr(node, name) for name in names if hasattr(node, name)}
+
         def state():
             return [
-                {key: (id(value), value) for key, value in vars(node).items()}
+                {key: (id(value), value) for key, value in attributes(node).items()}
                 for node in nodes
             ]
 
