@@ -13,6 +13,7 @@ for every property (the output of the ASL→SQL compiler).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import List, Optional, Sequence
 
@@ -218,4 +219,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    status = main()
+    # Everything left on the heap dies with the process: frozen, it is never
+    # traversed again by the collections of interpreter teardown, while
+    # atexit handlers and the normal shutdown (stream flushes) still run.
+    # Only here, never in main(), which tests call in-process.
+    gc.freeze()
+    sys.exit(status)

@@ -134,6 +134,9 @@ class TestRun(Record):
     """
 
     __slots__ = ("Start", "NoPe", "Clockspeed", "uid")
+    #: Not a test case: keeps pytest from trying to collect the class from
+    #: the test modules that import it.
+    __test__ = False
 
     def __init__(
         self,

@@ -887,6 +887,7 @@ class Database:
             instrumented.append(counted)
         probe = copy.copy(plan)
         probe.levels = instrumented
+        probe._loops = None  # the copy builds its own chain over `instrumented`
         stats = QueryStats()
         result = probe.execute(params, stats=stats)
         self.summary.record_select(stats)

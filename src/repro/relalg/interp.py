@@ -177,59 +177,65 @@ class InterpretedSelectExecutor:
         self, bindings: List[Tuple[str, Table]], conjuncts: List[SqlExpr]
     ) -> Iterator[RowEnv]:
         """Nested-loop join with index lookups and early predicate application."""
-        remaining = list(conjuncts)
+        return self._join_level(bindings, 0, {}, list(conjuncts))
 
-        def recurse(level: int, env: RowEnv, pending: List[SqlExpr]) -> Iterator[RowEnv]:
-            if level == len(bindings):
-                if all(_is_true(self._eval(p, env)) for p in pending):
-                    self.stats.rows_joined += 1
-                    yield env
-                return
-            binding, table = bindings[level]
-            bound = {name for name, _ in bindings[: level + 1]}
-            # Predicates that become fully evaluable once this table is bound;
-            # partitioned by identity so duplicate conjuncts are each filed
-            # exactly once.
-            applicable = [
-                p
-                for p in pending
-                if self._required_bindings(p, bindings) <= bound
-            ]
-            applicable_ids = {id(p) for p in applicable}
-            later = [p for p in pending if id(p) not in applicable_ids]
-            # Try an index probe driven by the equality predicates.
-            probe = self._index_probe(
-                table, binding, applicable, bindings, bound - {binding}
-            )
-            if probe:
-                # Every key is evaluated once per probe, in conjunct order,
-                # and its errors raise; NULL and NaN keys never match,
-                # exactly as the scan path's `=` filter decides (every
-                # engine shares this rule).
-                keys = []
-                for column, key_expr, _used in probe:
-                    keys.append((column, self._eval(key_expr, env)))
-                    self.stats.index_lookups += 1
-                candidates: Iterable[Tuple[Any, ...]] = ()
-                if not any(matches_nothing(key) for _column, key in keys):
-                    candidates = [
-                        row
-                        for _pid, rows in table.probe_chunks(keys)
-                        for row in rows
-                    ]
-                used_ids = {id(used) for _column, _key_expr, used in probe}
-                filters = [p for p in applicable if id(p) not in used_ids]
-            else:
-                candidates = table.scan()
-                filters = applicable
-            for row in candidates:
-                self.stats.rows_scanned += 1
-                row_env = dict(env)
-                row_env[binding] = _row_mapping(table, row)
-                if all(_is_true(self._eval(p, row_env)) for p in filters):
-                    yield from recurse(level + 1, row_env, later)
-
-        yield from recurse(0, {}, remaining)
+    def _join_level(
+        self,
+        bindings: List[Tuple[str, Table]],
+        level: int,
+        env: RowEnv,
+        pending: List[SqlExpr],
+    ) -> Iterator[RowEnv]:
+        """The joined rows of ``bindings[level:]`` under the outer rows bound
+        in ``env``; ``pending`` holds the conjuncts not applied yet."""
+        if level == len(bindings):
+            if all(_is_true(self._eval(p, env)) for p in pending):
+                self.stats.rows_joined += 1
+                yield env
+            return
+        binding, table = bindings[level]
+        bound = {name for name, _ in bindings[: level + 1]}
+        # Predicates that become fully evaluable once this table is bound;
+        # partitioned by identity so duplicate conjuncts are each filed
+        # exactly once.
+        applicable = [
+            p
+            for p in pending
+            if self._required_bindings(p, bindings) <= bound
+        ]
+        applicable_ids = {id(p) for p in applicable}
+        later = [p for p in pending if id(p) not in applicable_ids]
+        # Try an index probe driven by the equality predicates.
+        probe = self._index_probe(
+            table, binding, applicable, bindings, bound - {binding}
+        )
+        if probe:
+            # Every key is evaluated once per probe, in conjunct order, and
+            # its errors raise; NULL and NaN keys never match, exactly as
+            # the scan path's `=` filter decides (every engine shares this
+            # rule).
+            keys = []
+            for column, key_expr, _used in probe:
+                keys.append((column, self._eval(key_expr, env)))
+                self.stats.index_lookups += 1
+            candidates: Iterable[Tuple[Any, ...]] = ()
+            if not any(matches_nothing(key) for _column, key in keys):
+                candidates = [
+                    row
+                    for _pid, rows in table.probe_chunks(keys)
+                    for row in rows
+                ]
+            used_ids = {id(used) for _column, _key_expr, used in probe}
+            filters = [p for p in applicable if id(p) not in used_ids]
+        else:
+            candidates = table.scan()
+            filters = applicable
+        for row in candidates:
+            self.stats.rows_scanned += 1
+            row_env = dict(env)
+            row_env[binding] = _row_mapping(table, row)
+            if all(_is_true(self._eval(p, row_env)) for p in filters):
+                yield from self._join_level(bindings, level + 1, row_env, later)
 
     def _index_probe(
         self,
@@ -282,33 +288,7 @@ class InterpretedSelectExecutor:
     ) -> set:
         """The table bindings that must be bound before ``expr`` can be evaluated."""
         refs: set = set()
-
-        def visit(node: SqlExpr) -> None:
-            if isinstance(node, ColumnRef):
-                if node.table is not None:
-                    refs.add(node.table.lower())
-                else:
-                    for binding, table in bindings:
-                        if _column_in_table(table, node.name):
-                            refs.add(binding)
-            elif isinstance(node, BinaryOperation):
-                visit(node.left)
-                visit(node.right)
-            elif isinstance(node, UnaryOperation):
-                visit(node.operand)
-            elif isinstance(node, FunctionExpr):
-                for arg in node.args:
-                    visit(arg)
-            elif isinstance(node, IsNull):
-                visit(node.operand)
-            elif isinstance(node, InList):
-                visit(node.operand)
-                for item in node.items:
-                    visit(item)
-            # ScalarSubquery: self-contained, requires nothing from the outer
-            # query (correlated subqueries are not supported).
-
-        visit(expr)
+        _collect_bindings(expr, bindings, refs)
         return refs
 
     # ------------------------------------------------------------------ #
@@ -609,6 +589,34 @@ def _row_mapping(table: Table, row: Tuple[Any, ...]) -> Dict[str, Any]:
 def _column_in_table(table: Table, column: str) -> bool:
     lowered = column.lower()
     return any(c.name.lower() == lowered for c in table.schema.columns)
+
+
+def _collect_bindings(
+    node: SqlExpr, bindings: List[Tuple[str, Table]], refs: set
+) -> None:
+    if isinstance(node, ColumnRef):
+        if node.table is not None:
+            refs.add(node.table.lower())
+        else:
+            for binding, table in bindings:
+                if _column_in_table(table, node.name):
+                    refs.add(binding)
+    elif isinstance(node, BinaryOperation):
+        _collect_bindings(node.left, bindings, refs)
+        _collect_bindings(node.right, bindings, refs)
+    elif isinstance(node, UnaryOperation):
+        _collect_bindings(node.operand, bindings, refs)
+    elif isinstance(node, FunctionExpr):
+        for arg in node.args:
+            _collect_bindings(arg, bindings, refs)
+    elif isinstance(node, IsNull):
+        _collect_bindings(node.operand, bindings, refs)
+    elif isinstance(node, InList):
+        _collect_bindings(node.operand, bindings, refs)
+        for item in node.items:
+            _collect_bindings(item, bindings, refs)
+    # ScalarSubquery: self-contained, requires nothing from the outer query
+    # (correlated subqueries are not supported).
 
 
 def _column_name(expr: SqlExpr) -> str:

@@ -376,8 +376,11 @@ class _Level:
 class QueryPlan(Record):
     """A fully compiled SELECT: reusable across executions and parameters.
 
-    ``_process_spec`` and ``_process_spec_id`` are private: the process
-    executor caches the plan's lowering there.
+    ``_loops``, ``_process_spec`` and ``_process_spec_id`` are private.
+    ``_loops`` holds the plan's enumeration chain (:func:`_level_loops`),
+    built at its first execution; a copy that replaces ``levels`` resets it
+    to ``None``.  The process executor caches the plan's lowering in the
+    other two.
     """
 
     __slots__ = (
@@ -386,10 +389,10 @@ class QueryPlan(Record):
         "order_spec", "distinct", "limit", "offset", "table_deps", "subquery_plans",
         "follows_syntactic_order", "vector_eligible", "vector_filter",
         "batch_projector", "vector_aggregate", "vector_join_key", "vector_report",
-        "contradiction", "analysis_report", "index_order", "_process_spec",
-        "_process_spec_id",
+        "contradiction", "analysis_report", "index_order", "_loops",
+        "_process_spec", "_process_spec_id",
     )
-    _fields = __slots__[:-2]
+    _fields = __slots__[:-3]
 
     def __init__(
         self,
@@ -493,6 +496,7 @@ class QueryPlan(Record):
         #: process fan-out is disabled for these plans) so every engine mode
         #: reports identical counters.
         self.index_order = index_order
+        self._loops = None
 
     # ------------------------------------------------------------------ #
 
@@ -634,11 +638,13 @@ class QueryPlan(Record):
     ) -> List[Tuple[Any, ...]]:
         """Nested-loop/hash join over the planned levels; returns slot rows.
 
-        The one enumeration loop of the compiled engine.  Each level asks
-        its access path for ``(pid, rows)`` candidate chunks (see
-        :meth:`AccessPath.open`), binds every candidate into the slot row,
-        applies the level's filters and descends; a chunk's scan work is
-        charged to ``rows_scanned`` and, when ``pid`` is not ``None``, to
+        The one enumeration loop of the compiled engine: the plan's chain of
+        level loops (see :func:`_level_loops`), built at its first
+        execution.  Each level asks its access path for ``(pid, rows)``
+        candidate chunks (see :meth:`AccessPath.open`), binds every
+        candidate into the slot row, applies the level's filters and
+        descends; a chunk's scan work is charged to ``rows_scanned`` and,
+        when ``pid`` is not ``None``, to
         :attr:`QueryStats.partition_rows_scanned`.
 
         ``driving`` — ``(pid, surviving rows, scanned count)`` triples in
@@ -646,76 +652,35 @@ class QueryPlan(Record):
         vectorized chunk scan, the process-pool workers or the index-order
         merge already scanned and filtered the driving table, so this level
         only charges the reported scan work (per partition, exactly as a
-        local scan would) and descends per surviving row — or, with
-        ``batch_join``, probes the inner hash join a whole chunk at a time
-        (see :meth:`_batch_join`).
+        local scan would) and hands each surviving row to the second
+        level's loop — or, with ``batch_join``, probes the inner hash join a
+        whole chunk at a time (see :meth:`_batch_join`).
         """
-        levels = self.levels
-        depth = len(levels)
+        loops = self._loops
+        if loops is None:
+            loops = self._loops = _level_loops(self.levels)
         stats = ctx.stats
-        pscan = stats.partition_rows_scanned
         row: List[Any] = [None] * self.layout.width
         out: List[Tuple[Any, ...]] = []
-        append = out.append
-        # A single-level plan's candidate IS its full slot row: filters read
-        # it directly and survivors append wholesale, skipping the slot-row
-        # splice and copy.
-        whole = depth == 1
-
-        def recurse(index: int) -> None:
-            level = levels[index]
-            chunks, filters = level.access.open(level, index, row, ctx)
-            offset, end = level.offset, level.end
-            next_index = index + 1
-            last = next_index == depth
-            total = 0
-            for pid, candidates in chunks:
-                scanned = 0
-                if whole:
-                    if filters:
-                        for candidate in candidates:
-                            scanned += 1
-                            for predicate in filters:
-                                if not predicate(candidate, ctx):
-                                    break
-                            else:
-                                append(candidate)
-                    else:
-                        before = len(out)
-                        out.extend(candidates)
-                        scanned = len(out) - before
-                else:
-                    for candidate in candidates:
-                        scanned += 1
-                        row[offset:end] = candidate
-                        for predicate in filters:
-                            if not predicate(row, ctx):
-                                break
-                        else:
-                            if last:
-                                append(tuple(row))
-                            else:
-                                recurse(next_index)
-                if scanned and pid is not None:
-                    pscan[pid] = pscan.get(pid, 0) + scanned
-                total += scanned
-            stats.rows_scanned += total
-
         if driving is None:
-            recurse(0)
+            loops[0](row, ctx, out)
         else:
-            offset, end = levels[0].offset, levels[0].end
-            join_chunk = self._batch_join(ctx, append) if batch_join else None
+            pscan = stats.partition_rows_scanned
+            offset, end = self.levels[0].offset, self.levels[0].end
+            join_chunk = (
+                self._batch_join(ctx, out.append) if batch_join else None
+            )
+            descend = loops[1] if len(loops) > 1 else None
             total = 0
             for pid, survivors, scanned in driving:
                 if join_chunk is not None:
                     join_chunk(survivors)
-                elif whole:
+                elif descend is None:
                     out.extend(survivors)
                 else:
                     for candidate in survivors:
                         row[offset:end] = candidate
-                        recurse(1)
+                        descend(row, ctx, out)
                 if scanned and pid is not None:
                     pscan[pid] = pscan.get(pid, 0) + scanned
                 total += scanned
@@ -981,6 +946,82 @@ class QueryPlan(Record):
         else:
             positions = sorted(range(len(result_rows)), key=key_for)
         return [result_rows[p] for p in positions]
+
+
+#: One join level's loop: ``loop(row, ctx, out)`` (see :func:`_level_loops`).
+LevelLoop = Callable[[List[Any], ExecContext, List[Tuple[Any, ...]]], None]
+
+
+def _level_loops(levels: Sequence[_Level]) -> Tuple[LevelLoop, ...]:
+    """The enumeration chain of one plan: one loop per join level.
+
+    ``loops[i](row, ctx, out)`` opens level ``i``'s access path for the
+    outer levels bound in the slot row ``row``, binds each candidate that
+    passes the level's filters into ``row`` and calls ``loops[i + 1]`` —
+    or, at the last level, appends the joined row to ``out``.  The
+    execution's state travels as arguments, so each loop holds only its
+    level and the next loop: the chain is built once per plan, and no loop
+    refers to itself, so an execution leaves nothing for the cyclic
+    garbage collector.
+    """
+    loops: List[LevelLoop] = []
+    descend: Optional[LevelLoop] = None
+    for index in range(len(levels) - 1, -1, -1):
+        descend = _level_loop(levels[index], index, descend, len(levels) == 1)
+        loops.append(descend)
+    loops.reverse()
+    return tuple(loops)
+
+
+def _level_loop(
+    level: _Level, index: int, descend: Optional[LevelLoop], whole: bool
+) -> LevelLoop:
+    """Level ``index``'s loop; ``descend`` is the next level's (``None``
+    at the last level).  ``whole`` marks a single-level plan, whose
+    candidate IS its full slot row: filters read it directly and survivors
+    append wholesale, skipping the slot-row splice and copy."""
+    open_level = level.access.open
+    offset, end = level.offset, level.end
+
+    def loop(row, ctx, out):
+        chunks, filters = open_level(level, index, row, ctx)
+        stats = ctx.stats
+        append = out.append
+        total = 0
+        for pid, candidates in chunks:
+            scanned = 0
+            if whole:
+                if filters:
+                    for candidate in candidates:
+                        scanned += 1
+                        for predicate in filters:
+                            if not predicate(candidate, ctx):
+                                break
+                        else:
+                            append(candidate)
+                else:
+                    before = len(out)
+                    out.extend(candidates)
+                    scanned = len(out) - before
+            else:
+                for candidate in candidates:
+                    scanned += 1
+                    row[offset:end] = candidate
+                    for predicate in filters:
+                        if not predicate(row, ctx):
+                            break
+                    else:
+                        if descend is None:
+                            append(tuple(row))
+                        else:
+                            descend(row, ctx, out)
+            if scanned and pid is not None:
+                pscan = stats.partition_rows_scanned
+                pscan[pid] = pscan.get(pid, 0) + scanned
+            total += scanned
+        stats.rows_scanned += total
+
+    return loop
 
 
 def filter_rows(
@@ -1403,27 +1444,27 @@ def _expr_subselects(expr: SqlExpr) -> List[SelectStatement]:
     tracking (and hence per-table plan-cache invalidation) to stay correct.
     """
     found: List[SelectStatement] = []
-
-    def visit(node: SqlExpr) -> None:
-        if isinstance(node, ScalarSubquery):
-            found.append(node.select)
-        elif isinstance(node, BinaryOperation):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, UnaryOperation):
-            visit(node.operand)
-        elif isinstance(node, FunctionExpr):
-            for arg in node.args:
-                visit(arg)
-        elif isinstance(node, IsNull):
-            visit(node.operand)
-        elif isinstance(node, InList):
-            visit(node.operand)
-            for item in node.items:
-                visit(item)
-
-    visit(expr)
+    _collect_subselects(expr, found)
     return found
+
+
+def _collect_subselects(node: SqlExpr, found: List[SelectStatement]) -> None:
+    if isinstance(node, ScalarSubquery):
+        found.append(node.select)
+    elif isinstance(node, BinaryOperation):
+        _collect_subselects(node.left, found)
+        _collect_subselects(node.right, found)
+    elif isinstance(node, UnaryOperation):
+        _collect_subselects(node.operand, found)
+    elif isinstance(node, FunctionExpr):
+        for arg in node.args:
+            _collect_subselects(arg, found)
+    elif isinstance(node, IsNull):
+        _collect_subselects(node.operand, found)
+    elif isinstance(node, InList):
+        _collect_subselects(node.operand, found)
+        for item in node.items:
+            _collect_subselects(item, found)
 
 
 def _direct_subselects(select: SelectStatement) -> List[SelectStatement]:
@@ -1477,33 +1518,35 @@ def _required_bindings(
     subqueries are self-contained and require nothing from the outer query.
     """
     refs: Set[str] = set()
-
-    def visit(node: SqlExpr) -> None:
-        if isinstance(node, ColumnRef):
-            if node.table is not None:
-                refs.add(node.table.lower())
-            else:
-                name = node.name.lower()
-                for binding, table in bindings:
-                    if name in (c.name.lower() for c in table.schema.columns):
-                        refs.add(binding)
-        elif isinstance(node, BinaryOperation):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, UnaryOperation):
-            visit(node.operand)
-        elif isinstance(node, FunctionExpr):
-            for arg in node.args:
-                visit(arg)
-        elif isinstance(node, IsNull):
-            visit(node.operand)
-        elif isinstance(node, InList):
-            visit(node.operand)
-            for item in node.items:
-                visit(item)
-
-    visit(expr)
+    _collect_bindings(expr, bindings, refs)
     return refs
+
+
+def _collect_bindings(
+    node: SqlExpr, bindings: List[Tuple[str, Table]], refs: Set[str]
+) -> None:
+    if isinstance(node, ColumnRef):
+        if node.table is not None:
+            refs.add(node.table.lower())
+        else:
+            name = node.name.lower()
+            for binding, table in bindings:
+                if name in (c.name.lower() for c in table.schema.columns):
+                    refs.add(binding)
+    elif isinstance(node, BinaryOperation):
+        _collect_bindings(node.left, bindings, refs)
+        _collect_bindings(node.right, bindings, refs)
+    elif isinstance(node, UnaryOperation):
+        _collect_bindings(node.operand, bindings, refs)
+    elif isinstance(node, FunctionExpr):
+        for arg in node.args:
+            _collect_bindings(arg, bindings, refs)
+    elif isinstance(node, IsNull):
+        _collect_bindings(node.operand, bindings, refs)
+    elif isinstance(node, InList):
+        _collect_bindings(node.operand, bindings, refs)
+        for item in node.items:
+            _collect_bindings(item, bindings, refs)
 
 
 # -- cardinality estimation -------------------------------------------------- #

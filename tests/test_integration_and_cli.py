@@ -1,5 +1,10 @@
 """End-to-end integration tests: the full COSY data flow and the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apprentice import (
@@ -14,6 +19,8 @@ from repro.asl.specs import COSY_DATA_MODEL, COSY_PROPERTIES
 from repro.bench import build_scenario, load_into_backend, speedup_series
 from repro.cosy import ClientSideStrategy, CosyAnalyzer, PushdownStrategy
 from repro.cosy.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestFullPipeline:
@@ -169,3 +176,42 @@ class TestCommandLineInterface:
         assert "-- property SublinearSpeedup" in output
         assert "SELECT" in output
         assert "FROM dual" in output
+
+
+class TestCommandLineProcess:
+    """``python -m repro.cosy.cli`` in a child process: the ``__main__`` block
+    (which freezes the heap before the interpreter exits) changes neither
+    the output nor the exit status of :func:`main`."""
+
+    ARGS = [
+        "--workload", "stencil",
+        "--pes", "1", "4",
+        "--strategy", "pushdown",
+        "--db-backend", "oracle7",
+        "--top", "5",
+    ]
+
+    def _run(self, args):
+        path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cosy.cli", *args],
+            cwd=REPO_ROOT,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_prints_what_main_prints_and_exits_0(self, capsys):
+        assert main(self.ARGS) == 0
+        expected = capsys.readouterr().out
+        done = self._run(self.ARGS)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected
+        assert done.stderr == ""
+
+    def test_usage_error_exits_2_with_its_message_on_stderr(self):
+        done = self._run(["--strategy", "client", "--pipeline-depth", "4"])
+        assert done.returncode == 2
+        assert "requires --strategy pushdown" in done.stderr
+        assert done.stdout == ""

@@ -364,3 +364,54 @@ class TestLintEngine:
         proc = self._run(str(bad))
         assert proc.returncode == 1
         assert "E300" in proc.stdout
+
+    def test_self_calling_closure_in_relalg_is_flagged(self, tmp_path):
+        relalg_dir = tmp_path / "relalg"
+        relalg_dir.mkdir()
+        bad = relalg_dir / "engine_module.py"
+        bad.write_text(
+            "def walk(tree):\n"
+            "    found = []\n"
+            "    def visit(node):\n"
+            "        found.append(node)\n"
+            "        for child in node.children:\n"
+            "            visit(child)\n"
+            "    visit(tree)\n"
+            "    return found\n"
+            "class Plan:\n"
+            "    def run(self, levels):\n"
+            "        def recurse(index):\n"
+            "            if index < len(levels):\n"
+            "                yield from recurse(index + 1)\n"
+            "        return list(recurse(0))\n"
+        )
+        proc = self._run(str(bad))
+        assert proc.returncode == 1
+        assert f"{bad}:3: E400 nested function 'visit'" in proc.stdout
+        assert f"{bad}:11: E400 nested function 'recurse'" in proc.stdout
+
+    def test_module_level_and_method_recursion_pass_e400(self, tmp_path):
+        relalg_dir = tmp_path / "relalg"
+        relalg_dir.mkdir()
+        good = relalg_dir / "engine_module.py"
+        good.write_text(
+            "def walk(tree):\n"
+            "    found = []\n"
+            "    _visit(tree, found)\n"
+            "    return found\n"
+            "def _visit(node, found):\n"
+            "    found.append(node)\n"
+            "    for child in node.children:\n"
+            "        _visit(child, found)\n"
+            "class Plan:\n"
+            "    def run(self, index):\n"
+            "        return self.run(index + 1) if index < 3 else index\n"
+            "def build(levels):\n"
+            "    loop = None\n"
+            "    for level in reversed(levels):\n"
+            "        def loop(row, descend=loop):\n"
+            "            return descend(row) if descend else row\n"
+            "    return loop\n"
+        )
+        proc = self._run(str(good))
+        assert proc.returncode == 0, proc.stdout

@@ -24,6 +24,14 @@ checked trees and reports violations:
     ``random`` module inside ``src/repro/relalg`` break replay/differential
     testing and the simulated-cost model.
 
+``E400`` — a nested function in ``relalg/`` that calls itself by name.  It
+    reaches itself through its own closure cell, so every call of the
+    enclosing function leaves a reference cycle (the closure, its cells and
+    everything they hold) that only the cyclic garbage collector frees.  On
+    the statement path that is once per execution.  Recurse through a
+    module-level function or a method with explicit arguments instead, or
+    build the closure once per plan (see ``planner._level_loops``).
+
 Run as ``python -m tools.lint_engine [paths...]`` (default: ``src/repro``).
 Exit status 0 when clean, 1 when any violation is found.
 """
@@ -107,6 +115,31 @@ def _imported_random_aliases(tree: ast.Module) -> set:
     return aliases
 
 
+def _nested_functions(node: ast.AST, in_function: bool = False):
+    """Every function defined in the body of another function (a class body
+    is a scope of its own: its methods are not closures)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _nested_functions(child, False)
+            continue
+        is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if is_function and in_function:
+            yield child
+        yield from _nested_functions(
+            child, in_function or is_function or isinstance(child, ast.Lambda)
+        )
+
+
+def _calls_itself(function: ast.AST) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == function.name
+        for statement in function.body
+        for node in ast.walk(statement)
+    )
+
+
 def _lint_file(path: Path) -> List[Violation]:
     source = path.read_text(encoding="utf-8")
     try:
@@ -165,6 +198,19 @@ def _lint_file(path: Path) -> List[Violation]:
                     "deterministic)",
                 )
             )
+    if in_relalg:
+        for function in _nested_functions(tree):
+            if _calls_itself(function):
+                violations.append(
+                    Violation(
+                        path, function.lineno, "E400",
+                        f"nested function {function.name!r} calls itself by "
+                        "name: it holds itself through its closure cell, so "
+                        "each call of the enclosing function leaves a "
+                        "reference cycle; recurse at module or method level "
+                        "with explicit arguments",
+                    )
+                )
     return violations
 
 
