@@ -263,10 +263,12 @@ class Database:
         self.parallel = parallel
         #: Partition fan-out kind: "sequential" or "process".
         self.executor = executor
-        #: Whether eligible plans drive their scans vectorized over columnar
-        #: chunks (plan-time eligibility; row-at-a-time results and stats are
-        #: preserved byte for byte).  ``False`` pins the row engine — the
-        #: differential reference the fuzzers sweep against.
+        #: Whether eligible plans run their batch rungs: columnar chunks
+        #: for a driving scan's batch predicate or batch hash-join probe,
+        #: batch aggregation and top-k (plan-time eligibility; row-at-a-time
+        #: results and stats are preserved byte for byte).  ``False`` pins
+        #: the row engine — the differential reference the fuzzers sweep
+        #: against.
         self.vectorized = vectorized
         #: The process pool (owned and lazily created, or shared/borrowed).
         self._process_executor = shared_executor
@@ -767,7 +769,10 @@ class Database:
 
     def _deps_valid(self, snapshot: _DepSnapshot) -> bool:
         epochs = self._table_epochs
-        return all(epochs.get(name, 0) == epoch for name, epoch in snapshot)
+        for name, epoch in snapshot:
+            if epochs.get(name, 0) != epoch:
+                return False
+        return True
 
     def _plan_for(self, statement: SelectStatement, sql: Optional[str]) -> QueryPlan:
         if sql is not None:

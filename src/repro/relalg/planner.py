@@ -120,6 +120,7 @@ from repro.relalg.storage import (
     Table,
     TableStatistics,
     gather_columns,
+    probe_partition,
 )
 
 __all__ = [
@@ -175,22 +176,36 @@ class IndexProbe(AccessPath):
     ``keys`` holds one ``(column, compiled key)`` pair per indexed equality
     conjunct the probe consumes, in conjunct order (see
     :func:`_probe_keys`); several keys intersect their buckets
-    (:meth:`~repro.relalg.storage.Table.probe_chunks`).  Every key is
+    (:func:`~repro.relalg.storage.probe_partition`).  Every key is
     evaluated once per probe and counts one index lookup; a NULL or NaN key
     matches nothing.  ``pruned`` marks probes with a key on the partition
-    column: they touch exactly one partition.  If a probed index disappears
-    behind the plan cache's back (direct ``Table.drop_index`` calls bypass
-    the schema epochs), the level scans and applies its conjuncts in their
-    original order (:attr:`_Level.fallback_filters`).
+    column: they touch exactly one partition.
+
+    The probed columns' :class:`~repro.relalg.storage.TableIndex` objects
+    are resolved once per plan (``resolved`` pairs each column with its
+    index, ``parts_of`` holds their per-partition index lists) and
+    revalidated by identity at every probe, since direct
+    ``Table.drop_index`` / ``create_index`` calls bypass the plan cache's
+    schema epochs: a re-created index is resolved again and used, and if a
+    probed index has disappeared the level scans and applies its conjuncts
+    in their original order (:attr:`_Level.fallback_filters`).
     """
 
-    __slots__ = ("keys", "columns", "pruned")
+    __slots__ = ("keys", "columns", "pruned", "resolved", "parts_of")
     kind = "index-probe"
 
-    def __init__(self, keys: List[Tuple[str, RowFn]], pruned: bool) -> None:
+    def __init__(
+        self, keys: List[Tuple[str, RowFn]], pruned: bool, table: Table
+    ) -> None:
         self.keys = keys
         self.columns = [column for column, _key in keys]
         self.pruned = pruned
+        # The planner probes indexed columns only.
+        self._bind([table.indexes[column] for column in self.columns])
+
+    def _bind(self, table_indexes: List[Any]) -> None:
+        self.resolved = tuple(zip(self.columns, table_indexes))
+        self.parts_of = [table_index.parts for table_index in table_indexes]
 
     def open(self, level, index, row, ctx):
         table = level.table
@@ -210,9 +225,13 @@ class IndexProbe(AccessPath):
                 key, table.partitions[0].rows
             )
             return ((None, matches),), level.filters
-        for column in self.columns:
-            if column not in indexes:
-                return table.scan_chunks(), level.fallback_filters
+        for column, table_index in self.resolved:
+            if indexes.get(column) is not table_index:
+                current = [indexes.get(column) for column in self.columns]
+                if None in current:
+                    return table.scan_chunks(), level.fallback_filters
+                self._bind(current)
+                break
         stats = ctx.stats
         keys = []
         nothing = False
@@ -224,7 +243,14 @@ class IndexProbe(AccessPath):
             keys.append((column, key))
         if nothing:
             return (), level.filters
-        return table.probe_chunks(keys), level.filters
+        if table.n_partitions == 1:
+            # Partition.rows is read here, at probe time: compaction
+            # replaces the list.
+            matches = probe_partition(
+                self.parts_of, keys, 0, table.partitions[0].rows
+            )
+            return ((None, matches),), level.filters
+        return table.probe_partitions(self.parts_of, keys), level.filters
 
 
 class HashJoinBuild(AccessPath):
@@ -388,7 +414,7 @@ class QueryPlan(Record):
         "identity_projection", "group_key_fns", "having_fn", "item_group_fns",
         "order_spec", "distinct", "limit", "offset", "table_deps", "subquery_plans",
         "follows_syntactic_order", "vector_eligible", "vector_filter",
-        "batch_projector", "vector_aggregate", "vector_join_key", "vector_report",
+        "slot_projector", "vector_aggregate", "vector_join_key", "vector_report",
         "contradiction", "analysis_report", "index_order", "_loops",
         "_process_spec", "_process_spec_id",
     )
@@ -414,7 +440,7 @@ class QueryPlan(Record):
         follows_syntactic_order: bool,
         vector_eligible: bool = False,
         vector_filter: Optional[BatchPredicate] = None,
-        batch_projector: Optional[Callable[[Tuple[Any, ...]], Tuple[Any, ...]]] = None,
+        slot_projector: Optional[Callable[[Tuple[Any, ...]], Tuple[Any, ...]]] = None,
         vector_aggregate: Optional[Callable] = None,
         vector_join_key: Optional[Tuple[Any, ...]] = None,
         vector_report: Optional[Dict[str, str]] = None,
@@ -426,7 +452,9 @@ class QueryPlan(Record):
         self.layout = layout
         self.levels = levels
         self.columns = columns
-        #: ``None`` for aggregate queries.
+        #: ``(row, ctx) -> output tuple`` for select lists with at least one
+        #: expression item; ``None`` for aggregate queries, the identity
+        #: projection and slot-only select lists (see :attr:`slot_projector`).
         self.projector = projector
         #: Shortcut: the projection is the identity over the full slot row.
         self.identity_projection = identity_projection
@@ -454,19 +482,23 @@ class QueryPlan(Record):
         #: order (the order the reference engine always uses).  Differential
         #: tests compare physical counters only when this holds.
         self.follows_syntactic_order = follows_syntactic_order
-        #: Whether the driving level can be scanned vectorized: a
+        #: Whether the plan runs its batch rungs: the driving level is a
         #: :class:`PartitionScan` whose residual filters all batch-compiled (see
         #: :func:`~repro.relalg.compile.compile_batch_predicate`).  Decided at
         #: plan time; execution still needs ``vectorized=True`` to opt in.
+        #: The driving scan reads columnar chunks only when a batch predicate
+        #: (:attr:`vector_filter`) or the batch hash-join probe
+        #: (:attr:`vector_join_key`) consumes them; a scan with neither
+        #: streams the partition rows through the level loop.
         self.vector_eligible = vector_eligible
         #: The compiled batch predicate over the driving level's chunks
         #: (``None`` when the driving level has no filters, or is ineligible).
         self.vector_filter = vector_filter
         #: ``row -> output tuple`` over slot positions only (an ``itemgetter``
-        #: under the hood), when the whole select list is slot-addressed.  The
-        #: vectorized path maps it over the joined rows in one C-level pass;
-        #: ``None`` falls back to :attr:`projector`.
-        self.batch_projector = batch_projector
+        #: under the hood), when the whole select list is slot-addressed: the
+        #: plan's one projector for such a list, mapped over the joined rows
+        #: in one C-level pass on every path.  ``None`` otherwise.
+        self.slot_projector = slot_projector
         #: Batch grouped aggregation over the joined rows (see
         #: :func:`~repro.relalg.compile.compile_batch_aggregate`); ``None`` when
         #: ineligible.  The closure returns ``None`` (side-effect free) when a
@@ -518,10 +550,12 @@ class QueryPlan(Record):
         sequentially; both report identical results and statistics.
 
         ``vectorized`` drives eligible plans (:attr:`vector_eligible`)
-        batch-at-a-time over the driving table's columnar chunks of
-        ``storage.CHUNK_ROWS`` rows: one predicate dispatch per chunk
-        instead of one closure call per row, with results *and* statistics
-        byte-identical to the row-at-a-time scan.  Ineligible plans silently
+        batch-at-a-time: a driving scan with a batch predicate or a batch
+        hash-join probe reads the driving table's columnar chunks of
+        ``storage.CHUNK_ROWS`` rows (one predicate dispatch per chunk
+        instead of one closure call per row), and the aggregation and top-k
+        rungs run their batch forms, with results *and* statistics
+        byte-identical to the row-at-a-time path.  Ineligible plans silently
         keep the row-at-a-time path, which remains the differential
         reference.
         """
@@ -545,7 +579,10 @@ class QueryPlan(Record):
                 index_ordered = driving is not None
             if driving is None and process_executor is not None:
                 driving = process_executor.scan_chunks(self, params)
-            if driving is None and use_vectorized:
+            if driving is None and use_vectorized and (
+                self.vector_filter is not None
+                or self.vector_join_key is not None
+            ):
                 driving = self._vector_chunks(ctx)
             # Batch hash-join probing rides any pre-filtered chunk stream;
             # ``vectorized=False`` keeps the row-at-a-time probe as the
@@ -563,8 +600,8 @@ class QueryPlan(Record):
                 result_rows = self._aggregate(rows, ctx)
         elif self.identity_projection:
             result_rows = list(rows)
-        elif use_vectorized and self.batch_projector is not None:
-            result_rows = list(map(self.batch_projector, rows))
+        elif self.slot_projector is not None:
+            result_rows = list(map(self.slot_projector, rows))
         else:
             projector = self.projector
             result_rows = [projector(row, ctx) for row in rows]
@@ -792,7 +829,10 @@ class QueryPlan(Record):
         single-partition driving tables (no per-partition attribution, like
         the row-at-a-time scan).  A chunk whose batch predicate raises is
         replayed through the level's row filters (see :func:`filter_rows`),
-        which raise the row engine's error.
+        which raise the row engine's error.  Only plans whose chunks feed a
+        batch predicate or the batch hash-join probe scan this way; without
+        a predicate (a batch join's driving scan) every chunk survives
+        whole.
         """
         level = self.levels[0]
         table = level.table
@@ -894,21 +934,22 @@ class QueryPlan(Record):
         self, rows: List[Tuple[Any, ...]], ctx: ExecContext
     ) -> List[Tuple[Any, ...]]:
         key_fns = self.group_key_fns
-        groups: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-        order: List[Tuple[Any, ...]] = []
-        if key_fns:
-            for row in rows:
-                key = tuple(_hashable(fn(row, ctx)) for fn in key_fns)
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = group = []
-                    order.append(key)
-                group.append(row)
-        else:
-            groups[()] = rows
-            order.append(())
         having = self.having_fn
         item_fns = self.item_group_fns
+        if not key_fns:
+            # Ungrouped: every row forms the one group, folded directly.
+            if having is not None and not _is_true(having(rows, ctx)):
+                return []
+            return [tuple(fn(rows, ctx) for fn in item_fns)]
+        groups: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
+        order: List[Tuple[Any, ...]] = []
+        for row in rows:
+            key = tuple(_hashable(fn(row, ctx)) for fn in key_fns)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = group = []
+                order.append(key)
+            group.append(row)
         result: List[Tuple[Any, ...]] = []
         for key in order:
             group = groups[key]
@@ -1242,7 +1283,9 @@ def _plan_select(
     # Eligible iff the driving level is a plain partition scan and every one
     # of its residual filters batch-compiles (no subqueries, no references
     # outside the driving binding).  Everything else — and the inner join
-    # levels always — keeps the row-at-a-time loops.
+    # levels always — keeps the row-at-a-time loops.  An eligible driving
+    # scan reads columnar chunks only for a batch predicate or the batch
+    # join probe below; without either it streams the partition's rows.
     vector_eligible = False
     vector_filter = None
     report: Dict[str, str] = {}
@@ -1258,10 +1301,14 @@ def _plan_select(
                 driving.filter_exprs, layout, driving.offset, driving.end
             )
             vector_eligible = vector_filter is not None
-        report["scan"] = (
-            "vectorized (columnar chunks)" if vector_eligible
-            else "row-at-a-time (driving filters do not batch-compile)"
-        )
+        if vector_filter is not None:
+            report["scan"] = "vectorized (columnar chunks)"
+        elif vector_eligible:
+            report["scan"] = "partition rows (no driving filter)"
+        else:
+            report["scan"] = (
+                "row-at-a-time (driving filters do not batch-compile)"
+            )
 
     # Batch hash-join probing: the two-level scan→hash-join shape with a
     # batch-compilable probe key.  Deeper plans keep the recursive row loop.
@@ -1280,10 +1327,13 @@ def _plan_select(
         vector_join_key = compile_batch_expr(
             levels[1].key_ast, layout, levels[0].offset, levels[0].end
         )
-        report["join-probe"] = (
-            "vectorized (batch probe)" if vector_join_key is not None
-            else "row-at-a-time (probe key does not batch-compile)"
-        )
+        if vector_join_key is not None:
+            report["join-probe"] = "vectorized (batch probe)"
+            report["scan"] = "vectorized (columnar chunks)"
+        else:
+            report["join-probe"] = (
+                "row-at-a-time (probe key does not batch-compile)"
+            )
 
     vector_aggregate = None
     if statement.is_aggregate_query:
@@ -1302,7 +1352,7 @@ def _plan_select(
         ]
         projector = None
         identity = False
-        batch_projector = None
+        slot_projector = None
         report["projection"] = "n/a (aggregate query)"
         if not vector_eligible:
             report["aggregate"] = (
@@ -1322,22 +1372,19 @@ def _plan_select(
         group_key_fns = None
         having_fn = None
         item_group_fns = None
-        projector, identity, projection_slots = _compile_projection(
-            statement, layout, plan_subquery
+        projector, slot_projector, identity, projection_slots = (
+            _compile_projection(statement, layout, plan_subquery)
         )
-        if projection_slots is not None and len(projection_slots) > 1:
-            batch_projector = itemgetter(*projection_slots)
-        elif projection_slots is not None:
-            slot = projection_slots[0]
-            batch_projector = lambda row: (row[slot],)  # noqa: E731
-        else:
-            batch_projector = None
         report["aggregate"] = "n/a (not an aggregate query)"
-        if not vector_eligible:
+        if slot_projector is not None:
+            report["projection"] = (
+                "slot projection (one itemgetter on every path)"
+            )
+        elif not vector_eligible:
             report["projection"] = (
                 "row-at-a-time (driving scan is row-at-a-time)"
             )
-        elif batch_projector is not None or identity:
+        elif identity:
             report["projection"] = "vectorized (slot projection)"
         else:
             report["projection"] = (
@@ -1423,7 +1470,7 @@ def _plan_select(
         ),
         vector_eligible=vector_eligible,
         vector_filter=vector_filter,
-        batch_projector=batch_projector,
+        slot_projector=slot_projector,
         vector_aggregate=vector_aggregate,
         vector_join_key=vector_join_key,
         vector_report=report,
@@ -1977,6 +2024,7 @@ def _plan_levels(
                     column.lower() == table.partition_column
                     for column, _key_expr, _used in probe_keys
                 ),
+                table=table,
             )
             consumed = [used for _column, _key_expr, used in probe_keys]
             # Costed as the first key's probe, the later keys as the
@@ -2105,14 +2153,16 @@ def _compile_projection(
     statement: SelectStatement,
     layout: SlotLayout,
     plan_subquery: SubqueryPlanner,
-) -> Tuple[Optional[Callable], bool, Optional[List[int]]]:
-    """Compile the select list; detects the ``SELECT *`` identity fast path.
+) -> Tuple[Optional[Callable], Optional[Callable], bool, Optional[List[int]]]:
+    """Compile the select list: ``(projector, slot_projector, identity,
+    slots)``.
 
-    The third element is the flat slot list when the whole select list is
-    slot-addressed (``*`` expansions and plain column references) — the
-    vectorized execution path projects those via one C-level ``itemgetter``
-    per row instead of a closure call; ``None`` when any item needs real
-    expression evaluation.
+    A slot-addressed select list (``*`` expansions and plain column
+    references) compiles into one ``row -> tuple`` slot projector, a
+    C-level ``itemgetter``, and ``slots`` is its flat slot list; ``identity``
+    marks the ``SELECT *`` over the full slot row, which needs neither.  Any
+    other list compiles into a ``(row, ctx) -> tuple`` projector, and a
+    one-item list returns its value without the generic parts loop.
     """
     parts: List[Tuple[str, Any]] = []
     for item in statement.items:
@@ -2138,11 +2188,18 @@ def _compile_projection(
         and parts[0][0] == "slots"
         and parts[0][1] == list(range(layout.width))
     ):
-        return None, True, list(range(layout.width))
+        return None, None, True, list(range(layout.width))
 
     if all(kind == "slots" for kind, _ in parts):
         slots = [slot for _, payload in parts for slot in payload]
-        return (lambda row, ctx: tuple(row[s] for s in slots)), False, slots
+        if len(slots) > 1:
+            return None, itemgetter(*slots), False, slots
+        slot = slots[0]
+        return None, (lambda row: (row[slot],)), False, slots
+
+    if len(parts) == 1:
+        item = parts[0][1]
+        return (lambda row, ctx: (item(row, ctx),)), None, False, None
 
     def project(row: Tuple[Any, ...], ctx: ExecContext) -> Tuple[Any, ...]:
         values: List[Any] = []
@@ -2153,7 +2210,7 @@ def _compile_projection(
                 values.append(payload(row, ctx))
         return tuple(values)
 
-    return project, False, None
+    return project, None, False, None
 
 
 def _compile_order(

@@ -78,6 +78,7 @@ __all__ = [
     "Transaction",
     "gather_columns",
     "gather_rows",
+    "probe_partition",
     "stable_hash",
 ]
 
@@ -315,7 +316,7 @@ class HashIndex:
         return sum(len(positions) for positions in self._buckets.values())
 
 
-def _probe_partition(
+def probe_partition(
     parts_of: Sequence[List[HashIndex]],
     keys: Sequence[Tuple[str, Any]],
     pid: int,
@@ -324,14 +325,30 @@ def _probe_partition(
     """The live rows of partition ``pid`` whose positions lie in the bucket
     of every key, in position order.
 
-    ``parts_of[i]`` are the per-partition indexes of ``keys[i]``'s column.
-    Several keys walk the smallest bucket and keep the positions present in
-    all the others.  Buckets iterate in ascending position (see
-    :meth:`HashIndex.restore`), so the result is ordered exactly like a
-    filtered read of any one of the buckets.
+    ``parts_of[i]`` are the per-partition indexes of ``keys[i]``'s column
+    and ``rows`` is the partition's row list.  Several keys walk the
+    smallest bucket and keep the positions present in all the others.
+    Buckets iterate in ascending position (see :meth:`HashIndex.restore`),
+    so the result is ordered exactly like a filtered read of any one of the
+    buckets.  The one intersection rule of every engine: the interpreter
+    reaches it through :meth:`Table.probe_chunks`, the compiled engine's
+    index probes with their per-plan index resolution.
     """
     if len(keys) == 1:
         return parts_of[0][pid].live_rows(keys[0][1], rows)
+    if len(keys) == 2:
+        smallest = parts_of[0][pid]._buckets.get(keys[0][1])
+        if not smallest:
+            return []
+        other = parts_of[1][pid]._buckets.get(keys[1][1])
+        if not other:
+            return []
+        if len(other) < len(smallest):
+            smallest, other = other, smallest
+        return [
+            stored for position in smallest
+            if position in other and (stored := rows[position]) is not None
+        ]
     buckets: List[Dict[int, None]] = []
     for parts, (_column, key) in zip(parts_of, keys):
         bucket = parts[pid]._buckets.get(key)
@@ -340,12 +357,6 @@ def _probe_partition(
         buckets.append(bucket)
     buckets.sort(key=len)
     smallest = buckets[0]
-    if len(buckets) == 2:
-        other = buckets[1]
-        return [
-            stored for position in smallest
-            if position in other and (stored := rows[position]) is not None
-        ]
     others = buckets[1:]
     return [
         stored for position in smallest
@@ -480,6 +491,15 @@ class Partition:
             if row is not None:
                 yield row
 
+    def live(self) -> Iterable[Tuple[Any, ...]]:
+        """This partition's live rows in insertion order, to be read only:
+        the row list itself while it holds no tombstones, else
+        :meth:`scan`."""
+        rows = self.rows
+        if self.live_count == len(rows):
+            return rows
+        return self.scan()
+
     def invalidate_chunks(self) -> None:
         """Discard the columnar chunk cache (call after any row mutation)."""
         self._chunks = None
@@ -495,7 +515,8 @@ class Partition:
         rows :meth:`scan` would yield, in the same order.  The result is
         cached until the next mutation (every DML/compaction/rollback path
         calls :meth:`invalidate_chunks`); a different ``chunk_size`` forces a
-        rebuild.
+        rebuild.  Only a driving scan whose chunks feed a batch predicate or
+        the batch hash-join probe builds it; other scans stream :attr:`rows`.
         """
         chunks = self._chunks
         if chunks is None or self._chunk_size != chunk_size:
@@ -1185,18 +1206,21 @@ class Table:
 
     def scan_chunks(
         self,
-    ) -> Sequence[Tuple[Optional[int], Iterator[Tuple[Any, ...]]]]:
-        """Per-partition scan: ``(partition_id, live-row iterator)`` pairs.
+    ) -> Sequence[Tuple[Optional[int], Iterable[Tuple[Any, ...]]]]:
+        """Per-partition scan: ``(partition_id, live rows)`` pairs.
 
-        Like :meth:`probe_chunks` and :meth:`range_chunks`, a
-        single-partition table reports its one chunk with ``partition_id``
-        ``None``: there is nothing to attribute per partition, so executors
-        charge its work to the flat counters only.
+        Each partition's live rows come from :meth:`Partition.live`: its row
+        list itself while it holds no tombstones, so a scan reads them
+        without a per-row generator step.  Like :meth:`probe_chunks` and
+        :meth:`range_chunks`, a single-partition table reports its one
+        chunk with ``partition_id`` ``None``: there is nothing to attribute
+        per partition, so executors charge its work to the flat counters
+        only.
         """
         if self.n_partitions == 1:
-            return ((None, self.partitions[0].scan()),)
+            return ((None, self.partitions[0].live()),)
         return [
-            (pid, partition.scan())
+            (pid, partition.live())
             for pid, partition in enumerate(self.partitions)
         ]
 
@@ -1283,7 +1307,7 @@ class Table:
         rows)`` pairs (``None`` ids on a single-partition table, see
         :meth:`scan_chunks`), or ``None`` when some column has no index (the
         caller falls back to a filtered scan).  Several keys intersect their
-        buckets per partition (:func:`_probe_partition`), so the rows
+        buckets per partition (:func:`probe_partition`), so the rows
         come out in position order — exactly the rows, in the order, that
         filtering the first key's bucket by the other keys would keep.  A
         key on the partition column touches exactly one partition; otherwise
@@ -1295,11 +1319,22 @@ class Table:
             if table_index is None:
                 return None
             parts_of.append(table_index.parts)
+        return self.probe_partitions(parts_of, keys)
+
+    def probe_partitions(
+        self,
+        parts_of: Sequence[List[HashIndex]],
+        keys: Sequence[Tuple[str, Any]],
+    ) -> List[Tuple[Optional[int], List[Tuple[Any, ...]]]]:
+        """:meth:`probe_chunks` with the indexes already resolved:
+        ``parts_of[i]`` are the per-partition indexes of ``keys[i]``'s
+        column.  Routes the probe to the partitions it must touch and
+        intersects each one's buckets (:func:`probe_partition`)."""
         # NB: a NULL key is a legitimate bucket lookup here (secondary
         # indexes store NULL entries; ``Table.lookup`` relies on it) — the
         # no-match-on-NULL semantics of ``=`` probes live in the executor.
         if self.n_partitions == 1:
-            matches = _probe_partition(parts_of, keys, 0, self.partitions[0].rows)
+            matches = probe_partition(parts_of, keys, 0, self.partitions[0].rows)
             return [(None, matches)] if matches else []
         pids: Iterable[int] = range(self.n_partitions)
         for column, key in keys:
@@ -1308,7 +1343,7 @@ class Table:
                 break
         chunks: List[Tuple[Optional[int], List[Tuple[Any, ...]]]] = []
         for pid in pids:
-            matches = _probe_partition(
+            matches = probe_partition(
                 parts_of, keys, pid, self.partitions[pid].rows
             )
             if matches:

@@ -147,7 +147,7 @@ class TestVectorizationReport:
                 "SELECT g, COUNT(*), SUM(id) FROM t GROUP BY g"
             )
             assert "vectorization:" in text
-            assert "scan: vectorized (columnar chunks)" in text
+            assert "scan: partition rows (no driving filter)" in text
             assert "aggregate: vectorized (per-group column folds)" in text
             assert "join-probe: n/a (no join levels)" in text
             assert "projection: n/a (aggregate query)" in text
@@ -190,7 +190,10 @@ class TestVectorizationReport:
                 in exprs
             )
             slots = database.explain("SELECT id, g FROM t")
-            assert "projection: vectorized (slot projection)" in slots
+            assert (
+                "projection: slot projection (one itemgetter on every path)"
+                in slots
+            )
 
     def test_join_probe_report(self):
         with _filled() as database:

@@ -1,0 +1,419 @@
+"""Per-execution fixed cost of a cached plan.
+
+Each execution of a cached plan pays only for work that depends on its
+parameters and its rows:
+
+* a slot-only select list projects through the plan's one ``itemgetter``
+  projector on every path, and a one-item expression list returns its
+  value without the generic parts loop;
+* an ungrouped aggregate folds its rows directly, without a group table;
+* a multi-key index probe resolves its indexes once per plan and
+  revalidates them by identity at every probe: a dropped index falls back
+  to the filtered scan, a re-created one is used, and the partition's row
+  list is read at probe time, after compaction replaced it;
+* a driving scan streams the partition's rows unless a batch predicate or
+  the batch hash-join probe consumes columnar chunks, so a scan with
+  nothing to filter never builds ``Partition.column_chunks``' cache.
+
+Every case runs on the interpreted, row-at-a-time and vectorized engines,
+at 1 and 4 partitions: rows equal the interpreter's, and so do the
+``QueryStats`` wherever the access paths are shared.
+"""
+
+import pytest
+
+from repro.relalg import Database
+from repro.relalg.planner import IndexProbe, plan_select
+from repro.relalg.sqlparser import parse_sql
+
+_ENGINES = {
+    "interpreted": {"engine": "interpreted"},
+    "row-at-a-time": {"vectorized": False},
+    "vectorized": {},
+}
+_PARTITIONS = [1, 4]
+
+#: ``z`` is NULL in every row; ``b`` is a type tag with NULLs.
+_T_ROWS = [
+    (i, i % 6, i % 4, ("p", "q", None)[i % 3], float(i % 9) - 2.0, None)
+    for i in range(1, 121)
+]
+#: ``u.t_id`` points at rows of ``t``, past its end, or nowhere (NULL).
+_U_ROWS = [
+    (i, None if i % 10 == 0 else (i * 7) % 130, float(i)) for i in range(1, 41)
+]
+_V_ROWS = [(i, i % 8, f"label-{i}") for i in range(1, 11)]
+
+_PROBE = "SELECT id, x FROM t WHERE g = ? AND a = ?"
+
+
+def _database(engine, n_partitions):
+    database = Database(n_partitions=n_partitions, **_ENGINES[engine])
+    database.execute(
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, a INTEGER, "
+        "b VARCHAR, x FLOAT, z FLOAT)"
+    )
+    database.execute("CREATE INDEX t_g ON t (g)")
+    database.execute("CREATE INDEX t_a ON t (a)")
+    database.executemany(
+        "INSERT INTO t (id, g, a, b, x, z) VALUES (?, ?, ?, ?, ?, ?)", _T_ROWS
+    )
+    database.execute(
+        "CREATE TABLE u (id INTEGER PRIMARY KEY, t_id INTEGER, w FLOAT)"
+    )
+    database.executemany("INSERT INTO u (id, t_id, w) VALUES (?, ?, ?)", _U_ROWS)
+    # No index on v.g: joining on it takes the hash-join access path.
+    database.execute(
+        "CREATE TABLE v (id INTEGER PRIMARY KEY, g INTEGER, label VARCHAR)"
+    )
+    database.executemany(
+        "INSERT INTO v (id, g, label) VALUES (?, ?, ?)", _V_ROWS
+    )
+    database.execute("CREATE TABLE one (id INTEGER PRIMARY KEY)")
+    database.execute("INSERT INTO one (id) VALUES (1)")
+    database.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, z FLOAT)")
+    return database
+
+
+def _agreed(sql, params=(), n_partitions=1, shared_paths=True):
+    """The interpreter's result of ``sql``, after asserting that every
+    engine returns its rows — twice, the second time through the cached
+    plan — and, where the access paths are shared, its counters."""
+    results = {}
+    for engine in _ENGINES:
+        with _database(engine, n_partitions) as database:
+            first = database.query(sql, list(params))
+            again = database.query(sql, list(params))
+        assert again.rows == first.rows and again.stats == first.stats
+        results[engine] = first
+    reference = results["interpreted"]
+    for engine, result in results.items():
+        assert sorted(map(repr, result.rows)) == sorted(
+            map(repr, reference.rows)
+        ), engine
+        if "ORDER BY" in sql:
+            assert result.rows == reference.rows, engine
+        if shared_paths:
+            assert result.stats == reference.stats, engine
+    assert results["row-at-a-time"].stats == results["vectorized"].stats
+    return reference
+
+
+def _chunk_caches(database, table):
+    """Whether each partition of ``table`` holds a columnar chunk cache."""
+    return [
+        partition._chunks is not None
+        for partition in database.table(table).partitions
+    ]
+
+
+# --------------------------------------------------------------------------- #
+# predicate-less driving scans
+# --------------------------------------------------------------------------- #
+
+#: ``(sql, driving table)``: statements whose driving scan has no filter.
+_PREDICATE_LESS = [
+    pytest.param("SELECT * FROM t", "t", id="select-star"),
+    pytest.param("SELECT a, b FROM t", "t", id="select-columns"),
+    pytest.param("SELECT COUNT(*) FROM t", "t", id="count-star"),
+    pytest.param(
+        "SELECT g, COUNT(*), SUM(x), MIN(z) FROM t GROUP BY g ORDER BY g",
+        "t", id="group-by",
+    ),
+    pytest.param(
+        "SELECT u.id, t.b FROM u, t WHERE t.id = u.t_id ORDER BY u.id",
+        "u", id="index-join",
+    ),
+]
+
+
+class TestPredicateLessScans:
+    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
+    @pytest.mark.parametrize("sql,driving", _PREDICATE_LESS)
+    def test_rows_and_counters_match_the_reference(
+        self, sql, driving, n_partitions
+    ):
+        reference = _agreed(sql, n_partitions=n_partitions)
+        assert reference.rows
+
+    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
+    @pytest.mark.parametrize("sql,driving", _PREDICATE_LESS)
+    def test_never_build_the_chunk_cache(self, sql, driving, n_partitions):
+        after = {}
+        for engine in _ENGINES:
+            with _database(engine, n_partitions) as database:
+                before = database.query(sql).rows
+                # DML leaves a tombstone and invalidates every cache; the
+                # cached plan runs again.
+                database.execute(f"DELETE FROM {driving} WHERE id = 3")
+                database.executemany(
+                    f"INSERT INTO {driving} (id) VALUES (?)", [[1000], [1001]]
+                )
+                assert database.table(driving).dead_count == 1
+                after[engine] = sorted(map(repr, database.query(sql).rows))
+                assert after[engine] != sorted(map(repr, before))
+                assert not any(_chunk_caches(database, driving))
+        assert len(set(map(tuple, after.values()))) == 1
+
+    @pytest.mark.parametrize("sql,driving", _PREDICATE_LESS)
+    def test_explain_reports_the_row_stream(self, sql, driving):
+        with _database("vectorized", 1) as database:
+            text = database.explain(sql)
+        assert text.count("scan: partition rows (no driving filter)") == 1
+        assert "columnar chunks" not in text
+
+    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
+    def test_a_filtered_scan_still_builds_it(self, n_partitions):
+        sql = "SELECT id, x FROM t WHERE x > ? ORDER BY id"
+        with _database("vectorized", n_partitions) as database:
+            assert "scan: vectorized (columnar chunks)" in database.explain(sql)
+            database.query(sql, [1.0])
+            assert all(_chunk_caches(database, "t"))
+        _agreed(sql, [1.0], n_partitions=n_partitions)
+
+    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
+    def test_a_scan_into_a_hash_join_still_builds_it(self, n_partitions):
+        sql = "SELECT t.id, v.label FROM t, v WHERE v.g = t.g ORDER BY t.id, v.id"
+        with _database("vectorized", n_partitions) as database:
+            text = database.explain(sql)
+            assert "join-probe: vectorized (batch probe)" in text
+            assert "scan: vectorized (columnar chunks)" in text
+            database.query(sql)
+            assert all(_chunk_caches(database, "t"))
+            assert not any(_chunk_caches(database, "v"))
+        # The interpreter has no hash join: rows only.
+        _agreed(sql, n_partitions=n_partitions, shared_paths=False)
+
+
+# --------------------------------------------------------------------------- #
+# ungrouped aggregates
+# --------------------------------------------------------------------------- #
+
+_AGGREGATES = "COUNT(*), COUNT(b), SUM(x), MIN(z), MAX(b), AVG(x)"
+
+
+class TestUngroupedAggregates:
+    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
+    @pytest.mark.parametrize(
+        "having,kept",
+        [
+            ("", True),
+            (" HAVING COUNT(*) >= 0", True),
+            (" HAVING COUNT(*) < 0", False),
+            (" HAVING MIN(z) > 0", False),  # NULL: the group is dropped
+        ],
+        ids=["no-having", "having-true", "having-false", "having-null"],
+    )
+    @pytest.mark.parametrize(
+        "source,rows",
+        [
+            ("t", 120),
+            ("t WHERE g = 2", 20),
+            ("t WHERE x > 100", 0),
+            ("e", 0),
+        ],
+        ids=["whole-table", "probe", "empty-filter", "empty-table"],
+    )
+    def test_one_row_or_none(self, source, rows, having, kept, n_partitions):
+        columns = _AGGREGATES if source.startswith("t") else "COUNT(*), MIN(z)"
+        sql = f"SELECT {columns} FROM {source}{having}"
+        reference = _agreed(sql, n_partitions=n_partitions)
+        if not kept:
+            assert reference.rows == []
+            return
+        assert len(reference.rows) == 1
+        assert reference.rows[0][0] == rows
+
+    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
+    def test_min_of_an_all_null_column_is_null(self, n_partitions):
+        reference = _agreed("SELECT MIN(z) FROM t", n_partitions=n_partitions)
+        assert reference.rows == [(None,)]
+
+    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
+    def test_a_subquery_aggregate_per_outer_row(self, n_partitions):
+        reference = _agreed(
+            "SELECT u.id, (SELECT SUM(x) FROM t WHERE g = ? AND a = ?) "
+            "FROM u WHERE u.id < ? ORDER BY u.id",
+            [2, 2, 8],
+            n_partitions=n_partitions,
+        )
+        total = sum(row[4] for row in _T_ROWS if row[1] == 2 and row[2] == 2)
+        assert reference.rows == [(i, total) for i in range(1, 8)]
+
+
+# --------------------------------------------------------------------------- #
+# projections
+# --------------------------------------------------------------------------- #
+
+_ONE_ITEM = [
+    pytest.param("SELECT 7 AS value FROM one", [], id="literal"),
+    pytest.param("SELECT x FROM t WHERE g = ? ORDER BY id", [3], id="column"),
+    pytest.param(
+        "SELECT x * 2 + a FROM t WHERE g = ? ORDER BY id", [3], id="arithmetic"
+    ),
+    pytest.param(
+        "SELECT (SELECT MAX(x) FROM t WHERE g = ?) AS value FROM one",
+        [3], id="subquery",
+    ),
+    pytest.param(
+        "SELECT ((SELECT x FROM t WHERE g = ? AND id = ?) > 0) AS value "
+        "FROM one",
+        [4, 10], id="two-key-subquery",
+    ),
+]
+
+
+class TestProjections:
+    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
+    @pytest.mark.parametrize("sql,params", _ONE_ITEM)
+    def test_one_item_lists(self, sql, params, n_partitions):
+        reference = _agreed(sql, params, n_partitions=n_partitions)
+        assert reference.rows
+        assert all(len(row) == 1 for row in reference.rows)
+
+    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT b FROM t WHERE a = ? ORDER BY id",
+            "SELECT b, id, x FROM t WHERE a = ? ORDER BY id",
+            "SELECT x, x, id FROM t WHERE a = ? ORDER BY id",
+            "SELECT t.b, u.w, t.id FROM u, t WHERE t.id = u.t_id AND u.w > ? "
+            "ORDER BY u.id",
+        ],
+        ids=["one-column", "three-columns", "repeated-column", "join"],
+    )
+    def test_slot_only_lists(self, sql, n_partitions):
+        reference = _agreed(sql, [1], n_partitions=n_partitions)
+        assert reference.rows
+
+    @pytest.mark.parametrize(
+        "sql,slot_only",
+        [
+            ("SELECT b FROM t", True),
+            ("SELECT b, id, x FROM t WHERE a = ?", True),
+            ("SELECT x + 1 FROM t", False),
+            ("SELECT id, x + 1 FROM t", False),
+        ],
+    )
+    def test_a_plan_holds_one_projector(self, sql, slot_only):
+        with _database("vectorized", 1) as database:
+            plan = plan_select(parse_sql(sql), database.tables)
+            text = database.explain(sql)
+        assert (plan.slot_projector is not None) is slot_only
+        assert (plan.projector is not None) is not slot_only
+        assert (
+            "projection: slot projection (one itemgetter on every path)"
+            in text
+        ) is slot_only
+
+
+# --------------------------------------------------------------------------- #
+# plan-resolved multi-key probes
+# --------------------------------------------------------------------------- #
+
+
+def _expected(table, g, a):
+    """``_PROBE``'s rows, read from the live table by brute force."""
+    return sorted(
+        (row[0], row[4]) for row in table.scan() if row[1] == g and row[2] == a
+    )
+
+
+def _cached_probe(database):
+    """The index probe of ``_PROBE``'s cached plan."""
+    (level,) = database._plan_cache[_PROBE][1].levels
+    assert type(level.access) is IndexProbe
+    return level.access
+
+
+def _check_all_keys(database):
+    """Run the cached probe plan for every key pair against the live rows."""
+    table = database.table("t")
+    for g in range(6):
+        for a in range(4):
+            result = database.query(_PROBE, [g, a])
+            assert sorted(result.rows) == _expected(table, g, a), (g, a)
+
+
+class TestResolvedProbes:
+    @pytest.fixture(params=list(_ENGINES))
+    def engine(self, request):
+        return request.param
+
+    @pytest.fixture(params=_PARTITIONS)
+    def database(self, request, engine):
+        with _database(engine, request.param) as database:
+            _check_all_keys(database)
+            yield database
+            if engine != "interpreted":
+                # Everything ran through the one cached plan.
+                assert database.plan_cache_info()["misses"] == 1
+
+    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
+    @pytest.mark.parametrize("compiled", ["row-at-a-time", "vectorized"])
+    def test_the_plan_resolves_its_indexes(self, compiled, n_partitions):
+        with _database(compiled, n_partitions) as database:
+            result = database.query(_PROBE, [2, 2])
+            table = database.table("t")
+            assert _cached_probe(database).resolved == (
+                ("g", table.indexes["g"]), ("a", table.indexes["a"])
+            )
+        assert result.stats.index_lookups == 2
+        assert result.stats.rows_scanned == len(result.rows) == 10
+
+    def test_a_dropped_index_falls_back_to_the_filtered_scan(self, database):
+        database.table("t").drop_index("a")
+        _check_all_keys(database)
+        result = database.query(_PROBE, [2, 2])
+        assert result.stats.rows_scanned > len(result.rows)
+
+    def test_a_recreated_index_is_used(self, database, engine):
+        table = database.table("t")
+        table.drop_index("a")
+        _check_all_keys(database)
+        recreated = table.create_index("t_a_again", "a")
+        database.execute("INSERT INTO t (id, g, a, x) VALUES (500, 2, 2, 9.5)")
+        _check_all_keys(database)
+        result = database.query(_PROBE, [2, 2])
+        assert result.stats.index_lookups == 2
+        assert result.stats.rows_scanned == len(result.rows) == 11
+        if engine != "interpreted":
+            assert _cached_probe(database).resolved[1] == ("a", recreated)
+
+    def test_compaction_replaces_the_row_list(self, database):
+        table = database.table("t")
+        database.executemany(
+            "INSERT INTO t (id, g, a, x) VALUES (?, ?, ?, ?)",
+            [(1000 + i, i % 6, i % 4, float(i)) for i in range(400)],
+        )
+        _check_all_keys(database)
+        lists = [partition.rows for partition in table.partitions]
+        database.execute("DELETE FROM t WHERE id > ?", [20])
+        assert table.dead_count == 0  # every partition compacted
+        assert all(
+            partition.rows is not old
+            for partition, old in zip(table.partitions, lists)
+        )
+        database.execute("INSERT INTO t (id, g, a, x) VALUES (600, 2, 2, 1.0)")
+        _check_all_keys(database)
+        assert sorted(database.query(_PROBE, [2, 2]).rows) == [
+            (2, 0.0), (14, 3.0), (600, 1.0)
+        ]
+
+    def test_a_rolled_back_transaction_leaves_no_trace(self, database):
+        before = {
+            (g, a): sorted(database.query(_PROBE, [g, a]).rows)
+            for g in range(6) for a in range(4)
+        }
+        database.begin()
+        database.execute("DELETE FROM t WHERE g = ?", [2])
+        database.execute("INSERT INTO t (id, g, a, x) VALUES (700, 2, 2, 4.0)")
+        assert database.query(_PROBE, [2, 2]).rows == [(700, 4.0)]
+        _check_all_keys(database)
+        database.rollback()
+        _check_all_keys(database)
+        assert before == {
+            (g, a): sorted(database.query(_PROBE, [g, a]).rows)
+            for g in range(6) for a in range(4)
+        }

@@ -3,7 +3,7 @@
 An index probe consumes every indexed equality conjunct of its level: the
 first one (the probe the planner always chose) and every later one on a
 different indexed column whose other side is already bound.  The buckets of
-those indexes are intersected by :meth:`repro.relalg.storage.Table.probe_chunks`,
+those indexes are intersected by :func:`repro.relalg.storage.probe_partition`,
 which both engines call, so rows, their order and the ``QueryStats`` stay
 identical between the compiled engine and the interpreted reference.  Each
 key is evaluated once per probe and counts one index lookup; the probe

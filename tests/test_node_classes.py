@@ -589,10 +589,10 @@ CONTRACTS = [
         "statement layout levels columns projector identity_projection group_key_fns "
         "having_fn item_group_fns order_spec distinct limit offset table_deps "
         "subquery_plans follows_syntactic_order vector_eligible vector_filter "
-        "batch_projector vector_aggregate vector_join_key vector_report "
+        "slot_projector vector_aggregate vector_join_key vector_report "
         "contradiction analysis_report index_order",
         {
-            "vector_eligible": False, "vector_filter": None, "batch_projector": None,
+            "vector_eligible": False, "vector_filter": None, "slot_projector": None,
             "vector_aggregate": None, "vector_join_key": None,
             "vector_report": fresh(dict), "contradiction": False, "analysis_report": (),
             "index_order": None,
