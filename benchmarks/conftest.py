@@ -6,21 +6,12 @@ import pytest
 
 from repro.asl.specs import cosy_specification
 from repro.bench import build_scenario
-from repro.relalg import ProcessScanExecutor
 
 
 @pytest.fixture(scope="session")
 def cosy_spec():
     """The checked bundled COSY specification."""
     return cosy_specification()
-
-
-@pytest.fixture(scope="session")
-def process_pool():
-    """A shared spawn-safe worker pool for the wall-clock experiments."""
-    executor = ProcessScanExecutor(workers=2)
-    yield executor
-    executor.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -34,13 +34,6 @@ performance trajectory of the relational substrate is tracked from PR to PR:
   workload swept over pipeline depths 1–32, the pipelined pushdown analysis
   at depth 8, and byte-identical depth-1 parity checks against the serial
   clock (E2 fetch loop, A1-style analysis, E6 bulk load).
-* **E9** — *wall-clock* (not virtual) partition execution: the scan-heavy
-  E3-style filtered-aggregate workload on an 8-partition table, measured
-  sequentially and on the shared-nothing process executor at 1/2/4
-  workers, next to the virtual makespan prediction.  Results are consistency-checked to be byte-identical to the
-  sequential engine; the recorded ``cpu_count`` qualifies how much of the
-  virtual prediction the hardware can realize (a single-core machine cannot
-  show multi-core speedups, however correct the executor).
 * **E10** — durability cost and recovery: the E6 bulk load measured on the
   wall clock with the write-ahead log off, on (fsync per autocommit batch)
   and on with size-triggered checkpointing, plus recovery-on-open time
@@ -532,13 +525,12 @@ def bench_e8(scenario, failures: list) -> dict:
     }
 
 
-#: The E9 scan-heavy workload: E3-style filtered aggregates over simulated
-#: per-region/per-PE timing samples.  Thresholds keep the filters selective,
-#: so the parallelizable per-row filter work dominates and the surviving rows
-#: shipped between processes stay small.
-_E9_ROWS = 48_000
-_E9_PARTITIONS = 8
-_E9_QUERIES = [
+#: The scan-heavy workload of E11, E12 and E13: E3-style filtered aggregates
+#: over simulated per-region/per-PE timing samples.  Thresholds keep the
+#: filters selective, so the per-row filter work dominates.
+_SCAN_ROWS = 48_000
+_SCAN_PARTITIONS = 8
+_SCAN_QUERIES = [
     (
         "SELECT region, COUNT(*), SUM(incl), MAX(excl) FROM samples "
         "WHERE excl > ? GROUP BY region ORDER BY region",
@@ -551,7 +543,7 @@ _E9_QUERIES = [
 ]
 
 
-def _e9_sample_rows():
+def _scan_sample_rows():
     return [
         (
             i,
@@ -560,105 +552,23 @@ def _e9_sample_rows():
             (i * 37 % 1000) / 10.0,
             (i * 59 % 1000) / 10.0,
         )
-        for i in range(_E9_ROWS)
+        for i in range(_SCAN_ROWS)
     ]
 
 
-def _e9_database(**kwargs):
+def _scan_database(**kwargs):
     from repro.relalg import Database
 
-    database = Database(n_partitions=_E9_PARTITIONS, **kwargs)
+    database = Database(n_partitions=_SCAN_PARTITIONS, **kwargs)
     database.execute(
         "CREATE TABLE samples (id INTEGER PRIMARY KEY, region INTEGER, "
         "pe INTEGER, incl FLOAT, excl FLOAT)"
     )
     database.executemany(
         "INSERT INTO samples (id, region, pe, incl, excl) VALUES (?, ?, ?, ?, ?)",
-        _e9_sample_rows(),
+        _scan_sample_rows(),
     )
     return database
-
-
-def _e9_run(database):
-    return [database.query(sql, params).rows for sql, params in _E9_QUERIES]
-
-
-def bench_e9(repeats: int, failures: list) -> dict:
-    """Wall-clock process-parallel partition execution (8 partitions).
-
-    Unlike every other scenario this measures the *real* clock: the virtual
-    model charges partition scans as a per-partition makespan, and the
-    process executor is the path whose wall clock can actually track that
-    prediction — bounded by the machine's core count, which is recorded so a
-    single-core run is read as what it is.
-    """
-    import os
-
-    from repro.relalg import Database, ProcessScanExecutor, backend as make_backend
-
-    sequential = _e9_database()
-    reference = _e9_run(sequential)
-    sequential_wall = _wall(lambda: _e9_run(sequential), repeats)
-
-    report: dict = {
-        "rows": _E9_ROWS,
-        "partitions": _E9_PARTITIONS,
-        "statements": len(_E9_QUERIES),
-        "cpu_count": os.cpu_count(),
-        "sequential_wall_s": round(sequential_wall, 6),
-        "process": {},
-    }
-
-    for workers in (1, 2, 4):
-        with ProcessScanExecutor(workers=workers) as pool, \
-                _e9_database(executor=pool) as parallel:
-            if _e9_run(parallel) != reference:
-                failures.append(
-                    f"E9: process executor ({workers} workers) diverges "
-                    f"from sequential"
-                )
-            wall = _wall(lambda: _e9_run(parallel), repeats)
-        report["process"][str(workers)] = {
-            "wall_s": round(wall, 6),
-            "speedup": round(sequential_wall / wall, 3),
-        }
-
-    # The virtual prediction: the same statements through the cost model at
-    # 1 vs. 4 virtual scan workers (per-partition makespan charging).
-    virtual = {}
-    for parallelism in (1, 4):
-        simulated = make_backend(
-            "oracle7",
-            n_partitions=_E9_PARTITIONS,
-            parallelism=parallelism,
-            executor="sequential",
-        )
-        simulated.execute(
-            "CREATE TABLE samples (id INTEGER PRIMARY KEY, region INTEGER, "
-            "pe INTEGER, incl FLOAT, excl FLOAT)"
-        )
-        simulated.executemany(
-            "INSERT INTO samples (id, region, pe, incl, excl) "
-            "VALUES (?, ?, ?, ?, ?)",
-            _e9_sample_rows(),
-        )
-        simulated.reset_clock()
-        for sql, params in _E9_QUERIES:
-            simulated.query(sql, params)
-        virtual[parallelism] = simulated.elapsed
-    report["virtual_1worker_s"] = round(virtual[1], 6)
-    report["virtual_4worker_s"] = round(virtual[4], 6)
-    report["virtual_predicted_speedup"] = round(virtual[1] / virtual[4], 3)
-
-    process4 = report["process"]["4"]["speedup"]
-    report["meets_local_target"] = process4 >= 1.5
-    cpus = report["cpu_count"] or 1
-    if cpus >= 4 and process4 < 1.2:
-        failures.append(
-            f"E9: process executor speedup is {process4}x on a {cpus}-core "
-            f"machine (expected >= 1.2x)"
-        )
-    return report
 
 
 def bench_e10(scenario, repeats: int, failures: list) -> dict:
@@ -772,23 +682,23 @@ def bench_e10(scenario, repeats: int, failures: list) -> dict:
 
 
 def _e11_run(database):
-    """The E9 statements, returning both rows and the full QueryStats."""
-    results = [database.query(sql, params) for sql, params in _E9_QUERIES]
+    """The scan workload's statements, returning rows and full QueryStats."""
+    results = [database.query(sql, params) for sql, params in _SCAN_QUERIES]
     return [r.rows for r in results], [r.stats for r in results]
 
 
 def bench_e11(repeats: int, failures: list) -> dict:
     """Vectorized columnar scans vs. row-at-a-time (wall clock).
 
-    The same scan-heavy E9 workload through the same sequential executor,
+    The scan-heavy workload through the same sequential executor,
     with only the scan representation changed: batch-compiled predicates
     over cached columnar chunks vs. the row-at-a-time closure pipeline.
     Rows *and* QueryStats must be byte-identical — the columnar path does
     the same logical work, only batched — so the wall-clock gap is pure
     interpreter-dispatch overhead.
     """
-    rowwise = _e9_database(vectorized=False)
-    vectorized = _e9_database()
+    rowwise = _scan_database(vectorized=False)
+    vectorized = _scan_database()
 
     row_results = _e11_run(rowwise)
     vec_results = _e11_run(vectorized)
@@ -809,9 +719,9 @@ def bench_e11(repeats: int, failures: list) -> dict:
             f"({speedup:.3f}x, expected >= 1.0x)"
         )
     return {
-        "rows": _E9_ROWS,
-        "partitions": _E9_PARTITIONS,
-        "statements": len(_E9_QUERIES),
+        "rows": _SCAN_ROWS,
+        "partitions": _SCAN_PARTITIONS,
+        "statements": len(_SCAN_QUERIES),
         "rowwise_wall_s": round(row_wall, 6),
         "vectorized_wall_s": round(vec_wall, 6),
         "speedup": round(speedup, 3),
@@ -820,7 +730,7 @@ def bench_e11(repeats: int, failures: list) -> dict:
     }
 
 
-#: The E12 aggregation-heavy variant of the E9 workload: unfiltered (or
+#: The E12 aggregation-heavy variant of the scan workload: unfiltered (or
 #: barely filtered) GROUP BYs with many aggregates per row, so per-group
 #: fold work — not the driving scan — dominates the wall clock.
 _E12_AGG_QUERIES = [
@@ -861,7 +771,7 @@ _E12_REGIONS = 24
 
 
 def _e12_database(**kwargs):
-    database = _e9_database(**kwargs)
+    database = _scan_database(**kwargs)
     # No PRIMARY KEY / index on regions.region: the join must take the
     # hash-join access path the batch probe rides, not an index probe.
     database.execute("CREATE TABLE regions (region INTEGER, label VARCHAR)")
@@ -895,7 +805,7 @@ def _e12_disable_batch_rungs(database, queries):
 def bench_e12(repeats: int, failures: list) -> dict:
     """Vectorized aggregation / join probing vs. row-at-a-time (wall clock).
 
-    The aggregation-heavy and join-heavy E9 variants through the sequential
+    The aggregation-heavy and join-heavy scan variants through the sequential
     executor three ways: the full batch pipeline, the scan-only pipeline
     (batch rungs stripped from warmed plans — PR 7 behavior) and the
     row-at-a-time engine.  Rows *and* QueryStats must be byte-identical
@@ -903,8 +813,8 @@ def bench_e12(repeats: int, failures: list) -> dict:
     row-at-a-time aggregation ≥ 1.5× on the aggregation-heavy workload.
     """
     report: dict = {
-        "rows": _E9_ROWS,
-        "partitions": _E9_PARTITIONS,
+        "rows": _SCAN_ROWS,
+        "partitions": _SCAN_PARTITIONS,
         "workloads": {},
     }
     for name, queries in (
@@ -980,14 +890,14 @@ _E13_QUERIES = [
 def _e13_database(ordered: bool = True, **kwargs):
     from repro.relalg import Database
 
-    database = Database(n_partitions=_E9_PARTITIONS, **kwargs)
+    database = Database(n_partitions=_SCAN_PARTITIONS, **kwargs)
     database.execute(
         "CREATE TABLE samples (id INTEGER PRIMARY KEY, region INTEGER, "
         "pe INTEGER, incl FLOAT, excl FLOAT)"
     )
     database.executemany(
         "INSERT INTO samples (id, region, pe, incl, excl) VALUES (?, ?, ?, ?, ?)",
-        _e9_sample_rows(),
+        _scan_sample_rows(),
     )
     if ordered:
         database.execute(
@@ -1008,13 +918,13 @@ def _e13_run(database):
 def bench_e13(repeats: int, failures: list) -> dict:
     """Range probes and index-order pushdown vs. full-partition scans.
 
-    The range-heavy E9 variant (selective sargable predicates, BETWEEN, and
+    The range-heavy scan variant (selective sargable predicates, BETWEEN, and
     a single-key top-k) twice: with the ordered index on ``incl`` and
     without it.  Rows must be byte-identical between the two — an ordered
     index is an access-path accelerator, never a semantics change — and
-    QueryStats must be byte-identical across the row-at-a-time, vectorized
-    and process-pool engines at a fixed index configuration (range probes
-    and index-order pushdown are mode-independent).  The local target is the
+    QueryStats must be byte-identical between the row-at-a-time and
+    vectorized engines at a fixed index configuration (range probes and
+    index-order pushdown are mode-independent).  The local target is the
     probe path beating the full-partition scan ≥ 2× on wall clock.
     """
     ordered = _e13_database()
@@ -1026,20 +936,16 @@ def bench_e13(repeats: int, failures: list) -> dict:
 
     # Mode identity at each index configuration: the physical access path
     # (probe or scan) does identical counted work in every engine mode.
-    for label, factory, reference in (
-        ("ordered", _e13_database, ordered_stats),
-        ("full-scan", lambda **kw: _e13_database(ordered=False, **kw), plain_stats),
+    for label, ordered_index, reference in (
+        ("ordered", True, ordered_stats),
+        ("full-scan", False, plain_stats),
     ):
-        for mode, kwargs in (
-            ("rowwise", {"vectorized": False}),
-            ("process2", {"parallel": 2, "executor": "process"}),
-        ):
-            with factory(**kwargs) as database:
-                mode_rows, mode_stats = _e13_run(database)
-            if mode_rows != ordered_rows:
-                failures.append(f"E13/{label}: {mode} rows diverge")
-            if mode_stats != reference:
-                failures.append(f"E13/{label}: {mode} QueryStats diverge")
+        with _e13_database(ordered=ordered_index, vectorized=False) as database:
+            mode_rows, mode_stats = _e13_run(database)
+        if mode_rows != ordered_rows:
+            failures.append(f"E13/{label}: rowwise rows diverge")
+        if mode_stats != reference:
+            failures.append(f"E13/{label}: rowwise QueryStats diverge")
 
     probed = sum(stats.range_probes for stats in ordered_stats)
     scanned_probe = sum(stats.rows_scanned for stats in ordered_stats)
@@ -1063,8 +969,8 @@ def bench_e13(repeats: int, failures: list) -> dict:
             f"E13: range-probe speedup {speedup}x below the 2x local target"
         )
     return {
-        "rows": _E9_ROWS,
-        "partitions": _E9_PARTITIONS,
+        "rows": _SCAN_ROWS,
+        "partitions": _SCAN_PARTITIONS,
         "statements": len(_E13_QUERIES),
         "range_probes": probed,
         "rows_scanned_probe": scanned_probe,
@@ -1115,7 +1021,6 @@ def main(argv=None) -> int:
                 medium, args.repeats, failures
             ),
             "E8_overlap": bench_e8(medium, failures),
-            "E9_wallclock": bench_e9(args.repeats, failures),
             "E10_durability": bench_e10(medium, args.repeats, failures),
             "E11_columnar": bench_e11(args.repeats, failures),
             "E12_vector_agg": bench_e12(args.repeats, failures),
@@ -1157,13 +1062,6 @@ def main(argv=None) -> int:
     print(f"E8  overlap speedup at depth 8: fetch "
           f"{e8['fetch_speedup_depth8']}x, scan {e8['scan_speedup_depth8']}x, "
           f"analysis {e8['analysis_speedup_depth8']}x; depth-1 parity: {parity}")
-    e9 = report["scenarios"]["E9_wallclock"]
-    print(f"E9  wall-clock at 8 partitions ({e9['cpu_count']} cpu): "
-          f"process "
-          + ", ".join(
-              f"x{w} {entry['speedup']}x" for w, entry in e9["process"].items()
-          )
-          + f"; virtual prediction {e9['virtual_predicted_speedup']}x")
     e10 = report["scenarios"]["E10_durability"]
     print(f"E10 WAL overhead on the E6 load: {e10['wal_overhead']}x "
           f"(with checkpoints {e10['checkpoint_overhead']}x); recovery "

@@ -1,7 +1,7 @@
 """E12 — batch execution past the driving scan vs. the scan-only pipeline.
 
 The same sequential executor over aggregation-heavy and join-heavy
-variants of the E9 workload, three ways: the full batch pipeline
+variants of the E11 scan workload, three ways: the full batch pipeline
 (vectorized aggregation, join probing, projection, top-k), the scan-only
 pipeline (post-scan batch rungs stripped from warmed plans — exactly the
 PR 7 engine), and the row-at-a-time engine.  Two properties:

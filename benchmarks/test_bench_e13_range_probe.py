@@ -1,8 +1,8 @@
 """E13 — ordered range indexes vs. full-partition scans.
 
-The range-heavy E9 variant (selective sargable predicates, a BETWEEN
-aggregate, and a single-key top-k) with and without the ordered index on
-``incl``.  Two properties:
+The range-heavy variant of the E11 scan workload (selective sargable
+predicates, a BETWEEN aggregate, and a single-key top-k) with and without
+the ordered index on ``incl``.  Two properties:
 
 * the index is result-transparent — byte-identical rows with the index on
   or off, and byte-identical :class:`QueryStats` between the row-at-a-time

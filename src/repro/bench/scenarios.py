@@ -91,7 +91,6 @@ def load_into_backend(
     batch_size: Optional[int] = DEFAULT_LOAD_BATCH_SIZE,
     n_partitions: int = 1,
     parallelism: int = 1,
-    executor: Optional[str] = None,
 ) -> Tuple[DatabaseClient, ObjectIds]:
     """Load the scenario's repository into a freshly created simulated backend.
 
@@ -103,10 +102,6 @@ def load_into_backend(
     two paths.  ``n_partitions`` shards every created table by primary key
     and ``parallelism`` sets the backend's virtual scan workers (per-partition
     makespan charging) — the partition-sweep benchmark drives both.
-    ``executor`` picks the engine-side fan-out realizing that parallelism
-    ("process" or "sequential"; see
-    :func:`repro.relalg.backends.backend`) — the E9 wall-clock benchmark
-    sweeps it.
     """
     client = client_factory(
         backend(
@@ -114,7 +109,6 @@ def load_into_backend(
             engine=engine,
             n_partitions=n_partitions,
             parallelism=parallelism,
-            executor=executor,
         )
     )
     loader = DatabaseLoader(scenario.mapping, client, batch_size=batch_size)

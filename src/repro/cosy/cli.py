@@ -91,15 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scans are charged as a makespan over this many workers)",
     )
     parser.add_argument(
-        "--db-executor",
-        choices=("sequential", "process"),
-        default=None,
-        help="how the engine realizes --db-parallelism on real hardware: "
-        "'process' (shared-nothing worker processes — the wall clock can "
-        "track the virtual makespan) or 'sequential' (the default: "
-        "virtual-only parallelism)",
-    )
-    parser.add_argument(
         "--pipeline-depth",
         type=int,
         default=1,
@@ -152,10 +143,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--pipeline-depth must be >= 1")
     if args.pipeline_depth > 1 and args.strategy != "pushdown":
         parser.error("--pipeline-depth requires --strategy pushdown")
-    if args.db_executor == "process" and args.db_parallelism < 2:
+    if args.db_partitions < 1:
+        parser.error("--db-partitions must be >= 1")
+    if args.db_parallelism < 1:
+        parser.error("--db-parallelism must be >= 1")
+    if min(args.pes) < 1:
+        parser.error("--pes values must be >= 1")
+    if args.analyze_pes is not None and args.analyze_pes not in args.pes:
         parser.error(
-            f"--db-executor {args.db_executor} requires --db-parallelism >= 2"
+            f"--analyze-pes {args.analyze_pes} is not one of --pes "
+            f"{' '.join(map(str, args.pes))}"
         )
+    if args.top < 0:
+        parser.error("--top must be >= 0")
 
     specification = cosy_specification()
 
@@ -186,7 +186,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args.db_backend,
                 n_partitions=args.db_partitions,
                 parallelism=args.db_parallelism,
-                executor=args.db_executor,
             )
         )
         try:
@@ -208,7 +207,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 strategy = PushdownStrategy(specification, mapping, client, ids)
             result = analyzer.analyze(pes=args.analyze_pes, strategy=strategy)
         finally:
-            # Release the engine's fan-out pool (worker processes).
             client.close()
     else:
         strategy = ClientSideStrategy(specification)

@@ -52,7 +52,6 @@ from repro.relalg.client import (
     PendingResult,
 )
 from repro.relalg.database import Database, ExecutionSummary
-from repro.relalg.parallel import ProcessScanExecutor
 from repro.relalg.errors import (
     ExecutionError,
     IntegrityError,
@@ -69,9 +68,7 @@ from repro.relalg.planner import (
     HashJoinBuild,
     IndexProbe,
     PartitionScan,
-    PlanSpec,
     QueryPlan,
-    lower_plan,
     plan_select,
 )
 from repro.relalg.rowset import QueryStats, ResultSet
@@ -131,9 +128,7 @@ __all__ = [
     "PendingResult",
     "PipelineSlot",
     "PipelinedTimeline",
-    "PlanSpec",
     "PositionsView",
-    "ProcessScanExecutor",
     "QueryPlan",
     "QueryStats",
     "RecoveryError",
@@ -160,7 +155,6 @@ __all__ = [
     "check_select",
     "compile_batch_predicate",
     "fingerprint_hash",
-    "lower_plan",
     "parse_sql",
     "plan_select",
     "restore_state",

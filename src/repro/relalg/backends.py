@@ -465,7 +465,6 @@ class SimulatedBackend:
         batch_size: int = DEFAULT_BATCH_SIZE,
         n_partitions: int = 1,
         parallelism: int = 1,
-        executor: Optional[str] = None,
         wal_path: Optional[str] = None,
         wal_autocheckpoint: Optional[int] = 4_000_000,
     ) -> None:
@@ -480,24 +479,10 @@ class SimulatedBackend:
         #: instead of the serial sum.  ``1`` (the default) is the historical
         #: serial charging, byte-for-byte.
         self.parallelism = parallelism
-        # ``executor="process"`` realizes the modeled parallelism with
-        # worker processes; otherwise (``None`` / "sequential") the virtual
-        # charge stands without any OS-level fan-out.  The virtual makespan
-        # charge is identical either way: the executor only decides whether
-        # the *wall* clock can track it.
-        if executor == "process" and parallelism < 2:
-            # Mirror Database's validation: silently ignoring the requested
-            # fan-out would make wall-clock comparisons measure the wrong
-            # executor.
-            raise ValueError(
-                f"executor={executor!r} requires parallelism >= 2 workers"
-            )
         self.database = database or Database(
             name=profile.name,
             engine=engine,
             n_partitions=n_partitions,
-            parallel=parallelism if executor == "process" else None,
-            executor=executor,
             wal_path=wal_path,
             wal_autocheckpoint=wal_autocheckpoint,
         )
@@ -729,12 +714,8 @@ class SimulatedBackend:
         self.rows_fetched = 0
 
     def close(self) -> None:
-        """Release the engine's partition fan-out pool (idempotent).
-
-        Only relevant for backends created with ``executor="process"`` — the
-        underlying :class:`Database` lazily spawns worker processes that
-        would otherwise idle until process exit.
-        """
+        """Close the underlying :class:`Database` (idempotent): an open
+        transaction rolls back and the write-ahead log, if any, is closed."""
         self.database.close()
 
     def __enter__(self) -> "SimulatedBackend":
@@ -758,7 +739,6 @@ def backend(
     batch_size: int = DEFAULT_BATCH_SIZE,
     n_partitions: int = 1,
     parallelism: int = 1,
-    executor: Optional[str] = None,
     wal_path: Optional[str] = None,
     wal_autocheckpoint: Optional[int] = 4_000_000,
 ) -> SimulatedBackend:
@@ -770,14 +750,11 @@ def backend(
     virtual round trip.  ``n_partitions`` shards every table the backend's
     database creates (ignored when ``database`` is supplied), and
     ``parallelism`` sets the virtual server's scan workers: scan costs are
-    charged as the per-partition makespan over that many workers.
-    ``executor`` picks how the engine realizes that parallelism on real
-    hardware — ``"process"`` (shared-nothing worker processes; the wall
-    clock can actually track the virtual makespan) or ``None`` /
-    ``"sequential"`` (the default: virtual-only parallelism, no OS
-    fan-out).  ``wal_path`` attaches a write-ahead log to
-    the backend's database (ignored when ``database`` is supplied), making
-    its commits crash-durable; ``wal_autocheckpoint`` bounds that log.
+    charged as the per-partition makespan over that many workers (the
+    engine itself executes sequentially).  ``wal_path`` attaches a
+    write-ahead log to the backend's database (ignored when ``database`` is
+    supplied), making its commits crash-durable; ``wal_autocheckpoint``
+    bounds that log.
     """
     try:
         profile = BACKEND_PROFILES[name]
@@ -792,7 +769,6 @@ def backend(
         batch_size=batch_size,
         n_partitions=n_partitions,
         parallelism=parallelism,
-        executor=executor,
         wal_path=wal_path,
         wal_autocheckpoint=wal_autocheckpoint,
     )

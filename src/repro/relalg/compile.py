@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.relalg.errors import ExecutionError
 from repro.relalg.rowset import QueryStats, _hashable, _is_true
@@ -104,43 +104,15 @@ class SlotLayout:
 
     def __init__(self, bindings: List[Tuple[str, Table]]) -> None:
         self.bindings = bindings
-        self._assign(
-            (binding, [c.name for c in table.schema.columns])
-            for binding, table in bindings
-        )
-
-    def _assign(
-        self, named_bindings: Iterable[Tuple[str, Sequence[str]]]
-    ) -> None:
-        """The single slot-assignment rule (binding order, lowered names,
-        cumulative offsets) shared by both construction paths — the process
-        executor depends on parent and worker deriving identical slots."""
         self.offsets = {}
         self.columns = {}
         offset = 0
-        for binding, names in named_bindings:
+        for binding, table in bindings:
             self.offsets[binding] = offset
-            lowered = [name.lower() for name in names]
+            lowered = [c.name.lower() for c in table.schema.columns]
             self.columns[binding] = lowered
             offset += len(lowered)
         self.width = offset
-
-    @classmethod
-    def from_column_names(
-        cls, bindings: Sequence[Tuple[str, Sequence[str]]]
-    ) -> "SlotLayout":
-        """Rebuild a layout from ``(binding, column names)`` pairs.
-
-        This is the worker-side rehydration path of the process-pool
-        executor: a :class:`~repro.relalg.planner.PlanSpec` ships the layout
-        as plain data (compiled closures and :class:`Table` objects do not
-        pickle), and the worker re-derives an identical slot assignment via
-        the same :meth:`_assign` rule the parent's layout used.
-        """
-        layout = cls.__new__(cls)
-        layout.bindings = list(bindings)
-        layout._assign(layout.bindings)
-        return layout
 
     def range_of(self, binding: str) -> Tuple[int, int]:
         """``(offset, offset + n_columns)`` of one binding."""
@@ -719,8 +691,8 @@ def compile_batch_expr(expr: SqlExpr, layout: SlotLayout, offset: int,
     row-at-a-time path.
 
     Callers batch-compile only expressions the row compiler has already
-    compiled (driving and worker-side filters, hash-join keys, group keys,
-    aggregate arguments), so compiling a constant subtree again cannot raise.
+    compiled (driving filters, hash-join keys, group keys, aggregate
+    arguments), so compiling a constant subtree again cannot raise.
     """
     if _row_independent(expr):
         fn = compile_row_expr(expr, layout, _no_subqueries)

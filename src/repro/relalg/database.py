@@ -9,20 +9,9 @@ database client code even though everything runs in process.
 
 Every table the database creates is hash-partitioned by primary key into
 ``n_partitions`` shards (default 1: the historical single-partition layout,
-byte-for-byte).  ``executor`` selects how partitioned scans run:
-
-* ``executor="sequential"`` (the default) — partitions are enumerated in
-  order on the calling thread;
-* ``executor="process"`` with ``parallel=k`` — the driving scan level fans
-  out over a shared-nothing, spawn-safe pool of ``k`` worker processes
-  (:class:`~repro.relalg.parallel.ProcessScanExecutor`), each owning a
-  disjoint subset of every table's shards; an existing executor instance can
-  be passed directly (``Database(executor=pool)``) to share one pool between
-  databases.
-
-Both return identical results and identical :class:`QueryStats`; the
-database is a context manager (``with Database(...) as db:``) so worker
-pools cannot leak.
+byte-for-byte); statements enumerate the partitions in order on the calling
+thread.  The database is a context manager (``with Database(...) as db:``):
+:meth:`close` rolls back an open transaction and closes the write-ahead log.
 
 Two statement-level caches, both keyed by SQL text, make repeated execution
 cheap (the COSY pushdown strategy re-runs the same compiled property queries
@@ -51,21 +40,18 @@ the unpartitioned reference.
 **Transactions and durability.**  ``BEGIN`` / ``COMMIT`` / ``ROLLBACK``
 statements (or the :meth:`begin`/:meth:`commit`/:meth:`rollback` shortcuts)
 group DML into an atomic unit: while a transaction is open the session reads
-its own writes through the unchanged executor paths, every mutation pushes
-an undo record (:class:`~repro.relalg.storage.Transaction`), rollback
-restores rows, indexes, tombstones and statistics byte-for-byte, and the
-partition fan-out stays snapshot-consistent — partition versions advance
-only at commit, shard snapshots forwarded to worker processes contain only
-committed rows, and process fan-out falls back to the sequential scan while
-uncommitted DML is staged (so the local session still sees its writes).
-DDL inside a transaction and nested ``BEGIN`` are refused with a typed
-:class:`ExecutionError`.  ``Database(wal_path=...)`` adds crash durability
-through the write-ahead log (:mod:`repro.relalg.wal`): row-image records per
-DML statement, fsync at every commit point, recovery-on-open that replays
-committed transactions and discards uncommitted tails, and a checkpoint/
-truncate path (automatic past ``wal_autocheckpoint`` bytes, or explicit via
-:meth:`checkpoint`) that bounds the log.  Without ``wal_path`` every
-transactional path is pure in-memory and the autocommit behaviour is
+its own writes through the unchanged executor paths (scans read the row
+lists instead of the columnar chunks while uncommitted DML is staged), every
+mutation pushes an undo record (:class:`~repro.relalg.storage.Transaction`),
+and rollback restores rows, indexes, tombstones and statistics
+byte-for-byte.  DDL inside a transaction and nested ``BEGIN`` are refused
+with a typed :class:`ExecutionError`.  ``Database(wal_path=...)`` adds crash
+durability through the write-ahead log (:mod:`repro.relalg.wal`): row-image
+records per DML statement, fsync at every commit point, recovery-on-open
+that replays committed transactions and discards uncommitted tails, and a
+checkpoint/truncate path (automatic past ``wal_autocheckpoint`` bytes, or
+explicit via :meth:`checkpoint`) that bounds the log.  Without ``wal_path``
+every transactional path is pure in-memory and the autocommit behaviour is
 byte-identical to the WAL-less engine.
 """
 
@@ -89,7 +75,6 @@ from repro.relalg.errors import (
     TransactionWarning,
 )
 from repro.relalg.interp import InterpretedSelectExecutor
-from repro.relalg.parallel import ProcessScanExecutor
 from repro.relalg.planner import (
     QueryPlan,
     _Level,
@@ -203,8 +188,6 @@ class Database:
         name: str = "cosy",
         engine: str = "compiled",
         n_partitions: int = 1,
-        parallel: Optional[int] = None,
-        executor: Union[str, "ProcessScanExecutor", None] = None,
         wal_path: Optional[str] = None,
         wal_autocheckpoint: Optional[int] = 4_000_000,
         wal_hook=None,
@@ -218,51 +201,10 @@ class Database:
             raise ValueError(
                 f"n_partitions must be positive, got {n_partitions}"
             )
-        if parallel is not None:
-            # Typed: a bad worker count should fail the constructor with the
-            # engine's own error, not a bare TypeError from pool setup.
-            if type(parallel) is not int:
-                raise ExecutionError(
-                    f"parallel must be an int >= 2 (or None), "
-                    f"got {type(parallel).__name__}"
-                )
-            if parallel < 2:
-                raise ExecutionError(
-                    f"parallel must be >= 2 workers (or None), got {parallel}"
-                )
-        shared_executor: Optional[ProcessScanExecutor] = None
-        if isinstance(executor, ProcessScanExecutor):
-            shared_executor = executor
-            executor = "process"
-        elif executor is None:
-            executor = "sequential"
-        elif executor not in ("sequential", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r} (expected 'sequential', "
-                f"'process' or a ProcessScanExecutor instance)"
-            )
-        if executor == "sequential" and parallel is not None:
-            raise ValueError(
-                "parallel workers require executor='process' (the "
-                "sequential executor takes no parallel=k)"
-            )
-        if (
-            executor == "process"
-            and parallel is None
-            and shared_executor is None
-        ):
-            raise ValueError(
-                "executor='process' requires parallel=<worker count>"
-            )
         self.name = name
         self.engine = engine
         #: Default partition count of every table this database creates.
         self.n_partitions = n_partitions
-        #: Worker count of the optional process fan-out (None = sequential
-        #: unless a shared process executor was passed in).
-        self.parallel = parallel
-        #: Partition fan-out kind: "sequential" or "process".
-        self.executor = executor
         #: Whether eligible plans run their batch rungs: columnar chunks
         #: for a driving scan's batch predicate or batch hash-join probe,
         #: batch aggregation and top-k (plan-time eligibility; row-at-a-time
@@ -270,9 +212,6 @@ class Database:
         #: the row engine — the differential reference the fuzzers sweep
         #: against.
         self.vectorized = vectorized
-        #: The process pool (owned and lazily created, or shared/borrowed).
-        self._process_executor = shared_executor
-        self._owns_executor = shared_executor is None
         self.tables: Dict[str, Table] = {}
         self.summary = ExecutionSummary()
         self._statement_cache: Dict[str, Statement] = {}
@@ -356,11 +295,6 @@ class Database:
         self._wal_log(
             {"t": "drop_table", "table": dropped.name}, "ddl", sync=True
         )
-        if self._process_executor is not None:
-            # Drop the worker-side shard replicas with the table, so a
-            # long-lived pool under DROP/CREATE churn does not accumulate
-            # dead generations (each generation has a fresh table uid).
-            self._process_executor.forget([dropped.uid])
 
     def table(self, name: str) -> Table:
         """Look up a table by name (case-insensitive)."""
@@ -960,24 +894,14 @@ class Database:
         return lines
 
     # ------------------------------------------------------------------ #
-    # the process pool
+    # lifecycle
     # ------------------------------------------------------------------ #
 
-    def _process_pool(self) -> Optional["ProcessScanExecutor"]:
-        """The process executor (lazily created when owned; None after a
-        borrowed executor was released by :meth:`close`)."""
-        if self._process_executor is None and self._owns_executor:
-            self._process_executor = ProcessScanExecutor(workers=self.parallel)
-        return self._process_executor
-
     def close(self) -> None:
-        """Release the process fan-out pool (idempotent).
+        """Close the write-ahead log, if any (idempotent).
 
-        An owned process executor is shut down; a shared one merely forgets
-        this database's shard replicas and keeps serving its other owners.
-        Closing is safe to repeat and safe on databases that never fanned
-        out; the context-manager protocol (``with Database(...) as db:``)
-        calls it on exit so pools cannot leak.
+        The context-manager protocol (``with Database(...) as db:``) calls
+        it on exit; closing again does nothing.
 
         An open transaction is **rolled back** (with a
         :class:`TransactionWarning`), never silently committed: the in-memory
@@ -998,14 +922,6 @@ class Database:
         if self._wal is not None:
             wal, self._wal = self._wal, None
             wal.close()
-        if self._process_executor is not None:
-            executor, self._process_executor = self._process_executor, None
-            if self._owns_executor:
-                executor.shutdown()
-            else:
-                executor.forget(
-                    [table.uid for table in self.tables.values()]
-                )
 
     def __enter__(self) -> "Database":
         return self
@@ -1024,8 +940,7 @@ class Database:
         Columnar chunks are built from the live row lists, which include
         rows a transaction has merely staged; snapshot-correct chunk reads
         under staged DML would need per-statement rebuilds, so the engine
-        simply falls back to row-at-a-time until the transaction resolves —
-        the same conservative seam the process executor uses.
+        simply falls back to row-at-a-time until the transaction resolves.
         """
         return self.vectorized and (
             self._txn is None or not self._txn.staged
@@ -1042,19 +957,8 @@ class Database:
             result = executor.execute(statement)
         else:
             plan = self._plan_for(statement, sql)
-            process_executor = None
-            # Worker shards hold only committed partition versions, so a
-            # fan-out would hide this session's staged writes; scan
-            # sequentially until the transaction resolves.
-            if self.executor == "process" and (
-                self._txn is None or not self._txn.staged
-            ):
-                process_executor = self._process_pool()
             result = plan.execute(
-                params,
-                QueryStats(),
-                process_executor=process_executor,
-                vectorized=self._vectorized_now(),
+                params, QueryStats(), vectorized=self._vectorized_now()
             )
         self.summary.record_select(result.stats)
         return result

@@ -49,8 +49,8 @@ Every access path produces its candidates the same way —
 apply, with ``pid=None`` wherever no per-partition scan attribution applies
 (single-partition tables, hash-probe hits) — so one enumeration loop serves
 every plan: single- and multi-partition tables alike, and driving levels
-that were already scanned elsewhere (vectorized chunks, process-pool
-chunks, index-order pushdown) enter that loop one level down.
+that were already scanned elsewhere (vectorized chunks, index-order
+pushdown) enter that loop one level down.
 
 NULL and NaN join keys never match (both probe kinds), matching ``=``
 semantics (:func:`~repro.relalg.rowset.matches_nothing`).
@@ -72,7 +72,7 @@ from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
-from repro.records import FrozenRecord, Record, slot_setters
+from repro.records import Record
 from repro.relalg.compile import (
     BatchPredicate,
     ExecContext,
@@ -128,12 +128,8 @@ __all__ = [
     "HashJoinBuild",
     "IndexProbe",
     "PartitionScan",
-    "PlanSpec",
     "QueryPlan",
     "RangeProbe",
-    "expr_has_subquery",
-    "filter_rows",
-    "lower_plan",
     "plan_select",
     "subquery_planner",
 ]
@@ -368,8 +364,7 @@ class _Level:
         self.filters = filters
         #: Estimated rows this level produces per outer row (plan-time).
         self.estimate = estimate
-        #: Source ASTs of ``filters`` — the plain-data form :func:`lower_plan`
-        #: lowers into a :class:`PlanSpec` (compiled closures do not pickle).
+        #: Source ASTs of ``filters``, which the batch predicate compiles.
         self.filter_exprs = filter_exprs if filter_exprs is not None else []
         #: Source AST of the hash-join probe key expression.
         self.key_ast = key_ast
@@ -402,11 +397,9 @@ class _Level:
 class QueryPlan(Record):
     """A fully compiled SELECT: reusable across executions and parameters.
 
-    ``_loops``, ``_process_spec`` and ``_process_spec_id`` are private.
-    ``_loops`` holds the plan's enumeration chain (:func:`_level_loops`),
-    built at its first execution; a copy that replaces ``levels`` resets it
-    to ``None``.  The process executor caches the plan's lowering in the
-    other two.
+    ``_loops`` is private: it holds the plan's enumeration chain
+    (:func:`_level_loops`), built at its first execution; a copy that
+    replaces ``levels`` resets it to ``None``.
     """
 
     __slots__ = (
@@ -416,9 +409,8 @@ class QueryPlan(Record):
         "follows_syntactic_order", "vector_eligible", "vector_filter",
         "slot_projector", "vector_aggregate", "vector_join_key", "vector_report",
         "contradiction", "analysis_report", "index_order", "_loops",
-        "_process_spec", "_process_spec_id",
     )
-    _fields = __slots__[:-3]
+    _fields = __slots__[:-1]
 
     def __init__(
         self,
@@ -524,9 +516,8 @@ class QueryPlan(Record):
         #: when the single sort key is an ordered-indexed column of a
         #: single-level scan plan — execution k-way merges the per-partition
         #: sorted runs and stops after ``limit + offset`` surviving rows,
-        #: instead of scanning everything and sorting.  Mode-independent (the
-        #: process fan-out is disabled for these plans) so every engine mode
-        #: reports identical counters.
+        #: instead of scanning everything and sorting.  Mode-independent, so
+        #: every engine mode reports identical counters.
         self.index_order = index_order
         self._loops = None
 
@@ -536,18 +527,9 @@ class QueryPlan(Record):
         self,
         params: Sequence[Any] = (),
         stats: Optional[QueryStats] = None,
-        process_executor=None,
         vectorized: bool = False,
     ) -> ResultSet:
         """Run the plan and return the materialised result.
-
-        ``process_executor`` (a
-        :class:`~repro.relalg.parallel.ProcessScanExecutor`) ships the
-        driving scan level's :class:`PlanSpec` to worker processes and
-        merges their filtered row chunks in partition order (plans the
-        executor cannot ship — see :attr:`PlanSpec.process_eligible` — fall
-        back to sequential execution).  ``None`` (the default) executes
-        sequentially; both report identical results and statistics.
 
         ``vectorized`` drives eligible plans (:attr:`vector_eligible`)
         batch-at-a-time: a driving scan with a batch predicate or a batch
@@ -577,8 +559,6 @@ class QueryPlan(Record):
             if self.index_order is not None:
                 driving = self._index_order_chunks(ctx)
                 index_ordered = driving is not None
-            if driving is None and process_executor is not None:
-                driving = process_executor.scan_chunks(self, params)
             if driving is None and use_vectorized and (
                 self.vector_filter is not None
                 or self.vector_join_key is not None
@@ -686,12 +666,12 @@ class QueryPlan(Record):
 
         ``driving`` — ``(pid, surviving rows, scanned count)`` triples in
         partition order — replaces the first level's scan entirely: the
-        vectorized chunk scan, the process-pool workers or the index-order
-        merge already scanned and filtered the driving table, so this level
-        only charges the reported scan work (per partition, exactly as a
-        local scan would) and hands each surviving row to the second
-        level's loop — or, with ``batch_join``, probes the inner hash join a
-        whole chunk at a time (see :meth:`_batch_join`).
+        vectorized chunk scan or the index-order merge already scanned and
+        filtered the driving table, so this level only charges the reported
+        scan work (per partition, exactly as a local scan would) and hands
+        each surviving row to the second level's loop — or, with
+        ``batch_join``, probes the inner hash join a whole chunk at a time
+        (see :meth:`_batch_join`).
         """
         loops = self._loops
         if loops is None:
@@ -823,13 +803,13 @@ class QueryPlan(Record):
         """Vectorized driving scan: yield ``(pid, survivors, scanned)``.
 
         One triple per columnar chunk of the driving table, in partition
-        order — the same shape the process-pool workers return, consumed by
-        the same ``driving`` seam of :meth:`_enumerate`, so the work
-        accounting is charged identically.  ``pid`` is ``None`` for
-        single-partition driving tables (no per-partition attribution, like
-        the row-at-a-time scan).  A chunk whose batch predicate raises is
-        replayed through the level's row filters (see :func:`filter_rows`),
-        which raise the row engine's error.  Only plans whose chunks feed a
+        order, consumed by the ``driving`` seam of :meth:`_enumerate`, so
+        the work accounting is charged as a row-at-a-time scan charges it.
+        ``pid`` is ``None`` for single-partition driving tables (no
+        per-partition attribution, like the row-at-a-time scan).  A chunk
+        whose batch predicate raises is replayed through the level's row
+        filters (see :func:`filter_rows`), which raise the row engine's
+        error.  Only plans whose chunks feed a
         batch predicate or the batch hash-join probe scan this way; without
         a predicate (a batch join's driving scan) every chunk survives
         whole.
@@ -1078,8 +1058,7 @@ def filter_rows(
     Row by row and conjunct by conjunct, in order — the row engine's
     evaluation order, so a filter that raises raises the row engine's error
     at its row.  Each candidate fills slots ``[offset, end)`` of a slot row
-    ``width`` wide.  Shared by the vectorized scan's replay of a raising
-    chunk and by the process workers' shard scan.
+    ``width`` wide.  The vectorized scan replays a raising chunk through it.
     """
     survivors: List[Tuple[Any, ...]] = []
     keep = survivors.append
@@ -1115,101 +1094,6 @@ def _build_hash_table(
             pscan[pid] = pscan.get(pid, 0) + built
         stats.rows_scanned += built
     return hash_table
-
-
-# --------------------------------------------------------------------------- #
-# plan lowering: QueryPlan → PlanSpec (plain, picklable data)
-# --------------------------------------------------------------------------- #
-
-
-class PlanSpec(FrozenRecord):
-    """A serializable lowering of one :class:`QueryPlan`'s driving scan.
-
-    Compiled plans are closures over live :class:`Table` objects and cannot
-    cross a process boundary; the spec is the plain-data projection of the
-    only part a process worker runs: the slot layout as ``(binding, column
-    names)`` pairs, and the driving level's table, slot range and residual
-    filters.  The filters travel as :class:`~repro.relalg.sqlast.SqlExpr`
-    ASTs — frozen records of literals, column references and operators
-    that pickle cleanly — and a worker re-compiles them locally with
-    :func:`~repro.relalg.compile.compile_row_expr` over the rehydrated slot
-    layout, recovering the exact per-row semantics of the parent's plan.
-    The inner join levels, aggregation and ordering always run in the
-    parent.  The process-pool executor ships the spec to workers once per
-    (statement, plan generation) — the parent's plan cache already keys
-    plans by SQL text and per-table schema epoch, so a re-planned statement
-    produces a fresh spec and the worker's cached compilation is superseded
-    with it.
-
-    ``process_eligible`` marks specs whose driving level a shared-nothing
-    worker can execute against its local shards alone: a partitioned full
-    scan whose residual filters are self-contained (no scalar subqueries —
-    those read other tables, which live only in the parent).
-    """
-
-    __slots__ = (
-        "bindings", "width", "table_uid", "offset", "end", "filter_asts",
-        "process_eligible",
-    )
-
-    def __init__(
-        self,
-        bindings: Tuple[Tuple[str, Tuple[str, ...]], ...],
-        width: int,
-        table_uid: int,
-        offset: int,
-        end: int,
-        filter_asts: Tuple[SqlExpr, ...],
-        process_eligible: bool,
-    ) -> None:
-        _spec_bindings(self, bindings)
-        _spec_width(self, width)
-        #: :attr:`Table.uid <repro.relalg.storage.Table.uid>` of the driving
-        #: table: worker shard replicas are keyed by it.
-        _spec_table_uid(self, table_uid)
-        #: The driving binding's slot range ``[offset, end)`` in a joined row.
-        _spec_offset(self, offset)
-        _spec_end(self, end)
-        _spec_filter_asts(self, filter_asts)
-        _spec_process_eligible(self, process_eligible)
-
-
-(
-    _spec_bindings, _spec_width, _spec_table_uid, _spec_offset, _spec_end,
-    _spec_filter_asts, _spec_process_eligible,
-) = slot_setters(PlanSpec)
-
-
-def expr_has_subquery(expr: SqlExpr) -> bool:
-    """Whether an expression contains a scalar subquery (directly or nested)."""
-    return bool(_expr_subselects(expr))
-
-
-def lower_plan(plan: QueryPlan) -> PlanSpec:
-    """Lower a compiled plan's driving scan into its plain-data :class:`PlanSpec`."""
-    layout = plan.layout
-    driving = plan.levels[0]
-    eligible = (
-        type(driving.access) is PartitionScan
-        and driving.table.n_partitions > 1
-        # Index-order pushdown replaces the partition fan-out; keeping these
-        # plans sequential in every mode keeps the counters identical across
-        # process and sequential execution.
-        and plan.index_order is None
-        and not any(expr_has_subquery(expr) for expr in driving.filter_exprs)
-    )
-    return PlanSpec(
-        bindings=tuple(
-            (binding, tuple(layout.columns[binding]))
-            for binding, _table in layout.bindings
-        ),
-        width=layout.width,
-        table_uid=driving.table.uid,
-        offset=driving.offset,
-        end=driving.end,
-        filter_asts=tuple(driving.filter_exprs),
-        process_eligible=eligible,
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -1493,6 +1377,11 @@ def _expr_subselects(expr: SqlExpr) -> List[SelectStatement]:
     found: List[SelectStatement] = []
     _collect_subselects(expr, found)
     return found
+
+
+def expr_has_subquery(expr: SqlExpr) -> bool:
+    """Whether an expression contains a scalar subquery (directly or nested)."""
+    return bool(_expr_subselects(expr))
 
 
 def _collect_subselects(node: SqlExpr, found: List[SelectStatement]) -> None:

@@ -7,7 +7,7 @@ row list and its own per-partition :class:`HashIndex` instances.  The default
 byte-for-byte (positions, scan order, index views); higher partition counts
 give the executor independently scannable shards — the seam the partitioned
 access paths in :mod:`repro.relalg.planner` (``PartitionScan``, partition-
-pruned ``IndexProbe``, per-partition ``HashJoinBuild``) fan out over.
+pruned ``IndexProbe``, per-partition ``HashJoinBuild``) iterate over.
 
 Partition assignment is deterministic (:func:`stable_hash`, independent of
 ``PYTHONHASHSEED``) and keyed by the primary key: a single-column primary key
@@ -40,24 +40,17 @@ Transactions hook in at this layer as **per-partition undo chains**
 :class:`~repro.relalg.database.Database` on ``BEGIN``), DML applies directly
 — the transaction reads its own writes through the unchanged scan/probe
 paths — but each mutation pushes an inverse record onto the undo chain, and
-the two side effects that would leak uncommitted state are deferred to
-commit: ``Partition.version`` stays at its *committed* value (so the
-process-executor shard sync, which forwards shards by version, never ships
-uncommitted rows), and tombstone compaction is postponed (compaction
-renumbers positions, which would invalidate the undo records).  ``ROLLBACK``
-walks the chain in reverse and restores rows, index buckets (at their
-original ascending-position slots), live counts, tombstones and the
-``mutations`` counter byte-for-byte; :meth:`Table.committed_rows`
-reconstructs the committed snapshot of a shard *without* touching live state
-— the snapshot-isolated view an in-flight reader (or another session) sees
-while the transaction stages DML.
+tombstone compaction is deferred to commit (compaction renumbers positions,
+which would invalidate the undo records).  ``ROLLBACK`` walks the chain in
+reverse and restores rows, index buckets (at their original
+ascending-position slots), live counts, tombstones and the ``mutations``
+counter byte-for-byte.
 """
 
 from __future__ import annotations
 
 import bisect
 import datetime as _dt
-import itertools
 import zlib
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -77,7 +70,6 @@ __all__ = [
     "TableStatistics",
     "Transaction",
     "gather_columns",
-    "gather_rows",
     "probe_partition",
     "stable_hash",
 ]
@@ -94,19 +86,6 @@ _COMPACT_MIN_DEAD = 64
 _COMPACT_DEAD_FRACTION = 0.5
 
 _HASH_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def gather_rows(
-    cols: Sequence[List[Any]], sel: Sequence[int]
-) -> List[Tuple[Any, ...]]:
-    """Row tuples of the selected positions of a columnar block.
-
-    The transpose counterpart of :meth:`Partition.column_chunks`: one
-    C-level comprehension per column plus one ``zip`` instead of a Python
-    loop per surviving row.  Shared by the vectorized scan consumers (the
-    planner's chunk seam and the process-pool workers).
-    """
-    return list(zip(*([column[i] for i in sel] for column in cols)))
 
 
 def gather_columns(
@@ -456,9 +435,7 @@ class OrderedHashIndex(HashIndex):
 class Partition:
     """One shard of a table: a row list plus per-partition hash indexes."""
 
-    __slots__ = (
-        "rows", "live_count", "indexes", "version", "_chunks", "_chunk_size",
-    )
+    __slots__ = ("rows", "live_count", "indexes", "_chunks", "_chunk_size")
 
     def __init__(self) -> None:
         self.rows: List[Optional[Tuple[Any, ...]]] = []
@@ -471,15 +448,6 @@ class Partition:
             List[Tuple[List[Tuple[Any, ...]], List[List[Any]]]]
         ] = None
         self._chunk_size = 0
-        #: Monotonic **committed-state** counter of this shard, bumped by
-        #: every autocommit insert/delete, by compaction, and once per shard
-        #: at transaction COMMIT — never while a transaction merely stages
-        #: DML (a rollback then leaves the counter, correctly, untouched).
-        #: The process-pool executor (:mod:`repro.relalg.parallel`) compares
-        #: it against the version a worker last received to decide whether
-        #: the shard must be re-routed to its owning worker — the partition-
-        #: granular staleness seam, forwarding only committed versions.
-        self.version = 0
 
     @property
     def dead_count(self) -> int:
@@ -540,7 +508,6 @@ class Partition:
         dead = self.dead_count
         if not dead:
             return 0
-        self.version += 1
         self._chunks = None
         self.rows = [row for row in self.rows if row is not None]
         for index in self.indexes.values():
@@ -744,8 +711,7 @@ class Transaction:
     ``txn`` attribute at one of these; the tables then push inverse records
     here as DML applies.  Records are kept in application order and undone in
     reverse, grouped implicitly per partition (each record names its
-    partition — the per-partition undo chain seeded off the partition's
-    committed version):
+    partition — the per-partition undo chain):
 
     * ``("ins", table, pid, start, count)`` — ``count`` rows were appended to
       partition ``pid`` starting at position ``start``.  Undo removes their
@@ -755,10 +721,8 @@ class Transaction:
       ``position``.  Undo restores the row, its index entries (at their
       original bucket slots) and the live count.
 
-    ``Partition.version`` is *not* bumped while staging — it advances only in
-    :meth:`commit`, so the version counter always describes committed state
-    and a shard forwarded by version to a worker process can never contain
-    uncommitted rows.  Deferred compaction runs at commit time too.
+    Tombstone compaction of the touched partitions is deferred to
+    :meth:`commit`.
     """
 
     __slots__ = ("txn_id", "undo", "_touched", "_mutations_before")
@@ -795,23 +759,14 @@ class Transaction:
         """Whether the transaction has applied any uncommitted DML."""
         return bool(self.undo)
 
-    def touches(self, table: "Table") -> bool:
-        return id(table) in self._touched
-
-    def touched_partitions(self, table: "Table") -> set:
-        entry = self._touched.get(id(table))
-        return entry[1] if entry is not None else set()
-
     # -- resolution -------------------------------------------------------------
 
     def commit(self) -> None:
-        """Publish the staged state: bump versions, run deferred compaction."""
+        """Publish the staged state: run the deferred compaction."""
         for table, pids in self._touched.values():
             column_indexes = table._index_column_map()
             for pid in sorted(pids):
-                partition = table.partitions[pid]
-                partition.version += 1
-                partition.maybe_compact(column_indexes)
+                table.partitions[pid].maybe_compact(column_indexes)
         self.undo.clear()
         self._touched.clear()
         self._mutations_before.clear()
@@ -854,10 +809,6 @@ class Transaction:
         self._mutations_before.clear()
 
 
-#: Process-global table identities (see :attr:`Table.uid`).
-_TABLE_UIDS = itertools.count(1)
-
-
 class Table:
     """One table: a schema, its hash-partitioned rows and its indexes."""
 
@@ -867,11 +818,6 @@ class Table:
                 f"table {schema.name!r}: n_partitions must be >= 1, "
                 f"got {n_partitions}"
             )
-        #: Process-globally unique identity of this table object.  Worker
-        #: processes key their shard replicas by it, so two tables with the
-        #: same name (a DROP/CREATE cycle, or tables of different databases
-        #: sharing one executor pool) can never alias each other's data.
-        self.uid = next(_TABLE_UIDS)
         self.schema = schema
         self.n_partitions = n_partitions
         self.partitions: List[Partition] = [Partition() for _ in range(n_partitions)]
@@ -975,9 +921,7 @@ class Table:
         partition.rows.append(row)
         partition.live_count += 1
         partition.invalidate_chunks()
-        if self.txn is None:
-            partition.version += 1
-        else:
+        if self.txn is not None:
             self.txn.note_insert(self, pid, position, 1)
         for index in self.indexes.values():
             index.parts[pid].add(row[index.column_index], position)
@@ -1021,9 +965,7 @@ class Table:
             partition.rows.extend(batch)
             partition.live_count += len(batch)
             partition.invalidate_chunks()
-            if self.txn is None:
-                partition.version += 1
-            else:
+            if self.txn is not None:
                 self.txn.note_insert(self, pid, start, len(batch))
             for index in self.indexes.values():
                 column_index = index.column_index
@@ -1046,9 +988,8 @@ class Table:
         — sees the table as it was when the statement started, and a
         predicate that raises deletes nothing.  Each partition then checks
         its own tombstone ratio and compacts independently.  Inside a
-        transaction both side effects are deferred to commit: versions stay
-        at their committed value and compaction is postponed (it would
-        renumber the positions the undo chain records).  ``collect``, when
+        transaction compaction is deferred to commit (it would renumber the
+        positions the undo chain records).  ``collect``, when
         given, receives the deleted row images in deletion order
         (partition-major, position order) — the write-ahead log records
         them for deterministic replay.
@@ -1082,7 +1023,6 @@ class Table:
             partition.live_count -= len(positions)
             partition.invalidate_chunks()
             if txn is None:
-                partition.version += 1
                 partition.maybe_compact(column_indexes)
             deleted += len(positions)
         self.mutations += deleted
@@ -1223,78 +1163,6 @@ class Table:
             (pid, partition.live())
             for pid, partition in enumerate(self.partitions)
         ]
-
-    def partition_snapshot(self, pid: int) -> Tuple[int, List[Tuple[Any, ...]]]:
-        """``(version, live rows)`` of one shard, as plain picklable data.
-
-        The rows come out in the shard's insertion order — exactly the order
-        :meth:`scan_chunks` would deliver them — so a worker process scanning
-        the snapshot reproduces the sequential executor's row order for that
-        partition byte for byte.
-
-        The snapshot is always the **committed** state: while a transaction
-        stages DML, the shard's uncommitted rows are filtered out through the
-        undo chain (:meth:`committed_rows`), so the version/rows pair that
-        gets forwarded to a worker process can never contain state that a
-        rollback would retract.  (The in-process executors additionally fall
-        back to sequential scans mid-transaction so the *local* session keeps
-        reading its own writes.)
-        """
-        partition = self.partitions[pid]
-        txn = self.txn
-        if txn is not None and pid in txn.touched_partitions(self):
-            return partition.version, self.committed_rows(pid)
-        return partition.version, [
-            row for row in partition.rows if row is not None
-        ]
-
-    def partition_snapshot_columns(
-        self, pid: int,
-    ) -> Tuple[int, int, List[List[Any]]]:
-        """``(version, live-row count, per-column value lists)`` of one shard.
-
-        The columnar form of :meth:`partition_snapshot`, shipped to process
-        workers: ``columns[j][i]`` is column ``j`` of the shard's ``i``-th
-        live row (committed state, same order guarantees).  Shipping a fixed
-        number of flat value lists instead of one tuple per row trims the
-        per-row container overhead out of the pickled sync payload and lets
-        workers run the vectorized scan without materialising rows that the
-        driving filter rejects.
-        """
-        version, rows = self.partition_snapshot(pid)
-        if not rows:
-            return version, 0, [[] for _ in self.schema.columns]
-        return version, len(rows), [list(column) for column in zip(*rows)]
-
-    def committed_rows(self, pid: int) -> List[Tuple[Any, ...]]:
-        """Live rows of one shard as of the last commit.
-
-        With no open transaction this is exactly the live scan.  With one
-        open, the shard's slice of the undo chain is applied in reverse to a
-        *copy* of the row list — reconstructing, without touching live state,
-        the snapshot-isolated view another session (or a forwarded worker
-        shard) sees while the transaction stages DML.
-        """
-        partition = self.partitions[pid]
-        txn = self.txn
-        if txn is None or pid not in txn.touched_partitions(self):
-            return [row for row in partition.rows if row is not None]
-        rows = list(partition.rows)
-        for record in reversed(txn.undo):
-            if record[1] is not self or record[2] != pid:
-                continue
-            if record[0] == "ins":
-                start, count = record[3], record[4]
-                if len(rows) != start + count:
-                    raise ExecutionError(
-                        f"transaction undo corrupted: partition {pid} of "
-                        f"table {self.name!r} has {len(rows)} rows where the "
-                        f"staged batch ends at {start + count}"
-                    )
-                del rows[start:]
-            else:
-                rows[record[3]] = record[4]
-        return [row for row in rows if row is not None]
 
     def probe_chunks(
         self, keys: Sequence[Tuple[str, Any]]

@@ -366,9 +366,8 @@ def state_fingerprint(database) -> Dict[str, Any]:
     tombstone layout*, live counts, every index's buckets (keys sorted
     canonically — bucket *dict* order is unobservable, intra-bucket position
     order is observable and kept), and the :class:`TableStatistics` snapshot
-    with the mutations counter.  Process-local identities (``Table.uid``,
-    ``Partition.version``, the execution summary) are deliberately excluded:
-    they describe the process, not the data.
+    with the mutations counter.  The execution summary is deliberately
+    excluded: it describes the session, not the data.
     """
     tables: Dict[str, Any] = {}
     for key in sorted(database.tables):

@@ -12,22 +12,6 @@ import pytest
 from repro.apprentice import ExecutionSimulator, SimulationConfig, synthetic_workload
 from repro.asl.specs import cosy_specification
 from repro.compiler import generate_schema
-from repro.relalg import ProcessScanExecutor
-
-
-@pytest.fixture(scope="session")
-def process_pool():
-    """One shared spawn-safe worker pool for every process-executor test.
-
-    Spawning workers costs hundreds of milliseconds each; sharing one pool
-    keeps the executor-differential fuzzer fast.  Sharing is safe because
-    worker shard replicas are keyed by the process-globally unique table uid
-    (see :class:`repro.relalg.ProcessScanExecutor`).  Tests that kill or
-    crash workers must build their own dedicated pool instead.
-    """
-    executor = ProcessScanExecutor(workers=2)
-    yield executor
-    executor.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,9 @@ SQL-92 aggregate rules the engine must follow:
 * ``SELECT DISTINCT`` treats NULL as one distinct value.
 
 Every statement runs on the interpreted reference, the row-at-a-time
-compiled engine, the vectorized compiled engine (the default), a
-multi-partition vectorized database and the
-process-pool executor (whose workers ship filtered rows; the parent
-aggregates); all flavours must return the same rows, and they must equal
-the hand-computed expectation.
+compiled engine, the vectorized compiled engine (the default) and a
+multi-partition vectorized database; all flavours must return the same
+rows, and they must equal the hand-computed expectation.
 """
 
 import pytest
@@ -36,17 +34,13 @@ _M_ROWS = [
 ]
 
 
-def _databases(process_pool=None):
+def _databases():
     flavours = {
         "interpreted": Database(engine="interpreted"),
         "rowwise": Database(engine="compiled", n_partitions=1, vectorized=False),
         "vectorized": Database(engine="compiled", n_partitions=1),
         "partitioned": Database(engine="compiled", n_partitions=4),
     }
-    if process_pool is not None:
-        flavours["process"] = Database(
-            engine="compiled", n_partitions=4, executor=process_pool
-        )
     for database in flavours.values():
         database.execute(
             "CREATE TABLE m (id INTEGER PRIMARY KEY, g INTEGER, x FLOAT)"
@@ -58,8 +52,8 @@ def _databases(process_pool=None):
 
 
 @pytest.fixture(name="flavours")
-def _flavours_fixture(process_pool):
-    flavours = _databases(process_pool)
+def _flavours_fixture():
+    flavours = _databases()
     yield flavours
     for database in flavours.values():
         database.close()
@@ -196,7 +190,7 @@ class TestFloatGroupKeys:
 
     def test_nan_keys_never_merge(self, flavours):
         # Distinct NaN objects per row: each is its own group everywhere
-        # (NaN != NaN), including across the process executor's pickling.
+        # (NaN != NaN).
         rows = [(i, float("nan")) for i in range(1, 5)] + [(5, 2.0), (6, 2.0)]
         self._fill(flavours, rows)
         for name, database in flavours.items():

@@ -7,8 +7,8 @@ per execution (a nested function that calls itself through its own closure
 cell is the classic one) leaves all of it to the cyclic garbage collector
 instead: that cost a warm pushdown analysis about 24,000 objects and 28
 collections per operation.  These tests switch the collector off, run
-statements on every engine, executor and partition count, and then require
-a full collection to find nothing.  On failure they name the functions among
+statements on every engine and partition count, and then require a full
+collection to find nothing.  On failure they name the functions among
 the garbage.
 
 A plan may hold cycles while it is cached (a compiled scalar subquery keys
@@ -179,13 +179,6 @@ def _check_statements(db: Database, what: str) -> None:
 def test_statements_leave_no_cyclic_garbage(engine, n_partitions):
     db = _database(n_partitions, **ENGINES[engine])
     _check_statements(db, f"{engine} engine, {n_partitions} partition(s)")
-
-
-def test_process_executor_leaves_no_cyclic_garbage(process_pool):
-    db = _database(4, executor=process_pool)
-    # Starting the worker pool is not a statement's work.
-    db.execute("SELECT COUNT(*) FROM d WHERE w > 0")
-    _check_statements(db, "process executor, 4 partition(s)")
 
 
 def test_the_statements_take_the_intended_access_paths():

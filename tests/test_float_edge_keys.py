@@ -131,20 +131,6 @@ class TestQueryLayerAgreement:
                     == interpreted.query(sql, params).rows
                 ), (sql, params)
 
-    def test_process_executor_agrees(self, process_pool):
-        with _edge_database() as sequential, _edge_database(
-            executor=process_pool
-        ) as process:
-            for sql, params in [
-                ("SELECT id, s FROM t WHERE x = ? ORDER BY id", [0.0]),
-                ("SELECT id, s FROM t WHERE x = ? ORDER BY id", [NAN]),
-                ("SELECT id, s FROM t ORDER BY id", []),
-            ]:
-                reference = sequential.query(sql, params)
-                result = process.query(sql, params)
-                assert result.rows == reference.rows, (sql, params)
-                assert result.stats == reference.stats, (sql, params)
-
 
 class TestWalRowKeyEdgeCases:
     def test_row_key_separates_zero_signs_and_unifies_nans(self):

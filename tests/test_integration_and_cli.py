@@ -135,29 +135,6 @@ class TestCommandLineInterface:
         output = capsys.readouterr().out
         assert "strategy       : pushdown-pipelined" in output
 
-    def test_process_executor_pushdown_run(self, capsys):
-        exit_code = main(
-            [
-                "--workload", "stencil",
-                "--pes", "1", "4",
-                "--strategy", "pushdown",
-                "--db-backend", "ms_access",
-                "--db-partitions", "4",
-                "--db-parallelism", "2",
-                "--db-executor", "process",
-                "--top", "5",
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "strategy       : pushdown" in output
-
-    def test_db_executor_requires_parallelism(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--strategy", "pushdown", "--db-executor", "process"])
-        assert excinfo.value.code == 2
-        assert "--db-parallelism >= 2" in capsys.readouterr().err
-
     def test_pipeline_depth_requires_pushdown(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--strategy", "client", "--pipeline-depth", "4"])
@@ -168,6 +145,42 @@ class TestCommandLineInterface:
         with pytest.raises(SystemExit):
             main(["--strategy", "pushdown", "--pipeline-depth", "0"])
         assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--strategy", "pushdown", "--db-partitions", "0"],
+             "--db-partitions must be >= 1"),
+            (["--strategy", "pushdown", "--db-parallelism", "0"],
+             "--db-parallelism must be >= 1"),
+            (["--pes", "0"], "--pes values must be >= 1"),
+            (["--pes", "1", "-4"], "--pes values must be >= 1"),
+            (["--analyze-pes", "3"], "--analyze-pes 3 is not one of --pes"),
+            (["--top", "-2"], "--top must be >= 0"),
+        ],
+        ids=[
+            "db-partitions-0", "db-parallelism-0", "pes-0", "pes-negative",
+            "analyze-pes-not-simulated", "top-negative",
+        ],
+    )
+    def test_out_of_range_options_are_usage_errors(self, args, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--pes", "1", "4", "--top", "0"],
+            ["--pes", "4", "4"],
+            ["--pes", "1", "4", "--analyze-pes", "1"],
+        ],
+        ids=["top-0", "duplicate-pes", "analyze-smallest-pes"],
+    )
+    def test_boundary_values_are_accepted(self, args, capsys):
+        assert main(["--workload", "stencil", *args]) == 0
+        assert "KOJAK Cost Analyzer" in capsys.readouterr().out
 
     def test_show_sql(self, capsys):
         exit_code = main(["--show-sql"])
@@ -214,4 +227,11 @@ class TestCommandLineProcess:
         done = self._run(["--strategy", "client", "--pipeline-depth", "4"])
         assert done.returncode == 2
         assert "requires --strategy pushdown" in done.stderr
+        assert done.stdout == ""
+
+    def test_out_of_range_option_exits_2_without_a_traceback(self):
+        done = self._run(["--strategy", "pushdown", "--db-partitions", "0"])
+        assert done.returncode == 2
+        assert "--db-partitions must be >= 1" in done.stderr
+        assert "Traceback" not in done.stderr
         assert done.stdout == ""

@@ -3,7 +3,7 @@ and the range-predicate correctness sweep.
 
 Every test pins the same contract the differential fuzzers sweep at random:
 an ordered index is an access-path accelerator, never a semantics change —
-rows are byte-identical with the index on or off, across all five engine
+rows are byte-identical with the index on or off, across all four engine
 modes, through ROLLBACK, checkpoint restore and WAL replay.  Only the
 physical-work counters (``range_probes``, ``rows_scanned``) may differ from
 the scan-everything reference, and those are asserted exactly.
@@ -214,14 +214,13 @@ class TestIndexOrderPushdown:
         assert plan_select(parse_sql(sql), indexed.tables).index_order is None
 
 
-class TestFiveModeParity:
-    def _everywhere(self, process_pool, sql, params=()):
+class TestModeParity:
+    def _everywhere(self, sql, params=()):
         rows = _rows()
         databases = {
             "interp": _fill(Database(engine="interpreted"), rows),
             "rowwise": _fill(Database(n_partitions=1, vectorized=False), rows),
             "vector": _fill(Database(n_partitions=1), rows),
-            "process": _fill(Database(n_partitions=1, executor=process_pool), rows),
         }
         results = {name: db.query(sql, params) for name, db in databases.items()}
         with pytest.MonkeyPatch.context() as patch:
@@ -235,7 +234,7 @@ class TestFiveModeParity:
             assert result.rows == reference.rows, (name, sql)
         return results
 
-    def test_range_and_pushdown_rows_identical_in_all_modes(self, process_pool):
+    def test_range_and_pushdown_rows_identical_in_all_modes(self):
         for sql, params in [
             ("SELECT id, v FROM t WHERE v > ? AND v < ? ORDER BY id", [3.0, 17.0]),
             ("SELECT id FROM t WHERE v BETWEEN ? AND ? ORDER BY id DESC", [5.0, 12.5]),
@@ -243,19 +242,16 @@ class TestFiveModeParity:
             ("SELECT id, v FROM t ORDER BY v DESC LIMIT 6 OFFSET 3", []),
             ("SELECT id, g FROM t WHERE v IS NULL ORDER BY id LIMIT 4 OFFSET 1", []),
         ]:
-            self._everywhere(process_pool, sql, params)
+            self._everywhere(sql, params)
 
-    def test_order_by_aggregate_output_expression(self, process_pool):
+    def test_order_by_aggregate_output_expression(self):
         results = self._everywhere(
-            process_pool,
             "SELECT g, COUNT(*) AS c FROM t GROUP BY g ORDER BY COUNT(*), g",
         )
         counts = [row[1] for row in results["interp"].rows]
         assert counts == sorted(counts)
 
-    def test_order_by_aggregate_not_in_output_rejected_identically(
-        self, process_pool
-    ):
+    def test_order_by_aggregate_not_in_output_rejected_identically(self):
         rows = _rows()
         sql = "SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY SUM(v)"
         messages = set()

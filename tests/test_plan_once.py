@@ -28,7 +28,6 @@ from repro.relalg.sqlast import (
     InList,
     IsNull,
     ScalarSubquery,
-    SelectStatement,
     UnaryOperation,
 )
 from repro.relalg.sqlparser import parse_sql
@@ -430,10 +429,3 @@ def test_compile_imports_nothing_from_the_planner():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert "repro.relalg.planner" not in imported
-
-
-def test_process_workers_refuse_subqueries_typed():
-    from repro.relalg.parallel import _no_subquery_plans
-
-    with pytest.raises(ExecutionError, match="process worker"):
-        _no_subquery_plans(SelectStatement())

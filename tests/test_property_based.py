@@ -1,8 +1,8 @@
 """Cross-cutting property-based tests (hypothesis) on core invariants,
 plus the seeded differential fuzzers: compiled engine vs. the seed
-AST-walking engine, and the executor matrix (sequential / rowwise / process)
-against the sequential reference — each replayed from a persistent seed
-corpus before random exploration."""
+AST-walking engine, and the executor matrix (sequential / rowwise) against
+the sequential reference — each replayed from a persistent seed corpus
+before random exploration."""
 
 import datetime as dt
 import itertools
@@ -627,19 +627,20 @@ def _run_multi_key_case(seed):
 
 
 # --------------------------------------------------------------------------- #
-# Executor-differential fuzzer: sequential vs. rowwise vs. process executors
+# Executor-differential fuzzer: sequential vs. rowwise
 # --------------------------------------------------------------------------- #
 #
-# Every seeded case builds the same random schema in nine databases — the
-# executor matrix {sequential, rowwise (vectorized off), process}
+# Every seeded case builds the same random schema in six databases — the
+# executor matrix {sequential, rowwise (vectorized off)}
 # × n_partitions {1, 4, 7} —
 # and replays one random statement stream of SELECTs (including multi-table
 # GROUP BY/HAVING) *interleaved with DML* (INSERT/DELETE between SELECTs,
-# exercising the process executor's shard re-sync) against all of them.  At
-# every partition count the rowwise and process executors must return rows
-# byte-identical to the sequential reference (same partition-major
-# enumeration order — no float tolerance needed) with sequential-identical
-# QueryStats, per-partition attribution included, on every plan shape.
+# exercising the columnar chunk cache's invalidation after every mutation)
+# against all of them.  At every partition count the rowwise executor must
+# return rows byte-identical to the sequential reference (same
+# partition-major enumeration order — no float tolerance needed) with
+# sequential-identical QueryStats, per-partition attribution included, on
+# every plan shape.
 
 _EXECUTOR_FUZZ_CASES = 200
 _EXECUTOR_FUZZ_PARTITIONS = (1, 4, 7)
@@ -703,9 +704,9 @@ def _random_dml(rng, fresh_ids):
     return ("execute", "DELETE FROM r WHERE v > ?", [round(rng.uniform(40.0, 100.0), 3)])
 
 
-def _run_executor_differential_case(seed, process_pool):
+def _run_executor_differential_case(seed):
     """One executor-matrix case, shared by the corpus replay and the random
-    exploration.  ``process_pool`` is the shared session worker pool."""
+    exploration."""
     rng = random.Random(seed)
     ddl, m_rows, r_rows = _random_schema(rng)
     groups = {}
@@ -714,7 +715,6 @@ def _run_executor_differential_case(seed, process_pool):
             groups[parts] = {
                 "sequential": Database(n_partitions=parts),
                 "rowwise": Database(n_partitions=parts, vectorized=False),
-                "process": Database(n_partitions=parts, executor=process_pool),
             }
             for database in groups[parts].values():
                 _load_schema(database, ddl, m_rows, r_rows)
@@ -731,16 +731,15 @@ def _run_executor_differential_case(seed, process_pool):
                         sql, group["sequential"].tables, seed
                     )
                     reference = group["sequential"].query(sql, payload)
-                    for kind in ("rowwise", "process"):
-                        result = group[kind].query(sql, payload)
-                        label = (seed, sql, parts, kind)
-                        assert result.columns == reference.columns, label
-                        assert result.rows == reference.rows, label
-                        assert result.stats == reference.stats, label
-                        assert (
-                            result.stats.partition_rows_scanned
-                            == reference.stats.partition_rows_scanned
-                        ), label
+                    result = group["rowwise"].query(sql, payload)
+                    label = (seed, sql, parts, "rowwise")
+                    assert result.columns == reference.columns, label
+                    assert result.rows == reference.rows, label
+                    assert result.stats == reference.stats, label
+                    assert (
+                        result.stats.partition_rows_scanned
+                        == reference.stats.partition_rows_scanned
+                    ), label
                 else:
                     affected = {}
                     for kind, database in group.items():
@@ -750,7 +749,6 @@ def _run_executor_differential_case(seed, process_pool):
                             affected[kind] = database.execute(sql, payload)
                     label = (seed, sql, parts)
                     assert affected["rowwise"] == affected["sequential"], label
-                    assert affected["process"] == affected["sequential"], label
         # The mistyped rejection must be byte-identical across the whole
         # executor matrix too — both as a SELECT and as a DELETE predicate
         # (no rows may be deleted before the rejection fires).
@@ -802,8 +800,8 @@ class TestFuzzerSeedCorpus:
         _run_engine_differential_case(seed)
 
     @pytest.mark.parametrize("seed", _corpus_seeds())
-    def test_corpus_executor_differential(self, seed, process_pool):
-        _run_executor_differential_case(seed, process_pool)
+    def test_corpus_executor_differential(self, seed):
+        _run_executor_differential_case(seed)
 
 
 class TestEngineDifferentialFuzzer:
@@ -818,5 +816,5 @@ class TestEngineDifferentialFuzzer:
 
 class TestExecutorDifferentialFuzzer:
     @pytest.mark.parametrize("seed", range(_EXECUTOR_FUZZ_CASES))
-    def test_executors_agree_under_interleaved_dml(self, seed, process_pool):
-        _run_executor_differential_case(seed, process_pool)
+    def test_executors_agree_under_interleaved_dml(self, seed):
+        _run_executor_differential_case(seed)

@@ -1,11 +1,12 @@
-"""Partitioned storage: edge cases, statistics, pruning and parallelism.
+"""Partitioned storage: edge cases, statistics, pruning and virtual parallelism.
 
 Covers the hash-partitioned :class:`~repro.relalg.storage.Table` (composite
 and absent partition keys, cross-partition batch atomicity, per-partition
 tombstone compaction), the maintained cardinality statistics (including
 staleness after DELETE-heavy workloads), partition-pruned index probes, the
-EXPLAIN surface, the process-pool partition fan-out and the per-partition
-virtual cost charging of the simulated backends.
+EXPLAIN surface, the partition-count transparency of both execution engines
+(across DML, DDL and failed statements) and the per-partition virtual cost
+charging of the simulated backends.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.relalg import (
     Database,
     ExecutionError,
     IntegrityError,
+    SchemaError,
     Table,
     TableSchema,
     backend,
@@ -334,23 +336,173 @@ class TestPartitionPruning:
             db.explain("DELETE FROM m")
 
 
-class TestParallelExecution:
-    def _make(self, **kwargs):
-        db = Database(n_partitions=4, **kwargs)
-        db.execute(
-            "CREATE TABLE m (id INTEGER PRIMARY KEY, g INTEGER, x FLOAT)"
-        )
-        db.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, m_id INTEGER)")
-        db.executemany(
-            "INSERT INTO m (id, g, x) VALUES (?, ?, ?)",
-            [(i, i % 5, float(i)) for i in range(100)],
-        )
-        db.executemany(
-            "INSERT INTO r (id, m_id) VALUES (?, ?)",
-            [(i, (i * 7) % 100) for i in range(40)],
-        )
-        return db
+def _populate(db):
+    """Two joinable tables whose rows spread over every partition."""
+    db.execute(
+        "CREATE TABLE m (id INTEGER PRIMARY KEY, g INTEGER, x FLOAT, s VARCHAR)"
+    )
+    db.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, m_id INTEGER, v FLOAT)")
+    db.executemany(
+        "INSERT INTO m (id, g, x, s) VALUES (?, ?, ?, ?)",
+        [
+            (i, i % 7, float(i) * 1.5, ["alpha", "beta", None][i % 3])
+            for i in range(120)
+        ],
+    )
+    db.executemany(
+        "INSERT INTO r (id, m_id, v) VALUES (?, ?, ?)",
+        [(i, (i * 11) % 120, float(i % 13)) for i in range(60)],
+    )
+    return db
 
+
+_TRANSPARENCY_QUERIES = [
+    ("SELECT id, g, x FROM m WHERE g = ? AND x > ? ORDER BY id", [3, 20.0]),
+    ("SELECT COUNT(*), SUM(x), MIN(x), MAX(x) FROM m WHERE x > ?", [30.0]),
+    ("SELECT DISTINCT g FROM m WHERE s IS NOT NULL ORDER BY g", []),
+    ("SELECT g, COUNT(*) AS c FROM m GROUP BY g HAVING COUNT(*) > ? ORDER BY g", [2]),
+    ("SELECT g, SUM(g + id), AVG(id + id), COUNT(*) FROM m GROUP BY g ORDER BY g", []),
+    (
+        "SELECT m.id, r.id, r.v FROM m, r WHERE m.id = r.m_id AND m.x > ? "
+        "ORDER BY m.id, r.id LIMIT 25",
+        [5.0],
+    ),
+    ("SELECT m.id, r.id FROM m, r WHERE m.g = r.m_id ORDER BY m.id, r.id", []),
+    ("SELECT id FROM m WHERE g IN (?, ?) ORDER BY id DESC LIMIT 7", [1, 5]),
+    ("SELECT id FROM m WHERE x > (SELECT MIN(v) FROM r) ORDER BY id", []),
+    ("SELECT * FROM m WHERE id = ?", [42]),
+]
+
+
+class TestPartitionTransparency:
+    """Partitioning decides where rows live, never what a statement sees.
+
+    At every partition count the vectorized and the row-at-a-time engine
+    return the single-partition columns, rows and counters, and both
+    attribute the same scan work to the same partitions.
+    """
+
+    @pytest.mark.parametrize("parts", [1, 4, 7])
+    @pytest.mark.parametrize("sql, params", _TRANSPARENCY_QUERIES)
+    def test_matches_the_single_partition_reference(self, sql, params, parts):
+        expected = _populate(Database(vectorized=False)).query(sql, params)
+        vectorized = _populate(Database(n_partitions=parts)).query(sql, params)
+        rowwise = _populate(
+            Database(n_partitions=parts, vectorized=False)
+        ).query(sql, params)
+        for got in (vectorized, rowwise):
+            assert got.columns == expected.columns
+            assert got.rows == expected.rows
+            assert got.stats == expected.stats
+        attribution = vectorized.stats.partition_rows_scanned
+        assert attribution == rowwise.stats.partition_rows_scanned
+        # Single-partition tables attribute nothing; partitioned scans
+        # attribute at most what the statement scanned.
+        assert bool(attribution) == (parts > 1)
+        assert sum(attribution.values()) <= vectorized.stats.rows_scanned
+
+    def test_dml_between_queries_rebuilds_stale_chunks(self):
+        vectorized = _populate(Database(n_partitions=5))
+        rowwise = _populate(Database(n_partitions=5, vectorized=False))
+        sql = "SELECT g, COUNT(*), SUM(x) FROM m WHERE x > ? GROUP BY g ORDER BY g"
+        assert vectorized.query(sql, [0.0]).rows == rowwise.query(sql, [0.0]).rows
+        for db in (vectorized, rowwise):
+            db.executemany(
+                "INSERT INTO m (id, g, x, s) VALUES (?, ?, ?, ?)",
+                [(1000 + i, i % 7, 999.0 + i, "new") for i in range(15)],
+            )
+            db.execute("DELETE FROM m WHERE g = ?", [2])
+        got = vectorized.query(sql, [0.0])
+        expected = rowwise.query(sql, [0.0])
+        assert got.rows == expected.rows
+        assert 2 not in [row[0] for row in got.rows]
+        assert got.stats == expected.stats
+        assert (
+            got.stats.partition_rows_scanned
+            == expected.stats.partition_rows_scanned
+        )
+
+    def test_create_index_between_queries_replans(self):
+        db = _populate(Database(n_partitions=5))
+        sql = "SELECT id FROM m WHERE g = ? ORDER BY id"
+        before = db.query(sql, [4])
+        assert db.query(sql, [4]).rows == before.rows
+        assert db.plan_cache_info() == {"hits": 1, "misses": 1, "size": 1}
+        db.execute("CREATE INDEX idx_m_g ON m (g)")
+        assert db.plan_cache_info()["size"] == 0
+        after = db.query(sql, [4])
+        assert db.plan_cache_info() == {"hits": 1, "misses": 2, "size": 1}
+        assert after.rows == before.rows
+        # The new plan probes the index instead of scanning all 120 rows.
+        assert (before.stats.index_lookups, before.stats.rows_scanned) == (0, 120)
+        assert after.stats.index_lookups == 1
+        assert after.stats.rows_scanned == len(after.rows)
+
+    def test_drop_and_recreate_never_reuses_a_dropped_plan(self):
+        db = Database(n_partitions=4)
+        sql = "SELECT COUNT(*), MIN(v) FROM t WHERE v >= ?"
+        for generation in range(3):
+            db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v FLOAT)")
+            db.executemany(
+                "INSERT INTO t (id, v) VALUES (?, ?)",
+                [(i, float(i + generation)) for i in range(30 + generation)],
+            )
+            assert db.query(sql, [0.0]).rows == [
+                (30 + generation, float(generation))
+            ]
+            db.execute("DROP TABLE t")
+            assert db.plan_cache_info()["size"] == 0
+        assert db.plan_cache_info()["misses"] == 3
+        with pytest.raises(SchemaError, match="unknown table"):
+            db.query(sql, [0.0])
+
+    def test_same_named_tables_of_two_databases_stay_apart(self):
+        first = Database(n_partitions=4)
+        second = Database(n_partitions=3)
+        for db, rows in ((first, 40), (second, 7)):
+            db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v FLOAT)")
+            db.executemany(
+                "INSERT INTO t (id, v) VALUES (?, ?)",
+                [(i, float(i)) for i in range(rows)],
+            )
+        sql = "SELECT COUNT(*) FROM t WHERE v >= ?"
+        for _ in range(2):  # cold plans, then cached ones
+            assert first.query(sql, [0.0]).scalar() == 40
+            assert second.query(sql, [0.0]).scalar() == 7
+
+    def test_empty_partitions_and_empty_tables(self):
+        db = Database(n_partitions=6)
+        db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, v FLOAT)")
+        empty = db.query("SELECT * FROM e WHERE v > ?", [0.0])
+        assert empty.rows == []
+        assert empty.stats.rows_scanned == 0
+        assert empty.stats.partition_rows_scanned == {}
+        assert db.query(
+            "SELECT COUNT(*), SUM(v), MIN(v) FROM e WHERE v > ?", [0.0]
+        ).rows == [(0, None, None)]
+        db.execute("INSERT INTO e (id, v) VALUES (?, ?)", [1, 5.0])
+        # One row: five of the six partitions stay empty.
+        one = db.query("SELECT id FROM e WHERE v > ?", [0.0])
+        assert one.rows == [(1,)]
+        assert list(one.stats.partition_rows_scanned.values()) == [1]
+        assert db.query(
+            "SELECT COUNT(*), SUM(v), MIN(v) FROM e WHERE v > ?", [0.0]
+        ).rows == [(1, 5.0, 5.0)]
+
+    def test_failed_execution_leaves_the_cached_plan_usable(self):
+        db = _populate(Database(n_partitions=4))
+        sql = "SELECT id FROM m WHERE x / ? > 10 ORDER BY id"
+        with pytest.raises(ExecutionError, match="division by zero"):
+            db.query(sql, [0])
+        got = db.query(sql, [2])
+        expected = _populate(Database(vectorized=False)).query(sql, [2])
+        assert db.plan_cache_info()["hits"] == 1
+        assert got.rows == expected.rows
+        assert got.stats == expected.stats
+
+
+class TestBackendPartitionCharging:
+    @pytest.mark.parametrize("parallelism", [2, 4])
     @pytest.mark.parametrize(
         "sql, params",
         [
@@ -363,33 +515,26 @@ class TestParallelExecution:
             ),
         ],
     )
-    def test_parallel_matches_sequential(self, sql, params, process_pool):
-        sequential = self._make()
-        with self._make(executor=process_pool) as parallel:
-            expected = sequential.query(sql, params)
-            got = parallel.query(sql, params)
-            assert got.columns == expected.columns
-            assert got.rows == expected.rows
-            assert got.stats.rows_scanned == expected.stats.rows_scanned
-            assert (
-                got.stats.partition_rows_scanned
-                == expected.stats.partition_rows_scanned
-            )
+    def test_virtual_parallelism_changes_only_the_charge(
+        self, sql, params, parallelism
+    ):
+        serial = _populate(backend("oracle7", n_partitions=4))
+        fanout = _populate(
+            backend("oracle7", n_partitions=4, parallelism=parallelism)
+        )
+        serial.reset_clock()
+        fanout.reset_clock()
+        expected = serial.query(sql, params)
+        got = fanout.query(sql, params)
+        assert got.columns == expected.columns
+        assert got.rows == expected.rows
+        assert got.stats == expected.stats
+        assert (
+            got.stats.partition_rows_scanned
+            == expected.stats.partition_rows_scanned
+        )
+        assert fanout.elapsed < serial.elapsed
 
-    def test_parallel_validation(self):
-        with pytest.raises(ExecutionError, match="parallel"):
-            Database(parallel=1)
-        with pytest.raises(ExecutionError, match="parallel"):
-            Database(parallel="2")
-        with pytest.raises(ExecutionError, match="parallel"):
-            Database(parallel=True)
-        with pytest.raises(ValueError, match="executor='process'"):
-            Database(parallel=2)  # parallel workers mean worker processes
-        with Database(parallel=2, executor="process") as db:
-            db.close()  # idempotent even if the pool was never created
-
-
-class TestBackendPartitionCharging:
     def test_effective_scan_rows_makespan(self):
         simulated = backend("oracle7", n_partitions=4, parallelism=2)
         # 4 partitions with 10 rows each over 2 workers: makespan 20.

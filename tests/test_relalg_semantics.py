@@ -40,13 +40,12 @@ def _populate(db: Database) -> Database:
     return db
 
 
-def _engines(process_pool):
+def _engines():
     """One database per engine mode; every mode must behave identically."""
     return {
         "interpreted": _populate(Database(engine="interpreted")),
         "vectorized": _populate(Database(n_partitions=3)),
         "row-at-a-time": _populate(Database(n_partitions=3, vectorized=False)),
-        "process": _populate(Database(n_partitions=3, executor=process_pool)),
     }
 
 
@@ -73,11 +72,9 @@ REJECTED = [
 
 class TestTypedRejection:
     @pytest.mark.parametrize("sql,needle", REJECTED, ids=[s for s, _ in REJECTED])
-    def test_identical_semantic_error_across_engines(
-        self, sql, needle, process_pool
-    ):
+    def test_identical_semantic_error_across_engines(self, sql, needle):
         messages = set()
-        for name, db in _engines(process_pool).items():
+        for name, db in _engines().items():
             with pytest.raises(SemanticError, match=needle) as excinfo:
                 db.execute(sql)
             assert isinstance(excinfo.value, ExecutionError), name
@@ -99,9 +96,9 @@ class TestTypedRejection:
             db.execute("DELETE FROM m WHERE s > 5")
         assert db.execute("SELECT COUNT(*) FROM m").rows == before
 
-    def test_delete_rejection_identical_across_engines(self, process_pool):
+    def test_delete_rejection_identical_across_engines(self):
         messages = set()
-        for db in _engines(process_pool).values():
+        for db in _engines().values():
             with pytest.raises(SemanticError) as excinfo:
                 db.execute("DELETE FROM m WHERE s > 5")
             messages.add(str(excinfo.value))
@@ -142,8 +139,8 @@ ACCEPTED = [
 
 class TestConservativeAcceptance:
     @pytest.mark.parametrize("sql,params", ACCEPTED, ids=[s for s, _ in ACCEPTED])
-    def test_statement_accepted_and_engines_agree(self, sql, params, process_pool):
-        engines = _engines(process_pool)
+    def test_statement_accepted_and_engines_agree(self, sql, params):
+        engines = _engines()
         reference = engines.pop("interpreted")
         # no ORDER BY in these statements: compare as multisets
         expected = sorted(map(repr, reference.execute(sql, params).rows))
@@ -199,8 +196,8 @@ class TestConstantFolding:
 # --------------------------------------------------------------------------- #
 
 class TestContradictionPruning:
-    def test_always_false_conjuncts_skip_the_scan(self, process_pool):
-        for name, db in _engines(process_pool).items():
+    def test_always_false_conjuncts_skip_the_scan(self):
+        for name, db in _engines().items():
             if name == "interpreted":
                 continue  # the AST walker has no plan to prune
             result = db.execute("SELECT id FROM m WHERE g = 1 AND g = 2")
@@ -283,17 +280,17 @@ class TestExplainAnalysis:
 # --------------------------------------------------------------------------- #
 
 class TestErrorAttribution:
-    def test_division_by_zero_names_the_expression(self, process_pool):
+    def test_division_by_zero_names_the_expression(self):
         messages = set()
-        for db in _engines(process_pool).values():
+        for db in _engines().values():
             with pytest.raises(ExecutionError, match="division by zero") as excinfo:
                 db.execute("SELECT x / (g - g) FROM m")
             messages.add(str(excinfo.value))
         assert messages == {"division by zero in x / (g - g)"}
 
-    def test_invalid_operands_name_the_expression(self, process_pool):
+    def test_invalid_operands_name_the_expression(self):
         messages = set()
-        for db in _engines(process_pool).values():
+        for db in _engines().values():
             with pytest.raises(ExecutionError, match="invalid operands") as excinfo:
                 db.execute("SELECT x + ? FROM m", ["oops"])
             messages.add(str(excinfo.value))

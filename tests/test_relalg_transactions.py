@@ -3,9 +3,9 @@
 Covers the BEGIN / COMMIT / ROLLBACK surface end to end: statement parsing,
 read-your-writes inside a transaction, byte-identical rollback (rows, index
 buckets, tombstones and table statistics, all via the state fingerprint),
-snapshot isolation of the committed view, the autocommit-only DDL rule,
-close()-time rollback, WAL recovery and checkpointing, the client and
-backend pass-through, and the loader's atomic bulk-load mode.
+the autocommit-only DDL rule, close()-time rollback and idempotence, WAL
+recovery and checkpointing, the client and backend pass-through, and the
+loader's atomic bulk-load mode.
 """
 
 import warnings
@@ -180,41 +180,6 @@ class TestAutocommitOnlyOperations:
                 db.checkpoint()
 
 
-class TestSnapshotIsolation:
-    def test_partition_snapshot_hides_staged_rows(self):
-        with _fresh() as db:
-            table = db.table("t")
-            committed = [
-                table.partition_snapshot(pid)[1]
-                for pid in range(table.n_partitions)
-            ]
-            db.begin()
-            db.executemany(_INS, [(800 + i, i % 3, 8.0) for i in range(16)])
-            db.execute("DELETE FROM t WHERE g = ?", [1])
-            staged_view = [
-                table.partition_snapshot(pid)[1]
-                for pid in range(table.n_partitions)
-            ]
-            assert staged_view == committed
-            assert staged_view == [
-                table.committed_rows(pid) for pid in range(table.n_partitions)
-            ]
-            db.rollback()
-
-    def test_process_fanout_falls_back_while_staged(self, process_pool):
-        """With staged writes, the process executor's shards only hold
-        committed versions — the query must still see the staged rows."""
-        with Database(n_partitions=4, executor=process_pool) as db:
-            db.execute(_DDL)
-            db.executemany(_INS, [(i, i % 3, float(i)) for i in range(1, 41)])
-            assert _count(db) == 40  # warm the shard sync on the pool
-            db.begin()
-            db.execute(_INS, (900, 0, 9.0))
-            assert _count(db) == 41
-            db.commit()
-            assert _count(db) == 41
-
-
 class TestCloseWithOpenTransaction:
     def test_close_rolls_back_with_warning(self, tmp_path):
         wal_path = tmp_path / "close.wal"
@@ -233,6 +198,30 @@ class TestCloseWithOpenTransaction:
                 db.begin()
                 db.execute(_INS, (1001, 0, 1.0))
         assert not db.in_transaction
+
+
+class TestCloseIsIdempotent:
+    @pytest.mark.parametrize(
+        "open_transaction", [False, True], ids=["idle", "open-transaction"]
+    )
+    @pytest.mark.parametrize("with_wal", [False, True], ids=["no-wal", "wal"])
+    def test_second_close_does_nothing(self, tmp_path, with_wal, open_transaction):
+        wal_path = str(tmp_path / "twice.wal") if with_wal else None
+        db = _fresh(wal_path=wal_path)
+        if open_transaction:
+            db.begin()
+            db.execute(_INS, (1002, 0, 1.0))
+        first_close = [TransactionWarning] if open_transaction else []
+        for expected in (first_close, []):  # the second close does nothing
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                db.close()
+            assert [w.category for w in caught] == expected
+            assert not db.in_transaction
+            assert _count(db) == 40
+        if with_wal:
+            with Database(n_partitions=4, wal_path=wal_path) as recovered:
+                assert _count(recovered) == 40
 
 
 class TestWriteAheadLog:

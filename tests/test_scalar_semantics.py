@@ -61,8 +61,8 @@ _TWELVE = [
 ]
 
 
-def _database(engine, rows, n_partitions=1, **options):
-    database = Database(n_partitions=n_partitions, **_ENGINES[engine], **options)
+def _database(engine, rows, n_partitions=1):
+    database = Database(n_partitions=n_partitions, **_ENGINES[engine])
     database.execute(_T_DDL)
     database.execute(_U_DDL)
     database.executemany(_T_INSERT, rows)
@@ -337,12 +337,6 @@ class TestVectorizedFilterErrors:
         assert _agreed(_CROSS_CONJUNCT, [0], rows=_EIGHT) == (
             "error", "ExecutionError", "division by zero in x / ?"
         )
-
-    def test_process_workers_raise_the_row_engines_error(self, process_pool):
-        with _database("vectorized", _EIGHT, executor=process_pool) as database:
-            assert _outcome(database, _CROSS_CONJUNCT, [0]) == (
-                "error", "ExecutionError", "division by zero in x / ?"
-            )
 
 
 # --------------------------------------------------------------------------- #
