@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Persistent relalg benchmark baseline: the A1 / A2 / E3 / E6 scenarios.
+"""Persistent relalg benchmark baseline: A1, A2, E3, E6, E8 and E10–E13.
 
 Runs the engine-bound experiments against the plan-then-execute engine
 and writes ``BENCH_relalg.json`` (wall time + QueryStats per scenario), so the
@@ -24,11 +24,6 @@ performance trajectory of the relational substrate is tracked from PR to PR:
   set: virtual load-time speedup of the ``executemany`` batch pipeline (one
   round trip + one per-statement insert overhead per batch) over per-row
   submission, consistency-checked to load byte-identical table contents.
-* **partition sweep** — the E3 analysis and the E6 bulk load at 1 / 4 / 8
-  hash partitions per table, consistency-checked to produce the same
-  analysis at every count; the 8-partition entry also records the virtual
-  elapsed time under 4 parallel scan workers (per-partition makespan
-  charging).
 * **E8** — pipelined vs. serial statement execution on the overlap-aware
   virtual clock: a round-trip-bound fetch workload and a CPU-bound scan
   workload swept over pipeline depths 1–32, the pipelined pushdown analysis
@@ -41,6 +36,10 @@ performance trajectory of the relational substrate is tracked from PR to PR:
   load and every recovery is consistency-checked byte-identical (state
   fingerprint: rows, tombstones, index buckets, statistics) to the pure
   in-memory load.
+* **E11–E13** — the vectorized columnar scan, the batch pipeline past the
+  driving scan and ordered-index range probes, each against its
+  row-at-a-time or full-scan counterpart, rows and counters
+  consistency-checked.
 
 Usage::
 
@@ -100,7 +99,7 @@ _TIMING_TABLES = ("TotalTiming", "TypedTiming", "CallTiming")
 
 
 def _pushdown_setup(scenario, backend_name, with_indexes, engine,
-                    n_partitions=1, parallelism=1, single_key=False):
+                    single_key=False):
     """Load a backend and precompile the pushdown strategy (not measured).
 
     The wall-time measurements below time :meth:`CosyAnalyzer.analyze` only —
@@ -115,7 +114,6 @@ def _pushdown_setup(scenario, backend_name, with_indexes, engine,
     """
     client, ids = load_into_backend(
         scenario, backend_name, with_indexes=with_indexes, engine=engine,
-        n_partitions=n_partitions, parallelism=parallelism,
     )
     if single_key:
         for name in _TIMING_TABLES:
@@ -314,65 +312,6 @@ def bench_e6(scenario, repeats: int, failures: list) -> dict:
     return report
 
 
-def bench_partition_sweep(scenario, repeats: int, failures: list) -> dict:
-    """E3 analysis and E6 bulk load at 1 / 4 / 8 table partitions.
-
-    The partitioned engine must produce the same analysis at every partition
-    count (severities compared with the A2 tolerance — float aggregation
-    order differs across partition layouts) while the recorded wall and
-    virtual times track what the sharding costs or buys.  The 8-partition E3
-    entry additionally records the virtual elapsed time when the simulated
-    server fans scans out over 4 workers (per-partition makespan charging).
-    """
-    report: dict = {"E3": {}, "E6": {}}
-    reference = None
-    for parts in (1, 4, 8):
-        push_client, strategy = _pushdown_setup(
-            scenario, "oracle7", True, "compiled", n_partitions=parts
-        )
-        result = scenario.analyzer.analyze(strategy=strategy)
-        instances = {
-            (i.property_name, i.subject): i.severity for i in result.instances
-        }
-        if reference is None:
-            reference = instances
-        else:
-            identical = set(instances) == set(reference) and all(
-                abs(instances[key] - reference[key])
-                <= 1e-9 * max(1.0, abs(reference[key]))
-                for key in instances
-            )
-            if not identical:
-                failures.append(
-                    f"partition sweep: E3 analysis diverges at "
-                    f"{parts} partitions"
-                )
-        push_client.backend.reset_clock()
-        scenario.analyzer.analyze(strategy=strategy)
-        virtual = push_client.elapsed
-        wall = _wall(
-            lambda: scenario.analyzer.analyze(strategy=strategy), repeats
-        )
-        report["E3"][str(parts)] = {
-            "wall_s": round(wall, 6),
-            "virtual_s": round(virtual, 6),
-        }
-        loaded, _ = load_into_backend(scenario, "oracle7", n_partitions=parts)
-        connect = loaded.backend.profile.connect_latency
-        report["E6"][str(parts)] = {
-            "rows_loaded": loaded.backend.rows_inserted,
-            "virtual_batched_s": round(loaded.elapsed - connect, 6),
-        }
-    fanout_client, fanout_strategy = _pushdown_setup(
-        scenario, "oracle7", True, "compiled", n_partitions=8, parallelism=4
-    )
-    fanout_client.backend.reset_clock()
-    scenario.analyzer.analyze(strategy=fanout_strategy)
-    report["E3"]["8_parallel4_virtual_s"] = round(fanout_client.elapsed, 6)
-    fanout_client.close()
-    return report
-
-
 def bench_e8(scenario, failures: list) -> dict:
     """Pipelined vs. serial statement execution (the overlap-aware clock).
 
@@ -529,7 +468,6 @@ def bench_e8(scenario, failures: list) -> dict:
 #: over simulated per-region/per-PE timing samples.  Thresholds keep the
 #: filters selective, so the per-row filter work dominates.
 _SCAN_ROWS = 48_000
-_SCAN_PARTITIONS = 8
 _SCAN_QUERIES = [
     (
         "SELECT region, COUNT(*), SUM(incl), MAX(excl) FROM samples "
@@ -559,7 +497,7 @@ def _scan_sample_rows():
 def _scan_database(**kwargs):
     from repro.relalg import Database
 
-    database = Database(n_partitions=_SCAN_PARTITIONS, **kwargs)
+    database = Database(**kwargs)
     database.execute(
         "CREATE TABLE samples (id INTEGER PRIMARY KEY, region INTEGER, "
         "pe INTEGER, incl FLOAT, excl FLOAT)"
@@ -605,19 +543,19 @@ def bench_e10(scenario, repeats: int, failures: list) -> dict:
         def fresh_path() -> str:
             return os.path.join(tmp, f"load{next(counter)}.wal")
 
-        with Database(n_partitions=4) as plain:
+        with Database() as plain:
             report["rows_loaded"] = full_load(plain)
             reference = fingerprint_hash(state_fingerprint(plain))
 
         # WAL on, no checkpoint: consistency, log size, recovery time.
         wal_path = fresh_path()
-        with Database(n_partitions=4, wal_path=wal_path,
+        with Database(wal_path=wal_path,
                       wal_autocheckpoint=None) as walled:
             full_load(walled)
             loaded_identical = check("load", walled, reference)
         log_bytes = os.path.getsize(wal_path)
         start = time.perf_counter()
-        recovered = Database(n_partitions=4, wal_path=wal_path,
+        recovered = Database(wal_path=wal_path,
                              wal_autocheckpoint=None)
         recovery_s = time.perf_counter() - start
         recovered_identical = check("recovery", recovered, reference)
@@ -632,7 +570,7 @@ def bench_e10(scenario, repeats: int, failures: list) -> dict:
         # log so several checkpoint/truncate cycles fire during the load.
         autocheckpoint = max(16_000, log_bytes // 4)
         ckpt_path = fresh_path()
-        with Database(n_partitions=4, wal_path=ckpt_path,
+        with Database(wal_path=ckpt_path,
                       wal_autocheckpoint=autocheckpoint) as checkpointed:
             full_load(checkpointed)
             check("checkpointed load", checkpointed, reference)
@@ -640,7 +578,7 @@ def bench_e10(scenario, repeats: int, failures: list) -> dict:
             failures.append("E10: the size-triggered checkpoint never fired")
         ckpt_log_bytes = os.path.getsize(ckpt_path)
         start = time.perf_counter()
-        recovered = Database(n_partitions=4, wal_path=ckpt_path,
+        recovered = Database(wal_path=ckpt_path,
                              wal_autocheckpoint=autocheckpoint)
         ckpt_recovery_s = time.perf_counter() - start
         check("checkpointed recovery", recovered, reference)
@@ -656,7 +594,7 @@ def bench_e10(scenario, repeats: int, failures: list) -> dict:
         # Wall-clock load cost of the three durability levels.
         def timed(**db_kwargs):
             def run():
-                with Database(n_partitions=4, **db_kwargs) as database:
+                with Database(**db_kwargs) as database:
                     full_load(database)
             return run
 
@@ -720,7 +658,6 @@ def bench_e11(repeats: int, failures: list) -> dict:
         )
     return {
         "rows": _SCAN_ROWS,
-        "partitions": _SCAN_PARTITIONS,
         "statements": len(_SCAN_QUERIES),
         "rowwise_wall_s": round(row_wall, 6),
         "vectorized_wall_s": round(vec_wall, 6),
@@ -814,7 +751,6 @@ def bench_e12(repeats: int, failures: list) -> dict:
     """
     report: dict = {
         "rows": _SCAN_ROWS,
-        "partitions": _SCAN_PARTITIONS,
         "workloads": {},
     }
     for name, queries in (
@@ -890,7 +826,7 @@ _E13_QUERIES = [
 def _e13_database(ordered: bool = True, **kwargs):
     from repro.relalg import Database
 
-    database = Database(n_partitions=_SCAN_PARTITIONS, **kwargs)
+    database = Database(**kwargs)
     database.execute(
         "CREATE TABLE samples (id INTEGER PRIMARY KEY, region INTEGER, "
         "pe INTEGER, incl FLOAT, excl FLOAT)"
@@ -916,7 +852,7 @@ def _e13_run(database):
 
 
 def bench_e13(repeats: int, failures: list) -> dict:
-    """Range probes and index-order pushdown vs. full-partition scans.
+    """Range probes and index-order pushdown vs. full-table scans.
 
     The range-heavy scan variant (selective sargable predicates, BETWEEN, and
     a single-key top-k) twice: with the ordered index on ``incl`` and
@@ -925,7 +861,7 @@ def bench_e13(repeats: int, failures: list) -> dict:
     QueryStats must be byte-identical between the row-at-a-time and
     vectorized engines at a fixed index configuration (range probes and
     index-order pushdown are mode-independent).  The local target is the
-    probe path beating the full-partition scan ≥ 2× on wall clock.
+    probe path beating the full-table scan ≥ 2× on wall clock.
     """
     ordered = _e13_database()
     plain = _e13_database(ordered=False)
@@ -970,7 +906,6 @@ def bench_e13(repeats: int, failures: list) -> dict:
         )
     return {
         "rows": _SCAN_ROWS,
-        "partitions": _SCAN_PARTITIONS,
         "statements": len(_E13_QUERIES),
         "range_probes": probed,
         "rows_scanned_probe": scanned_probe,
@@ -1017,9 +952,6 @@ def main(argv=None) -> int:
             "A2_interp_vs_sql": bench_a2(small, args.repeats, failures),
             "E3_pushdown": bench_e3(medium, args.repeats, failures),
             "E6_bulk_load": bench_e6(medium, args.repeats, failures),
-            "partition_sweep": bench_partition_sweep(
-                medium, args.repeats, failures
-            ),
             "E8_overlap": bench_e8(medium, failures),
             "E10_durability": bench_e10(medium, args.repeats, failures),
             "E11_columnar": bench_e11(args.repeats, failures),
@@ -1049,13 +981,6 @@ def main(argv=None) -> int:
     print("E6  batched bulk-load speedup: "
           + ", ".join(
               f"{name} {entry['batched_speedup']}x" for name, entry in e6.items()
-          ))
-    sweep = report["scenarios"]["partition_sweep"]
-    print("P   partition sweep (E3 wall): "
-          + ", ".join(
-              f"{parts}p {entry['wall_s']}s"
-              for parts, entry in sweep["E3"].items()
-              if isinstance(entry, dict)
           ))
     e8 = report["scenarios"]["E8_overlap"]
     parity = all(e8["depth1_parity"].values())

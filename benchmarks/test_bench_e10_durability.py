@@ -35,22 +35,22 @@ def _state(database: Database) -> str:
 
 class TestE10Durability:
     def test_wal_backed_load_matches_in_memory_load(self, medium_scenario, tmp_path):
-        with Database(n_partitions=4) as plain:
+        with Database() as plain:
             rows = _load(medium_scenario, plain)
             reference = _state(plain)
         assert rows > 1000, "the medium scenario must load a real data set"
         wal_path = tmp_path / "e10.wal"
-        with Database(n_partitions=4, wal_path=str(wal_path),
+        with Database(wal_path=str(wal_path),
                       wal_autocheckpoint=None) as walled:
             _load(medium_scenario, walled)
             assert _state(walled) == reference
         assert wal_path.stat().st_size > 0
-        with Database(n_partitions=4, wal_path=str(wal_path)) as recovered:
+        with Database(wal_path=str(wal_path)) as recovered:
             assert _state(recovered) == reference
 
     def test_checkpointed_load_truncates_and_recovers(self, medium_scenario, tmp_path):
         full_path = tmp_path / "full.wal"
-        with Database(n_partitions=4, wal_path=str(full_path),
+        with Database(wal_path=str(full_path),
                       wal_autocheckpoint=None) as walled:
             _load(medium_scenario, walled)
             reference = _state(walled)
@@ -58,14 +58,14 @@ class TestE10Durability:
 
         ckpt_path = tmp_path / "ckpt.wal"
         threshold = max(16_000, full_bytes // 4)
-        with Database(n_partitions=4, wal_path=str(ckpt_path),
+        with Database(wal_path=str(ckpt_path),
                       wal_autocheckpoint=threshold) as checkpointed:
             _load(medium_scenario, checkpointed)
             assert _state(checkpointed) == reference
         assert (tmp_path / "ckpt.wal.ckpt").exists(), \
             "the size-triggered checkpoint must fire during the load"
         assert ckpt_path.stat().st_size < full_bytes
-        with Database(n_partitions=4, wal_path=str(ckpt_path),
+        with Database(wal_path=str(ckpt_path),
                       wal_autocheckpoint=threshold) as recovered:
             assert _state(recovered) == reference
 
@@ -73,7 +73,7 @@ class TestE10Durability:
         """Wall-clock load at the three durability levels (info, not gates)."""
         def timed(**db_kwargs) -> float:
             start = time.perf_counter()
-            with Database(n_partitions=4, **db_kwargs) as database:
+            with Database(**db_kwargs) as database:
                 _load(medium_scenario, database)
                 fingerprint = _state(database)
             return time.perf_counter() - start, fingerprint

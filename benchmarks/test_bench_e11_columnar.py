@@ -20,7 +20,6 @@ import time
 from repro.relalg import Database
 
 _ROWS = 24_000
-_PARTITIONS = 8
 _QUERIES = [
     (
         "SELECT region, COUNT(*), SUM(incl), MAX(excl) FROM samples "
@@ -35,7 +34,7 @@ _QUERIES = [
 
 
 def _build(**kwargs) -> Database:
-    database = Database(n_partitions=_PARTITIONS, **kwargs)
+    database = Database(**kwargs)
     database.execute(
         "CREATE TABLE samples (id INTEGER PRIMARY KEY, region INTEGER, "
         "pe INTEGER, incl FLOAT, excl FLOAT)"

@@ -1,4 +1,4 @@
-"""E13 — ordered range indexes vs. full-partition scans.
+"""E13 — ordered range indexes vs. full-table scans.
 
 The range-heavy variant of the E11 scan workload (selective sargable
 predicates, a BETWEEN aggregate, and a single-key top-k) with and without

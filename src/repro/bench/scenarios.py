@@ -89,8 +89,6 @@ def load_into_backend(
     client_factory=NativeClient,
     engine: str = "compiled",
     batch_size: Optional[int] = DEFAULT_LOAD_BATCH_SIZE,
-    n_partitions: int = 1,
-    parallelism: int = 1,
 ) -> Tuple[DatabaseClient, ObjectIds]:
     """Load the scenario's repository into a freshly created simulated backend.
 
@@ -99,18 +97,9 @@ def load_into_backend(
     ``benchmarks/run_bench.py`` as the speedup baseline).  ``batch_size``
     controls the loader's insert batching (one virtual round trip per batch);
     ``batch_size=None`` loads row at a time — the E6 benchmark compares the
-    two paths.  ``n_partitions`` shards every created table by primary key
-    and ``parallelism`` sets the backend's virtual scan workers (per-partition
-    makespan charging) — the partition-sweep benchmark drives both.
+    two paths.
     """
-    client = client_factory(
-        backend(
-            backend_name,
-            engine=engine,
-            n_partitions=n_partitions,
-            parallelism=parallelism,
-        )
-    )
+    client = client_factory(backend(backend_name, engine=engine))
     loader = DatabaseLoader(scenario.mapping, client, batch_size=batch_size)
     loader.create_schema(with_indexes=with_indexes)
     ids = loader.load(scenario.repository)

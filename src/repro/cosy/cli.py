@@ -77,20 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated database backend used by the pushdown strategy",
     )
     parser.add_argument(
-        "--db-partitions",
-        type=int,
-        default=1,
-        help="hash partitions per table of the pushdown database "
-        "(primary-key sharding; default 1)",
-    )
-    parser.add_argument(
-        "--db-parallelism",
-        type=int,
-        default=1,
-        help="virtual scan workers of the pushdown backend (partition "
-        "scans are charged as a makespan over this many workers)",
-    )
-    parser.add_argument(
         "--pipeline-depth",
         type=int,
         default=1,
@@ -114,23 +100,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain",
         action="store_true",
         help="load the data, then print the execution plan of every property "
-        "query (join order, access paths, partition pruning, estimated "
-        "cardinalities) and exit",
+        "query (join order, access paths, estimated cardinalities) and exit",
     )
     return parser
 
 
 def _print_property_queries(specification, mapping, render) -> None:
     """Shared --show-sql / --explain loop: one ``render(label, query)`` per
-    compiled condition and severity query of every property."""
+    compiled condition, confidence and severity query of every property, in
+    the order the pushdown strategy runs them."""
     compiler = PropertyCompiler(specification, mapping)
     for name, compiled in sorted(compiler.compile_all().items()):
         print(f"-- property {name}")
         for key, query in compiled.conditions:
             render(f"condition ({key})", query)
-        for guard, query in compiled.severity:
-            label = f"guard {guard}" if guard else "unguarded"
-            render(f"severity ({label})", query)
+        for kind, entries in (
+            ("confidence", compiled.confidence),
+            ("severity", compiled.severity),
+        ):
+            for guard, query in entries:
+                label = f"guard {guard}" if guard else "unguarded"
+                render(f"{kind} ({label})", query)
         print()
 
 
@@ -143,10 +133,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--pipeline-depth must be >= 1")
     if args.pipeline_depth > 1 and args.strategy != "pushdown":
         parser.error("--pipeline-depth requires --strategy pushdown")
-    if args.db_partitions < 1:
-        parser.error("--db-partitions must be >= 1")
-    if args.db_parallelism < 1:
-        parser.error("--db-parallelism must be >= 1")
     if min(args.pes) < 1:
         parser.error("--pes values must be >= 1")
     if args.analyze_pes is not None and args.analyze_pes not in args.pes:
@@ -181,13 +167,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.strategy == "pushdown" or args.explain:
         mapping = generate_schema(specification)
-        client = NativeClient(
-            backend(
-                args.db_backend,
-                n_partitions=args.db_partitions,
-                parallelism=args.db_parallelism,
-            )
-        )
+        client = NativeClient(backend(args.db_backend))
         try:
             ids = load_repository(repository, mapping, client)
             if args.explain:

@@ -67,8 +67,8 @@ from repro.relalg.planner import (
     AccessPath,
     HashJoinBuild,
     IndexProbe,
-    PartitionScan,
     QueryPlan,
+    TableScan,
     plan_select,
 )
 from repro.relalg.rowset import QueryStats, ResultSet
@@ -85,13 +85,10 @@ from repro.relalg.compile import compile_batch_predicate
 from repro.relalg.storage import (
     CHUNK_ROWS,
     HashIndex,
-    Partition,
     PositionsView,
     Table,
-    TableIndex,
     TableStatistics,
     Transaction,
-    stable_hash,
 )
 from repro.relalg.wal import (
     WriteAheadLog,
@@ -123,8 +120,6 @@ __all__ = [
     "IntegrityError",
     "InterpretedSelectExecutor",
     "NativeClient",
-    "Partition",
-    "PartitionScan",
     "PendingResult",
     "PipelineSlot",
     "PipelinedTimeline",
@@ -142,7 +137,7 @@ __all__ = [
     "SqlType",
     "StatementCost",
     "Table",
-    "TableIndex",
+    "TableScan",
     "TableSchema",
     "TableStatistics",
     "Transaction",
@@ -159,7 +154,6 @@ __all__ = [
     "plan_select",
     "restore_state",
     "snapshot_state",
-    "stable_hash",
     "state_fingerprint",
     "tokenize_sql",
 ]

@@ -38,7 +38,6 @@ completion frontier.
 
 from __future__ import annotations
 
-import math
 from typing import (
     Any,
     Callable,
@@ -246,8 +245,7 @@ class StatementCost(Record):
       the per-row result transfer — wire time that overlaps across in-flight
       statements;
     * the **server** work (scan/join/insert processing) — serialized on the
-      simulated server, with ``rows_scanned`` already makespan-adjusted when
-      the backend models ``parallelism`` scan workers.
+      simulated server.
     """
 
     __slots__ = ("profile", "rows_inserted", "rows_returned", "rows_scanned")
@@ -350,9 +348,7 @@ class PipelinedTimeline:
       uncompleted statements in flight;
     * the request travels for :attr:`StatementCost.request_seconds`;
     * the server serializes: ``server_start_i = max(request arrival, server
-      free)`` — server work never overlaps other server work (scan charges
-      are already per-partition makespans when the backend models
-      ``parallelism`` workers);
+      free)`` — server work never overlaps other server work;
     * the response travels back for :attr:`StatementCost.response_seconds`;
     * responses complete in submission order (pipelined connections preserve
       ordering): ``completed_i = max(response arrival, completed_{i-1}) +
@@ -463,26 +459,16 @@ class SimulatedBackend:
         database: Optional[Database] = None,
         engine: str = "compiled",
         batch_size: int = DEFAULT_BATCH_SIZE,
-        n_partitions: int = 1,
-        parallelism: int = 1,
         wal_path: Optional[str] = None,
         wal_autocheckpoint: Optional[int] = 4_000_000,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be positive, got {parallelism}")
         self.profile = profile
         self.batch_size = batch_size
-        #: Server-side scan workers of the virtual cost model: scan work is
-        #: charged as the per-partition *makespan* over this many workers
-        #: instead of the serial sum.  ``1`` (the default) is the historical
-        #: serial charging, byte-for-byte.
-        self.parallelism = parallelism
         self.database = database or Database(
             name=profile.name,
             engine=engine,
-            n_partitions=n_partitions,
             wal_path=wal_path,
             wal_autocheckpoint=wal_autocheckpoint,
         )
@@ -495,34 +481,6 @@ class SimulatedBackend:
         self.rows_inserted = 0
         self.rows_fetched = 0
         self._connected = False
-
-    def _effective_scan_rows(
-        self, partition_deltas: Dict[int, int], total_scanned: int
-    ) -> int:
-        """Scan rows to charge, given the per-partition work breakdown.
-
-        With one virtual worker this is the serial total — exactly the
-        engine's :class:`QueryStats` counter, so single-worker charging stays
-        exact and byte-compatible.  With ``parallelism`` workers the
-        partition-attributed scan work is charged as its makespan (the
-        longest single partition, or the even split over the workers,
-        whichever dominates); work with no partition attribution (probe
-        matches, single-partition tables) stays serial.
-
-        Partition ids are shared across tables (see
-        :attr:`QueryStats.partition_rows_scanned`), so a join that scans two
-        tables fuses both tables' shard *i* into one unit — the model treats
-        equally-numbered shards as co-located on the same virtual worker.
-        The fusion can only lengthen the makespan, i.e. the charge errs on
-        the conservative (serial) side.
-        """
-        if self.parallelism <= 1 or not partition_deltas:
-            return total_scanned
-        loads = sorted(partition_deltas.values(), reverse=True)
-        parallel_total = sum(loads)
-        serial = total_scanned - parallel_total
-        makespan = max(loads[0], math.ceil(parallel_total / self.parallelism))
-        return serial + makespan
 
     # ------------------------------------------------------------------ #
 
@@ -543,9 +501,7 @@ class SimulatedBackend:
         measure its cost without charging it.
 
         The cost comes from deltas of the engine's summary counters: the rows
-        the statement returned, inserted and read (the read rows as the
-        per-partition makespan when the backend models ``parallelism`` scan
-        workers).  A statement that raises is not counted: the backend's
+        the statement returned, inserted and read.  A statement that raises is not counted: the backend's
         counters, ``shipped`` parameters included, describe only the wire
         statements that executed.
         """
@@ -554,27 +510,12 @@ class SimulatedBackend:
         scanned_before = stats.rows_scanned
         returned_before = stats.rows_returned
         inserted_before = summary.rows_inserted
-        # Serial backends skip the per-partition bookkeeping: only the
-        # parallel makespan charge needs it.
-        partitions_before = (
-            dict(stats.partition_rows_scanned) if self.parallelism > 1 else None
-        )
         value = run(sql, arg)
-        scanned = stats.rows_scanned - scanned_before
-        if partitions_before is not None:
-            scanned = self._effective_scan_rows(
-                {
-                    pid: count - partitions_before.get(pid, 0)
-                    for pid, count in stats.partition_rows_scanned.items()
-                    if count != partitions_before.get(pid, 0)
-                },
-                scanned,
-            )
         cost = StatementCost(
             self.profile,
             summary.rows_inserted - inserted_before,
             stats.rows_returned - returned_before,
-            scanned,
+            stats.rows_scanned - scanned_before,
         )
         self.statements_executed += 1
         self.params_shipped += shipped
@@ -737,8 +678,6 @@ def backend(
     database: Optional[Database] = None,
     engine: str = "compiled",
     batch_size: int = DEFAULT_BATCH_SIZE,
-    n_partitions: int = 1,
-    parallelism: int = 1,
     wal_path: Optional[str] = None,
     wal_autocheckpoint: Optional[int] = 4_000_000,
 ) -> SimulatedBackend:
@@ -747,11 +686,7 @@ def backend(
     ``engine`` selects the in-process execution engine ("compiled" plans or
     the seed "interpreted" AST walker) when no database is supplied;
     ``batch_size`` sets how many ``executemany`` parameter rows share one
-    virtual round trip.  ``n_partitions`` shards every table the backend's
-    database creates (ignored when ``database`` is supplied), and
-    ``parallelism`` sets the virtual server's scan workers: scan costs are
-    charged as the per-partition makespan over that many workers (the
-    engine itself executes sequentially).  ``wal_path`` attaches a
+    virtual round trip.  ``wal_path`` attaches a
     write-ahead log to the backend's database (ignored when ``database`` is
     supplied), making its commits crash-durable; ``wal_autocheckpoint``
     bounds that log.
@@ -767,8 +702,6 @@ def backend(
         database,
         engine=engine,
         batch_size=batch_size,
-        n_partitions=n_partitions,
-        parallelism=parallelism,
         wal_path=wal_path,
         wal_autocheckpoint=wal_autocheckpoint,
     )

@@ -264,9 +264,8 @@ class AsyncClient:
     :class:`PendingResult`; ``gather`` completes everything in flight and
     commits the overlap-aware timing to the backend's virtual clock.  Up to
     ``window`` statements are in flight at once — their network round trips
-    overlap, their server-side work serializes (or follows the per-partition
-    makespan when the backend models ``parallelism`` scan workers), and the
-    client's own marshalling stays serial on the dispatch/receive paths.
+    overlap, their server-side work serializes, and the client's own
+    marshalling stays serial on the dispatch/receive paths.
 
     ``window=1`` routes every statement through the serial client layer
     directly, so its virtual totals are byte-identical to un-pipelined

@@ -7,11 +7,9 @@ the small subset of the Python DB-API that COSY needs (``execute``,
 ``executemany``, result sets), so the analyzer code reads like ordinary
 database client code even though everything runs in process.
 
-Every table the database creates is hash-partitioned by primary key into
-``n_partitions`` shards (default 1: the historical single-partition layout,
-byte-for-byte); statements enumerate the partitions in order on the calling
-thread.  The database is a context manager (``with Database(...) as db:``):
-:meth:`close` rolls back an open transaction and closes the write-ahead log.
+Statements run sequentially, on the calling thread.  The database is a
+context manager (``with Database(...) as db:``): :meth:`close` rolls back an
+open transaction and closes the write-ahead log.
 
 Two statement-level caches, both keyed by SQL text, make repeated execution
 cheap (the COSY pushdown strategy re-runs the same compiled property queries
@@ -29,19 +27,19 @@ INSERT gets the same compile-once treatment on the DML side: ``executemany``
 binds a cached :func:`~repro.relalg.compile.compile_insert_binder` closure per
 parameter row and appends the whole batch through
 :meth:`~repro.relalg.storage.Table.insert_many` (deferred index maintenance,
-atomic per batch, rows spread across partitions) instead of round-tripping one
-row at a time through the parser and the per-row insert path.
+atomic per batch) instead of round-tripping one row at a time through the
+parser and the per-row insert path.
 
 ``engine="interpreted"`` routes SELECTs through the seed AST-walking engine
 (:mod:`repro.relalg.interp`) instead; the benchmarks use it as the baseline
 the compiled engine is measured against, and the differential tests use it as
-the unpartitioned reference.
+the reference.
 
 **Transactions and durability.**  ``BEGIN`` / ``COMMIT`` / ``ROLLBACK``
 statements (or the :meth:`begin`/:meth:`commit`/:meth:`rollback` shortcuts)
 group DML into an atomic unit: while a transaction is open the session reads
-its own writes through the unchanged executor paths (scans read the row
-lists instead of the columnar chunks while uncommitted DML is staged), every
+its own writes through the unchanged executor paths (every mutation drops
+the columnar chunk cache, so vectorized scans see staged rows too), every
 mutation pushes an undo record (:class:`~repro.relalg.storage.Transaction`),
 and rollback restores rows, indexes, tombstones and statistics
 byte-for-byte.  DDL inside a transaction and nested ``BEGIN`` are refused
@@ -102,6 +100,7 @@ from repro.relalg.wal import (
     WriteAheadLog,
     decode_row,
     encode_row,
+    require_one_row_list,
     restore_state,
     row_key,
     snapshot_state,
@@ -154,13 +153,6 @@ class ExecutionSummary(Record):
     def index_lookups(self) -> int:
         return self.select_stats.index_lookups
 
-    @property
-    def partition_rows_scanned(self) -> Dict[int, int]:
-        """Scan work per storage partition (partition id → rows scanned
-        there); empty means every scan ran against single-partition
-        tables."""
-        return self.select_stats.partition_rows_scanned
-
     def record_select(self, stats: QueryStats) -> None:
         self.statements += 1
         self.selects += 1
@@ -187,7 +179,6 @@ class Database:
         self,
         name: str = "cosy",
         engine: str = "compiled",
-        n_partitions: int = 1,
         wal_path: Optional[str] = None,
         wal_autocheckpoint: Optional[int] = 4_000_000,
         wal_hook=None,
@@ -197,14 +188,8 @@ class Database:
             raise ValueError(
                 f"unknown engine {engine!r} (expected 'compiled' or 'interpreted')"
             )
-        if n_partitions < 1:
-            raise ValueError(
-                f"n_partitions must be positive, got {n_partitions}"
-            )
         self.name = name
         self.engine = engine
-        #: Default partition count of every table this database creates.
-        self.n_partitions = n_partitions
         #: Whether eligible plans run their batch rungs: columnar chunks
         #: for a driving scan's batch predicate or batch hash-join probe,
         #: batch aggregation and top-k (plan-time eligibility; row-at-a-time
@@ -248,30 +233,19 @@ class Database:
     # schema management (programmatic)
     # ------------------------------------------------------------------ #
 
-    def create_table(
-        self, schema: TableSchema, n_partitions: Optional[int] = None
-    ) -> Table:
-        """Create a table from a programmatic schema definition.
-
-        ``n_partitions`` overrides the database default for this table.
-        """
+    def create_table(self, schema: TableSchema) -> Table:
+        """Create a table from a programmatic schema definition."""
         self._require_autocommit("CREATE TABLE")
         key = schema.name.lower()
         if key in self.tables:
             raise SchemaError(f"table {schema.name!r} already exists")
-        table = Table(
-            schema,
-            n_partitions=(
-                n_partitions if n_partitions is not None else self.n_partitions
-            ),
-        )
+        table = Table(schema)
         self.tables[key] = table
         self._bump_table_epoch(key)
         self._wal_log(
             {
                 "t": "create_table",
                 "table": schema.name,
-                "n_partitions": table.n_partitions,
                 "columns": [
                     [c.name, c.type.value, c.nullable, c.primary_key]
                     for c in schema.columns
@@ -592,6 +566,9 @@ class Database:
             self._wal_replaying = False
 
     def _replay_create_table(self, record: Dict[str, Any]) -> None:
+        require_one_row_list(
+            record, record["table"], f"write-ahead log {self._wal.path!r}"
+        )
         schema = TableSchema(
             name=record["table"],
             columns=[
@@ -604,7 +581,7 @@ class Database:
                 for name, type_name, nullable, primary_key in record["columns"]
             ],
         )
-        self.create_table(schema, n_partitions=record["n_partitions"])
+        self.create_table(schema)
 
     def _replay_dml(self, record: Dict[str, Any]) -> None:
         table = self.table(record["tb"])
@@ -752,8 +729,8 @@ class Database:
         """A human-readable execution plan of one SELECT statement.
 
         Reports the join order, the access path chosen per binding (with the
-        probed columns), partition layout and pruning, residual filter counts
-        and the plan-time cardinality estimates — for the outer plan and,
+        probed columns), residual filter counts and the plan-time
+        cardinality estimates — for the outer plan and,
         nested, for every scalar subquery.  A trailing ``analysis:`` section
         lists the plan-time semantic findings: conjuncts rewritten by
         constant folding (``folded: ...``), always-true conjuncts dropped,
@@ -863,13 +840,9 @@ class Database:
             access = level["access"]
             if level["column"] is not None:
                 access += f" on {level['column']}"
-            if level["pruned"]:
-                partitions = f"1 of {level['partitions']} partition(s) [pruned]"
-            else:
-                partitions = f"{level['partitions']} partition(s)"
             lines.append(
                 f"{indent}  {position}. {level['binding']} ({level['table']}): "
-                f"{access}, {partitions}, filters={level['filters']}, "
+                f"{access}, filters={level['filters']}, "
                 f"est_rows={level['estimated_rows']}, "
                 f"est_cardinality={level['estimated_cardinality']}"
             )
@@ -934,18 +907,6 @@ class Database:
     # statement handlers
     # ------------------------------------------------------------------ #
 
-    def _vectorized_now(self) -> bool:
-        """Whether this statement may drive scans vectorized *right now*.
-
-        Columnar chunks are built from the live row lists, which include
-        rows a transaction has merely staged; snapshot-correct chunk reads
-        under staged DML would need per-statement rebuilds, so the engine
-        simply falls back to row-at-a-time until the transaction resolves.
-        """
-        return self.vectorized and (
-            self._txn is None or not self._txn.staged
-        )
-
     def _execute_select(
         self,
         statement: SelectStatement,
@@ -958,7 +919,7 @@ class Database:
         else:
             plan = self._plan_for(statement, sql)
             result = plan.execute(
-                params, QueryStats(), vectorized=self._vectorized_now()
+                params, QueryStats(), vectorized=self.vectorized
             )
         self.summary.record_select(result.stats)
         return result
@@ -1037,10 +998,10 @@ class Database:
             [] if self._wal is not None and not self._wal_replaying else None
         )
         # A DELETE reads every live row of its table — it decides each one
-        # before tombstoning any — so it is charged a full scan, per
-        # partition on partitioned tables, plus its subqueries' counters.
+        # before tombstoning any — so it is charged a full scan plus its
+        # subqueries' counters.
         stats = QueryStats()
-        read = [partition.live_count for partition in table.partitions]
+        read = table.live_count
         if statement.where is None:
             deleted = table.delete_where(lambda row: True, collect=collect)
         else:
@@ -1077,12 +1038,7 @@ class Database:
                 return bool(value) and value is not None
 
             deleted = table.delete_where(predicate, collect=collect)
-        stats.rows_scanned += sum(read)
-        if table.n_partitions > 1:
-            pscan = stats.partition_rows_scanned
-            for pid, count in enumerate(read):
-                if count:
-                    pscan[pid] = pscan.get(pid, 0) + count
+        stats.rows_scanned += read
         if collect:
             xid = self._txn.txn_id if self._txn is not None else 0
             self._wal_log(

@@ -52,7 +52,7 @@ class SemanticError(ExecutionError):
     A :class:`SemanticError` marks a statement that would deterministically
     fail (or is ill-formed) for every row it touches — an incompatible
     comparison, a ``VARCHAR`` WHERE clause, an aggregate in a WHERE — so the
-    engine rejects it at plan time, before any partition is scanned or any
+    engine rejects it at plan time, before any row is scanned or any
     :class:`QueryStats` counter moves.  Subclasses :class:`ExecutionError`
     because the statement *would* have failed during execution; callers that
     catch the broader class keep working.

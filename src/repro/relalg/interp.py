@@ -220,11 +220,7 @@ class InterpretedSelectExecutor:
                 self.stats.index_lookups += 1
             candidates: Iterable[Tuple[Any, ...]] = ()
             if not any(matches_nothing(key) for _column, key in keys):
-                candidates = [
-                    row
-                    for _pid, rows in table.probe_chunks(keys)
-                    for row in rows
-                ]
+                candidates = table.probe(keys)
             used_ids = {id(used) for _column, _key_expr, used in probe}
             filters = [p for p in applicable if id(p) not in used_ids]
         else:

@@ -27,30 +27,27 @@ statement:
   :class:`repro.relalg.database.Database`, keyed by SQL text and invalidated
   per dependent table).
 
-Access paths (all partition-aware; storage is hash-partitioned by primary
-key, see :mod:`repro.relalg.storage`):
+Access paths:
 
 1. :class:`IndexProbe` — an equality conjunct ``col = expr`` where ``col`` is
    an indexed column of this binding and ``expr`` is computable from the
    levels already bound, plus every later such conjunct on a different
-   indexed column: one probe intersects their index buckets.  A probe with
-   a key on the table's partition column (the single-column primary key)
-   is *partition-pruned*: it touches exactly one partition's local indexes.
+   indexed column: one probe intersects their index buckets.
 2. :class:`HashJoinBuild` — an equality conjunct joining an *unindexed*
    column of this binding to an expression over already-bound levels: the
-   table is scanned partition by partition once per execution into a
-   transient hash table and probed per outer row, replacing the
-   interpreter's O(outer × inner) rescans.
-3. :class:`PartitionScan` — everything else; applicable conjuncts become
-   filters.  The scan iterates partitions morsel-style.
+   table is scanned once per execution into a transient hash table and
+   probed per outer row, replacing the interpreter's O(outer × inner)
+   rescans.
+3. :class:`RangeProbe` — sargable range conjuncts on an ordered-indexed
+   column bisect its sorted run.
+4. :class:`TableScan` — everything else; applicable conjuncts become
+   filters.
 
 Every access path produces its candidates the same way —
-:meth:`AccessPath.open` returns ``(pid, rows)`` chunks plus the filters to
-apply, with ``pid=None`` wherever no per-partition scan attribution applies
-(single-partition tables, hash-probe hits) — so one enumeration loop serves
-every plan: single- and multi-partition tables alike, and driving levels
-that were already scanned elsewhere (vectorized chunks, index-order
-pushdown) enter that loop one level down.
+:meth:`AccessPath.open` returns the candidate rows plus the filters to
+apply — so one enumeration loop serves every plan, and driving levels that
+were already scanned elsewhere (vectorized chunks, index-order pushdown)
+enter that loop one level down.
 
 NULL and NaN join keys never match (both probe kinds), matching ``=``
 semantics (:func:`~repro.relalg.rowset.matches_nothing`).
@@ -65,7 +62,7 @@ engine lacks it).
 
 from __future__ import annotations
 
-from heapq import merge as _heap_merge, nsmallest
+from heapq import nsmallest
 from itertools import chain
 from operator import itemgetter
 from typing import (
@@ -120,16 +117,16 @@ from repro.relalg.storage import (
     Table,
     TableStatistics,
     gather_columns,
-    probe_partition,
+    probe_rows,
 )
 
 __all__ = [
     "AccessPath",
     "HashJoinBuild",
     "IndexProbe",
-    "PartitionScan",
     "QueryPlan",
     "RangeProbe",
+    "TableScan",
     "plan_select",
     "subquery_planner",
 ]
@@ -148,109 +145,95 @@ class AccessPath:
     def open(self, level: "_Level", index: int, row: List[Any], ctx: ExecContext):
         """Candidates of ``level`` for the outer levels currently bound in ``row``.
 
-        Returns ``(chunks, filters)``: ``(pid, rows)`` chunks in storage
-        order — ``pid`` is ``None`` where no per-partition scan attribution
-        applies — and the filters every candidate must pass.  ``index`` is
-        the level's position (hash-join tables are cached per level).
+        Returns ``(candidates, filters)``: the candidate rows in storage
+        order and the filters every candidate must pass.  ``index`` is the
+        level's position (hash-join tables are cached per level).
         """
         raise NotImplementedError
 
 
-class PartitionScan(AccessPath):
-    """Full scan, iterated partition by partition (morsel-style)."""
+class TableScan(AccessPath):
+    """Full scan of the table's live rows."""
 
     __slots__ = ()
     kind = "scan"
 
     def open(self, level, index, row, ctx):
-        return level.table.scan_chunks(), level.filters
+        return level.table.live(), level.filters
 
 
 class IndexProbe(AccessPath):
-    """Equality probe into per-partition hash indexes, on one or more columns.
+    """Equality probe into hash indexes, on one or more columns.
 
     ``keys`` holds one ``(column, compiled key)`` pair per indexed equality
     conjunct the probe consumes, in conjunct order (see
     :func:`_probe_keys`); several keys intersect their buckets
-    (:func:`~repro.relalg.storage.probe_partition`).  Every key is
-    evaluated once per probe and counts one index lookup; a NULL or NaN key
-    matches nothing.  ``pruned`` marks probes with a key on the partition
-    column: they touch exactly one partition.
+    (:func:`~repro.relalg.storage.probe_rows`).  Every key is evaluated once
+    per probe and counts one index lookup; a NULL or NaN key matches
+    nothing.
 
-    The probed columns' :class:`~repro.relalg.storage.TableIndex` objects
+    The probed columns' :class:`~repro.relalg.storage.HashIndex` objects
     are resolved once per plan (``resolved`` pairs each column with its
-    index, ``parts_of`` holds their per-partition index lists) and
-    revalidated by identity at every probe, since direct
-    ``Table.drop_index`` / ``create_index`` calls bypass the plan cache's
-    schema epochs: a re-created index is resolved again and used, and if a
-    probed index has disappeared the level scans and applies its conjuncts
-    in their original order (:attr:`_Level.fallback_filters`).
+    index, ``indexes`` lists them in key order) and revalidated by identity
+    at every probe, since direct ``Table.drop_index`` / ``create_index``
+    calls bypass the plan cache's schema epochs: a re-created index is
+    resolved again and used, and if a probed index has disappeared the
+    level scans and applies its conjuncts in their original order
+    (:attr:`_Level.fallback_filters`).
     """
 
-    __slots__ = ("keys", "columns", "pruned", "resolved", "parts_of")
+    __slots__ = ("keys", "columns", "resolved", "indexes")
     kind = "index-probe"
 
-    def __init__(
-        self, keys: List[Tuple[str, RowFn]], pruned: bool, table: Table
-    ) -> None:
+    def __init__(self, keys: List[Tuple[str, RowFn]], table: Table) -> None:
         self.keys = keys
         self.columns = [column for column, _key in keys]
-        self.pruned = pruned
         # The planner probes indexed columns only.
         self._bind([table.indexes[column] for column in self.columns])
 
-    def _bind(self, table_indexes: List[Any]) -> None:
-        self.resolved = tuple(zip(self.columns, table_indexes))
-        self.parts_of = [table_index.parts for table_index in table_indexes]
+    def _bind(self, indexes: List[Any]) -> None:
+        self.resolved = tuple(zip(self.columns, indexes))
+        self.indexes = indexes
 
     def open(self, level, index, row, ctx):
         table = level.table
         indexes = table.indexes
-        if len(self.keys) == 1 and table.n_partitions == 1:
-            # The hot single-partition one-key probe, without the partition
-            # routing.
+        if len(self.keys) == 1:
+            # The hot one-key probe.
             column, key_fn = self.keys[0]
             table_index = indexes.get(column)
             if table_index is None:
-                return table.scan_chunks(), level.fallback_filters
+                return table.live(), level.fallback_filters
             key = key_fn(row, ctx)
             ctx.stats.index_lookups += 1
             if matches_nothing(key):
                 return (), level.filters
-            matches = table_index.parts[0].live_rows(
-                key, table.partitions[0].rows
-            )
-            return ((None, matches),), level.filters
+            return table_index.live_rows(key, table.rows), level.filters
         for column, table_index in self.resolved:
             if indexes.get(column) is not table_index:
                 current = [indexes.get(column) for column in self.columns]
                 if None in current:
-                    return table.scan_chunks(), level.fallback_filters
+                    return table.live(), level.fallback_filters
                 self._bind(current)
                 break
         stats = ctx.stats
         keys = []
         nothing = False
-        for column, key_fn in self.keys:
+        for _column, key_fn in self.keys:
             key = key_fn(row, ctx)
             stats.index_lookups += 1
             if matches_nothing(key):
                 nothing = True
-            keys.append((column, key))
+            keys.append(key)
         if nothing:
             return (), level.filters
-        if table.n_partitions == 1:
-            # Partition.rows is read here, at probe time: compaction
-            # replaces the list.
-            matches = probe_partition(
-                self.parts_of, keys, 0, table.partitions[0].rows
-            )
-            return ((None, matches),), level.filters
-        return table.probe_partitions(self.parts_of, keys), level.filters
+        # Table.rows is read here, at probe time: compaction replaces the
+        # list.
+        return probe_rows(self.indexes, keys, table.rows), level.filters
 
 
 class HashJoinBuild(AccessPath):
-    """Build a transient hash table (partition by partition) and probe it.
+    """Build a transient hash table over the table and probe it.
 
     The table is built lazily, on the level's first probe of an execution.
     """
@@ -272,13 +255,11 @@ class HashJoinBuild(AccessPath):
         ctx.stats.hash_probes += 1
         if matches_nothing(key):
             return (), level.filters
-        # Probe hits are point reads: partition attribution applies to the
-        # build scan (already charged), not to the hits.
-        return ((None, hash_table.get(key, ())),), level.filters
+        return hash_table.get(key, ()), level.filters
 
 
 class RangeProbe(AccessPath):
-    """Bisect an ordered index's sorted runs with a sargable range predicate.
+    """Bisect an ordered index's sorted run with a sargable range predicate.
 
     ``lo``/``hi`` are the compiled bound expressions (``None`` = unbounded on
     that side), ``lo_incl``/``hi_incl`` their inclusivity.  When the
@@ -319,7 +300,7 @@ class RangeProbe(AccessPath):
                 # the probe matches nothing.
                 ctx.stats.range_probes += 1
                 return (), level.filters
-            ranged = table.range_chunks(
+            ranged = table.range_rows(
                 self.column, lo, self.lo_incl, hi, self.hi_incl
             )
             if ranged is not None:
@@ -329,10 +310,10 @@ class RangeProbe(AccessPath):
         # incomparable with the stored column: the filtered scan reproduces
         # the reference engine's per-row semantics, comparison errors
         # included.
-        return table.scan_chunks(), level.fallback_filters
+        return table.live(), level.fallback_filters
 
 
-_SCAN = PartitionScan()
+_SCAN = TableScan()
 
 
 class _Level:
@@ -475,13 +456,13 @@ class QueryPlan(Record):
         #: tests compare physical counters only when this holds.
         self.follows_syntactic_order = follows_syntactic_order
         #: Whether the plan runs its batch rungs: the driving level is a
-        #: :class:`PartitionScan` whose residual filters all batch-compiled (see
+        #: :class:`TableScan` whose residual filters all batch-compiled (see
         #: :func:`~repro.relalg.compile.compile_batch_predicate`).  Decided at
         #: plan time; execution still needs ``vectorized=True`` to opt in.
         #: The driving scan reads columnar chunks only when a batch predicate
         #: (:attr:`vector_filter`) or the batch hash-join probe
         #: (:attr:`vector_join_key`) consumes them; a scan with neither
-        #: streams the partition rows through the level loop.
+        #: streams the table's rows through the level loop.
         self.vector_eligible = vector_eligible
         #: The compiled batch predicate over the driving level's chunks
         #: (``None`` when the driving level has no filters, or is ineligible).
@@ -514,8 +495,8 @@ class QueryPlan(Record):
         self.analysis_report = analysis_report
         #: ORDER BY + LIMIT pushed onto index order: ``(column, ascending)``
         #: when the single sort key is an ordered-indexed column of a
-        #: single-level scan plan — execution k-way merges the per-partition
-        #: sorted runs and stops after ``limit + offset`` surviving rows,
+        #: single-level scan plan — execution walks the index's sorted run
+        #: and stops after ``limit + offset`` surviving rows,
         #: instead of scanning everything and sorting.  Mode-independent, so
         #: every engine mode reports identical counters.
         self.index_order = index_order
@@ -621,8 +602,7 @@ class QueryPlan(Record):
         """Plan shape for EXPLAIN, tests and debugging.
 
         One entry per join level, in execution order: the access path, the
-        residual filter count, the partition layout (and whether an index
-        probe is partition-pruned) and the plan-time cardinality estimates
+        residual filter count and the plan-time cardinality estimates
         (``estimated_rows`` per outer row, ``estimated_cardinality``
         cumulative).
         """
@@ -630,18 +610,13 @@ class QueryPlan(Record):
         cumulative = 1.0
         for level in self.levels:
             cumulative *= max(level.estimate, 0.0)
-            access = level.access
             described.append(
                 {
                     "binding": level.binding,
                     "table": level.table.name,
-                    "access": access.kind,
+                    "access": level.access.kind,
                     "column": level.access_column,
                     "filters": len(level.filters),
-                    "partitions": level.table.n_partitions,
-                    "pruned": (
-                        type(access) is IndexProbe and access.pruned
-                    ),
                     "estimated_rows": round(level.estimate, 3),
                     "estimated_cardinality": round(cumulative, 3),
                 }
@@ -657,21 +632,19 @@ class QueryPlan(Record):
 
         The one enumeration loop of the compiled engine: the plan's chain of
         level loops (see :func:`_level_loops`), built at its first
-        execution.  Each level asks its access path for ``(pid, rows)``
-        candidate chunks (see :meth:`AccessPath.open`), binds every
-        candidate into the slot row, applies the level's filters and
-        descends; a chunk's scan work is charged to ``rows_scanned`` and,
-        when ``pid`` is not ``None``, to
-        :attr:`QueryStats.partition_rows_scanned`.
+        execution.  Each level asks its access path for candidate rows (see
+        :meth:`AccessPath.open`), binds every candidate into the slot row,
+        applies the level's filters and descends; the candidates it read are
+        charged to ``rows_scanned``.
 
-        ``driving`` — ``(pid, surviving rows, scanned count)`` triples in
-        partition order — replaces the first level's scan entirely: the
-        vectorized chunk scan or the index-order merge already scanned and
-        filtered the driving table, so this level only charges the reported
-        scan work (per partition, exactly as a local scan would) and hands
-        each surviving row to the second level's loop — or, with
-        ``batch_join``, probes the inner hash join a whole chunk at a time
-        (see :meth:`_batch_join`).
+        ``driving`` — ``(surviving rows, scanned count)`` pairs in storage
+        order — replaces the first level's scan entirely: the vectorized
+        chunk scan or the index-order walk already scanned and filtered the
+        driving table, so this level only charges the reported scan work
+        (exactly as a row-at-a-time scan would) and hands each surviving
+        row to the second level's loop — or, with ``batch_join``, probes
+        the inner hash join a whole chunk at a time (see
+        :meth:`_batch_join`).
         """
         loops = self._loops
         if loops is None:
@@ -682,14 +655,13 @@ class QueryPlan(Record):
         if driving is None:
             loops[0](row, ctx, out)
         else:
-            pscan = stats.partition_rows_scanned
             offset, end = self.levels[0].offset, self.levels[0].end
             join_chunk = (
                 self._batch_join(ctx, out.append) if batch_join else None
             )
             descend = loops[1] if len(loops) > 1 else None
             total = 0
-            for pid, survivors, scanned in driving:
+            for survivors, scanned in driving:
                 if join_chunk is not None:
                     join_chunk(survivors)
                 elif descend is None:
@@ -698,8 +670,6 @@ class QueryPlan(Record):
                     for candidate in survivors:
                         row[offset:end] = candidate
                         descend(row, ctx, out)
-                if scanned and pid is not None:
-                    pscan[pid] = pscan.get(pid, 0) + scanned
                 total += scanned
             stats.rows_scanned += total
         # Every fully joined slot row passed all its predicates en route.
@@ -710,80 +680,40 @@ class QueryPlan(Record):
         """ORDER BY + LIMIT pushdown over the driving ordered index.
 
         Single-level plans whose lone sort key is an ordered-indexed column
-        (:attr:`index_order`) enumerate in index order via a k-way merge of
-        the per-partition sorted runs and stop after ``limit + offset``
-        surviving rows — replacing the full scan *and* the sort.  Equal sort
-        keys come out in partition-major storage order, ascending and
-        descending alike, exactly where the stable full sort of a
-        partition-major scan places them; NULLs sort last ascending / first
-        descending, in scan order.
+        (:attr:`index_order`) enumerate in index order by walking the
+        index's sorted run and stop after ``limit + offset`` surviving rows
+        — replacing the full scan *and* the sort.  Equal sort keys come out
+        in storage order, ascending and descending alike, exactly where the
+        stable full sort of a scan places them; NULLs sort last ascending /
+        first descending, in scan order.
 
-        Returns a driving chunk stream for :meth:`_enumerate` — one
-        ``(pid, survivors, 1)`` triple per visited row, filters already
-        applied — or ``None`` to fall back to the scan-then-sort path when
-        the index was dropped behind the plan cache's back or any partition
-        holds NaN values (their full-sort placement depends on failed
-        comparisons the merge cannot reproduce).
+        Returns a driving stream for :meth:`_enumerate` — one ``(survivors,
+        1)`` pair per visited row, filters already applied — or ``None`` to
+        fall back to the scan-then-sort path when the index was dropped
+        behind the plan cache's back or holds NaN values (their full-sort
+        placement depends on failed comparisons the walk cannot reproduce).
         """
         column, ascending = self.index_order
         level = self.levels[0]
         table = level.table
-        table_index = table.ordered_index_for(column)
-        if table_index is None:
+        index = table.ordered_index_for(column)
+        if index is None or index.nans:
             return None
-        parts = table_index.parts
-        if any(part.nans for part in parts):
-            return None
-
-        def run_stream(pid: int):
-            for value, position in parts[pid].run:
-                yield value, pid, position
-
-        def run_stream_desc(pid: int):
-            # Walk values descending but emit each equal-value block in
-            # forward storage order (what a stable descending sort yields).
-            run = parts[pid].run
-            j = len(run)
-            while j:
-                value = run[j - 1][0]
-                i = j - 1
-                while i and run[i - 1][0] == value:
-                    i -= 1
-                for k in range(i, j):
-                    yield run[k][0], pid, run[k][1]
-                j = i
-
-        n_parts = len(parts)
-        # heapq.merge resolves equal keys to the earliest input stream —
-        # partition order — matching the stable sort's tie placement.
+        nulls = sorted(index.nulls)
         if ascending:
-            ordered = _heap_merge(
-                *(run_stream(pid) for pid in range(n_parts)),
-                key=itemgetter(0),
+            positions = chain(
+                (position for _value, position in index.run), nulls
             )
         else:
-            ordered = _heap_merge(
-                *(run_stream_desc(pid) for pid in range(n_parts)),
-                key=itemgetter(0),
-                reverse=True,
-            )
-        nulls = (
-            (None, pid, position)
-            for pid in range(n_parts)
-            for position in sorted(parts[pid].nulls)
-        )
-        candidates = (
-            chain(ordered, nulls) if ascending else chain(nulls, ordered)
-        )
-        partitions = table.partitions
-        multi = table.n_partitions > 1
+            positions = chain(nulls, _descending_positions(index.run))
+        rows = table.rows
         filters = level.filters
         needed = (self.limit or 0) + (self.offset or 0)
 
         def chunks():
             kept = 0
-            for _value, pid, position in candidates:
-                stored = partitions[pid].rows[position]
+            for position in positions:
+                stored = rows[position]
                 if stored is None:
                     continue  # defensive: the index drops deleted rows eagerly
                 for predicate in filters:
@@ -793,53 +723,45 @@ class QueryPlan(Record):
                 else:
                     survivors = (stored,)
                     kept += 1
-                yield (pid if multi else None), survivors, 1
+                yield survivors, 1
                 if survivors and kept >= needed:
                     return
 
         return chunks()
 
     def _vector_chunks(self, ctx: ExecContext):
-        """Vectorized driving scan: yield ``(pid, survivors, scanned)``.
+        """Vectorized driving scan: yield ``(survivors, scanned)`` pairs.
 
-        One triple per columnar chunk of the driving table, in partition
-        order, consumed by the ``driving`` seam of :meth:`_enumerate`, so
-        the work accounting is charged as a row-at-a-time scan charges it.
-        ``pid`` is ``None`` for single-partition driving tables (no
-        per-partition attribution, like the row-at-a-time scan).  A chunk
+        One pair per columnar chunk of the driving table, in storage order,
+        consumed by the ``driving`` seam of :meth:`_enumerate`, so the work
+        accounting is charged as a row-at-a-time scan charges it.  A chunk
         whose batch predicate raises is replayed through the level's row
         filters (see :func:`filter_rows`), which raise the row engine's
-        error.  Only plans whose chunks feed a
-        batch predicate or the batch hash-join probe scan this way; without
-        a predicate (a batch join's driving scan) every chunk survives
-        whole.
+        error.  Only plans whose chunks feed a batch predicate or the batch
+        hash-join probe scan this way; without a predicate (a batch join's
+        driving scan) every chunk survives whole.
         """
         level = self.levels[0]
-        table = level.table
         predicate = self.vector_filter
-        multi = table.n_partitions > 1
-        chunk_rows = storage.CHUNK_ROWS
-        for pid in range(table.n_partitions):
-            out_pid = pid if multi else None
-            for block, cols in table.partitions[pid].column_chunks(chunk_rows):
-                scanned = len(block)
-                if predicate is None:
-                    survivors: List[Tuple[Any, ...]] = block
+        for block, cols in level.table.column_chunks(storage.CHUNK_ROWS):
+            scanned = len(block)
+            if predicate is None:
+                survivors: List[Tuple[Any, ...]] = block
+            else:
+                try:
+                    sel = predicate(cols, scanned, ctx)
+                except Exception:  # lint: allow-broad-except
+                    # The batch predicate is pure, so the row filters can
+                    # replay the chunk and raise the row error.
+                    survivors = filter_rows(
+                        block, level.filters, ctx, level.offset,
+                        level.end, self.layout.width,
+                    )
                 else:
-                    try:
-                        sel = predicate(cols, scanned, ctx)
-                    except Exception:  # lint: allow-broad-except
-                        # The batch predicate is pure, so the row filters
-                        # can replay the chunk and raise the row error.
-                        survivors = filter_rows(
-                            block, level.filters, ctx, level.offset,
-                            level.end, self.layout.width,
-                        )
-                    else:
-                        survivors = (
-                            block if sel is None else [block[i] for i in sel]
-                        )
-                yield out_pid, survivors, scanned
+                    survivors = (
+                        block if sel is None else [block[i] for i in sel]
+                    )
+            yield survivors, scanned
 
     def _batch_join(self, ctx: ExecContext, append):
         """Batch hash-join probing of pre-filtered driving chunks.
@@ -1005,42 +927,35 @@ def _level_loop(
     offset, end = level.offset, level.end
 
     def loop(row, ctx, out):
-        chunks, filters = open_level(level, index, row, ctx)
-        stats = ctx.stats
+        candidates, filters = open_level(level, index, row, ctx)
         append = out.append
-        total = 0
-        for pid, candidates in chunks:
-            scanned = 0
-            if whole:
-                if filters:
-                    for candidate in candidates:
-                        scanned += 1
-                        for predicate in filters:
-                            if not predicate(candidate, ctx):
-                                break
-                        else:
-                            append(candidate)
-                else:
-                    before = len(out)
-                    out.extend(candidates)
-                    scanned = len(out) - before
-            else:
+        scanned = 0
+        if whole:
+            if filters:
                 for candidate in candidates:
                     scanned += 1
-                    row[offset:end] = candidate
                     for predicate in filters:
-                        if not predicate(row, ctx):
+                        if not predicate(candidate, ctx):
                             break
                     else:
-                        if descend is None:
-                            append(tuple(row))
-                        else:
-                            descend(row, ctx, out)
-            if scanned and pid is not None:
-                pscan = stats.partition_rows_scanned
-                pscan[pid] = pscan.get(pid, 0) + scanned
-            total += scanned
-        stats.rows_scanned += total
+                        append(candidate)
+            else:
+                before = len(out)
+                out.extend(candidates)
+                scanned = len(out) - before
+        else:
+            for candidate in candidates:
+                scanned += 1
+                row[offset:end] = candidate
+                for predicate in filters:
+                    if not predicate(row, ctx):
+                        break
+                else:
+                    if descend is None:
+                        append(tuple(row))
+                    else:
+                        descend(row, ctx, out)
+        ctx.stats.rows_scanned += scanned
 
     return loop
 
@@ -1076,24 +991,35 @@ def filter_rows(
 def _build_hash_table(
     table: Table, col_index: int, stats: QueryStats
 ) -> Dict[Any, List[Tuple[Any, ...]]]:
-    """Build one hash-join table, scanning partition by partition.
+    """Build one hash-join table from a scan of ``table``.
 
-    Partition-major build order keeps every bucket's candidate list in the
-    exact order a sequential full scan would produce.
+    Storage-order build keeps every bucket's candidate list in the exact
+    order a full scan would produce.
     """
-    pscan = stats.partition_rows_scanned
     hash_table: Dict[Any, List[Tuple[Any, ...]]] = {}
-    for pid, rows_iter in table.scan_chunks():
-        built = 0
-        for stored in rows_iter:
-            built += 1
-            value = stored[col_index]
-            if value is not None:
-                hash_table.setdefault(value, []).append(stored)
-        if built and pid is not None:
-            pscan[pid] = pscan.get(pid, 0) + built
-        stats.rows_scanned += built
+    built = 0
+    for stored in table.live():
+        built += 1
+        value = stored[col_index]
+        if value is not None:
+            hash_table.setdefault(value, []).append(stored)
+    stats.rows_scanned += built
     return hash_table
+
+
+def _descending_positions(run: List[Tuple[Any, int]]) -> Iterator[int]:
+    """The positions of a sorted ``(value, position)`` run, values
+    descending, each block of equal values in forward storage order (what a
+    stable descending sort yields)."""
+    j = len(run)
+    while j:
+        value = run[j - 1][0]
+        i = j - 1
+        while i and run[i - 1][0] == value:
+            i -= 1
+        for k in range(i, j):
+            yield run[k][1]
+        j = i
 
 
 # --------------------------------------------------------------------------- #
@@ -1164,16 +1090,16 @@ def _plan_select(
     columns = _output_columns(statement, bindings)
 
     # Vectorized drive mode: decided here, once, behind the access-path seam.
-    # Eligible iff the driving level is a plain partition scan and every one
+    # Eligible iff the driving level is a plain table scan and every one
     # of its residual filters batch-compiles (no subqueries, no references
     # outside the driving binding).  Everything else — and the inner join
     # levels always — keeps the row-at-a-time loops.  An eligible driving
     # scan reads columnar chunks only for a batch predicate or the batch
-    # join probe below; without either it streams the partition's rows.
+    # join probe below; without either it streams the table's rows.
     vector_eligible = False
     vector_filter = None
     report: Dict[str, str] = {}
-    if not levels or type(levels[0].access) is not PartitionScan:
+    if not levels or type(levels[0].access) is not TableScan:
         kind = levels[0].access.kind if levels else "none"
         report["scan"] = f"row-at-a-time (driving access is {kind})"
     else:
@@ -1289,7 +1215,7 @@ def _plan_select(
         and not statement.distinct
         and not statement.is_aggregate_query
         and len(levels) == 1
-        and type(levels[0].access) is PartitionScan
+        and type(levels[0].access) is TableScan
     ):
         order_kind, payload, ascending = order_spec[0]
         slot: Optional[int] = None
@@ -1321,6 +1247,8 @@ def _plan_select(
         report["top-k"] = (
             f"index-order merge (ordered index on {index_order[0]})"
         )
+    elif not vector_eligible:
+        report["top-k"] = "full sort (driving scan is row-at-a-time)"
     else:
         report["top-k"] = "vectorized (bounded heap)"
 
@@ -1909,10 +1837,6 @@ def _plan_levels(
                      compile_row_expr(key_expr, layout, plan_subquery))
                     for column, key_expr, _used in probe_keys
                 ],
-                pruned=table.n_partitions > 1 and any(
-                    column.lower() == table.partition_column
-                    for column, _key_expr, _used in probe_keys
-                ),
                 table=table,
             )
             consumed = [used for _column, _key_expr, used in probe_keys]

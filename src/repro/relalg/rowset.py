@@ -39,8 +39,7 @@ class QueryStats(Record):
     ``index_lookups``
         probes into a secondary hash index;
     ``range_probes``
-        bisections of an ordered index's sorted run (one per partition run
-        visited by a range predicate);
+        bisections of an ordered index's sorted run (one per range probe);
     ``hash_probes``
         probes into a transient hash-join table built for one execution;
     ``rows_joined``
@@ -60,21 +59,15 @@ class QueryStats(Record):
     nested subquery evaluations a replay re-charges, so ``subqueries -
     subquery_replays`` is the number of subquery plans actually executed.
 
-    ``partition_rows_scanned`` breaks the scan work down per storage
-    partition (partition id → rows scanned there).  Executors only fill it
-    for tables with more than one partition — an empty mapping means "all
-    work in partition 0", which keeps single-partition statement counters
-    byte-identical to the historical (and interpreted-engine) values.  It
-    and ``subquery_replays`` are excluded from equality so differential stat
+    ``subquery_replays`` is excluded from equality so differential stat
     comparisons between engines stay meaningful.
     """
 
     __slots__ = (
         "rows_scanned", "index_lookups", "range_probes", "rows_joined",
-        "rows_returned", "subqueries", "hash_probes", "partition_rows_scanned",
-        "subquery_replays",
+        "rows_returned", "subqueries", "hash_probes", "subquery_replays",
     )
-    _uncompared = _unshown = ("partition_rows_scanned", "subquery_replays")
+    _uncompared = _unshown = ("subquery_replays",)
 
     def __init__(
         self,
@@ -85,7 +78,6 @@ class QueryStats(Record):
         rows_returned: int = 0,
         subqueries: int = 0,
         hash_probes: int = 0,
-        partition_rows_scanned: Optional[Dict[int, int]] = None,
         subquery_replays: int = 0,
     ) -> None:
         self.rows_scanned = rows_scanned
@@ -95,9 +87,6 @@ class QueryStats(Record):
         self.rows_returned = rows_returned
         self.subqueries = subqueries
         self.hash_probes = hash_probes
-        self.partition_rows_scanned = (
-            {} if partition_rows_scanned is None else partition_rows_scanned
-        )
         self.subquery_replays = subquery_replays
 
     def merge(self, other: "QueryStats") -> None:
@@ -113,10 +102,6 @@ class QueryStats(Record):
         self.subqueries += other.subqueries
         self.subquery_replays += other.subquery_replays
         self.hash_probes += other.hash_probes
-        if other.partition_rows_scanned:
-            target = self.partition_rows_scanned
-            for pid, scanned in other.partition_rows_scanned.items():
-                target[pid] = target.get(pid, 0) + scanned
 
 
 class ResultSet(Record):

@@ -457,8 +457,7 @@ class CreateTableStatement(Record):
 
 class CreateIndexStatement(Record):
     #: ``ordered`` (``CREATE INDEX ... ORDERED``): additionally maintain a
-    #: sorted run per partition so range predicates and ORDER BY can use
-    #: index order.
+    #: sorted run so range predicates and ORDER BY can use index order.
     __slots__ = ("name", "table", "column", "ordered")
 
     def __init__(self, name: str, table: str, column: str, ordered: bool = False) -> None:

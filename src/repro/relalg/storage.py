@@ -1,20 +1,9 @@
-"""Partitioned row storage and secondary indexes.
+"""Row storage and secondary indexes.
 
-Every table is hash-partitioned by its primary key: a :class:`Table` owns
-``n_partitions`` independent :class:`Partition` objects, each holding its own
-row list and its own per-partition :class:`HashIndex` instances.  The default
-``n_partitions=1`` preserves the historical single-partition behaviour
-byte-for-byte (positions, scan order, index views); higher partition counts
-give the executor independently scannable shards — the seam the partitioned
-access paths in :mod:`repro.relalg.planner` (``PartitionScan``, partition-
-pruned ``IndexProbe``, per-partition ``HashJoinBuild``) iterate over.
-
-Partition assignment is deterministic (:func:`stable_hash`, independent of
-``PYTHONHASHSEED``) and keyed by the primary key: a single-column primary key
-partitions by its value — which is what makes *partition pruning* possible
-(an indexed PK equality touches exactly one partition) — a composite primary
-key partitions by the tuple of its values, and a table without a primary key
-partitions by the whole row.
+A :class:`Table` holds one row list, one live-row count, one columnar chunk
+cache and one :class:`HashIndex` (:class:`OrderedHashIndex` for ``CREATE
+INDEX ... ORDERED``) per indexed column.  A row's position is its offset in
+the row list; index buckets hold positions.
 
 Two implementation choices keep the hot probe path allocation-free and the
 mutation path O(1):
@@ -22,20 +11,19 @@ mutation path O(1):
 * index buckets are insertion-ordered dicts ``position → None``, so
   :meth:`HashIndex.add` and :meth:`HashIndex.remove` are O(1) and
   :meth:`HashIndex.lookup` returns a *read-only view* over the bucket instead
-  of copying a list per probe (positions are partition-local);
+  of copying a list per probe;
 * deleted rows leave tombstones (``None`` entries) that scans skip; once
-  tombstones dominate a partition, that partition compacts *independently* —
-  it rewrites its row list and rebuilds its indexes without touching its
-  siblings, so a delete-heavy key range does not force a full-table rebuild.
+  tombstones dominate the row list, the table compacts — it rewrites its row
+  list and rebuilds its indexes.
 
-Cardinality statistics (:class:`TableStatistics`) are maintained on DML: live
-row counts per partition are exact counters, per-index distinct-key estimates
-derive from the live index buckets, and a monotonically increasing
-``mutations`` counter lets callers reason about the staleness of a snapshot
-they took earlier (the planner records its estimates at plan time; plans are
+Cardinality statistics (:class:`TableStatistics`) are maintained on DML: the
+live row count is an exact counter, per-index distinct-key estimates derive
+from the live index buckets, and a monotonically increasing ``mutations``
+counter lets callers reason about the staleness of a snapshot they took
+earlier (the planner records its estimates at plan time; plans are
 deliberately not invalidated by DML).
 
-Transactions hook in at this layer as **per-partition undo chains**
+Transactions hook in at this layer as an **undo chain**
 (:class:`Transaction`).  While a transaction is open (``Table.txn`` set by
 :class:`~repro.relalg.database.Database` on ``BEGIN``), DML applies directly
 — the transaction reads its own writes through the unchanged scan/probe
@@ -51,7 +39,6 @@ from __future__ import annotations
 
 import bisect
 import datetime as _dt
-import zlib
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.records import Record
@@ -63,29 +50,23 @@ __all__ = [
     "ColumnHistogram",
     "HashIndex",
     "OrderedHashIndex",
-    "Partition",
     "PositionsView",
     "Table",
-    "TableIndex",
     "TableStatistics",
     "Transaction",
     "gather_columns",
-    "probe_partition",
-    "stable_hash",
+    "probe_rows",
 ]
 
-#: Rows per columnar chunk (see :meth:`Partition.column_chunks`).  Large
-#: enough to amortise the per-chunk dispatch of the vectorized scan path,
-#: small enough that the per-column value lists of one chunk stay cache
-#: friendly.
+#: Rows per columnar chunk (see :meth:`Table.column_chunks`).  Large enough
+#: to amortise the per-chunk dispatch of the vectorized scan path, small
+#: enough that the per-column value lists of one chunk stay cache friendly.
 CHUNK_ROWS = 2048
 
-#: Compact a partition when at least this many tombstones have accumulated …
+#: Compact a table when at least this many tombstones have accumulated …
 _COMPACT_MIN_DEAD = 64
-#: … and they make up at least this fraction of the partition's row list.
+#: … and they make up at least this fraction of its row list.
 _COMPACT_DEAD_FRACTION = 0.5
-
-_HASH_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def gather_columns(
@@ -103,40 +84,6 @@ def gather_columns(
     for j in slots:
         cols[j] = [row[j] for row in rows]
     return cols
-
-
-def stable_hash(value: Any) -> int:
-    """A deterministic hash for partition assignment.
-
-    Unlike the builtin ``hash``, the result does not depend on
-    ``PYTHONHASHSEED`` for strings, timestamps or containers, so partition
-    layouts are reproducible across processes (the differential fuzzer and
-    the benchmark baselines rely on this).  Numeric cross-type equality is
-    preserved the way ``=`` sees it: ``3``, ``3.0`` and ``True``/``1`` land
-    in the same partition, so a pruned probe can never miss a matching row.
-    """
-    if value is None:
-        return 11
-    if isinstance(value, float) and value != value:
-        # NaN: hash(nan) is id-based on CPython 3.10+, and NaN never equals
-        # anything (so no probe can match it) — any fixed bucket will do.
-        return 0x7FF8
-    if isinstance(value, (bool, int, float)):
-        # CPython's numeric hash is unsalted and equal across int/float/bool
-        # for equal values — exactly the pruning contract.
-        return hash(value)
-    if isinstance(value, str):
-        return zlib.crc32(value.encode("utf-8"))
-    if isinstance(value, (tuple, list)):
-        acc = 0x345678
-        for item in value:
-            acc = ((acc * 1000003) ^ stable_hash(item)) & _HASH_MASK
-        return acc
-    if isinstance(value, _dt.datetime):
-        if value.tzinfo is not None:
-            value = value.astimezone(_dt.timezone.utc)
-        return zlib.crc32(value.isoformat().encode("utf-8"))
-    return zlib.crc32(repr(value).encode("utf-8"))
 
 
 class PositionsView:
@@ -199,15 +146,19 @@ def _bucket_key(value: Any) -> Any:
 
 
 class HashIndex:
-    """A hash index over one column of one partition.
+    """A hash index over one column of a table.
 
-    Positions are partition-local row-list offsets; cross-partition access
-    goes through the owning :class:`TableIndex`.
+    Positions are offsets into the table's row list; ``column_index`` is the
+    indexed column's offset in a row (the table sets it).
     """
 
-    def __init__(self, name: str, column: str) -> None:
+    #: Whether the index also keeps a sorted run (:class:`OrderedHashIndex`).
+    ordered = False
+
+    def __init__(self, name: str, column: str, column_index: int = 0) -> None:
         self.name = name
         self.column = column
+        self.column_index = column_index
         self._buckets: Dict[Any, Dict[int, None]] = {}
 
     def add(self, value: Any, position: int) -> None:
@@ -244,8 +195,8 @@ class HashIndex:
     def live_rows(
         self, value: Any, rows: List[Optional[Tuple[Any, ...]]]
     ) -> List[Tuple[Any, ...]]:
-        """The live rows of ``rows`` (this index's partition row list) whose
-        indexed column equals ``value``, in position order."""
+        """The live rows of ``rows`` (the table's row list) whose indexed
+        column equals ``value``, in position order."""
         bucket = self._buckets.get(value)
         if bucket is None:
             return []
@@ -284,42 +235,40 @@ class HashIndex:
         bucket.update(rebuilt)
 
     def clear(self) -> None:
-        """Drop every entry (used when the owning partition compacts)."""
+        """Drop every entry (used when the table compacts)."""
         self._buckets.clear()
 
     def distinct_count(self) -> int:
-        """Number of distinct indexed keys currently live in this partition."""
+        """Number of distinct indexed keys currently live."""
         return len(self._buckets)
 
     def __len__(self) -> int:
         return sum(len(positions) for positions in self._buckets.values())
 
 
-def probe_partition(
-    parts_of: Sequence[List[HashIndex]],
-    keys: Sequence[Tuple[str, Any]],
-    pid: int,
+def probe_rows(
+    indexes: Sequence[HashIndex],
+    keys: Sequence[Any],
     rows: List[Optional[Tuple[Any, ...]]],
 ) -> List[Tuple[Any, ...]]:
-    """The live rows of partition ``pid`` whose positions lie in the bucket
-    of every key, in position order.
+    """The live rows whose positions lie in the bucket of every key, in
+    position order.
 
-    ``parts_of[i]`` are the per-partition indexes of ``keys[i]``'s column
-    and ``rows`` is the partition's row list.  Several keys walk the
-    smallest bucket and keep the positions present in all the others.
-    Buckets iterate in ascending position (see :meth:`HashIndex.restore`),
-    so the result is ordered exactly like a filtered read of any one of the
-    buckets.  The one intersection rule of every engine: the interpreter
-    reaches it through :meth:`Table.probe_chunks`, the compiled engine's
-    index probes with their per-plan index resolution.
+    ``keys[i]`` is looked up in ``indexes[i]`` and ``rows`` is the table's
+    row list.  Several keys walk the smallest bucket and keep the positions
+    present in all the others.  Buckets iterate in ascending position (see
+    :meth:`HashIndex.restore`), so the result is ordered exactly like a
+    filtered read of any one of the buckets.  The one intersection rule of
+    every engine: the interpreter reaches it through :meth:`Table.probe`,
+    the compiled engine's index probes with their per-plan index resolution.
     """
     if len(keys) == 1:
-        return parts_of[0][pid].live_rows(keys[0][1], rows)
+        return indexes[0].live_rows(keys[0], rows)
     if len(keys) == 2:
-        smallest = parts_of[0][pid]._buckets.get(keys[0][1])
+        smallest = indexes[0]._buckets.get(keys[0])
         if not smallest:
             return []
-        other = parts_of[1][pid]._buckets.get(keys[1][1])
+        other = indexes[1]._buckets.get(keys[1])
         if not other:
             return []
         if len(other) < len(smallest):
@@ -329,8 +278,8 @@ def probe_partition(
             if position in other and (stored := rows[position]) is not None
         ]
     buckets: List[Dict[int, None]] = []
-    for parts, (_column, key) in zip(parts_of, keys):
-        bucket = parts[pid]._buckets.get(key)
+    for index, key in zip(indexes, keys):
+        bucket = index._buckets.get(key)
         if not bucket:
             return []
         buckets.append(bucket)
@@ -344,29 +293,31 @@ def probe_partition(
     ]
 
 
-#: Sentinel greater than any partition-local position; ``(value, _AFTER_LAST)``
-#: sorts after every real ``(value, position)`` run entry.
+#: Sentinel greater than any position; ``(value, _AFTER_LAST)`` sorts after
+#: every real ``(value, position)`` run entry.
 _AFTER_LAST = float("inf")
 
 
 class OrderedHashIndex(HashIndex):
     """A hash index that additionally maintains a sorted run of its entries.
 
-    ``run`` is the partition's live ``(value, position)`` pairs sorted by
-    value, with ties broken by position (the tuple order); range predicates
-    bisect it instead of scanning.  NULL and NaN values are kept out of the
-    run — they would poison ``bisect``'s total-order assumption, and neither
-    can ever satisfy a range predicate (``col > x`` is UNKNOWN for NULL and
-    false for NaN) — and tracked in the ``nulls``/``nans`` position sets
-    instead so ORDER BY pushdown can still place those rows.
+    ``run`` is the table's live ``(value, position)`` pairs sorted by value,
+    with ties broken by position (the tuple order); range predicates bisect
+    it instead of scanning.  NULL and NaN values are kept out of the run —
+    they would poison ``bisect``'s total-order assumption, and neither can
+    ever satisfy a range predicate (``col > x`` is UNKNOWN for NULL and false
+    for NaN) — and tracked in the ``nulls``/``nans`` position sets instead so
+    ORDER BY pushdown can still place those rows.
 
     Equality probes, bucket iteration order and
     :func:`~repro.relalg.wal.state_fingerprint` are untouched: the inherited
     ``_buckets`` mapping is maintained exactly as in :class:`HashIndex`.
     """
 
-    def __init__(self, name: str, column: str) -> None:
-        super().__init__(name, column)
+    ordered = True
+
+    def __init__(self, name: str, column: str, column_index: int = 0) -> None:
+        super().__init__(name, column, column_index)
         self.run: List[Tuple[Any, int]] = []
         self.nulls: Dict[int, None] = {}
         self.nans: Dict[int, None] = {}
@@ -413,7 +364,7 @@ class OrderedHashIndex(HashIndex):
 
         ``None`` bounds are unbounded on that side.  Callers must pre-check
         that non-``None`` bounds are comparable with the run's value class
-        (see :meth:`Table.range_chunks`) — ``bisect`` on an incomparable
+        (see :meth:`Table.range_rows`) — ``bisect`` on an incomparable
         bound would raise a raw ``TypeError`` mid-probe.
         """
         run = self.run
@@ -432,162 +383,8 @@ class OrderedHashIndex(HashIndex):
         return run[start:end]
 
 
-class Partition:
-    """One shard of a table: a row list plus per-partition hash indexes."""
-
-    __slots__ = ("rows", "live_count", "indexes", "_chunks", "_chunk_size")
-
-    def __init__(self) -> None:
-        self.rows: List[Optional[Tuple[Any, ...]]] = []
-        self.live_count = 0
-        #: lowered column name → partition-local :class:`HashIndex`.
-        self.indexes: Dict[str, HashIndex] = {}
-        #: Lazily built columnar chunk cache (see :meth:`column_chunks`);
-        #: ``None`` whenever the row list has mutated since the last build.
-        self._chunks: Optional[
-            List[Tuple[List[Tuple[Any, ...]], List[List[Any]]]]
-        ] = None
-        self._chunk_size = 0
-
-    @property
-    def dead_count(self) -> int:
-        return len(self.rows) - self.live_count
-
-    def scan(self) -> Iterator[Tuple[Any, ...]]:
-        """Iterate over this partition's live rows in insertion order."""
-        for row in self.rows:
-            if row is not None:
-                yield row
-
-    def live(self) -> Iterable[Tuple[Any, ...]]:
-        """This partition's live rows in insertion order, to be read only:
-        the row list itself while it holds no tombstones, else
-        :meth:`scan`."""
-        rows = self.rows
-        if self.live_count == len(rows):
-            return rows
-        return self.scan()
-
-    def invalidate_chunks(self) -> None:
-        """Discard the columnar chunk cache (call after any row mutation)."""
-        self._chunks = None
-
-    def column_chunks(
-        self, chunk_size: int = CHUNK_ROWS,
-    ) -> List[Tuple[List[Tuple[Any, ...]], List[List[Any]]]]:
-        """Live rows as ``(row_block, column_lists)`` chunks, insertion order.
-
-        Each chunk covers at most ``chunk_size`` live rows; ``row_block`` is
-        the list of row tuples and ``column_lists[j][i] == row_block[i][j]``.
-        Tombstones are squeezed out at build time, so chunks see exactly the
-        rows :meth:`scan` would yield, in the same order.  The result is
-        cached until the next mutation (every DML/compaction/rollback path
-        calls :meth:`invalidate_chunks`); a different ``chunk_size`` forces a
-        rebuild.  Only a driving scan whose chunks feed a batch predicate or
-        the batch hash-join probe builds it; other scans stream :attr:`rows`.
-        """
-        chunks = self._chunks
-        if chunks is None or self._chunk_size != chunk_size:
-            live = [row for row in self.rows if row is not None]
-            chunks = []
-            for start in range(0, len(live), chunk_size):
-                block = live[start:start + chunk_size]
-                chunks.append(
-                    (block, [list(column) for column in zip(*block)])
-                )
-            self._chunks = chunks
-            self._chunk_size = chunk_size
-        return chunks
-
-    def compact(self, column_indexes: Dict[str, int]) -> int:
-        """Drop tombstones and rebuild this partition's indexes in place.
-
-        The :class:`HashIndex` objects are cleared and refilled (not
-        replaced), so :class:`TableIndex` facades that alias them stay valid.
-        """
-        dead = self.dead_count
-        if not dead:
-            return 0
-        self._chunks = None
-        self.rows = [row for row in self.rows if row is not None]
-        for index in self.indexes.values():
-            index.clear()
-        for position, row in enumerate(self.rows):
-            for key, index in self.indexes.items():
-                index.add(row[column_indexes[key]], position)
-        return dead
-
-    def maybe_compact(self, column_indexes: Dict[str, int]) -> int:
-        dead = self.dead_count
-        if dead >= _COMPACT_MIN_DEAD and (
-            dead >= len(self.rows) * _COMPACT_DEAD_FRACTION
-        ):
-            return self.compact(column_indexes)
-        return 0
-
-
-class TableIndex:
-    """A logical table index: one :class:`HashIndex` per partition.
-
-    For single-partition tables :meth:`lookup` delegates straight to the
-    partition's index (returning the same :class:`PositionsView` the
-    historical flat index returned).  For partitioned tables positions are
-    partition-local and therefore meaningless without their partition id, so
-    cross-partition reads must go through :meth:`Table.probe_chunks` /
-    :meth:`Table.lookup` — :meth:`lookup` refuses rather than return a shape
-    that looks like the single-partition one but is not.
-    """
-
-    __slots__ = ("name", "column", "column_index", "parts", "ordered")
-
-    def __init__(self, name: str, column: str, column_index: int,
-                 parts: List[HashIndex], ordered: bool = False) -> None:
-        self.name = name
-        self.column = column
-        self.column_index = column_index
-        self.parts = parts
-        #: Whether the per-partition parts are :class:`OrderedHashIndex`
-        #: instances maintaining sorted runs (``CREATE INDEX ... ORDERED``).
-        self.ordered = ordered
-
-    def lookup(self, value: Any) -> PositionsView:
-        if len(self.parts) == 1:
-            return self.parts[0].lookup(value)
-        raise SchemaError(
-            f"index {self.name!r} spans {len(self.parts)} partitions and its "
-            f"positions are partition-local; probe rows through "
-            f"Table.probe_chunks()/Table.lookup() instead"
-        )
-
-    def distinct_count(self, disjoint: bool = False) -> int:
-        """Distinct-key estimate from the live per-partition buckets.
-
-        ``disjoint=True`` sums the per-partition counts — exact when the
-        indexed column is the partition key (every key lives in exactly one
-        shard).  Otherwise a key may appear in several shards, so the sum
-        would *over*-count distinct keys and make probes look cheaper than
-        they are (``rows / distinct`` shrinks); the per-partition maximum is
-        a lower bound on the true distinct count, i.e. the conservative bias
-        for probe-cost estimates.
-        """
-        counts = [part.distinct_count() for part in self.parts]
-        if disjoint:
-            return sum(counts)
-        return max(counts, default=0)
-
-    def __len__(self) -> int:
-        return sum(len(part) for part in self.parts)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "ordered, " if self.ordered else ""
-        return (
-            f"TableIndex({self.name!r}, column={self.column!r}, "
-            f"{kind}partitions={len(self.parts)})"
-        )
-
-
 #: Buckets per equi-width histogram.  Small enough that building one is a
-#: handful of bisections per partition run, large enough that a selective
+#: handful of bisections of the sorted run, large enough that a selective
 #: range predicate lands in a fraction of one bucket.
 _HISTOGRAM_BUCKETS = 16
 
@@ -595,7 +392,7 @@ _HISTOGRAM_BUCKETS = 16
 class ColumnHistogram(Record):
     """An equi-width value histogram of one ordered-indexed numeric column.
 
-    Built from the live sorted runs (NULL/NaN values are excluded from
+    Built from the live sorted run (NULL/NaN values are excluded from
     ``total`` but still counted in ``table_rows``, so an interval selectivity
     correctly discounts rows that can never satisfy a range predicate).
     ``counts[i]`` covers ``[lo + i*width, lo + (i+1)*width)`` with the last
@@ -666,32 +463,27 @@ class TableStatistics(Record):
     with the live counter tells how stale the snapshot has become (e.g. after
     a DELETE-heavy workload ran against a plan whose estimates were recorded
     earlier).  ``index_distinct`` maps each lowered indexed column to its
-    distinct-key estimate across all partitions, ``histograms`` each lowered
-    ordered-indexed numeric column to its equi-width value histogram, and
-    ``ordered_columns`` lists the lowered column names carrying an ordered
-    index at snapshot time.
+    distinct-key count, ``histograms`` each lowered ordered-indexed numeric
+    column to its equi-width value histogram, and ``ordered_columns`` lists
+    the lowered column names carrying an ordered index at snapshot time.
     """
 
     __slots__ = (
-        "table", "n_partitions", "row_count", "partition_rows", "index_distinct",
-        "histograms", "ordered_columns", "mutations",
+        "table", "row_count", "index_distinct", "histograms",
+        "ordered_columns", "mutations",
     )
 
     def __init__(
         self,
         table: str,
-        n_partitions: int,
         row_count: int,
-        partition_rows: Optional[List[int]] = None,
         index_distinct: Optional[Dict[str, int]] = None,
         histograms: Optional[Dict[str, ColumnHistogram]] = None,
         ordered_columns: Optional[List[str]] = None,
         mutations: int = 0,
     ) -> None:
         self.table = table
-        self.n_partitions = n_partitions
         self.row_count = row_count
-        self.partition_rows = [] if partition_rows is None else partition_rows
         self.index_distinct = {} if index_distinct is None else index_distinct
         self.histograms = {} if histograms is None else histograms
         self.ordered_columns = [] if ordered_columns is None else ordered_columns
@@ -710,138 +502,117 @@ class Transaction:
     The database opens a transaction on ``BEGIN`` by pointing every table's
     ``txn`` attribute at one of these; the tables then push inverse records
     here as DML applies.  Records are kept in application order and undone in
-    reverse, grouped implicitly per partition (each record names its
-    partition — the per-partition undo chain):
+    reverse:
 
-    * ``("ins", table, pid, start, count)`` — ``count`` rows were appended to
-      partition ``pid`` starting at position ``start``.  Undo removes their
-      index entries and truncates the rows (reverse order guarantees they sit
-      at the tail when their record is reached).
-    * ``("del", table, pid, position, row)`` — ``row`` was tombstoned at
+    * ``("ins", table, start, count)`` — ``count`` rows were appended to
+      ``table`` starting at position ``start``.  Undo removes their index
+      entries and truncates the rows (reverse order guarantees they sit at
+      the tail when their record is reached).
+    * ``("del", table, position, row)`` — ``row`` was tombstoned at
       ``position``.  Undo restores the row, its index entries (at their
       original bucket slots) and the live count.
 
-    Tombstone compaction of the touched partitions is deferred to
+    Tombstone compaction of the touched tables is deferred to
     :meth:`commit`.
     """
 
-    __slots__ = ("txn_id", "undo", "_touched", "_mutations_before")
+    __slots__ = ("txn_id", "undo", "_touched")
 
     def __init__(self, txn_id: int) -> None:
         self.txn_id = txn_id
         self.undo: List[Tuple[Any, ...]] = []
-        #: id(table) → (table, set of touched partition ids).
-        self._touched: Dict[int, Tuple["Table", set]] = {}
-        self._mutations_before: Dict[int, int] = {}
+        #: id(table) → (table, its ``mutations`` counter before the first
+        #: staged write).
+        self._touched: Dict[int, Tuple["Table", int]] = {}
 
     # -- staging ----------------------------------------------------------------
 
-    def _touch(self, table: "Table", pid: int) -> None:
-        entry = self._touched.get(id(table))
-        if entry is None:
-            self._touched[id(table)] = (table, {pid})
-            self._mutations_before[id(table)] = table.mutations
-        else:
-            entry[1].add(pid)
+    def _touch(self, table: "Table") -> None:
+        if id(table) not in self._touched:
+            self._touched[id(table)] = (table, table.mutations)
 
-    def note_insert(self, table: "Table", pid: int, start: int, count: int) -> None:
-        self._touch(table, pid)
-        self.undo.append(("ins", table, pid, start, count))
+    def note_insert(self, table: "Table", start: int, count: int) -> None:
+        self._touch(table)
+        self.undo.append(("ins", table, start, count))
 
     def note_delete(
-        self, table: "Table", pid: int, position: int, row: Tuple[Any, ...]
+        self, table: "Table", position: int, row: Tuple[Any, ...]
     ) -> None:
-        self._touch(table, pid)
-        self.undo.append(("del", table, pid, position, row))
-
-    @property
-    def staged(self) -> bool:
-        """Whether the transaction has applied any uncommitted DML."""
-        return bool(self.undo)
+        self._touch(table)
+        self.undo.append(("del", table, position, row))
 
     # -- resolution -------------------------------------------------------------
 
     def commit(self) -> None:
         """Publish the staged state: run the deferred compaction."""
-        for table, pids in self._touched.values():
-            column_indexes = table._index_column_map()
-            for pid in sorted(pids):
-                table.partitions[pid].maybe_compact(column_indexes)
+        for table, _mutations in self._touched.values():
+            table.maybe_compact()
         self.undo.clear()
         self._touched.clear()
-        self._mutations_before.clear()
 
     def rollback(self) -> None:
         """Undo every staged mutation, restoring committed state exactly."""
         for record in reversed(self.undo):
             if record[0] == "ins":
-                _, table, pid, start, count = record
-                partition = table.partitions[pid]
-                if len(partition.rows) != start + count:
+                _, table, start, count = record
+                rows = table.rows
+                if len(rows) != start + count:
                     raise ExecutionError(
-                        f"transaction undo corrupted: partition {pid} of table "
-                        f"{table.name!r} has {len(partition.rows)} rows where "
-                        f"the staged batch ends at {start + count}"
+                        f"transaction undo corrupted: table {table.name!r} "
+                        f"has {len(rows)} rows where the staged batch ends at "
+                        f"{start + count}"
                     )
-                for offset in range(count):
-                    position = start + offset
-                    row = partition.rows[position]
+                for position in range(start, start + count):
+                    row = rows[position]
                     # A row inserted and then deleted inside the same
                     # transaction was already resurrected by the delete's
                     # (later, hence earlier-undone) record.
                     for index in table.indexes.values():
-                        index.parts[pid].remove(row[index.column_index], position)
-                del partition.rows[start:]
-                partition.live_count -= count
-                partition.invalidate_chunks()
+                        index.remove(row[index.column_index], position)
+                del rows[start:]
+                table.live_count -= count
             else:
-                _, table, pid, position, row = record
-                partition = table.partitions[pid]
-                partition.rows[position] = row
-                partition.live_count += 1
-                partition.invalidate_chunks()
+                _, table, position, row = record
+                table.rows[position] = row
+                table.live_count += 1
                 for index in table.indexes.values():
-                    index.parts[pid].restore(row[index.column_index], position)
+                    index.restore(row[index.column_index], position)
+            table._chunks = None
         self.undo.clear()
-        for key, (table, _pids) in self._touched.items():
-            table.mutations = self._mutations_before[key]
+        for table, mutations in self._touched.values():
+            table.mutations = mutations
         self._touched.clear()
-        self._mutations_before.clear()
 
 
 class Table:
-    """One table: a schema, its hash-partitioned rows and its indexes."""
+    """One table: a schema, its row list and its indexes."""
 
-    def __init__(self, schema: TableSchema, n_partitions: int = 1) -> None:
-        if n_partitions < 1:
-            raise SchemaError(
-                f"table {schema.name!r}: n_partitions must be >= 1, "
-                f"got {n_partitions}"
-            )
+    def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self.n_partitions = n_partitions
-        self.partitions: List[Partition] = [Partition() for _ in range(n_partitions)]
-        #: lowered column name → logical :class:`TableIndex`.
-        self.indexes: Dict[str, TableIndex] = {}
+        #: The row list: live rows and ``None`` tombstones, in insertion
+        #: order.  Compaction replaces the list, so readers fetch it anew.
+        self.rows: List[Optional[Tuple[Any, ...]]] = []
+        #: Live (not deleted) rows in :attr:`rows`.
+        self.live_count = 0
+        #: lowered column name → its :class:`HashIndex`.
+        self.indexes: Dict[str, HashIndex] = {}
         #: DML counter: rows inserted + rows deleted over the table lifetime.
         self.mutations = 0
         #: The open :class:`Transaction` staging DML against this table, or
         #: ``None`` (autocommit).  Set by the database on BEGIN/COMMIT/ROLLBACK.
         self.txn: Optional[Transaction] = None
-        self._column_indexes: Dict[str, int] = {}
+        #: Lazily built columnar chunk cache (see :meth:`column_chunks`);
+        #: ``None`` whenever the row list has mutated since the last build.
+        self._chunks: Optional[
+            List[Tuple[List[Tuple[Any, ...]], List[List[Any]]]]
+        ] = None
+        self._chunk_size = 0
         pk = schema.primary_key_columns()
-        #: Column positions making up the partition key (``None`` → whole row).
-        self._partition_key_slots: Optional[List[int]] = (
-            [schema.column_index(c.name) for c in pk] if pk else None
-        )
-        #: Lowered name of the single-column primary key: equality probes on
-        #: it are partition-prunable.  ``None`` for composite/absent keys.
-        self.partition_column: Optional[str] = (
-            pk[0].name.lower() if len(pk) == 1 else None
-        )
-        self._primary_index: Optional[TableIndex] = None
+        #: The index of a single-column primary key, which enforces its
+        #: uniqueness (``None`` for composite or absent keys).
+        self.primary_index: Optional[HashIndex] = None
         if len(pk) == 1:
-            self._primary_index = self._register_index(
+            self.primary_index = self._register_index(
                 f"{schema.name}_pk", pk[0].name
             )
 
@@ -853,78 +624,38 @@ class Table:
 
     @property
     def row_count(self) -> int:
-        """Number of live (not deleted) rows across all partitions."""
-        return sum(partition.live_count for partition in self.partitions)
+        """Number of live (not deleted) rows."""
+        return self.live_count
 
     @property
     def dead_count(self) -> int:
-        """Number of tombstones currently in the partitions' row lists."""
-        return sum(partition.dead_count for partition in self.partitions)
-
-    @property
-    def rows(self) -> List[Optional[Tuple[Any, ...]]]:
-        """The raw row list (including tombstones).
-
-        Single-partition tables expose their one partition's list directly —
-        the historical storage layout, aliased, positions stable.  For
-        partitioned tables this is a concatenated *copy* in partition order,
-        intended for tests and debugging; executors use the per-partition
-        access methods instead.
-        """
-        if self.n_partitions == 1:
-            return self.partitions[0].rows
-        combined: List[Optional[Tuple[Any, ...]]] = []
-        for partition in self.partitions:
-            combined.extend(partition.rows)
-        return combined
-
-    # -- partitioning -----------------------------------------------------------
-
-    def partition_of_key(self, key: Any) -> int:
-        """The partition an equality probe on the partition column must hit."""
-        if self.n_partitions == 1:
-            return 0
-        return stable_hash(key) % self.n_partitions
-
-    def _partition_of_row(self, row: Tuple[Any, ...]) -> int:
-        if self.n_partitions == 1:
-            return 0
-        slots = self._partition_key_slots
-        if slots is None:
-            key: Any = row
-        elif len(slots) == 1:
-            key = row[slots[0]]
-        else:
-            key = tuple(row[s] for s in slots)
-        return stable_hash(key) % self.n_partitions
+        """Number of tombstones currently in the row list."""
+        return len(self.rows) - self.live_count
 
     # -- modification -----------------------------------------------------------
 
     def insert(self, values: Sequence[Any]) -> int:
-        """Validate and insert one positional row; returns its partition-local
-        position.
+        """Validate and insert one positional row; returns its position.
 
-        Positions are only stable until the next compaction of the owning
-        partition; they are an internal storage detail, not a durable row id.
+        Positions are only stable until the next compaction; they are an
+        internal storage detail, not a durable row id.
         """
         row = self.schema.validate_row(values)
-        primary = self._primary_index
-        pid = self._partition_of_row(row)
+        primary = self.primary_index
         if primary is not None:
             key = row[primary.column_index]
-            if primary.parts[pid].has_key(key):
+            if primary.has_key(key):
                 raise IntegrityError(
                     f"duplicate primary key {key!r} in table {self.name!r}"
                 )
-        partition = self.partitions[pid]
-        position = len(partition.rows)
-        partition.rows.append(row)
-        partition.live_count += 1
-        partition.invalidate_chunks()
+        position = len(self.rows)
+        self.rows.append(row)
+        self.live_count += 1
+        self._chunks = None
         if self.txn is not None:
-            self.txn.note_insert(self, pid, position, 1)
+            self.txn.note_insert(self, position, 1)
         for index in self.indexes.values():
-            index.parts[pid].add(row[index.column_index], position)
+            index.add(row[index.column_index], position)
         self.mutations += 1
         return position
 
@@ -934,44 +665,37 @@ class Table:
         The batch path defers index maintenance until the whole batch is
         appended: every row is validated first (schema coercion plus primary
         key uniqueness against both the stored rows and the batch itself),
-        then each partition's row list grows in one ``extend`` and each
-        per-partition index is updated in a single pass.  Because all
-        validation — including the partition assignment of every row —
-        happens before any mutation, a failing row leaves every partition,
-        its indexes and its tombstone accounting exactly as they were: the
-        batch is atomic even when its rows span partitions.
+        then the row list grows in one ``extend`` and each index is updated
+        in a single pass.  Because all validation happens before any
+        mutation, a failing row leaves the rows, the indexes and the
+        tombstone accounting exactly as they were: the batch is atomic.
         """
         validated = [self.schema.validate_row(values) for values in rows]
         if not validated:
             return 0
-        primary = self._primary_index
-        assignments = [self._partition_of_row(row) for row in validated]
+        primary = self.primary_index
         if primary is not None:
             key_index = primary.column_index
+            has_key = primary.has_key
             seen = set()
-            for row, pid in zip(validated, assignments):
+            for row in validated:
                 key = row[key_index]
-                if key in seen or primary.parts[pid].has_key(key):
+                if key in seen or has_key(key):
                     raise IntegrityError(
                         f"duplicate primary key {key!r} in table {self.name!r}"
                     )
                 seen.add(key)
-        per_partition: Dict[int, List[Tuple[Any, ...]]] = {}
-        for row, pid in zip(validated, assignments):
-            per_partition.setdefault(pid, []).append(row)
-        for pid, batch in per_partition.items():
-            partition = self.partitions[pid]
-            start = len(partition.rows)
-            partition.rows.extend(batch)
-            partition.live_count += len(batch)
-            partition.invalidate_chunks()
-            if self.txn is not None:
-                self.txn.note_insert(self, pid, start, len(batch))
-            for index in self.indexes.values():
-                column_index = index.column_index
-                add = index.parts[pid].add
-                for offset, row in enumerate(batch):
-                    add(row[column_index], start + offset)
+        start = len(self.rows)
+        self.rows.extend(validated)
+        self.live_count += len(validated)
+        self._chunks = None
+        if self.txn is not None:
+            self.txn.note_insert(self, start, len(validated))
+        for index in self.indexes.values():
+            column_index = index.column_index
+            add = index.add
+            for position, row in enumerate(validated, start):
+                add(row[column_index], position)
         self.mutations += len(validated)
         return len(validated)
 
@@ -982,90 +706,89 @@ class Table:
     ) -> int:
         """Delete all live rows for which ``predicate(row_tuple)`` is true.
 
-        The predicate is decided for every live row of every partition
-        (partition-major, position order) before any row is tombstoned, so
-        a predicate that reads this table — ``x = (SELECT MIN(x) FROM t)``
-        — sees the table as it was when the statement started, and a
-        predicate that raises deletes nothing.  Each partition then checks
-        its own tombstone ratio and compacts independently.  Inside a
+        The predicate is decided for every live row (in position order)
+        before any row is tombstoned, so a predicate that reads this table —
+        ``x = (SELECT MIN(x) FROM t)`` — sees the table as it was when the
+        statement started, and a predicate that raises deletes nothing.  The
+        table then checks its tombstone ratio and compacts.  Inside a
         transaction compaction is deferred to commit (it would renumber the
-        positions the undo chain records).  ``collect``, when
-        given, receives the deleted row images in deletion order
-        (partition-major, position order) — the write-ahead log records
-        them for deterministic replay.
+        positions the undo chain records).  ``collect``, when given,
+        receives the deleted row images in deletion order (position order) —
+        the write-ahead log records them for deterministic replay.
         """
+        rows = self.rows
         victims = [
-            [
-                position
-                for position, row in enumerate(partition.rows)
-                if row is not None and predicate(row)
-            ]
-            for partition in self.partitions
+            position
+            for position, row in enumerate(rows)
+            if row is not None and predicate(row)
         ]
-        column_indexes = self._index_column_map()
-        txn = self.txn
-        deleted = 0
-        for pid, (partition, positions) in enumerate(
-            zip(self.partitions, victims)
-        ):
-            if not positions:
-                continue
-            rows = partition.rows
-            for position in positions:
+        if victims:
+            txn = self.txn
+            for position in victims:
                 row = rows[position]
                 rows[position] = None
                 for index in self.indexes.values():
-                    index.parts[pid].remove(row[index.column_index], position)
+                    index.remove(row[index.column_index], position)
                 if txn is not None:
-                    txn.note_delete(self, pid, position, row)
+                    txn.note_delete(self, position, row)
                 if collect is not None:
                     collect.append(row)
-            partition.live_count -= len(positions)
-            partition.invalidate_chunks()
+            self.live_count -= len(victims)
+            self._chunks = None
             if txn is None:
-                partition.maybe_compact(column_indexes)
-            deleted += len(positions)
-        self.mutations += deleted
-        return deleted
+                self.maybe_compact()
+        self.mutations += len(victims)
+        return len(victims)
 
     def compact(self) -> int:
-        """Drop tombstones in every partition; returns the removed count."""
-        column_indexes = self._index_column_map()
-        return sum(
-            partition.compact(column_indexes) for partition in self.partitions
-        )
+        """Drop every tombstone and rebuild the indexes in place; returns the
+        removed count.
 
-    def _index_column_map(self) -> Dict[str, int]:
-        return {key: index.column_index for key, index in self.indexes.items()}
+        The index objects are cleared and refilled, not replaced, so plans
+        that resolved them stay valid; the row list is replaced.
+        """
+        dead = self.dead_count
+        if not dead:
+            return 0
+        self._chunks = None
+        self.rows = rows = [row for row in self.rows if row is not None]
+        for index in self.indexes.values():
+            index.clear()
+            column_index = index.column_index
+            for position, row in enumerate(rows):
+                index.add(row[column_index], position)
+        return dead
+
+    def maybe_compact(self) -> int:
+        """:meth:`compact` once tombstones dominate the row list."""
+        dead = self.dead_count
+        if dead >= _COMPACT_MIN_DEAD and (
+            dead >= len(self.rows) * _COMPACT_DEAD_FRACTION
+        ):
+            return self.compact()
+        return 0
 
     # -- indexes ----------------------------------------------------------------
 
     def _register_index(
         self, name: str, column: str, ordered: bool = False
-    ) -> TableIndex:
+    ) -> HashIndex:
         column_name = self.schema.column(column).name
-        key = column_name.lower()
-        column_index = self.schema.column_index(column_name)
-        part_cls = OrderedHashIndex if ordered else HashIndex
-        parts: List[HashIndex] = []
-        for partition in self.partitions:
-            part = part_cls(name=name, column=column_name)
-            partition.indexes[key] = part
-            parts.append(part)
-        table_index = TableIndex(
-            name, column_name, column_index, parts, ordered=ordered
+        index_cls = OrderedHashIndex if ordered else HashIndex
+        index = index_cls(
+            name, column_name, self.schema.column_index(column_name)
         )
-        self.indexes[key] = table_index
-        return table_index
+        self.indexes[column_name.lower()] = index
+        return index
 
     def create_index(
         self, name: str, column: str, ordered: bool = False
-    ) -> TableIndex:
+    ) -> HashIndex:
         """Create (and backfill) a hash index on ``column``.
 
-        ``ordered=True`` creates an :class:`OrderedHashIndex` per partition:
-        equality probes behave identically, but each partition additionally
-        maintains a sorted run, enabling range probes and ORDER BY pushdown.
+        ``ordered=True`` creates an :class:`OrderedHashIndex`: equality
+        probes behave identically, but the index additionally maintains a
+        sorted run, enabling range probes and ORDER BY pushdown.
         """
         column_name = self.schema.column(column).name
         if column_name.lower() in self.indexes:
@@ -1073,39 +796,35 @@ class Table:
                 f"table {self.name!r} already has an index on column "
                 f"{column_name!r}"
             )
-        table_index = self._register_index(name, column_name, ordered=ordered)
-        column_index = table_index.column_index
-        for partition, part in zip(self.partitions, table_index.parts):
-            for position, row in enumerate(partition.rows):
-                if row is not None:
-                    part.add(row[column_index], position)
-        return table_index
+        index = self._register_index(name, column_name, ordered=ordered)
+        column_index = index.column_index
+        for position, row in enumerate(self.rows):
+            if row is not None:
+                index.add(row[column_index], position)
+        return index
 
     def drop_index(self, column: str) -> None:
         """Remove the index on ``column`` (missing indexes are ignored).
 
         The auto-created primary-key index is structural — uniqueness
-        enforcement and partition pruning read it on every insert — so
-        dropping it is refused rather than leaving a stale, unmaintained
-        index behind.
+        enforcement reads it on every insert — so dropping it is refused
+        rather than leaving a stale, unmaintained index behind.
         """
         key = column.lower()
         index = self.indexes.get(key)
         if index is None:
             return
-        if index is self._primary_index:
+        if index is self.primary_index:
             raise SchemaError(
                 f"cannot drop the primary-key index of table {self.name!r}"
             )
         del self.indexes[key]
-        for partition in self.partitions:
-            partition.indexes.pop(key, None)
 
-    def index_for(self, column: str) -> Optional[TableIndex]:
-        """The logical index on ``column`` if one exists."""
+    def index_for(self, column: str) -> Optional[HashIndex]:
+        """The index on ``column`` if one exists."""
         return self.indexes.get(column.lower())
 
-    def ordered_index_for(self, column: str) -> Optional[TableIndex]:
+    def ordered_index_for(self, column: str) -> Optional[OrderedHashIndex]:
         """The ordered index on ``column`` if one exists."""
         index = self.indexes.get(column.lower())
         if index is not None and index.ordered:
@@ -1115,7 +834,7 @@ class Table:
     def _bound_compatible(self, column: str, bound: Any) -> bool:
         """Whether ``bound`` shares the stored value class of ``column``.
 
-        The runs hold schema-coerced values of a single class per column, so
+        The run holds schema-coerced values of a single class per column, so
         an incomparable bound (e.g. a string placeholder bound against an
         INTEGER column) would raise a raw ``TypeError`` inside ``bisect``;
         callers fall back to the filtered scan instead, which reproduces the
@@ -1133,105 +852,84 @@ class Table:
     # -- access -----------------------------------------------------------------
 
     def scan(self) -> Iterator[Tuple[Any, ...]]:
-        """Iterate over all live rows, partition-major, in insertion order."""
-        if self.n_partitions == 1:
-            return self.partitions[0].scan()
-        return self._scan_partitioned()
+        """Iterate over all live rows in insertion order."""
+        for row in self.rows:
+            if row is not None:
+                yield row
 
-    def _scan_partitioned(self) -> Iterator[Tuple[Any, ...]]:
-        for partition in self.partitions:
-            for row in partition.rows:
-                if row is not None:
-                    yield row
+    def live(self) -> Iterable[Tuple[Any, ...]]:
+        """The live rows in insertion order, to be read only: the row list
+        itself while it holds no tombstones, so a scan reads it without a
+        per-row generator step, else :meth:`scan`."""
+        rows = self.rows
+        if self.live_count == len(rows):
+            return rows
+        return self.scan()
 
-    def scan_chunks(
-        self,
-    ) -> Sequence[Tuple[Optional[int], Iterable[Tuple[Any, ...]]]]:
-        """Per-partition scan: ``(partition_id, live rows)`` pairs.
+    def column_chunks(
+        self, chunk_size: int = CHUNK_ROWS,
+    ) -> List[Tuple[List[Tuple[Any, ...]], List[List[Any]]]]:
+        """Live rows as ``(row_block, column_lists)`` chunks, insertion order.
 
-        Each partition's live rows come from :meth:`Partition.live`: its row
-        list itself while it holds no tombstones, so a scan reads them
-        without a per-row generator step.  Like :meth:`probe_chunks` and
-        :meth:`range_chunks`, a single-partition table reports its one
-        chunk with ``partition_id`` ``None``: there is nothing to attribute
-        per partition, so executors charge its work to the flat counters
-        only.
+        Each chunk covers at most ``chunk_size`` live rows; ``row_block`` is
+        the list of row tuples and ``column_lists[j][i] == row_block[i][j]``.
+        Tombstones are squeezed out at build time, so chunks see exactly the
+        rows :meth:`scan` would yield, in the same order.  The result is
+        cached until the next mutation (every DML, compaction and rollback
+        path drops it, so a transaction's scans read its own writes); a
+        different ``chunk_size`` forces a rebuild.  Only a driving scan
+        whose chunks feed a batch predicate or the batch hash-join probe
+        builds it; other scans stream :attr:`rows`.
         """
-        if self.n_partitions == 1:
-            return ((None, self.partitions[0].live()),)
-        return [
-            (pid, partition.live())
-            for pid, partition in enumerate(self.partitions)
-        ]
+        chunks = self._chunks
+        if chunks is None or self._chunk_size != chunk_size:
+            live = [row for row in self.rows if row is not None]
+            chunks = []
+            for start in range(0, len(live), chunk_size):
+                block = live[start:start + chunk_size]
+                chunks.append(
+                    (block, [list(column) for column in zip(*block)])
+                )
+            self._chunks = chunks
+            self._chunk_size = chunk_size
+        return chunks
 
-    def probe_chunks(
+    def probe(
         self, keys: Sequence[Tuple[str, Any]]
-    ) -> Optional[List[Tuple[Optional[int], List[Tuple[Any, ...]]]]]:
-        """Indexed equality probe on one or more columns, pruned to one
-        partition when possible.
+    ) -> Optional[List[Tuple[Any, ...]]]:
+        """Indexed equality probe on one or more columns.
 
         ``keys`` are ``(column, key)`` pairs; a row matches when every
-        column equals its key.  Returns ``(partition_id, matching live
-        rows)`` pairs (``None`` ids on a single-partition table, see
-        :meth:`scan_chunks`), or ``None`` when some column has no index (the
-        caller falls back to a filtered scan).  Several keys intersect their
-        buckets per partition (:func:`probe_partition`), so the rows
-        come out in position order — exactly the rows, in the order, that
-        filtering the first key's bucket by the other keys would keep.  A
-        key on the partition column touches exactly one partition; otherwise
-        every partition's local indexes are probed.
+        column equals its key.  Returns the matching live rows, or ``None``
+        when some column has no index (the caller falls back to a filtered
+        scan).  Several keys intersect their buckets (:func:`probe_rows`),
+        so the rows come out in position order — exactly the rows, in the
+        order, that filtering the first key's bucket by the other keys would
+        keep.
         """
-        parts_of: List[List[HashIndex]] = []
-        for column, _key in keys:
-            table_index = self.indexes.get(column.lower())
-            if table_index is None:
-                return None
-            parts_of.append(table_index.parts)
-        return self.probe_partitions(parts_of, keys)
-
-    def probe_partitions(
-        self,
-        parts_of: Sequence[List[HashIndex]],
-        keys: Sequence[Tuple[str, Any]],
-    ) -> List[Tuple[Optional[int], List[Tuple[Any, ...]]]]:
-        """:meth:`probe_chunks` with the indexes already resolved:
-        ``parts_of[i]`` are the per-partition indexes of ``keys[i]``'s
-        column.  Routes the probe to the partitions it must touch and
-        intersects each one's buckets (:func:`probe_partition`)."""
         # NB: a NULL key is a legitimate bucket lookup here (secondary
         # indexes store NULL entries; ``Table.lookup`` relies on it) — the
         # no-match-on-NULL semantics of ``=`` probes live in the executor.
-        if self.n_partitions == 1:
-            matches = probe_partition(parts_of, keys, 0, self.partitions[0].rows)
-            return [(None, matches)] if matches else []
-        pids: Iterable[int] = range(self.n_partitions)
-        for column, key in keys:
-            if column.lower() == self.partition_column:
-                pids = (self.partition_of_key(key),)
-                break
-        chunks: List[Tuple[Optional[int], List[Tuple[Any, ...]]]] = []
-        for pid in pids:
-            matches = probe_partition(
-                parts_of, keys, pid, self.partitions[pid].rows
-            )
-            if matches:
-                chunks.append((pid, matches))
-        return chunks
+        indexes: List[HashIndex] = []
+        for column, _key in keys:
+            index = self.indexes.get(column.lower())
+            if index is None:
+                return None
+            indexes.append(index)
+        return probe_rows(indexes, [key for _column, key in keys], self.rows)
 
-    def range_chunks(
+    def range_rows(
         self,
         column: str,
         lo: Any,
         lo_incl: bool,
         hi: Any,
         hi_incl: bool,
-    ) -> Optional[List[Tuple[Optional[int], List[Tuple[Any, ...]]]]]:
-        """Ordered-index range probe over every partition's sorted run.
+    ) -> Optional[List[Tuple[Any, ...]]]:
+        """Ordered-index range probe: bisect the sorted run.
 
-        Returns ``(partition_id, matching live rows)`` pairs (``None`` ids
-        on a single-partition table, see :meth:`scan_chunks`) with each
-        partition's rows in **position order** — the order a filtered scan of
-        that partition would deliver them — so a range probe is observably
+        Returns the matching live rows in **position order** — the order a
+        filtered scan would deliver them — so a range probe is observably
         indistinguishable from the scan it replaces (value order is an
         executor-level concern; see the ORDER BY pushdown).  ``None`` bounds
         are unbounded on that side.
@@ -1241,43 +939,31 @@ class Table:
         falls back to a filtered scan).  NULL/NaN bounds match nothing: the
         comparison is UNKNOWN (NULL) or false (NaN) for every row.
         """
-        table_index = self.ordered_index_for(column)
-        if table_index is None:
+        index = self.ordered_index_for(column)
+        if index is None:
             return None
         for bound in (lo, hi):
             if bound is None:
                 continue
             if isinstance(bound, float) and bound != bound:
                 return []
-            if not self._bound_compatible(table_index.column, bound):
+            if not self._bound_compatible(index.column, bound):
                 return None
         if lo is None and hi is None:
             return None
-        multi = self.n_partitions > 1
-        chunks: List[Tuple[Optional[int], List[Tuple[Any, ...]]]] = []
-        for pid, partition in enumerate(self.partitions):
-            part = table_index.parts[pid]
-            if not isinstance(part, OrderedHashIndex):
-                return None
-            entries = part.range_slice(lo, lo_incl, hi, hi_incl)
-            if not entries:
-                continue
-            stored_rows = partition.rows
-            matches = [
-                stored
-                for position in sorted(position for _value, position in entries)
-                if (stored := stored_rows[position]) is not None
-            ]
-            if matches:
-                chunks.append((pid if multi else None, matches))
-        return chunks
+        entries = index.range_slice(lo, lo_incl, hi, hi_incl)
+        rows = self.rows
+        return [
+            stored
+            for position in sorted(position for _value, position in entries)
+            if (stored := rows[position]) is not None
+        ]
 
     def lookup(self, column: str, value: Any) -> Iterator[Tuple[Any, ...]]:
         """Rows whose ``column`` equals ``value`` (uses the index when present)."""
-        chunks = self.probe_chunks(((column, value),))
-        if chunks is not None:
-            for _pid, matches in chunks:
-                yield from matches
+        matches = self.probe(((column, value),))
+        if matches is not None:
+            yield from matches
             return
         column_index = self.schema.column_index(column)
         for row in self.scan():
@@ -1286,39 +972,32 @@ class Table:
 
     # -- statistics -------------------------------------------------------------
 
-    def _build_histogram(self, index: TableIndex) -> Optional[ColumnHistogram]:
-        """An equi-width histogram from the index's live sorted runs.
+    def _build_histogram(
+        self, index: OrderedHashIndex
+    ) -> Optional[ColumnHistogram]:
+        """An equi-width histogram from the index's live sorted run.
 
         Only numeric columns are summarised (equi-width bucket arithmetic
-        needs subtractable values); each bucket count is a handful of
-        bisections per partition run, so building one is O(buckets · log n).
+        needs subtractable values); each bucket count is one bisection of
+        the run, so building one is O(buckets · log n).
         """
-        runs = [
-            part.run
-            for part in index.parts
-            if isinstance(part, OrderedHashIndex) and part.run
-        ]
-        if not runs:
+        run = index.run
+        if not run or not isinstance(run[0][0], (int, float)):
             return None
-        sample = runs[0][0][0]
-        if not isinstance(sample, (int, float)):
-            return None
-        lo = float(min(run[0][0] for run in runs))
-        hi = float(max(run[-1][0] for run in runs))
-        total = sum(len(run) for run in runs)
+        lo = float(run[0][0])
+        hi = float(run[-1][0])
+        total = len(run)
         width = (hi - lo) / _HISTOGRAM_BUCKETS
         if width <= 0:
             counts = [total]
         else:
-            counts = [0] * _HISTOGRAM_BUCKETS
-            for run in runs:
-                previous = 0
-                for bucket in range(1, _HISTOGRAM_BUCKETS):
-                    boundary = lo + width * bucket
-                    at = bisect.bisect_left(run, (boundary,))
-                    counts[bucket - 1] += at - previous
-                    previous = at
-                counts[_HISTOGRAM_BUCKETS - 1] += len(run) - previous
+            counts = []
+            previous = 0
+            for bucket in range(1, _HISTOGRAM_BUCKETS):
+                at = bisect.bisect_left(run, (lo + width * bucket,))
+                counts.append(at - previous)
+                previous = at
+            counts.append(total - previous)
         return ColumnHistogram(
             column=index.column,
             lo=lo,
@@ -1342,15 +1021,9 @@ class Table:
                     histograms[key] = histogram
         return TableStatistics(
             table=self.name,
-            n_partitions=self.n_partitions,
             row_count=self.row_count,
-            partition_rows=[p.live_count for p in self.partitions],
             index_distinct={
-                key: index.distinct_count(
-                    disjoint=(
-                        self.n_partitions == 1 or key == self.partition_column
-                    )
-                )
+                key: index.distinct_count()
                 for key, index in self.indexes.items()
             },
             histograms=histograms,
@@ -1362,7 +1035,4 @@ class Table:
         return self.row_count
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Table({self.name!r}, rows={self.row_count}, "
-            f"partitions={self.n_partitions})"
-        )
+        return f"Table({self.name!r}, rows={self.row_count})"

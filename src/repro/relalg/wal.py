@@ -59,6 +59,7 @@ __all__ = [
     "decode_row",
     "encode_row",
     "fingerprint_hash",
+    "require_one_row_list",
     "restore_state",
     "row_key",
     "snapshot_state",
@@ -277,7 +278,6 @@ def snapshot_state(database, generation: int) -> Dict[str, Any]:
     """
     tables = []
     for table in database.tables.values():
-        primary = {table.partition_column} if table.partition_column else set()
         tables.append(
             {
                 "name": table.schema.name,
@@ -285,23 +285,42 @@ def snapshot_state(database, generation: int) -> Dict[str, Any]:
                     [c.name, c.type.value, c.nullable, c.primary_key]
                     for c in table.schema.columns
                 ],
-                "n_partitions": table.n_partitions,
                 "mutations": table.mutations,
                 "indexes": [
                     [index.name, index.column, index.ordered]
-                    for key, index in table.indexes.items()
-                    if key not in primary
+                    for index in table.indexes.values()
+                    if index is not table.primary_index
                 ],
-                "partitions": [
-                    [
-                        None if row is None else encode_row(row)
-                        for row in partition.rows
-                    ]
-                    for partition in table.partitions
+                "rows": [
+                    None if row is None else encode_row(row)
+                    for row in table.rows
                 ],
             }
         )
     return {"gen": generation, "tables": tables}
+
+
+#: The field in which older engines recorded a table's hash-partition count
+#: (in its ``create_table`` log record and its checkpoint entry).
+LEGACY_PARTITION_COUNT = "n_partitions"
+
+
+def require_one_row_list(spec: Dict[str, Any], table: str, source: str) -> None:
+    """Refuse a table that an older engine stored in hash partitions.
+
+    ``spec`` is the table's ``create_table`` log record or checkpoint entry,
+    ``source`` names the file it came from.  A partitioned table's row
+    positions were partition-local, so neither its checkpointed row lists
+    nor the rows its logged deletes consumed map onto one row list.  A
+    table written with one partition opens as usual.
+    """
+    count = spec.get(LEGACY_PARTITION_COUNT, 1)
+    if count != 1:
+        raise RecoveryError(
+            f"{source}: table {table!r} was written with {count} hash "
+            f"partitions; this engine stores every table as one row list "
+            f"and cannot restore it"
+        )
 
 
 def restore_state(database, payload: Dict[str, Any]) -> None:
@@ -309,6 +328,9 @@ def restore_state(database, payload: Dict[str, Any]) -> None:
 
     Index buckets are not stored — they are fully determined by the raw row
     lists (buckets hold ascending positions of live rows) and rebuilt here.
+    A checkpoint of a table with more than one hash partition raises
+    :class:`RecoveryError` (see :func:`require_one_row_list`); one with a
+    single partition restores from its one partition's row list.
     """
     from repro.relalg.schema import Column, ColumnType, TableSchema
 
@@ -318,6 +340,7 @@ def restore_state(database, payload: Dict[str, Any]) -> None:
             f"already has tables {sorted(database.tables)}"
         )
     for spec in payload["tables"]:
+        require_one_row_list(spec, spec["name"], "checkpoint")
         schema = TableSchema(
             name=spec["name"],
             columns=[
@@ -330,26 +353,22 @@ def restore_state(database, payload: Dict[str, Any]) -> None:
                 for name, type_name, nullable, primary_key in spec["columns"]
             ],
         )
-        table = database.create_table(schema, n_partitions=spec["n_partitions"])
+        table = database.create_table(schema)
         for entry in spec["indexes"]:
             # Pre-ordered-index checkpoints carry 2-element entries.
             index_name, column = entry[0], entry[1]
             ordered = entry[2] if len(entry) > 2 else False
             table.create_index(index_name, column, ordered=ordered)
-        for pid, raw_rows in enumerate(spec["partitions"]):
-            partition = table.partitions[pid]
-            partition.rows = [
-                None if row is None else decode_row(row) for row in raw_rows
-            ]
-            partition.live_count = sum(
-                1 for row in partition.rows if row is not None
-            )
-            for index in table.indexes.values():
-                part = index.parts[pid]
-                column_index = index.column_index
-                for position, row in enumerate(partition.rows):
-                    if row is not None:
-                        part.add(row[column_index], position)
+        raw_rows = spec["rows"] if "rows" in spec else spec["partitions"][0]
+        table.rows = rows = [
+            None if row is None else decode_row(row) for row in raw_rows
+        ]
+        table.live_count = sum(1 for row in rows if row is not None)
+        for index in table.indexes.values():
+            column_index = index.column_index
+            for position, row in enumerate(rows):
+                if row is not None:
+                    index.add(row[column_index], position)
         table.mutations = spec["mutations"]
 
 
@@ -362,12 +381,12 @@ def state_fingerprint(database) -> Dict[str, Any]:
     """The complete logical+physical state of a database, as plain data.
 
     Covers everything the durability contract promises byte-for-byte: table
-    schemas, partition counts and assignment, raw row lists *including
-    tombstone layout*, live counts, every index's buckets (keys sorted
-    canonically — bucket *dict* order is unobservable, intra-bucket position
-    order is observable and kept), and the :class:`TableStatistics` snapshot
-    with the mutations counter.  The execution summary is deliberately
-    excluded: it describes the session, not the data.
+    schemas, raw row lists *including tombstone layout*, live counts, every
+    index's buckets (keys sorted canonically — bucket *dict* order is
+    unobservable, intra-bucket position order is observable and kept), and
+    the :class:`TableStatistics` snapshot with the mutations counter.  The
+    execution summary is deliberately excluded: it describes the session,
+    not the data.
     """
     tables: Dict[str, Any] = {}
     for key in sorted(database.tables):
@@ -375,30 +394,20 @@ def state_fingerprint(database) -> Dict[str, Any]:
         statistics = table.statistics()
         tables[key] = {
             "schema": table.schema.sql(),
-            "n_partitions": table.n_partitions,
-            "partitions": [
-                [
-                    None if row is None else encode_row(row)
-                    for row in partition.rows
-                ]
-                for partition in table.partitions
+            "rows": [
+                None if row is None else encode_row(row)
+                for row in table.rows
             ],
-            "live_counts": [p.live_count for p in table.partitions],
+            "live_count": table.live_count,
             "indexes": {
-                index_key: [
-                    sorted(
-                        (
-                            (repr(value), list(positions))
-                            for value, positions in part._buckets.items()
-                        )
-                    )
-                    for part in index.parts
-                ]
+                index_key: sorted(
+                    (repr(value), list(positions))
+                    for value, positions in index._buckets.items()
+                )
                 for index_key, index in sorted(table.indexes.items())
             },
             "statistics": {
                 "row_count": statistics.row_count,
-                "partition_rows": statistics.partition_rows,
                 "index_distinct": dict(sorted(statistics.index_distinct.items())),
                 "mutations": statistics.mutations,
             },

@@ -200,7 +200,7 @@ def shadow_fingerprints(ops: Sequence[Tuple]) -> List[str]:
     INSERT, autocommit DELETE *that deleted rows* (a no-op delete logs
     nothing), and COMMIT.  ``F[0]`` is the empty database.
     """
-    database = Database(name="shadow", n_partitions=4)
+    database = Database(name="shadow")
     hashes = [_state_hash(database)]
     try:
         for op in ops:
@@ -316,7 +316,7 @@ def run_with_crash(
     database = None
     try:
         database = Database(
-            name="crash", n_partitions=4, wal_path=wal_path,
+            name="crash", wal_path=wal_path,
             wal_autocheckpoint=None, wal_hook=hook,
         )
         for op in ops:
@@ -368,7 +368,7 @@ def stage_crash_state(
 
 def recover_hash(wal_path: str) -> str:
     """Open a crash image and return the recovered state's fingerprint hash."""
-    database = Database(name="recover", n_partitions=4, wal_path=wal_path,
+    database = Database(name="recover", wal_path=wal_path,
                         wal_autocheckpoint=None)
     try:
         return fingerprint_hash(state_fingerprint(database))
@@ -462,7 +462,7 @@ def child_shadow_fingerprints(seed: int, length: int) -> List[str]:
 
 def _child_main(wal_path: str, progress_path: str, seed: int, length: int) -> None:
     """Run the child stream, reporting durable progress after every boundary."""
-    database = Database(name="child", n_partitions=4, wal_path=wal_path,
+    database = Database(name="child", wal_path=wal_path,
                         wal_autocheckpoint=None)
     executor = RecordingExecutor(database, record_hashes=False,
                                  progress_path=progress_path)
@@ -509,7 +509,7 @@ def e6_load(database: Database, executor_kwargs: Dict[str, Any]) -> RecordingExe
 
 def e6_boundary_hashes() -> List[str]:
     """The clean run's fingerprint hash after every durable load boundary."""
-    database = Database(name="e6", n_partitions=4)
+    database = Database(name="e6")
     try:
         return e6_load(database, {"record_hashes": True}).hashes
     finally:
@@ -517,7 +517,7 @@ def e6_boundary_hashes() -> List[str]:
 
 
 def _child_e6_main(wal_path: str, progress_path: str) -> None:
-    database = Database(name="e6", n_partitions=4, wal_path=wal_path,
+    database = Database(name="e6", wal_path=wal_path,
                         wal_autocheckpoint=None)
     e6_load(database, {"record_hashes": False, "progress_path": progress_path})
     database.close()

@@ -11,9 +11,9 @@ SQL-92 aggregate rules the engine must follow:
 * ``SELECT DISTINCT`` treats NULL as one distinct value.
 
 Every statement runs on the interpreted reference, the row-at-a-time
-compiled engine, the vectorized compiled engine (the default) and a
-multi-partition vectorized database; all flavours must return the same
-rows, and they must equal the hand-computed expectation.
+compiled engine and the vectorized compiled engine (the default); all
+flavours must return the same rows, and they must equal the hand-computed
+expectation.
 """
 
 import pytest
@@ -37,9 +37,8 @@ _M_ROWS = [
 def _databases():
     flavours = {
         "interpreted": Database(engine="interpreted"),
-        "rowwise": Database(engine="compiled", n_partitions=1, vectorized=False),
-        "vectorized": Database(engine="compiled", n_partitions=1),
-        "partitioned": Database(engine="compiled", n_partitions=4),
+        "rowwise": Database(engine="compiled", vectorized=False),
+        "vectorized": Database(engine="compiled"),
     }
     for database in flavours.values():
         database.execute(

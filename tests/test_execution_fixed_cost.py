@@ -9,15 +9,15 @@ parameters and its rows:
 * an ungrouped aggregate folds its rows directly, without a group table;
 * a multi-key index probe resolves its indexes once per plan and
   revalidates them by identity at every probe: a dropped index falls back
-  to the filtered scan, a re-created one is used, and the partition's row
-  list is read at probe time, after compaction replaced it;
-* a driving scan streams the partition's rows unless a batch predicate or
-  the batch hash-join probe consumes columnar chunks, so a scan with
-  nothing to filter never builds ``Partition.column_chunks``' cache.
+  to the filtered scan, a re-created one is used, and the table's row list
+  is read at probe time, after compaction replaced it;
+* a driving scan streams the table's rows unless a batch predicate or the
+  batch hash-join probe consumes columnar chunks, so a scan with nothing to
+  filter never builds ``Table.column_chunks``' cache.
 
-Every case runs on the interpreted, row-at-a-time and vectorized engines,
-at 1 and 4 partitions: rows equal the interpreter's, and so do the
-``QueryStats`` wherever the access paths are shared.
+Every case runs on the interpreted, row-at-a-time and vectorized engines:
+rows equal the interpreter's, and so do the ``QueryStats`` wherever the
+access paths are shared.
 """
 
 import pytest
@@ -31,7 +31,6 @@ _ENGINES = {
     "row-at-a-time": {"vectorized": False},
     "vectorized": {},
 }
-_PARTITIONS = [1, 4]
 
 #: ``z`` is NULL in every row; ``b`` is a type tag with NULLs.
 _T_ROWS = [
@@ -47,8 +46,8 @@ _V_ROWS = [(i, i % 8, f"label-{i}") for i in range(1, 11)]
 _PROBE = "SELECT id, x FROM t WHERE g = ? AND a = ?"
 
 
-def _database(engine, n_partitions):
-    database = Database(n_partitions=n_partitions, **_ENGINES[engine])
+def _database(engine):
+    database = Database(**_ENGINES[engine])
     database.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, a INTEGER, "
         "b VARCHAR, x FLOAT, z FLOAT)"
@@ -75,13 +74,13 @@ def _database(engine, n_partitions):
     return database
 
 
-def _agreed(sql, params=(), n_partitions=1, shared_paths=True):
+def _agreed(sql, params=(), shared_paths=True):
     """The interpreter's result of ``sql``, after asserting that every
     engine returns its rows — twice, the second time through the cached
     plan — and, where the access paths are shared, its counters."""
     results = {}
     for engine in _ENGINES:
-        with _database(engine, n_partitions) as database:
+        with _database(engine) as database:
             first = database.query(sql, list(params))
             again = database.query(sql, list(params))
         assert again.rows == first.rows and again.stats == first.stats
@@ -99,12 +98,9 @@ def _agreed(sql, params=(), n_partitions=1, shared_paths=True):
     return reference
 
 
-def _chunk_caches(database, table):
-    """Whether each partition of ``table`` holds a columnar chunk cache."""
-    return [
-        partition._chunks is not None
-        for partition in database.table(table).partitions
-    ]
+def _chunk_cache(database, table):
+    """Whether ``table`` holds a columnar chunk cache."""
+    return database.table(table)._chunks is not None
 
 
 # --------------------------------------------------------------------------- #
@@ -128,20 +124,16 @@ _PREDICATE_LESS = [
 
 
 class TestPredicateLessScans:
-    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
     @pytest.mark.parametrize("sql,driving", _PREDICATE_LESS)
-    def test_rows_and_counters_match_the_reference(
-        self, sql, driving, n_partitions
-    ):
-        reference = _agreed(sql, n_partitions=n_partitions)
+    def test_rows_and_counters_match_the_reference(self, sql, driving):
+        reference = _agreed(sql)
         assert reference.rows
 
-    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
     @pytest.mark.parametrize("sql,driving", _PREDICATE_LESS)
-    def test_never_build_the_chunk_cache(self, sql, driving, n_partitions):
+    def test_never_build_the_chunk_cache(self, sql, driving):
         after = {}
         for engine in _ENGINES:
-            with _database(engine, n_partitions) as database:
+            with _database(engine) as database:
                 before = database.query(sql).rows
                 # DML leaves a tombstone and invalidates every cache; the
                 # cached plan runs again.
@@ -152,37 +144,35 @@ class TestPredicateLessScans:
                 assert database.table(driving).dead_count == 1
                 after[engine] = sorted(map(repr, database.query(sql).rows))
                 assert after[engine] != sorted(map(repr, before))
-                assert not any(_chunk_caches(database, driving))
+                assert not _chunk_cache(database, driving)
         assert len(set(map(tuple, after.values()))) == 1
 
     @pytest.mark.parametrize("sql,driving", _PREDICATE_LESS)
     def test_explain_reports_the_row_stream(self, sql, driving):
-        with _database("vectorized", 1) as database:
+        with _database("vectorized") as database:
             text = database.explain(sql)
         assert text.count("scan: partition rows (no driving filter)") == 1
         assert "columnar chunks" not in text
 
-    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
-    def test_a_filtered_scan_still_builds_it(self, n_partitions):
+    def test_a_filtered_scan_still_builds_it(self):
         sql = "SELECT id, x FROM t WHERE x > ? ORDER BY id"
-        with _database("vectorized", n_partitions) as database:
+        with _database("vectorized") as database:
             assert "scan: vectorized (columnar chunks)" in database.explain(sql)
             database.query(sql, [1.0])
-            assert all(_chunk_caches(database, "t"))
-        _agreed(sql, [1.0], n_partitions=n_partitions)
+            assert _chunk_cache(database, "t")
+        _agreed(sql, [1.0])
 
-    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
-    def test_a_scan_into_a_hash_join_still_builds_it(self, n_partitions):
+    def test_a_scan_into_a_hash_join_still_builds_it(self):
         sql = "SELECT t.id, v.label FROM t, v WHERE v.g = t.g ORDER BY t.id, v.id"
-        with _database("vectorized", n_partitions) as database:
+        with _database("vectorized") as database:
             text = database.explain(sql)
             assert "join-probe: vectorized (batch probe)" in text
             assert "scan: vectorized (columnar chunks)" in text
             database.query(sql)
-            assert all(_chunk_caches(database, "t"))
-            assert not any(_chunk_caches(database, "v"))
+            assert _chunk_cache(database, "t")
+            assert not _chunk_cache(database, "v")
         # The interpreter has no hash join: rows only.
-        _agreed(sql, n_partitions=n_partitions, shared_paths=False)
+        _agreed(sql, shared_paths=False)
 
 
 # --------------------------------------------------------------------------- #
@@ -193,7 +183,6 @@ _AGGREGATES = "COUNT(*), COUNT(b), SUM(x), MIN(z), MAX(b), AVG(x)"
 
 
 class TestUngroupedAggregates:
-    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
     @pytest.mark.parametrize(
         "having,kept",
         [
@@ -214,28 +203,25 @@ class TestUngroupedAggregates:
         ],
         ids=["whole-table", "probe", "empty-filter", "empty-table"],
     )
-    def test_one_row_or_none(self, source, rows, having, kept, n_partitions):
+    def test_one_row_or_none(self, source, rows, having, kept):
         columns = _AGGREGATES if source.startswith("t") else "COUNT(*), MIN(z)"
         sql = f"SELECT {columns} FROM {source}{having}"
-        reference = _agreed(sql, n_partitions=n_partitions)
+        reference = _agreed(sql)
         if not kept:
             assert reference.rows == []
             return
         assert len(reference.rows) == 1
         assert reference.rows[0][0] == rows
 
-    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
-    def test_min_of_an_all_null_column_is_null(self, n_partitions):
-        reference = _agreed("SELECT MIN(z) FROM t", n_partitions=n_partitions)
+    def test_min_of_an_all_null_column_is_null(self):
+        reference = _agreed("SELECT MIN(z) FROM t")
         assert reference.rows == [(None,)]
 
-    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
-    def test_a_subquery_aggregate_per_outer_row(self, n_partitions):
+    def test_a_subquery_aggregate_per_outer_row(self):
         reference = _agreed(
             "SELECT u.id, (SELECT SUM(x) FROM t WHERE g = ? AND a = ?) "
             "FROM u WHERE u.id < ? ORDER BY u.id",
             [2, 2, 8],
-            n_partitions=n_partitions,
         )
         total = sum(row[4] for row in _T_ROWS if row[1] == 2 and row[2] == 2)
         assert reference.rows == [(i, total) for i in range(1, 8)]
@@ -264,14 +250,12 @@ _ONE_ITEM = [
 
 
 class TestProjections:
-    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
     @pytest.mark.parametrize("sql,params", _ONE_ITEM)
-    def test_one_item_lists(self, sql, params, n_partitions):
-        reference = _agreed(sql, params, n_partitions=n_partitions)
+    def test_one_item_lists(self, sql, params):
+        reference = _agreed(sql, params)
         assert reference.rows
         assert all(len(row) == 1 for row in reference.rows)
 
-    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
     @pytest.mark.parametrize(
         "sql",
         [
@@ -283,8 +267,8 @@ class TestProjections:
         ],
         ids=["one-column", "three-columns", "repeated-column", "join"],
     )
-    def test_slot_only_lists(self, sql, n_partitions):
-        reference = _agreed(sql, [1], n_partitions=n_partitions)
+    def test_slot_only_lists(self, sql):
+        reference = _agreed(sql, [1])
         assert reference.rows
 
     @pytest.mark.parametrize(
@@ -297,7 +281,7 @@ class TestProjections:
         ],
     )
     def test_a_plan_holds_one_projector(self, sql, slot_only):
-        with _database("vectorized", 1) as database:
+        with _database("vectorized") as database:
             plan = plan_select(parse_sql(sql), database.tables)
             text = database.explain(sql)
         assert (plan.slot_projector is not None) is slot_only
@@ -341,19 +325,18 @@ class TestResolvedProbes:
     def engine(self, request):
         return request.param
 
-    @pytest.fixture(params=_PARTITIONS)
-    def database(self, request, engine):
-        with _database(engine, request.param) as database:
+    @pytest.fixture()
+    def database(self, engine):
+        with _database(engine) as database:
             _check_all_keys(database)
             yield database
             if engine != "interpreted":
                 # Everything ran through the one cached plan.
                 assert database.plan_cache_info()["misses"] == 1
 
-    @pytest.mark.parametrize("n_partitions", _PARTITIONS)
     @pytest.mark.parametrize("compiled", ["row-at-a-time", "vectorized"])
-    def test_the_plan_resolves_its_indexes(self, compiled, n_partitions):
-        with _database(compiled, n_partitions) as database:
+    def test_the_plan_resolves_its_indexes(self, compiled):
+        with _database(compiled) as database:
             result = database.query(_PROBE, [2, 2])
             table = database.table("t")
             assert _cached_probe(database).resolved == (
@@ -388,13 +371,10 @@ class TestResolvedProbes:
             [(1000 + i, i % 6, i % 4, float(i)) for i in range(400)],
         )
         _check_all_keys(database)
-        lists = [partition.rows for partition in table.partitions]
+        old = table.rows
         database.execute("DELETE FROM t WHERE id > ?", [20])
-        assert table.dead_count == 0  # every partition compacted
-        assert all(
-            partition.rows is not old
-            for partition, old in zip(table.partitions, lists)
-        )
+        assert table.dead_count == 0  # the table compacted
+        assert table.rows is not old
         database.execute("INSERT INTO t (id, g, a, x) VALUES (600, 2, 2, 1.0)")
         _check_all_keys(database)
         assert sorted(database.query(_PROBE, [2, 2]).rows) == [

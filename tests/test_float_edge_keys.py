@@ -1,12 +1,9 @@
 """Float edge-case keys — ``-0.0`` and ``NaN`` — through every keyed layer.
 
-Three layers key rows by value, each with its own equality notion, and they
+Two layers key rows by value, each with its own equality notion, and they
 must agree on the edge cases where IEEE-754 equality and bit identity
 diverge:
 
-* ``stable_hash`` partition routing: ``-0.0 == 0.0`` so both must land in
-  the same partition (a pruned equality probe must never miss a match);
-  ``NaN`` never equals anything, so any fixed deterministic bucket is fine.
 * :class:`HashIndex` buckets are plain dict keys: Python dict lookup uses
   hash-then-``==`` with an identity shortcut, so ``0.0`` probes find rows
   indexed under ``-0.0``.  NaN keys are canonicalized to one shared bucket
@@ -23,26 +20,10 @@ import math
 
 import pytest
 
-from repro.relalg import Database, HashIndex, stable_hash
+from repro.relalg import Database, HashIndex
 from repro.relalg.wal import fingerprint_hash, row_key, state_fingerprint
 
 NAN = float("nan")
-
-
-class TestStableHashRouting:
-    def test_negative_zero_routes_with_positive_zero(self):
-        assert stable_hash(-0.0) == stable_hash(0.0)
-        # Cross-type numeric equality keeps the pruning contract too.
-        assert stable_hash(0) == stable_hash(0.0) == stable_hash(False)
-
-    def test_nan_bucket_is_fixed_and_object_independent(self):
-        # hash(nan) is id-based on CPython 3.10+; stable_hash must not be.
-        assert stable_hash(float("nan")) == stable_hash(float("nan"))
-        assert stable_hash(NAN) == stable_hash(math.nan)
-
-    def test_nested_containers_inherit_the_edge_cases(self):
-        assert stable_hash((-0.0, "a")) == stable_hash((0.0, "a"))
-        assert stable_hash([float("nan")]) == stable_hash([float("nan")])
 
 
 class TestHashIndexEdgeKeys:
@@ -76,7 +57,7 @@ class TestHashIndexEdgeKeys:
 
 
 def _edge_database(**kwargs):
-    database = Database(n_partitions=4, **kwargs)
+    database = Database(**kwargs)
     database.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, x FLOAT, s VARCHAR)"
     )
@@ -151,7 +132,7 @@ class TestWalRowKeyEdgeCases:
         )
         expected = fingerprint_hash(state_fingerprint(database))
         database.close()
-        with Database(n_partitions=4, wal_path=str(wal_path)) as recovered:
+        with Database(wal_path=str(wal_path)) as recovered:
             assert fingerprint_hash(state_fingerprint(recovered)) == expected
             rows = recovered.query("SELECT id, s FROM t ORDER BY id").rows
             assert rows == [

@@ -3,7 +3,7 @@
 An index probe consumes every indexed equality conjunct of its level: the
 first one (the probe the planner always chose) and every later one on a
 different indexed column whose other side is already bound.  The buckets of
-those indexes are intersected by :func:`repro.relalg.storage.probe_partition`,
+those indexes are intersected by :func:`repro.relalg.storage.probe_rows`,
 which both engines call, so rows, their order and the ``QueryStats`` stay
 identical between the compiled engine and the interpreted reference.  Each
 key is evaluated once per probe and counts one index lookup; the probe
@@ -39,8 +39,8 @@ _ROWS[13] = (14, 6, 4, "Recv", float("nan"))
 _SELECT = "SELECT id FROM t WHERE owner = ? AND run = ?"
 
 
-def _database(engine="vectorized", n_partitions=1, indexes=("owner", "run")):
-    database = Database(n_partitions=n_partitions, **_ENGINES[engine])
+def _database(engine="vectorized", indexes=("owner", "run")):
+    database = Database(**_ENGINES[engine])
     database.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, owner INTEGER, run INTEGER, "
         "kind VARCHAR, v FLOAT)"
@@ -82,19 +82,19 @@ class TestMultiKeyProbePlan:
             text = database.explain(
                 "SELECT id FROM t WHERE run = ? AND v > ? AND owner = ?"
             )
-        assert "index-probe on run, owner, 1 partition(s), filters=1" in text
+        assert "index-probe on run, owner, filters=1" in text
 
     def test_a_second_conjunct_on_a_probed_column_stays_a_filter(self):
         with _database() as database:
             text = database.explain(
                 "SELECT id FROM t WHERE owner = ? AND owner = ? AND run = ?"
             )
-        assert "index-probe on owner, run, 1 partition(s), filters=1" in text
+        assert "index-probe on owner, run, filters=1" in text
 
     def test_an_unindexed_column_stays_a_filter(self):
         with _database(indexes=("owner",)) as database:
             text = database.explain(_SELECT)
-        assert "index-probe on owner, 1 partition(s), filters=1" in text
+        assert "index-probe on owner, filters=1" in text
 
     def test_estimates_and_join_order_are_the_first_keys(self):
         sql = (
@@ -111,18 +111,16 @@ class TestMultiKeyProbePlan:
             "filters=0", "filters=1"
         ) == single_text
 
-    def test_a_key_on_the_partition_column_prunes(self):
-        with _database(n_partitions=4) as database:
+    def test_a_primary_key_conjunct_joins_the_probe(self):
+        with _database() as database:
             text = database.explain("SELECT id FROM t WHERE owner = ? AND id = ?")
             result = database.query(
                 "SELECT id FROM t WHERE owner = ? AND id = ?", [3, 11]
             )
-        assert (
-            "index-probe on owner, id, 1 of 4 partition(s) [pruned]" in text
-        )
+        assert "index-probe on owner, id, filters=0" in text
         assert result.rows == [(11,)]
         assert result.stats.index_lookups == 2
-        assert list(result.stats.partition_rows_scanned.values()) == [1]
+        assert result.stats.rows_scanned == 1
 
 
 class TestMultiKeyProbeExecution:
@@ -207,9 +205,8 @@ class TestMultiKeyProbeExecution:
         assert "index_lookups=3," in outcome[2]
         assert "rows_scanned=2," in outcome[2]
 
-    @pytest.mark.parametrize("n_partitions", [4, 7])
-    def test_partitioned_tables_intersect_per_partition(self, n_partitions):
-        with _database(n_partitions=n_partitions) as database:
+    def test_every_key_pair_returns_exactly_its_rows(self):
+        with _database() as database:
             for owner in range(8):
                 for run in range(5):
                     result = database.query(_SELECT, [owner, run])
@@ -217,11 +214,8 @@ class TestMultiKeyProbeExecution:
                         row[0] for row in _ROWS
                         if row[1] == owner and row[2] == run
                     ]
-                    assert sorted(r[0] for r in result.rows) == expected
+                    assert [r[0] for r in result.rows] == expected
                     assert result.stats.rows_scanned == len(expected)
-                    assert sum(
-                        result.stats.partition_rows_scanned.values()
-                    ) == len(expected)
 
 
 def _or_set(sql):

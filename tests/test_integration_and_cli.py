@@ -149,17 +149,13 @@ class TestCommandLineInterface:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["--strategy", "pushdown", "--db-partitions", "0"],
-             "--db-partitions must be >= 1"),
-            (["--strategy", "pushdown", "--db-parallelism", "0"],
-             "--db-parallelism must be >= 1"),
             (["--pes", "0"], "--pes values must be >= 1"),
             (["--pes", "1", "-4"], "--pes values must be >= 1"),
             (["--analyze-pes", "3"], "--analyze-pes 3 is not one of --pes"),
             (["--top", "-2"], "--top must be >= 0"),
         ],
         ids=[
-            "db-partitions-0", "db-parallelism-0", "pes-0", "pes-negative",
+            "pes-0", "pes-negative",
             "analyze-pes-not-simulated", "top-negative",
         ],
     )
@@ -189,6 +185,31 @@ class TestCommandLineInterface:
         assert "-- property SublinearSpeedup" in output
         assert "SELECT" in output
         assert "FROM dual" in output
+
+    def test_show_sql_lists_every_statement_the_pushdown_strategy_runs(
+        self, capsys
+    ):
+        scenario = build_scenario("mixed", pe_counts=(1, 4))
+        client, ids = load_into_backend(scenario, "ms_access")
+        executed = set()
+        execute = client.execute
+
+        def recording(sql, params=()):
+            executed.add(sql)
+            return execute(sql, params)
+
+        client.execute = recording
+        strategy = PushdownStrategy(
+            scenario.specification, scenario.mapping, client, ids
+        )
+        scenario.analyzer.analyze(pes=4, strategy=strategy)
+        client.close()
+        assert executed
+        assert main(["--show-sql"]) == 0
+        output = capsys.readouterr().out
+        assert "confidence (unguarded)" in output
+        missing = sorted(sql for sql in executed if sql not in output)
+        assert missing == []
 
 
 class TestCommandLineProcess:
@@ -230,8 +251,8 @@ class TestCommandLineProcess:
         assert done.stdout == ""
 
     def test_out_of_range_option_exits_2_without_a_traceback(self):
-        done = self._run(["--strategy", "pushdown", "--db-partitions", "0"])
+        done = self._run(["--strategy", "pushdown", "--pes", "0"])
         assert done.returncode == 2
-        assert "--db-partitions must be >= 1" in done.stderr
+        assert "--pes values must be >= 1" in done.stderr
         assert "Traceback" not in done.stderr
         assert done.stdout == ""

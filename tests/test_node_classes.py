@@ -432,11 +432,11 @@ CONTRACTS = [
     (
         rowset.QueryStats,
         "rows_scanned index_lookups range_probes rows_joined rows_returned "
-        "subqueries hash_probes partition_rows_scanned subquery_replays",
+        "subqueries hash_probes subquery_replays",
         {
             "rows_scanned": 0, "index_lookups": 0, "range_probes": 0, "rows_joined": 0,
             "rows_returned": 0, "subqueries": 0, "hash_probes": 0,
-            "partition_rows_scanned": fresh(dict), "subquery_replays": 0,
+            "subquery_replays": 0,
         },
         "rows_scanned index_lookups range_probes rows_joined rows_returned subqueries hash_probes",
         "unhashable",
@@ -553,10 +553,9 @@ CONTRACTS = [
     ),
     (
         storage.TableStatistics,
-        "table n_partitions row_count partition_rows index_distinct histograms "
-        "ordered_columns mutations",
+        "table row_count index_distinct histograms ordered_columns mutations",
         {
-            "partition_rows": fresh(list), "index_distinct": fresh(dict),
+            "index_distinct": fresh(dict),
             "histograms": fresh(dict), "ordered_columns": fresh(list), "mutations": 0,
         },
         ALL,

@@ -38,11 +38,11 @@ def _rows(n=60):
     return out
 
 
-def _pair(n_partitions=3, rows=None):
+def _pair(rows=None):
     """The same data with and without the ordered index."""
     rows = _rows() if rows is None else rows
-    indexed = _fill(Database(n_partitions=n_partitions), rows)
-    plain = _fill(Database(n_partitions=n_partitions), rows, ordered=False)
+    indexed = _fill(Database(), rows)
+    plain = _fill(Database(), rows, ordered=False)
     return indexed, plain
 
 
@@ -161,12 +161,11 @@ class TestIndexOrderPushdown:
         desc = "SELECT id, v FROM t ORDER BY v DESC LIMIT 6"
         assert plan_select(parse_sql(desc), indexed.tables).index_order == ("v", False)
 
-    @pytest.mark.parametrize("n_partitions", [1, 3, 5])
-    def test_pushdown_is_invisible_across_partition_layouts(self, n_partitions):
-        # Same partition count with and without the index: the k-way merge
-        # must reproduce the stable sort's partition-major tie order and
-        # NULL placement exactly, for every direction/limit/offset shape.
-        indexed, plain = _pair(n_partitions=n_partitions)
+    def test_pushdown_is_invisible(self):
+        # The same data with and without the index: the index-order walk
+        # must reproduce the stable sort's tie order and NULL placement
+        # exactly, for every direction/limit/offset shape.
+        indexed, plain = _pair()
         for sql in (
             "SELECT id, v FROM t ORDER BY v LIMIT 7",
             "SELECT id, v FROM t ORDER BY v DESC LIMIT 7",
@@ -189,7 +188,7 @@ class TestIndexOrderPushdown:
 
     def test_signed_zero_ties_keep_position_order(self):
         rows = [(1, 0.0, 0), (2, -0.0, 0), (3, 0.0, 0), (4, -1.0, 0), (5, 1.0, 0)]
-        indexed, plain = _pair(n_partitions=1, rows=rows)
+        indexed, plain = _pair(rows=rows)
         for sql in (
             "SELECT id FROM t ORDER BY v LIMIT 5",
             "SELECT id FROM t ORDER BY v DESC LIMIT 5",
@@ -199,7 +198,7 @@ class TestIndexOrderPushdown:
     def test_nan_in_data_forces_runtime_fallback(self):
         rows = [(i + 1, float(v), 0) for i, v in enumerate([5, 2, 9, 1])]
         rows.append((5, float("nan"), 0))
-        indexed, plain = _pair(n_partitions=2, rows=rows)
+        indexed, plain = _pair(rows=rows)
         sql = "SELECT id FROM t ORDER BY v LIMIT 3"
         # Eligible at plan time, but a NaN entry poisons the sorted run, so
         # execution falls back to the full stable sort.
@@ -219,14 +218,14 @@ class TestModeParity:
         rows = _rows()
         databases = {
             "interp": _fill(Database(engine="interpreted"), rows),
-            "rowwise": _fill(Database(n_partitions=1, vectorized=False), rows),
-            "vector": _fill(Database(n_partitions=1), rows),
+            "rowwise": _fill(Database(vectorized=False), rows),
+            "vector": _fill(Database(), rows),
         }
         results = {name: db.query(sql, params) for name, db in databases.items()}
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(storage, "CHUNK_ROWS", 3)
             results["small-chunks"] = _fill(
-                Database(n_partitions=1), rows
+                Database(), rows
             ).query(sql, params)
         reference = results["interp"]
         for name, result in results.items():
@@ -257,7 +256,7 @@ class TestModeParity:
         messages = set()
         for database in (
             _fill(Database(engine="interpreted"), rows),
-            _fill(Database(n_partitions=2), rows),
+            _fill(Database(), rows),
         ):
             with pytest.raises((SemanticError, ExecutionError)) as excinfo:
                 database.query(sql)
@@ -267,7 +266,7 @@ class TestModeParity:
 
 class TestMaintenance:
     def test_rolled_back_inserts_stay_invisible_to_the_probe(self):
-        indexed, plain = _pair(n_partitions=2)
+        indexed, plain = _pair()
         for database in (indexed, plain):
             database.execute("BEGIN")
             database.executemany(
@@ -282,7 +281,7 @@ class TestMaintenance:
         assert all(row[0] < 100 for row in got.rows)
 
     def test_rolled_back_delete_keeps_rows_probeable(self):
-        indexed, plain = _pair(n_partitions=2)
+        indexed, plain = _pair()
         for database in (indexed, plain):
             database.execute("BEGIN")
             database.execute("DELETE FROM t WHERE v > ?", [5.0])
@@ -292,7 +291,7 @@ class TestMaintenance:
         assert indexed.query(sql, [5.0]).rows != []
 
     def test_delete_then_probe(self):
-        indexed, plain = _pair(n_partitions=2)
+        indexed, plain = _pair()
         for database in (indexed, plain):
             database.execute("DELETE FROM t WHERE g = ?", [2])
         sql = "SELECT id, v, g FROM t WHERE v >= ? AND v <= ? ORDER BY id"
@@ -301,7 +300,7 @@ class TestMaintenance:
         assert all(row[2] != 2 for row in got.rows)
 
     def test_pushdown_after_dml_churn(self):
-        indexed, plain = _pair(n_partitions=3)
+        indexed, plain = _pair()
         for database in (indexed, plain):
             database.execute("DELETE FROM t WHERE g = ?", [1])
             database.executemany(
@@ -319,14 +318,14 @@ class TestDurability:
     def test_ordered_index_survives_wal_replay(self, tmp_path):
         wal_path = str(tmp_path / "ordered.wal")
         database = _fill(
-            Database(n_partitions=2, wal_path=wal_path, wal_autocheckpoint=None),
+            Database(wal_path=wal_path, wal_autocheckpoint=None),
             _rows(),
         )
         expected = database.query(
             "SELECT id, v FROM t WHERE v > ? AND v < ? ORDER BY id", [4.0, 16.0]
         )
         database.close()
-        with Database(n_partitions=2, wal_path=wal_path) as recovered:
+        with Database(wal_path=wal_path) as recovered:
             got = recovered.query(
                 "SELECT id, v FROM t WHERE v > ? AND v < ? ORDER BY id", [4.0, 16.0]
             )
@@ -338,7 +337,7 @@ class TestDurability:
     def test_ordered_index_survives_checkpoint_restore(self, tmp_path):
         wal_path = str(tmp_path / "ordered-ckpt.wal")
         database = _fill(
-            Database(n_partitions=3, wal_path=wal_path, wal_autocheckpoint=None),
+            Database(wal_path=wal_path, wal_autocheckpoint=None),
             _rows(),
         )
         database.checkpoint()
@@ -350,7 +349,7 @@ class TestDurability:
             "SELECT id, v FROM t WHERE v BETWEEN ? AND ? ORDER BY id", [4.0, 9.0]
         )
         database.close()
-        with Database(n_partitions=3, wal_path=wal_path) as recovered:
+        with Database(wal_path=wal_path) as recovered:
             got = recovered.query(
                 "SELECT id, v FROM t WHERE v BETWEEN ? AND ? ORDER BY id", [4.0, 9.0]
             )

@@ -181,18 +181,17 @@ class TestSqlFilterEquivalence:
 #
 # Every seeded case builds the same random two-table database (random row
 # counts, NULLs in every nullable column, randomly created secondary indexes)
-# in one Database instance per engine and partition count — the compiled
-# engine runs at ``n_partitions`` ∈ {1, 4, 7}, the interpreted engine is the
-# unpartitioned reference — and runs a handful of random SELECTs (index
-# probes, filters, IS NULL, IN lists, DISTINCT, aggregates, equi-joins,
-# ORDER BY/LIMIT) against all of them.  Results must be identical at every
-# partition count; the QueryStats counters must be byte-identical at
-# ``n_partitions=1`` whenever the compiled plan does the same physical work
-# as the interpreter: no hash-join probe (the seed engine does not have
-# them) and a join order that follows the syntactic binding order (the seed
-# engine cannot reorder by estimated cardinality).  In both carve-out cases
-# only the returned-row counter is compared.  A ``vectorized=False``
-# compiled database at ``n_partitions=1`` additionally pins the columnar
+# in one Database instance per engine — the compiled engine, vectorized (the
+# default) and row-at-a-time, and the interpreted reference — and runs a
+# handful of random SELECTs (index probes, filters, IS NULL, IN lists,
+# DISTINCT, aggregates, equi-joins, ORDER BY/LIMIT) against all of them.
+# Compiled rows must equal the interpreted reference's bit for bit; the
+# QueryStats counters must be byte-identical whenever the compiled plan does
+# the same physical work as the interpreter: no hash-join probe (the seed
+# engine does not have them) and a join order that follows the syntactic
+# binding order (the seed engine cannot reorder by estimated cardinality).
+# In both carve-out cases only the returned-row counter is compared.  The
+# ``vectorized=False`` compiled database additionally pins the columnar
 # batch path byte-identical (rows and full QueryStats) to row-at-a-time.
 # The multi-key axis runs every multi-key statement kind (two and three
 # indexed equality conjuncts on one binding, at the driving and an inner
@@ -201,7 +200,6 @@ class TestSqlFilterEquivalence:
 
 _FUZZ_CASES = 200
 _MULTI_KEY_FUZZ_CASES = 100
-_FUZZ_PARTITION_COUNTS = (1, 4, 7)
 _FUZZ_STRINGS = ["alpha", "beta", "gamma", None]
 
 
@@ -209,9 +207,8 @@ def _random_schema(rng):
     """One random two-table schema: the DDL plus the initial data rows.
 
     ``m.o`` is strictly increasing (1.37 spacing, ±0.4 jitter) and never
-    NULL, so a single-key ``ORDER BY o`` totally orders the rows — the only
-    shape whose index-order pushdown result is comparable across partition
-    layouts.  The ordered-index axis (``ORDERED`` on ``m.x`` / ``m.o``)
+    NULL, so a single-key ``ORDER BY o`` totally orders the rows.  The
+    ordered-index axis (``ORDERED`` on ``m.x`` / ``m.o``)
     sweeps range probes and pushdown on and off against the same statements
     running as plain filtered scans.
     """
@@ -271,17 +268,14 @@ def _load_schema(database, ddl, m_rows, r_rows):
 
 
 def _random_databases(rng):
-    """The same random schema + data, one compiled database per partition
-    count (vectorized, the default), a row-at-a-time compiled database at
-    ``n_partitions=1`` and the unpartitioned interpreted reference."""
-    compiled = {
-        parts: Database(engine="compiled", n_partitions=parts)
-        for parts in _FUZZ_PARTITION_COUNTS
-    }
-    rowwise = Database(engine="compiled", n_partitions=1, vectorized=False)
+    """The same random schema + data in a compiled database (vectorized,
+    the default), a row-at-a-time compiled database and the interpreted
+    reference."""
+    compiled = Database(engine="compiled")
+    rowwise = Database(engine="compiled", vectorized=False)
     interpreted = Database(engine="interpreted")
     ddl, m_rows, r_rows = _random_schema(rng)
-    for database in list(compiled.values()) + [rowwise, interpreted]:
+    for database in (compiled, rowwise, interpreted):
         _load_schema(database, ddl, m_rows, r_rows)
     return compiled, rowwise, interpreted
 
@@ -376,9 +370,7 @@ def _random_select(rng):
             [],
         )
     if kind == "group_join":
-        # Multi-table GROUP BY with a HAVING over an integer aggregate (an
-        # integer boundary cannot flip under float-summation reordering, so
-        # the statement is comparable across partition layouts).
+        # Multi-table GROUP BY with a HAVING over an integer aggregate.
         return (
             f"SELECT m.g AS gg, COUNT(*), SUM(r.v), MIN(r.v) FROM m, r "
             f"WHERE m.id = r.m_id GROUP BY m.g "
@@ -423,7 +415,7 @@ def _random_multi_key_select(rng, kind):
     string = rng.choice(_FUZZ_STRINGS)
     group = rng.choice([None, 0, 1, 2, 3])
     if kind == "primary_and_secondary":
-        # The primary key prunes to one partition; ``s`` narrows within it.
+        # The primary key's bucket, narrowed by ``s``.
         return (
             "SELECT id, g, s FROM m WHERE id = ? AND s = ? ORDER BY id",
             [rng.randint(0, 26), string],
@@ -460,27 +452,6 @@ def _random_multi_key_select(rng, kind):
         "WHERE m.s = ? AND r.m_id = m.id AND r.id = m.g ORDER BY m.id, r.id",
         [string],
     )
-
-
-def _rows_equivalent(got_rows, expected_rows) -> bool:
-    """Row equality up to float-addition associativity.
-
-    A partitioned table enumerates rows partition-major instead of in global
-    insertion order, so float aggregates (SUM/AVG) accumulate in a different
-    order and may drift by ~1 ulp.  Non-float values must match exactly.
-    """
-    if len(got_rows) != len(expected_rows):
-        return False
-    for got_row, expected_row in zip(got_rows, expected_rows):
-        if len(got_row) != len(expected_row):
-            return False
-        for got_value, expected_value in zip(got_row, expected_row):
-            if isinstance(got_value, float) and isinstance(expected_value, float):
-                if got_value != pytest.approx(expected_value, rel=1e-9, abs=1e-12):
-                    return False
-            elif got_value != expected_value:
-                return False
-    return True
 
 
 # --------------------------------------------------------------------------- #
@@ -529,14 +500,13 @@ def _assert_identical_rejection(databases, seed, sql):
 
 
 def _assert_engines_agree(seed, sql, params, compiled, rowwise, interpreted):
-    """The engine-differential oracle for one statement: identical results
-    at every partition count, byte-identical rows and QueryStats between
+    """The engine-differential oracle for one statement: rows identical to
+    the interpreted reference's, byte-identical rows and QueryStats between
     the vectorized and row-at-a-time compiled engines, and QueryStats
     identical to the interpreted reference wherever the plan does the
-    reference's physical work.  Returns the single-partition plan."""
-    single = compiled[1]
-    _assert_analyzer_accepts(sql, single.tables, seed)
-    plan = plan_select(parse_sql(sql), single.tables)
+    reference's physical work.  Returns the compiled plan."""
+    _assert_analyzer_accepts(sql, compiled.tables, seed)
+    plan = plan_select(parse_sql(sql), compiled.tables)
     uses_hash_join = any(
         level["access"] == "hash-probe" for level in plan.describe()
     )
@@ -544,21 +514,14 @@ def _assert_engines_agree(seed, sql, params, compiled, rowwise, interpreted):
         level["access"] == "range-probe" for level in plan.describe()
     )
     expected = interpreted.query(sql, params)
-    got = None
-    for parts, database in compiled.items():
-        result = database.query(sql, params)
-        assert result.columns == expected.columns, (sql, parts)
-        if parts == 1:
-            # The single-partition engine scans in the reference
-            # engine's order: results must be identical to the bit.
-            assert result.rows == expected.rows, (sql, parts)
-            got = result
-        else:
-            assert _rows_equivalent(result.rows, expected.rows), (sql, parts)
+    got = compiled.query(sql, params)
+    assert got.columns == expected.columns, sql
+    # Both engines scan in storage order: results must be identical to
+    # the bit.
+    assert got.rows == expected.rows, sql
     # The vectorized default must be invisible: the row-at-a-time
-    # compiled engine returns byte-identical rows AND QueryStats at the
-    # same partition count (the columnar path does the same logical
-    # work, only batched).
+    # compiled engine returns byte-identical rows AND QueryStats (the
+    # columnar path does the same logical work, only batched).
     row_result = rowwise.query(sql, params)
     assert row_result.columns == got.columns, sql
     assert row_result.rows == got.rows, sql
@@ -580,15 +543,15 @@ def _assert_engines_agree(seed, sql, params, compiled, rowwise, interpreted):
 def _assert_plans_stayed_cached(compiled, rowwise):
     """No DDL ran after the warm-up, so every cached plan stayed valid:
     one miss per distinct SQL text, never a re-miss from invalidation."""
-    for database in list(compiled.values()) + [rowwise]:
+    for database in (compiled, rowwise):
         info = database.plan_cache_info()
         assert info["misses"] == info["size"]
 
 
 def _run_engine_differential_case(seed):
-    """One engine-differential case: compiled (at every partition count)
-    against the interpreted reference, shared by the corpus replay and the
-    random exploration."""
+    """One engine-differential case: the compiled engines against the
+    interpreted reference, shared by the corpus replay and the random
+    exploration."""
     rng = random.Random(seed)
     compiled, rowwise, interpreted = _random_databases(rng)
     for _ in range(4):
@@ -598,7 +561,7 @@ def _run_engine_differential_case(seed):
     # plan-cache miss without ever caching a plan.)
     _assert_plans_stayed_cached(compiled, rowwise)
     _assert_identical_rejection(
-        list(compiled.values()) + [rowwise, interpreted],
+        [compiled, rowwise, interpreted],
         seed,
         _MISTYPED_POOL[seed % len(_MISTYPED_POOL)],
     )
@@ -630,27 +593,23 @@ def _run_multi_key_case(seed):
 # Executor-differential fuzzer: sequential vs. rowwise
 # --------------------------------------------------------------------------- #
 #
-# Every seeded case builds the same random schema in six databases — the
-# executor matrix {sequential, rowwise (vectorized off)}
-# × n_partitions {1, 4, 7} —
-# and replays one random statement stream of SELECTs (including multi-table
-# GROUP BY/HAVING) *interleaved with DML* (INSERT/DELETE between SELECTs,
-# exercising the columnar chunk cache's invalidation after every mutation)
-# against all of them.  At every partition count the rowwise executor must
-# return rows byte-identical to the sequential reference (same
-# partition-major enumeration order — no float tolerance needed) with
-# sequential-identical QueryStats, per-partition attribution included, on
-# every plan shape.
+# Every seeded case builds the same random schema in two databases — the
+# executor matrix {sequential, rowwise (vectorized off)} — and replays one
+# random statement stream of SELECTs (including multi-table GROUP BY/HAVING)
+# *interleaved with DML* (INSERT/DELETE between SELECTs, exercising the
+# columnar chunk cache's invalidation after every mutation) against both.
+# The rowwise executor must return rows byte-identical to the sequential
+# reference (same enumeration order — no float tolerance needed) with
+# sequential-identical QueryStats on every plan shape.
 
 _EXECUTOR_FUZZ_CASES = 200
-_EXECUTOR_FUZZ_PARTITIONS = (1, 4, 7)
 
 
 def _random_executor_select(rng):
     """A random SELECT for the executor matrix: the engine fuzzer's pool
     plus GROUP BY/HAVING shapes that only executor-vs-executor comparison
-    can check exactly (float HAVING boundaries are order-sensitive, but all
-    executors enumerate in the same partition-major order)."""
+    can check exactly (float HAVING boundaries are order-sensitive, but
+    both executors enumerate in the same storage order)."""
     if rng.random() < 0.3:
         # A LIMIT sometimes rides along: this exercises top-k over an
         # aggregated result on every executor.
@@ -709,15 +668,13 @@ def _run_executor_differential_case(seed):
     exploration."""
     rng = random.Random(seed)
     ddl, m_rows, r_rows = _random_schema(rng)
-    groups = {}
+    group = {
+        "sequential": Database(),
+        "rowwise": Database(vectorized=False),
+    }
     try:
-        for parts in _EXECUTOR_FUZZ_PARTITIONS:
-            groups[parts] = {
-                "sequential": Database(n_partitions=parts),
-                "rowwise": Database(n_partitions=parts, vectorized=False),
-            }
-            for database in groups[parts].values():
-                _load_schema(database, ddl, m_rows, r_rows)
+        for database in group.values():
+            _load_schema(database, ddl, m_rows, r_rows)
         fresh_ids = itertools.count(1000)
         ops = [
             _random_dml(rng, fresh_ids)
@@ -725,52 +682,43 @@ def _run_executor_differential_case(seed):
             else ("select", *_random_executor_select(rng))
         for _ in range(10)]
         for op, sql, payload in ops:
-            for parts, group in groups.items():
-                if op == "select":
-                    _assert_analyzer_accepts(
-                        sql, group["sequential"].tables, seed
-                    )
-                    reference = group["sequential"].query(sql, payload)
-                    result = group["rowwise"].query(sql, payload)
-                    label = (seed, sql, parts, "rowwise")
-                    assert result.columns == reference.columns, label
-                    assert result.rows == reference.rows, label
-                    assert result.stats == reference.stats, label
-                    assert (
-                        result.stats.partition_rows_scanned
-                        == reference.stats.partition_rows_scanned
-                    ), label
-                else:
-                    affected = {}
-                    for kind, database in group.items():
-                        if op == "executemany":
-                            affected[kind] = database.executemany(sql, payload)
-                        else:
-                            affected[kind] = database.execute(sql, payload)
-                    label = (seed, sql, parts)
-                    assert affected["rowwise"] == affected["sequential"], label
+            if op == "select":
+                _assert_analyzer_accepts(sql, group["sequential"].tables, seed)
+                reference = group["sequential"].query(sql, payload)
+                result = group["rowwise"].query(sql, payload)
+                label = (seed, sql, "rowwise")
+                assert result.columns == reference.columns, label
+                assert result.rows == reference.rows, label
+                assert result.stats == reference.stats, label
+            else:
+                affected = {}
+                for kind, database in group.items():
+                    if op == "executemany":
+                        affected[kind] = database.executemany(sql, payload)
+                    else:
+                        affected[kind] = database.execute(sql, payload)
+                label = (seed, sql)
+                assert affected["rowwise"] == affected["sequential"], label
         # The mistyped rejection must be byte-identical across the whole
         # executor matrix too — both as a SELECT and as a DELETE predicate
         # (no rows may be deleted before the rejection fires).
-        for parts, group in groups.items():
-            _assert_identical_rejection(
-                list(group.values()),
-                seed,
-                _MISTYPED_POOL[seed % len(_MISTYPED_POOL)],
-            )
-            messages = set()
-            for database in group.values():
-                before = database.query("SELECT COUNT(*) FROM m", []).rows
-                with pytest.raises(SemanticError) as excinfo:
-                    database.execute("DELETE FROM m WHERE s > 5")
-                messages.add(str(excinfo.value))
-                after = database.query("SELECT COUNT(*) FROM m", []).rows
-                assert after == before, (seed, parts)
-            assert len(messages) == 1, (seed, parts, messages)
+        _assert_identical_rejection(
+            list(group.values()),
+            seed,
+            _MISTYPED_POOL[seed % len(_MISTYPED_POOL)],
+        )
+        messages = set()
+        for database in group.values():
+            before = database.query("SELECT COUNT(*) FROM m", []).rows
+            with pytest.raises(SemanticError) as excinfo:
+                database.execute("DELETE FROM m WHERE s > 5")
+            messages.add(str(excinfo.value))
+            after = database.query("SELECT COUNT(*) FROM m", []).rows
+            assert after == before, seed
+        assert len(messages) == 1, (seed, messages)
     finally:
-        for group in groups.values():
-            for database in group.values():
-                database.close()
+        for database in group.values():
+            database.close()
 
 
 # --------------------------------------------------------------------------- #

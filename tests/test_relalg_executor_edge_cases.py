@@ -213,7 +213,7 @@ class TestCountDistinct:
         assert result.rows == [("io", 1), ("loop", 2), ("main", 1)]
 
 
-class TestMultiTableIndexProbeStats:
+class TestIndexProbeStatsAcrossTables:
     """Exact QueryStats of multi-table index-probe plans (A1-style queries)."""
 
     def test_pk_probe_per_outer_row(self, db):

@@ -10,7 +10,13 @@ ablation depends on them).
 import pytest
 
 import repro.relalg.database as database_module
-from repro.relalg import Database, ExecutionError, QueryStats, plan_select
+from repro.relalg import (
+    Database,
+    ExecutionError,
+    QueryStats,
+    SchemaError,
+    plan_select,
+)
 from repro.relalg.interp import InterpretedSelectExecutor
 from repro.relalg.planner import QueryPlan
 from repro.relalg.sqlparser import parse_sql
@@ -104,9 +110,6 @@ class TestPlanShapes:
         assert level["access"] == "index-probe"
         assert level["column"] == "id"
         assert level["filters"] == 0
-        assert level["partitions"] == 1
-        # Single-partition tables have nothing to prune.
-        assert level["pruned"] is False
         # 5 rows, 5 distinct primary keys: the probe expects one match.
         assert level["estimated_rows"] == 1.0
 
@@ -176,10 +179,8 @@ class TestHashJoin:
 
 class TestStalePlanFallback:
     """A cached plan whose index was dropped directly on the table — behind
-    the plan cache's back — falls back to a filtered scan with the same rows,
-    at every partition count."""
+    the plan cache's back — falls back to a filtered scan with the same rows."""
 
-    @pytest.mark.parametrize("n_partitions", [1, 4])
     @pytest.mark.parametrize(
         "column, ddl_suffix, sql, params",
         [
@@ -192,9 +193,9 @@ class TestStalePlanFallback:
         ],
     )
     def test_dropped_index_falls_back_to_a_filtered_scan(
-        self, n_partitions, column, ddl_suffix, sql, params
+        self, column, ddl_suffix, sql, params
     ):
-        db = Database(n_partitions=n_partitions)
+        db = Database()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, v FLOAT)")
         db.executemany(
             "INSERT INTO t (id, g, v) VALUES (?, ?, ?)",
@@ -211,11 +212,6 @@ class TestStalePlanFallback:
         assert fallback.rows == probed.rows
         assert fallback.stats.index_lookups == fallback.stats.range_probes == 0
         assert fallback.stats.rows_scanned == 40
-        scanned_per_partition = fallback.stats.partition_rows_scanned
-        if n_partitions == 1:
-            assert scanned_per_partition == {}
-        else:
-            assert sum(scanned_per_partition.values()) == 40
 
 
 class TestPlanCache:
@@ -270,6 +266,103 @@ class TestPlanCache:
         db.execute("DELETE FROM measurements WHERE region = 'loop'")
         assert db.query(sql).scalar() == 0
         assert db.plan_cache_info()["misses"] == 1
+
+    def test_create_index_replans_only_its_table(self, db):
+        sql = "SELECT id FROM measurements WHERE run_id = ? ORDER BY id"
+        other = "SELECT pes FROM runs WHERE id = ?"
+        before = db.query(sql, [1])
+        db.query(other, [1])
+        assert db.plan_cache_info() == {"hits": 0, "misses": 2, "size": 2}
+        db.execute("CREATE INDEX idx_run ON measurements (run_id)")
+        assert db.plan_cache_info()["size"] == 1  # the runs plan survives
+        after = db.query(sql, [1])
+        db.query(other, [1])
+        assert db.plan_cache_info() == {"hits": 1, "misses": 3, "size": 2}
+        assert after.rows == before.rows
+        assert (before.stats.index_lookups, before.stats.rows_scanned) == (0, 5)
+        assert (after.stats.index_lookups, after.stats.rows_scanned) == (1, 3)
+
+    def test_drop_and_recreate_never_reuses_a_dropped_plan(self):
+        db = Database()
+        sql = "SELECT COUNT(*), MIN(v) FROM t WHERE v >= ?"
+        for generation in range(3):
+            db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v FLOAT)")
+            db.executemany(
+                "INSERT INTO t (id, v) VALUES (?, ?)",
+                [(i, float(i + generation)) for i in range(30 + generation)],
+            )
+            assert db.query(sql, [0.0]).rows == [
+                (30 + generation, float(generation))
+            ]
+            db.execute("DROP TABLE t")
+            assert db.plan_cache_info()["size"] == 0
+        assert db.plan_cache_info()["misses"] == 3
+        with pytest.raises(SchemaError, match="unknown table"):
+            db.query(sql, [0.0])
+
+    def test_same_named_tables_of_two_databases_stay_apart(self):
+        first, second = Database(), Database()
+        for database, rows in ((first, 40), (second, 7)):
+            database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v FLOAT)")
+            database.executemany(
+                "INSERT INTO t (id, v) VALUES (?, ?)",
+                [(i, float(i)) for i in range(rows)],
+            )
+        sql = "SELECT COUNT(*) FROM t WHERE v >= ?"
+        for _ in range(2):  # cold plans, then cached ones
+            assert first.query(sql, [0.0]).scalar() == 40
+            assert second.query(sql, [0.0]).scalar() == 7
+
+    def test_a_failed_execution_leaves_the_cached_plan_usable(self, db):
+        sql = "SELECT id FROM measurements WHERE value / ? > 1 ORDER BY id"
+        with pytest.raises(ExecutionError, match="division by zero"):
+            db.query(sql, [0])
+        got = db.query(sql, [2])
+        assert db.plan_cache_info()["hits"] == 1
+        expected = make_db("interpreted").query(sql, [2])
+        assert got.rows == expected.rows == [(1,), (3,), (4,)]
+        assert got.stats == expected.stats
+
+
+class TestEmptyTables:
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    def test_scans_and_aggregates_over_empty_tables(self, engine):
+        db = Database(engine=engine)
+        db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, v FLOAT)")
+        empty = db.query("SELECT * FROM e WHERE v > ?", [0.0])
+        assert empty.rows == []
+        assert empty.stats.rows_scanned == 0
+        aggregates = "SELECT COUNT(*), SUM(v), MIN(v) FROM e WHERE v > ?"
+        assert db.query(aggregates, [0.0]).rows == [(0, None, None)]
+        db.execute("INSERT INTO e (id, v) VALUES (?, ?)", [1, 5.0])
+        one = db.query("SELECT id FROM e WHERE v > ?", [0.0])
+        assert one.rows == [(1,)]
+        assert one.stats.rows_scanned == 1
+        assert db.query(aggregates, [0.0]).rows == [(1, 5.0, 5.0)]
+
+
+class TestEstimates:
+    def test_planner_estimates_follow_statistics(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER)")
+        db.executemany(
+            "INSERT INTO t (id, g) VALUES (?, ?)", [(i, i % 4) for i in range(80)]
+        )
+        db.execute("CREATE INDEX t_g ON t (g)")
+        (by_key,) = plan_select(
+            parse_sql("SELECT * FROM t WHERE id = 3"), db.tables
+        ).describe()
+        (by_group,) = plan_select(
+            parse_sql("SELECT * FROM t WHERE g = 3"), db.tables
+        ).describe()
+        # 80 rows over 80 distinct keys, and over 4 distinct groups.
+        assert by_key["estimated_rows"] == 1.0
+        assert by_group["estimated_rows"] == 20.0
+        db.execute("DELETE FROM t WHERE g = ?", [0])
+        (after,) = plan_select(
+            parse_sql("SELECT * FROM t WHERE g = 3"), db.tables
+        ).describe()
+        assert after["estimated_rows"] == 20.0  # 60 rows over 3 groups
 
 
 class TestDuplicateConjuncts:

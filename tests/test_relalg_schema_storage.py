@@ -125,6 +125,18 @@ class TestTable:
         with pytest.raises(IntegrityError, match="duplicate primary key"):
             table.insert([1, 11, 101, 2.5, "b"])
 
+    def test_null_primary_key_insert_leaves_the_table_untouched(self):
+        table = Table(timing_schema())
+        table.insert_many([[i, 0, 0, 0.0, "x"] for i in range(1, 9)])
+        before = list(table.rows)
+        with pytest.raises(IntegrityError, match="must not be NULL"):
+            table.insert([None, 1, 1, 1.0, "y"])
+        with pytest.raises(IntegrityError, match="must not be NULL"):
+            table.insert_many([[9, 1, 1, 1.0, "y"], [None, 1, 1, 1.0, "z"]])
+        assert table.rows == before
+        assert table.row_count == 8
+        assert len(table.index_for("id")) == 8
+
     def test_lookup_without_index_scans(self):
         table = Table(timing_schema())
         table.insert([1, 10, 100, 1.5, "a"])
@@ -285,6 +297,22 @@ class TestTombstoneCompaction:
         assert table.dead_count == 1  # below the compaction threshold
         assert table.row_count == 9
 
+    def test_compaction_thresholds(self):
+        # Compaction needs at least 64 tombstones that make up at least half
+        # of the row list.
+        table = self.fill(126)
+        table.delete_where(lambda row: row[0] <= 63)
+        assert table.dead_count == 63  # half the rows, but below the floor
+        table = self.fill(200)
+        table.delete_where(lambda row: row[0] <= 64)
+        assert table.dead_count == 64  # the floor, but below half the rows
+        table.delete_where(lambda row: row[0] <= 99)
+        assert table.dead_count == 99  # one short of half the rows
+        table.delete_where(lambda row: row[0] == 100)
+        assert table.dead_count == 0  # exactly half: compacted
+        assert table.row_count == 100
+        assert [row[0] for row in table.scan()] == list(range(101, 201))
+
     def test_explicit_compact(self):
         table = self.fill(10)
         table.delete_where(lambda row: row[0] <= 3)
@@ -293,3 +321,34 @@ class TestTombstoneCompaction:
         assert table.dead_count == 0
         assert [row[0] for row in table.scan()] == list(range(4, 11))
         assert table.compact() == 0
+
+
+class TestStatistics:
+    def fill(self):
+        table = Table(timing_schema())
+        table.create_index("idx", "region_id")
+        table.insert_many([[i, i % 5, 0, float(i), "x"] for i in range(100)])
+        return table
+
+    def test_row_counts_and_distinct_keys(self):
+        statistics = self.fill().statistics()
+        assert statistics.row_count == 100
+        assert statistics.distinct_for("id") == 100
+        assert statistics.distinct_for("region_id") == 5
+        assert statistics.distinct_for("label") is None
+
+    def test_statistics_track_dml_and_staleness(self):
+        table = self.fill()
+        snapshot = table.statistics()
+        table.delete_where(lambda row: row[1] != 0)  # DELETE-heavy: 80 rows
+        fresh = table.statistics()
+        # The old snapshot is stale and says so via the mutation counter.
+        assert snapshot.row_count == 100
+        assert fresh.row_count == 20
+        assert fresh.mutations == snapshot.mutations + 80
+        assert table.mutations == fresh.mutations
+        # Distinct counts follow the live index buckets through deletes
+        # (and the compaction they triggered).
+        assert table.dead_count == 0
+        assert fresh.distinct_for("region_id") == 1
+        assert fresh.distinct_for("id") == 20

@@ -44,8 +44,8 @@ def _engines():
     """One database per engine mode; every mode must behave identically."""
     return {
         "interpreted": _populate(Database(engine="interpreted")),
-        "vectorized": _populate(Database(n_partitions=3)),
-        "row-at-a-time": _populate(Database(n_partitions=3, vectorized=False)),
+        "vectorized": _populate(Database()),
+        "row-at-a-time": _populate(Database(vectorized=False)),
     }
 
 
@@ -165,15 +165,15 @@ class TestConservativeAcceptance:
 
 class TestConstantFolding:
     def test_folded_predicate_matches_handwritten(self):
-        folded = _populate(Database(n_partitions=3))
-        handwritten = _populate(Database(n_partitions=3))
+        folded = _populate(Database())
+        handwritten = _populate(Database())
         a = folded.execute("SELECT id, x FROM m WHERE id = 1 + 1")
         b = handwritten.execute("SELECT id, x FROM m WHERE id = 2")
         assert a.rows == b.rows
         assert a.stats == b.stats
 
     def test_folding_upgrades_to_index_probe(self):
-        db = _populate(Database(n_partitions=3))
+        db = _populate(Database())
         text = db.explain("SELECT id FROM m WHERE id = 1 + 1")
         assert "index-probe on id" in text
         assert "folded: id = (1 + 1) -> id = 2" in text
@@ -217,8 +217,8 @@ class TestContradictionPruning:
         assert result.stats.rows_scanned == 0
 
     def test_always_true_conjunct_dropped_without_changing_rows(self):
-        with_tautology = _populate(Database(n_partitions=3))
-        without = _populate(Database(n_partitions=3))
+        with_tautology = _populate(Database())
+        without = _populate(Database())
         a = with_tautology.execute("SELECT id FROM m WHERE g = 2 AND 1 = 1")
         b = without.execute("SELECT id FROM m WHERE g = 2")
         assert a.rows == b.rows

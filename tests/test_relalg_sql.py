@@ -365,9 +365,8 @@ class TestExecutionSummaryIsTheSumOfStatementStats:
         ("SELECT id, x FROM m WHERE g = ?", [4]),  # a plan-cache hit
     ]
 
-    @pytest.mark.parametrize("n_partitions", [1, 4])
-    def test_mixed_stream(self, n_partitions):
-        database = Database(n_partitions=n_partitions)
+    def test_mixed_stream(self):
+        database = Database()
         database.execute(
             "CREATE TABLE m (id INTEGER PRIMARY KEY, g INTEGER, x INTEGER, "
             "s VARCHAR)"
@@ -394,26 +393,15 @@ class TestExecutionSummaryIsTheSumOfStatementStats:
         totals = summary.select_stats
         for stat in QueryStats.__slots__:
             values = [getattr(result.stats, stat) for result in results]
-            if stat == "partition_rows_scanned":
-                expected = {}
-                for per_partition in values:
-                    for pid, scanned in per_partition.items():
-                        expected[pid] = expected.get(pid, 0) + scanned
-            else:
-                expected = sum(values)
-            assert getattr(totals, stat) == expected, stat
+            assert getattr(totals, stat) == sum(values), stat
         # The stream reaches every access path and counter.
         for name in (
             "index_lookups", "range_probes", "hash_probes", "rows_joined",
             "subqueries", "subquery_replays",
         ):
             assert getattr(totals, name) > 0, name
-        assert bool(totals.partition_rows_scanned) == (n_partitions > 1)
         # The summary's own counter names read the same sums.
-        for name in (
-            "rows_returned", "rows_scanned", "index_lookups",
-            "partition_rows_scanned",
-        ):
+        for name in ("rows_returned", "rows_scanned", "index_lookups"):
             assert getattr(summary, name) == getattr(totals, name), name
 
 

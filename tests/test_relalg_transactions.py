@@ -8,6 +8,7 @@ recovery and checkpointing, the client and backend pass-through, and the
 loader's atomic bulk-load mode.
 """
 
+import json
 import warnings
 
 import pytest
@@ -26,6 +27,7 @@ from repro.relalg import (
     fingerprint_hash,
     state_fingerprint,
 )
+from repro.relalg.wal import LEGACY_PARTITION_COUNT
 
 _DDL = "CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, x FLOAT)"
 _INS = "INSERT INTO t (id, g, x) VALUES (?, ?, ?)"
@@ -36,7 +38,7 @@ def _state(database):
 
 
 def _fresh(**kwargs):
-    database = Database(n_partitions=4, **kwargs)
+    database = Database(**kwargs)
     database.execute(_DDL)
     database.execute("CREATE INDEX t_g ON t (g)")
     database.executemany(_INS, [(i, i % 3, float(i)) for i in range(1, 41)])
@@ -188,7 +190,7 @@ class TestCloseWithOpenTransaction:
         db.execute(_INS, (1000, 0, 1.0))
         with pytest.warns(TransactionWarning, match="rolling back"):
             db.close()
-        with Database(n_partitions=4, wal_path=str(wal_path)) as recovered:
+        with Database(wal_path=str(wal_path)) as recovered:
             assert _count(recovered) == 40
 
     def test_context_exit_rolls_back(self):
@@ -220,7 +222,7 @@ class TestCloseIsIdempotent:
             assert not db.in_transaction
             assert _count(db) == 40
         if with_wal:
-            with Database(n_partitions=4, wal_path=wal_path) as recovered:
+            with Database(wal_path=wal_path) as recovered:
                 assert _count(recovered) == 40
 
 
@@ -237,7 +239,7 @@ class TestWriteAheadLog:
         db.rollback()
         expected = _state(db)
         db.close()
-        with Database(n_partitions=4, wal_path=str(wal_path)) as recovered:
+        with Database(wal_path=str(wal_path)) as recovered:
             assert _state(recovered) == expected
 
     def test_wal_run_matches_pure_in_memory_run(self, tmp_path):
@@ -258,12 +260,12 @@ class TestWriteAheadLog:
         db.execute(_INS, (1300, 1, 13.0))
         expected = _state(db)
         db.close()
-        with Database(n_partitions=4, wal_path=str(wal_path)) as recovered:
+        with Database(wal_path=str(wal_path)) as recovered:
             assert _state(recovered) == expected
 
     def test_autocheckpoint_triggers_by_log_size(self, tmp_path):
         wal_path = tmp_path / "a.wal"
-        with Database(n_partitions=4, wal_path=str(wal_path),
+        with Database(wal_path=str(wal_path),
                       wal_autocheckpoint=2_000) as db:
             db.execute(_DDL)
             for i in range(40):
@@ -286,7 +288,71 @@ class TestWriteAheadLog:
         db.close()
         ckpt_path.write_bytes(stale)
         with pytest.raises(RecoveryError, match="generation"):
-            Database(n_partitions=4, wal_path=str(wal_path))
+            Database(wal_path=str(wal_path))
+
+
+def _rewrite_create_record(wal_path, count):
+    """Give the log's ``create_table`` record the partition count field an
+    older, hash-partitioning engine wrote into it."""
+    lines = wal_path.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        if record["t"] == "create_table":
+            record[LEGACY_PARTITION_COUNT] = count
+    wal_path.write_text(
+        "".join(json.dumps(record) + "\n" for record in records)
+    )
+
+
+def _rewrite_checkpoint(ckpt_path, count):
+    """Store the checkpointed table the way an older engine stored it: its
+    row list dealt round-robin into ``count`` per-partition lists."""
+    payload = json.loads(ckpt_path.read_text())
+    for spec in payload["tables"]:
+        rows = spec.pop("rows")
+        spec[LEGACY_PARTITION_COUNT] = count
+        spec["partitions"] = [rows[pid::count] for pid in range(count)]
+    ckpt_path.write_text(json.dumps(payload))
+
+
+class TestLogsOfPartitionedTables:
+    """A log or checkpoint that an older engine wrote for a table stored in
+    several hash partitions raises a typed :class:`RecoveryError` naming
+    the table; one written with a single partition opens unchanged."""
+
+    def test_a_partitioned_table_in_the_log_is_refused(self, tmp_path):
+        wal_path = tmp_path / "old.wal"
+        with _fresh(wal_path=str(wal_path), wal_autocheckpoint=None):
+            pass
+        _rewrite_create_record(wal_path, 4)
+        with pytest.raises(RecoveryError, match=r"table 't' was written with 4"):
+            Database(wal_path=str(wal_path))
+
+    def test_a_partitioned_table_in_the_checkpoint_is_refused(self, tmp_path):
+        wal_path = tmp_path / "old.wal"
+        with _fresh(wal_path=str(wal_path), wal_autocheckpoint=None) as db:
+            db.checkpoint()
+        _rewrite_checkpoint(tmp_path / "old.wal.ckpt", 3)
+        with pytest.raises(
+            RecoveryError, match=r"checkpoint: table 't' was written with 3"
+        ):
+            Database(wal_path=str(wal_path))
+
+    def test_one_partition_opens_unchanged(self, tmp_path):
+        log_only = tmp_path / "log.wal"
+        with _fresh(wal_path=str(log_only), wal_autocheckpoint=None) as db:
+            db.execute("DELETE FROM t WHERE g = ?", [1])
+            expected = _state(db)
+        _rewrite_create_record(log_only, 1)
+        with Database(wal_path=str(log_only)) as recovered:
+            assert _state(recovered) == expected
+        checkpointed = tmp_path / "ckpt.wal"
+        with _fresh(wal_path=str(checkpointed), wal_autocheckpoint=None) as db:
+            db.execute("DELETE FROM t WHERE g = ?", [1])
+            db.checkpoint()
+        _rewrite_checkpoint(tmp_path / "ckpt.wal.ckpt", 1)
+        with Database(wal_path=str(checkpointed)) as recovered:
+            assert _state(recovered) == expected
 
 
 class TestDeleteDecidesBeforeTombstoning:
@@ -295,30 +361,28 @@ class TestDeleteDecidesBeforeTombstoning:
     sees no half-deleted state, and a failing predicate deletes nothing."""
 
     @staticmethod
-    def _five(n_partitions, **kwargs):
-        database = Database(n_partitions=n_partitions, **kwargs)
+    def _five(**kwargs):
+        database = Database(**kwargs)
         database.execute("CREATE TABLE s (x INTEGER PRIMARY KEY)")
         database.executemany(
             "INSERT INTO s (x) VALUES (?)", [(x,) for x in range(1, 6)]
         )
         return database
 
-    @pytest.mark.parametrize("n_partitions", [1, 4])
-    def test_self_referencing_delete_removes_one_row(self, tmp_path, n_partitions):
+    def test_self_referencing_delete_removes_one_row(self, tmp_path):
         wal_path = str(tmp_path / "self.wal")
-        db = self._five(n_partitions, wal_path=wal_path)
+        db = self._five(wal_path=wal_path)
         assert db.execute("DELETE FROM s WHERE x = (SELECT MIN(x) FROM s)") == 1
         remaining = db.query("SELECT x FROM s ORDER BY x").rows
         assert remaining == [(2,), (3,), (4,), (5,)]
         expected = _state(db)
         db.close()
-        with Database(n_partitions=n_partitions, wal_path=wal_path) as recovered:
+        with Database(wal_path=wal_path) as recovered:
             assert recovered.query("SELECT x FROM s ORDER BY x").rows == remaining
             assert _state(recovered) == expected
 
-    @pytest.mark.parametrize("n_partitions", [1, 4])
-    def test_failing_predicate_deletes_nothing(self, n_partitions):
-        with self._five(n_partitions) as db:
+    def test_failing_predicate_deletes_nothing(self):
+        with self._five() as db:
             before = _state(db)
             # 10 / (4 - x) passes for x = 1..3 and divides by zero at x = 4.
             with pytest.raises(ExecutionError, match="division by zero"):
@@ -371,7 +435,7 @@ class TestAtomicBulkLoad:
         return build_scenario(pe_counts=(1, 2))
 
     def test_atomic_load_matches_plain_load(self, scenario):
-        with Database(n_partitions=2) as plain, Database(n_partitions=2) as atomic:
+        with Database() as plain, Database() as atomic:
             load_repository(scenario.repository, scenario.mapping, plain,
                             batch_size=16)
             load_repository(scenario.repository, scenario.mapping, atomic,
@@ -401,7 +465,7 @@ class TestAtomicBulkLoad:
                     raise RuntimeError("simulated load failure")
                 return self.database.executemany(sql, rows)
 
-        with Database(n_partitions=2) as db:
+        with Database() as db:
             executor = FailingExecutor(db, fail_at=10_000)
             loader = DatabaseLoader(scenario.mapping, executor, batch_size=16)
             loader.create_schema()
@@ -414,9 +478,9 @@ class TestAtomicBulkLoad:
 
     def test_atomic_load_is_durable(self, scenario, tmp_path):
         wal_path = tmp_path / "load.wal"
-        with Database(n_partitions=2, wal_path=str(wal_path)) as db:
+        with Database(wal_path=str(wal_path)) as db:
             load_repository(scenario.repository, scenario.mapping, db,
                             batch_size=16, atomic=True)
             expected = _state(db)
-        with Database(n_partitions=2, wal_path=str(wal_path)) as recovered:
+        with Database(wal_path=str(wal_path)) as recovered:
             assert _state(recovered) == expected

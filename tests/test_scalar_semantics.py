@@ -14,8 +14,8 @@ vectorized engines and requires the same rows and ``QueryStats``, or the
 same typed error message:
 
 * constant forms in every batch-compiled position (driving filter, hash-join
-  key, GROUP BY key, aggregate argument) at 1 and 4 partitions, over a
-  filled and an empty table;
+  key, GROUP BY key, aggregate argument), over a filled and an empty
+  table;
 * the evaluation-order, typed-error and vectorized-filter-error cases;
 * aggregates nested under IS NULL, IN, COALESCE or a scalar function,
   which the analyzer rejects before any row, over a filled and an empty
@@ -61,8 +61,8 @@ _TWELVE = [
 ]
 
 
-def _database(engine, rows, n_partitions=1):
-    database = Database(n_partitions=n_partitions, **_ENGINES[engine])
+def _database(engine, rows):
+    database = Database(**_ENGINES[engine])
     database.execute(_T_DDL)
     database.execute(_U_DDL)
     database.executemany(_T_INSERT, rows)
@@ -104,11 +104,11 @@ def _proves_contradiction(sql, tables):
     return False
 
 
-def _agreed(sql, params=(), rows=_THREE, n_partitions=1):
+def _agreed(sql, params=(), rows=_THREE):
     """The one outcome every engine gives ``sql`` (asserted identical)."""
     outcomes = {}
     for engine in _ENGINES:
-        with _database(engine, rows, n_partitions) as database:
+        with _database(engine, rows) as database:
             outcomes[engine] = _outcome(database, sql, list(params))
     assert len(set(outcomes.values())) == 1, (sql, params, outcomes)
     return outcomes["interpreted"]
@@ -166,11 +166,8 @@ _PLACEMENTS = {
 @pytest.fixture(scope="module")
 def constant_databases():
     databases = {
-        (engine, parts, filled): _database(
-            engine, _TWELVE if filled else [], parts
-        )
+        (engine, filled): _database(engine, _TWELVE if filled else [])
         for engine in _ENGINES
-        for parts in (1, 4)
         for filled in (True, False)
     }
     yield databases
@@ -182,20 +179,18 @@ class TestConstantForms:
     @pytest.mark.parametrize("placement", sorted(_PLACEMENTS))
     def test_placements_take_the_batch_rungs(self, placement, constant_databases):
         template, rung = _PLACEMENTS[placement]
-        database = constant_databases[("vectorized", 1, True)]
+        database = constant_databases[("vectorized", True)]
         plan = plan_select(parse_sql(template.format(f="? + 1")), database.tables)
         assert getattr(plan, rung) is not None, placement
 
-    @pytest.mark.parametrize("parts", [1, 4])
     @pytest.mark.parametrize("filled", [True, False], ids=["filled", "empty"])
     @pytest.mark.parametrize("form,params", _CONSTANT_FORMS)
-    def test_engines_agree(self, form, params, filled, parts,
-                           constant_databases):
+    def test_engines_agree(self, form, params, filled, constant_databases):
         for placement, (template, _rung) in _PLACEMENTS.items():
             sql = template.format(f=form)
             outcomes = {
                 engine: _outcome(
-                    constant_databases[(engine, parts, filled)], sql, params
+                    constant_databases[(engine, filled)], sql, params
                 )
                 for engine in _ENGINES
             }
@@ -206,9 +201,9 @@ class TestConstantForms:
                 assert reference == vectorized, (placement, sql)
                 continue
             assert reference[1] == vectorized[1], (placement, sql)
-            # Partitioned scans and join reordering may change row order.
+            # Join reordering may change row order.
             assert sorted(reference[2]) == sorted(vectorized[2]), (placement, sql)
-            tables = constant_databases[("vectorized", parts, filled)].tables
+            tables = constant_databases[("vectorized", filled)].tables
             if placement == "join-key":
                 continue  # hash joins do other physical work, by design
             if _proves_contradiction(sql, tables):
@@ -312,12 +307,11 @@ _TYPED_ERRORS = [
 
 
 class TestTypedErrors:
-    @pytest.mark.parametrize("parts", [1, 4])
     @pytest.mark.parametrize("sql,params,message", _TYPED_ERRORS)
     def test_every_engine_raises_the_same_typed_error(
-        self, sql, params, message, parts
+        self, sql, params, message
     ):
-        assert _agreed(sql, params, n_partitions=parts) == (
+        assert _agreed(sql, params) == (
             "error", "ExecutionError", message
         )
 
@@ -607,7 +601,7 @@ class TestProbeKeyErrors:
 #
 # Random single-table statements (no LIMIT, no ordered index) over operands
 # that can be NULL, mistyped, missing or a scalar subquery, run on every
-# engine at one partition.  Aggregates appear only under the arithmetic,
+# engine.  Aggregates appear only under the arithmetic,
 # comparison, logical and unary operators; IS NULL, IN, COALESCE and the
 # scalar functions wrap row-level operands.  Its seed range is its own, so
 # the other fuzzers' draws and corpora do not move.
