@@ -7,9 +7,9 @@ per execution (a nested function that calls itself through its own closure
 cell is the classic one) leaves all of it to the cyclic garbage collector
 instead: that cost a warm pushdown analysis about 24,000 objects and 28
 collections per operation.  These tests switch the collector off, run
-statements on every engine, and then require a full collection to find
-nothing.  On failure they name the functions among
-the garbage.
+statements on every engine, in autocommit mode and inside a transaction,
+and then require a full collection to find nothing.  On failure they name
+the functions among the garbage.
 
 A plan may hold cycles while it is cached (a compiled scalar subquery keys
 its per-execution memo by itself), so every database stays alive until the
@@ -147,8 +147,11 @@ def _database(**options) -> Database:
     return db
 
 
-def _run_statements(db: Database, round_: int) -> None:
-    """Every statement kind once; ``round_`` keeps the DML keys fresh."""
+def _run_statements(db: Database, round_: int, in_transaction: bool) -> None:
+    """Every statement kind once, inside one transaction if
+    ``in_transaction``; ``round_`` keeps the DML keys fresh."""
+    if in_transaction:
+        db.begin()
     for _name, sql, params in SELECTS:
         db.execute(sql, params)
     base = 1000 * round_
@@ -160,24 +163,30 @@ def _run_statements(db: Database, round_: int) -> None:
     if db.engine == "compiled":
         for _name, sql, params in SELECTS:
             db.explain(sql, analyze=True, params=params)
+    if in_transaction:
+        db.commit()
 
 
-def _check_statements(db: Database, what: str) -> None:
+def _check_statements(db: Database, what: str, in_transaction: bool) -> None:
     assert_no_cyclic_garbage(
-        lambda: _run_statements(db, 1), f"{what}, first executions"
+        lambda: _run_statements(db, 1, in_transaction),
+        f"{what}, first executions",
     )
     planned = db.plan_cache_info()["misses"]
     assert_no_cyclic_garbage(
-        lambda: _run_statements(db, 2), f"{what}, cached executions"
+        lambda: _run_statements(db, 2, in_transaction),
+        f"{what}, cached executions",
     )
     assert db.plan_cache_info()["misses"] == planned
     assert db.execute("SELECT COUNT(*) FROM log").rows == [(98,)]
 
 
+@pytest.mark.parametrize("mode", ["autocommit", "transaction"])
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_statements_leave_no_cyclic_garbage(engine):
+def test_statements_leave_no_cyclic_garbage(engine, mode):
     db = _database(**ENGINES[engine])
-    _check_statements(db, f"{engine} engine")
+    _check_statements(db, f"{engine} engine, {mode}", mode == "transaction")
+    assert not db.in_transaction
 
 
 def test_the_statements_take_the_intended_access_paths():

@@ -17,7 +17,10 @@ parameters and its rows:
 
 Every case runs on the interpreted, row-at-a-time and vectorized engines:
 rows equal the interpreter's, and so do the ``QueryStats`` wherever the
-access paths are shared.
+access paths are shared.  The scan, aggregate and projection cases run
+over committed rows and over rows staged by a transaction that is still
+open, which must read exactly like committed ones; the probe cases run
+over hash and over ordered indexes.
 """
 
 import pytest
@@ -45,46 +48,82 @@ _V_ROWS = [(i, i % 8, f"label-{i}") for i in range(1, 11)]
 
 _PROBE = "SELECT id, x FROM t WHERE g = ? AND a = ?"
 
+#: How the rows stand while the statements run: ``committed``, or
+#: ``staged`` — inserted by a transaction that is still open, after decoy
+#: rows of ``t`` that the same transaction deleted again.
+_STATES = ["committed", "staged"]
+_DECOYS = [(2000 + i, i % 6, i % 4, "decoy", 0.0, None) for i in range(30)]
 
-def _database(engine):
+_T_INSERT = "INSERT INTO t (id, g, a, b, x, z) VALUES (?, ?, ?, ?, ?, ?)"
+
+
+def _database(engine, state="committed", index_kind=""):
+    """The test tables on ``engine``; ``index_kind`` is appended to the
+    ``CREATE INDEX`` statements of ``t`` (``" ORDERED"`` or empty)."""
     database = Database(**_ENGINES[engine])
     database.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, a INTEGER, "
         "b VARCHAR, x FLOAT, z FLOAT)"
     )
-    database.execute("CREATE INDEX t_g ON t (g)")
-    database.execute("CREATE INDEX t_a ON t (a)")
-    database.executemany(
-        "INSERT INTO t (id, g, a, b, x, z) VALUES (?, ?, ?, ?, ?, ?)", _T_ROWS
-    )
+    database.execute(f"CREATE INDEX t_g ON t (g){index_kind}")
+    database.execute(f"CREATE INDEX t_a ON t (a){index_kind}")
     database.execute(
         "CREATE TABLE u (id INTEGER PRIMARY KEY, t_id INTEGER, w FLOAT)"
     )
-    database.executemany("INSERT INTO u (id, t_id, w) VALUES (?, ?, ?)", _U_ROWS)
     # No index on v.g: joining on it takes the hash-join access path.
     database.execute(
         "CREATE TABLE v (id INTEGER PRIMARY KEY, g INTEGER, label VARCHAR)"
     )
+    database.execute("CREATE TABLE one (id INTEGER PRIMARY KEY)")
+    database.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, z FLOAT)")
+    if state == "staged":
+        database.begin()
+        database.executemany(_T_INSERT, _DECOYS)
+    database.executemany(_T_INSERT, _T_ROWS)
+    database.executemany("INSERT INTO u (id, t_id, w) VALUES (?, ?, ?)", _U_ROWS)
     database.executemany(
         "INSERT INTO v (id, g, label) VALUES (?, ?, ?)", _V_ROWS
     )
-    database.execute("CREATE TABLE one (id INTEGER PRIMARY KEY)")
     database.execute("INSERT INTO one (id) VALUES (1)")
-    database.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, z FLOAT)")
+    if state == "staged":
+        database.execute("DELETE FROM t WHERE b = 'decoy'")
     return database
 
 
-def _agreed(sql, params=(), shared_paths=True):
+def _close(database):
+    """Close ``database``; a staged one first rolls its transaction back,
+    which must leave every table empty."""
+    if database.in_transaction:
+        database.rollback()
+        assert set(database.row_counts().values()) == {0}
+    database.close()
+
+
+def _run(engine, state, sql, params):
+    """``sql``'s result on a fresh ``engine`` database in ``state``, after
+    asserting that the cached plan returns it again."""
+    database = _database(engine, state)
+    try:
+        first = database.query(sql, list(params))
+        again = database.query(sql, list(params))
+    finally:
+        _close(database)
+    assert again.rows == first.rows and again.stats == first.stats
+    return first
+
+
+def _agreed(sql, params=(), shared_paths=True, state="committed"):
     """The interpreter's result of ``sql``, after asserting that every
     engine returns its rows — twice, the second time through the cached
-    plan — and, where the access paths are shared, its counters."""
+    plan — and, where the access paths are shared, its counters.  Staged
+    rows must give each engine its committed result."""
     results = {}
     for engine in _ENGINES:
-        with _database(engine) as database:
-            first = database.query(sql, list(params))
-            again = database.query(sql, list(params))
-        assert again.rows == first.rows and again.stats == first.stats
-        results[engine] = first
+        results[engine] = result = _run(engine, state, sql, params)
+        if state == "staged":
+            committed = _run(engine, "committed", sql, params)
+            assert result.rows == committed.rows, engine
+            assert result.stats == committed.stats, engine
     reference = results["interpreted"]
     for engine, result in results.items():
         assert sorted(map(repr, result.rows)) == sorted(
@@ -124,27 +163,33 @@ _PREDICATE_LESS = [
 
 
 class TestPredicateLessScans:
+    @pytest.mark.parametrize("state", _STATES)
     @pytest.mark.parametrize("sql,driving", _PREDICATE_LESS)
-    def test_rows_and_counters_match_the_reference(self, sql, driving):
-        reference = _agreed(sql)
+    def test_rows_and_counters_match_the_reference(self, sql, driving, state):
+        reference = _agreed(sql, state=state)
         assert reference.rows
 
+    @pytest.mark.parametrize("state", _STATES)
     @pytest.mark.parametrize("sql,driving", _PREDICATE_LESS)
-    def test_never_build_the_chunk_cache(self, sql, driving):
+    def test_never_build_the_chunk_cache(self, sql, driving, state):
         after = {}
         for engine in _ENGINES:
-            with _database(engine) as database:
+            database = _database(engine, state)
+            try:
                 before = database.query(sql).rows
+                dead = database.table(driving).dead_count
                 # DML leaves a tombstone and invalidates every cache; the
                 # cached plan runs again.
                 database.execute(f"DELETE FROM {driving} WHERE id = 3")
                 database.executemany(
                     f"INSERT INTO {driving} (id) VALUES (?)", [[1000], [1001]]
                 )
-                assert database.table(driving).dead_count == 1
+                assert database.table(driving).dead_count == dead + 1
                 after[engine] = sorted(map(repr, database.query(sql).rows))
                 assert after[engine] != sorted(map(repr, before))
                 assert not _chunk_cache(database, driving)
+            finally:
+                _close(database)
         assert len(set(map(tuple, after.values()))) == 1
 
     @pytest.mark.parametrize("sql,driving", _PREDICATE_LESS)
@@ -154,25 +199,33 @@ class TestPredicateLessScans:
         assert text.count("scan: partition rows (no driving filter)") == 1
         assert "columnar chunks" not in text
 
-    def test_a_filtered_scan_still_builds_it(self):
+    @pytest.mark.parametrize("state", _STATES)
+    def test_a_filtered_scan_still_builds_it(self, state):
         sql = "SELECT id, x FROM t WHERE x > ? ORDER BY id"
-        with _database("vectorized") as database:
+        database = _database("vectorized", state)
+        try:
             assert "scan: vectorized (columnar chunks)" in database.explain(sql)
             database.query(sql, [1.0])
             assert _chunk_cache(database, "t")
-        _agreed(sql, [1.0])
+        finally:
+            _close(database)
+        _agreed(sql, [1.0], state=state)
 
-    def test_a_scan_into_a_hash_join_still_builds_it(self):
+    @pytest.mark.parametrize("state", _STATES)
+    def test_a_scan_into_a_hash_join_still_builds_it(self, state):
         sql = "SELECT t.id, v.label FROM t, v WHERE v.g = t.g ORDER BY t.id, v.id"
-        with _database("vectorized") as database:
+        database = _database("vectorized", state)
+        try:
             text = database.explain(sql)
             assert "join-probe: vectorized (batch probe)" in text
             assert "scan: vectorized (columnar chunks)" in text
             database.query(sql)
             assert _chunk_cache(database, "t")
             assert not _chunk_cache(database, "v")
+        finally:
+            _close(database)
         # The interpreter has no hash join: rows only.
-        _agreed(sql, shared_paths=False)
+        _agreed(sql, shared_paths=False, state=state)
 
 
 # --------------------------------------------------------------------------- #
@@ -183,6 +236,7 @@ _AGGREGATES = "COUNT(*), COUNT(b), SUM(x), MIN(z), MAX(b), AVG(x)"
 
 
 class TestUngroupedAggregates:
+    @pytest.mark.parametrize("state", _STATES)
     @pytest.mark.parametrize(
         "having,kept",
         [
@@ -203,25 +257,28 @@ class TestUngroupedAggregates:
         ],
         ids=["whole-table", "probe", "empty-filter", "empty-table"],
     )
-    def test_one_row_or_none(self, source, rows, having, kept):
+    def test_one_row_or_none(self, source, rows, having, kept, state):
         columns = _AGGREGATES if source.startswith("t") else "COUNT(*), MIN(z)"
         sql = f"SELECT {columns} FROM {source}{having}"
-        reference = _agreed(sql)
+        reference = _agreed(sql, state=state)
         if not kept:
             assert reference.rows == []
             return
         assert len(reference.rows) == 1
         assert reference.rows[0][0] == rows
 
-    def test_min_of_an_all_null_column_is_null(self):
-        reference = _agreed("SELECT MIN(z) FROM t")
+    @pytest.mark.parametrize("state", _STATES)
+    def test_min_of_an_all_null_column_is_null(self, state):
+        reference = _agreed("SELECT MIN(z) FROM t", state=state)
         assert reference.rows == [(None,)]
 
-    def test_a_subquery_aggregate_per_outer_row(self):
+    @pytest.mark.parametrize("state", _STATES)
+    def test_a_subquery_aggregate_per_outer_row(self, state):
         reference = _agreed(
             "SELECT u.id, (SELECT SUM(x) FROM t WHERE g = ? AND a = ?) "
             "FROM u WHERE u.id < ? ORDER BY u.id",
             [2, 2, 8],
+            state=state,
         )
         total = sum(row[4] for row in _T_ROWS if row[1] == 2 and row[2] == 2)
         assert reference.rows == [(i, total) for i in range(1, 8)]
@@ -250,12 +307,14 @@ _ONE_ITEM = [
 
 
 class TestProjections:
+    @pytest.mark.parametrize("state", _STATES)
     @pytest.mark.parametrize("sql,params", _ONE_ITEM)
-    def test_one_item_lists(self, sql, params):
-        reference = _agreed(sql, params)
+    def test_one_item_lists(self, sql, params, state):
+        reference = _agreed(sql, params, state=state)
         assert reference.rows
         assert all(len(row) == 1 for row in reference.rows)
 
+    @pytest.mark.parametrize("state", _STATES)
     @pytest.mark.parametrize(
         "sql",
         [
@@ -267,8 +326,8 @@ class TestProjections:
         ],
         ids=["one-column", "three-columns", "repeated-column", "join"],
     )
-    def test_slot_only_lists(self, sql):
-        reference = _agreed(sql, [1])
+    def test_slot_only_lists(self, sql, state):
+        reference = _agreed(sql, [1], state=state)
         assert reference.rows
 
     @pytest.mark.parametrize(
@@ -320,27 +379,42 @@ def _check_all_keys(database):
             assert sorted(result.rows) == _expected(table, g, a), (g, a)
 
 
+#: ``CREATE INDEX`` suffix per index kind: an ordered index probes like a
+#: hash index and also keeps a sorted run that compaction, rollback and
+#: re-creation must maintain.
+_INDEX_KINDS = {"hash": "", "ordered": " ORDERED"}
+
+
 class TestResolvedProbes:
     @pytest.fixture(params=list(_ENGINES))
     def engine(self, request):
         return request.param
 
+    @pytest.fixture(params=list(_INDEX_KINDS))
+    def kind(self, request):
+        return request.param
+
     @pytest.fixture()
-    def database(self, engine):
-        with _database(engine) as database:
+    def database(self, engine, kind):
+        with _database(engine, index_kind=_INDEX_KINDS[kind]) as database:
             _check_all_keys(database)
             yield database
             if engine != "interpreted":
                 # Everything ran through the one cached plan.
                 assert database.plan_cache_info()["misses"] == 1
 
+    @pytest.mark.parametrize("kind", list(_INDEX_KINDS))
     @pytest.mark.parametrize("compiled", ["row-at-a-time", "vectorized"])
-    def test_the_plan_resolves_its_indexes(self, compiled):
-        with _database(compiled) as database:
+    def test_the_plan_resolves_its_indexes(self, compiled, kind):
+        with _database(compiled, index_kind=_INDEX_KINDS[kind]) as database:
             result = database.query(_PROBE, [2, 2])
             table = database.table("t")
             assert _cached_probe(database).resolved == (
                 ("g", table.indexes["g"]), ("a", table.indexes["a"])
+            )
+            assert all(
+                index.ordered == (kind == "ordered")
+                for index in (table.indexes["g"], table.indexes["a"])
             )
         assert result.stats.index_lookups == 2
         assert result.stats.rows_scanned == len(result.rows) == 10
@@ -351,11 +425,13 @@ class TestResolvedProbes:
         result = database.query(_PROBE, [2, 2])
         assert result.stats.rows_scanned > len(result.rows)
 
-    def test_a_recreated_index_is_used(self, database, engine):
+    def test_a_recreated_index_is_used(self, database, engine, kind):
         table = database.table("t")
         table.drop_index("a")
         _check_all_keys(database)
-        recreated = table.create_index("t_a_again", "a")
+        recreated = table.create_index(
+            "t_a_again", "a", ordered=kind == "ordered"
+        )
         database.execute("INSERT INTO t (id, g, a, x) VALUES (500, 2, 2, 9.5)")
         _check_all_keys(database)
         result = database.query(_PROBE, [2, 2])

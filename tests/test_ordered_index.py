@@ -161,11 +161,26 @@ class TestIndexOrderPushdown:
         desc = "SELECT id, v FROM t ORDER BY v DESC LIMIT 6"
         assert plan_select(parse_sql(desc), indexed.tables).index_order == ("v", False)
 
-    def test_pushdown_is_invisible(self):
+    @pytest.mark.parametrize("history", ["fresh", "churned", "staged"])
+    def test_pushdown_is_invisible(self, history):
         # The same data with and without the index: the index-order walk
         # must reproduce the stable sort's tie order and NULL placement
-        # exactly, for every direction/limit/offset shape.
+        # exactly, for every direction/limit/offset shape — also after
+        # deletes and inserts moved ties to new positions, and while those
+        # writes are staged by an open transaction.
         indexed, plain = _pair()
+        for database in (indexed, plain):
+            if history == "staged":
+                database.execute("BEGIN")
+            if history != "fresh":
+                database.execute("DELETE FROM t WHERE g = ?", [1])
+                database.executemany(
+                    "INSERT INTO t (id, v, g) VALUES (?, ?, ?)",
+                    [
+                        (100 + i, None if i % 4 == 0 else i * 13 % 30 / 2.0, i % 5)
+                        for i in range(12)
+                    ],
+                )
         for sql in (
             "SELECT id, v FROM t ORDER BY v LIMIT 7",
             "SELECT id, v FROM t ORDER BY v DESC LIMIT 7",
@@ -175,6 +190,12 @@ class TestIndexOrderPushdown:
             "SELECT id, v FROM t ORDER BY v LIMIT 3 OFFSET 200",
         ):
             assert indexed.query(sql).rows == plain.query(sql).rows, sql
+        if history == "staged":
+            for database in (indexed, plain):
+                database.execute("ROLLBACK")
+            fresh, _ = _pair()
+            sql = "SELECT id, v FROM t ORDER BY v DESC LIMIT 100"
+            assert indexed.query(sql).rows == fresh.query(sql).rows
 
     def test_pushdown_stops_early(self):
         indexed, plain = _pair()

@@ -2,7 +2,9 @@
 plus the seeded differential fuzzers: compiled engine vs. the seed
 AST-walking engine, and the executor matrix (sequential / rowwise) against
 the sequential reference — each replayed from a persistent seed corpus
-before random exploration."""
+before random exploration — and the transaction fuzzer, which checks every
+engine's reads of staged writes and the rows each COMMIT or ROLLBACK
+leaves."""
 
 import datetime as dt
 import itertools
@@ -722,6 +724,88 @@ def _run_executor_differential_case(seed):
 
 
 # --------------------------------------------------------------------------- #
+# Transaction fuzzer: staged writes on every engine
+# --------------------------------------------------------------------------- #
+#
+# Every seeded case loads one random schema into the vectorized, the
+# row-at-a-time and the interpreted engine, and into an autocommit reference.
+# It then runs three transactions of random SELECTs and DML against the
+# three engines, each ending in COMMIT or ROLLBACK.  Inside a transaction
+# every SELECT must return the interpreted engine's rows on both compiled
+# engines, and the same QueryStats on both, so the vectorized scans read
+# the staged writes.  After each COMMIT or ROLLBACK every engine's tables
+# must hold the reference's rows in the reference's order; the reference
+# applies a transaction's DML only when it commits.  Its seed range is its
+# own, so the other fuzzers' draws and corpora do not move.
+
+_TXN_FUZZ_SEEDS = range(30_000, 30_040)
+
+
+def _apply_dml(database, op, sql, payload):
+    if op == "executemany":
+        return database.executemany(sql, payload)
+    return database.execute(sql, payload)
+
+
+def _stored_rows(database):
+    """Every live row of ``m`` and ``r``, in storage order."""
+    return [database.query(f"SELECT * FROM {name}", []).rows for name in "mr"]
+
+
+def _run_transaction_case(seed):
+    rng = random.Random(seed)
+    ddl, m_rows, r_rows = _random_schema(rng)
+    engines = {
+        "vectorized": Database(),
+        "row-at-a-time": Database(vectorized=False),
+        "interpreted": Database(engine="interpreted"),
+    }
+    reference = Database()
+    try:
+        for database in [*engines.values(), reference]:
+            _load_schema(database, ddl, m_rows, r_rows)
+        fresh_ids = itertools.count(1000)
+        for _ in range(3):
+            staged = []
+            for database in engines.values():
+                database.begin()
+            for _ in range(rng.randint(2, 8)):
+                if rng.random() < 0.4:
+                    dml = _random_dml(rng, fresh_ids)
+                    affected = {
+                        _apply_dml(database, *dml) for database in engines.values()
+                    }
+                    assert len(affected) == 1, (seed, dml[1], affected)
+                    staged.append(dml)
+                    continue
+                sql, params = _random_select(rng)
+                _assert_analyzer_accepts(sql, engines["vectorized"].tables, seed)
+                results = {
+                    name: database.query(sql, params)
+                    for name, database in engines.items()
+                }
+                expected = results["interpreted"]
+                for name, result in results.items():
+                    assert result.columns == expected.columns, (seed, sql, name)
+                    assert result.rows == expected.rows, (seed, sql, name)
+                assert (
+                    results["row-at-a-time"].stats == results["vectorized"].stats
+                ), (seed, sql)
+            commit = rng.random() < 0.5
+            for database in engines.values():
+                database.execute("COMMIT" if commit else "ROLLBACK")
+            if commit:
+                for dml in staged:
+                    _apply_dml(reference, *dml)
+            stored = _stored_rows(reference)
+            for name, database in engines.items():
+                assert _stored_rows(database) == stored, (seed, name, commit)
+    finally:
+        for database in [*engines.values(), reference]:
+            database.close()
+
+
+# --------------------------------------------------------------------------- #
 # Seed corpus: previously recorded fuzzer seeds replay before exploration
 # --------------------------------------------------------------------------- #
 
@@ -766,3 +850,9 @@ class TestExecutorDifferentialFuzzer:
     @pytest.mark.parametrize("seed", range(_EXECUTOR_FUZZ_CASES))
     def test_executors_agree_under_interleaved_dml(self, seed):
         _run_executor_differential_case(seed)
+
+
+class TestTransactionFuzzer:
+    @pytest.mark.parametrize("seed", _TXN_FUZZ_SEEDS)
+    def test_engines_agree_inside_transactions(self, seed):
+        _run_transaction_case(seed)

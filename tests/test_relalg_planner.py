@@ -179,8 +179,11 @@ class TestHashJoin:
 
 class TestStalePlanFallback:
     """A cached plan whose index was dropped directly on the table — behind
-    the plan cache's back — falls back to a filtered scan with the same rows."""
+    the plan cache's back — falls back to a filtered scan with the same rows,
+    on the vectorized and on the row-at-a-time engine."""
 
+    @pytest.mark.parametrize("vectorized", [True, False],
+                             ids=["vectorized", "row-at-a-time"])
     @pytest.mark.parametrize(
         "column, ddl_suffix, sql, params",
         [
@@ -193,9 +196,9 @@ class TestStalePlanFallback:
         ],
     )
     def test_dropped_index_falls_back_to_a_filtered_scan(
-        self, column, ddl_suffix, sql, params
+        self, column, ddl_suffix, sql, params, vectorized
     ):
-        db = Database()
+        db = Database(vectorized=vectorized)
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, v FLOAT)")
         db.executemany(
             "INSERT INTO t (id, g, v) VALUES (?, ?, ?)",

@@ -365,8 +365,10 @@ class TestExecutionSummaryIsTheSumOfStatementStats:
         ("SELECT id, x FROM m WHERE g = ?", [4]),  # a plan-cache hit
     ]
 
-    def test_mixed_stream(self):
-        database = Database()
+    @pytest.mark.parametrize("vectorized", [True, False],
+                             ids=["vectorized", "row-at-a-time"])
+    def test_mixed_stream(self, vectorized):
+        database = Database(vectorized=vectorized)
         database.execute(
             "CREATE TABLE m (id INTEGER PRIMARY KEY, g INTEGER, x INTEGER, "
             "s VARCHAR)"

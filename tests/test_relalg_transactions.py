@@ -358,7 +358,9 @@ class TestLogsOfPartitionedTables:
 class TestDeleteDecidesBeforeTombstoning:
     """A DELETE decides every row against the table as it was when the
     statement started, then tombstones: a predicate reading its own table
-    sees no half-deleted state, and a failing predicate deletes nothing."""
+    sees no half-deleted state, and a failing predicate deletes nothing —
+    in autocommit mode and inside a transaction, which stages the
+    tombstones and defers compaction to COMMIT."""
 
     @staticmethod
     def _five(**kwargs):
@@ -369,26 +371,161 @@ class TestDeleteDecidesBeforeTombstoning:
         )
         return database
 
-    def test_self_referencing_delete_removes_one_row(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["autocommit", "transaction"])
+    def test_self_referencing_delete_removes_one_row(self, tmp_path, mode):
         wal_path = str(tmp_path / "self.wal")
         db = self._five(wal_path=wal_path)
+        if mode == "transaction":
+            db.begin()
         assert db.execute("DELETE FROM s WHERE x = (SELECT MIN(x) FROM s)") == 1
         remaining = db.query("SELECT x FROM s ORDER BY x").rows
         assert remaining == [(2,), (3,), (4,), (5,)]
+        if mode == "transaction":
+            db.commit()
+            assert db.query("SELECT x FROM s ORDER BY x").rows == remaining
         expected = _state(db)
         db.close()
         with Database(wal_path=wal_path) as recovered:
             assert recovered.query("SELECT x FROM s ORDER BY x").rows == remaining
             assert _state(recovered) == expected
 
-    def test_failing_predicate_deletes_nothing(self):
+    @pytest.mark.parametrize("mode", ["autocommit", "transaction"])
+    def test_failing_predicate_deletes_nothing(self, mode):
         with self._five() as db:
             before = _state(db)
+            if mode == "transaction":
+                db.begin()
             # 10 / (4 - x) passes for x = 1..3 and divides by zero at x = 4.
             with pytest.raises(ExecutionError, match="division by zero"):
                 db.execute("DELETE FROM s WHERE 10 / (4 - x) > 0")
             assert _state(db) == before
             assert db.query("SELECT COUNT(*) FROM s").scalar() == 5
+            if mode == "transaction":
+                # The failed statement staged nothing: the transaction
+                # stays open and its next statement deletes as usual.
+                assert db.in_transaction
+                assert db.execute("DELETE FROM s WHERE x > ?", [3]) == 2
+                db.rollback()
+                assert _state(db) == before
+
+
+# --------------------------------------------------------------------------- #
+# a transaction reads its own writes
+# --------------------------------------------------------------------------- #
+
+_READ_ENGINES = {
+    "interpreted": {"engine": "interpreted"},
+    "row-at-a-time": {"vectorized": False},
+    "vectorized": {},
+}
+
+#: Statements over index and range probes, filtered scans, aggregates,
+#: DISTINCT, GROUP BY with HAVING, an index join, a hash join, top-k (by
+#: sort and by index order), a scalar subquery and a primary-key lookup.
+_READS = [
+    ("SELECT id, g, x FROM m WHERE g = ? AND x > ? ORDER BY id", [3, 20.0]),
+    ("SELECT COUNT(*), SUM(x), MIN(x), MAX(x) FROM m WHERE x > ?", [30.0]),
+    ("SELECT DISTINCT g FROM m WHERE s IS NOT NULL ORDER BY g", []),
+    ("SELECT g, COUNT(*) AS c FROM m GROUP BY g HAVING COUNT(*) > ? ORDER BY g",
+     [2]),
+    ("SELECT g, SUM(g + id), AVG(id + id), COUNT(*) FROM m GROUP BY g "
+     "ORDER BY g", []),
+    ("SELECT m.id, r.id, r.v FROM m, r WHERE m.id = r.m_id AND m.x > ? "
+     "ORDER BY m.id, r.id LIMIT 25", [5.0]),
+    ("SELECT m.id, r.id FROM m, r WHERE m.g = r.m_id ORDER BY m.id, r.id", []),
+    ("SELECT id FROM m WHERE g IN (?, ?) ORDER BY id DESC LIMIT 7", [1, 5]),
+    ("SELECT id, x FROM m ORDER BY x DESC LIMIT 9", []),
+    ("SELECT id FROM m WHERE x BETWEEN ? AND ? ORDER BY id", [-10.0, 40.0]),
+    ("SELECT id FROM m WHERE x > (SELECT MIN(v) FROM r) ORDER BY id", []),
+    ("SELECT * FROM m WHERE id = ?", [42]),
+]
+
+
+def _joinable(**options):
+    """Two joinable tables; ``m`` has a hash index on ``g`` and an ordered
+    one on ``x``."""
+    database = Database(**options)
+    database.execute(
+        "CREATE TABLE m (id INTEGER PRIMARY KEY, g INTEGER, x FLOAT, s VARCHAR)"
+    )
+    database.execute("CREATE INDEX m_g ON m (g)")
+    database.execute("CREATE INDEX m_x ON m (x) ORDERED")
+    database.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, m_id INTEGER, v FLOAT)")
+    database.executemany(
+        "INSERT INTO m (id, g, x, s) VALUES (?, ?, ?, ?)",
+        [
+            (i, i % 7, float(i) * 1.5, ["alpha", "beta", None][i % 3])
+            for i in range(120)
+        ],
+    )
+    database.executemany(
+        "INSERT INTO r (id, m_id, v) VALUES (?, ?, ?)",
+        [(i, (i * 11) % 120, float(i % 13)) for i in range(60)],
+    )
+    return database
+
+
+def _write(database, read):
+    """Inserts, deletes, and a primary key deleted and inserted again with
+    new values; ``read()`` runs after every statement."""
+    for method, sql, params in [
+        (
+            "executemany",
+            "INSERT INTO m (id, g, x, s) VALUES (?, ?, ?, ?)",
+            [(1000 + i, i % 7, 99.0 - i * 7.5, "new") for i in range(15)],
+        ),
+        ("execute", "DELETE FROM m WHERE g = ?", [2]),
+        ("execute", "DELETE FROM m WHERE id = ?", [42]),
+        (
+            "execute",
+            "INSERT INTO m (id, g, x, s) VALUES (?, ?, ?, ?)",
+            [42, 5, -3.5, "moved"],
+        ),
+        (
+            "executemany",
+            "INSERT INTO r (id, m_id, v) VALUES (?, ?, ?)",
+            [(500 + i, (i * 17) % 135, float(i % 5) - 1.0) for i in range(12)],
+        ),
+        ("execute", "DELETE FROM r WHERE v > ?", [10.0]),
+    ]:
+        getattr(database, method)(sql, params)
+        read()
+
+
+class TestTransactionsReadTheirOwnWrites:
+    """At every point of a transaction — open, rolled back, committed —
+    every engine returns the columns, rows and counters of an autocommit
+    database holding the same rows: the one that made the same writes, or,
+    after ROLLBACK, the one that made none.  Each statement also runs
+    before the writes and after every write, so its cached plan predates
+    them and every write meets a chunk cache built before it."""
+
+    @pytest.mark.parametrize("point", ["open", "rolled-back", "committed"])
+    @pytest.mark.parametrize("sql, params", _READS)
+    def test_matches_the_autocommit_reference(self, sql, params, point):
+        results = {}
+        for engine, options in _READ_ENGINES.items():
+            with _joinable(**options) as reference, _joinable(**options) as db:
+                reference.query(sql, params)
+                if point != "rolled-back":
+                    _write(reference, lambda: reference.query(sql, params))
+                expected = reference.query(sql, params)
+                db.begin()
+                db.query(sql, params)
+                _write(db, lambda: db.query(sql, params))
+                if point == "rolled-back":
+                    db.rollback()
+                elif point == "committed":
+                    db.commit()
+                got = db.query(sql, params)
+                if db.in_transaction:
+                    db.rollback()
+            assert got.columns == expected.columns, engine
+            assert got.rows == expected.rows, engine
+            assert got.stats == expected.stats, engine
+            results[engine] = got
+        assert results["interpreted"].rows == results["vectorized"].rows
+        assert results["row-at-a-time"].stats == results["vectorized"].stats
 
 
 class TestClientPassThrough:

@@ -15,8 +15,9 @@ same typed error message:
 
 * constant forms in every batch-compiled position (driving filter, hash-join
   key, GROUP BY key, aggregate argument), over a filled and an empty
-  table;
-* the evaluation-order, typed-error and vectorized-filter-error cases;
+  table, committed or staged by a transaction that is still open;
+* the evaluation-order, typed-error and vectorized-filter-error cases, the
+  typed errors over committed and over staged rows;
 * aggregates nested under IS NULL, IN, COALESCE or a scalar function,
   which the analyzer rejects before any row, over a filled and an empty
   table;
@@ -61,13 +62,36 @@ _TWELVE = [
 ]
 
 
-def _database(engine, rows):
+#: How the rows stand while the statements run: ``committed``, or
+#: ``staged`` — inserted by a transaction that is still open, after decoy
+#: rows that the same transaction deleted again, so ``t`` holds tombstones
+#: before its first live row.  Every engine, vectorized scans included,
+#: must read staged rows exactly as it reads committed ones.
+_STATES = ["committed", "staged"]
+_DECOYS = [(100 + i, i % 3, float(i), "decoy") for i in range(5)]
+
+
+def _database(engine, rows, state="committed"):
     database = Database(**_ENGINES[engine])
     database.execute(_T_DDL)
     database.execute(_U_DDL)
+    if state == "staged":
+        database.begin()
+        database.executemany(_T_INSERT, _DECOYS)
     database.executemany(_T_INSERT, rows)
     database.executemany("INSERT INTO u (id, k) VALUES (?, ?)", _U_ROWS)
+    if state == "staged":
+        database.execute("DELETE FROM t WHERE s = 'decoy'")
     return database
+
+
+def _close(database):
+    """Close ``database``; a staged one first rolls its transaction back,
+    which must leave both tables empty."""
+    if database.in_transaction:
+        database.rollback()
+        assert database.row_counts() == {"t": 0, "u": 0}
+    database.close()
 
 
 def _outcome(database, sql, params):
@@ -104,12 +128,15 @@ def _proves_contradiction(sql, tables):
     return False
 
 
-def _agreed(sql, params=(), rows=_THREE):
+def _agreed(sql, params=(), rows=_THREE, state="committed"):
     """The one outcome every engine gives ``sql`` (asserted identical)."""
     outcomes = {}
     for engine in _ENGINES:
-        with _database(engine, rows) as database:
+        database = _database(engine, rows, state)
+        try:
             outcomes[engine] = _outcome(database, sql, list(params))
+        finally:
+            _close(database)
     assert len(set(outcomes.values())) == 1, (sql, params, outcomes)
     return outcomes["interpreted"]
 
@@ -166,34 +193,46 @@ _PLACEMENTS = {
 @pytest.fixture(scope="module")
 def constant_databases():
     databases = {
-        (engine, filled): _database(engine, _TWELVE if filled else [])
+        (engine, state, filled): _database(
+            engine, _TWELVE if filled else [], state
+        )
         for engine in _ENGINES
+        for state in _STATES
         for filled in (True, False)
     }
     yield databases
     for database in databases.values():
-        database.close()
+        _close(database)
 
 
 class TestConstantForms:
     @pytest.mark.parametrize("placement", sorted(_PLACEMENTS))
     def test_placements_take_the_batch_rungs(self, placement, constant_databases):
         template, rung = _PLACEMENTS[placement]
-        database = constant_databases[("vectorized", True)]
+        database = constant_databases[("vectorized", "committed", True)]
         plan = plan_select(parse_sql(template.format(f="? + 1")), database.tables)
         assert getattr(plan, rung) is not None, placement
 
+    @pytest.mark.parametrize("state", _STATES)
     @pytest.mark.parametrize("filled", [True, False], ids=["filled", "empty"])
     @pytest.mark.parametrize("form,params", _CONSTANT_FORMS)
-    def test_engines_agree(self, form, params, filled, constant_databases):
+    def test_engines_agree(self, form, params, filled, state,
+                           constant_databases):
         for placement, (template, _rung) in _PLACEMENTS.items():
             sql = template.format(f=form)
             outcomes = {
                 engine: _outcome(
-                    constant_databases[(engine, filled)], sql, params
+                    constant_databases[(engine, state, filled)], sql, params
                 )
                 for engine in _ENGINES
             }
+            if state == "staged":
+                for engine, outcome in outcomes.items():
+                    committed = _outcome(
+                        constant_databases[(engine, "committed", filled)],
+                        sql, params,
+                    )
+                    assert outcome == committed, (engine, placement, sql)
             vectorized = outcomes["vectorized"]
             assert outcomes["row-at-a-time"] == vectorized, (placement, sql)
             reference = outcomes["interpreted"]
@@ -203,7 +242,7 @@ class TestConstantForms:
             assert reference[1] == vectorized[1], (placement, sql)
             # Join reordering may change row order.
             assert sorted(reference[2]) == sorted(vectorized[2]), (placement, sql)
-            tables = constant_databases[("vectorized", filled)].tables
+            tables = constant_databases[("vectorized", state, filled)].tables
             if placement == "join-key":
                 continue  # hash joins do other physical work, by design
             if _proves_contradiction(sql, tables):
@@ -307,11 +346,12 @@ _TYPED_ERRORS = [
 
 
 class TestTypedErrors:
+    @pytest.mark.parametrize("state", _STATES)
     @pytest.mark.parametrize("sql,params,message", _TYPED_ERRORS)
     def test_every_engine_raises_the_same_typed_error(
-        self, sql, params, message
+        self, sql, params, message, state
     ):
-        assert _agreed(sql, params) == (
+        assert _agreed(sql, params, state=state) == (
             "error", "ExecutionError", message
         )
 
