@@ -198,8 +198,13 @@ def _render(expr: Expr) -> "tuple[str, int]":
         return f"NOT {operand}", _UNARY_PRECEDENCE
     if isinstance(expr, BinaryExpr):
         precedence = _PRECEDENCE[expr.op]
-        left = _expr(expr.left, precedence)
-        # Right operand needs one level more to reproduce left associativity.
+        # Comparisons do not chain (``a > b > c`` does not parse), so a
+        # comparison's left operand keeps the parentheses around another
+        # comparison; the right operand needs one level more anyway, to
+        # reproduce left associativity.
+        left = _expr(
+            expr.left, precedence + 1 if expr.op.is_comparison else precedence
+        )
         right = _expr(expr.right, precedence + 1)
         return f"{left} {expr.op.value} {right}", precedence
     if isinstance(expr, SetComprehension):

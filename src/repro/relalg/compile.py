@@ -50,6 +50,7 @@ from repro.relalg.sqlast import (
     Star,
     UnaryOperation,
     format_expr,
+    walk,
 )
 from repro.relalg.storage import Table
 
@@ -80,11 +81,21 @@ SubqueryPlanner = Callable[[SelectStatement], Any]
 class ExecContext:
     """Per-execution state threaded through every compiled closure."""
 
-    __slots__ = ("params", "stats", "hash_tables", "subquery_memo")
+    __slots__ = ("params", "stats", "hash_tables", "subquery_memo", "opens")
 
-    def __init__(self, params: Sequence[Any], stats: QueryStats) -> None:
+    def __init__(
+        self,
+        params: Sequence[Any],
+        stats: QueryStats,
+        opens: Optional[List[int]] = None,
+    ) -> None:
         self.params = params
         self.stats = stats
+        #: EXPLAIN ANALYZE's counters, ``None`` on every other execution:
+        #: ``opens[i]`` counts the opens of join level ``i``'s loop, and
+        #: ``opens[len(levels)]`` the plan's joined rows, so ``opens[i + 1]``
+        #: is the number of rows that survived level ``i``.
+        self.opens = opens
         #: Lazily built hash-join tables, keyed by plan level index.
         self.hash_tables: Dict[int, Dict[Any, List[Tuple[Any, ...]]]] = {}
         #: Scalar subquery results of this execution, keyed by the compiled
@@ -653,23 +664,18 @@ def _batch_logical(op: BinaryOperator, left: _BatchNode,
     return ("vec", logical_v, needed)
 
 
+#: Node kinds that read nothing from a row themselves.
+_ROW_FREE = (Literal, Placeholder, UnaryOperation, IsNull, BinaryOperation,
+             InList)
+
+
 def _row_independent(expr: SqlExpr) -> bool:
     """Whether ``expr`` reads no column, no subquery and no aggregate."""
-    if isinstance(expr, (Literal, Placeholder)):
-        return True
-    if isinstance(expr, (UnaryOperation, IsNull)):
-        return _row_independent(expr.operand)
-    if isinstance(expr, BinaryOperation):
-        return _row_independent(expr.left) and _row_independent(expr.right)
-    if isinstance(expr, InList):
-        return _row_independent(expr.operand) and all(
-            _row_independent(item) for item in expr.items
-        )
-    if isinstance(expr, FunctionExpr):
-        return not expr.is_aggregate and all(
-            _row_independent(arg) for arg in expr.args
-        )
-    return False
+    return all(
+        isinstance(node, _ROW_FREE)
+        or (isinstance(node, FunctionExpr) and not node.is_aggregate)
+        for node in walk(expr)
+    )
 
 
 def _no_subqueries(select: SelectStatement) -> Any:

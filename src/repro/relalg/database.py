@@ -55,7 +55,6 @@ byte-identical to the WAL-less engine.
 
 from __future__ import annotations
 
-import copy
 import warnings
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -75,7 +74,6 @@ from repro.relalg.errors import (
 from repro.relalg.interp import InterpretedSelectExecutor
 from repro.relalg.planner import (
     QueryPlan,
-    _Level,
     plan_select,
     subquery_planner,
 )
@@ -744,12 +742,12 @@ class Database:
         that actually execute, not a re-derivation under newer statistics.
 
         ``analyze:`` — with ``analyze=True`` the statement is **executed
-        once** (sequentially, row-at-a-time, with ``params`` bound) through
-        an instrumented copy of the cached plan, and a trailing section
-        reports the estimated vs. actual cumulative cardinality per join
-        level plus the run's physical counters — the honest-estimates
-        check: a level whose ``actual_rows`` diverges wildly from
-        ``est_cardinality`` marks a mis-costed predicate.  The run performs
+        once** (with ``params`` bound) through the cached plan, on the path
+        :meth:`execute` takes, and a trailing section reports the estimated
+        vs. actual cumulative cardinality per join level plus the run's
+        physical counters — the honest-estimates check: a level whose
+        ``actual_rows`` diverges wildly from ``est_cardinality`` marks a
+        mis-costed predicate.  The run performs
         the statement's real reads (counters land in the execution summary
         like any other execution) but discards the result rows.
 
@@ -781,31 +779,21 @@ class Database:
     def _explain_analyze(
         self, plan: QueryPlan, params: Sequence[Any]
     ) -> List[str]:
-        """Run ``plan`` once with per-level row counters; render the section.
+        """Run ``plan`` once, counting the rows that survive each level;
+        render the section.
 
-        Each level gets an always-true counting filter appended *after* its
-        real filters, so it counts exactly the rows that survive the level —
-        the actual counterpart of ``est_cardinality``.  The instrumented
-        copy executes sequentially and row-at-a-time (the vectorized scan
-        bypasses row filters), which cannot change the result: every engine
-        mode returns byte-identical rows.
+        The plan runs exactly as :meth:`execute` runs it, on the path that
+        serves the statement (vectorized chunks, index order, batch join),
+        with an :attr:`~repro.relalg.compile.ExecContext.opens` list: the
+        rows that survived level ``i`` are the opens of level ``i + 1``'s
+        loop, and the last level's are the plan's joined rows — the actual
+        counterpart of ``est_cardinality``.
         """
-        actuals = [0] * len(plan.levels)
-        instrumented: List[_Level] = []
-        for position, level in enumerate(plan.levels):
-            def count(row, ctx, _position=position):  # noqa: B023
-                actuals[_position] += 1
-                return True
-
-            counted = copy.copy(level)
-            counted.filters = level.filters + [count]
-            counted.fallback_filters = level.fallback_filters + [count]
-            instrumented.append(counted)
-        probe = copy.copy(plan)
-        probe.levels = instrumented
-        probe._loops = None  # the copy builds its own chain over `instrumented`
+        opens = [0] * (len(plan.levels) + 1)
         stats = QueryStats()
-        result = probe.execute(params, stats=stats)
+        result = plan.execute(
+            params, stats, vectorized=self.vectorized, opens=opens
+        )
         self.summary.record_select(stats)
         lines = ["analyze:"]
         cumulative = 1.0
@@ -814,7 +802,7 @@ class Database:
             lines.append(
                 f"  {position + 1}. {level.binding} ({level.table.name}): "
                 f"est_cardinality={round(cumulative, 3)}, "
-                f"actual_rows={actuals[position]}"
+                f"actual_rows={opens[position + 1]}"
             )
         lines.append(
             f"  returned {len(result.rows)} row(s); "

@@ -63,6 +63,7 @@ from repro.relalg.sqlast import (
     Star,
     TableRef,
     UnaryOperation,
+    walk,
 )
 from repro.relalg.storage import Table
 
@@ -282,9 +283,19 @@ class InterpretedSelectExecutor:
     def _required_bindings(
         self, expr: SqlExpr, bindings: List[Tuple[str, Table]]
     ) -> set:
-        """The table bindings that must be bound before ``expr`` can be evaluated."""
+        """The table bindings that must be bound before ``expr`` can be
+        evaluated.  A scalar subquery is self-contained and requires nothing
+        from the outer query (correlated subqueries are not supported)."""
         refs: set = set()
-        _collect_bindings(expr, bindings, refs)
+        for node in walk(expr):
+            if not isinstance(node, ColumnRef):
+                continue
+            if node.table is not None:
+                refs.add(node.table.lower())
+            else:
+                for binding, table in bindings:
+                    if _column_in_table(table, node.name):
+                        refs.add(binding)
         return refs
 
     # ------------------------------------------------------------------ #
@@ -585,34 +596,6 @@ def _row_mapping(table: Table, row: Tuple[Any, ...]) -> Dict[str, Any]:
 def _column_in_table(table: Table, column: str) -> bool:
     lowered = column.lower()
     return any(c.name.lower() == lowered for c in table.schema.columns)
-
-
-def _collect_bindings(
-    node: SqlExpr, bindings: List[Tuple[str, Table]], refs: set
-) -> None:
-    if isinstance(node, ColumnRef):
-        if node.table is not None:
-            refs.add(node.table.lower())
-        else:
-            for binding, table in bindings:
-                if _column_in_table(table, node.name):
-                    refs.add(binding)
-    elif isinstance(node, BinaryOperation):
-        _collect_bindings(node.left, bindings, refs)
-        _collect_bindings(node.right, bindings, refs)
-    elif isinstance(node, UnaryOperation):
-        _collect_bindings(node.operand, bindings, refs)
-    elif isinstance(node, FunctionExpr):
-        for arg in node.args:
-            _collect_bindings(arg, bindings, refs)
-    elif isinstance(node, IsNull):
-        _collect_bindings(node.operand, bindings, refs)
-    elif isinstance(node, InList):
-        _collect_bindings(node.operand, bindings, refs)
-        for item in node.items:
-            _collect_bindings(item, bindings, refs)
-    # ScalarSubquery: self-contained, requires nothing from the outer query
-    # (correlated subqueries are not supported).
 
 
 def _column_name(expr: SqlExpr) -> str:

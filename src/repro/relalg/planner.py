@@ -104,7 +104,7 @@ from repro.relalg.sqlast import (
     SqlExpr,
     Star,
     TableRef,
-    UnaryOperation,
+    walk,
 )
 from repro.relalg.semantics import (
     Analysis,
@@ -379,8 +379,7 @@ class QueryPlan(Record):
     """A fully compiled SELECT: reusable across executions and parameters.
 
     ``_loops`` is private: it holds the plan's enumeration chain
-    (:func:`_level_loops`), built at its first execution; a copy that
-    replaces ``levels`` resets it to ``None``.
+    (:func:`_level_loops`), built at its first execution.
     """
 
     __slots__ = (
@@ -509,6 +508,7 @@ class QueryPlan(Record):
         params: Sequence[Any] = (),
         stats: Optional[QueryStats] = None,
         vectorized: bool = False,
+        opens: Optional[List[int]] = None,
     ) -> ResultSet:
         """Run the plan and return the materialised result.
 
@@ -521,9 +521,12 @@ class QueryPlan(Record):
         byte-identical to the row-at-a-time path.  Ineligible plans silently
         keep the row-at-a-time path, which remains the differential
         reference.
+
+        ``opens`` (EXPLAIN ANALYZE only) is a list of ``len(levels) + 1``
+        zeros that the execution fills (see :attr:`ExecContext.opens`).
         """
         stats = stats if stats is not None else QueryStats()
-        ctx = ExecContext(params, stats)
+        ctx = ExecContext(params, stats, opens)
         use_vectorized = vectorized and self.vector_eligible
         result_rows: Optional[List[Tuple[Any, ...]]] = None
         rows: List[Tuple[Any, ...]] = []
@@ -661,8 +664,12 @@ class QueryPlan(Record):
             )
             descend = loops[1] if len(loops) > 1 else None
             total = 0
+            opens = ctx.opens
             for survivors, scanned in driving:
                 if join_chunk is not None:
+                    if opens is not None:
+                        # The batch join never enters level 1's loop.
+                        opens[1] += len(survivors)
                     join_chunk(survivors)
                 elif descend is None:
                     out.extend(survivors)
@@ -674,6 +681,8 @@ class QueryPlan(Record):
             stats.rows_scanned += total
         # Every fully joined slot row passed all its predicates en route.
         stats.rows_joined += len(out)
+        if ctx.opens is not None:
+            ctx.opens[-1] += len(out)
         return out
 
     def _index_order_chunks(self, ctx: ExecContext):
@@ -927,6 +936,8 @@ def _level_loop(
     offset, end = level.offset, level.end
 
     def loop(row, ctx, out):
+        if ctx.opens is not None:
+            ctx.opens[index] += 1
         candidates, filters = open_level(level, index, row, ctx)
         append = out.append
         scanned = 0
@@ -1114,7 +1125,7 @@ def _plan_select(
         if vector_filter is not None:
             report["scan"] = "vectorized (columnar chunks)"
         elif vector_eligible:
-            report["scan"] = "partition rows (no driving filter)"
+            report["scan"] = "row stream (no driving filter)"
         else:
             report["scan"] = (
                 "row-at-a-time (driving filters do not batch-compile)"
@@ -1245,7 +1256,7 @@ def _plan_select(
         report["top-k"] = "full sort (DISTINCT dedups after ordering)"
     elif index_order is not None:
         report["top-k"] = (
-            f"index-order merge (ordered index on {index_order[0]})"
+            f"index-order walk (ordered index on {index_order[0]})"
         )
     elif not vector_eligible:
         report["top-k"] = "full sort (driving scan is row-at-a-time)"
@@ -1295,44 +1306,10 @@ def _plan_select(
 # -- table dependencies ------------------------------------------------------ #
 
 
-def _expr_subselects(expr: SqlExpr) -> List[SelectStatement]:
-    """The *direct* scalar-subquery SELECTs of one expression.
-
-    This is the single AST walker every dependency helper builds on: a new
-    ``SqlExpr`` node kind only needs wiring here for table-dependency
-    tracking (and hence per-table plan-cache invalidation) to stay correct.
-    """
-    found: List[SelectStatement] = []
-    _collect_subselects(expr, found)
-    return found
-
-
-def expr_has_subquery(expr: SqlExpr) -> bool:
-    """Whether an expression contains a scalar subquery (directly or nested)."""
-    return bool(_expr_subselects(expr))
-
-
-def _collect_subselects(node: SqlExpr, found: List[SelectStatement]) -> None:
-    if isinstance(node, ScalarSubquery):
-        found.append(node.select)
-    elif isinstance(node, BinaryOperation):
-        _collect_subselects(node.left, found)
-        _collect_subselects(node.right, found)
-    elif isinstance(node, UnaryOperation):
-        _collect_subselects(node.operand, found)
-    elif isinstance(node, FunctionExpr):
-        for arg in node.args:
-            _collect_subselects(arg, found)
-    elif isinstance(node, IsNull):
-        _collect_subselects(node.operand, found)
-    elif isinstance(node, InList):
-        _collect_subselects(node.operand, found)
-        for item in node.items:
-            _collect_subselects(item, found)
-
-
 def _direct_subselects(select: SelectStatement) -> List[SelectStatement]:
-    """Scalar subqueries appearing directly in one SELECT's clauses."""
+    """Scalar subqueries appearing directly in one SELECT's clauses, in
+    clause order: the subqueries this plan's :attr:`QueryPlan.table_deps`
+    (and hence per-table plan-cache invalidation) must cover."""
     exprs: List[SqlExpr] = [item.expr for item in select.items]
     exprs.extend(join.on for join in select.joins if join.on is not None)
     if select.where is not None:
@@ -1341,10 +1318,12 @@ def _direct_subselects(select: SelectStatement) -> List[SelectStatement]:
     if select.having is not None:
         exprs.append(select.having)
     exprs.extend(item.expr for item in select.order_by)
-    found: List[SelectStatement] = []
-    for expr in exprs:
-        found.extend(_expr_subselects(expr))
-    return found
+    return [
+        node.select
+        for expr in exprs
+        for node in walk(expr)
+        if isinstance(node, ScalarSubquery)
+    ]
 
 
 # -- FROM / WHERE ----------------------------------------------------------- #
@@ -1382,35 +1361,16 @@ def _required_bindings(
     subqueries are self-contained and require nothing from the outer query.
     """
     refs: Set[str] = set()
-    _collect_bindings(expr, bindings, refs)
-    return refs
-
-
-def _collect_bindings(
-    node: SqlExpr, bindings: List[Tuple[str, Table]], refs: Set[str]
-) -> None:
-    if isinstance(node, ColumnRef):
+    for node in walk(expr):
+        if not isinstance(node, ColumnRef):
+            continue
         if node.table is not None:
             refs.add(node.table.lower())
         else:
-            name = node.name.lower()
             for binding, table in bindings:
-                if name in (c.name.lower() for c in table.schema.columns):
+                if _column_in_table(table, node.name):
                     refs.add(binding)
-    elif isinstance(node, BinaryOperation):
-        _collect_bindings(node.left, bindings, refs)
-        _collect_bindings(node.right, bindings, refs)
-    elif isinstance(node, UnaryOperation):
-        _collect_bindings(node.operand, bindings, refs)
-    elif isinstance(node, FunctionExpr):
-        for arg in node.args:
-            _collect_bindings(arg, bindings, refs)
-    elif isinstance(node, IsNull):
-        _collect_bindings(node.operand, bindings, refs)
-    elif isinstance(node, InList):
-        _collect_bindings(node.operand, bindings, refs)
-        for item in node.items:
-            _collect_bindings(item, bindings, refs)
+    return refs
 
 
 # -- cardinality estimation -------------------------------------------------- #
@@ -1505,32 +1465,26 @@ def _range_probe_estimate(
 
 def _residual_selectivity(
     applicable: List[SqlExpr],
-    used: Any,
-    interval_exprs: Optional[Dict[int, Tuple[str, RangeInterval]]] = None,
-    statistics: Optional[TableStatistics] = None,
+    used: Sequence[SqlExpr],
+    interval_exprs: Dict[int, Tuple[str, RangeInterval]],
+    statistics: TableStatistics,
 ) -> float:
     """Combined selectivity of a level's residual filters.
 
-    ``used`` names the conjunct(s) an access path consumed (a single
-    expression or a list of them).  Range conjuncts the semantic analysis
-    folded into one plan-time interval are costed *once per interval* —
-    via the column's equi-width histogram when one is maintained, the fixed
-    range selectivity otherwise — instead of multiplying each bound's
-    selectivity independently (``x > 3 AND x < 9`` is one interval, not two
-    independent coin flips).
+    ``used`` lists the conjuncts the access path is costed as consuming.
+    Range conjuncts the semantic analysis folded into one plan-time
+    interval are costed *once per interval* — via the column's equi-width
+    histogram when one is maintained, the fixed range selectivity otherwise
+    — instead of multiplying each bound's selectivity independently
+    (``x > 3 AND x < 9`` is one interval, not two independent coin flips).
     """
-    if used is None:
-        used_ids: Set[int] = set()
-    elif isinstance(used, (list, tuple, set, frozenset)):
-        used_ids = {id(p) for p in used}
-    else:
-        used_ids = {id(used)}
+    used_ids = {id(p) for p in used}
     selectivity = 1.0
     counted: Set[int] = set()
     for predicate in applicable:
         if id(predicate) in used_ids:
             continue
-        hit = interval_exprs.get(id(predicate)) if interval_exprs else None
+        hit = interval_exprs.get(id(predicate))
         if hit is not None:
             column, interval = hit
             if id(interval) in counted:
@@ -1592,23 +1546,6 @@ def _probe_candidates(
             break
 
 
-def _probe_candidate(
-    table: Table,
-    binding: str,
-    predicates: List[SqlExpr],
-    already_bound: Set[str],
-    bindings: List[Tuple[str, Table]],
-    indexed: bool,
-) -> Optional[Tuple[str, SqlExpr, SqlExpr]]:
-    """The first of :func:`_probe_candidates`, or ``None``."""
-    return next(
-        _probe_candidates(
-            table, binding, predicates, already_bound, bindings, indexed
-        ),
-        None,
-    )
-
-
 def _probe_keys(
     table: Table,
     binding: str,
@@ -1619,9 +1556,9 @@ def _probe_keys(
     """Every ``(column_name, key_expression, predicate)`` one index probe
     consumes, in conjunct order.
 
-    The first is :func:`_probe_candidate`'s choice; after it come the later
-    equality conjuncts on a *different* indexed column of ``binding`` whose
-    other side is already bound.  A second conjunct on an already-probed
+    The first is the first of :func:`_probe_candidates`; after it come the
+    later equality conjuncts on a *different* indexed column of ``binding``
+    whose other side is already bound.  A second conjunct on an already-probed
     column stays a filter.  The interpreted engine's ``_index_probe``
     applies the same rule, so both engines probe (and count) alike.
     """
@@ -1691,7 +1628,7 @@ def _range_candidate(
             column = this.name.lower()
             if table.ordered_index_for(column) is None:
                 continue
-            if expr_has_subquery(other):
+            if any(isinstance(node, ScalarSubquery) for node in walk(other)):
                 continue
             if not _required_bindings(other, bindings) <= already_bound:
                 continue
@@ -1719,14 +1656,100 @@ def _range_candidate(
     return None
 
 
+#: Access tiers of a join level, in the order the join-order rule prefers
+#: them: a level that can probe is bound before one that must scan.
+_INDEX_PROBE, _RANGE_PROBE, _HASH_JOIN, _FILTERED_SCAN, _BARE_SCAN = range(5)
+
+
+def _access_analysis(
+    table: Table,
+    binding: str,
+    applicable: List[SqlExpr],
+    bound: Set[str],
+    bindings: List[Tuple[str, Table]],
+    statistics: TableStatistics,
+    interval_exprs: Dict[int, Tuple[str, RangeInterval]],
+    intervals: Dict[Tuple[str, str], RangeInterval],
+) -> Tuple[int, float, List[SqlExpr], Any]:
+    """The access path ``binding`` takes if it is bound after ``bound``.
+
+    Returns ``(tier, estimate, consumed, inputs)``: the best tier open to
+    the binding, its estimated rows per outer row, the conjuncts the access
+    path consumes and what builds it — the ``(column, key expression,
+    conjunct)`` triples of :func:`_probe_keys` (index probe), the
+    ``(column, lo, lo_incl, hi, hi_incl)`` bounds of :func:`_range_candidate`
+    (range probe), ``(column, key expression)`` (hash join) or ``None``
+    (scans).
+    """
+    probe_keys = _probe_keys(table, binding, applicable, bound, bindings)
+    if probe_keys:
+        # Costed as the first key's probe, the later keys as the residual
+        # filters they were before the probe consumed them: the join order
+        # and EXPLAIN's estimates stay what they were.
+        column, _key_expr, used = probe_keys[0]
+        estimate = _probe_estimate(
+            statistics, column, indexed=True
+        ) * _residual_selectivity(
+            applicable, [used], interval_exprs, statistics
+        )
+        consumed = [used for _column, _key_expr, used in probe_keys]
+        return _INDEX_PROBE, estimate, consumed, probe_keys
+    found = _range_candidate(table, binding, applicable, bound, bindings)
+    if found is not None:
+        column, lo_expr, lo_incl, hi_expr, hi_incl, consumed = found
+        estimate = _range_probe_estimate(
+            statistics, column, intervals.get((binding, column))
+        ) * _residual_selectivity(
+            applicable, consumed, interval_exprs, statistics
+        )
+        return (
+            _RANGE_PROBE, estimate, consumed,
+            (column, lo_expr, lo_incl, hi_expr, hi_incl),
+        )
+    hash_key = next(
+        _probe_candidates(
+            table, binding, applicable, bound, bindings, indexed=False
+        ),
+        None,
+    )
+    if hash_key is not None:
+        column, key_expr, used = hash_key
+        estimate = _probe_estimate(
+            statistics, column, indexed=False
+        ) * _residual_selectivity(
+            applicable, [used], interval_exprs, statistics
+        )
+        return _HASH_JOIN, estimate, [used], (column, key_expr)
+    estimate = statistics.row_count * _residual_selectivity(
+        applicable, (), interval_exprs, statistics
+    )
+    return (_FILTERED_SCAN if applicable else _BARE_SCAN), estimate, [], None
+
+
 def _plan_levels(
     bindings: List[Tuple[str, Table]],
     conjuncts: List[SqlExpr],
     required: Dict[int, Set[str]],
     layout: SlotLayout,
     plan_subquery: SubqueryPlanner,
-    intervals: Optional[Dict[Tuple[str, str], RangeInterval]] = None,
+    intervals: Dict[Tuple[str, str], RangeInterval],
 ) -> List[_Level]:
+    """The join levels of one SELECT, in execution order.
+
+    Greedy: every round analyzes each remaining binding once
+    (:func:`_access_analysis`) and binds the one with the smallest
+    ``(tier, estimate, position)`` key, then builds its level from that
+    same analysis.  Tier order is bound-predicate availability (probe kinds
+    before plain filters).  Within the three probe tiers the statistics
+    pick the cheapest candidate by estimated cardinality — any choice there
+    keeps an indexed/hashed access path, so the estimate is the right
+    discriminator — and equal estimates keep syntactic order.  The scan
+    tiers count every estimate as 0 and so deliberately keep syntactic
+    order: reordering scans by output estimate ignores the scan/build cost
+    it forces on the level itself, and it would break the physical-counter
+    contract with the reference engine (whose nested loops always follow
+    syntactic order) on the A1 ablation workloads.
+    """
     remaining = list(bindings)
     pending = list(conjuncts)
     bound: Set[str] = set()
@@ -1734,88 +1757,25 @@ def _plan_levels(
     statistics: Dict[str, TableStatistics] = {
         binding: table.statistics() for binding, table in bindings
     }
-    intervals = intervals if intervals is not None else {}
     interval_index: Dict[str, Dict[int, Tuple[str, RangeInterval]]] = {
         binding: _interval_exprs(binding, intervals)
         for binding, _table in bindings
     }
 
-    def applicable_for(binding: str) -> List[SqlExpr]:
-        visible = bound | {binding}
-        return [p for p in pending if required[id(p)] <= visible]
-
-    def cheapest(estimator) -> Optional[Tuple[str, Table]]:
-        """The remaining binding with the smallest estimate (``None`` skips);
-        ties resolve to syntactic order."""
-        best: Optional[Tuple[float, Tuple[str, Table]]] = None
-        for candidate in remaining:
-            estimate = estimator(candidate)
-            if estimate is None:
-                continue
-            if best is None or estimate < best[0]:
-                best = (estimate, candidate)
-        return best[1] if best is not None else None
-
-    def probe_tier_estimate(
-        candidate: Tuple[str, Table], indexed: bool
-    ) -> Optional[float]:
-        binding, table = candidate
-        applicable = applicable_for(binding)
-        probe = _probe_candidate(
-            table, binding, applicable, bound, bindings, indexed=indexed
-        )
-        if probe is None:
-            return None
-        column, _key_expr, used = probe
-        return _probe_estimate(
-            statistics[binding], column, indexed=indexed
-        ) * _residual_selectivity(
-            applicable, used, interval_index[binding], statistics[binding]
-        )
-
-    def range_tier_estimate(
-        candidate: Tuple[str, Table]
-    ) -> Optional[float]:
-        binding, table = candidate
-        applicable = applicable_for(binding)
-        found = _range_candidate(table, binding, applicable, bound, bindings)
-        if found is None:
-            return None
-        column, _lo, _li, _hi, _hi_i, used = found
-        table_stats = statistics[binding]
-        return _range_probe_estimate(
-            table_stats, column, intervals.get((binding, column))
-        ) * _residual_selectivity(
-            applicable, used, interval_index[binding], table_stats
-        )
-
-    def first_filtered_scan() -> Optional[Tuple[str, Table]]:
-        for candidate in remaining:
-            if applicable_for(candidate[0]):
-                return candidate
-        return None
-
     while remaining:
-        # Tier order is bound-predicate availability (probe kinds before
-        # plain filters).  Within the probe tiers the statistics pick the
-        # cheapest candidate by estimated cardinality — any choice there
-        # keeps an indexed/hashed access path, so the estimate is the right
-        # discriminator.  The plain-filter scan tier deliberately keeps
-        # syntactic order: reordering scans by output estimate ignores the
-        # scan/build cost it forces on the level itself, and it would break
-        # the physical-counter contract with the reference engine (whose
-        # nested loops always follow syntactic order) on the A1 ablation
-        # workloads.
-        choice = (
-            cheapest(lambda c: probe_tier_estimate(c, indexed=True))
-            or cheapest(range_tier_estimate)
-            or cheapest(lambda c: probe_tier_estimate(c, indexed=False))
-            or first_filtered_scan()
-            or remaining[0]
-        )
-        remaining.remove(choice)
-        binding, table = choice
-        applicable = applicable_for(binding)
+        candidates = []
+        for position, (binding, table) in enumerate(remaining):
+            visible = bound | {binding}
+            applicable = [p for p in pending if required[id(p)] <= visible]
+            analysis = _access_analysis(
+                table, binding, applicable, bound, bindings,
+                statistics[binding], interval_index[binding], intervals,
+            )
+            tier, estimate = analysis[0], analysis[1]
+            rank = (tier, estimate if tier <= _HASH_JOIN else 0.0, position)
+            candidates.append((rank, applicable, analysis))
+        rank, applicable, analysis = min(candidates, key=itemgetter(0))
+        binding, table = remaining.pop(rank[2])
         bound.add(binding)
         # Partition by identity, not structural equality: duplicate conjuncts
         # (e.g. ``WHERE a = 1 AND a = 1``) are distinct nodes and each must be
@@ -1823,38 +1783,20 @@ def _plan_levels(
         applied_ids = {id(p) for p in applicable}
         pending = [p for p in pending if id(p) not in applied_ids]
 
-        table_stats = statistics[binding]
-        probe_keys = _probe_keys(
-            table, binding, applicable, bound - {binding}, bindings
-        )
-        access: AccessPath
+        tier, estimate, consumed, inputs = analysis
+        access: AccessPath = _SCAN
         key_ast: Optional[SqlExpr] = None
-        consumed: List[SqlExpr] = []
-        if probe_keys:
+        if tier == _INDEX_PROBE:
             access = IndexProbe(
                 [
                     (column.lower(),
                      compile_row_expr(key_expr, layout, plan_subquery))
-                    for column, key_expr, _used in probe_keys
+                    for column, key_expr, _used in inputs
                 ],
                 table=table,
             )
-            consumed = [used for _column, _key_expr, used in probe_keys]
-            # Costed as the first key's probe, the later keys as the
-            # residual filters they were before the probe consumed them:
-            # the join order and EXPLAIN's estimates stay what they were.
-            column, _key_expr, used = probe_keys[0]
-            estimate = _probe_estimate(
-                table_stats, column, indexed=True
-            ) * _residual_selectivity(
-                applicable, used, interval_index[binding], table_stats
-            )
-        elif (
-            found := _range_candidate(
-                table, binding, applicable, bound - {binding}, bindings
-            )
-        ) is not None:
-            column, lo_expr, lo_incl, hi_expr, hi_incl, consumed = found
+        elif tier == _RANGE_PROBE:
+            column, lo_expr, lo_incl, hi_expr, hi_incl = inputs
             access = RangeProbe(
                 column,
                 (
@@ -1868,34 +1810,12 @@ def _plan_levels(
                 ),
                 hi_incl,
             )
-            estimate = _range_probe_estimate(
-                table_stats, column, intervals.get((binding, column))
-            ) * _residual_selectivity(
-                applicable, consumed, interval_index[binding], table_stats
+        elif tier == _HASH_JOIN:
+            column, key_ast = inputs
+            access = HashJoinBuild(
+                table.schema.column_index(column),
+                compile_row_expr(key_ast, layout, plan_subquery),
             )
-        else:
-            probe = _probe_candidate(
-                table, binding, applicable, bound - {binding},
-                bindings, indexed=False,
-            )
-            if probe is not None:
-                column, key_expr, used = probe
-                key_ast = key_expr
-                access = HashJoinBuild(
-                    table.schema.column_index(column),
-                    compile_row_expr(key_expr, layout, plan_subquery),
-                )
-                consumed = [used]
-                estimate = _probe_estimate(
-                    table_stats, column, indexed=False
-                ) * _residual_selectivity(
-                    applicable, used, interval_index[binding], table_stats
-                )
-            else:
-                access = _SCAN
-                estimate = table_stats.row_count * _residual_selectivity(
-                    applicable, None, interval_index[binding], table_stats
-                )
 
         conjunct_fns = [
             compile_row_expr(p, layout, plan_subquery) for p in applicable

@@ -73,6 +73,7 @@ from repro.relalg.sqlast import (
     TableRef,
     UnaryOperation,
     format_expr,
+    walk,
 )
 from repro.relalg.storage import Table
 
@@ -816,23 +817,11 @@ class _Analyzer:
                         break
 
     def _column_refs(self, expr: SqlExpr) -> List[ColumnRef]:
-        refs: List[ColumnRef] = []
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ColumnRef):
-                refs.append(node)
-            elif isinstance(node, BinaryOperation):
-                stack.extend((node.left, node.right))
-            elif isinstance(node, UnaryOperation):
-                stack.append(node.operand)
-            elif isinstance(node, FunctionExpr):
-                stack.extend(node.args)
-            elif isinstance(node, IsNull):
-                stack.append(node.operand)
-            elif isinstance(node, InList):
-                stack.append(node.operand)
-                stack.extend(node.items)
+        """The column references of ``expr`` outside scalar subqueries,
+        right to left: the non-sargable warning names the first indexed
+        one, ``y`` in ``x + y > 5``."""
+        refs = [node for node in walk(expr) if isinstance(node, ColumnRef)]
+        refs.reverse()
         return refs
 
     def _expr_bindings(self, expr: SqlExpr) -> set:

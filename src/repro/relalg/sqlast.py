@@ -10,7 +10,7 @@ ordering, scalar subqueries and parameter placeholders.
 from __future__ import annotations
 
 import enum
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Iterator, List, Optional, Tuple, Union
 
 from repro.records import FrozenRecord, Record, slot_setters
 
@@ -44,6 +44,7 @@ __all__ = [
     "Statement",
     "AGGREGATE_FUNCTIONS",
     "format_expr",
+    "walk",
 ]
 
 #: Function names treated as aggregates when they appear in a select list,
@@ -264,6 +265,33 @@ class ScalarSubquery(SqlExpr):
 (_subquery_select,) = slot_setters(ScalarSubquery)
 
 
+def walk(expr: SqlExpr) -> Iterator[SqlExpr]:
+    """``expr`` and every expression below it: parents first, children left
+    to right (a function's arguments in order; an IN list's operand, then
+    its items).
+
+    The one place that lists an expression's children: every structural
+    question about a tree (which columns, bindings, subqueries or
+    aggregates it holds) is a filter over this walk, so a new node kind is
+    wired here once.  A :class:`ScalarSubquery` is yielded, but its SELECT
+    is not entered: a subquery is a scope of its own.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, BinaryOperation):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, (UnaryOperation, IsNull)):
+            stack.append(node.operand)
+        elif isinstance(node, FunctionExpr):
+            stack.extend(reversed(node.args))
+        elif isinstance(node, InList):
+            stack.extend(reversed(node.items))
+            stack.append(node.operand)
+
+
 def format_expr(expr: SqlExpr) -> str:
     """Render an expression back to SQL-ish text for diagnostics.
 
@@ -411,19 +439,11 @@ class SelectStatement(Record):
 
 
 def _contains_aggregate(expr: SqlExpr) -> bool:
-    if isinstance(expr, FunctionExpr) and expr.is_aggregate:
-        return True
-    if isinstance(expr, BinaryOperation):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, UnaryOperation):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, FunctionExpr):
-        return any(_contains_aggregate(arg) for arg in expr.args)
-    if isinstance(expr, (IsNull,)):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, InList):
-        return _contains_aggregate(expr.operand)
-    return False
+    """Whether ``expr`` calls an aggregate outside any scalar subquery."""
+    return any(
+        isinstance(node, FunctionExpr) and node.is_aggregate
+        for node in walk(expr)
+    )
 
 
 class ColumnDef(FrozenRecord):

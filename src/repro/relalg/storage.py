@@ -644,7 +644,9 @@ class Table:
         primary = self.primary_index
         if primary is not None:
             key = row[primary.column_index]
-            if primary.has_key(key):
+            # A NaN key equals no key, itself included (``col = NaN``
+            # matches nothing), so it never duplicates one.
+            if key == key and primary.has_key(key):
                 raise IntegrityError(
                     f"duplicate primary key {key!r} in table {self.name!r}"
                 )
@@ -680,6 +682,8 @@ class Table:
             seen = set()
             for row in validated:
                 key = row[key_index]
+                if key != key:
+                    continue  # NaN duplicates no key, as in insert()
                 if key in seen or has_key(key):
                     raise IntegrityError(
                         f"duplicate primary key {key!r} in table {self.name!r}"

@@ -48,6 +48,15 @@ class TestUnparseExpressions:
         expr = parse_expression("(((1))) + 2")
         assert unparse_expr(expr) == "1 + 2"
 
+    @pytest.mark.parametrize(
+        "source", ["(0 + 0 > 0) > 0", "(a == b) != (c < d)"]
+    )
+    def test_a_comparison_operand_of_a_comparison_keeps_its_parentheses(
+        self, source
+    ):
+        # Comparisons do not chain: ``0 + 0 > 0 > 0`` does not parse.
+        assert unparse_expr(parse_expression(source)) == source
+
 
 class TestUnparseDeclarations:
     def test_document_round_trip(self):

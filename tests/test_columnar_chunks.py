@@ -198,7 +198,7 @@ class TestVectorizationReport:
                 "SELECT g, COUNT(*), SUM(id) FROM t GROUP BY g"
             )
             assert "vectorization:" in text
-            assert "scan: partition rows (no driving filter)" in text
+            assert "scan: row stream (no driving filter)" in text
             assert "aggregate: vectorized (per-group column folds)" in text
             assert "join-probe: n/a (no join levels)" in text
             assert "projection: n/a (aggregate query)" in text

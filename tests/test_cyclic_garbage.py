@@ -115,7 +115,7 @@ EXPECTED_PLAN_LINES = [
     "index-probe on g, h",
     "range-probe on k",
     "hash-probe on w",
-    "top-k: index-order merge",
+    "top-k: index-order walk",
 ]
 
 ENGINES = {

@@ -196,7 +196,7 @@ class TestPredicateLessScans:
     def test_explain_reports_the_row_stream(self, sql, driving):
         with _database("vectorized") as database:
             text = database.explain(sql)
-        assert text.count("scan: partition rows (no driving filter)") == 1
+        assert text.count("scan: row stream (no driving filter)") == 1
         assert "columnar chunks" not in text
 
     @pytest.mark.parametrize("state", _STATES)

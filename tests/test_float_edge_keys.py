@@ -141,3 +141,35 @@ class TestWalRowKeyEdgeCases:
             # The recovered -0.0 kept its sign bit.
             back = recovered.query("SELECT x FROM t WHERE id = ?", [5]).rows
             assert math.copysign(1.0, back[0][0]) == -1.0
+
+    @pytest.mark.parametrize(
+        "shared", [False, True], ids=["distinct", "shared"]
+    )
+    def test_nan_primary_keys_of_one_batch_survive_recovery(
+        self, tmp_path, shared
+    ):
+        # A NaN key equals no key, itself included, so a batch may hold two
+        # NaN primary keys — as two NaN objects or as one object twice —
+        # and the log replays it (its JSON decoding shares one NaN object).
+        wal_path = str(tmp_path / "nan-keys.wal")
+        first = float("nan")
+        second = first if shared else float("nan")
+        with Database(wal_path=wal_path) as database:
+            database.execute(
+                "CREATE TABLE t (id FLOAT PRIMARY KEY, v INTEGER)"
+            )
+            database.executemany(
+                "INSERT INTO t (id, v) VALUES (?, ?)",
+                [[first, 1], [second, 2]],
+            )
+            expected = fingerprint_hash(state_fingerprint(database))
+        with Database(wal_path=wal_path) as recovered:
+            assert fingerprint_hash(state_fingerprint(recovered)) == expected
+            rows = recovered.query("SELECT id, v FROM t ORDER BY v").rows
+            assert [v for _id, v in rows] == [1, 2]
+            assert all(math.isnan(key) for key, _v in rows)
+            # Still no key equals a NaN, so a third NaN row is accepted too.
+            recovered.execute(
+                "INSERT INTO t (id, v) VALUES (?, ?)", [first, 3]
+            )
+            assert recovered.query("SELECT COUNT(*) FROM t").rows == [(3,)]

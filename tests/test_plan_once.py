@@ -236,6 +236,81 @@ class TestExplainAndExecutionShareThePlans:
         ]
 
 
+def _analyze_db(vectorized):
+    db = Database(vectorized=vectorized)
+    db.execute(
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, x FLOAT, "
+        "o INTEGER)"
+    )
+    db.execute("CREATE INDEX t_o ON t (o) ORDERED")
+    db.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, g INTEGER)")
+    db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY, w FLOAT)")
+    db.executemany(
+        "INSERT INTO t (id, g, x, o) VALUES (?, ?, ?, ?)",
+        [(i, i % 4, float(i % 17), 60 - i) for i in range(60)],
+    )
+    db.executemany(
+        "INSERT INTO u (id, g) VALUES (?, ?)", [(i, i % 5) for i in range(30)]
+    )
+    db.executemany(
+        "INSERT INTO v (id, w) VALUES (?, ?)",
+        [(i, i / 2) for i in range(0, 30, 2)],
+    )
+    return db
+
+
+def _analyze_section(text):
+    return text[text.index("analyze:"):]
+
+
+class TestExplainAnalyzeRunsTheServingPath:
+    """EXPLAIN ANALYZE executes the cached plan on the path that serves the
+    statement and counts the rows that survive each level there."""
+
+    def test_a_vectorized_filtered_scan_reads_columnar_chunks(self):
+        sql = "SELECT id FROM t WHERE x > ?"
+        vectorized, rowwise = _analyze_db(True), _analyze_db(False)
+        text = vectorized.explain(sql, analyze=True, params=[10.0])
+        assert "scan: vectorized (columnar chunks)" in text
+        assert vectorized.table("t")._chunks is not None
+        # x = i % 17 over 60 rows: 6 values above 10 in each of the three
+        # full cycles, none in the partial fourth (x = 0..8).
+        assert "actual_rows=18" in text
+        reference = rowwise.explain(sql, analyze=True, params=[10.0])
+        assert rowwise.table("t")._chunks is None
+        assert _analyze_section(text) == _analyze_section(reference)
+
+    @pytest.mark.parametrize(
+        "sql,actual",
+        [
+            # scan -> batch hash join: level 2 is never opened row by row.
+            ("SELECT t.id, u.id FROM t, u WHERE t.x > 10 AND u.g = t.g",
+             [18, 108]),
+            ("SELECT COUNT(*) FROM t, u, v WHERE t.x > 10 AND u.g = t.g "
+             "AND v.id = u.id", [18, 108, 54]),
+            # Index-order walk with OFFSET: it stops after limit + offset.
+            ("SELECT id FROM t WHERE g = 1 ORDER BY o LIMIT 3 OFFSET 1", [4]),
+            # The subquery's rows are not the plan's joined rows (AVG 7.4).
+            ("SELECT id FROM t WHERE x > (SELECT AVG(x) FROM t)", [28]),
+            ("SELECT id FROM t WHERE 1 = 2", [0]),
+        ],
+    )
+    def test_actual_rows_match_the_row_at_a_time_run(self, sql, actual):
+        vectorized, rowwise = _analyze_db(True), _analyze_db(False)
+        text = vectorized.explain(sql, analyze=True)
+        counted = [
+            int(line.rsplit("actual_rows=", 1)[1])
+            for line in _analyze_section(text).splitlines()
+            if "actual_rows=" in line
+        ]
+        assert counted == actual
+        reference = rowwise.explain(sql, analyze=True)
+        assert _analyze_section(text) == _analyze_section(reference)
+        # The run is an ordinary execution: same counters as a query.
+        rows = vectorized.query(sql).rows
+        assert f"returned {len(rows)} row(s)" in text
+
+
 class TestIndexProbeOnASubqueryKey:
     SQL = "SELECT id, v FROM t WHERE k = (SELECT MAX(x) FROM s)"
 

@@ -144,6 +144,96 @@ class TestPlanShapes:
         assert plan.describe()[0]["access"] == "scan"
 
 
+def _three_table_db():
+    """Three tables of 40, 200 and 400 rows, each with a hash index on
+    ``k`` (7 distinct keys), an ordered index on ``v`` (``v = id``) and an
+    unindexed ``u``."""
+    db = Database()
+    for name, rows in (("small", 40), ("mid", 200), ("big", 400)):
+        db.execute(
+            f"CREATE TABLE {name} (id INTEGER PRIMARY KEY, k INTEGER, "
+            "v INTEGER, u INTEGER)"
+        )
+        db.execute(f"CREATE INDEX {name}_k ON {name} (k)")
+        db.execute(f"CREATE INDEX {name}_v ON {name} (v) ORDERED")
+        db.executemany(
+            f"INSERT INTO {name} (id, k, v, u) VALUES (?, ?, ?, ?)",
+            [(i, i % 7, i, i % 11) for i in range(rows)],
+        )
+    return db
+
+
+#: ``(sql, [(binding, access, estimated rows), ...] in join order)``: the
+#: join-order rule.  A level is chosen by tier (index probe, range probe,
+#: hash join, filtered scan, bare scan), then by estimate within the three
+#: probe tiers, then by syntactic position.
+JOIN_ORDER_CASES = {
+    "index probe before a cheaper range probe": (
+        "SELECT * FROM small, big WHERE small.v > 39 AND big.k = 1",
+        [("big", "index-probe", 57.143), ("small", "range-probe", 0.0)],
+    ),
+    "lower index estimate before syntactic order": (
+        "SELECT * FROM big, small WHERE big.k = 1 AND small.k = 1",
+        [("small", "index-probe", 5.714), ("big", "index-probe", 57.143)],
+    ),
+    "equal estimates keep syntactic order": (
+        "SELECT * FROM small a, small b WHERE b.k = 2 AND a.k = 3",
+        [("a", "index-probe", 5.714), ("b", "index-probe", 5.714)],
+    ),
+    "filtered scan before a smaller bare scan": (
+        "SELECT * FROM small, big WHERE big.u = 3",
+        [("big", "scan", 40.0), ("small", "scan", 40.0)],
+    ),
+    "filtered scans keep syntactic order": (
+        "SELECT * FROM big, small WHERE small.u = 3 AND big.u = 4",
+        [("big", "scan", 40.0), ("small", "scan", 4.0)],
+    ),
+    "later round: range probe before hash join": (
+        "SELECT * FROM small s, mid m, big b "
+        "WHERE s.k = 1 AND m.u = s.u AND b.v < s.v",
+        [
+            ("s", "index-probe", 5.714),
+            ("b", "range-probe", 133.333),
+            ("m", "hash-probe", 20.0),
+        ],
+    ),
+    "hash joins ordered by estimate": (
+        "SELECT * FROM small s, big b, mid m "
+        "WHERE s.k = 1 AND b.u = s.u AND m.u = s.u",
+        [
+            ("s", "index-probe", 5.714),
+            ("m", "hash-probe", 20.0),
+            ("b", "hash-probe", 40.0),
+        ],
+    ),
+}
+
+
+class TestJoinOrderRule:
+    @pytest.mark.parametrize(
+        "sql,expected", list(JOIN_ORDER_CASES.values()),
+        ids=list(JOIN_ORDER_CASES),
+    )
+    def test_join_order(self, sql, expected):
+        db = _three_table_db()
+        plan = plan_select(parse_sql(sql), db.tables)
+        assert [
+            (level["binding"], level["access"], level["estimated_rows"])
+            for level in plan.describe()
+        ] == expected
+        # The order serves the same rows as the reference engine's.
+        interpreted = Database(engine="interpreted")
+        for name, table in db.tables.items():
+            interpreted.execute(table.schema.sql())
+            interpreted.executemany(
+                f"INSERT INTO {name} VALUES ({', '.join('?' * 4)})",
+                [row for row in table.rows if row is not None],
+            )
+        assert sorted(db.query(sql).rows) == sorted(
+            interpreted.query(sql).rows
+        )
+
+
 class TestHashJoin:
     def test_hash_join_results_match_the_interpreter(self):
         sql = ("SELECT m.id, r.pes FROM measurements m JOIN runs r "

@@ -18,6 +18,21 @@ from repro.relalg import (
     analyze_select,
     parse_sql,
 )
+from repro.relalg.sqlast import (
+    BinaryOperation,
+    BinaryOperator,
+    ColumnRef,
+    FunctionExpr,
+    InList,
+    IsNull,
+    Literal,
+    Placeholder,
+    ScalarSubquery,
+    SqlExpr,
+    Star,
+    UnaryOperation,
+    walk,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -296,6 +311,67 @@ class TestErrorAttribution:
             messages.add(str(excinfo.value))
         assert len(messages) == 1
         assert "in x + ?" in next(iter(messages))
+
+
+# --------------------------------------------------------------------------- #
+# structural questions: one walk over the expression tree
+# --------------------------------------------------------------------------- #
+
+class TestStructuralWalk:
+    def test_walk_visits_every_node_kind_parents_first_left_to_right(self):
+        inner = parse_sql("SELECT MAX(x) FROM m WHERE g = 1")
+        column = ColumnRef("a")
+        is_null = IsNull(column)
+        negation = UnaryOperation("NOT", is_null)
+        placeholder, literal = Placeholder(0), Literal(1)
+        coalesce = FunctionExpr("COALESCE", (placeholder, literal))
+        subquery = ScalarSubquery(inner)
+        star = Star()
+        count = FunctionExpr("COUNT", (star,))
+        in_list = InList(coalesce, (subquery, count))
+        root = BinaryOperation(BinaryOperator.AND, negation, in_list)
+        visited = list(walk(root))
+        assert [id(node) for node in visited] == [
+            id(node) for node in (
+                root, negation, is_null, column, in_list, coalesce,
+                placeholder, literal, subquery, count, star,
+            )
+        ]
+        # Every expression kind is visited, so a new kind fails here until
+        # walk lists its children.
+        kinds = {type(node) for node in visited}
+        assert kinds == set(SqlExpr.__subclasses__())
+        # The subquery is yielded; its SELECT (MAX(x), g = 1) is not entered.
+        assert not any(node is inner.where for node in visited)
+        assert list(walk(literal)) == [literal]
+
+    def test_non_sargable_warning_names_the_rightmost_indexed_column(self):
+        db = Database()
+        db.execute(
+            "CREATE TABLE w (id INTEGER PRIMARY KEY, x INTEGER, y INTEGER)"
+        )
+        db.execute("CREATE INDEX w_x ON w (x)")
+        db.execute("CREATE INDEX w_y ON w (y)")
+        text = db.explain("SELECT id FROM w WHERE x + y > 5")
+        assert (
+            "warning: non-sargable predicate on indexed column y: (x + y) > 5"
+            in text
+        )
+        assert "indexed column x" not in text
+
+    def test_an_aggregate_in_an_in_list_is_rejected_on_every_engine(self):
+        # The analyzer rejects the aggregate before anything asks whether
+        # the select list aggregates, so no statement can observe that
+        # question looking into IN-list items.
+        messages = set()
+        for db in _engines().values():
+            with pytest.raises(
+                SemanticError,
+                match="aggregate function SUM is not allowed here",
+            ) as excinfo:
+                db.execute("SELECT 3 IN (SUM(x)) FROM m")
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1, messages
 
 
 # --------------------------------------------------------------------------- #
