@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Persistent relalg benchmark baseline: A1, A2, E3, E6, E8 and E10–E13.
+"""Persistent relalg benchmark baseline: A1, A2, E3, E6 and E10–E13.
 
 Runs the engine-bound experiments against the plan-then-execute engine
 and writes ``BENCH_relalg.json`` (wall time + QueryStats per scenario), so the
@@ -24,11 +24,6 @@ performance trajectory of the relational substrate is tracked from PR to PR:
   set: virtual load-time speedup of the ``executemany`` batch pipeline (one
   round trip + one per-statement insert overhead per batch) over per-row
   submission, consistency-checked to load byte-identical table contents.
-* **E8** — pipelined vs. serial statement execution on the overlap-aware
-  virtual clock: a round-trip-bound fetch workload and a CPU-bound scan
-  workload swept over pipeline depths 1–32, the pipelined pushdown analysis
-  at depth 8, and byte-identical depth-1 parity checks against the serial
-  clock (E2 fetch loop, A1-style analysis, E6 bulk load).
 * **E10** — durability cost and recovery: the E6 bulk load measured on the
   wall clock with the write-ahead log off, on (fsync per autocommit batch)
   and on with size-triggered checkpointing, plus recovery-on-open time
@@ -46,12 +41,15 @@ Usage::
     PYTHONPATH=src python benchmarks/run_bench.py [--output PATH] [--repeats N]
 
 Exits non-zero if a consistency check fails (stats mismatch between engines,
-severity mismatch between strategies).
+severity mismatch between strategies) or a wall-clock ratio misses its
+target (E3 3×, E11 1.0×, E12 1.5×, E13 2×); :func:`_walls` times the two
+sides of each such ratio.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import sys
@@ -60,16 +58,9 @@ from pathlib import Path
 
 from repro.asl.specs import cosy_specification
 from repro.bench import build_scenario, identical_table_contents, load_into_backend
-from repro.compiler import DatabaseLoader, load_repository
-from repro.cosy import ClientSideStrategy, PipelinedPushdownStrategy, PushdownStrategy
-from repro.relalg import (
-    AsyncClient,
-    Database,
-    NativeClient,
-    backend,
-    fingerprint_hash,
-    state_fingerprint,
-)
+from repro.compiler import DatabaseLoader
+from repro.cosy import ClientSideStrategy, PushdownStrategy
+from repro.relalg import Database, fingerprint_hash, state_fingerprint
 
 
 def _wall(fn, repeats: int) -> float:
@@ -81,6 +72,24 @@ def _wall(fn, repeats: int) -> float:
         times.append(time.perf_counter() - start)
     times.sort()
     return times[len(times) // 2]
+
+
+def _walls(runs, repeats: int) -> list:
+    """Best wall time of each zero-argument callable in ``runs`` (seconds).
+
+    The sides take turns (first, second, …, first, …), each run after a
+    ``gc.collect()``, and each keeps its minimum over ``repeats`` turns, so
+    host drift during the measurement slows every side alike instead of
+    deciding a ratio between them.
+    """
+    best = [float("inf")] * len(runs)
+    for _ in range(max(1, repeats)):
+        for position, run in enumerate(runs):
+            gc.collect()
+            start = time.perf_counter()
+            run()
+            best[position] = min(best[position], time.perf_counter() - start)
+    return best
 
 
 def _summary_fingerprint(database) -> dict:
@@ -231,13 +240,14 @@ def bench_e3(scenario, repeats: int, failures: list) -> dict:
     # Wall-time speedup of the compiled engine over the seed executor on the
     # pushdown path (the acceptance number of this PR).
     _, compiled_strategy = _pushdown_setup(scenario, "oracle7", True, "compiled")
-    compiled_wall = _wall(
-        lambda: scenario.analyzer.analyze(strategy=compiled_strategy), repeats
-    )
     _, interpreted_strategy = _pushdown_setup(scenario, "oracle7", True,
                                               "interpreted")
-    interpreted_wall = _wall(
-        lambda: scenario.analyzer.analyze(strategy=interpreted_strategy), repeats
+    compiled_wall, interpreted_wall = _walls(
+        [
+            lambda: scenario.analyzer.analyze(strategy=compiled_strategy),
+            lambda: scenario.analyzer.analyze(strategy=interpreted_strategy),
+        ],
+        repeats,
     )
     speedup = interpreted_wall / compiled_wall
     if speedup < 3.0:
@@ -310,158 +320,6 @@ def bench_e6(scenario, repeats: int, failures: list) -> dict:
         6,
     )
     return report
-
-
-def bench_e8(scenario, failures: list) -> dict:
-    """Pipelined vs. serial statement execution (the overlap-aware clock).
-
-    Three measurements, all on the ``oracle7`` profile (the backend whose
-    round trip dominates — the paper's ~1 ms per-record fetch):
-
-    * a **round-trip-bound** workload (single-record fetches via the primary
-      key) swept over pipeline depths: the virtual time must approach the
-      serialized-chain floor (the client is modeled full-duplex, so the
-      floor is the longest of the send-marshalling, server-work and
-      receive-marshalling chains — the recorded client/server work totals
-      bound it) as the window grows, with ≥ 2× at depth 8;
-    * a **CPU-bound** workload (full-scan aggregates) over the same depths:
-      the server work serializes, so pipelining must leave it nearly flat;
-    * **depth-1 parity**: the window=1 pipeline replays of the E2 fetch
-      loop, the A1-style pushdown analysis and the E6 bulk load must be
-      byte-identical to the serial clock.
-    """
-    probe_rows, fetches, scans = 4000, 200, 40
-    windows = (1, 2, 4, 8, 16, 32)
-    fetch_ids = [(i * 37) % probe_rows + 1 for i in range(fetches)]
-
-    def fresh_client():
-        client = NativeClient(backend("oracle7"))
-        client.execute("CREATE TABLE probe (id INTEGER PRIMARY KEY, x FLOAT)")
-        client.executemany(
-            "INSERT INTO probe (id, x) VALUES (?, ?)",
-            [(i + 1, float(i)) for i in range(probe_rows)],
-        )
-        client.backend.reset_clock()
-        client.client_time = 0.0
-        return client
-
-    serial = fresh_client()
-    for fid in fetch_ids:
-        serial.fetch_record("SELECT x FROM probe WHERE id = ?", [fid])
-    serial_fetch_s = serial.elapsed
-
-    fetch_s, scan_s = {}, {}
-    fetch_raw = {}
-    server_work_s = client_work_s = None
-    for window in windows:
-        client = fresh_client()
-        pipeline = AsyncClient(client, window=window)
-        slots = [
-            pipeline.submit("SELECT x FROM probe WHERE id = ?", [fid]).slot
-            for fid in fetch_ids
-        ]
-        pipeline.gather()
-        fetch_raw[window] = pipeline.elapsed
-        fetch_s[str(window)] = round(pipeline.elapsed, 9)
-        if window > 1:
-            # The serialized work components of the fetch workload, read off
-            # the scheduled pipeline slots (identical at every window > 1).
-            server_work_s = round(sum(s.server_seconds for s in slots), 9)
-            client_work_s = round(client.client_time, 9)
-
-        client = fresh_client()
-        pipeline = AsyncClient(client, window=window)
-        for _ in range(scans):
-            pipeline.submit("SELECT SUM(x) FROM probe")
-        pipeline.gather()
-        scan_s[str(window)] = round(pipeline.elapsed, 9)
-
-    fetch_parity = fetch_raw[1] == serial_fetch_s
-    if not fetch_parity:
-        failures.append("E8: depth-1 fetch loop diverges from the serial clock")
-    fetch_speedup = serial_fetch_s / fetch_raw[8]
-    if fetch_speedup < 2.0:
-        failures.append(
-            f"E8: round-trip-bound speedup at depth 8 is {fetch_speedup:.2f}x "
-            f"(expected >= 2x)"
-        )
-    scan_speedup = scan_s["1"] / scan_s["8"]
-    if not 0.99 <= scan_speedup < 1.5:
-        failures.append(
-            f"E8: CPU-bound workload moved {scan_speedup:.2f}x at depth 8 "
-            f"(expected to stay flat)"
-        )
-
-    # A1-style parity: the full pushdown analysis through the pipelined
-    # strategy at window=1 must replay the serial clock byte for byte.
-    serial_client, serial_strategy = _pushdown_setup(
-        scenario, "oracle7", True, "compiled"
-    )
-    serial_client.backend.reset_clock()
-    scenario.analyzer.analyze(strategy=serial_strategy)
-    serial_analysis_s = serial_client.elapsed
-    piped_client, ids = load_into_backend(scenario, "oracle7", engine="compiled")
-    depth1 = PipelinedPushdownStrategy(
-        scenario.specification, scenario.mapping, piped_client, ids, window=1
-    )
-    for name in scenario.specification.index.properties:
-        depth1.compiled(name)
-    piped_client.backend.reset_clock()
-    scenario.analyzer.analyze(strategy=depth1)
-    analysis_parity = piped_client.elapsed == serial_analysis_s
-    if not analysis_parity:
-        failures.append("E8: depth-1 analysis diverges from the serial clock")
-
-    deep_client, ids = load_into_backend(scenario, "oracle7", engine="compiled")
-    depth8 = PipelinedPushdownStrategy(
-        scenario.specification, scenario.mapping, deep_client, ids, window=8
-    )
-    for name in scenario.specification.index.properties:
-        depth8.compiled(name)
-    deep_client.backend.reset_clock()
-    result = scenario.analyzer.analyze(strategy=depth8)
-    reference = scenario.analyzer.analyze(strategy=serial_strategy)
-    identical = {
-        (i.property_name, i.subject): i.severity for i in result.instances
-    } == {
-        (i.property_name, i.subject): i.severity for i in reference.instances
-    }
-    if not identical:
-        failures.append("E8: pipelined analysis diverges from the serial analysis")
-
-    # E6-style parity: the loader through a depth-1 pipeline replays the
-    # serial bulk-load clock byte for byte.
-    serial_load, _ = load_into_backend(scenario, "oracle7")
-    piped_load = AsyncClient(NativeClient(backend("oracle7")), window=1)
-    load_repository(scenario.repository, scenario.mapping, piped_load)
-    load_parity = piped_load.elapsed == serial_load.elapsed
-    if not load_parity:
-        failures.append("E8: depth-1 bulk load diverges from the serial clock")
-
-    return {
-        "probe_rows": probe_rows,
-        "fetches": fetches,
-        "scans": scans,
-        "fetch_virtual_s": fetch_s,
-        "scan_virtual_s": scan_s,
-        "serial_fetch_virtual_s": round(serial_fetch_s, 9),
-        "fetch_server_work_s": server_work_s,
-        "fetch_client_work_s": client_work_s,
-        "fetch_speedup_depth8": round(fetch_speedup, 3),
-        "fetch_speedup_depth32": round(serial_fetch_s / fetch_raw[32], 3),
-        "scan_speedup_depth8": round(scan_speedup, 3),
-        "analysis_virtual_depth1_s": round(piped_client.elapsed, 9),
-        "analysis_virtual_depth8_s": round(deep_client.elapsed, 9),
-        "analysis_speedup_depth8": round(
-            serial_analysis_s / deep_client.elapsed, 3
-        ),
-        "analysis_identical": identical,
-        "depth1_parity": {
-            "E2_fetch_loop": fetch_parity,
-            "A1_analysis": analysis_parity,
-            "E6_bulk_load": load_parity,
-        },
-    }
 
 
 #: The scan-heavy workload of E11, E12 and E13: E3-style filtered aggregates
@@ -645,8 +503,9 @@ def bench_e11(repeats: int, failures: list) -> dict:
     if vec_results[1] != row_results[1]:
         failures.append("E11: vectorized QueryStats diverge from row-at-a-time")
 
-    row_wall = _wall(lambda: _e11_run(rowwise), repeats)
-    vec_wall = _wall(lambda: _e11_run(vectorized), repeats)
+    row_wall, vec_wall = _walls(
+        [lambda: _e11_run(rowwise), lambda: _e11_run(vectorized)], repeats
+    )
     rowwise.close()
     vectorized.close()
 
@@ -776,9 +635,14 @@ def bench_e12(repeats: int, failures: list) -> dict:
                 f"E12/{name}: QueryStats diverge from row-at-a-time"
             )
 
-        full_wall = _wall(lambda: _e12_run(full, queries), repeats)
-        scan_wall = _wall(lambda: _e12_run(scan_only, queries), repeats)
-        row_wall = _wall(lambda: _e12_run(rowwise, queries), repeats)
+        full_wall, scan_wall, row_wall = _walls(
+            [
+                lambda: _e12_run(full, queries),
+                lambda: _e12_run(scan_only, queries),
+                lambda: _e12_run(rowwise, queries),
+            ],
+            repeats,
+        )
         full.close()
         scan_only.close()
         rowwise.close()
@@ -894,8 +758,9 @@ def bench_e13(repeats: int, failures: list) -> dict:
             f"{scanned_full} — no work reduction"
         )
 
-    probe_wall = _wall(lambda: _e13_run(ordered), repeats)
-    scan_wall = _wall(lambda: _e13_run(plain), repeats)
+    probe_wall, scan_wall = _walls(
+        [lambda: _e13_run(ordered), lambda: _e13_run(plain)], repeats
+    )
     ordered.close()
     plain.close()
 
@@ -928,7 +793,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
-        help="wall-time repetitions per measurement (median is reported)",
+        help="wall-time repetitions per measurement (the median is "
+        "reported; each side of a ratio with a target reports its best)",
     )
     args = parser.parse_args(argv)
 
@@ -952,7 +818,6 @@ def main(argv=None) -> int:
             "A2_interp_vs_sql": bench_a2(small, args.repeats, failures),
             "E3_pushdown": bench_e3(medium, args.repeats, failures),
             "E6_bulk_load": bench_e6(medium, args.repeats, failures),
-            "E8_overlap": bench_e8(medium, failures),
             "E10_durability": bench_e10(medium, args.repeats, failures),
             "E11_columnar": bench_e11(args.repeats, failures),
             "E12_vector_agg": bench_e12(args.repeats, failures),
@@ -982,11 +847,6 @@ def main(argv=None) -> int:
           + ", ".join(
               f"{name} {entry['batched_speedup']}x" for name, entry in e6.items()
           ))
-    e8 = report["scenarios"]["E8_overlap"]
-    parity = all(e8["depth1_parity"].values())
-    print(f"E8  overlap speedup at depth 8: fetch "
-          f"{e8['fetch_speedup_depth8']}x, scan {e8['scan_speedup_depth8']}x, "
-          f"analysis {e8['analysis_speedup_depth8']}x; depth-1 parity: {parity}")
     e10 = report["scenarios"]["E10_durability"]
     print(f"E10 WAL overhead on the E6 load: {e10['wal_overhead']}x "
           f"(with checkpoints {e10['checkpoint_overhead']}x); recovery "

@@ -15,37 +15,33 @@ PR 7 engine), and the row-at-a-time engine.  Two properties:
 
 from __future__ import annotations
 
-import gc
 import os
 import sys
-import time
+from types import SimpleNamespace
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+import run_bench  # noqa: E402
 from run_bench import (  # noqa: E402
     _E12_AGG_QUERIES,
     _E12_JOIN_QUERIES,
     _e12_database,
     _e12_disable_batch_rungs,
     _e12_run,
+    _walls,
 )
 
 
-def _walls(databases, queries, repeats: int = 3):
-    """The best wall time of running ``queries`` on each database.
-
-    The databases take turns (first, second, first, …), each run after a
-    ``gc.collect()``, so host drift during the measurement slows every side
-    alike instead of deciding the comparison.
-    """
-    best = [float("inf")] * len(databases)
-    for _ in range(repeats):
-        for position, database in enumerate(databases):
-            gc.collect()
-            start = time.perf_counter()
-            _e12_run(database, queries)
-            best[position] = min(best[position], time.perf_counter() - start)
-    return best
+def test_walls_alternates_the_sides_and_keeps_each_best(monkeypatch):
+    # Runs a, b, a, b, a, b take 5, 2, 3, 6, 4 and 1 seconds.
+    ticks = iter([0.0, 5.0, 0.0, 2.0, 0.0, 3.0, 0.0, 6.0, 0.0, 4.0, 0.0, 1.0])
+    monkeypatch.setattr(
+        run_bench, "time", SimpleNamespace(perf_counter=lambda: next(ticks))
+    )
+    order = []
+    walls = _walls([lambda: order.append("a"), lambda: order.append("b")], 3)
+    assert order == ["a", "b"] * 3
+    assert walls == [3.0, 1.0]
 
 
 class TestBatchPipelineBaseline:
@@ -62,7 +58,13 @@ class TestBatchPipelineBaseline:
             assert full_results[1] == row_results[1]
             assert scan_results == row_results
 
-            full_wall, scan_wall = _walls([full, scan_only], queries)
+            full_wall, scan_wall = _walls(
+                [
+                    lambda: _e12_run(full, queries),
+                    lambda: _e12_run(scan_only, queries),
+                ],
+                3,
+            )
             assert full_wall <= scan_wall, (
                 f"batch pipeline {full_wall:.4f}s slower than "
                 f"scan-only {scan_wall:.4f}s"

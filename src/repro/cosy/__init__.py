@@ -21,20 +21,13 @@ from repro.cosy.properties import (
     default_registry,
 )
 from repro.cosy.report import format_table, render_report, render_speedup_table
-from repro.cosy.strategies import (
-    DEFAULT_PIPELINE_WINDOW,
-    ClientSideStrategy,
-    PipelinedPushdownStrategy,
-    PushdownStrategy,
-)
+from repro.cosy.strategies import ClientSideStrategy, PushdownStrategy
 
 __all__ = [
     "AnalysisResult",
     "ClientSideStrategy",
     "CosyAnalyzer",
-    "DEFAULT_PIPELINE_WINDOW",
     "DEFAULT_THRESHOLD",
-    "PipelinedPushdownStrategy",
     "PropertyInstance",
     "PropertyRegistration",
     "PropertyRegistry",

@@ -20,10 +20,9 @@ The evaluation itself is delegated to one of the strategies in
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.asl.errors import AslEvaluationError
-from repro.asl.evaluator import PropertyEvaluation
 from repro.asl.semantic import CheckedSpecification
 from repro.asl.specs import cosy_specification
 from repro.cosy.properties import (
@@ -291,80 +290,30 @@ class CosyAnalyzer:
         strategy: EvaluationStrategy,
         result: AnalysisResult,
     ) -> None:
-        """Evaluate one property over all its contexts.
+        """Evaluate one property over all its contexts, one after another.
 
-        Strategies that offer ``evaluate_many`` (the pipelined pushdown
-        strategy) receive the whole context list at once, so their statement
-        pipeline can overlap round trips *across* contexts; per-context
-        failures come back as :class:`AslEvaluationError` entries and are
-        skipped exactly like in the serial path.  Everything else is driven
-        context by context through :meth:`_evaluate_one`.
+        An :class:`AslEvaluationError` means the context lacked data (e.g. a
+        region without timings for the selected run): the instance is
+        skipped but the analysis keeps going.
         """
-        evaluate_many = getattr(strategy, "evaluate_many", None)
-        if evaluate_many is None:
-            for subject, subject_kind, parameters in contexts:
-                self._evaluate_one(
-                    registration, subject, subject_kind, parameters, run,
-                    strategy, result,
+        for subject, subject_kind, parameters in contexts:
+            try:
+                evaluation = strategy.evaluate(registration.name, parameters)
+            except AslEvaluationError:
+                result.skipped += 1
+                continue
+            result.instances.append(
+                PropertyInstance(
+                    property_name=registration.name,
+                    subject=subject,
+                    subject_kind=subject_kind,
+                    run_pes=run.NoPe,
+                    holds=evaluation.holds,
+                    confidence=evaluation.confidence,
+                    severity=evaluation.severity,
+                    conditions=dict(evaluation.conditions),
                 )
-            return
-        evaluations = evaluate_many(
-            registration.name, [parameters for _, _, parameters in contexts]
-        )
-        for (subject, subject_kind, _), evaluation in zip(contexts, evaluations):
-            self._record_evaluation(
-                registration, subject, subject_kind, run, evaluation, result
             )
-
-    def _evaluate_one(
-        self,
-        registration: PropertyRegistration,
-        subject: str,
-        subject_kind: str,
-        parameters: Dict[str, Any],
-        run: TestRun,
-        strategy: EvaluationStrategy,
-        result: AnalysisResult,
-    ) -> None:
-        try:
-            evaluation = strategy.evaluate(registration.name, parameters)
-        except AslEvaluationError as error:
-            evaluation = error
-        self._record_evaluation(
-            registration, subject, subject_kind, run, evaluation, result
-        )
-
-    @staticmethod
-    def _record_evaluation(
-        registration: PropertyRegistration,
-        subject: str,
-        subject_kind: str,
-        run: TestRun,
-        evaluation: Union[PropertyEvaluation, AslEvaluationError],
-        result: AnalysisResult,
-    ) -> None:
-        """Append one evaluation outcome to the analysis result.
-
-        An :class:`AslEvaluationError` value means the context lacked data
-        (e.g. a region without timings for the selected run): the instance
-        is skipped but the analysis keeps going — identical handling for the
-        serial per-context path and the pipelined batch path.
-        """
-        if isinstance(evaluation, AslEvaluationError):
-            result.skipped += 1
-            return
-        result.instances.append(
-            PropertyInstance(
-                property_name=registration.name,
-                subject=subject,
-                subject_kind=subject_kind,
-                run_pes=run.NoPe,
-                holds=evaluation.holds,
-                confidence=evaluation.confidence,
-                severity=evaluation.severity,
-                conditions=dict(evaluation.conditions),
-            )
-        )
 
     # ------------------------------------------------------------------ #
     # parameter binding and selection helpers

@@ -22,11 +22,7 @@ from repro.asl.specs import cosy_specification
 from repro.compiler import PropertyCompiler, generate_schema, load_repository
 from repro.cosy.analyzer import CosyAnalyzer, DEFAULT_THRESHOLD
 from repro.cosy.report import render_report
-from repro.cosy.strategies import (
-    ClientSideStrategy,
-    PipelinedPushdownStrategy,
-    PushdownStrategy,
-)
+from repro.cosy.strategies import ClientSideStrategy, PushdownStrategy
 from repro.relalg import NativeClient, backend
 
 __all__ = ["build_parser", "main"]
@@ -77,15 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated database backend used by the pushdown strategy",
     )
     parser.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=1,
-        help="in-flight statement window of the pushdown strategy: 1 "
-        "(default) serializes every round trip, >1 pipelines the "
-        "per-property SELECTs so their network round trips overlap on "
-        "the virtual timeline",
-    )
-    parser.add_argument(
         "--top",
         type=int,
         default=20,
@@ -129,10 +116,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.pipeline_depth < 1:
-        parser.error("--pipeline-depth must be >= 1")
-    if args.pipeline_depth > 1 and args.strategy != "pushdown":
-        parser.error("--pipeline-depth requires --strategy pushdown")
     if min(args.pes) < 1:
         parser.error("--pes values must be >= 1")
     if args.analyze_pes is not None and args.analyze_pes not in args.pes:
@@ -178,13 +161,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
                 _print_property_queries(specification, mapping, render_plan)
                 return 0
-            if args.pipeline_depth > 1:
-                strategy = PipelinedPushdownStrategy(
-                    specification, mapping, client, ids,
-                    window=args.pipeline_depth,
-                )
-            else:
-                strategy = PushdownStrategy(specification, mapping, client, ids)
+            strategy = PushdownStrategy(specification, mapping, client, ids)
             result = analyzer.analyze(pes=args.analyze_pes, strategy=strategy)
         finally:
             client.close()

@@ -27,43 +27,28 @@ Two strategies implement that comparison:
     :class:`repro.compiler.PropertyCompiler`: one statement per condition /
     confidence / severity expression, each returning a single scalar.  The
     expression work happens inside the database engine; only the final values
-    cross the (virtual) network.
-
-:class:`PipelinedPushdownStrategy`
-    the same evaluation with the per-property statements *pipelined*: every
-    independent query group (all condition queries; then the applicable
-    confidence entries; then the applicable severity entries) is issued
-    through an :class:`~repro.relalg.client.AsyncClient` with up to
-    ``window`` statements in flight, so the per-statement network round
-    trips overlap on the virtual timeline while the server-side work still
-    serializes.  Results are identical to the serial strategy; at
-    ``window=1`` the virtual times are byte-identical too.
+    cross the (virtual) network.  Each statement is one serial round trip,
+    as in the paper's Section 5 measurements.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence
 
-from repro.asl.errors import AslEvaluationError
 from repro.asl.evaluator import AslEvaluator, PropertyEvaluation
 from repro.asl.semantic import CheckedSpecification
 from repro.compiler.loader import ObjectIds
 from repro.compiler.schema_gen import SchemaMapping
 from repro.compiler.sql_gen import CompiledProperty, PropertyCompiler, PushdownError
 from repro.datamodel import FunctionCall, Region, TestRun
-from repro.relalg.client import AsyncClient, DatabaseClient, PendingResult
+from repro.relalg.client import DatabaseClient
 from repro.relalg.errors import ExecutionError
 
 __all__ = [
     "EvaluationStrategy",
     "ClientSideStrategy",
     "PushdownStrategy",
-    "PipelinedPushdownStrategy",
-    "DEFAULT_PIPELINE_WINDOW",
 ]
-
-#: In-flight statement window of :class:`PipelinedPushdownStrategy`.
-DEFAULT_PIPELINE_WINDOW = 8
 
 
 class EvaluationStrategy(Protocol):
@@ -269,178 +254,3 @@ class PushdownStrategy:
         if not values:
             return 0.0
         return max(values)
-
-
-class PipelinedPushdownStrategy(PushdownStrategy):
-    """Pushdown evaluation with the per-property SELECTs pipelined.
-
-    Every query group whose statements are independent of each other is
-    submitted through an :class:`~repro.relalg.client.AsyncClient` with up
-    to ``window`` statements in flight and gathered as one overlap window:
-
-    * :meth:`evaluate` (one context) pipelines within the context — the
-      condition queries, then (once the condition outcomes are known) the
-      applicable confidence and severity entries;
-    * :meth:`evaluate_many` (all contexts of one property, driven by
-      :class:`~repro.cosy.analyzer.CosyAnalyzer`) pipelines *across*
-      contexts — all contexts' condition queries share one window, then all
-      their confidence/severity queries share the next.  Since the COSY
-      properties compile to a single query per expression, the cross-context
-      window is where the round trips actually overlap.
-
-    Evaluation results are identical to :class:`PushdownStrategy` (the
-    engine executes eagerly in submission order); with ``window=1`` every
-    path degenerates to the serial per-context statement sequence, so the
-    virtual clock is byte-identical to the serial strategy.
-    """
-
-    name = "pushdown-pipelined"
-
-    def __init__(
-        self,
-        checked: CheckedSpecification,
-        mapping: SchemaMapping,
-        client: DatabaseClient,
-        ids: ObjectIds,
-        constants: Optional[Mapping[str, Any]] = None,
-        window: int = DEFAULT_PIPELINE_WINDOW,
-    ) -> None:
-        super().__init__(checked, mapping, client, ids, constants=constants)
-        self.window = window
-        self.async_client = AsyncClient(client, window=window)
-
-    def evaluate(
-        self, property_name: str, parameters: Mapping[str, Any]
-    ) -> PropertyEvaluation:
-        try:
-            compiled = self.compiled(property_name)
-        except PushdownError:
-            self.fallbacks += 1
-            return self._fallback.evaluate(property_name, parameters)
-        return self._evaluate_staged(property_name, compiled, [parameters])[0]
-
-    def evaluate_many(
-        self, property_name: str, parameter_sets: Sequence[Mapping[str, Any]]
-    ) -> List[Union[PropertyEvaluation, Exception]]:
-        """Evaluate one property over many contexts, pipelined across them.
-
-        Two overlap windows span *all* contexts: first every context's
-        condition queries, then — once the outcomes are gathered — every
-        context's applicable confidence and severity queries.  Per-context
-        failures are returned as :class:`AslEvaluationError` entries (the
-        analyzer skips them), matching the serial path's behaviour.
-
-        With ``window=1`` (or a single context) the contexts are evaluated
-        serially in order, keeping the statement sequence — and the virtual
-        clock — byte-identical to :class:`PushdownStrategy`.
-        """
-        if self.window == 1 or len(parameter_sets) <= 1:
-            return [
-                self._guarded(self.evaluate, property_name, parameters)
-                for parameters in parameter_sets
-            ]
-        try:
-            compiled = self.compiled(property_name)
-        except PushdownError:
-            self.fallbacks += len(parameter_sets)
-            return [
-                self._guarded(self._fallback.evaluate, property_name, parameters)
-                for parameters in parameter_sets
-            ]
-        return list(self._evaluate_staged(property_name, compiled, parameter_sets))
-
-    def _evaluate_staged(
-        self,
-        property_name: str,
-        compiled: CompiledProperty,
-        parameter_sets: Sequence[Mapping[str, Any]],
-    ) -> List[PropertyEvaluation]:
-        """The one staged evaluation both ``evaluate`` paths share.
-
-        Two overlap windows span all given contexts: every context's
-        condition queries first, then — once the outcomes are gathered —
-        every context's applicable confidence and severity queries.  With a
-        single context at ``window=1`` the submission sequence degenerates
-        to the serial strategy's statement order exactly.  Each window is
-        gathered in a ``finally`` so that on a mid-window failure the
-        statements that did execute still commit their overlap timing.
-        """
-        contexts = []
-        try:
-            for parameters in parameter_sets:
-                binding = self._binding(parameters)
-                result = PropertyEvaluation(
-                    property_name=property_name, parameters=dict(parameters)
-                )
-                submitted = []
-                for key, query in compiled.conditions:
-                    submitted.append(
-                        (key, self.async_client.submit(query.sql, query.bind(binding)))
-                    )
-                    self.statements_issued += 1
-                contexts.append((binding, result, submitted))
-        finally:
-            self.async_client.gather()
-        staged = []
-        try:
-            for binding, result, submitted in contexts:
-                for key, pending in submitted:
-                    value = self._pending_scalar(pending)
-                    result.conditions[key] = bool(value) if value is not None else False
-                result.holds = any(result.conditions.values())
-                confidence = self._submit_entries(
-                    compiled.confidence, result.conditions, binding
-                )
-                severity = (
-                    self._submit_entries(compiled.severity, result.conditions, binding)
-                    if result.holds
-                    else []
-                )
-                staged.append((result, confidence, severity))
-        finally:
-            self.async_client.gather()
-        evaluations: List[PropertyEvaluation] = []
-        for result, confidence, severity in staged:
-            result.confidence = self._max_value(confidence)
-            result.severity = self._max_value(severity) if result.holds else 0.0
-            evaluations.append(result)
-        return evaluations
-
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _guarded(evaluate, property_name: str, parameters: Mapping[str, Any]):
-        """One serial evaluation; data-missing failures become return values
-        so the remaining contexts of the batch still evaluate."""
-        try:
-            return evaluate(property_name, parameters)
-        except AslEvaluationError as error:
-            return error
-
-    @staticmethod
-    def _pending_scalar(pending: PendingResult) -> Any:
-        rows = pending.result().rows
-        return rows[0][0] if rows else None
-
-    def _submit_entries(
-        self,
-        entries: List,
-        conditions: Mapping[str, bool],
-        binding: Mapping[str, Any],
-    ) -> List[PendingResult]:
-        """Submit every applicable (guard-satisfied) entry; returns pendings."""
-        pendings = [
-            self.async_client.submit(query.sql, query.bind(binding))
-            for guard, query in entries
-            if guard is None or conditions.get(guard, False)
-        ]
-        self.statements_issued += len(pendings)
-        return pendings
-
-    def _max_value(self, pendings: List[PendingResult]) -> float:
-        values = [
-            float(value)
-            for value in (self._pending_scalar(p) for p in pendings)
-            if value is not None
-        ]
-        return max(values) if values else 0.0

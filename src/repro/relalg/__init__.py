@@ -22,11 +22,9 @@ paper's COSY prototype (Oracle 7, MS Access, MS SQL Server, Postgres):
   the differential-testing and benchmark baseline;
 * :mod:`repro.relalg.backends` — virtual cost models of the four backends the
   paper compares (Section 5): each wire statement is measured once and
-  charged either on the serial clock (a completion frontier) or on the
-  overlap-aware pipelining scheduler;
+  charged on a serial virtual clock, one round trip after the other;
 * :mod:`repro.relalg.client` — native (C-like) vs. bridged (JDBC-like) client
-  API layers, which charge their marshalling for what the backend shipped,
-  plus the pipelined submit/gather ``AsyncClient``;
+  API layers, which charge their marshalling for what the backend shipped;
 * :mod:`repro.relalg.wal` — write-ahead durability: the append-only log, the
   checkpoint sidecar, crash recovery and the byte-identical state
   fingerprints the crash harness checks against.
@@ -36,20 +34,15 @@ from repro.relalg.backends import (
     BACKEND_PROFILES,
     DEFAULT_BATCH_SIZE,
     BackendProfile,
-    PipelineSlot,
-    PipelinedTimeline,
     SimulatedBackend,
-    StatementCost,
     VirtualClock,
     backend,
 )
 from repro.relalg.client import (
-    AsyncClient,
     BridgedClient,
     ClientCosts,
     DatabaseClient,
     NativeClient,
-    PendingResult,
 )
 from repro.relalg.database import Database, ExecutionSummary
 from repro.relalg.errors import (
@@ -101,7 +94,6 @@ from repro.relalg.wal import (
 __all__ = [
     "AccessPath",
     "Analysis",
-    "AsyncClient",
     "BACKEND_PROFILES",
     "BackendProfile",
     "BridgedClient",
@@ -120,9 +112,6 @@ __all__ = [
     "IntegrityError",
     "InterpretedSelectExecutor",
     "NativeClient",
-    "PendingResult",
-    "PipelineSlot",
-    "PipelinedTimeline",
     "PositionsView",
     "QueryPlan",
     "QueryStats",
@@ -135,7 +124,6 @@ __all__ = [
     "SqlParser",
     "SqlSyntaxError",
     "SqlType",
-    "StatementCost",
     "Table",
     "TableScan",
     "TableSchema",

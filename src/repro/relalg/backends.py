@@ -24,34 +24,17 @@ factors* match the paper.
 
 The backend measures each **wire statement** — one round trip to the
 simulated server: a single statement, one DML batch of ``executemany`` or one
-SELECT of it — exactly once, as a :class:`StatementCost`
-(:meth:`SimulatedBackend.wire_statements` is the only place the batching rule
-lives).  Two places turn that cost into virtual time: the serial clock, which
-:meth:`SimulatedBackend.execute` / :meth:`~SimulatedBackend.executemany`
-advance by ``cost.total`` per wire statement, and the overlap-aware
-:class:`PipelinedTimeline`, which schedules up to ``window`` in-flight
-statements whose round-trip components overlap and whose server-side work
-serializes — the model behind the ``AsyncClient`` pipelining layer and the E8
-overlap benchmark.  The :class:`VirtualClock` itself keeps only its
-completion frontier.
+SELECT of it — exactly once (:meth:`SimulatedBackend._measure`) and charges
+that cost to a serial :class:`VirtualClock`, one statement after the other;
+:meth:`SimulatedBackend.executemany` is the only place the batching rule
+lives.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from repro.records import FrozenRecord, Record, slot_setters
+from repro.records import FrozenRecord, slot_setters
 from repro.relalg.database import Database
 from repro.relalg.errors import ExecutionError
 from repro.relalg.rowset import ResultSet
@@ -61,9 +44,6 @@ __all__ = [
     "BACKEND_PROFILES",
     "DEFAULT_BATCH_SIZE",
     "VirtualClock",
-    "StatementCost",
-    "PipelineSlot",
-    "PipelinedTimeline",
     "SimulatedBackend",
     "backend",
 ]
@@ -196,32 +176,20 @@ BACKEND_PROFILES: Dict[str, BackendProfile] = {
 
 
 class VirtualClock:
-    """Virtual elapsed time: the completion frontier of everything charged.
+    """Virtual elapsed time of everything charged, one charge after another.
 
-    Serial charging (:meth:`advance`) adds to the frontier with one float
-    addition per charge, so a total depends only on the charges and their
-    order.  The overlap scheduler (:class:`PipelinedTimeline`) computes its
-    own schedule and moves the frontier forward with :meth:`advance_to`.
+    Each :meth:`advance` is one float addition, so a total depends only on
+    the charges and their order.
     """
 
     def __init__(self) -> None:
         self._elapsed = 0.0
 
     def advance(self, seconds: float) -> None:
-        """Charge ``seconds`` serially, starting at the completion frontier."""
+        """Charge ``seconds`` after everything charged so far."""
         if seconds < 0:
             raise ValueError(f"cannot advance the clock by {seconds}")
         self._elapsed += seconds
-
-    def advance_to(self, instant: float) -> None:
-        """Move the completion frontier forward to ``instant``.
-
-        Used by the overlap scheduler after committing a window: the frontier
-        becomes the completion of the last in-flight statement.  An instant
-        behind the frontier is a no-op — time never runs backwards.
-        """
-        if instant > self._elapsed:
-            self._elapsed = instant
 
     @property
     def elapsed(self) -> float:
@@ -229,219 +197,6 @@ class VirtualClock:
 
     def reset(self) -> None:
         self._elapsed = 0.0
-
-
-class StatementCost(Record):
-    """Virtual cost breakdown of one executed statement (a value object;
-    treat as immutable — created once per statement, on the hot path).
-
-    :attr:`total` reproduces :meth:`BackendProfile.statement_cost` exactly
-    (same expression, same floats), so serial charging through a cost object
-    is byte-identical to the historical scalar clock.  The overlap-aware
-    timeline instead splits the statement into the components that behave
-    differently under pipelining:
-
-    * the **request** and **response** halves of the network round trip plus
-      the per-row result transfer — wire time that overlaps across in-flight
-      statements;
-    * the **server** work (scan/join/insert processing) — serialized on the
-      simulated server.
-    """
-
-    __slots__ = ("profile", "rows_inserted", "rows_returned", "rows_scanned")
-
-    def __init__(
-        self,
-        profile: BackendProfile,
-        rows_inserted: int,
-        rows_returned: int,
-        rows_scanned: int,
-    ) -> None:
-        self.profile = profile
-        self.rows_inserted = rows_inserted
-        self.rows_returned = rows_returned
-        self.rows_scanned = rows_scanned
-
-    @property
-    def total(self) -> float:
-        """Serial charge of the statement (the historical scalar arithmetic)."""
-        return self.profile.statement_cost(
-            rows_inserted=self.rows_inserted,
-            rows_returned=self.rows_returned,
-            rows_scanned=self.rows_scanned,
-        )
-
-    @property
-    def server_seconds(self) -> float:
-        """Server-side processing time (serializes across statements)."""
-        cost = (
-            self.rows_inserted * self.profile.per_insert_row
-            + self.rows_scanned * self.profile.per_scanned_row
-        )
-        if self.rows_inserted:
-            cost += self.profile.per_insert_statement
-        return cost
-
-    @property
-    def request_seconds(self) -> float:
-        """Wire time of the request (client → server half of the round trip)."""
-        return self.profile.round_trip / 2
-
-    @property
-    def response_seconds(self) -> float:
-        """Wire time of the response (server → client half plus row transfer)."""
-        return (
-            self.profile.round_trip
-            - self.profile.round_trip / 2
-            + self.rows_returned * self.profile.per_fetch_row
-        )
-
-
-class PipelineSlot(Record):
-    """The scheduled lifecycle of one overlapped statement (virtual seconds;
-    a value object — treat as immutable)."""
-
-    __slots__ = (
-        "submitted", "dispatched", "server_start", "server_end", "responded",
-        "completed",
-    )
-
-    def __init__(
-        self,
-        submitted: float,
-        dispatched: float,
-        server_start: float,
-        server_end: float,
-        responded: float,
-        completed: float,
-    ) -> None:
-        #: When the client began dispatching the statement.
-        self.submitted = submitted
-        #: When the request left the client (dispatch marshalling done).
-        self.dispatched = dispatched
-        #: When the server started / finished processing the statement.
-        self.server_start = server_start
-        self.server_end = server_end
-        #: When the full response reached the client.
-        self.responded = responded
-        #: When the client finished receiving/unmarshalling the response.
-        self.completed = completed
-
-    @property
-    def server_seconds(self) -> float:
-        return self.server_end - self.server_start
-
-    @property
-    def latency(self) -> float:
-        """Submit-to-complete latency of this statement."""
-        return self.completed - self.submitted
-
-
-class PipelinedTimeline:
-    """Overlap-aware scheduler over a :class:`VirtualClock`.
-
-    Models a client that keeps up to ``window`` statements in flight on one
-    pipelined connection.  Per statement *i*:
-
-    * ``submitted_i = max(client dispatch channel free, completed_{i-window})``
-      — the client dispatches serially and holds at most ``window``
-      uncompleted statements in flight;
-    * the request travels for :attr:`StatementCost.request_seconds`;
-    * the server serializes: ``server_start_i = max(request arrival, server
-      free)`` — server work never overlaps other server work;
-    * the response travels back for :attr:`StatementCost.response_seconds`;
-    * responses complete in submission order (pipelined connections preserve
-      ordering): ``completed_i = max(response arrival, completed_{i-1}) +
-      client receive work``.
-
-    The client is modeled **full-duplex** (think a driver with a send and a
-    receive thread): dispatch marshalling serializes along the send path,
-    receive marshalling serializes along the in-order receive path, and the
-    two paths do not contend with each other.  The elapsed-time floor of a
-    deeply pipelined workload is therefore the *longest* serialized chain —
-    ``max(send marshalling, server work, receive marshalling)`` plus one
-    round-trip latency — not the sum of all client and server work.
-
-    Round-trip components of concurrent statements therefore overlap while
-    server work accumulates serially, so a round-trip-bound workload
-    approaches that serialized-chain floor as the window grows and a
-    CPU-bound workload stays flat.  :meth:`drain` moves the clock's
-    completion frontier to the last scheduled completion.
-    """
-
-    def __init__(self, clock: VirtualClock, window: int) -> None:
-        if window < 1:
-            raise ValueError(f"window must be positive, got {window}")
-        self.clock = clock
-        self.window = window
-        self._completions: List[float] = []
-        self._base: Optional[float] = None
-        self._client_free = 0.0
-        self._server_free = 0.0
-        self._last_completion = 0.0
-
-    @property
-    def pending(self) -> int:
-        """Scheduled but not yet drained statements."""
-        return len(self._completions)
-
-    def submit(
-        self,
-        cost: StatementCost,
-        dispatch_seconds: float = 0.0,
-        receive_seconds: float = 0.0,
-    ) -> PipelineSlot:
-        """Schedule one statement; returns its slot.
-
-        ``dispatch_seconds`` / ``receive_seconds`` are the client-side
-        marshalling costs on the request and response side (both serialize on
-        the client).
-        """
-        if self._base is None:
-            self._base = self.clock.elapsed
-            self._client_free = self._base
-            self._server_free = self._base
-            self._last_completion = self._base
-        position = len(self._completions)
-        earliest = (
-            self._base
-            if position < self.window
-            else self._completions[position - self.window]
-        )
-        submitted = max(self._client_free, earliest)
-        dispatched = submitted + dispatch_seconds
-        self._client_free = dispatched
-        arrival = dispatched + cost.request_seconds
-        server_start = max(arrival, self._server_free)
-        server_end = server_start + cost.server_seconds
-        self._server_free = server_end
-        responded = server_end + cost.response_seconds
-        completed = max(responded, self._last_completion) + receive_seconds
-        self._last_completion = completed
-        self._completions.append(completed)
-        return PipelineSlot(
-            submitted=submitted,
-            dispatched=dispatched,
-            server_start=server_start,
-            server_end=server_end,
-            responded=responded,
-            completed=completed,
-        )
-
-    def drain(self) -> float:
-        """Commit every scheduled statement to the clock; returns the new
-        elapsed.
-
-        Moves the completion frontier to the last completion.  Idempotent
-        when nothing is pending; the next :meth:`submit` starts a fresh
-        window from the (possibly advanced) frontier.
-        """
-        if self._base is None:
-            return self.clock.elapsed
-        self.clock.advance_to(self._last_completion)
-        self._completions.clear()
-        self._base = None
-        return self.clock.elapsed
 
 
 class SimulatedBackend:
@@ -496,14 +251,15 @@ class SimulatedBackend:
         sql: str,
         arg: Any,
         shipped: int,
-    ) -> Tuple[Any, StatementCost]:
+    ) -> Tuple[Any, float]:
         """Send one wire statement — ``run(sql, arg)`` on the engine — and
-        measure its cost without charging it.
+        measure its virtual cost without charging it.
 
-        The cost comes from deltas of the engine's summary counters: the rows
-        the statement returned, inserted and read.  A statement that raises is not counted: the backend's
-        counters, ``shipped`` parameters included, describe only the wire
-        statements that executed.
+        The cost is :meth:`BackendProfile.statement_cost` of the deltas of
+        the engine's summary counters: the rows the statement inserted,
+        returned and read.  A statement that raises is not counted: the
+        backend's counters, ``shipped`` parameters included, describe only
+        the wire statements that executed.
         """
         summary = self.database.summary
         stats = summary.select_stats
@@ -511,30 +267,17 @@ class SimulatedBackend:
         returned_before = stats.rows_returned
         inserted_before = summary.rows_inserted
         value = run(sql, arg)
-        cost = StatementCost(
-            self.profile,
-            summary.rows_inserted - inserted_before,
-            stats.rows_returned - returned_before,
-            stats.rows_scanned - scanned_before,
-        )
+        inserted = summary.rows_inserted - inserted_before
+        returned = stats.rows_returned - returned_before
         self.statements_executed += 1
         self.params_shipped += shipped
-        self.rows_inserted += cost.rows_inserted
-        self.rows_fetched += cost.rows_returned
-        return value, cost
-
-    def send(
-        self, sql: str, params: Sequence[Any] = ()
-    ) -> Tuple[Union[ResultSet, int], StatementCost]:
-        """Execute one statement *without* advancing the virtual clock.
-
-        The engine runs (and the statement/row counters update) immediately;
-        the returned :class:`StatementCost` carries the component breakdown
-        so an overlap-aware caller (:class:`PipelinedTimeline` via
-        ``AsyncClient``) owns the timing instead of the serial clock.
-        """
-        self.connect()
-        return self._measure(self.database.execute, sql, params, len(params))
+        self.rows_inserted += inserted
+        self.rows_fetched += returned
+        return value, self.profile.statement_cost(
+            rows_inserted=inserted,
+            rows_returned=returned,
+            rows_scanned=stats.rows_scanned - scanned_before,
+        )
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Union[ResultSet, int]:
         """Execute one statement, charging the backend's virtual costs.
@@ -545,8 +288,9 @@ class SimulatedBackend:
         server would perform it regardless of how the client prepared the
         statement.
         """
-        result, cost = self.send(sql, params)
-        self.clock.advance(cost.total)
+        self.connect()
+        result, cost = self._measure(self.database.execute, sql, params, len(params))
+        self.clock.advance(cost)
         return result
 
     def executemany(
@@ -557,46 +301,22 @@ class SimulatedBackend:
     ) -> int:
         """Execute a parametrised statement over many rows, batched.
 
-        Charges ``cost.total`` per wire statement of :meth:`wire_statements`,
-        in order: **one round trip per DML batch** plus the per-row server
-        work of every row in it — row-at-a-time submission pays the round
-        trip and the per-insert statement overhead per row, which is exactly
-        the gap the paper's bulk MS-Access-vs-Oracle load observation comes
-        from — and one round trip per SELECT parameter row.  Each batch
-        commits atomically (see :meth:`Database.executemany`); a failing
-        batch leaves earlier batches applied and charged.  Returns the
-        affected rows (DML) or the returned rows (SELECT).
-        """
-        total = 0
-        for count, cost, _shipped in self.wire_statements(
-            sql, param_rows, batch_size
-        ):
-            self.clock.advance(cost.total)
-            total += count
-        return total
-
-    def wire_statements(
-        self,
-        sql: str,
-        param_rows: Iterable[Sequence[Any]],
-        batch_size: Optional[int] = None,
-    ) -> Iterator[Tuple[int, StatementCost, int]]:
-        """Send ``sql`` over ``param_rows`` as the wire carries it, uncharged.
-
         The one place the batching rule lives.  DML parameter rows ship in
         batches of ``batch_size`` (default: the backend's configured size),
-        one wire statement per batch.  SELECTs cannot be batched on the wire
+        one wire statement per batch: **one round trip per DML batch** plus
+        the per-row server work of every row in it — row-at-a-time
+        submission pays the round trip and the per-insert statement overhead
+        per row, which is exactly the gap the paper's bulk MS-Access-vs-Oracle
+        load observation comes from.  SELECTs cannot be batched on the wire
         (the era's client APIs batch updates only — a result set needs its
         own round trip), so they ship one wire statement per parameter row.
 
-        Yields ``(count, cost, params_shipped)`` per wire statement, after
-        running it: the affected rows (DML) or returned rows (SELECT), its
-        :class:`StatementCost` and the number of parameters it bound.  The
-        caller turns the cost into virtual time — the serial clock
-        (:meth:`executemany`) or the overlap timeline (``AsyncClient``).
-        The batch size and the statement kind are checked when this is
-        called, so a malformed statement raises before the first wire
-        statement is requested.
+        Each wire statement's cost is charged as it completes, in order.
+        The batch size and the statement kind are checked before the first
+        wire statement ships.  Each batch commits atomically (see
+        :meth:`Database.executemany`); a failing batch leaves earlier
+        batches applied and charged.  Returns the affected rows (DML) or the
+        returned rows (SELECT).
         """
         size = self.batch_size if batch_size is None else batch_size
         if size < 1:
@@ -604,19 +324,16 @@ class SimulatedBackend:
         rows = list(param_rows)
         if rows and self.database.is_select(sql):
             size = 1
-        return self._ship(sql, rows, size)
-
-    def _ship(
-        self, sql: str, rows: List[Sequence[Any]], size: int
-    ) -> Iterator[Tuple[int, StatementCost, int]]:
+        total = 0
         for start in range(0, len(rows), size):
             batch = rows[start:start + size]
-            shipped = sum(map(len, batch))
             self.connect()
             count, cost = self._measure(
-                self.database.executemany, sql, batch, shipped
+                self.database.executemany, sql, batch, sum(map(len, batch))
             )
-            yield count, cost, shipped
+            self.clock.advance(cost)
+            total += count
+        return total
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """Execute a statement that must be a SELECT."""

@@ -3,15 +3,24 @@
 The expensive objects (the checked COSY specification, a simulated mixed
 workload, the generated schema) are session-scoped: they are deterministic and
 read-only, so sharing them keeps the suite fast without coupling the tests.
+
+Property-based tests run derandomized: the ``tier1`` profile draws the same
+examples on every run and in every checkout (``derandomize=True`` also turns
+the example database off), so a failure reproduces from the source alone.
+Explore fresh examples with ``--hypothesis-profile=default``.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.apprentice import ExecutionSimulator, SimulationConfig, synthetic_workload
 from repro.asl.specs import cosy_specification
 from repro.compiler import generate_schema
+
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ from repro.bench import build_scenario, load_into_backend
 from repro.cosy import (
     ClientSideStrategy,
     CosyAnalyzer,
-    PipelinedPushdownStrategy,
     PropertyRegistration,
     PropertyRegistry,
     PushdownStrategy,
@@ -14,6 +13,7 @@ from repro.cosy import (
     default_registry,
     render_report,
 )
+from repro.asl import AslEvaluationError
 from repro.cosy.report import format_table, render_speedup_table
 from repro.datamodel import PerformanceDatabase
 from repro.relalg import ExecutionError
@@ -199,49 +199,63 @@ class TestStrategyEquivalence:
         # one condition + one confidence + one severity query
         assert pushdown.statements_issued == 3
 
-    def test_pipelined_pushdown_matches_serial_pushdown(self, scenario):
-        serial_client, serial_ids = load_into_backend(scenario, "oracle7")
-        serial = PushdownStrategy(
-            scenario.specification, scenario.mapping, serial_client, serial_ids
-        )
-        serial_result = scenario.analyzer.analyze(strategy=serial)
 
-        piped_client, piped_ids = load_into_backend(scenario, "oracle7")
-        piped = PipelinedPushdownStrategy(
-            scenario.specification, scenario.mapping, piped_client, piped_ids,
-            window=8,
-        )
-        piped_result = scenario.analyzer.analyze(strategy=piped)
+class _FailingFor:
+    """Delegates to ``strategy``, except that every context whose subject is
+    ``subject`` raises ``error``; records the contexts it was asked for."""
 
-        assert piped.statements_issued == serial.statements_issued
-        serial_map = {
-            (i.property_name, i.subject): i.severity
-            for i in serial_result.instances
-        }
-        piped_map = {
-            (i.property_name, i.subject): i.severity
-            for i in piped_result.instances
-        }
-        assert serial_map == piped_map
-        # Overlapping the per-property round trips can only help.
-        assert piped_client.elapsed <= serial_client.elapsed
+    def __init__(self, strategy, subject, error):
+        self.name = strategy.name
+        self.strategy = strategy
+        self.subject = subject
+        self.error = error
+        self.asked = []
 
-    def test_pipelined_pushdown_at_window_one_is_byte_identical(self, scenario):
-        serial_client, serial_ids = load_into_backend(scenario, "oracle7")
-        serial_client.backend.reset_clock()
-        serial = PushdownStrategy(
-            scenario.specification, scenario.mapping, serial_client, serial_ids
-        )
-        scenario.analyzer.analyze(strategy=serial)
+    def evaluate(self, property_name, parameters):
+        subject = next(iter(parameters.values()))
+        self.asked.append((property_name, subject))
+        if subject is self.subject:
+            raise self.error
+        return self.strategy.evaluate(property_name, parameters)
 
-        piped_client, piped_ids = load_into_backend(scenario, "oracle7")
-        piped_client.backend.reset_clock()
-        piped = PipelinedPushdownStrategy(
-            scenario.specification, scenario.mapping, piped_client, piped_ids,
-            window=1,
+
+class TestContextLoop:
+    """The analyzer evaluates the contexts of each property one after
+    another: a context without data is skipped, the others still count."""
+
+    @pytest.fixture(params=["client", "pushdown"])
+    def strategy(self, request, scenario):
+        if request.param == "client":
+            return ClientSideStrategy(scenario.specification)
+        client, ids = load_into_backend(scenario, "ms_access")
+        return PushdownStrategy(
+            scenario.specification, scenario.mapping, client, ids
         )
-        scenario.analyzer.analyze(strategy=piped)
-        assert piped_client.elapsed == serial_client.elapsed
+
+    def test_a_context_without_data_is_skipped_and_the_rest_evaluated(
+        self, scenario, strategy
+    ):
+        reference = scenario.analyzer.analyze(strategy=strategy)
+        region = scenario.repository.region_by_name("assemble_matrix")
+        failing = _FailingFor(
+            strategy, region, AslEvaluationError("no timings for this run")
+        )
+        result = scenario.analyzer.analyze(strategy=failing)
+        kept = [i for i in reference.instances if i.subject != region.name]
+        assert len(kept) < len(reference.instances)
+        assert result.instances == kept
+        assert result.skipped == reference.skipped + (
+            len(reference.instances) - len(kept)
+        )
+        assert sum(1 for _, subject in failing.asked if subject is region) == (
+            len(reference.instances) - len(kept)
+        )
+
+    def test_any_other_error_stops_the_analysis(self, scenario, strategy):
+        region = scenario.repository.region_by_name("assemble_matrix")
+        failing = _FailingFor(strategy, region, ExecutionError("server gone"))
+        with pytest.raises(ExecutionError, match="server gone"):
+            scenario.analyzer.analyze(strategy=failing)
 
 
 class _MirroredClient:

@@ -120,32 +120,6 @@ class TestCommandLineInterface:
         output = capsys.readouterr().out
         assert "strategy       : pushdown" in output
 
-    def test_pipelined_pushdown_run(self, capsys):
-        exit_code = main(
-            [
-                "--workload", "stencil",
-                "--pes", "1", "4",
-                "--strategy", "pushdown",
-                "--db-backend", "oracle7",
-                "--pipeline-depth", "4",
-                "--top", "5",
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "strategy       : pushdown-pipelined" in output
-
-    def test_pipeline_depth_requires_pushdown(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--strategy", "client", "--pipeline-depth", "4"])
-        assert excinfo.value.code == 2
-        assert "requires --strategy pushdown" in capsys.readouterr().err
-
-    def test_pipeline_depth_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--strategy", "pushdown", "--pipeline-depth", "0"])
-        assert "must be >= 1" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -245,9 +219,9 @@ class TestCommandLineProcess:
         assert done.stderr == ""
 
     def test_usage_error_exits_2_with_its_message_on_stderr(self):
-        done = self._run(["--strategy", "client", "--pipeline-depth", "4"])
+        done = self._run(["--strategy", "pipelined"])
         assert done.returncode == 2
-        assert "requires --strategy pushdown" in done.stderr
+        assert "invalid choice: 'pipelined'" in done.stderr
         assert done.stdout == ""
 
     def test_out_of_range_option_exits_2_without_a_traceback(self):

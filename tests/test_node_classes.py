@@ -625,20 +625,6 @@ CONTRACTS = [
         ALL,
         "frozen",
     ),
-    (
-        backends.StatementCost,
-        "profile rows_inserted rows_returned rows_scanned",
-        {},
-        ALL,
-        "unhashable",
-    ),
-    (
-        backends.PipelineSlot,
-        "submitted dispatched server_start server_end responded completed",
-        {},
-        ALL,
-        "unhashable",
-    ),
     (client.ClientCosts, "per_call per_row per_param", {}, ALL, "frozen"),
     (
         schema_gen.AttributeMapping,

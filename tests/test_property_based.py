@@ -28,6 +28,19 @@ from repro.relalg import (
 
 
 # --------------------------------------------------------------------------- #
+# the profile the property tests run under (tests/conftest.py)
+# --------------------------------------------------------------------------- #
+
+
+def test_examples_are_derandomized_unless_another_profile_is_named(request):
+    """Tier-1 draws the same examples on every run (``tier1``); a run with
+    ``--hypothesis-profile=default`` explores fresh ones."""
+    profile = request.config.getoption("--hypothesis-profile") or "tier1"
+    assert settings.get_current_profile_name() == profile
+    assert settings.default.derandomize is (profile == "tier1")
+
+
+# --------------------------------------------------------------------------- #
 # ASL expression round trips over generated expressions
 # --------------------------------------------------------------------------- #
 

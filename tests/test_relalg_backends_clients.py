@@ -1,12 +1,15 @@
 """Tests of the simulated backend cost models and the client API layers."""
 
+import random
+
 import pytest
 
-from repro.bench import identical_table_contents
+from repro.bench import build_scenario, load_into_backend
+from repro.cosy import PushdownStrategy
 from repro.relalg import (
     BACKEND_PROFILES,
-    AsyncClient,
     BridgedClient,
+    Database,
     ExecutionError,
     IntegrityError,
     NativeClient,
@@ -15,6 +18,8 @@ from repro.relalg import (
     VirtualClock,
     backend,
 )
+
+from test_property_based import _random_databases, _random_select
 
 
 def prepare(simulated: SimulatedBackend, rows: int = 50) -> None:
@@ -36,6 +41,16 @@ class TestVirtualClock:
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
             VirtualClock().advance(-1.0)
+
+    def test_serial_totals_match_the_scalar_arithmetic(self):
+        # The clock accumulates with `elapsed += seconds`, one float addition
+        # per charge, exactly like a scalar accumulator.
+        clock = VirtualClock()
+        scalar = 0.0
+        for seconds in (0.1, 0.07, 1.3e-4, 2.9e-7):
+            clock.advance(seconds)
+            scalar += seconds
+        assert clock.elapsed == scalar
 
 
 class TestBackendProfiles:
@@ -237,7 +252,7 @@ class TestExecutemanyAccounting:
 
 
 # --------------------------------------------------------------------------- #
-# the client stack charges what was shipped: serial ≡ depth-1 pipeline
+# the client stack charges what was shipped, on a serial clock pinned bit for bit
 # --------------------------------------------------------------------------- #
 
 _INSERT = "INSERT INTO t (id, x) VALUES (?, ?)"
@@ -286,48 +301,203 @@ _SCENARIOS = [
 ]
 
 
-def _run(factory, scenario, window=None):
-    client = factory(SimulatedBackend(BACKEND_PROFILES["oracle7"], batch_size=7))
-    layer = client if window is None else AsyncClient(client, window=window)
-    layer.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x FLOAT)")
-    layer.executemany(_INSERT, [(i + 1, float(i)) for i in range(50)])
-    scenario(layer)
-    return layer
+def _run(client, scenario):
+    client.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x FLOAT)")
+    client.executemany(_INSERT, [(i + 1, float(i)) for i in range(50)])
+    scenario(client)
+    return client
+
+
+_PROFILES = list(BACKEND_PROFILES)
+
+
+def _clock(client):
+    return client.elapsed.hex(), client.client_time.hex()
+
+
+#: ``float.hex()`` of ``(elapsed, client_time)`` after each scenario, per
+#: backend profile and client stack.  A virtual time is a sum of floats, so
+#: it keeps these bits only while every charge keeps its value and its
+#: place: ``execute`` charges the statement's cost, then the client's
+#: marshalling; ``executemany`` charges one cost per wire statement in
+#: order, then one aggregated marshalling charge, also when a later batch
+#: raises; the connection is charged once.
+_PINNED_SCENARIO_CLOCKS = {
+    ("oracle7", "native", "execute"): ("0x1.5886594af4f0fp-4", "0x1.2a51e321a2e80p-12"),
+    ("oracle7", "native", "dml_executemany"): ("0x1.824b33daf8df5p-4", "0x1.30164840e171ap-12"),
+    ("oracle7", "native", "select_executemany"): ("0x1.e66dbd72bcb5fp-4", "0x1.ca3a4b5568e82p-12"),
+    ("oracle7", "native", "duplicate_in_third_batch"): ("0x1.5b9f98b71b8a9p-4", "0x1.e03f705857b00p-13"),
+    ("oracle7", "native", "select_fails_on_fourth_row"): ("0x1.4aceaaf35e311p-4", "0x1.f212d77318fc6p-13"),
+    ("oracle7", "bridged", "execute"): ("0x1.5adafd113836bp-4", "0x1.bf7ad4b2745c0p-11"),
+    ("oracle7", "bridged", "dml_executemany"): ("0x1.84ab606b7aa23p-4", "0x1.c8216c61522a8p-11"),
+    ("oracle7", "bridged", "select_executemany"): ("0x1.ea0232096787dp-4", "0x1.57abb8800eae2p-10"),
+    ("oracle7", "bridged", "duplicate_in_third_batch"): ("0x1.5d7fd82773e23p-4", "0x1.682f944241c40p-11"),
+    ("oracle7", "bridged", "select_fails_on_fourth_row"): ("0x1.4cc0bdcad14a1p-4", "0x1.758e219652bd4p-11"),
+    ("ms_sql_server", "native", "execute"): ("0x1.788ca3e7d1350p-5", "0x1.2a51e321a2e80p-12"),
+    ("ms_sql_server", "native", "dml_executemany"): ("0x1.9bf9c62a1b5c4p-5", "0x1.30164840e171ap-12"),
+    ("ms_sql_server", "native", "select_executemany"): ("0x1.03d68405b39e2p-4", "0x1.ca3a4b5568e82p-12"),
+    ("ms_sql_server", "native", "duplicate_in_third_batch"): ("0x1.7840181e03f6ep-5", "0x1.e03f705857b00p-13"),
+    ("ms_sql_server", "native", "select_fails_on_fourth_row"): ("0x1.6a6e32e3821aep-5", "0x1.f212d77318fc6p-13"),
+    ("ms_sql_server", "bridged", "execute"): ("0x1.7d35eb7457c08p-5", "0x1.bf7ad4b2745c0p-11"),
+    ("ms_sql_server", "bridged", "dml_executemany"): ("0x1.a0ba1f4b1ee20p-5", "0x1.c8216c61522a8p-11"),
+    ("ms_sql_server", "bridged", "select_executemany"): ("0x1.076af89c5e6ffp-4", "0x1.57abb8800eae2p-10"),
+    ("ms_sql_server", "bridged", "duplicate_in_third_batch"): ("0x1.7c0096feb4a63p-5", "0x1.682f944241c40p-11"),
+    ("ms_sql_server", "bridged", "select_fails_on_fourth_row"): ("0x1.6e525892684cdp-5", "0x1.758e219652bd4p-11"),
+    ("postgres", "native", "execute"): ("0x1.826c8c1a55160p-5", "0x1.2a51e321a2e80p-12"),
+    ("postgres", "native", "dml_executemany"): ("0x1.a915379fa97e5p-5", "0x1.30164840e171ap-12"),
+    ("postgres", "native", "select_executemany"): ("0x1.0c3c18b502abdp-4", "0x1.ca3a4b5568e82p-12"),
+    ("postgres", "native", "duplicate_in_third_batch"): ("0x1.8292817763e4ep-5", "0x1.e03f705857b00p-13"),
+    ("postgres", "native", "select_fails_on_fourth_row"): ("0x1.735cb93e7a8f3p-5", "0x1.f212d77318fc6p-13"),
+    ("postgres", "bridged", "execute"): ("0x1.8715d3a6dba18p-5", "0x1.bf7ad4b2745c0p-11"),
+    ("postgres", "bridged", "dml_executemany"): ("0x1.add590c0ad041p-5", "0x1.c8216c61522a8p-11"),
+    ("postgres", "bridged", "select_executemany"): ("0x1.0fd08d4bad7d9p-4", "0x1.57abb8800eae2p-10"),
+    ("postgres", "bridged", "duplicate_in_third_batch"): ("0x1.8653005814943p-5", "0x1.682f944241c40p-11"),
+    ("postgres", "bridged", "select_fails_on_fourth_row"): ("0x1.7740deed60c12p-5", "0x1.758e219652bd4p-11"),
+    ("ms_access", "native", "execute"): ("0x1.0f3882278d0cdp-8", "0x1.2a51e321a2e80p-12"),
+    ("ms_access", "native", "dml_executemany"): ("0x1.2e72da122fad7p-8", "0x1.30164840e171ap-12"),
+    ("ms_access", "native", "select_executemany"): ("0x1.243137b07075dp-7", "0x1.ca3a4b5568e82p-12"),
+    ("ms_access", "native", "duplicate_in_third_batch"): ("0x1.0a02b841248d8p-8", "0x1.e03f705857b00p-13"),
+    ("ms_access", "native", "select_fails_on_fourth_row"): ("0x1.ff3f0fe047d3dp-9", "0x1.f212d77318fc6p-13"),
+    ("ms_access", "bridged", "execute"): ("0x1.3482be8bc169ap-8", "0x1.bf7ad4b2745c0p-11"),
+    ("ms_access", "bridged", "dml_executemany"): ("0x1.5475a31a4bdbap-8", "0x1.c8216c61522a8p-11"),
+    ("ms_access", "bridged", "select_executemany"): ("0x1.40d4dc65c7044p-7", "0x1.57abb8800eae2p-10"),
+    ("ms_access", "bridged", "duplicate_in_third_batch"): ("0x1.2806af46aa088p-8", "0x1.682f944241c40p-11"),
+    ("ms_access", "bridged", "select_fails_on_fourth_row"): ("0x1.1ec0b5675579ap-8", "0x1.758e219652bd4p-11"),
+}
+
+#: ``(elapsed, client_time)`` after loading the ``mixed`` scenario on 1, 2,
+#: 4 and 8 PEs, then after the pushdown analysis of its 8-PE run.
+_PINNED_ANALYSIS_CLOCKS = {
+    ("oracle7", "native"): (("0x1.54a05dd8f92b4p-3", "0x1.845dc83233590p-10"), ("0x1.1d992428d434bp-2", "0x1.c4c9c90c4deb9p-9")),
+    ("oracle7", "bridged"): (("0x1.5ab1d4f9c1f8bp-3", "0x1.23465625a682bp-8"), ("0x1.24ac4b4d056cbp-2", "0x1.539756c93a718p-7")),
+    ("ms_sql_server", "native"): (("0x1.480389f83be6bp-4", "0x1.845dc83233590p-10"), ("0x1.1aa60913a4f8ap-3", "0x1.c4c9c90c4deb9p-9")),
+    ("ms_sql_server", "bridged"): (("0x1.54267839cd819p-4", "0x1.23465625a682bp-8"), ("0x1.28cc575c07677p-3", "0x1.539756c93a718p-7")),
+    ("postgres", "native"): (("0x1.59767903211cfp-4", "0x1.845dc83233590p-10"), ("0x1.2a469d7342ed7p-3", "0x1.c4c9c90c4deb9p-9")),
+    ("postgres", "bridged"): (("0x1.65996744b2b7ep-4", "0x1.23465625a682bp-8"), ("0x1.386cebbba55d2p-3", "0x1.539756c93a718p-7")),
+    ("ms_access", "native"): (("0x1.39a38fbca1058p-7", "0x1.845dc83233590p-10"), ("0x1.4e63a5c1c6096p-6", "0x1.c4c9c90c4deb9p-9")),
+    ("ms_access", "bridged"): (("0x1.9abb01c92ddbcp-7", "0x1.23465625a682bp-8"), ("0x1.bf961804d983ap-6", "0x1.539756c93a718p-7")),
+}
+
+#: ``(elapsed, client_time)`` of E6's batched and row-at-a-time loads of its
+#: medium scenario (``benchmarks/run_bench.py``).
+_PINNED_E6_LOAD_CLOCKS = {
+    ("oracle7", "batched"): ("0x1.43c17a893319fp-1", "0x1.d25247cb70ac3p-8"),
+    ("oracle7", "row-at-a-time"): ("0x1.04479b34a432fp+2", "0x1.2ac42e9899bedp-5"),
+    ("ms_sql_server", "batched"): ("0x1.10665e02ea960p-2", "0x1.d25247cb70ac3p-8"),
+    ("ms_sql_server", "row-at-a-time"): ("0x1.0740fa9c12e34p+1", "0x1.2ac42e9899bedp-5"),
+    ("postgres", "batched"): ("0x1.26cb74ddf86e2p-2", "0x1.d25247cb70ac3p-8"),
+    ("postgres", "row-at-a-time"): ("0x1.19153bd16757bp+1", "0x1.2ac42e9899bedp-5"),
+    ("ms_access", "batched"): ("0x1.5461b6d43d03bp-5", "0x1.d25247cb70ac3p-8"),
+    ("ms_access", "row-at-a-time"): ("0x1.e5e39713ad507p-3", "0x1.2ac42e9899bedp-5"),
+}
+
+
+@pytest.fixture(scope="module")
+def mixed_scenario(cosy_spec):
+    return build_scenario("mixed", pe_counts=(1, 2, 4, 8), specification=cosy_spec)
+
+
+@pytest.fixture(scope="module")
+def e6_scenario(cosy_spec):
+    """The medium scenario E6 loads."""
+    return build_scenario(
+        "scalable", pe_counts=(1, 4, 16), specification=cosy_spec,
+        functions=8, regions_per_function=6, calls_per_region=2,
+    )
+
+
+class TestSerialClockIsPinned:
+    """Every virtual time of the serial cost path, bit for bit: a moved,
+    merged or split charge changes the last bits of E3, A1, E6 and
+    perfbench's ``virtual_db_ms``, and fails here first."""
+
+    @pytest.mark.parametrize("backend_name", _PROFILES)
+    @pytest.mark.parametrize("factory", [NativeClient, BridgedClient])
+    @pytest.mark.parametrize("scenario", _SCENARIOS)
+    def test_client_stack_scenario(self, backend_name, factory, scenario):
+        client = factory(
+            SimulatedBackend(BACKEND_PROFILES[backend_name], batch_size=7)
+        )
+        _run(client, scenario)
+        key = (backend_name, factory.api_name, scenario.__name__.lstrip("_"))
+        assert _clock(client) == _PINNED_SCENARIO_CLOCKS[key]
+
+    @pytest.mark.parametrize("backend_name", _PROFILES)
+    @pytest.mark.parametrize("factory", [NativeClient, BridgedClient])
+    def test_pushdown_analysis(self, mixed_scenario, backend_name, factory):
+        client, ids = load_into_backend(
+            mixed_scenario, backend_name, client_factory=factory
+        )
+        loaded = _clock(client)
+        strategy = PushdownStrategy(
+            mixed_scenario.specification, mixed_scenario.mapping, client, ids
+        )
+        mixed_scenario.analyzer.analyze(strategy=strategy)
+        assert strategy.statements_issued == 108
+        pinned = _PINNED_ANALYSIS_CLOCKS[backend_name, factory.api_name]
+        assert (loaded, _clock(client)) == pinned
+
+    @pytest.mark.parametrize("backend_name", _PROFILES)
+    @pytest.mark.parametrize(
+        "load, batch_size", [("batched", 100), ("row-at-a-time", None)]
+    )
+    def test_e6_load(self, e6_scenario, backend_name, load, batch_size):
+        client, _ = load_into_backend(
+            e6_scenario, backend_name, batch_size=batch_size
+        )
+        assert _clock(client) == _PINNED_E6_LOAD_CLOCKS[backend_name, load]
 
 
 class TestClientStackChargesWhatWasShipped:
-    """``DatabaseClient`` and ``AsyncClient`` schedule the same per-wire-
-    statement measurements: at window 1 every virtual time is bit for bit
-    the serial one, and at window 8 the work done is the same."""
-
-    @pytest.mark.parametrize("factory", [NativeClient, BridgedClient])
-    @pytest.mark.parametrize("scenario", _SCENARIOS)
-    def test_depth_one_pipeline_is_bit_identical(self, factory, scenario):
-        serial = _run(factory, scenario)
-        piped = _run(factory, scenario, window=1)
-        assert piped.elapsed.hex() == serial.elapsed.hex()
-        assert piped.client_time.hex() == serial.client_time.hex()
-        assert (piped.calls, piped.rows_fetched) == (
-            serial.calls, serial.rows_fetched
-        )
-
-    @pytest.mark.parametrize("factory", [NativeClient, BridgedClient])
-    @pytest.mark.parametrize("scenario", _SCENARIOS)
-    def test_deep_pipeline_ships_the_same_work(self, factory, scenario):
-        serial = _run(factory, scenario)
-        piped = _run(factory, scenario, window=8)
-        assert piped.in_flight == 0
-        assert (piped.calls, piped.rows_fetched) == (
-            serial.calls, serial.rows_fetched
-        )
-        assert piped.backend.params_shipped == serial.backend.params_shipped
-        assert identical_table_contents(
-            serial.backend.database, piped.backend.database
-        )
-
     def test_executemany_charges_the_shipped_parameters(self):
-        serial = _run(NativeClient, _duplicate_in_third_batch)
+        serial = _run(
+            NativeClient(SimulatedBackend(BACKEND_PROFILES["oracle7"], batch_size=7)),
+            _duplicate_in_third_batch,
+        )
         # Setup: CREATE (0 parameters) and 50 rows in 8 batches; then two
         # full batches of the failing run committed before the third raised.
         assert serial.backend.statements_executed == 1 + 8 + 2
         assert serial.backend.params_shipped == 2 * (50 + 14)
+
+
+class TestFuzzerReplayThroughClient:
+    """The engine fuzzer's seeded SELECTs return the interpreter's rows
+    through client → backend → engine."""
+
+    @pytest.mark.parametrize("factory", [NativeClient, BridgedClient])
+    @pytest.mark.parametrize("seed", range(0, 42, 7))
+    def test_fuzzer_seeds_replayed_identically(self, seed, factory):
+        rng = random.Random(seed)
+        compiled, _rowwise, interpreted = _random_databases(rng)
+        selects = [_random_select(rng) for _ in range(4)]
+        client = factory(
+            SimulatedBackend(BACKEND_PROFILES["oracle7"], database=compiled)
+        )
+        for sql, params in selects:
+            expected = interpreted.query(sql, params)
+            got = client.query(sql, params)
+            assert got.columns == expected.columns, sql
+            assert got.rows == expected.rows, sql
+
+
+class TestExplainTypedErrors:
+    def test_non_string_input_raises_execution_error(self):
+        with pytest.raises(ExecutionError, match="SQL text"):
+            Database().explain(None)
+
+    def test_interpreted_engine_refuses_explain(self):
+        db = Database(engine="interpreted")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        with pytest.raises(ExecutionError, match="compiled engine"):
+            db.explain("SELECT * FROM t")
+        # The refusal must not have cached a plan the engine never runs.
+        assert db.plan_cache_info()["size"] == 0
+
+    def test_non_select_raises_through_every_layer(self):
+        client = NativeClient(backend("ms_access"))
+        client.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        for layer in (client.backend.database, client.backend, client):
+            with pytest.raises(ExecutionError, match="SELECT"):
+                layer.explain("DELETE FROM t")
+            with pytest.raises(ExecutionError, match="SQL text"):
+                layer.explain(42)

@@ -16,7 +16,6 @@ import pytest
 from repro.bench.scenarios import build_scenario, identical_table_contents
 from repro.compiler import DatabaseLoader, load_repository
 from repro.relalg import (
-    AsyncClient,
     Database,
     ExecutionError,
     IntegrityError,
@@ -548,22 +547,6 @@ class TestClientPassThrough:
         client.execute(_INS, (1, 0, 1.0))
         client.rollback()
         assert client.backend.database.query("SELECT COUNT(*) FROM t").scalar() == 0
-
-    def test_async_client_begin_is_a_sync_point(self):
-        pipeline = AsyncClient(NativeClient(backend("oracle7")), window=4)
-        pipeline.execute(_DDL)
-        for i in range(1, 4):
-            pipeline.submit(_INS, (i, 0, float(i)))
-        # begin() must gather the in-flight autocommit inserts first, so none
-        # of them lands inside (and could be undone with) the transaction.
-        pipeline.begin()
-        database = pipeline.client.backend.database
-        assert database.in_transaction
-        assert database.query("SELECT COUNT(*) FROM t").scalar() == 3
-        pipeline.submit(_INS, (10, 1, 10.0))
-        pipeline.rollback()
-        assert not database.in_transaction
-        assert database.query("SELECT COUNT(*) FROM t").scalar() == 3
 
 
 class TestAtomicBulkLoad:
