@@ -9,14 +9,17 @@ performance trajectory of the relational substrate is tracked from PR to PR:
   pushdown analysis with and without the generated foreign-key indexes, and
   ``single_key`` — the indexes minus the three timing tables' ``Run_id``
   ones, so every timing subquery probes its owner index alone (the work
-  before index probes intersected several keys).  The compiled engine's
-  :class:`QueryStats` are asserted byte-identical to the seed (interpreted)
-  engine on every variant.
+  before index probes intersected several keys).  ``per_entry`` is the
+  indexed analysis through :class:`PerEntryPushdownStrategy`, which sends
+  every entry as a statement, also those the translator folds.  The compiled
+  engine's :class:`QueryStats` are asserted byte-identical to the seed
+  (interpreted) engine on every variant.
 * **A2** — ASL reference interpreter (compiled closures) vs. generated SQL on
   the small mixed scenario, with a severity-identity check between the paths.
 * **E3** — client-side vs. pushdown work distribution on the medium scenario:
   virtual elapsed time advantage (and the pushdown's virtual time on the
-  ``single_key`` schema of A1), plus the wall-time speedup of the compiled
+  ``single_key`` schema of A1, and ``pushdown_per_entry`` with A1's
+  ``per_entry`` statements), plus the wall-time speedup of the compiled
   engine over the seed executor on the pushdown path (the PR's headline
   number; property SQL is precompiled so the measurement isolates query
   execution, exactly as the A2 pytest benchmark does).
@@ -57,7 +60,12 @@ import time
 from pathlib import Path
 
 from repro.asl.specs import cosy_specification
-from repro.bench import build_scenario, identical_table_contents, load_into_backend
+from repro.bench import (
+    PerEntryPushdownStrategy,
+    build_scenario,
+    identical_table_contents,
+    load_into_backend,
+)
 from repro.compiler import DatabaseLoader
 from repro.cosy import ClientSideStrategy, PushdownStrategy
 from repro.relalg import Database, fingerprint_hash, state_fingerprint
@@ -108,7 +116,7 @@ _TIMING_TABLES = ("TotalTiming", "TypedTiming", "CallTiming")
 
 
 def _pushdown_setup(scenario, backend_name, with_indexes, engine,
-                    single_key=False):
+                    single_key=False, strategy_class=PushdownStrategy):
     """Load a backend and precompile the pushdown strategy (not measured).
 
     The wall-time measurements below time :meth:`CosyAnalyzer.analyze` only —
@@ -120,6 +128,8 @@ def _pushdown_setup(scenario, backend_name, with_indexes, engine,
     load, before any statement is planned: each timing subquery then probes
     its owner index alone and filters the run, as every engine did before
     index probes intersected all indexed equality conjuncts.
+    ``strategy_class`` is :class:`PushdownStrategy` or the
+    :class:`PerEntryPushdownStrategy` variant.
     """
     client, ids = load_into_backend(
         scenario, backend_name, with_indexes=with_indexes, engine=engine,
@@ -127,7 +137,7 @@ def _pushdown_setup(scenario, backend_name, with_indexes, engine,
     if single_key:
         for name in _TIMING_TABLES:
             client.backend.database.table(name).drop_index("Run_id")
-    strategy = PushdownStrategy(
+    strategy = strategy_class(
         scenario.specification, scenario.mapping, client, ids
     )
     for name in scenario.specification.index.properties:
@@ -137,17 +147,18 @@ def _pushdown_setup(scenario, backend_name, with_indexes, engine,
 
 def bench_a1(scenario, repeats: int, failures: list) -> dict:
     report: dict = {}
-    for with_indexes, single_key, key in (
-        (True, False, "indexed"),
-        (True, True, "single_key"),
-        (False, False, "full_scan"),
+    for with_indexes, single_key, strategy_class, key in (
+        (True, False, PushdownStrategy, "indexed"),
+        (True, False, PerEntryPushdownStrategy, "per_entry"),
+        (True, True, PushdownStrategy, "single_key"),
+        (False, False, PushdownStrategy, "full_scan"),
     ):
         fingerprints = {}
         instances = {}
         for engine in ("compiled", "interpreted"):
             client, strategy = _pushdown_setup(
                 scenario, "ms_access", with_indexes, engine,
-                single_key=single_key,
+                single_key=single_key, strategy_class=strategy_class,
             )
             result = scenario.analyzer.analyze(strategy=strategy)
             fingerprints[engine] = _summary_fingerprint(client.backend.database)
@@ -166,7 +177,7 @@ def bench_a1(scenario, repeats: int, failures: list) -> dict:
             )
         _, timed_strategy = _pushdown_setup(
             scenario, "ms_access", with_indexes, "compiled",
-            single_key=single_key,
+            single_key=single_key, strategy_class=strategy_class,
         )
         wall = _wall(
             lambda: scenario.analyzer.analyze(strategy=timed_strategy),
@@ -222,19 +233,25 @@ def bench_e3(scenario, repeats: int, failures: list) -> dict:
     # Virtual-cost comparison of the two work distributions (paper, Sec. 5).
     push_client, push_strategy = _pushdown_setup(scenario, "oracle7", True,
                                                  "compiled")
-    push_client.backend.reset_clock()
+    push_client.reset_clock()
     scenario.analyzer.analyze(strategy=push_strategy)
     single_client, single_strategy = _pushdown_setup(
         scenario, "oracle7", True, "compiled", single_key=True
     )
-    single_client.backend.reset_clock()
+    single_client.reset_clock()
     scenario.analyzer.analyze(strategy=single_strategy)
+    per_entry_client, per_entry_strategy = _pushdown_setup(
+        scenario, "oracle7", True, "compiled",
+        strategy_class=PerEntryPushdownStrategy,
+    )
+    per_entry_client.reset_clock()
+    scenario.analyzer.analyze(strategy=per_entry_strategy)
     fetch_client, ids = load_into_backend(scenario, "oracle7", engine="compiled")
     fetch_strategy = ClientSideStrategy(
         scenario.specification, client=fetch_client, ids=ids
     )
     fetch_strategy.precompile()
-    fetch_client.backend.reset_clock()
+    fetch_client.reset_clock()
     scenario.analyzer.analyze(strategy=fetch_strategy)
 
     # Wall-time speedup of the compiled engine over the seed executor on the
@@ -266,6 +283,11 @@ def bench_e3(scenario, repeats: int, failures: list) -> dict:
         "pushdown_single_key": {
             "virtual_s": round(single_client.elapsed, 6),
             "statements": single_strategy.statements_issued,
+        },
+        "pushdown_per_entry": {
+            "virtual_s": round(per_entry_client.elapsed, 6),
+            "rows_transferred": per_entry_client.rows_fetched,
+            "statements": per_entry_strategy.statements_issued,
         },
         "client": {
             "virtual_s": round(fetch_client.elapsed, 6),
@@ -836,7 +858,7 @@ def main(argv=None) -> int:
           f"{a1['indexed']['query_stats']['rows_scanned']} vs single-key "
           f"{a1['single_key']['query_stats']['rows_scanned']}; stats "
           f"identical to seed: "
-          f"{all(a1[key]['stats_identical_to_seed'] for key in ('indexed', 'single_key', 'full_scan'))}")
+          f"{all(a1[key]['stats_identical_to_seed'] for key in ('indexed', 'per_entry', 'single_key', 'full_scan'))}")
     print(f"A2  interpreter {report['scenarios']['A2_interp_vs_sql']['interpreter_wall_s']}s "
           f"vs SQL {report['scenarios']['A2_interp_vs_sql']['sql_wall_s']}s")
     print(f"E3  pushdown virtual advantage: {e3['virtual_advantage']}x; "

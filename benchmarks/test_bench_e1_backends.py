@@ -64,7 +64,7 @@ class TestE1BulkInsertion:
 class TestE1QueryProcessing:
     def _query_time(self, scenario, backend_name):
         client, ids = _load(scenario, backend_name)
-        client.backend.reset_clock()
+        client.reset_clock()
         strategy = PushdownStrategy(scenario.specification, scenario.mapping, client, ids)
         scenario.analyzer.analyze(strategy=strategy)
         return client.elapsed

@@ -20,8 +20,7 @@ def prepare(client):
     client.executemany(
         "INSERT INTO probe (id, x) VALUES (?, ?)", [(i + 1, float(i)) for i in range(64)]
     )
-    client.backend.reset_clock()
-    client.client_time = 0.0
+    client.reset_clock()
     return client
 
 

@@ -21,7 +21,7 @@ from repro.cosy import ClientSideStrategy, PushdownStrategy
 
 def evaluate(scenario, strategy_name, backend_name="oracle7"):
     client, ids = load_into_backend(scenario, backend_name)
-    client.backend.reset_clock()
+    client.reset_clock()
     if strategy_name == "pushdown":
         strategy = PushdownStrategy(scenario.specification, scenario.mapping, client, ids)
     else:

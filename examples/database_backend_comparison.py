@@ -38,7 +38,7 @@ def main() -> None:
         # measured submitting one record per statement (batching is E6).
         client, ids = load_into_backend(scenario, name, batch_size=None)
         insert_time = client.elapsed
-        client.backend.reset_clock()
+        client.reset_clock()
         strategy = PushdownStrategy(
             scenario.specification, scenario.mapping, client, ids
         )
@@ -63,14 +63,14 @@ def main() -> None:
 
     # -- E3: pushdown vs. client-side evaluation ------------------------------
     client, ids = load_into_backend(scenario, "oracle7")
-    client.backend.reset_clock()
+    client.reset_clock()
     scenario.analyzer.analyze(
         strategy=PushdownStrategy(scenario.specification, scenario.mapping, client, ids)
     )
     pushdown_time = client.elapsed
 
     client2, ids2 = load_into_backend(scenario, "oracle7")
-    client2.backend.reset_clock()
+    client2.reset_clock()
     scenario.analyzer.analyze(
         strategy=ClientSideStrategy(
             scenario.specification, client=client2, ids=ids2
@@ -99,8 +99,7 @@ def main() -> None:
         client = factory(backend("oracle7"))
         client.execute("CREATE TABLE probe (id INTEGER PRIMARY KEY, x FLOAT)")
         client.execute("INSERT INTO probe (id, x) VALUES (1, 1.0)")
-        client.backend.reset_clock()
-        client.client_time = 0.0
+        client.reset_clock()
         for _ in range(1000):
             client.fetch_record("SELECT x FROM probe WHERE id = ?", [1])
         totals[client.api_name] = client.elapsed / 1000

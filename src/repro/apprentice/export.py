@@ -32,7 +32,7 @@ Format (one record per line, fields separated by ``|``)::
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.datamodel import (
     CallTiming,

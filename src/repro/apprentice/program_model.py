@@ -16,7 +16,7 @@ processor count into Apprentice-style summary data.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.datamodel.entities import RegionKind
 from repro.records import Record

@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.apprentice.program_model import (
     CallSpec,
     CommPattern,
-    FunctionSpec,
     RegionSpec,
     WorkloadSpec,
 )
@@ -52,10 +51,8 @@ from repro.datamodel import (
     Function,
     FunctionCall,
     PerformanceDatabase,
-    Program,
     ProgVersion,
     Region,
-    RegionKind,
     TestRun,
     TimingType,
     TotalTiming,

@@ -28,8 +28,6 @@ exactly those well-defined, *injected* bottlenecks so that the COSY properties
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
-
 from repro.apprentice.program_model import (
     CallSpec,
     CommPattern,

@@ -32,9 +32,7 @@ closures are tested against).
 
 from __future__ import annotations
 
-import datetime as _dt
-import math
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.asl.ast_nodes import (
     AggregateExpr,
@@ -47,7 +45,6 @@ from repro.asl.ast_nodes import (
     FunctionCall,
     Identifier,
     IntLiteral,
-    PropertyDecl,
     SetComprehension,
     StringLiteral,
     UnaryExpr,

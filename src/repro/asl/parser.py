@@ -24,7 +24,7 @@ binary scalar maximum.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.asl.ast_nodes import (
     AggregateExpr,
@@ -55,7 +55,7 @@ from repro.asl.ast_nodes import (
     ValueSpec,
     AttributeAccess,
 )
-from repro.asl.errors import AslParseError, SourceLocation
+from repro.asl.errors import AslParseError
 from repro.asl.lexer import tokenize
 from repro.asl.tokens import AGGREGATE_NAMES, Token, TokenType
 

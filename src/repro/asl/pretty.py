@@ -9,7 +9,7 @@ be stable).
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List
 
 from repro.asl.errors import AslError
 from repro.asl.ast_nodes import (

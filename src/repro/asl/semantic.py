@@ -29,18 +29,12 @@ from repro.asl.ast_nodes import (
     BinaryOp,
     BoolLiteral,
     ClassDecl,
-    ConditionClause,
-    ConstantDecl,
-    EnumDecl,
     Expr,
     FloatLiteral,
     FunctionCall,
     FunctionDecl,
-    GuardedExpr,
     Identifier,
     IntLiteral,
-    LetDef,
-    Param,
     PropertyDecl,
     SetComprehension,
     StringLiteral,
@@ -62,7 +56,6 @@ from repro.asl.types import (
     AnyType,
     ClassType,
     EnumType,
-    ScalarType,
     SetType,
     Type,
     common_numeric,

@@ -14,7 +14,7 @@ Two kinds of symbol tables are used:
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
 
 from repro.asl.ast_nodes import (
     ClassDecl,

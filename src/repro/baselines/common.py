@@ -7,8 +7,8 @@ injected bottleneck, what did it call it, and how severe did it judge it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 __all__ = ["Finding", "rank_findings"]
 

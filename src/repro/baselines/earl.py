@@ -12,11 +12,10 @@ message statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.baselines.common import Finding, rank_findings
-from repro.traces.events import Event, EventKind, Trace
+from repro.traces.events import Event, Trace
 
 __all__ = [
     "EarlScript",

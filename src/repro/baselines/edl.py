@@ -15,8 +15,8 @@ E5 comparison:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.baselines.common import Finding, rank_findings
 from repro.traces.events import Event, EventKind, Trace

@@ -23,7 +23,7 @@ is the design difference the paper emphasises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List
 
 from repro.baselines.common import Finding, rank_findings
 from repro.datamodel import (

@@ -18,7 +18,7 @@ draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.baselines.common import Finding, rank_findings
 from repro.datamodel import (
@@ -29,7 +29,6 @@ from repro.datamodel import (
     ProgVersion,
     Region,
     TestRun,
-    TimingType,
 )
 
 __all__ = ["ParadynHypothesis", "ParadynSearch", "FIXED_HYPOTHESES"]

@@ -2,6 +2,7 @@
 
 from repro.bench.scenarios import (
     CosyScenario,
+    PerEntryPushdownStrategy,
     build_scenario,
     identical_table_contents,
     load_into_backend,
@@ -10,6 +11,7 @@ from repro.bench.scenarios import (
 
 __all__ = [
     "CosyScenario",
+    "PerEntryPushdownStrategy",
     "build_scenario",
     "identical_table_contents",
     "load_into_backend",

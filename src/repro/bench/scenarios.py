@@ -9,7 +9,7 @@ that the benchmark modules stay focused on what they measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apprentice import ExecutionSimulator, SimulationConfig, synthetic_workload
@@ -22,12 +22,14 @@ from repro.compiler import (
     SchemaMapping,
     generate_schema,
 )
-from repro.cosy import CosyAnalyzer
+from repro.compiler.sql_gen import CompiledQuery
+from repro.cosy import CosyAnalyzer, PushdownStrategy
 from repro.datamodel import PerformanceDatabase
-from repro.relalg import DatabaseClient, NativeClient, SimulatedBackend, backend
+from repro.relalg import DatabaseClient, NativeClient, backend
 
 __all__ = [
     "CosyScenario",
+    "PerEntryPushdownStrategy",
     "build_scenario",
     "identical_table_contents",
     "load_into_backend",
@@ -104,6 +106,23 @@ def load_into_backend(
     loader.create_schema(with_indexes=with_indexes)
     ids = loader.load(scenario.repository)
     return client, ids
+
+
+class PerEntryPushdownStrategy(PushdownStrategy):
+    """The pushdown strategy with one statement per entry, folded or not.
+
+    The translator folds an entry that reads no data (the bundled
+    ``CONFIDENCE: 1``) to its value, which costs the pushdown strategy no
+    statement.  This variant sends such an entry's SQL (``SELECT 1 AS value
+    FROM dual``) like any other entry's, so E3's ``pushdown_per_entry``,
+    A1's ``per_entry`` and the pinned per-entry clock keep the statement
+    counts and virtual times of one statement per entry and context.
+    """
+
+    def _scalar(self, query, binding):
+        if query.folded:
+            query = CompiledQuery(query.sql, query.param_slots)
+        return super()._scalar(query, binding)
 
 
 def identical_table_contents(left, right) -> bool:

@@ -37,20 +37,16 @@ repository.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.compiler.schema_gen import DUAL_TABLE, PRIMARY_KEY, SchemaMapping
 from repro.datamodel import (
-    CallTiming,
     Function,
     FunctionCall,
     PerformanceDatabase,
     Program,
     ProgVersion,
     Region,
-    TestRun,
-    TotalTiming,
-    TypedTiming,
 )
 from repro.records import Record
 

@@ -32,9 +32,8 @@ expressions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.asl.ast_nodes import ClassDecl
 from repro.asl.errors import AslTypeError
 from repro.asl.semantic import CheckedSpecification
 from repro.asl.types import (

@@ -14,6 +14,7 @@ Translation pipeline (per property)::
       2. re-run type inference               (annotates every node)
       3. translate each condition /
          confidence / severity expression    (SQL text + parameter slots)
+      4. fold the entries that read no data  (the ASL evaluator's value)
 
 The central ideas of the translation:
 
@@ -27,10 +28,15 @@ The central ideas of the translation:
   object value);
 * navigation across a reference attribute inside an aggregate
   (``sum.Run.NoPe``) becomes a join with the referenced table;
-* the complete condition / severity expression is wrapped into
-  ``SELECT <expr> AS value FROM dual`` so that one statement per expression is
-  sent to the database — exactly the work distribution the paper recommends in
-  Section 5.
+* the complete condition / confidence / severity expression is wrapped into
+  ``SELECT <expr> AS value FROM dual`` so that one statement per entry is sent
+  to the database — exactly the work distribution the paper recommends in
+  Section 5;
+* an entry that reads no data (only literals, specification constants and
+  enum members under the operators, such as the bundled ``CONFIDENCE: 1``) is
+  *folded*: the translator evaluates it once, with the ASL evaluator, and the
+  pushdown strategy uses that value instead of a statement.  An entry whose
+  evaluation raises stays a statement.
 
 Constructs outside this subset raise :class:`PushdownError`; the COSY analyzer
 then falls back to client-side evaluation for that expression (and reports the
@@ -39,7 +45,7 @@ fallback), so adding new properties can never silently produce wrong results.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.asl.ast_nodes import (
     AggregateExpr,
@@ -59,9 +65,10 @@ from repro.asl.ast_nodes import (
     UnaryOp,
 )
 from repro.asl.errors import AslError, AslTypeError
+from repro.asl.evaluator import AslEvaluator
 from repro.asl.semantic import CheckedSpecification, SemanticChecker
 from repro.asl.symbols import Scope
-from repro.asl.types import ClassType, EnumType, SetType, Type
+from repro.asl.types import ClassType, Type
 from repro.compiler.schema_gen import DUAL_TABLE, PRIMARY_KEY, SchemaMapping
 from repro.records import Record
 
@@ -82,13 +89,24 @@ class CompiledQuery(Record):
 
     ``param_slots`` names, for every ``?`` in textual order, the property
     parameter whose row id (or scalar value) must be bound at execution time.
+    A *folded* query's expression reads no data: ``value`` is what the ASL
+    evaluator computed for it at compile time, and ``sql`` the statement
+    that computes the same value in the database.
     """
 
-    __slots__ = ("sql", "param_slots")
+    __slots__ = ("sql", "param_slots", "folded", "value")
 
-    def __init__(self, sql: str, param_slots: Optional[List[str]] = None) -> None:
+    def __init__(
+        self,
+        sql: str,
+        param_slots: Optional[List[str]] = None,
+        folded: bool = False,
+        value: Any = None,
+    ) -> None:
         self.sql = sql
         self.param_slots = [] if param_slots is None else param_slots
+        self.folded = folded
+        self.value = value
 
     def bind(self, values: Mapping[str, Any]) -> List[Any]:
         """Positional parameter list for ``values`` (param name → id/value)."""
@@ -134,10 +152,19 @@ class CompiledProperty(Record):
 class PropertyCompiler:
     """Compiles checked ASL properties into SQL for a generated schema."""
 
-    def __init__(self, checked: CheckedSpecification, mapping: SchemaMapping) -> None:
+    def __init__(
+        self,
+        checked: CheckedSpecification,
+        mapping: SchemaMapping,
+        constants: Optional[Mapping[str, Any]] = None,
+    ) -> None:
         self.checked = checked
         self.index = checked.index
         self.mapping = mapping
+        #: Values specification constants in the SQL text and folds the
+        #: entries that read no data, with the overrides (``constants``) the
+        #: client-side evaluator of the same analysis sees.
+        self.evaluator = AslEvaluator(checked, constants=constants)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -261,7 +288,36 @@ class PropertyCompiler:
         translator = _ExprTranslator(self, param_types)
         value_sql = translator.value(inlined, context=None)
         sql = f"SELECT {value_sql} AS value FROM {DUAL_TABLE}"
-        return CompiledQuery(sql=sql, param_slots=translator.param_slots)
+        query = CompiledQuery(sql=sql, param_slots=translator.param_slots)
+        if self._reads_no_data(inlined, param_types):
+            try:
+                query.value = self.evaluator.evaluate(inlined, Scope())
+            except (AslError, ArithmeticError, TypeError):
+                # ASL raises here (division by zero, say, or an override of
+                # the wrong type): keep the statement, which the database
+                # evaluates like any other.
+                return query
+            query.folded = True
+        return query
+
+    def _reads_no_data(self, expr: Expr, param_types: Mapping[str, Type]) -> bool:
+        """Whether ``expr`` (inlined) is literals, specification constants and
+        enum members under unary and binary operators, and nothing else."""
+        if isinstance(expr, (IntLiteral, FloatLiteral, BoolLiteral, StringLiteral)):
+            return True
+        if isinstance(expr, Identifier):
+            return expr.name not in param_types and (
+                expr.name in self.index.constants
+                or expr.name in self.index.enum_members
+            )
+        if isinstance(expr, UnaryExpr):
+            return self._reads_no_data(expr.operand, param_types)
+        if isinstance(expr, BinaryExpr):
+            return all(
+                self._reads_no_data(side, param_types)
+                for side in (expr.left, expr.right)
+            )
+        return False
 
 
 # --------------------------------------------------------------------------- #
@@ -442,10 +498,7 @@ class _ExprTranslator:
         if name in self.param_types:
             return self._placeholder(name)
         if name in self.compiler.index.constants:
-            from repro.asl.evaluator import AslEvaluator
-
-            evaluator = AslEvaluator(self.compiler.checked)
-            value = evaluator.constant_value(name)
+            value = self.compiler.evaluator.constant_value(name)
             if isinstance(value, bool):
                 return "TRUE" if value else "FALSE"
             if isinstance(value, (int, float)):

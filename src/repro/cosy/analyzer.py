@@ -33,7 +33,6 @@ from repro.cosy.properties import (
 )
 from repro.cosy.strategies import ClientSideStrategy, EvaluationStrategy
 from repro.datamodel import (
-    FunctionCall,
     PerformanceDatabase,
     ProgVersion,
     Region,

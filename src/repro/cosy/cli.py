@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.apprentice import SimulationConfig, ExecutionSimulator, synthetic_workload
 from repro.asl.specs import cosy_specification
@@ -95,19 +95,27 @@ def build_parser() -> argparse.ArgumentParser:
 def _print_property_queries(specification, mapping, render) -> None:
     """Shared --show-sql / --explain loop: one ``render(label, query)`` per
     compiled condition, confidence and severity query of every property, in
-    the order the pushdown strategy runs them."""
+    the order the pushdown strategy runs them.  An entry the translator
+    folded runs no statement: it prints as ``constant <value>``."""
+
+    def show(label, query):
+        if query.folded:
+            print(f"--   {label}: constant {query.value!r}")
+        else:
+            render(label, query)
+
     compiler = PropertyCompiler(specification, mapping)
     for name, compiled in sorted(compiler.compile_all().items()):
         print(f"-- property {name}")
         for key, query in compiled.conditions:
-            render(f"condition ({key})", query)
+            show(f"condition ({key})", query)
         for kind, entries in (
             ("confidence", compiled.confidence),
             ("severity", compiled.severity),
         ):
             for guard, query in entries:
                 label = f"guard {guard}" if guard else "unguarded"
-                render(f"{kind} ({label})", query)
+                show(f"{kind} ({label})", query)
         print()
 
 

@@ -16,7 +16,7 @@ register additional properties parsed from their own specification documents.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.records import FrozenRecord, slot_setters
 

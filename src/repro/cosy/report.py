@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.cosy.analyzer import AnalysisResult, PropertyInstance
+from repro.cosy.analyzer import AnalysisResult
 
 __all__ = ["format_table", "render_report", "render_speedup_table"]
 

@@ -25,10 +25,12 @@ Two strategies implement that comparison:
 :class:`PushdownStrategy`
     executes the SQL queries generated by
     :class:`repro.compiler.PropertyCompiler`: one statement per condition /
-    confidence / severity expression, each returning a single scalar.  The
-    expression work happens inside the database engine; only the final values
-    cross the (virtual) network.  Each statement is one serial round trip,
-    as in the paper's Section 5 measurements.
+    confidence / severity entry that reads data, each returning a single
+    scalar.  The expression work happens inside the database engine; only the
+    final values cross the (virtual) network.  Each statement is one serial
+    round trip, as in the paper's Section 5 measurements.  An entry that reads
+    no data (the bundled ``CONFIDENCE: 1``) was folded to its value by the
+    translator and costs no statement.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ class PushdownStrategy:
         self.mapping = mapping
         self.client = client
         self.ids = ids
-        self.compiler = PropertyCompiler(checked, mapping)
+        self.compiler = PropertyCompiler(checked, mapping, constants=constants)
         self._compiled: Dict[str, CompiledProperty] = {}
         self._fallback = ClientSideStrategy(checked, constants=constants)
         self.statements_issued = 0
@@ -232,6 +234,8 @@ class PushdownStrategy:
         return binding
 
     def _scalar(self, query, binding: Mapping[str, Any]) -> Any:
+        if query.folded:
+            return query.value
         result = self.client.query(query.sql, query.bind(binding))
         self.statements_issued += 1
         if not result.rows:

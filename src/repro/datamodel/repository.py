@@ -15,20 +15,16 @@ The relational representation is produced from this repository by
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.datamodel.entities import (
-    CallTiming,
     DataModelError,
-    Function,
     FunctionCall,
     Program,
     ProgVersion,
     Region,
-    RegionKind,
     TestRun,
     TotalTiming,
-    TypedTiming,
 )
 from repro.datamodel.timing_types import TimingType
 

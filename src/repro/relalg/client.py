@@ -177,6 +177,16 @@ class DatabaseClient:
         """Total virtual time including backend and client overhead."""
         return self.backend.elapsed
 
+    def reset_clock(self) -> None:
+        """Reset the backend's clock and counters together with this stack's
+        ``client_time``, ``calls`` and ``rows_fetched``, so ``client_time``
+        stays the part of ``elapsed`` this stack charged (keeps the data and
+        the connection)."""
+        self.backend.reset_clock()
+        self.client_time = 0.0
+        self.calls = 0
+        self.rows_fetched = 0
+
     def plan_cache_info(self) -> dict:
         """Plan-cache counters of the engine this client ultimately drives.
 

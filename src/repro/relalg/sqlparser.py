@@ -25,9 +25,8 @@ scalar subqueries.
 
 from __future__ import annotations
 
-import datetime as _dt
 import re
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.records import FrozenRecord, slot_setters
 from repro.relalg.errors import SqlSyntaxError

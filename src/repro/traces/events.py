@@ -11,8 +11,8 @@ approaches, this module defines a minimal event-trace model: a
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["EventKind", "Event", "Trace"]
 

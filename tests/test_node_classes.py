@@ -643,8 +643,8 @@ CONTRACTS = [
     (loader.ObjectIds, "by_class", {"by_class": fresh(dict)}, ALL, "unhashable"),
     (
         sql_gen.CompiledQuery,
-        "sql param_slots",
-        {"param_slots": fresh(list)},
+        "sql param_slots folded value",
+        {"param_slots": fresh(list), "folded": False, "value": None},
         ALL,
         "unhashable",
     ),

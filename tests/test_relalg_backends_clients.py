@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.bench import build_scenario, load_into_backend
+from repro.bench import PerEntryPushdownStrategy, build_scenario, load_into_backend
 from repro.cosy import PushdownStrategy
 from repro.relalg import (
     BACKEND_PROFILES,
@@ -144,7 +144,7 @@ class TestClientLayers:
         bridged = BridgedClient(backend("oracle7"))
         for client in (native, bridged):
             prepare(client.backend, rows=1)
-            client.backend.reset_clock()
+            client.reset_clock()
             for i in range(100):
                 client.fetch_record("SELECT x FROM t WHERE id = ?", [1])
         assert bridged.client_time / native.client_time == pytest.approx(3.0, rel=0.01)
@@ -164,6 +164,24 @@ class TestClientLayers:
         assert client.backend.elapsed > before
         assert client.calls == 1
         assert client.rows_fetched == 1
+
+    @pytest.mark.parametrize("factory", [NativeClient, BridgedClient])
+    def test_reset_clock_resets_the_client_counters_with_the_backend(self, factory):
+        client = factory(backend("oracle7"))
+        client.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x FLOAT)")
+        client.executemany(
+            "INSERT INTO t (id, x) VALUES (?, ?)", [(i, float(i)) for i in range(10)]
+        )
+        client.query("SELECT x FROM t")
+        assert client.client_time > 0 and client.calls and client.rows_fetched
+        client.reset_clock()
+        assert client.client_time == client.elapsed == 0.0
+        assert client.calls == client.rows_fetched == 0
+        assert client.backend.statements_executed == client.backend.rows_fetched == 0
+        # The data stays, and the clock restarts from zero with both parts.
+        assert client.query("SELECT COUNT(*) FROM t").scalar() == 10
+        assert 0 < client.client_time < client.elapsed
+        assert client.calls == client.rows_fetched == 1
 
     def test_executemany_counts_affected_rows(self):
         client = NativeClient(backend("ms_access"))
@@ -191,10 +209,7 @@ class TestExecutemanyAccounting:
     def _client(self, rows=10):
         client = NativeClient(backend("oracle7"))
         prepare(client.backend, rows=rows)
-        client.backend.reset_clock()
-        client.client_time = 0.0
-        client.calls = 0
-        client.rows_fetched = 0
+        client.reset_clock()
         return client
 
     def test_select_executemany_charges_one_row_per_statement(self):
@@ -229,8 +244,7 @@ class TestExecutemanyAccounting:
     def test_dml_mid_batch_failure_charges_committed_batches(self):
         client = NativeClient(backend("oracle7"))
         client.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x FLOAT)")
-        client.client_time = 0.0
-        client.calls = 0
+        client.reset_clock()
         rows = [(i + 1, float(i)) for i in range(120)]
         rows.append((1, 0.0))  # duplicate key in the second batch
         from repro.relalg import IntegrityError
@@ -366,7 +380,8 @@ _PINNED_SCENARIO_CLOCKS = {
 }
 
 #: ``(elapsed, client_time)`` after loading the ``mixed`` scenario on 1, 2,
-#: 4 and 8 PEs, then after the pushdown analysis of its 8-PE run.
+#: 4 and 8 PEs, then after the per-entry pushdown analysis of its 8-PE run
+#: (108 statements: every entry, folded or not, is one statement).
 _PINNED_ANALYSIS_CLOCKS = {
     ("oracle7", "native"): (("0x1.54a05dd8f92b4p-3", "0x1.845dc83233590p-10"), ("0x1.1d992428d434bp-2", "0x1.c4c9c90c4deb9p-9")),
     ("oracle7", "bridged"): (("0x1.5ab1d4f9c1f8bp-3", "0x1.23465625a682bp-8"), ("0x1.24ac4b4d056cbp-2", "0x1.539756c93a718p-7")),
@@ -376,6 +391,20 @@ _PINNED_ANALYSIS_CLOCKS = {
     ("postgres", "bridged"): (("0x1.65996744b2b7ep-4", "0x1.23465625a682bp-8"), ("0x1.386cebbba55d2p-3", "0x1.539756c93a718p-7")),
     ("ms_access", "native"): (("0x1.39a38fbca1058p-7", "0x1.845dc83233590p-10"), ("0x1.4e63a5c1c6096p-6", "0x1.c4c9c90c4deb9p-9")),
     ("ms_access", "bridged"): (("0x1.9abb01c92ddbcp-7", "0x1.23465625a682bp-8"), ("0x1.bf961804d983ap-6", "0x1.539756c93a718p-7")),
+}
+
+#: ``(elapsed, client_time)`` after the same load and the pushdown analysis
+#: with folded entries (69 statements: the translator folds the 39 entries
+#: that read no data, ``CONFIDENCE: 1`` and FrequentBarrier's ``0.8``).
+_PINNED_FOLDED_ANALYSIS_CLOCKS = {
+    ("oracle7", "native"): ("0x1.e9ce8d972cd7ap-3", "0x1.6de33269df96cp-9"),
+    ("oracle7", "bridged"): ("0x1.f53da72a7bd4cp-3", "0x1.126a65cf67b1dp-7"),
+    ("ms_sql_server", "native"): ("0x1.e2784a9478ca7p-4", "0x1.6de33269df96cp-9"),
+    ("ms_sql_server", "bridged"): ("0x1.f9567dbb16c2ep-4", "0x1.126a65cf67b1dp-7"),
+    ("postgres", "native"): ("0x1.fcea86f1f72a7p-4", "0x1.6de33269df96cp-9"),
+    ("postgres", "bridged"): ("0x1.09e45d0c4a919p-3", "0x1.126a65cf67b1dp-7"),
+    ("ms_access", "native"): ("0x1.1628cbd1244a9p-6", "0x1.6de33269df96cp-9"),
+    ("ms_access", "bridged"): ("0x1.71a1986b9c2ffp-6", "0x1.126a65cf67b1dp-7"),
 }
 
 #: ``(elapsed, client_time)`` of E6's batched and row-at-a-time loads of its
@@ -425,17 +454,23 @@ class TestSerialClockIsPinned:
     @pytest.mark.parametrize("backend_name", _PROFILES)
     @pytest.mark.parametrize("factory", [NativeClient, BridgedClient])
     def test_pushdown_analysis(self, mixed_scenario, backend_name, factory):
-        client, ids = load_into_backend(
-            mixed_scenario, backend_name, client_factory=factory
-        )
-        loaded = _clock(client)
-        strategy = PushdownStrategy(
-            mixed_scenario.specification, mixed_scenario.mapping, client, ids
-        )
-        mixed_scenario.analyzer.analyze(strategy=strategy)
-        assert strategy.statements_issued == 108
-        pinned = _PINNED_ANALYSIS_CLOCKS[backend_name, factory.api_name]
-        assert (loaded, _clock(client)) == pinned
+        key = backend_name, factory.api_name
+        for strategy_class, statements, expected in (
+            (PerEntryPushdownStrategy, 108, _PINNED_ANALYSIS_CLOCKS[key]),
+            (PushdownStrategy, 69, (
+                _PINNED_ANALYSIS_CLOCKS[key][0], _PINNED_FOLDED_ANALYSIS_CLOCKS[key]
+            )),
+        ):
+            client, ids = load_into_backend(
+                mixed_scenario, backend_name, client_factory=factory
+            )
+            loaded = _clock(client)
+            strategy = strategy_class(
+                mixed_scenario.specification, mixed_scenario.mapping, client, ids
+            )
+            mixed_scenario.analyzer.analyze(strategy=strategy)
+            assert strategy.statements_issued == statements, strategy_class
+            assert (loaded, _clock(client)) == expected, strategy_class
 
     @pytest.mark.parametrize("backend_name", _PROFILES)
     @pytest.mark.parametrize(

@@ -378,13 +378,13 @@ class TestClientBatchCosts:
     def test_per_call_charged_once_per_batch(self):
         client = NativeClient(backend("ms_access", batch_size=10))
         client.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x FLOAT)")
-        client.client_time = 0.0
+        client.reset_clock()
         rows = [(i + 1, float(i)) for i in range(30)]
         client.executemany("INSERT INTO t (id, x) VALUES (?, ?)", rows)
         costs = client.costs
         expected = 3 * costs.per_call + len(rows) * 2 * costs.per_param
         assert client.client_time == pytest.approx(expected)
-        assert client.calls == 4  # create + 3 batches
+        assert client.calls == 3  # 3 batches
 
     def test_query_raises_execution_error_for_non_select(self):
         client = NativeClient(backend("ms_access"))
@@ -395,8 +395,7 @@ class TestClientBatchCosts:
     def test_failed_batch_still_charges_applied_sub_batches(self):
         client = NativeClient(backend("ms_access", batch_size=10))
         client.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
-        client.client_time = 0.0
-        calls_before = client.calls
+        client.reset_clock()
         # Rows 0..9 commit as one batch; the duplicate in the second batch
         # aborts it, but the first batch's marshalling must still be charged.
         rows = [(i,) for i in range(15)]
@@ -404,7 +403,7 @@ class TestClientBatchCosts:
         with pytest.raises(IntegrityError):
             client.executemany("INSERT INTO t (id) VALUES (?)", rows)
         costs = client.costs
-        assert client.calls - calls_before == 1
+        assert client.calls == 1
         assert client.client_time == pytest.approx(
             costs.per_call + 10 * costs.per_param
         )

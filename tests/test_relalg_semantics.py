@@ -463,6 +463,48 @@ class TestLintEngine:
         assert f"{bad}:3: E400 nested function 'visit'" in proc.stdout
         assert f"{bad}:11: E400 nested function 'recurse'" in proc.stdout
 
+    def test_unused_module_level_import_is_flagged(self, tmp_path):
+        bad = tmp_path / "engine_module.py"
+        bad.write_text(
+            "import math\n"
+            "import os.path\n"
+            "import json as codec\n"
+            "from typing import List, Optional as Maybe\n"
+            "def f(x: List[int]):\n"
+            "    import re  # a function's own import: not module level\n"
+            "    codec = None\n"
+            "    return x\n"
+        )
+        proc = self._run(str(bad))
+        assert proc.returncode == 1
+        flagged = sorted(
+            line.split(": E500 ")[1].split()[0]
+            for line in proc.stdout.splitlines() if ": E500 " in line
+        )
+        assert flagged == ["'Maybe'", "'codec'", "'math'", "'os'"]
+        assert f"{bad}:1: E500 'math' is imported but never used" in proc.stdout
+        assert f"{bad}:4: E500 'Maybe'" in proc.stdout
+
+    def test_reexports_and_string_annotations_pass_e500(self, tmp_path):
+        package = tmp_path / "package"
+        package.mkdir()
+        (package / "__init__.py").write_text("from package.module import Plan\n")
+        (package / "module.py").write_text(
+            "from __future__ import annotations\n"
+            "from typing import TYPE_CHECKING, Dict, List\n"
+            "from os.path import basename, join\n"
+            "from os import *\n"
+            "if TYPE_CHECKING:\n"
+            "    from decimal import Decimal\n"
+            "__all__ = ['Plan', 'join']\n"
+            "class Plan:\n"
+            "    rows: 'List[Decimal]'\n"
+            "    def names(self) -> Dict['str', 'int']:\n"
+            "        return {basename(row): 1 for row in self.rows}\n"
+        )
+        proc = self._run(str(package))
+        assert proc.returncode == 0, proc.stdout
+
     def test_module_level_and_method_recursion_pass_e400(self, tmp_path):
         relalg_dir = tmp_path / "relalg"
         relalg_dir.mkdir()

@@ -531,7 +531,7 @@ class TestClientPassThrough:
     def test_native_client_charges_transaction_statements(self):
         client = NativeClient(backend("oracle7"))
         client.execute(_DDL)
-        client.backend.reset_clock()
+        client.reset_clock()
         client.begin()
         charged = client.elapsed
         assert charged > 0.0

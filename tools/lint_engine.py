@@ -32,6 +32,15 @@ checked trees and reports violations:
     module-level function or a method with explicit arguments instead, or
     build the closure once per plan (see ``planner._level_loops``).
 
+``E500`` — an unused module-level import.  A name an import statement at
+    the top level of a module binds, and that the module never reads, is
+    dead weight on the import path and hides the module's real
+    dependencies.  A package's ``__init__.py`` (which imports to re-export),
+    names listed in ``__all__`` and names read only inside a string
+    annotation are exempt; ``from __future__`` and star imports are not
+    checked.  The check is by name, not by scope: a local of the same name
+    that the module reads counts as a use.
+
 Run as ``python -m tools.lint_engine [paths...]`` (default: ``src/repro``).
 Exit status 0 when clean, 1 when any violation is found.
 """
@@ -140,6 +149,51 @@ def _calls_itself(function: ast.AST) -> bool:
     )
 
 
+def _module_level_imports(tree: ast.Module):
+    """``(name, line)`` of every name an import statement at the top level
+    of the module binds."""
+    for statement in tree.body:
+        if isinstance(statement, ast.Import):
+            for alias in statement.names:
+                yield alias.asname or alias.name.split(".")[0], statement.lineno
+        elif isinstance(statement, ast.ImportFrom) and statement.module != "__future__":
+            for alias in statement.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, statement.lineno
+
+
+def _names_read(tree: ast.Module) -> set:
+    """Every name the module reads, the names inside its string annotations
+    (``x: "Plan"``, ``List["Plan"]``) and the entries of ``__all__``."""
+    names = set()
+    # Annotations and the value of ``__all__``: every string in them is
+    # parsed as an expression, and the names it reads count as read.
+    quoted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            quoted.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            quoted.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            quoted.append(node.value)
+    for expression in quoted:
+        for node in ast.walk(expression):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(
+                    sub.id for sub in ast.walk(parsed) if isinstance(sub, ast.Name)
+                )
+    return names
+
+
 def _lint_file(path: Path) -> List[Violation]:
     source = path.read_text(encoding="utf-8")
     try:
@@ -198,6 +252,18 @@ def _lint_file(path: Path) -> List[Violation]:
                     "deterministic)",
                 )
             )
+    if not in_tests and path.name != "__init__.py":
+        read = _names_read(tree)
+        for name, line in _module_level_imports(tree):
+            if name not in read:
+                violations.append(
+                    Violation(
+                        path, line, "E500",
+                        f"{name!r} is imported but never used (delete the "
+                        "import, or list the name in __all__ if it is "
+                        "re-exported)",
+                    )
+                )
     if in_relalg:
         for function in _nested_functions(tree):
             if _calls_itself(function):
