@@ -210,10 +210,7 @@ class AslExprCompiler:
 
             return local_fn
         evaluator = self.evaluator
-        if (
-            name in evaluator._constant_overrides
-            or name in self.index.constants
-        ):
+        if name in self.index.constants:
             return lambda env: evaluator.constant_value(name)
         if name in evaluator._enum_binding:
             value = evaluator._enum_binding[name]

@@ -52,9 +52,10 @@ from repro.asl.ast_nodes import (
     ValueSpec,
 )
 from repro.asl.compile import AslExprCompiler, CompiledProperty
-from repro.asl.errors import AslEvaluationError, AslNameError
+from repro.asl.errors import AslEvaluationError, AslNameError, AslTypeError
 from repro.asl.semantic import CheckedSpecification
 from repro.asl.symbols import MISSING, Scope
+from repro.asl.types import ANY, BOOL, FLOAT, INT, STRING, Type, is_assignable
 from repro.records import Record
 
 __all__ = ["AslEvaluator", "PropertyEvaluation", "default_enum_binding"]
@@ -100,6 +101,19 @@ class PropertyEvaluation(Record):
         return self.holds and self.severity > threshold
 
 
+#: The ASL type of a constant override, by the value's Python type (``bool``
+#: before ``int``: it is one).  A value of any other type, an enum member or
+#: an object, is not checked.
+_OVERRIDE_TYPES = ((bool, BOOL), (int, INT), (float, FLOAT), (str, STRING))
+
+
+def _override_type(value: Any) -> Type:
+    for python_type, asl_type in _OVERRIDE_TYPES:
+        if isinstance(value, python_type):
+            return asl_type
+    return ANY
+
+
 def default_enum_binding(checked: CheckedSpecification) -> Dict[str, Any]:
     """Bind enum member names of the specification to runtime values.
 
@@ -127,22 +141,39 @@ def default_enum_binding(checked: CheckedSpecification) -> Dict[str, Any]:
 
 
 class AslEvaluator:
-    """Evaluates checked ASL specifications over Python objects."""
+    """Evaluates checked ASL specifications over Python objects.
+
+    ``constants`` overrides the values of specification constants.  Each
+    override is checked here, once, for every analysis that takes one (both
+    strategies and the ASL→SQL translator build their evaluator with it): an
+    override naming no declared constant raises :class:`AslNameError`, one
+    whose value the constant's declared type does not admit raises
+    :class:`AslTypeError`.
+    """
 
     def __init__(
         self,
         checked: CheckedSpecification,
         constants: Optional[Mapping[str, Any]] = None,
-        enum_binding: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self.checked = checked
         self.index = checked.index
         self._constant_overrides: Dict[str, Any] = dict(constants or {})
-        self._enum_binding: Dict[str, Any] = (
-            dict(enum_binding)
-            if enum_binding is not None
-            else default_enum_binding(checked)
-        )
+        for name, value in self._constant_overrides.items():
+            declared = self.index.constant_types.get(name)
+            if declared is None:
+                raise AslNameError(
+                    f"constant override {name!r} = {value!r} names no "
+                    f"declared constant (declared: "
+                    f"{', '.join(sorted(self.index.constants))})"
+                )
+            actual = _override_type(value)
+            if not is_assignable(actual, declared, self.index.subclass_map()):
+                raise AslTypeError(
+                    f"constant {name!r} of type {declared} cannot be "
+                    f"overridden with {value!r} of type {actual}"
+                )
+        self._enum_binding: Dict[str, Any] = default_enum_binding(checked)
         self._constant_cache: Dict[str, Any] = {}
         self._compiler = AslExprCompiler(self)
         #: Property name → compiled program (filled on first evaluation).
@@ -336,7 +367,7 @@ class AslEvaluator:
         value = scope.find(expr.name)
         if value is not MISSING:
             return value
-        if expr.name in self._constant_overrides or expr.name in self.index.constants:
+        if expr.name in self.index.constants:
             return self.constant_value(expr.name)
         if expr.name in self._enum_binding:
             return self._enum_binding[expr.name]

@@ -368,12 +368,11 @@ def load_repository(
     repository: PerformanceDatabase,
     mapping: SchemaMapping,
     executor: SqlExecutor,
-    create_schema: bool = True,
     with_indexes: bool = True,
     batch_size: Optional[int] = DEFAULT_LOAD_BATCH_SIZE,
     atomic: bool = False,
 ) -> ObjectIds:
-    """Create the schema (optionally) and load ``repository`` through ``executor``.
+    """Create the schema and load ``repository`` through ``executor``.
 
     ``batch_size`` buffers inserts per table and flushes them through the
     executor's ``executemany``; ``None`` loads row at a time.  ``atomic=True``
@@ -381,6 +380,5 @@ def load_repository(
     rows commit together or, on failure, none do.
     """
     loader = DatabaseLoader(mapping, executor, batch_size=batch_size)
-    if create_schema:
-        loader.create_schema(with_indexes=with_indexes)
+    loader.create_schema(with_indexes=with_indexes)
     return loader.load(repository, atomic=atomic)

@@ -292,10 +292,9 @@ class PropertyCompiler:
         if self._reads_no_data(inlined, param_types):
             try:
                 query.value = self.evaluator.evaluate(inlined, Scope())
-            except (AslError, ArithmeticError, TypeError):
-                # ASL raises here (division by zero, say, or an override of
-                # the wrong type): keep the statement, which the database
-                # evaluates like any other.
+            except (AslError, ArithmeticError):
+                # ASL raises here (division by zero, say): keep the
+                # statement, which the database evaluates like any other.
                 return query
             query.folded = True
         return query
@@ -569,59 +568,14 @@ class _ExprTranslator:
         return None
 
     def _binary_value(self, expr: BinaryExpr, context: Optional[_QueryContext]) -> str:
-        left_type = self._type_of(expr.left)
-        right_type = self._type_of(expr.right)
-        # Object equality compares row ids / foreign keys.
-        if expr.op in (BinaryOp.EQ, BinaryOp.NE) and (
-            isinstance(left_type, ClassType) or isinstance(right_type, ClassType)
-        ):
-            left = self._object_id(expr.left, context)
-            right = self._object_id(expr.right, context)
-        else:
-            left = self.value(expr.left, context)
-            right = self.value(expr.right, context)
+        # Objects are their row ids, so object equality compares row ids and
+        # foreign keys.
+        left = self.value(expr.left, context)
+        right = self.value(expr.right, context)
         op = _BINOP_SQL.get(expr.op)
         if op is None:
             raise PushdownError(f"operator {expr.op.value!r} is not supported in SQL")
         return f"({left} {op} {right})"
-
-    def _object_id(self, expr: Expr, context: Optional[_QueryContext]) -> str:
-        """SQL text for the row id of an object-valued expression."""
-        expr_type = self._type_of(expr)
-        if isinstance(expr, AttributeAccess) and context is not None:
-            obj_type = self._type_of(expr.obj)
-            if isinstance(obj_type, ClassType):
-                attribute = self.compiler.mapping.attribute(
-                    obj_type.name, expr.attribute
-                )
-                if attribute.kind == "reference":
-                    source_alias = self._alias_for_row(expr.obj, context)
-                    if source_alias is not None:
-                        return f"{source_alias}.{attribute.column}"
-        if isinstance(expr, AggregateExpr) and expr.is_unique:
-            return self._aggregate_value(expr, context, wanted_column=PRIMARY_KEY)
-        if isinstance(expr, Identifier):
-            return self._identifier_value(expr, context)
-        if isinstance(expr_type, ClassType) and isinstance(expr, AttributeAccess):
-            # Reference attribute of an object reachable only by id: select the
-            # foreign-key column instead of dereferencing the target row.
-            obj_type = self._type_of(expr.obj)
-            if isinstance(obj_type, ClassType):
-                attribute = self.compiler.mapping.attribute(
-                    obj_type.name, expr.attribute
-                )
-                if attribute.kind == "reference":
-                    if isinstance(expr.obj, AggregateExpr) and expr.obj.is_unique:
-                        return self._aggregate_value(
-                            expr.obj, context, wanted_column=attribute.column
-                        )
-                    table = self.compiler.mapping.table_for(obj_type.name)
-                    object_id = self.value(expr.obj, context)
-                    return (
-                        f"(SELECT {attribute.column} FROM {table} "
-                        f"WHERE {PRIMARY_KEY} = {object_id})"
-                    )
-        return self.value(expr, context)
 
     # -- aggregates / UNIQUE ------------------------------------------------------
 
@@ -716,7 +670,7 @@ class _ExprTranslator:
         outer_context: Optional[_QueryContext],
     ) -> str:
         """WHERE condition binding the element table to the owning object."""
-        owner_id = self._object_id(source.obj, outer_context)
+        owner_id = self.value(source.obj, outer_context)
         return f"{context.base_alias}.{collection.column} = {owner_id}"
 
     def _build_select(

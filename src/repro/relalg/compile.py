@@ -66,6 +66,7 @@ __all__ = [
     "compile_row_expr",
     "compile_group_expr",
     "compile_insert_binder",
+    "resolve_column",
 ]
 
 #: A compiled per-row expression: ``fn(row, ctx) -> value``.
@@ -111,47 +112,54 @@ class SlotLayout:
     are stable under join reordering.
     """
 
-    __slots__ = ("bindings", "offsets", "columns", "width")
+    __slots__ = ("bindings", "ranges", "width")
 
     def __init__(self, bindings: List[Tuple[str, Table]]) -> None:
         self.bindings = bindings
-        self.offsets = {}
-        self.columns = {}
+        self.ranges: Dict[str, Tuple[int, int]] = {}
         offset = 0
         for binding, table in bindings:
-            self.offsets[binding] = offset
-            lowered = [c.name.lower() for c in table.schema.columns]
-            self.columns[binding] = lowered
-            offset += len(lowered)
+            end = offset + len(table.schema.columns)
+            self.ranges[binding] = (offset, end)
+            offset = end
         self.width = offset
 
     def range_of(self, binding: str) -> Tuple[int, int]:
         """``(offset, offset + n_columns)`` of one binding."""
-        offset = self.offsets[binding]
-        return offset, offset + len(self.columns[binding])
+        return self.ranges[binding]
 
     def resolve(self, ref: ColumnRef) -> int:
-        """The slot of a (possibly qualified) column reference.
+        """The slot of a (possibly qualified) column reference, resolved by
+        :func:`resolve_column` at plan time rather than per row."""
+        binding, _table, index = resolve_column(ref, self.bindings)
+        return self.ranges[binding][0] + index
 
-        Raises :class:`ExecutionError` for unknown and ambiguous references —
-        at plan time rather than per row, with the interpreter's messages.
-        """
-        name = ref.name.lower()
-        if ref.table is not None:
-            binding = ref.table.lower()
-            columns = self.columns.get(binding)
-            if columns is None or name not in columns:
-                raise ExecutionError(f"unknown column {ref}")
-            return self.offsets[binding] + columns.index(name)
-        matches = [
-            binding for binding, columns in self.columns.items() if name in columns
-        ]
-        if not matches:
-            raise ExecutionError(f"unknown column {ref}")
-        if len(matches) > 1:
-            raise ExecutionError(f"ambiguous column reference {ref.name!r}")
-        binding = matches[0]
-        return self.offsets[binding] + self.columns[binding].index(name)
+
+def resolve_column(
+    ref: ColumnRef, bindings: Sequence[Tuple[str, Table]]
+) -> Tuple[str, Table, int]:
+    """``(binding, table, column index)`` a column reference names.
+
+    The one name-resolution rule of every engine and of the analyzer: a
+    qualified reference names a column of its own binding, an unqualified
+    one the column of the single binding whose table declares that name.
+    Raises :class:`ExecutionError` for unknown and ambiguous references,
+    with the messages every engine reports.
+    """
+    name = ref.name.lower()
+    qualifier = None if ref.table is None else ref.table.lower()
+    matches = [
+        (binding, table, index)
+        for binding, table in bindings
+        if qualifier is None or binding == qualifier
+        for index, column in enumerate(table.schema.columns)
+        if column.name.lower() == name
+    ]
+    if not matches:
+        raise ExecutionError(f"unknown column {ref}")
+    if len(matches) > 1:
+        raise ExecutionError(f"ambiguous column reference {ref.name!r}")
+    return matches[0]
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,19 @@
 """The reference (interpreted) SELECT executor.
 
 This is the engine the repository seeded with: it re-walks the SQL AST for
-every row — :meth:`_eval` dispatches on node type per predicate per row, the
-required-bindings sets are recomputed at every join level and joins are
-nested loops with at best an index probe per level (every indexed equality
-conjunct of the level, their buckets intersected — the planner's rule).
+every row — :meth:`_eval` dispatches on node type per predicate per row over
+dict environments, the required-bindings sets are recomputed at every join
+level and joins are nested loops in syntactic order with at best an index
+probe per level.
+
+What shapes a statement is not its own: the FROM scope, the ON/WHERE
+conjunct list, the bindings a conjunct needs and the output column names
+come from :mod:`repro.relalg.semantics`, and a level's index probe is the
+planner's (``planner._probe_keys``: every indexed equality conjunct of the
+level, their buckets intersected), so both engines reject, probe and count
+alike by construction.  Its own are the per-row evaluation, the value
+lookup of a column in a row environment, the nested loops, the grouping and
+the sort.
 
 It is kept, unchanged in semantics, for two reasons:
 
@@ -19,11 +28,10 @@ It is kept, unchanged in semantics, for two reasons:
 One bug of the seed is fixed in both engines: pending predicates are
 partitioned by node *identity* rather than structural equality, so duplicate
 conjuncts (``WHERE a = 1 AND a = 1``) are each filed exactly once.  And the
-access rule both engines share changed once: a level's index probe takes
-every indexed equality conjunct (see :meth:`_index_probe`), evaluates each
-key once per probe and lets its errors raise — the seed skipped a probe
-whose key raised, and so returned ``[]`` on an empty table where the
-compiled engine raised.
+probe rule changed once: a level's index probe takes every indexed equality
+conjunct, evaluates each key once per probe and lets its errors raise — the
+seed skipped a probe whose key raised, and so returned ``[]`` on an empty
+table where the compiled engine raised.
 """
 
 from __future__ import annotations
@@ -38,8 +46,16 @@ from repro.relalg.compile import (
     _apply_function,
     _negate,
 )
-from repro.relalg.errors import ExecutionError, SchemaError
-from repro.relalg.semantics import check_select, resolve_order_by
+from repro.relalg.errors import ExecutionError
+from repro.relalg.planner import _probe_keys
+from repro.relalg.semantics import (
+    check_select,
+    output_columns,
+    required_bindings,
+    resolve_order_by,
+    select_bindings,
+    select_conjuncts,
+)
 from repro.relalg.rowset import (
     QueryStats,
     ResultSet,
@@ -61,9 +77,7 @@ from repro.relalg.sqlast import (
     SelectStatement,
     SqlExpr,
     Star,
-    TableRef,
     UnaryOperation,
-    walk,
 )
 from repro.relalg.storage import Table
 
@@ -99,27 +113,25 @@ class InterpretedSelectExecutor:
 
     def execute(self, statement: SelectStatement) -> ResultSet:
         """Run the statement and return the materialised result."""
-        bindings = self._bindings(statement)
+        bindings = select_bindings(statement, self.tables)
         # Reject statically ill-typed statements exactly as the planner does
         # (same analyzer, same SemanticError), so the reference engine and
         # the compiled engines stay differentially identical.
         check_select(statement, self.tables)
+        columns = output_columns(statement, bindings)
         # Resolved before any row is read, exactly where the planner resolves
         # it, so a bad ORDER BY raises the same error on an empty table.
         order = (
-            resolve_order_by(
-                statement, self._output_columns(statement, bindings)
-            )
-            if statement.order_by
-            else []
+            resolve_order_by(statement, columns) if statement.order_by else []
         )
-        conjuncts = self._conjuncts(statement)
-        rows = list(self._enumerate_rows(bindings, conjuncts))
+        rows = list(
+            self._join_level(bindings, 0, {}, select_conjuncts(statement))
+        )
 
         if statement.is_aggregate_query:
-            columns, result_rows = self._aggregate(statement, rows)
+            result_rows = self._aggregate(statement, rows)
         else:
-            columns, result_rows = self._project(statement, bindings, rows)
+            result_rows = self._project(statement, bindings, rows)
 
         if order:
             result_rows = self._order(order, rows, result_rows)
@@ -146,40 +158,6 @@ class InterpretedSelectExecutor:
     # FROM / WHERE
     # ------------------------------------------------------------------ #
 
-    def _bindings(self, statement: SelectStatement) -> List[Tuple[str, Table]]:
-        refs: List[TableRef] = list(statement.from_tables) + [
-            join.table for join in statement.joins
-        ]
-        if not refs:
-            raise ExecutionError("SELECT requires at least one table")
-        bindings: List[Tuple[str, Table]] = []
-        seen = set()
-        for ref in refs:
-            table = self.tables.get(ref.name.lower())
-            if table is None:
-                raise SchemaError(f"unknown table {ref.name!r}")
-            binding = ref.binding.lower()
-            if binding in seen:
-                raise ExecutionError(f"duplicate table binding {ref.binding!r}")
-            seen.add(binding)
-            bindings.append((binding, table))
-        return bindings
-
-    def _conjuncts(self, statement: SelectStatement) -> List[SqlExpr]:
-        conjuncts: List[SqlExpr] = []
-        for join in statement.joins:
-            if join.on is not None:
-                conjuncts.extend(_split_and(join.on))
-        if statement.where is not None:
-            conjuncts.extend(_split_and(statement.where))
-        return conjuncts
-
-    def _enumerate_rows(
-        self, bindings: List[Tuple[str, Table]], conjuncts: List[SqlExpr]
-    ) -> Iterator[RowEnv]:
-        """Nested-loop join with index lookups and early predicate application."""
-        return self._join_level(bindings, 0, {}, list(conjuncts))
-
     def _join_level(
         self,
         bindings: List[Tuple[str, Table]],
@@ -200,15 +178,14 @@ class InterpretedSelectExecutor:
         # partitioned by identity so duplicate conjuncts are each filed
         # exactly once.
         applicable = [
-            p
-            for p in pending
-            if self._required_bindings(p, bindings) <= bound
+            p for p in pending if required_bindings(p, bindings) <= bound
         ]
         applicable_ids = {id(p) for p in applicable}
         later = [p for p in pending if id(p) not in applicable_ids]
-        # Try an index probe driven by the equality predicates.
-        probe = self._index_probe(
-            table, binding, applicable, bindings, bound - {binding}
+        # Try an index probe driven by the equality predicates: the
+        # planner's rule, so both engines probe (and count) alike.
+        probe = _probe_keys(
+            table, binding, applicable, bound - {binding}, bindings
         )
         if probe:
             # Every key is evaluated once per probe, in conjunct order, and
@@ -234,70 +211,6 @@ class InterpretedSelectExecutor:
             if all(_is_true(self._eval(p, row_env)) for p in filters):
                 yield from self._join_level(bindings, level + 1, row_env, later)
 
-    def _index_probe(
-        self,
-        table: Table,
-        binding: str,
-        predicates: List[SqlExpr],
-        bindings: List[Tuple[str, Table]],
-        already_bound: set,
-    ) -> List[Tuple[str, SqlExpr, SqlExpr]]:
-        """The equality predicates one index probe on ``table`` consumes.
-
-        The first equality predicate on an indexed column of ``binding``
-        whose other side is computable from the already bound rows, then
-        every later one on a *different* indexed column; a second predicate
-        on an already-probed column stays a filter.  Returns ``(column, key
-        expression, predicate)`` triples in predicate order (empty: no
-        probe).
-        """
-        keys: List[Tuple[str, SqlExpr, SqlExpr]] = []
-        probed = set()
-        for predicate in predicates:
-            if not (
-                isinstance(predicate, BinaryOperation)
-                and predicate.op is BinaryOperator.EQ
-            ):
-                continue
-            for this, other in (
-                (predicate.left, predicate.right),
-                (predicate.right, predicate.left),
-            ):
-                if not isinstance(this, ColumnRef):
-                    continue
-                if this.table is not None and this.table.lower() != binding:
-                    continue
-                if this.table is None and not _column_in_table(table, this.name):
-                    continue
-                if table.index_for(this.name) is None:
-                    continue
-                # The other side must be computable from the already bound rows.
-                if not self._required_bindings(other, bindings) <= already_bound:
-                    continue
-                if this.name.lower() not in probed:
-                    probed.add(this.name.lower())
-                    keys.append((this.name, other, predicate))
-                break
-        return keys
-
-    def _required_bindings(
-        self, expr: SqlExpr, bindings: List[Tuple[str, Table]]
-    ) -> set:
-        """The table bindings that must be bound before ``expr`` can be
-        evaluated.  A scalar subquery is self-contained and requires nothing
-        from the outer query (correlated subqueries are not supported)."""
-        refs: set = set()
-        for node in walk(expr):
-            if not isinstance(node, ColumnRef):
-                continue
-            if node.table is not None:
-                refs.add(node.table.lower())
-            else:
-                for binding, table in bindings:
-                    if _column_in_table(table, node.name):
-                        refs.add(binding)
-        return refs
-
     # ------------------------------------------------------------------ #
     # projection and aggregation
     # ------------------------------------------------------------------ #
@@ -307,8 +220,7 @@ class InterpretedSelectExecutor:
         statement: SelectStatement,
         bindings: List[Tuple[str, Table]],
         rows: List[RowEnv],
-    ) -> Tuple[List[str], List[Tuple[Any, ...]]]:
-        columns = self._output_columns(statement, bindings)
+    ) -> List[Tuple[Any, ...]]:
         result: List[Tuple[Any, ...]] = []
         for env in rows:
             values: List[Any] = []
@@ -318,11 +230,11 @@ class InterpretedSelectExecutor:
                 else:
                     values.append(self._eval(item.expr, env))
             result.append(tuple(values))
-        return columns, result
+        return result
 
     def _aggregate(
         self, statement: SelectStatement, rows: List[RowEnv]
-    ) -> Tuple[List[str], List[Tuple[Any, ...]]]:
+    ) -> List[Tuple[Any, ...]]:
         groups: Dict[Tuple[Any, ...], List[RowEnv]] = {}
         order: List[Tuple[Any, ...]] = []
         if statement.group_by:
@@ -338,9 +250,6 @@ class InterpretedSelectExecutor:
             groups[()] = rows
             order.append(())
 
-        columns = [
-            item.alias or _column_name(item.expr) for item in statement.items
-        ]
         result: List[Tuple[Any, ...]] = []
         for key in order:
             group_rows = groups[key]
@@ -352,7 +261,7 @@ class InterpretedSelectExecutor:
                 for item in statement.items
             )
             result.append(values)
-        return columns, result
+        return result
 
     def _order(
         self,
@@ -375,22 +284,6 @@ class InterpretedSelectExecutor:
 
         positions = sorted(range(len(result_rows)), key=key_for)
         return [result_rows[p] for p in positions]
-
-    def _output_columns(
-        self, statement: SelectStatement, bindings: List[Tuple[str, Table]]
-    ) -> List[str]:
-        columns: List[str] = []
-        for item in statement.items:
-            if isinstance(item.expr, Star):
-                for binding, table in bindings:
-                    if item.expr.table is not None and (
-                        item.expr.table.lower() != binding
-                    ):
-                        continue
-                    columns.extend(table.schema.column_names)
-            else:
-                columns.append(item.alias or _column_name(item.expr))
-        return columns
 
     def _star_values(
         self, star: Star, bindings: List[Tuple[str, Table]], env: RowEnv
@@ -524,7 +417,9 @@ class InterpretedSelectExecutor:
             if expr.op == "NOT":
                 return None if value is None else (not _is_true(value))
             return _negate(value, expr)
-        if isinstance(expr, (Literal, Placeholder, ScalarSubquery)):
+        # A `*` item raises as it does in the compiled engines, also for an
+        # empty group.
+        if isinstance(expr, (Literal, Placeholder, ScalarSubquery, Star)):
             return self._eval(expr, {})
         # Plain column references inside an aggregate query pick the value of
         # the first row of the group (they are expected to be grouping keys).
@@ -580,27 +475,8 @@ class InterpretedSelectExecutor:
 # --------------------------------------------------------------------------- #
 
 
-def _split_and(expr: SqlExpr) -> List[SqlExpr]:
-    if isinstance(expr, BinaryOperation) and expr.op is BinaryOperator.AND:
-        return _split_and(expr.left) + _split_and(expr.right)
-    return [expr]
-
-
 def _row_mapping(table: Table, row: Tuple[Any, ...]) -> Dict[str, Any]:
     return {
         column.name.lower(): value
         for column, value in zip(table.schema.columns, row)
     }
-
-
-def _column_in_table(table: Table, column: str) -> bool:
-    lowered = column.lower()
-    return any(c.name.lower() == lowered for c in table.schema.columns)
-
-
-def _column_name(expr: SqlExpr) -> str:
-    if isinstance(expr, ColumnRef):
-        return expr.name
-    if isinstance(expr, FunctionExpr):
-        return expr.name.lower()
-    return "expr"

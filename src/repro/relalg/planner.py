@@ -83,7 +83,6 @@ from repro.relalg.compile import (
     compile_group_expr,
     compile_row_expr,
 )
-from repro.relalg.errors import ExecutionError, SchemaError
 from repro.relalg.rowset import (
     QueryStats,
     ResultSet,
@@ -96,21 +95,22 @@ from repro.relalg.sqlast import (
     BinaryOperation,
     BinaryOperator,
     ColumnRef,
-    FunctionExpr,
     InList,
     IsNull,
     ScalarSubquery,
     SelectStatement,
     SqlExpr,
     Star,
-    TableRef,
     walk,
 )
 from repro.relalg.semantics import (
     Analysis,
     RangeInterval,
     analyze_select,
+    output_columns,
+    required_bindings,
     resolve_order_by,
+    select_bindings,
 )
 from repro.relalg import storage
 from repro.relalg.storage import (
@@ -1073,7 +1073,7 @@ def _plan_select(
     tables: Dict[str, Table],
     analysis: Optional[Analysis],
 ) -> QueryPlan:
-    bindings = _bindings(statement, tables)
+    bindings = select_bindings(statement, tables)
     layout = SlotLayout(bindings)
     # Static semantic analysis: typed rejection before any compilation, then
     # the folded/pruned conjunct rewrite feeds planning.  A subquery's
@@ -1084,21 +1084,21 @@ def _plan_select(
         analysis = analyze_select(statement, tables)
     if analysis.errors:
         raise analysis.errors[0]
-    # ``_bindings`` succeeded, so the analysis built the same scope and its
-    # conjunct list is set.
+    # ``select_bindings`` succeeded, so the analysis built the same scope
+    # and its conjunct list is set.
     conjuncts = analysis.conjuncts
     contradiction = analysis.contradiction
     analysis_report = analysis.report
     intervals = analysis.intervals
     plan_subquery = subquery_planner(tables, analysis)[0]
     required = {
-        id(conjunct): _required_bindings(conjunct, bindings)
+        id(conjunct): required_bindings(conjunct, bindings)
         for conjunct in conjuncts
     }
     levels = _plan_levels(
         bindings, conjuncts, required, layout, plan_subquery, intervals
     )
-    columns = _output_columns(statement, bindings)
+    columns = output_columns(statement, bindings)
 
     # Vectorized drive mode: decided here, once, behind the access-path seam.
     # Eligible iff the driving level is a plain table scan and every one
@@ -1326,53 +1326,6 @@ def _direct_subselects(select: SelectStatement) -> List[SelectStatement]:
     ]
 
 
-# -- FROM / WHERE ----------------------------------------------------------- #
-
-
-def _bindings(
-    statement: SelectStatement, tables: Dict[str, Table]
-) -> List[Tuple[str, Table]]:
-    refs: List[TableRef] = list(statement.from_tables) + [
-        join.table for join in statement.joins
-    ]
-    if not refs:
-        raise ExecutionError("SELECT requires at least one table")
-    bindings: List[Tuple[str, Table]] = []
-    seen = set()
-    for ref in refs:
-        table = tables.get(ref.name.lower())
-        if table is None:
-            raise SchemaError(f"unknown table {ref.name!r}")
-        binding = ref.binding.lower()
-        if binding in seen:
-            raise ExecutionError(f"duplicate table binding {ref.binding!r}")
-        seen.add(binding)
-        bindings.append((binding, table))
-    return bindings
-
-
-def _required_bindings(
-    expr: SqlExpr, bindings: List[Tuple[str, Table]]
-) -> Set[str]:
-    """The table bindings that must be bound before ``expr`` can be evaluated.
-
-    Qualified column references require their binding; unqualified ones
-    require every binding whose table declares a column of that name.  Scalar
-    subqueries are self-contained and require nothing from the outer query.
-    """
-    refs: Set[str] = set()
-    for node in walk(expr):
-        if not isinstance(node, ColumnRef):
-            continue
-        if node.table is not None:
-            refs.add(node.table.lower())
-        else:
-            for binding, table in bindings:
-                if _column_in_table(table, node.name):
-                    refs.add(binding)
-    return refs
-
-
 # -- cardinality estimation -------------------------------------------------- #
 
 #: Assumed selectivity of an equality filter on a column with no index (and
@@ -1509,11 +1462,12 @@ def _probe_candidates(
 ) -> Iterator[Tuple[str, SqlExpr, SqlExpr]]:
     """The equality conjuncts usable as a probe on ``table``, in order.
 
-    ``indexed=True`` looks for index probes (mirroring the interpreted
-    engine's choice exactly); ``indexed=False`` looks for hash-join probes:
-    an *unindexed* column equated with an expression over at least one
-    already-bound binding (a constant equality stays a plain filter — hashing
-    a whole table to probe it with one constant would only reshuffle work).
+    ``indexed=True`` looks for index probes (the interpreted engine takes
+    the same ones, through :func:`_probe_keys`); ``indexed=False`` looks for
+    hash-join probes: an *unindexed* column equated with an expression over
+    at least one already-bound binding (a constant equality stays a plain
+    filter — hashing a whole table to probe it with one constant would only
+    reshuffle work).
 
     Yields ``(column_name, key_expression, predicate)``, at most once per
     predicate.
@@ -1530,14 +1484,12 @@ def _probe_candidates(
         ):
             if not isinstance(this, ColumnRef):
                 continue
-            if this.table is not None and this.table.lower() != binding:
-                continue
-            if this.table is None and not _column_in_table(table, this.name):
+            if binding not in required_bindings(this, bindings):
                 continue
             has_index = table.index_for(this.name) is not None
             if indexed != has_index:
                 continue
-            other_required = _required_bindings(other, bindings)
+            other_required = required_bindings(other, bindings)
             if not other_required <= already_bound:
                 continue
             if not indexed and not other_required:
@@ -1559,8 +1511,8 @@ def _probe_keys(
     The first is the first of :func:`_probe_candidates`; after it come the
     later equality conjuncts on a *different* indexed column of ``binding``
     whose other side is already bound.  A second conjunct on an already-probed
-    column stays a filter.  The interpreted engine's ``_index_probe``
-    applies the same rule, so both engines probe (and count) alike.
+    column stays a filter.  The interpreted engine calls this function at
+    every join level too, so both engines probe (and count) alike.
     """
     keys: List[Tuple[str, SqlExpr, SqlExpr]] = []
     probed: Set[str] = set()
@@ -1621,16 +1573,14 @@ def _range_candidate(
         ):
             if not isinstance(this, ColumnRef):
                 continue
-            if this.table is not None and this.table.lower() != binding:
-                continue
-            if this.table is None and not _column_in_table(table, this.name):
+            if binding not in required_bindings(this, bindings):
                 continue
             column = this.name.lower()
             if table.ordered_index_for(column) is None:
                 continue
             if any(isinstance(node, ScalarSubquery) for node in walk(other)):
                 continue
-            if not _required_bindings(other, bindings) <= already_bound:
+            if not required_bindings(other, bindings) <= already_bound:
                 continue
             if column not in found:
                 found[column] = []
@@ -1849,37 +1799,7 @@ def _plan_levels(
     return levels
 
 
-def _column_in_table(table: Table, column: str) -> bool:
-    lowered = column.lower()
-    return any(c.name.lower() == lowered for c in table.schema.columns)
-
-
 # -- projection / ordering --------------------------------------------------- #
-
-
-def _output_columns(
-    statement: SelectStatement, bindings: List[Tuple[str, Table]]
-) -> List[str]:
-    columns: List[str] = []
-    for item in statement.items:
-        if isinstance(item.expr, Star):
-            for binding, table in bindings:
-                if item.expr.table is not None and (
-                    item.expr.table.lower() != binding
-                ):
-                    continue
-                columns.extend(table.schema.column_names)
-        else:
-            columns.append(item.alias or _column_name(item.expr))
-    return columns
-
-
-def _column_name(expr: SqlExpr) -> str:
-    if isinstance(expr, ColumnRef):
-        return expr.name
-    if isinstance(expr, FunctionExpr):
-        return expr.name.lower()
-    return "expr"
 
 
 def _compile_projection(

@@ -39,6 +39,16 @@ an all-NULL ``s`` column would have returned zero rows instead of raising,
 but is still rejected because it fails on every row where the comparison is
 actually evaluated.
 
+The module also holds the statement scope every engine shares, so the
+planner, the analyzer and the interpreted reference engine cannot disagree
+on it: the FROM bindings and their typed errors (:func:`select_bindings`),
+the ON/WHERE conjunct list (:func:`select_conjuncts`), the bindings a
+conjunct needs (:func:`required_bindings`), the output column names
+(:func:`output_columns`) and the ORDER BY resolution
+(:func:`resolve_order_by`).  Column resolution is
+:func:`repro.relalg.compile.resolve_column`, beside the slot layout it
+serves.
+
 Constant folding is applied by the *planner* only (the interpreted reference
 engine evaluates the original AST); folding never changes result rows, but a
 folded conjunct such as ``x = 1 + 1`` may classify as an index probe where
@@ -49,11 +59,11 @@ QueryStats relative to the interpreter for such statements.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.records import Record
-from repro.relalg.compile import _apply_binop
-from repro.relalg.errors import ExecutionError, SemanticError
+from repro.relalg.compile import _apply_binop, resolve_column
+from repro.relalg.errors import ExecutionError, SchemaError, SemanticError
 from repro.relalg.rowset import _is_true
 from repro.relalg.schema import ColumnType
 from repro.relalg.sqlast import (
@@ -83,7 +93,11 @@ __all__ = [
     "analyze_select",
     "check_select",
     "check_delete",
+    "output_columns",
+    "required_bindings",
     "resolve_order_by",
+    "select_bindings",
+    "select_conjuncts",
 ]
 
 
@@ -299,6 +313,108 @@ def check_delete(
     return analysis
 
 
+# --------------------------------------------------------------------------- #
+# statement scope: the rules that shape a SELECT, shared by every engine
+# --------------------------------------------------------------------------- #
+
+
+def select_bindings(
+    statement: SelectStatement, tables: Dict[str, Table]
+) -> List[Tuple[str, Table]]:
+    """The statement's ``(binding, table)`` scope: the FROM list, then the
+    joined tables, in syntactic order.
+
+    Raises the errors every engine reports before any other: a SELECT
+    without a table and a binding named twice (:class:`ExecutionError`), an
+    unknown table (:class:`SchemaError`).
+    """
+    refs: List[TableRef] = list(statement.from_tables) + [
+        join.table for join in statement.joins
+    ]
+    if not refs:
+        raise ExecutionError("SELECT requires at least one table")
+    bindings: List[Tuple[str, Table]] = []
+    seen = set()
+    for ref in refs:
+        table = tables.get(ref.name.lower())
+        if table is None:
+            raise SchemaError(f"unknown table {ref.name!r}")
+        binding = ref.binding.lower()
+        if binding in seen:
+            raise ExecutionError(f"duplicate table binding {ref.binding!r}")
+        seen.add(binding)
+        bindings.append((binding, table))
+    return bindings
+
+
+def select_conjuncts(statement: SelectStatement) -> List[SqlExpr]:
+    """The statement's ON and WHERE conjuncts: every join's ON clause in
+    syntactic order, then the WHERE clause, each split at its top-level
+    ``AND`` operators."""
+    conjuncts: List[SqlExpr] = []
+    for join in statement.joins:
+        if join.on is not None:
+            conjuncts.extend(_split_and(join.on))
+    if statement.where is not None:
+        conjuncts.extend(_split_and(statement.where))
+    return conjuncts
+
+
+def _split_and(expr: SqlExpr) -> List[SqlExpr]:
+    if isinstance(expr, BinaryOperation) and expr.op is BinaryOperator.AND:
+        return _split_and(expr.left) + _split_and(expr.right)
+    return [expr]
+
+
+def required_bindings(
+    expr: SqlExpr, bindings: Sequence[Tuple[str, Table]]
+) -> Set[str]:
+    """The table bindings that must be bound before ``expr`` can be evaluated.
+
+    Qualified column references require their binding; unqualified ones
+    require every binding whose table declares a column of that name.  Scalar
+    subqueries are self-contained and require nothing from the outer query.
+    """
+    refs: Set[str] = set()
+    for node in walk(expr):
+        if not isinstance(node, ColumnRef):
+            continue
+        if node.table is not None:
+            refs.add(node.table.lower())
+            continue
+        name = node.name.lower()
+        for binding, table in bindings:
+            if any(c.name.lower() == name for c in table.schema.columns):
+                refs.add(binding)
+    return refs
+
+
+def output_columns(
+    statement: SelectStatement, bindings: Sequence[Tuple[str, Table]]
+) -> List[str]:
+    """The result's column names: a ``*`` item expands to its bindings'
+    columns, any other item is named by its alias, else by its column or
+    function name, else ``expr``."""
+    columns: List[str] = []
+    for item in statement.items:
+        if isinstance(item.expr, Star):
+            for binding, table in bindings:
+                if item.expr.table is not None and (
+                    item.expr.table.lower() != binding
+                ):
+                    continue
+                columns.extend(table.schema.column_names)
+        elif item.alias:
+            columns.append(item.alias)
+        elif isinstance(item.expr, ColumnRef):
+            columns.append(item.expr.name)
+        elif isinstance(item.expr, FunctionExpr):
+            columns.append(item.expr.name.lower())
+        else:
+            columns.append("expr")
+    return columns
+
+
 def resolve_order_by(
     statement: SelectStatement, columns: Sequence[str]
 ) -> List[Tuple[Optional[int], SqlExpr, bool]]:
@@ -471,22 +587,13 @@ class _Analyzer:
         self.tables = tables
         self.result = Analysis()
         self.applicable = True
-        self.bindings: List[Tuple[str, Table]] = []
-        refs = list(statement.from_tables) + [
-            join.table for join in statement.joins
-        ]
-        seen = set()
-        for ref in refs:
-            table = tables.get(ref.name.lower())
-            binding = ref.binding.lower()
-            if table is None or binding in seen:
-                # unknown table / duplicate binding: the engines' own
-                # SchemaError / ExecutionError paths fire before analysis.
-                self.applicable = False
-                return
-            seen.add(binding)
-            self.bindings.append((binding, table))
-        if not refs:
+        try:
+            self.bindings = select_bindings(statement, tables)
+        except (ExecutionError, SchemaError):
+            # Every engine raises this error from its own call before the
+            # analysis matters; a subquery's stays soft, so its parent's
+            # first error is the one reported.
+            self.bindings = []
             self.applicable = False
 
     # -- entry point ------------------------------------------------------------
@@ -520,7 +627,7 @@ class _Analyzer:
         del self.result.errors[n_errors:]
         del self.result.warnings[n_warnings:]
 
-        self._process_conjuncts(self._split_conjuncts())
+        self._process_conjuncts(select_conjuncts(statement))
         report = list(self.result.report)
         report.extend(f"warning: {text}" for text in self.result.warnings)
         self.result.report = tuple(report)
@@ -625,15 +732,6 @@ class _Analyzer:
         self.result.intervals = intervals
         self.result.report = tuple(report)
 
-    def _split_conjuncts(self) -> List[SqlExpr]:
-        conjuncts: List[SqlExpr] = []
-        for join in self.statement.joins:
-            if join.on is not None:
-                conjuncts.extend(_split_and(join.on))
-        if self.statement.where is not None:
-            conjuncts.extend(_split_and(self.statement.where))
-        return conjuncts
-
     def _null_operand_conjunct(self, conjunct: SqlExpr) -> bool:
         """A comparison/arithmetic conjunct with a literal NULL side is NULL
         (falsy) for every row."""
@@ -665,10 +763,10 @@ class _Analyzer:
             return None
         if literal.value is None:
             return None
-        resolved = self._resolve_binding(ref)
+        resolved = self._resolve(ref)
         if resolved is None:
             return None
-        return (resolved, ref.name.lower()), literal.value
+        return (resolved[0], ref.name.lower()), literal.value
 
     _FLIPPED_COMPARISON = {
         BinaryOperator.LT: BinaryOperator.GT,
@@ -697,10 +795,10 @@ class _Analyzer:
             return None
         if literal.value is None:
             return None
-        resolved = self._resolve_binding(ref)
+        resolved = self._resolve(ref)
         if resolved is None:
             return None
-        return (resolved, ref.name.lower()), op, literal.value
+        return (resolved[0], ref.name.lower()), op, literal.value
 
     @staticmethod
     def _merge_bound(
@@ -782,7 +880,11 @@ class _Analyzer:
             return node
 
         for conjunct in conjuncts:
-            touched = sorted(self._expr_bindings(conjunct))
+            # A statement with an unknown binding is rejected anyway; its
+            # qualifier has no node here.
+            touched = sorted(
+                required_bindings(conjunct, self.bindings).intersection(parent)
+            )
             for other in touched[1:]:
                 parent[find(other)] = find(touched[0])
         roots = {find(binding) for binding, _table in self.bindings}
@@ -808,8 +910,10 @@ class _Analyzer:
                 if not isinstance(other, (Literal, Placeholder)):
                     continue
                 for ref in self._column_refs(side):
-                    table = self._table_of(ref)
-                    if table is not None and ref.name.lower() in table.indexes:
+                    resolved = self._resolve(ref)
+                    if resolved is not None and (
+                        ref.name.lower() in resolved[1].indexes
+                    ):
                         self.result.warnings.append(
                             "non-sargable predicate on indexed column "
                             f"{ref}: {format_expr(conjunct)}"
@@ -824,45 +928,13 @@ class _Analyzer:
         refs.reverse()
         return refs
 
-    def _expr_bindings(self, expr: SqlExpr) -> set:
-        touched = set()
-        for ref in self._column_refs(expr):
-            binding = self._resolve_binding(ref)
-            if binding is not None:
-                touched.add(binding)
-        return touched
-
-    def _resolve_binding(self, ref: ColumnRef) -> Optional[str]:
-        """The binding a reference resolves to, or None when unresolvable."""
-        name = ref.name.lower()
-        if ref.table is not None:
-            binding = ref.table.lower()
-            for bound, table in self.bindings:
-                if bound == binding and self._column_type(table, name) is not None:
-                    return bound
+    def _resolve(self, ref: ColumnRef) -> Optional[Tuple[str, Table, int]]:
+        """Where a reference points (:func:`resolve_column`), or ``None``
+        when it names no column or several: type inference reports those."""
+        try:
+            return resolve_column(ref, self.bindings)
+        except ExecutionError:
             return None
-        matches = [
-            bound
-            for bound, table in self.bindings
-            if self._column_type(table, name) is not None
-        ]
-        return matches[0] if len(matches) == 1 else None
-
-    def _table_of(self, ref: ColumnRef) -> Optional[Table]:
-        binding = self._resolve_binding(ref)
-        if binding is None:
-            return None
-        for bound, table in self.bindings:
-            if bound == binding:
-                return table
-        return None
-
-    @staticmethod
-    def _column_type(table: Table, lowered_name: str) -> Optional[ColumnType]:
-        for column in table.schema.columns:
-            if column.name.lower() == lowered_name:
-                return column.type
-        return None
 
     # -- type inference ---------------------------------------------------------
 
@@ -917,31 +989,12 @@ class _Analyzer:
         return SqlType.UNKNOWN
 
     def _infer_column(self, ref: ColumnRef) -> SqlType:
-        name = ref.name.lower()
-        if ref.table is not None:
-            binding = ref.table.lower()
-            for bound, table in self.bindings:
-                if bound == binding:
-                    column_type = self._column_type(table, name)
-                    if column_type is None:
-                        break
-                    return _FROM_COLUMN_TYPE[column_type]
-            self._error(f"unknown column {ref}", ref.position)
+        try:
+            _binding, table, index = resolve_column(ref, self.bindings)
+        except ExecutionError as exc:
+            self._error(str(exc), ref.position)
             return SqlType.UNKNOWN
-        matches = [
-            self._column_type(table, name)
-            for _bound, table in self.bindings
-            if self._column_type(table, name) is not None
-        ]
-        if not matches:
-            self._error(f"unknown column {ref}", ref.position)
-            return SqlType.UNKNOWN
-        if len(matches) > 1:
-            self._error(
-                f"ambiguous column reference {ref.name!r}", ref.position
-            )
-            return SqlType.UNKNOWN
-        return _FROM_COLUMN_TYPE[matches[0]]
+        return _FROM_COLUMN_TYPE[table.schema.columns[index].type]
 
     def _infer_unary(
         self, expr: UnaryOperation, allow_aggregate: bool, in_aggregate: bool
@@ -1105,8 +1158,3 @@ class _Analyzer:
             return sub.item_types[0]
         return SqlType.UNKNOWN
 
-
-def _split_and(expr: SqlExpr) -> List[SqlExpr]:
-    if isinstance(expr, BinaryOperation) and expr.op is BinaryOperator.AND:
-        return _split_and(expr.left) + _split_and(expr.right)
-    return [expr]

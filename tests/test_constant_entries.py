@@ -15,10 +15,11 @@ through the same engine) and must find the same property instances.
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
-from repro.asl import check_asl, parse_asl
+from repro.asl import AslNameError, AslTypeError, check_asl, parse_asl
 from repro.asl.specs import COSY_DATA_MODEL, COSY_PROPERTIES
 from repro.bench import PerEntryPushdownStrategy, build_scenario
 from repro.compiler import PropertyCompiler, generate_schema, load_repository
@@ -199,13 +200,63 @@ class TestFoldingRule:
         (_, confidence), = compiled.confidence
         assert not confidence.folded and confidence.value is None
         assert confidence.sql == "SELECT (1 / 0) AS value FROM dual"
-        # An override of the wrong type raises in ASL too.
-        compiled = self._compiled(
-            specification, "ThresholdScaledCost", {"ImbalanceThreshold": "high"}
-        )
-        (_, confidence), = compiled.confidence
-        assert not confidence.folded
-        assert confidence.sql == "SELECT (1 - ('high' / 2)) AS value FROM dual"
+        # An override of the wrong type never reaches an entry: the
+        # translator's evaluator rejects it when the translator is built.
+        with pytest.raises(AslTypeError, match="'ImbalanceThreshold'"):
+            self._compiled(
+                specification, "ThresholdScaledCost",
+                {"ImbalanceThreshold": "high"},
+            )
+
+
+class TestConstantOverridesAreChecked:
+    """An override is checked once, where an analysis builds its ASL
+    evaluator, so both strategies and the translator reject it alike, before
+    any evaluation or statement, with an error naming the constant, its type
+    and the value."""
+
+    CASES = {
+        "wrong-type": (
+            {"ImbalanceThreshold": "high"},
+            AslTypeError,
+            "constant 'ImbalanceThreshold' of type float cannot be overridden "
+            "with 'high' of type String",
+        ),
+        "bool-for-float": (
+            {"FrequentBarrierThreshold": True},
+            AslTypeError,
+            "constant 'FrequentBarrierThreshold' of type float cannot be "
+            "overridden with True of type bool",
+        ),
+        "unknown-name": (
+            {"ImbalanceTreshold": 0.5},
+            AslNameError,
+            "constant override 'ImbalanceTreshold' = 0.5 names no declared "
+            "constant (declared: FrequentBarrierThreshold, "
+            "ImbalanceThreshold, Zero)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_both_strategies_and_the_translator_reject_it(
+        self, scenario, engine, case
+    ):
+        constants, error, message = self.CASES[case]
+        client, ids = engine
+        spec, mapping = scenario.specification, scenario.mapping
+        consumers = {
+            "PropertyCompiler": lambda: PropertyCompiler(spec, mapping, constants),
+            "ClientSideStrategy": lambda: ClientSideStrategy(
+                spec, constants=constants, client=client, ids=ids
+            ),
+            "PushdownStrategy": lambda: PushdownStrategy(
+                spec, mapping, client, ids, constants=constants
+            ),
+        }
+        for name, build in consumers.items():
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                build()
+                pytest.fail(f"{name} accepted {constants}")
 
 
 class TestStrategiesAgree:

@@ -160,6 +160,15 @@ class TestCommandLineInterface:
         assert "SELECT" in output
         assert "FROM dual" in output
 
+    def test_show_sql_matches_the_pinned_translation(self, capsys):
+        """The translator's text for every entry, byte for byte.  A change to
+        the generated SQL fails here; when it is meant, re-record the pin
+        with ``python -m repro.cosy.cli --show-sql >
+        tests/corpus/show_sql.txt``."""
+        assert main(["--show-sql"]) == 0
+        pinned = (REPO_ROOT / "tests" / "corpus" / "show_sql.txt").read_text()
+        assert capsys.readouterr().out == pinned
+
     def test_show_sql_lists_every_statement_the_pushdown_strategy_runs(
         self, capsys
     ):

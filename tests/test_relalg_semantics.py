@@ -485,6 +485,35 @@ class TestLintEngine:
         assert f"{bad}:1: E500 'math' is imported but never used" in proc.stdout
         assert f"{bad}:4: E500 'Maybe'" in proc.stdout
 
+    def test_a_local_of_the_same_name_does_not_hide_an_unused_import(
+        self, tmp_path
+    ):
+        bad = tmp_path / "engine_module.py"
+        bad.write_text(
+            "import json\n"
+            "import math\n"
+            "import os\n"
+            "import re\n"
+            "def f():\n"
+            "    math = 2\n"
+            "    def inner():\n"
+            "        return json.dumps(math)  # math: f's local\n"
+            "    return inner\n"
+            "def g(os=None):\n"
+            "    return [os for _ in range(2)]  # os: g's parameter\n"
+            "def h():\n"
+            "    global re\n"
+            "    return re\n"
+        )
+        proc = self._run(str(bad))
+        assert proc.returncode == 1
+        flagged = sorted(
+            line.split(": E500 ")[1].split()[0]
+            for line in proc.stdout.splitlines() if ": E500 " in line
+        )
+        assert flagged == ["'math'", "'os'"]
+        assert f"{bad}:2: E500 'math' is imported but never used" in proc.stdout
+
     def test_reexports_and_string_annotations_pass_e500(self, tmp_path):
         package = tmp_path / "package"
         package.mkdir()

@@ -355,6 +355,19 @@ class TestTypedErrors:
             "error", "ExecutionError", message
         )
 
+    @pytest.mark.parametrize("filled", [True, False], ids=["filled", "empty"])
+    def test_a_star_item_of_an_aggregate_query_raises_on_every_engine(
+        self, filled
+    ):
+        # The interpreter names its columns by the planner's rule, and its
+        # one group raises on an empty table too.
+        assert _agreed(
+            "SELECT *, COUNT(*) FROM t", rows=_THREE if filled else []
+        ) == (
+            "error", "ExecutionError",
+            "'*' is only valid in SELECT lists and COUNT(*)",
+        )
+
 
 # --------------------------------------------------------------------------- #
 # vectorized filters raise the row engine's error

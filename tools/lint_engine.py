@@ -36,10 +36,11 @@ checked trees and reports violations:
     the top level of a module binds, and that the module never reads, is
     dead weight on the import path and hides the module's real
     dependencies.  A package's ``__init__.py`` (which imports to re-export),
-    names listed in ``__all__`` and names read only inside a string
-    annotation are exempt; ``from __future__`` and star imports are not
-    checked.  The check is by name, not by scope: a local of the same name
-    that the module reads counts as a use.
+    names listed in ``__all__`` and names read only inside an annotation,
+    quoted or not, are exempt; ``from __future__`` and star imports are not
+    checked.  The check resolves scopes as Python does (:mod:`symtable`):
+    only a read that resolves to the module global counts, so a function's
+    local of the same name does not hide an unused import.
 
 Run as ``python -m tools.lint_engine [paths...]`` (default: ``src/repro``).
 Exit status 0 when clean, 1 when any violation is found.
@@ -48,9 +49,10 @@ Exit status 0 when clean, 1 when any violation is found.
 from __future__ import annotations
 
 import ast
+import symtable
 import sys
 from pathlib import Path
-from typing import Iterable, List, NamedTuple
+from typing import Iterable, Iterator, List, NamedTuple
 
 ALLOW_BROAD_EXCEPT_PRAGMA = "lint: allow-broad-except"
 
@@ -162,17 +164,27 @@ def _module_level_imports(tree: ast.Module):
                     yield alias.asname or alias.name, statement.lineno
 
 
-def _names_read(tree: ast.Module) -> set:
-    """Every name the module reads, the names inside its string annotations
-    (``x: "Plan"``, ``List["Plan"]``) and the entries of ``__all__``."""
-    names = set()
-    # Annotations and the value of ``__all__``: every string in them is
-    # parsed as an expression, and the names it reads count as read.
+def _global_reads(scope: symtable.SymbolTable) -> Iterator[str]:
+    """The names ``scope`` and the scopes nested in it read from the module's
+    globals (a module-level name is a global of the module scope itself)."""
+    for symbol in scope.get_symbols():
+        if symbol.is_referenced() and symbol.is_global():
+            yield symbol.get_name()
+    for child in scope.get_children():
+        yield from _global_reads(child)
+
+
+def _names_read(tree: ast.Module, scopes: symtable.SymbolTable) -> set:
+    """Every module-level name the module reads, the names inside its
+    annotations, quoted or not (``x: Plan``, ``List["Plan"]``), and the
+    entries of ``__all__``."""
+    names = set(_global_reads(scopes))
+    # Annotations and the value of ``__all__``: every name in them counts as
+    # read, and so does every name a string in them reads when parsed as an
+    # expression.
     quoted = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
             quoted.append(node.annotation)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
             quoted.append(node.returns)
@@ -183,7 +195,9 @@ def _names_read(tree: ast.Module) -> set:
             quoted.append(node.value)
     for expression in quoted:
         for node in ast.walk(expression):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 try:
                     parsed = ast.parse(node.value, mode="eval")
                 except SyntaxError:
@@ -198,6 +212,7 @@ def _lint_file(path: Path) -> List[Violation]:
     source = path.read_text(encoding="utf-8")
     try:
         tree = ast.parse(source, filename=str(path))
+        scopes = symtable.symtable(source, str(path), "exec")
     except SyntaxError as exc:
         return [Violation(path, exc.lineno or 0, "E000", f"syntax error: {exc.msg}")]
     source_lines = source.splitlines()
@@ -253,7 +268,7 @@ def _lint_file(path: Path) -> List[Violation]:
                 )
             )
     if not in_tests and path.name != "__init__.py":
-        read = _names_read(tree)
+        read = _names_read(tree, scopes)
         for name, line in _module_level_imports(tree):
             if name not in read:
                 violations.append(
