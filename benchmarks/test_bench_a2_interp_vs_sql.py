@@ -52,7 +52,7 @@ class TestA2InterpreterVsSql:
         compiled = benchmark(compile_all)
         benchmark.extra_info["properties"] = len(compiled)
         benchmark.extra_info["queries"] = sum(
-            len(prop.all_queries()) for prop in compiled.values()
+            len(prop.entries()) for prop in compiled.values()
         )
 
     def test_both_paths_produce_identical_severities(self, benchmark, small_scenario):

@@ -1,4 +1,5 @@
-"""Compile-once evaluation of ASL property expressions.
+"""Compile-once evaluation of ASL property expressions, and the one rule
+that decides a property instance.
 
 The reference evaluator (:class:`repro.asl.evaluator.AslEvaluator`) walks the
 expression AST on every evaluation — for the client-side analysis strategy
@@ -17,12 +18,22 @@ plan-then-execute split (:mod:`repro.relalg.compile`):
 Semantics — including every error message and the handling of empty sets,
 UNIQUE cardinality and division by zero — follow the reference evaluator
 exactly; ``tests/test_asl_compile.py`` asserts parity.
+
+:class:`CompiledProperty` is one property in the form a strategy evaluates:
+these closures, the AST expressions the reference evaluator walks, or the
+SQL queries of :mod:`repro.compiler.sql_gen`.  Its
+:meth:`~CompiledProperty.evaluate` is the paper's Section 4 rule
+(conditions, then the guarded maximum of the confidence entries, then that
+of the severity entries when a condition holds), written once for all three;
+a strategy supplies only how one entry is computed.
 """
 
 from __future__ import annotations
 
 import operator as _operator
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+)
 
 from repro.asl.ast_nodes import (
     AggregateExpr,
@@ -40,9 +51,12 @@ from repro.asl.ast_nodes import (
     StringLiteral,
     UnaryExpr,
     UnaryOp,
-    ValueSpec,
 )
 from repro.asl.errors import AslEvaluationError, AslNameError
+from repro.records import Record
+
+if TYPE_CHECKING:
+    from repro.asl.evaluator import PropertyEvaluation
 
 __all__ = ["CompiledProperty", "AslExprCompiler"]
 
@@ -52,55 +66,108 @@ EnvFn = Callable[[Dict[str, Any]], Any]
 _ABSENT = object()
 
 
-class CompiledProperty:
-    """The compiled form of one property declaration."""
+class CompiledProperty(Record):
+    """One property declaration in the form an evaluation strategy runs.
 
-    __slots__ = (
-        "decl",
-        "param_names",
-        "lets",
-        "conditions",
-        "confidence_entries",
-        "confidence_is_max",
-        "severity_entries",
-        "severity_is_max",
-    )
+    An *entry* is whatever the strategy evaluates: a closure over a flat
+    environment (:class:`AslExprCompiler`), the AST expression itself (the
+    reference evaluator) or a :class:`repro.compiler.sql_gen.CompiledQuery`
+    (the ASL→SQL translator).  ``lets`` holds ``(name, entry)`` pairs in
+    declaration order (none where the translator inlined them),
+    ``conditions`` ``(key, entry)`` pairs keyed by the condition id, else by
+    the 1-based position, and ``confidence`` / ``severity`` ``(guard or
+    None, entry)`` pairs.  :meth:`evaluate` decides an instance from them.
+    """
+
+    __slots__ = ("decl", "lets", "conditions", "confidence", "severity")
 
     def __init__(
         self,
         decl: PropertyDecl,
-        lets: List[Tuple[str, EnvFn]],
-        conditions: List[Tuple[str, EnvFn]],
-        confidence_entries: List[Tuple[Optional[str], EnvFn]],
-        confidence_is_max: bool,
-        severity_entries: List[Tuple[Optional[str], EnvFn]],
-        severity_is_max: bool,
+        lets: List[Tuple[str, Any]],
+        conditions: List[Tuple[str, Any]],
+        confidence: List[Tuple[Optional[str], Any]],
+        severity: List[Tuple[Optional[str], Any]],
     ) -> None:
         self.decl = decl
-        self.param_names = [p.name for p in decl.params]
         self.lets = lets
         self.conditions = conditions
-        self.confidence_entries = confidence_entries
-        self.confidence_is_max = confidence_is_max
-        self.severity_entries = severity_entries
-        self.severity_is_max = severity_is_max
+        self.confidence = confidence
+        self.severity = severity
 
-    def value_of(
-        self,
-        entries: List[Tuple[Optional[str], EnvFn]],
-        is_max: bool,
-        conditions: Dict[str, bool],
-        env: Dict[str, Any],
-    ) -> float:
-        """Evaluate a compiled value specification (confidence/severity)."""
-        values: List[float] = []
-        for guard, fn in entries:
-            if guard is not None and not conditions.get(guard, False):
-                continue
-            values.append(float(fn(env)))
-        if not values:
-            return 0.0
-        return max(values) if (is_max or len(values) > 1) else values[0]
+    @classmethod
+    def from_decl(
+        cls,
+        decl: PropertyDecl,
+        lets: List[Tuple[str, Any]],
+        entry: Callable[[Expr], Any],
+    ) -> "CompiledProperty":
+        """The record of ``decl`` whose entries are ``entry(expression)``,
+        made in declaration order: conditions, confidence, severity."""
+        conditions = [
+            (
+                condition.cond_id if condition.cond_id is not None else str(position),
+                entry(condition.expr),
+            )
+            for position, condition in enumerate(decl.conditions, start=1)
+        ]
+        confidence = [(e.guard, entry(e.expr)) for e in decl.confidence.entries]
+        severity = [(e.guard, entry(e.expr)) for e in decl.severity.entries]
+        return cls(decl, lets, conditions, confidence, severity)
+
+    def evaluate(
+        self, result: "PropertyEvaluation", value: Callable[[Any], Any]
+    ) -> "PropertyEvaluation":
+        """Decide one property instance into ``result`` (its LETs already
+        evaluated) and return it; ``value(entry)`` computes one entry.
+
+        This is the rule of the paper's Section 4 for every strategy: each
+        condition is evaluated, in order, to a boolean, and the property
+        holds when one is true.  Confidence is the maximum of the entries
+        whose guard holds (an unguarded entry always counts), 0.0 when none
+        does; so is severity, whose entries are evaluated only when the
+        property holds.  A ``None`` value, which only the database gives
+        (SQL's NULL; an ASL entry never yields one), is a false condition
+        and adds nothing to confidence or severity.
+        """
+        conditions = result.conditions
+        for key, entry in self.conditions:
+            conditions[key] = bool(value(entry))
+        result.holds = any(conditions.values())
+        result.confidence = _guarded_max(self.confidence, conditions, value)
+        result.severity = (
+            _guarded_max(self.severity, conditions, value) if result.holds else 0.0
+        )
+        return result
+
+    def entries(self) -> List[Any]:
+        """Every condition, confidence and severity entry, in evaluation order."""
+        return [
+            entry
+            for part in (self.conditions, self.confidence, self.severity)
+            for _, entry in part
+        ]
+
+
+def _guarded_max(
+    entries: List[Tuple[Optional[str], Any]],
+    conditions: Dict[str, bool],
+    value: Callable[[Any], Any],
+) -> float:
+    """``max`` over the values of the entries whose guard holds; 0.0 when
+    none contributes (a ``None`` value contributes nothing)."""
+    best: Optional[float] = None
+    for guard, entry in entries:
+        if guard is not None and not conditions.get(guard, False):
+            continue
+        found = value(entry)
+        if found is None:
+            continue
+        found = float(found)
+        # ``max``'s own rule: the first of equal (or unordered) values wins.
+        if best is None or found > best:
+            best = found
+    return 0.0 if best is None else best
 
 
 class AslExprCompiler:
@@ -132,37 +199,9 @@ class AslExprCompiler:
             lets.append((let_def.name, fn))
             local_names.add(let_def.name)
         locals_ = frozenset(local_names)
-        conditions = [
-            (
-                condition.cond_id if condition.cond_id is not None else str(position),
-                self.compile(condition.expr, locals_),
-            )
-            for position, condition in enumerate(decl.conditions, start=1)
-        ]
-        confidence_entries, confidence_is_max = self._compile_value_spec(
-            decl.confidence, locals_
+        return CompiledProperty.from_decl(
+            decl, lets, lambda expr: self.compile(expr, locals_)
         )
-        severity_entries, severity_is_max = self._compile_value_spec(
-            decl.severity, locals_
-        )
-        return CompiledProperty(
-            decl=decl,
-            lets=lets,
-            conditions=conditions,
-            confidence_entries=confidence_entries,
-            confidence_is_max=confidence_is_max,
-            severity_entries=severity_entries,
-            severity_is_max=severity_is_max,
-        )
-
-    def _compile_value_spec(
-        self, spec: ValueSpec, locals_: FrozenSet[str]
-    ) -> Tuple[List[Tuple[Optional[str], EnvFn]], bool]:
-        entries = [
-            (entry.guard, self.compile(entry.expr, locals_))
-            for entry in spec.entries
-        ]
-        return entries, spec.is_max
 
     # ------------------------------------------------------------------ #
     # expression compilation

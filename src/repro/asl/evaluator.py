@@ -14,7 +14,8 @@ The evaluation of a property proceeds exactly as described in Section 4:
    least one condition is true;
 4. the confidence and severity are computed as the maximum of their
    (condition-guarded) value expressions — a guarded entry contributes only
-   when its condition evaluated to true;
+   when its condition evaluated to true — and the severity only when the
+   property holds;
 5. the property is a *performance problem* when its severity exceeds the
    user- or tool-defined threshold, and the *bottleneck* is the property
    instance with the highest severity (this ranking is performed by
@@ -28,11 +29,17 @@ analysis strategy evaluates every property for every region × run context —
 only re-bind the parameters.  :meth:`AslEvaluator.evaluate` remains the
 interpretive single-expression API (and the semantic reference the compiled
 closures are tested against).
+
+Steps 3 and 4 are written once, as
+:meth:`repro.asl.compile.CompiledProperty.evaluate`: the compiled path, the
+interpretive reference :meth:`AslEvaluator.evaluate_property_interpreted` and
+the SQL pushdown strategy all decide an instance through it, each computing
+one entry its own way.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.asl.ast_nodes import (
     AggregateExpr,
@@ -45,13 +52,13 @@ from repro.asl.ast_nodes import (
     FunctionCall,
     Identifier,
     IntLiteral,
+    PropertyDecl,
     SetComprehension,
     StringLiteral,
     UnaryExpr,
     UnaryOp,
-    ValueSpec,
 )
-from repro.asl.compile import AslExprCompiler, CompiledProperty
+from repro.asl.compile import AslExprCompiler, CompiledProperty, _iterable
 from repro.asl.errors import AslEvaluationError, AslNameError, AslTypeError
 from repro.asl.semantic import CheckedSpecification
 from repro.asl.symbols import MISSING, Scope
@@ -112,6 +119,22 @@ def _override_type(value: Any) -> Type:
         if isinstance(value, python_type):
             return asl_type
     return ANY
+
+
+def _bound_parameters(
+    decl: PropertyDecl, parameters: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """``decl``'s parameters bound from ``parameters``, in declaration order;
+    raises :class:`AslEvaluationError` when one is missing."""
+    try:
+        return {param.name: parameters[param.name] for param in decl.params}
+    except KeyError:
+        names = [param.name for param in decl.params]
+        missing = [name for name in names if name not in parameters]
+        raise AslEvaluationError(
+            f"property {decl.name!r} is missing parameter(s) {missing}; "
+            f"expected {names}"
+        ) from None
 
 
 def default_enum_binding(checked: CheckedSpecification) -> Dict[str, Any]:
@@ -187,11 +210,7 @@ class AslEvaluator:
         """The compiled (closure) form of a property; compiled on first use."""
         program = self.compiled_properties.get(name)
         if program is None:
-            try:
-                decl = self.index.properties[name]
-            except KeyError:
-                raise AslNameError(f"unknown property {name!r}") from None
-            program = self._compiler.compile_property(decl)
+            program = self._compiler.compile_property(self._declaration(name))
             self.compiled_properties[name] = program
         return program
 
@@ -200,40 +219,13 @@ class AslEvaluator:
     ) -> PropertyEvaluation:
         """Evaluate property ``name`` with the given parameter binding."""
         program = self.compile_property(name)
-        decl = program.decl
-        missing = [p.name for p in decl.params if p.name not in parameters]
-        if missing:
-            raise AslEvaluationError(
-                f"property {name!r} is missing parameter(s) {missing}; expected "
-                f"{[p.name for p in decl.params]}"
-            )
-        env = {p: parameters[p] for p in program.param_names}
+        env = _bound_parameters(program.decl, parameters)
         result = PropertyEvaluation(property_name=name, parameters=dict(env))
         for let_name, let_fn in program.lets:
             value = let_fn(env)
             env[let_name] = value
             result.let_values[let_name] = value
-
-        for key, condition_fn in program.conditions:
-            result.conditions[key] = bool(condition_fn(env))
-        result.holds = any(result.conditions.values())
-
-        result.confidence = program.value_of(
-            program.confidence_entries,
-            program.confidence_is_max,
-            result.conditions,
-            env,
-        )
-        if result.holds:
-            result.severity = program.value_of(
-                program.severity_entries,
-                program.severity_is_max,
-                result.conditions,
-                env,
-            )
-        else:
-            result.severity = 0.0
-        return result
+        return program.evaluate(result, lambda fn: fn(env))
 
     def evaluate_property_interpreted(
         self, name: str, parameters: Mapping[str, Any]
@@ -241,47 +233,25 @@ class AslEvaluator:
         """Evaluate a property by walking the AST (the reference semantics).
 
         Kept for differential testing against the compiled path used by
-        :meth:`evaluate_property`.
+        :meth:`evaluate_property`; both decide the instance through
+        :meth:`CompiledProperty.evaluate`, this one with AST entries.
         """
-        try:
-            decl = self.index.properties[name]
-        except KeyError:
-            raise AslNameError(f"unknown property {name!r}") from None
-        missing = [p.name for p in decl.params if p.name not in parameters]
-        if missing:
-            raise AslEvaluationError(
-                f"property {name!r} is missing parameter(s) {missing}; expected "
-                f"{[p.name for p in decl.params]}"
-            )
+        decl = self._declaration(name)
+        bound = _bound_parameters(decl, parameters)
         scope: Scope[Any] = Scope()
-        for param in decl.params:
-            scope.define(param.name, parameters[param.name])
-
-        result = PropertyEvaluation(
-            property_name=name,
-            parameters={p.name: parameters[p.name] for p in decl.params},
+        for param_name, value in bound.items():
+            scope.define(param_name, value)
+        result = PropertyEvaluation(property_name=name, parameters=dict(bound))
+        program = CompiledProperty.from_decl(
+            decl,
+            [(let_def.name, let_def.value) for let_def in decl.let_defs],
+            lambda expr: expr,
         )
-        for let_def in decl.let_defs:
-            value = self.evaluate(let_def.value, scope)
-            scope.define(let_def.name, value)
-            result.let_values[let_def.name] = value
-
-        for position, condition in enumerate(decl.conditions, start=1):
-            value = bool(self.evaluate(condition.expr, scope))
-            key = condition.cond_id if condition.cond_id is not None else str(position)
-            result.conditions[key] = value
-        result.holds = any(result.conditions.values())
-
-        result.confidence = self._evaluate_value_spec(
-            decl.confidence, result.conditions, scope
-        )
-        if result.holds:
-            result.severity = self._evaluate_value_spec(
-                decl.severity, result.conditions, scope
-            )
-        else:
-            result.severity = 0.0
-        return result
+        for let_name, expr in program.lets:
+            value = self.evaluate(expr, scope)
+            scope.define(let_name, value)
+            result.let_values[let_name] = value
+        return program.evaluate(result, lambda expr: self.evaluate(expr, scope))
 
     def evaluate_function(self, name: str, *args: Any) -> Any:
         """Evaluate a specification function (e.g. ``Duration``) directly."""
@@ -312,21 +282,11 @@ class AslEvaluator:
         self._constant_cache[name] = value
         return value
 
-    # ------------------------------------------------------------------ #
-    # value specifications
-    # ------------------------------------------------------------------ #
-
-    def _evaluate_value_spec(
-        self, spec: ValueSpec, conditions: Mapping[str, bool], scope: Scope[Any]
-    ) -> float:
-        values: List[float] = []
-        for entry in spec.entries:
-            if entry.guard is not None and not conditions.get(entry.guard, False):
-                continue
-            values.append(float(self.evaluate(entry.expr, scope)))
-        if not values:
-            return 0.0
-        return max(values) if (spec.is_max or len(values) > 1) else values[0]
+    def _declaration(self, name: str) -> PropertyDecl:
+        try:
+            return self.index.properties[name]
+        except KeyError:
+            raise AslNameError(f"unknown property {name!r}") from None
 
     # ------------------------------------------------------------------ #
     # expression evaluation
@@ -463,7 +423,7 @@ class AslEvaluator:
     def _evaluate_comprehension(
         self, expr: SetComprehension, scope: Scope[Any]
     ) -> List[Any]:
-        source = self._iterable(self.evaluate(expr.source, scope), expr)
+        source = _iterable(self.evaluate(expr.source, scope), expr)
         result: List[Any] = []
         for element in source:
             inner = scope.child()
@@ -474,7 +434,7 @@ class AslEvaluator:
 
     def _evaluate_aggregate(self, expr: AggregateExpr, scope: Scope[Any]) -> Any:
         if expr.is_unique:
-            elements = list(self._iterable(self.evaluate(expr.value, scope), expr))
+            elements = list(_iterable(self.evaluate(expr.value, scope), expr))
             if len(elements) != 1:
                 raise AslEvaluationError(
                     f"UNIQUE applied to a set with {len(elements)} elements "
@@ -489,7 +449,7 @@ class AslEvaluator:
                 f"aggregate {expr.func} has no source collection",
                 expr.location,
             )
-        source = self._iterable(self.evaluate(expr.source, scope), expr)
+        source = _iterable(self.evaluate(expr.source, scope), expr)
         values: List[Any] = []
         for element in source:
             inner = scope.child()
@@ -515,14 +475,3 @@ class AslEvaluator:
         if func == "AVG":
             return sum(values) / len(values)
         raise AslEvaluationError(f"unknown aggregate {func!r}", expr.location)
-
-    @staticmethod
-    def _iterable(value: Any, expr: Expr) -> Iterable[Any]:
-        if isinstance(value, (list, tuple, set, frozenset)):
-            return value
-        if isinstance(value, str) or not hasattr(value, "__iter__"):
-            raise AslEvaluationError(
-                f"expected a set-valued expression, found {type(value).__name__}",
-                expr.location,
-            )
-        return value

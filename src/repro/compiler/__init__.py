@@ -20,7 +20,6 @@ from repro.compiler.schema_gen import (
     generate_schema,
 )
 from repro.compiler.sql_gen import (
-    CompiledProperty,
     CompiledQuery,
     PropertyCompiler,
     PushdownError,
@@ -29,7 +28,6 @@ from repro.compiler.sql_gen import (
 __all__ = [
     "AttributeMapping",
     "ClassMapping",
-    "CompiledProperty",
     "CompiledQuery",
     "DEFAULT_LOAD_BATCH_SIZE",
     "DatabaseLoader",

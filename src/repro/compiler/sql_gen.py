@@ -38,9 +38,14 @@ The central ideas of the translation:
   pushdown strategy uses that value instead of a statement.  An entry whose
   evaluation raises stays a statement.
 
-Constructs outside this subset raise :class:`PushdownError`; the COSY analyzer
-then falls back to client-side evaluation for that expression (and reports the
-fallback), so adding new properties can never silently produce wrong results.
+The result is the record every strategy evaluates,
+:class:`repro.asl.compile.CompiledProperty`, with one :class:`CompiledQuery`
+per entry; the pushdown strategy decides an instance through its
+``evaluate``, the rule the ASL evaluator follows too.
+
+Constructs outside this subset raise :class:`PushdownError`; the pushdown
+strategy then evaluates that property client-side (and counts the fallback),
+so adding new properties can never silently produce wrong results.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from repro.asl.ast_nodes import (
     UnaryExpr,
     UnaryOp,
 )
+from repro.asl.compile import CompiledProperty
 from repro.asl.errors import AslError, AslTypeError
 from repro.asl.evaluator import AslEvaluator
 from repro.asl.semantic import CheckedSpecification, SemanticChecker
@@ -75,7 +81,6 @@ from repro.records import Record
 __all__ = [
     "PushdownError",
     "CompiledQuery",
-    "CompiledProperty",
     "PropertyCompiler",
 ]
 
@@ -119,36 +124,6 @@ class CompiledQuery(Record):
             ) from None
 
 
-class CompiledProperty(Record):
-    """All generated queries of one property."""
-
-    __slots__ = ("name", "decl", "conditions", "confidence", "severity")
-
-    def __init__(
-        self,
-        name: str,
-        decl: PropertyDecl,
-        conditions: Optional[List[Tuple[str, CompiledQuery]]] = None,
-        confidence: Optional[List[Tuple[Optional[str], CompiledQuery]]] = None,
-        severity: Optional[List[Tuple[Optional[str], CompiledQuery]]] = None,
-    ) -> None:
-        self.name = name
-        self.decl = decl
-        #: (condition id or 1-based position as string, query) pairs.
-        self.conditions = [] if conditions is None else conditions
-        #: (guard or None, query) pairs for the confidence specification.
-        self.confidence = [] if confidence is None else confidence
-        #: (guard or None, query) pairs for the severity specification.
-        self.severity = [] if severity is None else severity
-
-    def all_queries(self) -> List[CompiledQuery]:
-        """Every generated query (used by tests and the CLI ``--show-sql``)."""
-        result = [query for _, query in self.conditions]
-        result.extend(query for _, query in self.confidence)
-        result.extend(query for _, query in self.severity)
-        return result
-
-
 class PropertyCompiler:
     """Compiles checked ASL properties into SQL for a generated schema."""
 
@@ -165,36 +140,29 @@ class PropertyCompiler:
         #: entries that read no data, with the overrides (``constants``) the
         #: client-side evaluator of the same analysis sees.
         self.evaluator = AslEvaluator(checked, constants=constants)
+        #: Types the inlined expressions against the specification's index.
+        self._checker = SemanticChecker(checked.program)
+        self._checker.index = checked.index
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
 
     def compile_property(self, name: str) -> CompiledProperty:
-        """Compile one property; raises :class:`PushdownError` when impossible."""
+        """Compile one property; raises :class:`PushdownError` when impossible.
+
+        Its LETs are inlined into the entries, so the record has none.
+        """
         decl = self.index.properties.get(name)
         if decl is None:
             raise AslTypeError(f"unknown property {name!r}")
-        param_types = {
-            p.name: self._resolve_param_type(p.type.name, p.type.is_set)
-            for p in decl.params
-        }
+        param_types = {p.name: self._checker.resolve_type(p.type) for p in decl.params}
         substitutions = self._let_substitutions(decl)
-        compiled = CompiledProperty(name=name, decl=decl)
-        for position, condition in enumerate(decl.conditions, start=1):
-            key = condition.cond_id or str(position)
-            compiled.conditions.append(
-                (key, self._compile_expr(condition.expr, substitutions, param_types))
-            )
-        for entry in decl.confidence.entries:
-            compiled.confidence.append(
-                (entry.guard, self._compile_expr(entry.expr, substitutions, param_types))
-            )
-        for entry in decl.severity.entries:
-            compiled.severity.append(
-                (entry.guard, self._compile_expr(entry.expr, substitutions, param_types))
-            )
-        return compiled
+        return CompiledProperty.from_decl(
+            decl,
+            [],
+            lambda expr: self._compile_expr(expr, substitutions, param_types),
+        )
 
     def compile_all(self) -> Dict[str, CompiledProperty]:
         """Compile every property of the specification."""
@@ -205,15 +173,6 @@ class PropertyCompiler:
     # ------------------------------------------------------------------ #
     # preparation: inlining and typing
     # ------------------------------------------------------------------ #
-
-    def _resolve_param_type(self, type_name: str, is_set: bool) -> Type:
-        checker = SemanticChecker.__new__(SemanticChecker)
-        checker.program = self.checked.program
-        checker.index = self.index
-        checker.diagnostics = []
-        from repro.asl.ast_nodes import TypeRef
-
-        return checker.resolve_type(TypeRef(name=type_name, is_set=is_set))
 
     def _let_substitutions(self, decl: PropertyDecl) -> Dict[str, Expr]:
         """Inlined (function-free) definitions of the property's LET block."""
@@ -260,10 +219,8 @@ class PropertyCompiler:
 
     def _annotate(self, expr: Expr, param_types: Mapping[str, Type]) -> None:
         """Run type inference over an inlined expression (annotates nodes)."""
-        checker = SemanticChecker.__new__(SemanticChecker)
-        checker.program = self.checked.program
-        checker.index = self.index
-        checker.diagnostics = []
+        checker = self._checker
+        checker.diagnostics.clear()
         scope: Scope[Type] = Scope()
         for name, param_type in param_types.items():
             scope.define(name, param_type)

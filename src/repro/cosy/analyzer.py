@@ -229,73 +229,47 @@ class CosyAnalyzer:
                     f"of the ASL specification"
                 )
             if registration.subject == SubjectKind.REGION:
-                self._evaluate_regions(
-                    registration, version, run, basis_region, strategy, result
-                )
+                subjects = [
+                    (region.name, SubjectKind.REGION, region)
+                    for region in version.all_regions()
+                ]
             else:
-                self._evaluate_calls(
-                    registration, version, run, basis_region, strategy, result
-                )
+                subjects = [
+                    (
+                        f"{call.callee_name}@{call.CallingReg.name}",
+                        SubjectKind.CALL,
+                        call,
+                    )
+                    for call in version.all_calls()
+                    if registration.accepts_callee(call.callee_name)
+                ]
+            self._evaluate_contexts(
+                registration, subjects, run, basis_region, strategy, result
+            )
         return result
 
     # ------------------------------------------------------------------ #
     # iteration over subjects
     # ------------------------------------------------------------------ #
 
-    def _evaluate_regions(
-        self,
-        registration: PropertyRegistration,
-        version: ProgVersion,
-        run: TestRun,
-        basis: Region,
-        strategy: EvaluationStrategy,
-        result: AnalysisResult,
-    ) -> None:
-        contexts = [
-            (
-                region.name,
-                SubjectKind.REGION,
-                self._bind_parameters(registration.name, region, run, basis),
-            )
-            for region in version.all_regions()
-        ]
-        self._evaluate_contexts(registration, contexts, run, strategy, result)
-
-    def _evaluate_calls(
-        self,
-        registration: PropertyRegistration,
-        version: ProgVersion,
-        run: TestRun,
-        basis: Region,
-        strategy: EvaluationStrategy,
-        result: AnalysisResult,
-    ) -> None:
-        contexts = [
-            (
-                f"{call.callee_name}@{call.CallingReg.name}",
-                SubjectKind.CALL,
-                self._bind_parameters(registration.name, call, run, basis),
-            )
-            for call in version.all_calls()
-            if registration.accepts_callee(call.callee_name)
-        ]
-        self._evaluate_contexts(registration, contexts, run, strategy, result)
-
     def _evaluate_contexts(
         self,
         registration: PropertyRegistration,
-        contexts: List,
+        subjects: List,
         run: TestRun,
+        basis: Region,
         strategy: EvaluationStrategy,
         result: AnalysisResult,
     ) -> None:
-        """Evaluate one property over all its contexts, one after another.
+        """Evaluate one property over its ``(name, kind, subject)`` contexts,
+        one after another.
 
         An :class:`AslEvaluationError` means the context lacked data (e.g. a
         region without timings for the selected run): the instance is
         skipped but the analysis keeps going.
         """
-        for subject, subject_kind, parameters in contexts:
+        for name, kind, subject in subjects:
+            parameters = self._bind_parameters(registration.name, subject, run, basis)
             try:
                 evaluation = strategy.evaluate(registration.name, parameters)
             except AslEvaluationError:
@@ -304,8 +278,8 @@ class CosyAnalyzer:
             result.instances.append(
                 PropertyInstance(
                     property_name=registration.name,
-                    subject=subject,
-                    subject_kind=subject_kind,
+                    subject=name,
+                    subject_kind=kind,
                     run_pes=run.NoPe,
                     holds=evaluation.holds,
                     confidence=evaluation.confidence,

@@ -30,18 +30,28 @@ Two strategies implement that comparison:
     final values cross the (virtual) network.  Each statement is one serial
     round trip, as in the paper's Section 5 measurements.  An entry that reads
     no data (the bundled ``CONFIDENCE: 1``) was folded to its value by the
-    translator and costs no statement.
+    translator and costs no statement.  A property the translator refuses
+    (:class:`~repro.compiler.sql_gen.PushdownError`) is evaluated by the
+    translator's own ASL evaluator instead, and counted in ``fallbacks``.
+
+Both strategies decide an instance by the one Section 4 rule,
+:meth:`repro.asl.compile.CompiledProperty.evaluate` (conditions, then the
+guarded maximum of the confidence and, when a condition holds, of the
+severity entries): the client-side strategy with compiled closures, the
+pushdown strategy with one query per entry.  A NULL from the database is a
+false condition and adds nothing to confidence or severity.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence
+from typing import Any, Dict, Mapping, Optional, Protocol, Sequence
 
+from repro.asl.compile import CompiledProperty
 from repro.asl.evaluator import AslEvaluator, PropertyEvaluation
 from repro.asl.semantic import CheckedSpecification
 from repro.compiler.loader import ObjectIds
 from repro.compiler.schema_gen import SchemaMapping
-from repro.compiler.sql_gen import CompiledProperty, PropertyCompiler, PushdownError
+from repro.compiler.sql_gen import PropertyCompiler, PushdownError
 from repro.datamodel import FunctionCall, Region, TestRun
 from repro.relalg.client import DatabaseClient
 from repro.relalg.errors import ExecutionError
@@ -179,7 +189,6 @@ class PushdownStrategy:
         self.ids = ids
         self.compiler = PropertyCompiler(checked, mapping, constants=constants)
         self._compiled: Dict[str, CompiledProperty] = {}
-        self._fallback = ClientSideStrategy(checked, constants=constants)
         self.statements_issued = 0
         self.fallbacks = 0
 
@@ -199,28 +208,18 @@ class PushdownStrategy:
         try:
             compiled = self.compiled(property_name)
         except PushdownError:
-            # The property uses a construct outside the SQL subset: fall back
-            # to client-side evaluation (and count the fallback).
+            # The property uses a construct outside the SQL subset: evaluate
+            # it client-side, with the translator's evaluator (and count the
+            # fallback).
             self.fallbacks += 1
-            return self._fallback.evaluate(property_name, parameters)
+            return self.compiler.evaluator.evaluate_property(
+                property_name, parameters
+            )
         binding = self._binding(parameters)
         result = PropertyEvaluation(
             property_name=property_name, parameters=dict(parameters)
         )
-        for key, query in compiled.conditions:
-            value = self._scalar(query, binding)
-            result.conditions[key] = bool(value) if value is not None else False
-        result.holds = any(result.conditions.values())
-        result.confidence = self._value_from_entries(
-            compiled.confidence, result.conditions, binding
-        )
-        if result.holds:
-            result.severity = self._value_from_entries(
-                compiled.severity, result.conditions, binding
-            )
-        else:
-            result.severity = 0.0
-        return result
+        return compiled.evaluate(result, lambda query: self._scalar(query, binding))
 
     # ------------------------------------------------------------------ #
 
@@ -241,20 +240,3 @@ class PushdownStrategy:
         if not result.rows:
             return None
         return result.rows[0][0]
-
-    def _value_from_entries(
-        self,
-        entries: List,
-        conditions: Mapping[str, bool],
-        binding: Mapping[str, Any],
-    ) -> float:
-        values: List[float] = []
-        for guard, query in entries:
-            if guard is not None and not conditions.get(guard, False):
-                continue
-            value = self._scalar(query, binding)
-            if value is not None:
-                values.append(float(value))
-        if not values:
-            return 0.0
-        return max(values)

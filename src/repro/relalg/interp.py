@@ -119,6 +119,12 @@ class InterpretedSelectExecutor:
         # the compiled engines stay differentially identical.
         check_select(statement, self.tables)
         columns = output_columns(statement, bindings)
+        if statement.is_aggregate_query and any(
+            isinstance(item.expr, Star) for item in statement.items
+        ):
+            # Raised before any row, as the planner raises it compiling the
+            # select list, also when no group reaches the select list.
+            raise ExecutionError("'*' is only valid in SELECT lists and COUNT(*)")
         # Resolved before any row is read, exactly where the planner resolves
         # it, so a bad ORDER BY raises the same error on an empty table.
         order = (

@@ -1197,19 +1197,15 @@ def _plan_select(
             _compile_projection(statement, layout, plan_subquery)
         )
         report["aggregate"] = "n/a (not an aggregate query)"
-        if slot_projector is not None:
+        if identity:
+            report["projection"] = "identity (rows pass through on every path)"
+        elif slot_projector is not None:
             report["projection"] = (
                 "slot projection (one itemgetter on every path)"
             )
-        elif not vector_eligible:
-            report["projection"] = (
-                "row-at-a-time (driving scan is row-at-a-time)"
-            )
-        elif identity:
-            report["projection"] = "vectorized (slot projection)"
         else:
             report["projection"] = (
-                "row-at-a-time (projection does not batch-compile)"
+                "expression list (row-at-a-time on every path)"
             )
 
     order_spec = _compile_order(statement, columns, layout, plan_subquery)

@@ -1,12 +1,14 @@
-"""Tests of the compile-once ASL property evaluation and Scope.find."""
+"""Tests of the compile-once ASL property evaluation, the one Section 4
+evaluation rule (:meth:`CompiledProperty.evaluate`) and Scope.find."""
 
 import datetime as dt
+import math
 
 import pytest
 
 from repro.asl import AslEvaluationError, AslNameError, check_asl, parse_asl
 from repro.asl.compile import CompiledProperty
-from repro.asl.evaluator import AslEvaluator
+from repro.asl.evaluator import AslEvaluator, PropertyEvaluation
 from repro.asl.specs import COSY_DATA_MODEL
 from repro.asl.symbols import MISSING, Scope
 from repro.datamodel import (
@@ -110,6 +112,80 @@ class TestCompiledPropertyParity:
             evaluator.evaluate_property("SyncCost", {"r": scenario["basis"]})
         with pytest.raises(AslNameError, match="unknown property"):
             evaluator.evaluate_property("Nope", {})
+
+
+class TestEvaluationProtocol:
+    """:meth:`CompiledProperty.evaluate` on hand-built records whose entries
+    are names and whose ``value`` records every entry it computes."""
+
+    @staticmethod
+    def _decide(conditions, confidence, severity, values):
+        asked = []
+
+        def value(entry):
+            asked.append(entry)
+            return values[entry]
+
+        program = CompiledProperty(None, [], conditions, confidence, severity)
+        result = PropertyEvaluation(property_name="P")
+        assert program.evaluate(result, value) is result
+        return result, asked
+
+    def test_only_entries_whose_guard_holds_count(self):
+        result, asked = self._decide(
+            [("a", "ca"), ("b", "cb")],
+            [(None, "k0"), ("a", "ka"), ("b", "kb")],
+            [("b", "sb"), ("a", "sa"), (None, "s0")],
+            {"ca": 1, "cb": 0, "k0": 0.3, "ka": 0.7, "kb": 1.0,
+             "sb": 9, "sa": 2, "s0": 1.5},
+        )
+        assert result.conditions == {"a": True, "b": False}
+        assert result.holds
+        assert (result.confidence, result.severity) == (0.7, 2.0)
+        assert type(result.severity) is float
+        assert asked == ["ca", "cb", "k0", "ka", "sa", "s0"]
+
+    def test_all_guards_false_gives_zero_and_skips_the_severity(self):
+        result, asked = self._decide(
+            [("a", "ca"), ("b", "cb")],
+            [("a", "ka"), ("b", "kb")],
+            [(None, "s0"), ("a", "sa")],
+            {"ca": False, "cb": 0.0, "ka": 0.9, "kb": 0.4, "s0": 3, "sa": 4},
+        )
+        assert result.conditions == {"a": False, "b": False}
+        assert (result.holds, result.confidence, result.severity) == (
+            False, 0.0, 0.0
+        )
+        # No condition holds: not even the unguarded severity entry runs.
+        assert asked == ["ca", "cb"]
+
+    def test_a_none_value_is_a_false_condition_and_adds_nothing(self):
+        result, asked = self._decide(
+            [("a", "ca"), ("b", "cb")],
+            [(None, "k_null"), (None, "k0")],
+            [("a", "s_null"), ("b", "sb")],
+            {"ca": None, "cb": True, "k_null": None, "k0": 0.4,
+             "s_null": 5, "sb": None},
+        )
+        assert result.conditions == {"a": False, "b": True}
+        assert (result.confidence, result.severity) == (0.4, 0.0)
+        assert asked == ["ca", "cb", "k_null", "k0", "sb"]
+
+    @pytest.mark.parametrize("values", [
+        [2], [1, 3, 2], [0.0, -0.0], [-0.0, 0.0], [math.nan, 1.0],
+        [1.0, math.nan], [True, 0.5],
+    ], ids=repr)
+    def test_the_value_is_max_of_the_contributing_values(self, values):
+        names = [f"v{i}" for i in range(len(values))]
+        result, _ = self._decide(
+            [("c", "c")],
+            [(None, name) for name in names],
+            [(None, name) for name in names],
+            {"c": True, **dict(zip(names, values))},
+        )
+        expected = max(float(v) for v in values)
+        for found in (result.confidence, result.severity):
+            assert repr(found) == repr(expected)
 
 
 class TestCompileOnceCaching:

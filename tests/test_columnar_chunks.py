@@ -256,10 +256,12 @@ class TestVectorizationReport:
             assert "top-k: full sort (no LIMIT)" in unlimited
 
     def test_projection_report(self):
+        # The projection runs the same way on every path, so the line names
+        # its kind only, whatever the driving access.
         with _filled() as database:
             exprs = database.explain("SELECT id * 2 + 1, COALESCE(g, -1) FROM t")
             assert (
-                "projection: row-at-a-time (projection does not batch-compile)"
+                "projection: expression list (row-at-a-time on every path)"
                 in exprs
             )
             slots = database.explain("SELECT id, g FROM t")
@@ -267,6 +269,10 @@ class TestVectorizationReport:
                 "projection: slot projection (one itemgetter on every path)"
                 in slots
             )
+            identity = "projection: identity (rows pass through on every path)"
+            assert identity in database.explain("SELECT * FROM t")
+            probe = database.explain("SELECT * FROM t WHERE id = 3")
+            assert "index-probe" in probe and identity in probe
 
     def test_join_probe_report(self):
         with _filled() as database:

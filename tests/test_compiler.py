@@ -149,7 +149,7 @@ class TestPropertyCompilation:
     def test_generated_queries_parse(self, cosy_spec, schema_mapping):
         compiler = PropertyCompiler(cosy_spec, schema_mapping)
         for prop in compiler.compile_all().values():
-            for query in prop.all_queries():
+            for query in prop.entries():
                 statement = parse_sql(query.sql)
                 placeholder_count = query.sql.count("?")
                 assert placeholder_count == len(query.param_slots)
@@ -251,8 +251,8 @@ class TestPropertyCompilation:
             .merge(parse_asl(extra))
         )
         compiler = PropertyCompiler(spec, generate_schema(spec))
-        shadowing = compiler.compile_property("Shadowing").all_queries()
-        plain = compiler.compile_property("Plain").all_queries()
+        shadowing = compiler.compile_property("Shadowing").entries()
+        plain = compiler.compile_property("Plain").entries()
         assert [q.sql for q in shadowing] == [q.sql for q in plain]
         assert "Incl > 100" in shadowing[0].sql
 

@@ -13,10 +13,25 @@ from repro.cosy import (
     default_registry,
     render_report,
 )
-from repro.asl import AslEvaluationError
+from repro.asl import AslEvaluationError, check_asl, parse_asl
+from repro.asl.specs import COSY_DATA_MODEL, COSY_PROPERTIES
+from repro.compiler import PushdownError
 from repro.cosy.report import format_table, render_speedup_table
 from repro.datamodel import PerformanceDatabase
 from repro.relalg import ExecutionError
+
+
+#: A Region property the translator refuses: ``ABS`` is an ASL builtin with
+#: no SQL translation.
+REFUSED_PROPERTY = """
+Property AbsoluteOverhead(Region r, TestRun t, Region Basis) {
+    LET float Cost = Summary(r, t).Ovhd
+    IN
+    CONDITION: (big) ABS(Cost) > 0.1 * Duration(r, t);
+    CONFIDENCE: MAX((big) -> 0.9, 0.5);
+    SEVERITY: ABS(Cost) / Duration(Basis, t);
+}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +215,42 @@ class TestStrategyEquivalence:
         # one condition + one severity query; the translator folded
         # ``CONFIDENCE: 1``, which reads no data, to its value
         assert pushdown.statements_issued == 2
+
+
+    def test_a_refused_property_falls_back_to_client_side(self):
+        specification = check_asl(
+            parse_asl(COSY_DATA_MODEL)
+            .merge(parse_asl(COSY_PROPERTIES))
+            .merge(parse_asl(REFUSED_PROPERTY))
+        )
+        scenario = build_scenario(
+            "mixed", pe_counts=(1, 4), specification=specification
+        )
+        analyzer = CosyAnalyzer(
+            scenario.repository,
+            specification=specification,
+            registry=PropertyRegistry(
+                [PropertyRegistration(name="AbsoluteOverhead")]
+            ),
+            threshold=0,
+        )
+        client, ids = load_into_backend(scenario, "ms_access")
+        pushdown = PushdownStrategy(specification, scenario.mapping, client, ids)
+        with pytest.raises(PushdownError, match="'ABS'"):
+            pushdown.compiler.compile_property("AbsoluteOverhead")
+        result = analyzer.analyze(strategy=pushdown)
+        reference = analyzer.analyze(strategy=ClientSideStrategy(specification))
+        # Every context falls back, is counted and sends no statement.
+        version = scenario.repository.programs[0].latest_version()
+        assert pushdown.fallbacks == len(list(version.all_regions())) == 6
+        assert pushdown.statements_issued == 0
+        assert (result.instances, result.skipped) == (
+            reference.instances, reference.skipped
+        )
+        # The guard decides the confidence of each instance.
+        assert {(i.holds, i.confidence) for i in result.instances} == {
+            (True, 0.9), (False, 0.5)
+        }
 
 
 class _FailingFor:

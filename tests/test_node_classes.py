@@ -35,6 +35,7 @@ import pytest
 
 from repro.apprentice import program_model, simulator
 from repro.asl import ast_nodes, errors, evaluator, symbols, tokens, types
+from repro.asl import compile as asl_compile
 from repro.asl.errors import SourceLocation
 from repro.compiler import loader, schema_gen, sql_gen
 from repro.cosy import analyzer, properties
@@ -649,9 +650,9 @@ CONTRACTS = [
         "unhashable",
     ),
     (
-        sql_gen.CompiledProperty,
-        "name decl conditions confidence severity",
-        {"conditions": fresh(list), "confidence": fresh(list), "severity": fresh(list)},
+        asl_compile.CompiledProperty,
+        "decl lets conditions confidence severity",
+        {},
         ALL,
         "unhashable",
     ),

@@ -368,6 +368,26 @@ class TestTypedErrors:
             "'*' is only valid in SELECT lists and COUNT(*)",
         )
 
+    @pytest.mark.parametrize("filled", [True, False], ids=["filled", "empty"])
+    @pytest.mark.parametrize("sql", [
+        pytest.param("SELECT * FROM t GROUP BY g", id="star"),
+        pytest.param("SELECT t.* FROM t GROUP BY g", id="qualified-star"),
+        pytest.param("SELECT g, * FROM t GROUP BY g HAVING COUNT(*) > 5",
+                     id="having-rejects-every-group"),
+        pytest.param("SELECT g, t.* FROM t GROUP BY g HAVING COUNT(*) > 5 "
+                     "ORDER BY nope", id="before-order-by"),
+    ])
+    def test_a_star_item_raises_when_no_group_reaches_the_select_list(
+        self, sql, filled
+    ):
+        # The interpreter rejects the item before it reads a row, where the
+        # planner rejects it, so an empty table or a HAVING that rejects
+        # every group raises too, and ahead of a bad ORDER BY.
+        assert _agreed(sql, rows=_THREE if filled else []) == (
+            "error", "ExecutionError",
+            "'*' is only valid in SELECT lists and COUNT(*)",
+        )
+
 
 # --------------------------------------------------------------------------- #
 # vectorized filters raise the row engine's error
