@@ -4,16 +4,18 @@ The paper's data flow is: Apprentice writes summary data to a file, the file
 is transferred into the relational database, and COSY then analyses the data
 with SQL queries.  This module implements the "transferred into the database"
 step for the generated schema of :mod:`repro.compiler.schema_gen`: it walks a
-:class:`~repro.datamodel.PerformanceDatabase`, assigns integer row ids to every
-entity and issues parametrised ``INSERT`` statements through any executor that
-offers ``execute(sql, params)`` — the plain in-process
+:class:`~repro.datamodel.PerformanceDatabase` down the collections of the
+mapping's row shapes (``SchemaMapping.row_shape``, which alone decides rows,
+columns and load order), assigns integer row ids to every entity and issues
+parametrised ``INSERT`` statements through any executor that offers
+``execute(sql, params)`` — the plain in-process
 :class:`~repro.relalg.database.Database`, a
 :class:`~repro.relalg.backends.SimulatedBackend` or one of the client API
 layers.  Using the backend/client objects means the bulk-insert experiments
 (E1) charge exactly the per-row costs the paper describes.
 
 **Batched loading.**  By default the loader does not execute one ``INSERT``
-per entity: rows are buffered per target table and flushed in batches of
+per entity: rows are buffered per INSERT statement and flushed in batches of
 ``batch_size`` through the executor's ``executemany`` (falling back to
 row-at-a-time ``execute`` for executors without one).  Against a
 :class:`~repro.relalg.backends.SimulatedBackend` the E1 virtual cost model
@@ -37,17 +39,10 @@ repository.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Protocol, Sequence
 
-from repro.compiler.schema_gen import DUAL_TABLE, PRIMARY_KEY, SchemaMapping
-from repro.datamodel import (
-    Function,
-    FunctionCall,
-    PerformanceDatabase,
-    Program,
-    ProgVersion,
-    Region,
-)
+from repro.compiler.schema_gen import DUAL_TABLE, SchemaMapping
+from repro.datamodel import DataModelError, PerformanceDatabase
 from repro.records import Record
 
 __all__ = [
@@ -130,11 +125,8 @@ class DatabaseLoader:
         self.batch_size = batch_size
         self.ids = ObjectIds()
         self.rows_inserted = 0
-        #: (table, column tuple) → buffered parameter rows awaiting a flush.
-        self._pending: Dict[Tuple[str, Tuple[str, ...]], List[List[Any]]] = {}
-        #: (table, value keys) → the (table, column tuple) those values
-        #: insert into: the keys the generated schema has, in value order.
-        self._shapes: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, Tuple[str, ...]]] = {}
+        #: INSERT text → buffered parameter rows awaiting a flush.
+        self._pending: Dict[str, List[List[Any]]] = {}
 
     # ------------------------------------------------------------------ #
     # schema creation
@@ -147,7 +139,7 @@ class DatabaseLoader:
         if with_indexes:
             for statement in self.mapping.index_statements():
                 self.executor.execute(statement)
-        self._insert(DUAL_TABLE, {"one": 1})
+        self._insert(f"INSERT INTO {DUAL_TABLE} (one) VALUES (?)", [1])
         self.flush()
 
     # ------------------------------------------------------------------ #
@@ -164,14 +156,12 @@ class DatabaseLoader:
         other SQL, so backends and client layers charge their usual costs.
         """
         if not atomic:
-            for program in repository.programs:
-                self._load_program(program)
+            self._load("Program", repository.programs)
             self.flush()
             return self.ids
         self.executor.execute("BEGIN")
         try:
-            for program in repository.programs:
-                self._load_program(program)
+            self._load("Program", repository.programs)
             self.flush()
         except BaseException:
             self._pending.clear()
@@ -180,175 +170,61 @@ class DatabaseLoader:
         self.executor.execute("COMMIT")
         return self.ids
 
-    def _load_program(self, program: Program) -> None:
-        program_id = self.ids.assign("Program", program.uid)
-        self._insert("Program", {PRIMARY_KEY: program_id, "Name": program.Name})
-        for version in program.Versions:
-            self._load_version(version, program_id)
-
-    def _load_version(self, version: ProgVersion, program_id: int) -> None:
-        version_id = self.ids.assign("ProgVersion", version.uid)
-        code_text = "\n".join(
-            f"--- {path}\n{text}" for path, text in sorted(version.Code.files.items())
-        )
-        self._insert(
-            "ProgVersion",
-            {
-                PRIMARY_KEY: version_id,
-                "Compilation": version.Compilation,
-                "Code": code_text,
-                "owner_Program_Versions_id": program_id,
-            },
-        )
-        for run in version.Runs:
-            run_id = self.ids.assign("TestRun", run.uid)
-            self._insert(
-                "TestRun",
-                {
-                    PRIMARY_KEY: run_id,
-                    "Start": run.Start,
-                    "NoPe": run.NoPe,
-                    "Clockspeed": run.Clockspeed,
-                    "owner_ProgVersion_Runs_id": version_id,
-                },
-            )
-        for function in version.Functions:
-            self._load_function(function, version_id)
-
-    def _load_function(self, function: Function, version_id: int) -> None:
-        function_id = self.ids.assign("Function", function.uid)
-        self._insert(
-            "Function",
-            {
-                PRIMARY_KEY: function_id,
-                "Name": function.Name,
-                "owner_ProgVersion_Functions_id": version_id,
-            },
-        )
-        # Regions: parents must be inserted before their children so the
-        # ParentRegion_id foreign key can be resolved.
-        for region in sorted(function.Regions, key=lambda r: r.depth()):
-            self._load_region(region, function_id)
-        for call in function.Calls:
-            self._load_call(call, function_id)
-
-    def _load_region(self, region: Region, function_id: int) -> None:
-        region_id = self.ids.assign("Region", region.uid)
-        parent_id = (
-            self.ids.id_of("Region", region.ParentRegion.uid)
-            if region.ParentRegion is not None
-            else None
-        )
-        self._insert(
-            "Region",
-            {
-                PRIMARY_KEY: region_id,
-                "ParentRegion_id": parent_id,
-                "owner_Function_Regions_id": function_id,
-            },
-        )
-        for total in region.TotTimes:
-            total_id = self.ids.assign("TotalTiming", total.uid)
-            self._insert(
-                "TotalTiming",
-                {
-                    PRIMARY_KEY: total_id,
-                    "Run_id": self.ids.id_of("TestRun", total.Run.uid),
-                    "Excl": total.Excl,
-                    "Incl": total.Incl,
-                    "Ovhd": total.Ovhd,
-                    "owner_Region_TotTimes_id": region_id,
-                },
-            )
-        for typed in region.TypTimes:
-            typed_id = self.ids.assign("TypedTiming", typed.uid)
-            self._insert(
-                "TypedTiming",
-                {
-                    PRIMARY_KEY: typed_id,
-                    "Run_id": self.ids.id_of("TestRun", typed.Run.uid),
-                    "Type": typed.Type.value,
-                    "Time": typed.Time,
-                    "owner_Region_TypTimes_id": region_id,
-                },
-            )
-
-    def _load_call(self, call: FunctionCall, function_id: int) -> None:
-        call_id = self.ids.assign("FunctionCall", call.uid)
-        self._insert(
-            "FunctionCall",
-            {
-                PRIMARY_KEY: call_id,
-                "Caller_id": self.ids.id_of("Function", call.Caller.uid),
-                "CallingReg_id": self.ids.id_of("Region", call.CallingReg.uid),
-                "owner_Function_Calls_id": function_id,
-            },
-        )
-        for timing in call.Sums:
-            timing_id = self.ids.assign("CallTiming", timing.uid)
-            self._insert(
-                "CallTiming",
-                {
-                    PRIMARY_KEY: timing_id,
-                    "Run_id": self.ids.id_of("TestRun", timing.Run.uid),
-                    "MinCalls": timing.MinCalls,
-                    "MaxCalls": timing.MaxCalls,
-                    "MeanCalls": timing.MeanCalls,
-                    "StdevCalls": timing.StdevCalls,
-                    "MinTime": timing.MinTime,
-                    "MaxTime": timing.MaxTime,
-                    "MeanTime": timing.MeanTime,
-                    "StdevTime": timing.StdevTime,
-                    "MinCallsPe": timing.MinCallsPe,
-                    "MaxCallsPe": timing.MaxCallsPe,
-                    "MinTimePe": timing.MinTimePe,
-                    "MaxTimePe": timing.MaxTimePe,
-                    "owner_FunctionCall_Sums_id": call_id,
-                },
-            )
+    def _load(
+        self,
+        class_name: str,
+        entities: Sequence[Any],
+        column: Optional[str] = None,
+        owner: Optional[int] = None,
+    ) -> None:
+        """Insert ``entities`` of ``class_name``, each row before its collections."""
+        shape = self.mapping.row_shape(class_name, column)
+        if shape.parents:  # parents first
+            entities = sorted(entities, key=lambda entity: _depth(entity, shape.parents))
+        ids, width, stored = self.ids, shape.width, shape.stored
+        tail = () if column is None else (owner,)
+        for entity in entities:
+            try:
+                values = shape.read(entity)
+            except AttributeError as error:
+                raise DataModelError(
+                    f"data-model attribute {class_name}.{error.name}: {error}"
+                ) from None
+            row = [*values[:width], *tail]
+            row_id = row[0] = ids.assign(class_name, row[0])
+            for position, convert in stored:
+                row[position] = convert(row[position], ids)
+            self._insert(shape.sql, row)
+            if shape.collections:
+                for (element, key), members in zip(shape.collections, values[width:]):
+                    self._load(element, members, key, row_id)
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
 
-    def _insert(self, table: str, values: Dict[str, Any]) -> None:
-        """Insert one row, skipping columns the generated schema does not have.
-
-        The columns are resolved once per table and shape of ``values`` (its
-        keys in order); every later row of that shape reuses them.
-        """
-        shape = (table, tuple(values))
-        key = self._shapes.get(shape)
-        if key is None:
-            known = {c.name for c in self.mapping.schemas[table].columns}
-            key = (table, tuple(name for name in values if name in known))
-            self._shapes[shape] = key
-        columns = key[1]
-        if len(columns) == len(values):
-            params = list(values.values())
-        else:
-            params = [values[name] for name in columns]
+    def _insert(self, sql: str, row: List[Any]) -> None:
+        """Insert one row now, or buffer it under its INSERT text."""
         if self.batch_size is None:
-            self.executor.execute(self._insert_sql(*key), params)
+            self.executor.execute(sql, row)
             self.rows_inserted += 1
             return
-        pending = self._pending.get(key)
+        pending = self._pending.get(sql)
         if pending is None:
-            pending = self._pending[key] = []
-        pending.append(params)
+            pending = self._pending[sql] = []
+        pending.append(row)
         if len(pending) >= self.batch_size:
-            self._flush_one(key)
+            self._flush_one(sql)
 
     def flush(self) -> None:
         """Issue every buffered INSERT batch (load() flushes automatically)."""
         for key in list(self._pending):
             self._flush_one(key)
 
-    def _flush_one(self, key: Tuple[str, Tuple[str, ...]]) -> None:
-        pending = self._pending.pop(key, None)
+    def _flush_one(self, sql: str) -> None:
+        pending = self._pending.pop(sql, None)
         if not pending:
             return
-        sql = self._insert_sql(*key)
         executemany = getattr(self.executor, "executemany", None)
         if executemany is not None:
             executemany(sql, pending)
@@ -358,10 +234,24 @@ class DatabaseLoader:
                 self.executor.execute(sql, params)
                 self.rows_inserted += 1
 
-    @staticmethod
-    def _insert_sql(table: str, columns: Tuple[str, ...]) -> str:
-        placeholders = ", ".join("?" for _ in columns)
-        return f"INSERT INTO {table} ({', '.join(columns)}) VALUES ({placeholders})"
+
+def _depth(entity: Any, parents: Sequence[str]) -> int:
+    """Length of the longest chain of references through ``parents``."""
+    depth, level, seen = 0, {entity.uid: entity}, set()
+    while True:
+        level = {
+            parent.uid: parent for member in level.values()
+            for parent in (getattr(member, name) for name in parents)
+            if parent is not None
+        }
+        if not level:
+            return depth
+        depth += 1
+        seen.update(level)
+        if depth > len(seen):  # longer than any chain without a cycle
+            raise DataModelError(
+                f"cycle through {'/'.join(parents)} at uid {entity.uid}"
+            )
 
 
 def load_repository(

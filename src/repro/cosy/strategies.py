@@ -44,7 +44,7 @@ false condition and adds nothing to confidence or severity.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Protocol, Sequence
+from typing import Any, Dict, Mapping, Optional, Protocol, Sequence, Union
 
 from repro.asl.compile import CompiledProperty
 from repro.asl.evaluator import AslEvaluator, PropertyEvaluation
@@ -188,19 +188,26 @@ class PushdownStrategy:
         self.client = client
         self.ids = ids
         self.compiler = PropertyCompiler(checked, mapping, constants=constants)
-        self._compiled: Dict[str, CompiledProperty] = {}
+        #: Property name → its translation, or the translator's refusal.
+        self._compiled: Dict[str, Union[CompiledProperty, PushdownError]] = {}
         self.statements_issued = 0
         self.fallbacks = 0
 
     # ------------------------------------------------------------------ #
 
     def compiled(self, property_name: str) -> CompiledProperty:
-        """The compiled SQL form of a property (cached)."""
-        if property_name not in self._compiled:
-            self._compiled[property_name] = self.compiler.compile_property(
-                property_name
-            )
-        return self._compiled[property_name]
+        """The compiled SQL form of a property (cached, and so is the
+        translator's refusal, raised again on every call)."""
+        compiled = self._compiled.get(property_name)
+        if compiled is None:
+            try:
+                compiled = self.compiler.compile_property(property_name)
+            except PushdownError as refusal:
+                compiled = refusal
+            self._compiled[property_name] = compiled
+        if isinstance(compiled, PushdownError):
+            raise compiled.with_traceback(None)
+        return compiled
 
     def evaluate(
         self, property_name: str, parameters: Mapping[str, Any]

@@ -1162,12 +1162,7 @@ def _compile_const_expr(expr: SqlExpr) -> ConstFn:
         return param_fn
     if isinstance(expr, UnaryOperation) and expr.op == "-":
         operand = _compile_const_expr(expr.operand)
-
-        def negate_fn(params: Sequence[Any]) -> Any:
-            value = operand(params)
-            return None if value is None else -value
-
-        return negate_fn
+        return lambda params: _negate(operand(params), expr)
     raise ExecutionError("INSERT values must be literals or '?' parameters")
 
 

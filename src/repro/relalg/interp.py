@@ -78,6 +78,8 @@ from repro.relalg.sqlast import (
     SqlExpr,
     Star,
     UnaryOperation,
+    clause_exprs,
+    walk,
 )
 from repro.relalg.storage import Table
 
@@ -92,6 +94,21 @@ class _Missing:
 
 
 _MISSING = _Missing()
+
+
+def _misplaced_star(select: SelectStatement) -> bool:
+    """Whether ``select`` or one of its subqueries holds a ``*`` other than a
+    select item or COUNT's argument."""
+    allowed = {id(item.expr) for item in select.items}
+    for expr in clause_exprs(select):
+        for node in walk(expr):
+            if isinstance(node, FunctionExpr) and node.name == "COUNT" and node.args:
+                allowed.add(id(node.args[0]))
+            elif isinstance(node, Star) and id(node) not in allowed:
+                return True
+            elif isinstance(node, ScalarSubquery) and _misplaced_star(node.select):
+                return True
+    return False
 
 
 class InterpretedSelectExecutor:
@@ -119,11 +136,12 @@ class InterpretedSelectExecutor:
         # the compiled engines stay differentially identical.
         check_select(statement, self.tables)
         columns = output_columns(statement, bindings)
-        if statement.is_aggregate_query and any(
+        if _misplaced_star(statement) or (statement.is_aggregate_query and any(
             isinstance(item.expr, Star) for item in statement.items
-        ):
+        )):
             # Raised before any row, as the planner raises it compiling the
-            # select list, also when no group reaches the select list.
+            # statement, also on an empty table or when no group reaches the
+            # select list.
             raise ExecutionError("'*' is only valid in SELECT lists and COUNT(*)")
         # Resolved before any row is read, exactly where the planner resolves
         # it, so a bad ORDER BY raises the same error on an empty table.

@@ -101,6 +101,7 @@ from repro.relalg.sqlast import (
     SelectStatement,
     SqlExpr,
     Star,
+    clause_exprs,
     walk,
 )
 from repro.relalg.semantics import (
@@ -1306,17 +1307,9 @@ def _direct_subselects(select: SelectStatement) -> List[SelectStatement]:
     """Scalar subqueries appearing directly in one SELECT's clauses, in
     clause order: the subqueries this plan's :attr:`QueryPlan.table_deps`
     (and hence per-table plan-cache invalidation) must cover."""
-    exprs: List[SqlExpr] = [item.expr for item in select.items]
-    exprs.extend(join.on for join in select.joins if join.on is not None)
-    if select.where is not None:
-        exprs.append(select.where)
-    exprs.extend(select.group_by)
-    if select.having is not None:
-        exprs.append(select.having)
-    exprs.extend(item.expr for item in select.order_by)
     return [
         node.select
-        for expr in exprs
+        for expr in clause_exprs(select)
         for node in walk(expr)
         if isinstance(node, ScalarSubquery)
     ]

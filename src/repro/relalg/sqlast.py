@@ -43,6 +43,7 @@ __all__ = [
     "RollbackStatement",
     "Statement",
     "AGGREGATE_FUNCTIONS",
+    "clause_exprs",
     "format_expr",
     "walk",
 ]
@@ -436,6 +437,20 @@ class SelectStatement(Record):
         if self.group_by:
             return True
         return any(_contains_aggregate(item.expr) for item in self.items)
+
+
+def clause_exprs(select: SelectStatement) -> List[SqlExpr]:
+    """The expressions of one SELECT's own clauses, in clause order: select
+    items, JOIN ON conditions, WHERE, GROUP BY, HAVING, ORDER BY."""
+    exprs: List[SqlExpr] = [item.expr for item in select.items]
+    exprs.extend(join.on for join in select.joins if join.on is not None)
+    if select.where is not None:
+        exprs.append(select.where)
+    exprs.extend(select.group_by)
+    if select.having is not None:
+        exprs.append(select.having)
+    exprs.extend(item.expr for item in select.order_by)
+    return exprs
 
 
 def _contains_aggregate(expr: SqlExpr) -> bool:

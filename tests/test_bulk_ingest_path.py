@@ -15,12 +15,15 @@ bypass:
 import collections
 import datetime as dt
 import enum
+import hashlib
 import math
 
 import pytest
 
+from repro.apprentice import ApprenticeExport, ApprenticeParser
 from repro.asl.specs import cosy_specification
 from repro.bench import build_scenario, load_into_backend
+from repro.compiler import load_repository
 from repro.datamodel import (
     CallTiming,
     DataModelError,
@@ -405,3 +408,71 @@ class TestLoadStatementStream:
             table: sum(rows) for table, rows in _MEDIUM_BATCHES.items()
         }
         assert client.backend.rows_inserted == 1983
+
+    @pytest.mark.parametrize("source", ["simulated", "export-parsed"])
+    @pytest.mark.parametrize("load, batch_size, atomic", [
+        ("batched", 100, False),
+        ("row-at-a-time", None, False),
+        ("atomic", 7, True),
+    ])
+    def test_whole_stream_is_pinned(
+        self, medium_scenario, source, load, batch_size, atomic
+    ):
+        # Every executor call of the load, schema DDL included: its method,
+        # SQL text and parameter rows, in order.  The rows hold row ids only,
+        # never entity uids, which depend on what the process built before.
+        repository = medium_scenario.repository
+        if source == "export-parsed":
+            repository = ApprenticeParser().loads(
+                ApprenticeExport(repository).dumps()
+            )
+        executor = _DigestingExecutor()
+        ids = load_repository(
+            repository, medium_scenario.mapping, executor,
+            batch_size=batch_size, atomic=atomic,
+        )
+        assert executor.digest.hexdigest() == _STREAM_DIGESTS[load, source]
+        assert executor.calls == _STREAM_CALLS[load]
+        assert ids.total() == 1982
+
+
+class _DigestingExecutor:
+    """An executor that hashes every call and forwards it to a database."""
+
+    def __init__(self):
+        self.database = Database()
+        self.digest = hashlib.sha256()
+        self.calls = 0
+
+    def _record(self, method, sql, rows):
+        self.digest.update(repr((method, sql, rows)).encode())
+        self.calls += 1
+
+    def execute(self, sql, params=()):
+        self._record("execute", sql, [list(params)])
+        return self.database.execute(sql, params)
+
+    def executemany(self, sql, param_rows):
+        param_rows = [list(params) for params in param_rows]
+        self._record("executemany", sql, param_rows)
+        return self.database.executemany(sql, param_rows)
+
+
+#: The sha256 of the load statement stream of the E1 medium scenario, by
+#: load and repository source (the export rounds floats to 12 digits), and
+#: the load's number of executor calls.
+_STREAM_DIGESTS = {
+    ("batched", "simulated"):
+        "eb32c5ed2b57b2496065bbbba5af900340e9989b40c912ec97d5c2be57700f2a",
+    ("batched", "export-parsed"):
+        "518e9fda221a85d6608ec359c86b04c8328018037b907ea8ec9e632098133a63",
+    ("row-at-a-time", "simulated"):
+        "aa1b368033c96d4e861ec58ae73a852068247c746ed5154c023b88254f0232ea",
+    ("row-at-a-time", "export-parsed"):
+        "3892ef632548af68833cf27602862680435f8dac56b3e3dbd2a0c9d05cce2491",
+    ("atomic", "simulated"):
+        "964802398d1c11d9967c0230b1109cae0e4356cd31f0d13b38441fa63ed5ec51",
+    ("atomic", "export-parsed"):
+        "91163705b15a4ba97c6469cfed9203a0f1c1d291ea8727c1c5168c9c428b8570",
+}
+_STREAM_CALLS = {"batched": 50, "row-at-a-time": 2007, "atomic": 315}

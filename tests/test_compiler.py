@@ -1,10 +1,15 @@
 """Tests of the ASL→SQL compiler: schema generation, loading, query generation."""
 
+import datetime as dt
+import enum
+from types import SimpleNamespace
+
 import pytest
 
 from repro.asl import parse_asl, check_asl
 from repro.asl.ast_nodes import walk
 from repro.asl.specs import cosy_specification
+from repro.asl.specs.cosy_model import COSY_DATA_MODEL
 from repro.compiler import (
     DUAL_TABLE,
     PRIMARY_KEY,
@@ -13,6 +18,14 @@ from repro.compiler import (
     PushdownError,
     generate_schema,
     load_repository,
+)
+from repro.datamodel import (
+    DataModelError,
+    Function,
+    PerformanceDatabase,
+    ProgVersion,
+    Program,
+    Region,
 )
 from repro.relalg import Database
 from repro.relalg.sqlparser import parse_sql
@@ -65,6 +78,23 @@ class TestSchemaGeneration:
         assert "owner_Region_TotTimes_id" in statements
         assert "Run_id" in statements
 
+    def test_bundled_index_statements(self, schema_mapping):
+        assert schema_mapping.index_statements() == [
+            f"CREATE INDEX idx_{table}_{column} ON {table} ({column})"
+            for table, column in _BUNDLED_FOREIGN_KEYS
+        ]
+
+    def test_only_foreign_keys_are_indexed(self):
+        # A scalar whose name ends in ``_id`` is no foreign key.
+        mapping = generate_schema(check_asl(parse_asl(
+            "class Sample { int Legacy_id; Sample Parent; setof Sample Kids; }"
+        )))
+        assert mapping.index_statements() == [
+            "CREATE INDEX idx_Sample_Parent_id ON Sample (Parent_id)",
+            "CREATE INDEX idx_Sample_owner_Sample_Kids_id "
+            "ON Sample (owner_Sample_Kids_id)",
+        ]
+
     def test_unknown_class_or_attribute_lookup(self, schema_mapping):
         with pytest.raises(Exception):
             schema_mapping.table_for("Widget")
@@ -75,6 +105,76 @@ class TestSchemaGeneration:
         spec = check_asl(parse_asl("class Weird { setof int Values; }"))
         with pytest.raises(Exception, match="collection attribute"):
             generate_schema(spec)
+
+
+#: The bundled model's foreign-key columns, in table and column order.
+_BUNDLED_FOREIGN_KEYS = [
+    ("ProgVersion", "owner_Program_Versions_id"),
+    ("TestRun", "owner_ProgVersion_Runs_id"),
+    ("Function", "owner_ProgVersion_Functions_id"),
+    ("Region", "ParentRegion_id"),
+    ("Region", "owner_Function_Regions_id"),
+    ("TotalTiming", "Run_id"),
+    ("TotalTiming", "owner_Region_TotTimes_id"),
+    ("TypedTiming", "Run_id"),
+    ("TypedTiming", "owner_Region_TypTimes_id"),
+    ("FunctionCall", "Caller_id"),
+    ("FunctionCall", "CallingReg_id"),
+    ("FunctionCall", "owner_Function_Calls_id"),
+    ("CallTiming", "Run_id"),
+    ("CallTiming", "owner_FunctionCall_Sums_id"),
+]
+
+
+class TestRowShapes:
+    def test_a_row_is_key_attributes_and_owner(self, schema_mapping):
+        shape = schema_mapping.row_shape("TypedTiming", "owner_Region_TypTimes_id")
+        assert shape.sql == (
+            "INSERT INTO TypedTiming (id, Run_id, Type, Time, "
+            "owner_Region_TypTimes_id) VALUES (?, ?, ?, ?, ?)"
+        )
+        assert [position for position, _ in shape.stored] == [1, 2]
+        root = schema_mapping.row_shape("Program")
+        assert root.sql == "INSERT INTO Program (id, Name) VALUES (?, ?)"
+        assert root.stored == ()
+
+    def test_collections_load_after_the_siblings_they_reference(
+        self, schema_mapping
+    ):
+        # ProgVersion declares Functions before Runs, but timings in the
+        # Functions subtree reference TestRun; calls reference regions.
+        assert schema_mapping.row_shape("ProgVersion").collections == (
+            ("TestRun", "owner_ProgVersion_Runs_id"),
+            ("Function", "owner_ProgVersion_Functions_id"),
+        )
+        assert schema_mapping.row_shape("Function").collections == (
+            ("Region", "owner_Function_Regions_id"),
+            ("FunctionCall", "owner_Function_Calls_id"),
+        )
+        assert schema_mapping.row_shape("Region").collections == (
+            ("TotalTiming", "owner_Region_TotTimes_id"),
+            ("TypedTiming", "owner_Region_TypTimes_id"),
+        )
+        assert schema_mapping.row_shape("Region").parents == ("ParentRegion",)
+
+    def test_load_order_follows_references_between_siblings(self):
+        mapping = generate_schema(check_asl(parse_asl(
+            "class Root { setof A As; setof B Bs; setof C Cs; setof X Xs; setof Y Ys; }"
+            "class A { B Partner; } class B { setof D Ds; } class C { int N; }"
+            "class D { C Target; } class X { Y Other; } class Y { X Other; }"
+        )))
+        # A after B, whose subtree references C; X and Y reference each
+        # other and keep their declaration order.
+        assert [element for element, _ in mapping.row_shape("Root").collections] == [
+            "C", "B", "A", "X", "Y"
+        ]
+
+    def test_shapes_are_built_once_per_class_and_owner_column(self, schema_mapping):
+        shape = schema_mapping.row_shape("TestRun", "owner_ProgVersion_Runs_id")
+        assert schema_mapping.row_shape(
+            "TestRun", "owner_ProgVersion_Runs_id"
+        ) is shape
+        assert schema_mapping.row_shape("TestRun") is not shape
 
 
 class TestLoader:
@@ -129,12 +229,68 @@ class TestLoader:
         with pytest.raises(KeyError):
             ids.id_of("Region", 10**9)
 
+    def test_a_model_attribute_the_objects_lack_raises(self, mixed_repository):
+        model = COSY_DATA_MODEL.replace(
+            "int Clockspeed;", "int Clockspeed;\n    String Label;"
+        )
+        mapping = generate_schema(check_asl(parse_asl(model)))
+        database = Database()
+        loader = DatabaseLoader(mapping, database)
+        loader.create_schema()
+        with pytest.raises(DataModelError, match=r"TestRun\.Label"):
+            loader.load(mixed_repository, atomic=True)
+        assert database.row_counts()["TestRun"] == 0
+
+    def test_any_data_model_loads(self):
+        mapping = generate_schema(check_asl(parse_asl(
+            "enum Genre { Novel, Poem }"
+            "class Program { String Name; setof Book Books; }"
+            "class Book { String Title; Genre Kind; Book Sequel; }"
+        )))
+        first = SimpleNamespace(uid=7, Title="a", Kind=Genre.Poem, Sequel=None)
+        second = SimpleNamespace(uid=8, Title="b", Kind=None, Sequel=first)
+        program = SimpleNamespace(uid=9, Name="shelf", Books=[second, first])
+        database = Database()
+        ids = load_repository(SimpleNamespace(programs=[program]), mapping, database)
+        assert ids.by_class == {"Program": {9: 1}, "Book": {7: 1, 8: 2}}
+        assert list(database.table("Book").scan()) == [
+            (1, "a", "Poem", None, 1), (2, "b", None, 1, 1),
+        ]
+
+    def test_a_cyclic_parent_chain_raises(self, schema_mapping):
+        outer, inner = Region(name="outer"), Region(name="inner")
+        outer.ParentRegion, inner.ParentRegion = inner, outer
+        repository = _one_function_repository([outer, inner])
+        with pytest.raises(DataModelError, match="cycle through ParentRegion"):
+            load_repository(repository, schema_mapping, Database())
+
+    def test_parents_load_before_their_children(self, schema_mapping):
+        leaf, middle, root = (Region(name=name) for name in ("leaf", "middle", "root"))
+        leaf.ParentRegion, middle.ParentRegion = middle, root
+        repository = _one_function_repository([leaf, middle, root])
+        ids = load_repository(repository, schema_mapping, Database())
+        assert [ids.id_for(r) for r in (root, middle, leaf)] == [1, 2, 3]
+
     def test_loading_without_indexes(self, schema_mapping, mixed_repository):
         database = Database()
         load_repository(
             mixed_repository, schema_mapping, database, with_indexes=False
         )
         assert database.table("TotalTiming").index_for("owner_Region_TotTimes_id") is None
+
+
+class Genre(enum.Enum):
+    Novel = 1
+    Poem = 2
+
+
+def _one_function_repository(regions):
+    """A repository of one program, version and function holding ``regions``."""
+    function = Function(Name="f", Regions=regions)
+    version = ProgVersion(Compilation=dt.datetime(2000, 1, 1), Functions=[function])
+    repository = PerformanceDatabase()
+    repository.add_program(Program(Name="p", Versions=[version]))
+    return repository
 
 
 class TestPropertyCompilation:

@@ -218,24 +218,7 @@ class TestStrategyEquivalence:
 
 
     def test_a_refused_property_falls_back_to_client_side(self):
-        specification = check_asl(
-            parse_asl(COSY_DATA_MODEL)
-            .merge(parse_asl(COSY_PROPERTIES))
-            .merge(parse_asl(REFUSED_PROPERTY))
-        )
-        scenario = build_scenario(
-            "mixed", pe_counts=(1, 4), specification=specification
-        )
-        analyzer = CosyAnalyzer(
-            scenario.repository,
-            specification=specification,
-            registry=PropertyRegistry(
-                [PropertyRegistration(name="AbsoluteOverhead")]
-            ),
-            threshold=0,
-        )
-        client, ids = load_into_backend(scenario, "ms_access")
-        pushdown = PushdownStrategy(specification, scenario.mapping, client, ids)
+        specification, scenario, analyzer, pushdown = _refused_property_setup()
         with pytest.raises(PushdownError, match="'ABS'"):
             pushdown.compiler.compile_property("AbsoluteOverhead")
         result = analyzer.analyze(strategy=pushdown)
@@ -251,6 +234,46 @@ class TestStrategyEquivalence:
         assert {(i.holds, i.confidence) for i in result.instances} == {
             (True, 0.9), (False, 0.5)
         }
+
+    def test_a_refusal_is_translated_once_per_analysis(self, monkeypatch):
+        _, _, analyzer, pushdown = _refused_property_setup()
+        compile_property = pushdown.compiler.compile_property
+        attempts = []
+
+        def counted(name):
+            attempts.append(name)
+            return compile_property(name)
+
+        monkeypatch.setattr(pushdown.compiler, "compile_property", counted)
+        analyzer.analyze(strategy=pushdown)
+        # The refusal is cached; every context still falls back and counts.
+        assert attempts == ["AbsoluteOverhead"]
+        assert pushdown.fallbacks == 6
+        with pytest.raises(PushdownError, match="'ABS'"):
+            pushdown.compiled("AbsoluteOverhead")
+        assert len(attempts) == 1
+
+
+def _refused_property_setup():
+    """The bundled specification plus a property the translator refuses,
+    its analyzer and a pushdown strategy over the loaded scenario."""
+    specification = check_asl(
+        parse_asl(COSY_DATA_MODEL)
+        .merge(parse_asl(COSY_PROPERTIES))
+        .merge(parse_asl(REFUSED_PROPERTY))
+    )
+    scenario = build_scenario(
+        "mixed", pe_counts=(1, 4), specification=specification
+    )
+    analyzer = CosyAnalyzer(
+        scenario.repository,
+        specification=specification,
+        registry=PropertyRegistry([PropertyRegistration(name="AbsoluteOverhead")]),
+        threshold=0,
+    )
+    client, ids = load_into_backend(scenario, "ms_access")
+    pushdown = PushdownStrategy(specification, scenario.mapping, client, ids)
+    return specification, scenario, analyzer, pushdown
 
 
 class _FailingFor:

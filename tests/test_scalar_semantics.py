@@ -35,7 +35,7 @@ import random
 
 import pytest
 
-from repro.relalg import Database
+from repro.relalg import Database, ExecutionError, NativeClient, backend
 from repro.relalg.errors import RelalgError
 from repro.relalg.planner import plan_select
 from repro.relalg.sqlparser import parse_sql
@@ -387,6 +387,68 @@ class TestTypedErrors:
             "error", "ExecutionError",
             "'*' is only valid in SELECT lists and COUNT(*)",
         )
+
+    @pytest.mark.parametrize("filled", [True, False], ids=["filled", "empty"])
+    @pytest.mark.parametrize("sql", [
+        pytest.param("SELECT t.* + 1 FROM t", id="select-item"),
+        pytest.param("SELECT t.* + 1 FROM t GROUP BY g", id="grouped-item"),
+        pytest.param("SELECT id FROM t WHERE t.* = 1", id="where"),
+        pytest.param("SELECT id FROM t ORDER BY t.* + 1", id="order-by"),
+        pytest.param("SELECT (SELECT u.* + 1 FROM u) FROM t", id="subquery"),
+    ])
+    def test_a_star_inside_an_expression_raises_before_any_row(
+        self, sql, filled
+    ):
+        # The compiled engines reject the '*' while they plan; the
+        # interpreter rejects it before it reads a row.
+        assert _agreed(sql, rows=_THREE if filled else []) == (
+            "error", "ExecutionError",
+            "'*' is only valid in SELECT lists and COUNT(*)",
+        )
+
+
+class TestInsertNegation:
+    """A negated INSERT value raises the SELECT's typed error at every layer
+    and inserts nothing; NULL negates to NULL."""
+
+    @staticmethod
+    def _layers():
+        client = NativeClient(backend("oracle7"))
+        return client, [client.backend.database, client.backend, client]
+
+    @pytest.mark.parametrize("layer", range(3), ids=["database", "backend", "client"])
+    @pytest.mark.parametrize("sql,params,message", [
+        pytest.param("INSERT INTO t (id, x) VALUES (1, -?)", ["abc"],
+                     "invalid operand for -: 'abc' in -?", id="parameter"),
+        pytest.param("INSERT INTO t (id, x) VALUES (2, -'abc')", [],
+                     "invalid operand for -: 'abc' in -'abc'", id="literal"),
+    ])
+    def test_a_non_number_raises_a_typed_error(self, layer, sql, params, message):
+        client, layers = self._layers()
+        database = client.backend.database
+        database.execute(_T_DDL)
+        with pytest.raises(ExecutionError) as raised:
+            layers[layer].execute(sql, params)
+        assert str(raised.value) == message
+        with pytest.raises(ExecutionError) as raised:
+            layers[layer].executemany(
+                "INSERT INTO t (id, x) VALUES (?, -?)", [[3, 1.0], [4, "abc"]]
+            )
+        assert str(raised.value) == "invalid operand for -: 'abc' in -?"
+        assert database.row_counts()["t"] == 0
+        # The SELECT form raises the same error.
+        database.execute("INSERT INTO t (id, x) VALUES (1, 2.0)")
+        with pytest.raises(ExecutionError) as raised:
+            database.query("SELECT -? FROM t", ["abc"])
+        assert str(raised.value) == "invalid operand for -: 'abc' in -?"
+
+    def test_null_negates_to_null(self):
+        client, _ = self._layers()
+        client.execute(_T_DDL)
+        client.executemany(
+            "INSERT INTO t (id, x) VALUES (?, -?)", [[1, None], [2, 1.5]]
+        )
+        assert client.query("SELECT id, x FROM t").rows == [(1, None), (2, -1.5)]
 
 
 # --------------------------------------------------------------------------- #
