@@ -16,6 +16,7 @@ processor count into Apprentice-style summary data.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Iterator, List, Optional, Tuple
 
 from repro.datamodel.entities import RegionKind
@@ -58,6 +59,20 @@ class CommPattern(enum.Enum):
     REDUCTION = "reduction"
     ALLTOALL = "alltoall"
     BROADCAST = "broadcast"
+
+    def per_process_time(self, comm_time: float, pes: int) -> float:
+        """Per-process communication time on ``pes`` processors of a region
+        with this pattern and ``comm_time``, scaled as listed above; none on
+        one processor."""
+        if self is CommPattern.NONE or comm_time <= 0 or pes <= 1:
+            return 0.0
+        if self is CommPattern.NEAREST:
+            return comm_time
+        if self in (CommPattern.REDUCTION, CommPattern.BROADCAST):
+            return comm_time * math.log2(pes)
+        if self is CommPattern.ALLTOALL:
+            return comm_time * (pes - 1)
+        raise AssertionError(f"unhandled communication pattern {self}")
 
 
 class CallSpec(Record):

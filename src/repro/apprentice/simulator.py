@@ -305,7 +305,7 @@ class ExecutionSimulator:
             add(TimingType.Barrier, [cfg.barrier_latency * spec.barriers] * pes)
 
         # -- communication ------------------------------------------------------
-        comm = self._comm_time(spec, pes)
+        comm = spec.comm_pattern.per_process_time(spec.comm_time, pes)
         if comm > 0:
             if spec.comm_pattern is CommPattern.NEAREST:
                 add(TimingType.SendOverhead, [comm * 0.40] * pes)
@@ -363,18 +363,6 @@ class ExecutionSimulator:
             }
 
         return RegionMeasurement(compute=compute, typed=typed)
-
-    def _comm_time(self, spec: RegionSpec, pes: int) -> float:
-        """Per-process communication time of a region for ``pes`` processors."""
-        if spec.comm_pattern is CommPattern.NONE or spec.comm_time <= 0 or pes <= 1:
-            return 0.0
-        if spec.comm_pattern is CommPattern.NEAREST:
-            return spec.comm_time
-        if spec.comm_pattern in (CommPattern.REDUCTION, CommPattern.BROADCAST):
-            return spec.comm_time * math.log2(pes)
-        if spec.comm_pattern is CommPattern.ALLTOALL:
-            return spec.comm_time * (pes - 1)
-        raise AssertionError(f"unhandled communication pattern {spec.comm_pattern}")
 
     def _aggregate_region(
         self,

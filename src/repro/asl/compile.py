@@ -294,12 +294,12 @@ class AslExprCompiler:
                 return body_fn(inner)
 
             return call_fn
-        upper = expr.name.upper()
-        if upper == "MIN" and arg_fns:
+        # The checker admitted only builtins of the right arity.
+        if expr.name == "MIN":
             return lambda env: min(fn(env) for fn in arg_fns)
-        if upper == "MAX" and arg_fns:
+        if expr.name == "MAX":
             return lambda env: max(fn(env) for fn in arg_fns)
-        if upper == "ABS" and len(arg_fns) == 1:
+        if expr.name == "ABS":
             arg = arg_fns[0]
             return lambda env: abs(arg(env))
         raise AslNameError(f"unknown function {expr.name!r}", expr.location)
@@ -336,18 +336,20 @@ class AslExprCompiler:
             return lambda env: left(env) * right(env)
         if op is BinaryOp.DIV:
             def div_fn(env: Dict[str, Any]) -> Any:
+                dividend = left(env)
                 divisor = right(env)
                 if divisor == 0:
                     raise AslEvaluationError("division by zero", location)
-                return left(env) / divisor
+                return dividend / divisor
 
             return div_fn
         if op is BinaryOp.MOD:
             def mod_fn(env: Dict[str, Any]) -> Any:
+                dividend = left(env)
                 divisor = right(env)
                 if divisor == 0:
                     raise AslEvaluationError("modulo by zero", location)
-                return left(env) % divisor
+                return dividend % divisor
 
             return mod_fn
         if op is BinaryOp.EQ:

@@ -65,8 +65,10 @@ from repro.asl.types import (
 
 __all__ = ["SemanticChecker", "check_asl", "CheckedSpecification"]
 
-#: Scalar builtins usable in expressions without a WHERE clause.
-_SCALAR_BUILTINS = {"MIN", "MAX", "ABS"}
+#: Scalar builtins usable in expressions without a WHERE clause, with the
+#: fewest and the most arguments each takes (``None``: no upper bound).  The
+#: evaluators rely on the checker for the arity.
+_SCALAR_BUILTINS = {"MIN": (1, None), "MAX": (1, None), "ABS": (1, 1)}
 
 
 class CheckedSpecification:
@@ -421,11 +423,14 @@ class SemanticChecker:
                         arg.location,
                     )
             return return_type
-        if expr.name.upper() in _SCALAR_BUILTINS and expr.name.isupper():
+        if expr.name in _SCALAR_BUILTINS:
             arg_types = [self.check_expr(arg, scope) for arg in expr.args]
-            if not expr.args:
+            fewest, most = _SCALAR_BUILTINS[expr.name]
+            if len(expr.args) < fewest or (most is not None and len(expr.args) > most):
+                arity = f"at least {fewest}" if most is None else f"exactly {most}"
                 return self._error(
-                    f"builtin {expr.name} requires at least one argument",
+                    f"builtin {expr.name} takes {arity} argument(s), got "
+                    f"{len(expr.args)}",
                     expr.location,
                 )
             for arg, arg_type in zip(expr.args, arg_types):

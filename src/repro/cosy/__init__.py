@@ -1,7 +1,7 @@
 """The KOJAK Cost Analyzer (COSY).
 
-* :mod:`repro.cosy.properties` — registry describing over which entities each
-  ASL property is instantiated;
+* :mod:`repro.cosy.properties` — registry naming the ASL properties the
+  analyzer instantiates (over the declared class of their first parameter);
 * :mod:`repro.cosy.strategies` — client-side vs. SQL-pushdown evaluation;
 * :mod:`repro.cosy.analyzer` — evaluation, severity ranking, bottleneck;
 * :mod:`repro.cosy.report` — plain-text reports;

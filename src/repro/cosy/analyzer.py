@@ -20,9 +20,9 @@ The evaluation itself is delegated to one of the strategies in
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.asl.errors import AslEvaluationError
+from repro.asl.errors import AslEvaluationError, AslTypeError
 from repro.asl.semantic import CheckedSpecification
 from repro.asl.specs import cosy_specification
 from repro.cosy.properties import (
@@ -219,34 +219,53 @@ class CosyAnalyzer:
             strategy=getattr(strategy, "name", type(strategy).__name__),
         )
         wanted = set(properties) if properties is not None else None
-
-        for registration in self.registry:
-            if wanted is not None and registration.name not in wanted:
-                continue
-            if registration.name not in self.specification.index.properties:
-                raise KeyError(
-                    f"property {registration.name!r} is registered but not part "
-                    f"of the ASL specification"
-                )
-            if registration.subject == SubjectKind.REGION:
-                subjects = [
-                    (region.name, SubjectKind.REGION, region)
-                    for region in version.all_regions()
-                ]
-            else:
-                subjects = [
-                    (
-                        f"{call.callee_name}@{call.CallingReg.name}",
-                        SubjectKind.CALL,
-                        call,
-                    )
-                    for call in version.all_calls()
-                    if registration.accepts_callee(call.callee_name)
-                ]
+        # Every property's subjects are settled before any context is
+        # evaluated, so a registration that cannot be instantiated raises
+        # before the analysis sends a statement.
+        contexts = [
+            (registration, self._subjects(registration, version))
+            for registration in self.registry
+            if wanted is None or registration.name in wanted
+        ]
+        for registration, subjects in contexts:
             self._evaluate_contexts(
                 registration, subjects, run, basis_region, strategy, result
             )
         return result
+
+    def _subjects(
+        self, registration: PropertyRegistration, version: ProgVersion
+    ) -> List[Tuple[str, str, Any]]:
+        """The ``(name, kind, subject)`` contexts of one property, from the
+        declared class of its first parameter: every region of the version
+        for ``Region``, every call site whose callee the registration accepts
+        for ``FunctionCall``."""
+        name = registration.name
+        decl = self.specification.index.properties.get(name)
+        if decl is None:
+            raise KeyError(
+                f"property {name!r} is registered but not part of the ASL "
+                f"specification"
+            )
+        subject_class = str(decl.params[0].type) if decl.params else None
+        if subject_class == "FunctionCall":
+            return [
+                (f"{call.callee_name}@{call.CallingReg.name}", SubjectKind.CALL, call)
+                for call in version.all_calls()
+                if registration.accepts_callee(call.callee_name)
+            ]
+        if subject_class == "Region" and registration.only_callees is None:
+            return [
+                (region.name, SubjectKind.REGION, region)
+                for region in version.all_regions()
+            ]
+        found = {None: "it has none", "Region": "found Region with a callee filter"}
+        raise AslTypeError(
+            f"property {name!r} is instantiated over its first parameter, which "
+            f"must be a Region (with no callee filter) or a FunctionCall; "
+            f"{found.get(subject_class, f'found {subject_class}')}",
+            decl.location,
+        )
 
     # ------------------------------------------------------------------ #
     # iteration over subjects
@@ -302,8 +321,6 @@ class CosyAnalyzer:
         basis.
         """
         decl = self.specification.index.properties[property_name]
-        if not decl.params:
-            return {}
         binding: Dict[str, Any] = {decl.params[0].name: subject}
         for param in decl.params[1:]:
             if param.type.name == "TestRun":

@@ -1,30 +1,33 @@
 """Registry of the performance properties COSY evaluates.
 
-The registry records, for every ASL property, *over which entities* the COSY
-analyzer instantiates it:
+A registration names an ASL property and, for a call-site property, the
+callees it is restricted to.  Everything else comes from the property's ASL
+declaration (:mod:`repro.asl.specs`): the analyzer instantiates a property
+over the declared class of its first parameter —
 
-* region properties (``SublinearSpeedup``, ``MeasuredCost``, …) are evaluated
-  for every program region of the selected test run;
-* call-site properties are evaluated for function call sites; the
-  ``LoadImbalance`` property "is evaluated only for calls to the barrier
-  routine" (paper, Section 4.2), which the ``only_callees`` filter expresses.
+* ``Region`` (``SublinearSpeedup``, ``MeasuredCost``, …): every program region
+  of the selected program version;
+* ``FunctionCall``: every call site; the ``LoadImbalance`` property "is
+  evaluated only for calls to the barrier routine" (paper, Section 4.2),
+  which the ``only_callees`` filter expresses —
 
-The registry is purely declarative — the conditions, confidence and severity
-come from the ASL specification (:mod:`repro.asl.specs`), and tools may
-register additional properties parsed from their own specification documents.
+and its conditions, confidence and severity come from the same declaration.
+Tools may register additional properties parsed from their own
+specification documents by name.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
+from repro.asl.specs import COSY_PROPERTY_NAMES
 from repro.records import FrozenRecord, slot_setters
 
 __all__ = ["SubjectKind", "PropertyRegistration", "PropertyRegistry", "default_registry"]
 
 
 class SubjectKind:
-    """What kind of entity a property is instantiated over."""
+    """What kind of entity a property instance was evaluated for."""
 
     REGION = "region"
     CALL = "call"
@@ -33,34 +36,23 @@ class SubjectKind:
 class PropertyRegistration(FrozenRecord):
     """How one ASL property is instantiated by the analyzer."""
 
-    __slots__ = ("name", "subject", "only_callees", "description")
+    __slots__ = ("name", "only_callees")
 
     def __init__(
-        self,
-        name: str,
-        subject: str = SubjectKind.REGION,
-        only_callees: Optional[FrozenSet[str]] = None,
-        description: str = "",
+        self, name: str, only_callees: Optional[FrozenSet[str]] = None
     ) -> None:
         #: Name of the ASL property declaration.
         _registration_name(self, name)
-        #: ``SubjectKind.REGION`` or ``SubjectKind.CALL``.
-        _registration_subject(self, subject)
         #: For call-site properties: restrict evaluation to these callees
         #: (``None`` = all call sites).
         _registration_only_callees(self, only_callees)
-        #: Short description used in reports.
-        _registration_description(self, description)
 
     def accepts_callee(self, callee: str) -> bool:
         """Whether a call site with this callee should be evaluated."""
         return self.only_callees is None or callee in self.only_callees
 
 
-(
-    _registration_name, _registration_subject, _registration_only_callees,
-    _registration_description,
-) = slot_setters(PropertyRegistration)
+_registration_name, _registration_only_callees = slot_setters(PropertyRegistration)
 
 
 class PropertyRegistry:
@@ -100,58 +92,18 @@ class PropertyRegistry:
     def __len__(self) -> int:
         return len(self._registrations)
 
-    def region_properties(self) -> List[PropertyRegistration]:
-        return [r for r in self if r.subject == SubjectKind.REGION]
 
-    def call_properties(self) -> List[PropertyRegistration]:
-        return [r for r in self if r.subject == SubjectKind.CALL]
+#: The call-site properties of the bundled document that the paper evaluates
+#: only for calls to the barrier routine (Section 4.2).
+_BARRIER_PROPERTIES = frozenset({"LoadImbalance", "FrequentBarrier"})
 
 
 def default_registry() -> PropertyRegistry:
-    """The property set of the COSY prototype (paper properties + breakdowns)."""
+    """The property set of the COSY prototype: the bundled document's
+    properties in evaluation order, the barrier properties filtered to
+    ``barrier`` calls."""
+    barrier = frozenset({"barrier"})
     return PropertyRegistry(
-        [
-            PropertyRegistration(
-                name="SublinearSpeedup",
-                subject=SubjectKind.REGION,
-                description="lost cycles compared to the run with the fewest PEs",
-            ),
-            PropertyRegistration(
-                name="MeasuredCost",
-                subject=SubjectKind.REGION,
-                description="overhead measured by Apprentice",
-            ),
-            PropertyRegistration(
-                name="UnmeasuredCost",
-                subject=SubjectKind.REGION,
-                description="lost cycles not explained by measured overhead",
-            ),
-            PropertyRegistration(
-                name="SyncCost",
-                subject=SubjectKind.REGION,
-                description="barrier synchronisation overhead",
-            ),
-            PropertyRegistration(
-                name="CommunicationCost",
-                subject=SubjectKind.REGION,
-                description="message passing and collective communication overhead",
-            ),
-            PropertyRegistration(
-                name="IOCost",
-                subject=SubjectKind.REGION,
-                description="input/output overhead",
-            ),
-            PropertyRegistration(
-                name="LoadImbalance",
-                subject=SubjectKind.CALL,
-                only_callees=frozenset({"barrier"}),
-                description="barrier cost caused by uneven work distribution",
-            ),
-            PropertyRegistration(
-                name="FrequentBarrier",
-                subject=SubjectKind.CALL,
-                only_callees=frozenset({"barrier"}),
-                description="very frequent barrier synchronisation",
-            ),
-        ]
+        PropertyRegistration(name, barrier if name in _BARRIER_PROPERTIES else None)
+        for name in COSY_PROPERTY_NAMES
     )

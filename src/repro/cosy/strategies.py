@@ -16,11 +16,15 @@ Two strategies implement that comparison:
     work is parameter binding plus closure execution — symmetric to the plan
     cache the pushdown strategy enjoys in the database engine.  When a
     database client is attached, the strategy first
-    *fetches the data components* of the property context (the region's
-    TotalTiming/TypedTiming rows, the call site's CallTiming rows, the test
-    runs) through the client — charging the per-statement and per-row costs —
-    and only then evaluates the expressions in the analysis tool.  This is the
-    work distribution the paper advises against.
+    *fetches the data components* of the property context through the
+    client — charging the per-statement and per-row costs — and only then
+    evaluates the expressions in the analysis tool.  This is the work
+    distribution the paper advises against.  The fetches come from the
+    spec's :class:`~repro.compiler.schema_gen.SchemaMapping`: for each
+    parameter object, the element rows of every collection of its class in
+    declaration order (a region's TotalTiming and TypedTiming rows, a call
+    site's CallTiming rows), or its own row for a class without collections
+    (a test run).
 
 :class:`PushdownStrategy`
     executes the SQL queries generated by
@@ -44,15 +48,14 @@ false condition and adds nothing to confidence or severity.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Protocol, Sequence, Union
+from typing import Any, Dict, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.asl.compile import CompiledProperty
 from repro.asl.evaluator import AslEvaluator, PropertyEvaluation
 from repro.asl.semantic import CheckedSpecification
 from repro.compiler.loader import ObjectIds
-from repro.compiler.schema_gen import SchemaMapping
+from repro.compiler.schema_gen import SchemaMapping, generate_schema
 from repro.compiler.sql_gen import PropertyCompiler, PushdownError
-from repro.datamodel import FunctionCall, Region, TestRun
 from repro.relalg.client import DatabaseClient
 from repro.relalg.errors import ExecutionError
 
@@ -89,6 +92,10 @@ class ClientSideStrategy:
         self.evaluator = AslEvaluator(checked, constants=constants)
         self.client = client
         self.ids = ids
+        #: ASL class name → the SELECTs that ship one of its objects.
+        self._fetches = {} if client is None else _fetch_statements(
+            generate_schema(checked)
+        )
         self.statements_issued = 0
 
     # ------------------------------------------------------------------ #
@@ -120,11 +127,9 @@ class ClientSideStrategy:
     def _fetch_data_components(self, parameters: Mapping[str, Any]) -> None:
         """Issue the record fetches a client-side evaluation would need.
 
-        For every Region parameter the strategy fetches the region's summary
-        and typed timings plus the test runs; for every FunctionCall parameter
-        it fetches the call statistics.  The fetched values are not used (the
-        in-memory objects hold identical data); the purpose is to charge the
-        realistic virtual cost of shipping the data components to the client.
+        The fetched values are not used (the in-memory objects hold
+        identical data); the purpose is to charge the realistic virtual cost
+        of shipping the data components to the client.
         """
         if self.client is None or self.ids is None:
             # A real check, not an ``assert``: it must also hold under
@@ -134,32 +139,11 @@ class ClientSideStrategy:
                 "and an object-id mapping"
             )
         for value in parameters.values():
-            if isinstance(value, Region):
-                region_id = self.ids.id_for(value)
-                self._query(
-                    "SELECT id, Run_id, Excl, Incl, Ovhd FROM TotalTiming "
-                    "WHERE owner_Region_TotTimes_id = ?",
-                    [region_id],
-                )
-                self._query(
-                    "SELECT id, Run_id, Type, Time FROM TypedTiming "
-                    "WHERE owner_Region_TypTimes_id = ?",
-                    [region_id],
-                )
-            elif isinstance(value, FunctionCall):
-                call_id = self.ids.id_for(value)
-                self._query(
-                    "SELECT id, Run_id, MinCalls, MaxCalls, MeanCalls, "
-                    "StdevCalls, MinTime, MaxTime, MeanTime, StdevTime "
-                    "FROM CallTiming WHERE owner_FunctionCall_Sums_id = ?",
-                    [call_id],
-                )
-            elif isinstance(value, TestRun):
-                run_id = self.ids.id_for(value)
-                self._query(
-                    "SELECT id, NoPe, Clockspeed FROM TestRun WHERE id = ?",
-                    [run_id],
-                )
+            fetches = self._fetches.get(type(value).__name__, ())
+            if fetches:
+                row_id = self.ids.id_for(value)
+                for sql in fetches:
+                    self._query(sql, [row_id])
 
     def _query(self, sql: str, params: Sequence[Any]) -> None:
         if self.client is None:
@@ -168,6 +152,22 @@ class ClientSideStrategy:
             )
         self.client.query(sql, params)
         self.statements_issued += 1
+
+
+def _fetch_statements(mapping: SchemaMapping) -> Dict[str, Tuple[str, ...]]:
+    """Per class: one ``SELECT *`` of the element table per collection, in
+    declaration order, keyed by the owner column; without collections, the
+    class's own row by primary key."""
+    fetches = {}
+    for name, class_mapping in mapping.classes.items():
+        owned = [
+            (a.table, a.column) for a in class_mapping.attributes.values()
+            if a.kind == "collection"
+        ] or [(class_mapping.table, class_mapping.primary_key)]
+        fetches[name] = tuple(
+            f"SELECT * FROM {table} WHERE {column} = ?" for table, column in owned
+        )
+    return fetches
 
 
 class PushdownStrategy:

@@ -148,6 +148,17 @@ class InterpretedSelectExecutor:
         order = (
             resolve_order_by(statement, columns) if statement.order_by else []
         )
+        for index, expr, _ascending in order:
+            # A source-row sort key is compiled as a row expression by the
+            # planner, which rejects an aggregate in it before any row.
+            aggregate = None if index is not None else next((
+                node for node in walk(expr)
+                if isinstance(node, FunctionExpr) and node.is_aggregate
+            ), None)
+            if aggregate is not None:
+                raise ExecutionError(
+                    f"aggregate function {aggregate.name} is not allowed here"
+                )
         rows = list(
             self._join_level(bindings, 0, {}, select_conjuncts(statement))
         )

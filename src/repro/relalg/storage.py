@@ -463,15 +463,11 @@ class TableStatistics(Record):
     with the live counter tells how stale the snapshot has become (e.g. after
     a DELETE-heavy workload ran against a plan whose estimates were recorded
     earlier).  ``index_distinct`` maps each lowered indexed column to its
-    distinct-key count, ``histograms`` each lowered ordered-indexed numeric
-    column to its equi-width value histogram, and ``ordered_columns`` lists
-    the lowered column names carrying an ordered index at snapshot time.
+    distinct-key count, and ``histograms`` each lowered ordered-indexed
+    numeric column to its equi-width value histogram.
     """
 
-    __slots__ = (
-        "table", "row_count", "index_distinct", "histograms",
-        "ordered_columns", "mutations",
-    )
+    __slots__ = ("table", "row_count", "index_distinct", "histograms", "mutations")
 
     def __init__(
         self,
@@ -479,14 +475,12 @@ class TableStatistics(Record):
         row_count: int,
         index_distinct: Optional[Dict[str, int]] = None,
         histograms: Optional[Dict[str, ColumnHistogram]] = None,
-        ordered_columns: Optional[List[str]] = None,
         mutations: int = 0,
     ) -> None:
         self.table = table
         self.row_count = row_count
         self.index_distinct = {} if index_distinct is None else index_distinct
         self.histograms = {} if histograms is None else histograms
-        self.ordered_columns = [] if ordered_columns is None else ordered_columns
         self.mutations = mutations
 
     def distinct_for(self, column: str) -> Optional[int]:
@@ -635,31 +629,14 @@ class Table:
     # -- modification -----------------------------------------------------------
 
     def insert(self, values: Sequence[Any]) -> int:
-        """Validate and insert one positional row; returns its position.
+        """Validate and insert one positional row, as a batch of one;
+        returns its position.
 
         Positions are only stable until the next compaction; they are an
         internal storage detail, not a durable row id.
         """
-        row = self.schema.validate_row(values)
-        primary = self.primary_index
-        if primary is not None:
-            key = row[primary.column_index]
-            # A NaN key equals no key, itself included (``col = NaN``
-            # matches nothing), so it never duplicates one.
-            if key == key and primary.has_key(key):
-                raise IntegrityError(
-                    f"duplicate primary key {key!r} in table {self.name!r}"
-                )
-        position = len(self.rows)
-        self.rows.append(row)
-        self.live_count += 1
-        self._chunks = None
-        if self.txn is not None:
-            self.txn.note_insert(self, position, 1)
-        for index in self.indexes.values():
-            index.add(row[index.column_index], position)
-        self.mutations += 1
-        return position
+        self.insert_many((values,))
+        return len(self.rows) - 1
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
         """Validate and insert a batch of positional rows; returns the count.
@@ -683,7 +660,7 @@ class Table:
             for row in validated:
                 key = row[key_index]
                 if key != key:
-                    continue  # NaN duplicates no key, as in insert()
+                    continue  # NaN equals no key, itself included
                 if key in seen or has_key(key):
                     raise IntegrityError(
                         f"duplicate primary key {key!r} in table {self.name!r}"
@@ -1016,10 +993,8 @@ class Table:
         """A fresh cardinality snapshot (derived from live counters; ordered
         indexes additionally contribute equi-width histograms)."""
         histograms: Dict[str, ColumnHistogram] = {}
-        ordered_columns: List[str] = []
         for key, index in self.indexes.items():
             if index.ordered:
-                ordered_columns.append(key)
                 histogram = self._build_histogram(index)
                 if histogram is not None:
                     histograms[key] = histogram
@@ -1031,7 +1006,6 @@ class Table:
                 for key, index in self.indexes.items()
             },
             histograms=histograms,
-            ordered_columns=ordered_columns,
             mutations=self.mutations,
         )
 

@@ -63,7 +63,7 @@ class TraceGenerator:
         clocks[:] = [c + (serial + (parallel / pes) * s) for c, s in zip(clocks, shares)]
 
         # Communication events.
-        comm_time = self._comm_time(spec, pes)
+        comm_time = spec.comm_pattern.per_process_time(spec.comm_time, pes)
         if comm_time > 0:
             messages = 2 if spec.comm_pattern is CommPattern.NEAREST else max(1, pes // 2)
             size = 8192 if spec.comm_pattern is CommPattern.ALLTOALL else 65536
@@ -126,16 +126,6 @@ class TraceGenerator:
                 Event(time=clocks[pe], pe=pe, kind=EventKind.EXIT,
                       region=spec.name)
             )
-
-    @staticmethod
-    def _comm_time(spec: RegionSpec, pes: int) -> float:
-        if spec.comm_pattern is CommPattern.NONE or spec.comm_time <= 0 or pes <= 1:
-            return 0.0
-        if spec.comm_pattern is CommPattern.NEAREST:
-            return spec.comm_time
-        if spec.comm_pattern in (CommPattern.REDUCTION, CommPattern.BROADCAST):
-            return spec.comm_time * math.log2(pes)
-        return spec.comm_time * (pes - 1)
 
 
 def generate_trace(workload: WorkloadSpec, pes: int, seed: int = 0) -> Trace:

@@ -113,6 +113,23 @@ class TestCompiledPropertyParity:
         with pytest.raises(AslNameError, match="unknown property"):
             evaluator.evaluate_property("Nope", {})
 
+    @pytest.mark.parametrize("op", ["/", "%"])
+    def test_the_dividend_is_evaluated_before_the_divisor(self, scenario, op):
+        """A dividend that raises decides the error, not a zero divisor."""
+        checked = check_asl(parse_asl(COSY_DATA_MODEL).merge(parse_asl(f"""
+            Property EmptyQuotient(Region r) {{
+                CONDITION: UNIQUE({{s IN r.TotTimes WITH s.Incl < 0}}).Incl {op} 0 > 0;
+                CONFIDENCE: 1;
+                SEVERITY: 1;
+            }}
+        """)))
+        evaluator = AslEvaluator(checked)
+        for evaluate in (
+            evaluator.evaluate_property, evaluator.evaluate_property_interpreted
+        ):
+            with pytest.raises(AslEvaluationError, match="set with 0 elements"):
+                evaluate("EmptyQuotient", {"r": scenario["basis"]})
+
 
 class TestEvaluationProtocol:
     """:meth:`CompiledProperty.evaluate` on hand-built records whose entries

@@ -1,5 +1,7 @@
 """Tests of the ASL semantic checker (name resolution and type rules)."""
 
+import re
+
 import pytest
 
 from repro.asl import (
@@ -282,6 +284,31 @@ class TestExpressionTyping:
 
     def test_count_returns_int(self):
         check("int Ok(Region r) = COUNT(1 WHERE s IN r.TotTimes);")
+
+    @pytest.mark.parametrize(
+        "call, arity",
+        [
+            ("ABS(1, 2)", "exactly 1 argument(s), got 2"),
+            ("ABS()", "exactly 1 argument(s), got 0"),
+        ],
+    )
+    def test_a_builtin_of_the_wrong_arity_is_rejected(self, call, arity):
+        """Also inside a guarded entry that may never run: the evaluators
+        rely on the checker for the arity."""
+        message = rf"builtin {call.split('(')[0]} takes {re.escape(arity)}$"
+        with pytest.raises(AslTypeError, match=message):
+            check(
+                f"""
+                Property P(Region r) {{
+                    CONDITION: (c) 1 > 2;
+                    CONFIDENCE: 1;
+                    SEVERITY: MAX((c) -> {call});
+                }}
+                """
+            )
+
+    def test_builtins_of_the_right_arity_check(self):
+        check("float Ok(TestRun t) = MIN(t.NoPe) + MAX(1, 2.5, t.NoPe) + ABS(-1);")
 
     def test_enum_comparison_is_allowed(self):
         check("bool Ok(TypedTiming tt) = tt.Type == Barrier;")

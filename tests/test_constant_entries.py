@@ -29,7 +29,6 @@ from repro.cosy import (
     PropertyRegistration,
     PropertyRegistry,
     PushdownStrategy,
-    SubjectKind,
     default_registry,
 )
 from repro.relalg import (
@@ -87,7 +86,7 @@ def _registry(*names):
     for registration in default_registry():
         registry.register(registration)
     for name in names:
-        registry.register(PropertyRegistration(name=name, subject=SubjectKind.REGION))
+        registry.register(PropertyRegistration(name))
     return registry
 
 

@@ -13,13 +13,41 @@ from repro.cosy import (
     default_registry,
     render_report,
 )
-from repro.asl import AslEvaluationError, check_asl, parse_asl
-from repro.asl.specs import COSY_DATA_MODEL, COSY_PROPERTIES
-from repro.compiler import PushdownError
+from repro.asl import AslEvaluationError, AslTypeError, check_asl, parse_asl
+from repro.asl.specs import COSY_DATA_MODEL, COSY_PROPERTIES, COSY_PROPERTY_NAMES
+from repro.compiler import PushdownError, load_repository
 from repro.cosy.report import format_table, render_speedup_table
 from repro.datamodel import PerformanceDatabase
-from repro.relalg import ExecutionError
+from repro.relalg import (
+    BACKEND_PROFILES,
+    Database,
+    ExecutionError,
+    NativeClient,
+    SimulatedBackend,
+)
 
+
+#: Properties registered by name alone: the declared class of the first
+#: parameter decides what the analyzer instantiates them over.
+BY_DECLARATION = """
+Property SlowCalls(FunctionCall Call, TestRun t, Region Basis) {
+    CONDITION: UNIQUE({c IN Call.Sums WITH c.Run == t}).MeanTime > 0;
+    CONFIDENCE: 1;
+    SEVERITY: UNIQUE({c IN Call.Sums WITH c.Run == t}).MeanTime / Duration(Basis, t);
+}
+
+Property RunWide(TestRun t, Region Basis) {
+    CONDITION: Duration(Basis, t) > 0;
+    CONFIDENCE: 1;
+    SEVERITY: 1;
+}
+
+Property Unbound() {
+    CONDITION: 1 > 0;
+    CONFIDENCE: 1;
+    SEVERITY: 1;
+}
+"""
 
 #: A Region property the translator refuses: ``ABS`` is an ASL builtin with
 #: no SQL translation.
@@ -54,7 +82,6 @@ class TestRegistry:
     def test_load_imbalance_is_restricted_to_barrier_calls(self):
         registry = default_registry()
         registration = registry.get("LoadImbalance")
-        assert registration.subject == SubjectKind.CALL
         assert registration.accepts_callee("barrier")
         assert not registration.accepts_callee("mpi_send")
 
@@ -67,23 +94,33 @@ class TestRegistry:
         with pytest.raises(KeyError):
             registry.get("Custom")
 
-    def test_region_and_call_partitions(self):
+    def test_region_and_call_partitions(self, analysis):
+        """The kind of a property's instances is the declared class of its
+        first parameter."""
+        names = {SubjectKind.REGION: set(), SubjectKind.CALL: set()}
+        for instance in analysis.instances:
+            names[instance.subject_kind].add(instance.property_name)
+        assert "SublinearSpeedup" in names[SubjectKind.REGION]
+        assert names[SubjectKind.CALL] == {"LoadImbalance", "FrequentBarrier"}
+        assert not names[SubjectKind.REGION] & names[SubjectKind.CALL]
+
+    def test_the_default_registry_is_the_bundled_document_in_order(self):
         registry = default_registry()
-        region_names = {r.name for r in registry.region_properties()}
-        call_names = {r.name for r in registry.call_properties()}
-        assert "SublinearSpeedup" in region_names
-        assert "LoadImbalance" in call_names
-        assert not region_names & call_names
+        assert tuple(registry.names()) == COSY_PROPERTY_NAMES
+        assert {r.name: r.only_callees for r in registry if r.only_callees} == {
+            "LoadImbalance": frozenset({"barrier"}),
+            "FrequentBarrier": frozenset({"barrier"}),
+        }
 
 
 class TestAnalysisResult:
     def test_instances_cover_regions_and_barrier_calls(self, analysis, scenario):
         region_count = sum(1 for _ in scenario.repository.regions())
-        region_properties = len(default_registry().region_properties())
+        # Six of the eight bundled properties are declared over a Region.
         region_instances = [
             i for i in analysis.instances if i.subject_kind == SubjectKind.REGION
         ]
-        assert len(region_instances) == region_count * region_properties
+        assert len(region_instances) == region_count * 6
 
     def test_ranking_is_sorted_by_severity(self, analysis):
         ranked = analysis.ranked()
@@ -274,6 +311,97 @@ def _refused_property_setup():
     client, ids = load_into_backend(scenario, "ms_access")
     pushdown = PushdownStrategy(specification, scenario.mapping, client, ids)
     return specification, scenario, analyzer, pushdown
+
+
+ENGINES = {
+    "interpreted": {"engine": "interpreted"},
+    "row-at-a-time": {"vectorized": False},
+    "vectorized": {},
+}
+
+
+class TestSubjectsFromDeclarations:
+    """A property is instantiated over the declared class of its first
+    parameter; a registration names only the property and its callees."""
+
+    @pytest.fixture(scope="class")
+    def declared(self):
+        specification = check_asl(
+            parse_asl(COSY_DATA_MODEL)
+            .merge(parse_asl(COSY_PROPERTIES))
+            .merge(parse_asl(BY_DECLARATION))
+        )
+        return build_scenario("mixed", pe_counts=(1, 4), specification=specification)
+
+    @staticmethod
+    def _analyzer(scenario, *registrations):
+        return CosyAnalyzer(
+            scenario.repository,
+            specification=scenario.specification,
+            registry=PropertyRegistry(registrations),
+            threshold=0,
+        )
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_a_call_property_registered_by_name_covers_every_call_site(
+        self, declared, engine
+    ):
+        analyzer = self._analyzer(declared, PropertyRegistration("SlowCalls"))
+        client = NativeClient(
+            SimulatedBackend(BACKEND_PROFILES["ms_access"], Database(**ENGINES[engine]))
+        )
+        ids = load_repository(declared.repository, declared.mapping, client)
+        pushdown = PushdownStrategy(
+            declared.specification, declared.mapping, client, ids
+        )
+        result = analyzer.analyze(pes=4, strategy=pushdown)
+        reference = analyzer.analyze(
+            pes=4, strategy=ClientSideStrategy(declared.specification)
+        )
+        version = declared.repository.programs[0].latest_version()
+        calls = [
+            f"{call.callee_name}@{call.CallingReg.name}" for call in version.all_calls()
+        ]
+        assert len(calls) == 9
+        assert pushdown.fallbacks == 0
+        for analysis in (result, reference):
+            assert analysis.skipped == 0
+            assert [i.subject for i in analysis.instances] == calls
+            assert {i.subject_kind for i in analysis.instances} == {SubjectKind.CALL}
+            assert all(i.holds for i in analysis.instances)
+        for got, want in zip(result.instances, reference.instances):
+            assert (got.holds, got.conditions) == (want.holds, want.conditions)
+            assert got.severity == pytest.approx(want.severity, rel=1e-9, abs=1e-12)
+            assert got.confidence == want.confidence
+
+    @pytest.mark.parametrize(
+        "registration, found",
+        [
+            (PropertyRegistration("RunWide"), "found TestRun"),
+            (PropertyRegistration("Unbound"), "it has none"),
+            (
+                PropertyRegistration("SyncCost", frozenset({"barrier"})),
+                "found Region with a callee filter",
+            ),
+        ],
+        ids=["test-run", "no-parameter", "callee-filter-on-region"],
+    )
+    def test_a_property_that_cannot_be_instantiated_raises_before_any_statement(
+        self, declared, registration, found
+    ):
+        # A valid property comes first: nothing of it may run either.
+        analyzer = self._analyzer(
+            declared, PropertyRegistration("SublinearSpeedup"), registration
+        )
+        client, ids = load_into_backend(declared, "ms_access")
+        executed = client.backend.statements_executed
+        strategy = PushdownStrategy(
+            declared.specification, declared.mapping, client, ids
+        )
+        with pytest.raises(AslTypeError, match=f"{registration.name!r}.*; {found}$"):
+            analyzer.analyze(pes=4, strategy=strategy)
+        assert strategy.statements_issued == 0
+        assert client.backend.statements_executed == executed
 
 
 class _FailingFor:

@@ -425,8 +425,8 @@ CONTRACTS = [
     (simulator.RegionMeasurement, "compute typed", {}, ALL, "unhashable"),
     (
         properties.PropertyRegistration,
-        "name subject only_callees description",
-        {"subject": "region", "only_callees": None, "description": ""},
+        "name only_callees",
+        {"only_callees": None},
         ALL,
         "frozen",
     ),
@@ -554,10 +554,10 @@ CONTRACTS = [
     ),
     (
         storage.TableStatistics,
-        "table row_count index_distinct histograms ordered_columns mutations",
+        "table row_count index_distinct histograms mutations",
         {
             "index_distinct": fresh(dict),
-            "histograms": fresh(dict), "ordered_columns": fresh(list), "mutations": 0,
+            "histograms": fresh(dict), "mutations": 0,
         },
         ALL,
         "unhashable",

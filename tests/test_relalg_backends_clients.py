@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.bench import PerEntryPushdownStrategy, build_scenario, load_into_backend
-from repro.cosy import PushdownStrategy
+from repro.cosy import ClientSideStrategy, PushdownStrategy
 from repro.relalg import (
     BACKEND_PROFILES,
     BridgedClient,
@@ -407,6 +407,21 @@ _PINNED_FOLDED_ANALYSIS_CLOCKS = {
     ("ms_access", "bridged"): ("0x1.71a1986b9c2ffp-6", "0x1.126a65cf67b1dp-7"),
 }
 
+#: ``(elapsed, client_time)`` after the same load and the client-side
+#: analysis that fetches each context's data components (204 statements: a
+#: region's TotalTiming and TypedTiming rows, a call site's CallTiming rows,
+#: a test run's own row).
+_PINNED_FETCH_ANALYSIS_CLOCKS = {
+    ("oracle7", "native"): ("0x1.f3cb790fb6544p+0", "0x1.a582dbe7f2c1ep-7"),
+    ("oracle7", "bridged"): ("0x1.fa61847f56213p+0", "0x1.3c2224edf6129p-5"),
+    ("ms_sql_server", "native"): ("0x1.f62f2734f8303p-1", "0x1.a582dbe7f2c1ep-7"),
+    ("ms_sql_server", "bridged"): ("0x1.01ad9f0a1be36p+0", "0x1.3c2224edf6129p-5"),
+    ("postgres", "native"): ("0x1.07da9c99285a1p+0", "0x1.a582dbe7f2c1ep-7"),
+    ("postgres", "bridged"): ("0x1.0e70a808c8259p+0", "0x1.3c2224edf6129p-5"),
+    ("ms_access", "native"): ("0x1.e08cc575c0788p-3", "0x1.a582dbe7f2c1ep-7"),
+    ("ms_access", "bridged"): ("0x1.0a9e90795f685p-2", "0x1.3c2224edf6129p-5"),
+}
+
 #: ``(elapsed, client_time)`` of E6's batched and row-at-a-time loads of its
 #: medium scenario (``benchmarks/run_bench.py``).
 _PINNED_E6_LOAD_CLOCKS = {
@@ -471,6 +486,23 @@ class TestSerialClockIsPinned:
             mixed_scenario.analyzer.analyze(strategy=strategy)
             assert strategy.statements_issued == statements, strategy_class
             assert (loaded, _clock(client)) == expected, strategy_class
+
+    @pytest.mark.parametrize("backend_name", _PROFILES)
+    @pytest.mark.parametrize("factory", [NativeClient, BridgedClient])
+    def test_client_side_fetch_analysis(self, mixed_scenario, backend_name, factory):
+        key = backend_name, factory.api_name
+        client, ids = load_into_backend(
+            mixed_scenario, backend_name, client_factory=factory
+        )
+        loaded = _clock(client)
+        strategy = ClientSideStrategy(
+            mixed_scenario.specification, client=client, ids=ids
+        )
+        mixed_scenario.analyzer.analyze(strategy=strategy)
+        assert strategy.statements_issued == 204
+        assert (loaded, _clock(client)) == (
+            _PINNED_ANALYSIS_CLOCKS[key][0], _PINNED_FETCH_ANALYSIS_CLOCKS[key]
+        )
 
     @pytest.mark.parametrize("backend_name", _PROFILES)
     @pytest.mark.parametrize(

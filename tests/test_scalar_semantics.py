@@ -22,7 +22,8 @@ same typed error message:
   which the analyzer rejects before any row, over a filled and an empty
   table;
 * ORDER BY items, resolved once per statement by one rule before any row,
-  over a filled and an empty table;
+  and aggregates in a row query's sort key, rejected before any row, over a
+  filled and an empty table;
 * index probes: a probe that falls back to a scan applies its level's
   conjuncts in their original order, and probe keys raise their errors
   before any row, over a filled and an empty table;
@@ -560,6 +561,26 @@ class TestOrderByResolution:
     ):
         with _database(engine, _THREE if filled else []) as database:
             assert _outcome(database, sql, []) == _AGGREGATE_ORDER_ERROR
+
+    @pytest.mark.parametrize("engine", list(_ENGINES))
+    @pytest.mark.parametrize("filled", [True, False], ids=["filled", "empty"])
+    @pytest.mark.parametrize(
+        "sql,name",
+        [
+            pytest.param("SELECT id FROM t ORDER BY COUNT(*)", "COUNT", id="count"),
+            pytest.param("SELECT id FROM t ORDER BY SUM(x)", "SUM", id="sum"),
+            pytest.param("SELECT id FROM t ORDER BY MAX(x) + 1", "MAX", id="nested"),
+        ],
+    )
+    def test_an_aggregate_sort_key_of_a_row_query_raises(
+        self, sql, name, filled, engine
+    ):
+        with _database(engine, _THREE if filled else []) as database:
+            assert _outcome(database, sql, []) == (
+                "error",
+                "ExecutionError",
+                f"aggregate function {name} is not allowed here",
+            )
 
     @pytest.mark.parametrize(
         "sql,filled_rows,empty_rows",
