@@ -219,9 +219,9 @@ class CosyAnalyzer:
             strategy=getattr(strategy, "name", type(strategy).__name__),
         )
         wanted = set(properties) if properties is not None else None
-        # Every property's subjects are settled before any context is
-        # evaluated, so a registration that cannot be instantiated raises
-        # before the analysis sends a statement.
+        # Every property's subjects and parameter binding are settled before
+        # any context is evaluated, so a registration that cannot be
+        # instantiated raises before the analysis sends a statement.
         contexts = [
             (registration, self._subjects(registration, version))
             for registration in self.registry
@@ -239,7 +239,11 @@ class CosyAnalyzer:
         """The ``(name, kind, subject)`` contexts of one property, from the
         declared class of its first parameter: every region of the version
         for ``Region``, every call site whose callee the registration accepts
-        for ``FunctionCall``."""
+        for ``FunctionCall``.
+
+        First checks the rest of the binding rule of :meth:`_bind_parameters`:
+        every later parameter must be a ``TestRun`` or a ``Region``.
+        """
         name = registration.name
         decl = self.specification.index.properties.get(name)
         if decl is None:
@@ -247,6 +251,14 @@ class CosyAnalyzer:
                 f"property {name!r} is registered but not part of the ASL "
                 f"specification"
             )
+        for param in decl.params[1:]:
+            if str(param.type) not in ("TestRun", "Region"):
+                raise AslTypeError(
+                    f"property {name!r} binds parameter {param.name!r} by its "
+                    f"class, which must be TestRun (the analysed run) or Region "
+                    f"(the ranking basis); found {param.type}",
+                    param.location,
+                )
         subject_class = str(decl.params[0].type) if decl.params else None
         if subject_class == "FunctionCall":
             return [
@@ -317,21 +329,13 @@ class CosyAnalyzer:
         """Bind a property's formal parameters to subject / run / basis.
 
         The first parameter receives the subject; the remaining parameters are
-        bound by type: ``TestRun`` → the selected run, ``Region`` → the ranking
-        basis.
+        bound by class: ``TestRun`` → the selected run, ``Region`` → the
+        ranking basis (:meth:`_subjects` rejected any other class).
         """
         decl = self.specification.index.properties[property_name]
         binding: Dict[str, Any] = {decl.params[0].name: subject}
         for param in decl.params[1:]:
-            if param.type.name == "TestRun":
-                binding[param.name] = run
-            elif param.type.name == "Region":
-                binding[param.name] = basis
-            else:
-                raise KeyError(
-                    f"cannot bind parameter {param.name!r} of type "
-                    f"{param.type.name!r} in property {property_name!r}"
-                )
+            binding[param.name] = run if param.type.name == "TestRun" else basis
         return binding
 
     def _select_program(self, name: Optional[str]):

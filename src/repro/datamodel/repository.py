@@ -5,8 +5,10 @@ and the ASL reference evaluator, however, operate on an object view of that
 data (the ASL data model of Section 4.1).  :class:`PerformanceDatabase` is that
 object view: it owns a set of :class:`~repro.datamodel.entities.Program`
 objects, enforces the data-model invariants, and offers the navigation and
-aggregation helpers the COSY properties rely on (``Summary``, ``Duration``,
-selection of the reference run with the minimal number of processors, …).
+aggregation helpers the COSY properties rely on beyond the per-region ones
+of :class:`~repro.datamodel.entities.Region` (``summary``, ``duration``,
+``typed_time``): the reference run with the minimal number of processors,
+the total cost and the speedup against it.
 
 The relational representation is produced from this repository by
 :mod:`repro.compiler.loader`.
@@ -26,7 +28,6 @@ from repro.datamodel.entities import (
     TestRun,
     TotalTiming,
 )
-from repro.datamodel.timing_types import TimingType
 
 __all__ = ["PerformanceDatabase", "RepositoryStats"]
 
@@ -142,16 +143,6 @@ class PerformanceDatabase:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def summary(region: Region, run: TestRun) -> TotalTiming:
-        """ASL ``Summary(Region r, TestRun t)``: the unique TotalTiming of a run."""
-        return region.summary(run)
-
-    @staticmethod
-    def duration(region: Region, run: TestRun) -> float:
-        """ASL ``Duration(Region r, TestRun t)``: inclusive time in the run."""
-        return region.duration(run)
-
-    @staticmethod
     def min_pe_summary(region: Region) -> TotalTiming:
         """The TotalTiming of ``region`` belonging to the run with minimal NoPe.
 
@@ -173,11 +164,6 @@ class PerformanceDatabase:
         """
         reference = cls.min_pe_summary(region)
         return region.duration(run) - region.duration(reference.Run)
-
-    @staticmethod
-    def typed_cost(region: Region, run: TestRun, timing_type: TimingType) -> float:
-        """Summed time of one overhead type (e.g. Barrier) in ``run``."""
-        return region.typed_time(run, timing_type)
 
     @staticmethod
     def speedup(region: Region, run: TestRun) -> float:

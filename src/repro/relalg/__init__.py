@@ -71,7 +71,6 @@ from repro.relalg.semantics import (
     SqlType,
     analyze_select,
     check_delete,
-    check_select,
 )
 from repro.relalg.sqlparser import SqlParser, parse_sql, tokenize_sql
 from repro.relalg.compile import compile_batch_predicate
@@ -135,7 +134,6 @@ __all__ = [
     "analyze_select",
     "backend",
     "check_delete",
-    "check_select",
     "compile_batch_predicate",
     "fingerprint_hash",
     "parse_sql",

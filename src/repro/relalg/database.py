@@ -30,10 +30,14 @@ parameter row and appends the whole batch through
 atomic per batch) instead of round-tripping one row at a time through the
 parser and the per-row insert path.
 
-``engine="interpreted"`` routes SELECTs through the seed AST-walking engine
+``engine="interpreted"`` runs SELECTs on the seed AST-walking engine
 (:mod:`repro.relalg.interp`) instead; the benchmarks use it as the baseline
 the compiled engine is measured against, and the differential tests use it as
-the reference.
+the reference.  Every SELECT is still planned, through the same plan cache,
+before it branches on the engine: the planner raises every plan-time error
+before any row on every engine, and the interpreter walks only statements
+it accepted (:meth:`plan_cache_info` counts an interpreted database's plans
+too).
 
 **Transactions and durability.**  ``BEGIN`` / ``COMMIT`` / ``ROLLBACK``
 statements (or the :meth:`begin`/:meth:`commit`/:meth:`rollback` shortcuts)
@@ -294,14 +298,14 @@ class Database:
         affected rows for every other statement.
         """
         statement = self._parse_cached(sql)
-        if isinstance(statement, SelectStatement) and self.engine == "compiled":
+        if isinstance(statement, SelectStatement):
             return self._execute_select(statement, params, sql)
         return self.execute_statement(statement, params)
 
     def executemany(self, sql: str, param_rows: Iterable[Sequence[Any]]) -> int:
         """Execute one parametrised statement over many parameter rows.
 
-        The statement kind and engine are resolved once, outside the loop:
+        The statement kind is resolved once, outside the loop:
 
         * ``INSERT`` takes the bulk path — the statement is parsed and its
           value expressions compiled to a parameter binder exactly once
@@ -310,14 +314,15 @@ class Database:
           :meth:`~repro.relalg.storage.Table.insert_many` with deferred index
           maintenance.  The batch is atomic: a mid-batch error (bad value,
           duplicate primary key, missing parameter) inserts nothing.
-        * ``SELECT`` re-executes the cached plan per parameter row (one plan
-          miss per SQL text, hits afterwards).
+        * ``SELECT`` takes the cached plan per parameter row (one plan miss
+          per SQL text, hits afterwards) and executes it; the interpreted
+          engine walks the statement instead.
         * Everything else loops over :meth:`execute_statement`.
         """
         statement = self._parse_cached(sql)
         if isinstance(statement, InsertStatement):
             return self._execute_insert_batch(statement, param_rows)
-        if isinstance(statement, SelectStatement) and self.engine == "compiled":
+        if isinstance(statement, SelectStatement):
             affected = 0
             for params in param_rows:
                 affected += len(self._execute_select(statement, params, sql))
@@ -619,7 +624,11 @@ class Database:
     def execute_statement(
         self, statement: Statement, params: Sequence[Any] = ()
     ) -> Union[ResultSet, int]:
-        """Execute an already parsed statement (no plan cache: no SQL key)."""
+        """Execute an already parsed statement.
+
+        A SELECT is planned on every engine, as :meth:`execute` plans it, but
+        bypasses the plan cache (there is no SQL text to key it by).
+        """
         if isinstance(statement, SelectStatement):
             return self._execute_select(statement, params, sql=None)
         if isinstance(statement, BeginStatement):
@@ -754,8 +763,8 @@ class Database:
         Raises a typed :class:`ExecutionError` (never a bare ``TypeError``)
         for non-string input and non-SELECT statements, and on the
         interpreted engine — whose AST walker does not run the planned
-        access paths, so describing (and caching) a compiled plan would
-        silently report an execution that never happens.
+        access paths, so describing its plan would silently report an
+        execution that never happens.
         """
         if not isinstance(sql, str):
             raise ExecutionError(
@@ -901,11 +910,14 @@ class Database:
         params: Sequence[Any],
         sql: Optional[str],
     ) -> ResultSet:
+        # Planned on every engine, so a plan-time error raises before any
+        # row, from one module, and the reference runs only accepted
+        # statements.
+        plan = self._plan_for(statement, sql)
         if self.engine == "interpreted":
             executor = InterpretedSelectExecutor(self.tables, params)
             result = executor.execute(statement)
         else:
-            plan = self._plan_for(statement, sql)
             result = plan.execute(
                 params, QueryStats(), vectorized=self.vectorized
             )

@@ -6,14 +6,18 @@ dict environments, the required-bindings sets are recomputed at every join
 level and joins are nested loops in syntactic order with at best an index
 probe per level.
 
-What shapes a statement is not its own: the FROM scope, the ON/WHERE
+It runs only statements the planner accepted: ``Database`` plans every
+SELECT through its plan cache before it branches on the engine, so every
+plan-time error — in the statement, its ORDER BY and GROUP BY, and every
+scalar subquery — raises from the planner, before any row, on every engine.
+What shapes a statement is not its own either: the FROM scope, the ON/WHERE
 conjunct list, the bindings a conjunct needs and the output column names
 come from :mod:`repro.relalg.semantics`, and a level's index probe is the
 planner's (``planner._probe_keys``: every indexed equality conjunct of the
-level, their buckets intersected), so both engines reject, probe and count
-alike by construction.  Its own are the per-row evaluation, the value
-lookup of a column in a row environment, the nested loops, the grouping and
-the sort.
+level, their buckets intersected), so both engines probe and count alike by
+construction.  Its own are the row walk: the per-row evaluation and its
+runtime errors, the value lookup of a column in a row environment, the
+nested loops, the grouping, the sort and the counters.
 
 It is kept, unchanged in semantics, for two reasons:
 
@@ -39,7 +43,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.relalg.compile import (
-    _AGG_FOLDS,
     _SCALAR_FUNCTIONS,
     _apply_binop,
     _apply_fold,
@@ -49,7 +52,6 @@ from repro.relalg.compile import (
 from repro.relalg.errors import ExecutionError
 from repro.relalg.planner import _probe_keys
 from repro.relalg.semantics import (
-    check_select,
     output_columns,
     required_bindings,
     resolve_order_by,
@@ -78,8 +80,6 @@ from repro.relalg.sqlast import (
     SqlExpr,
     Star,
     UnaryOperation,
-    clause_exprs,
-    walk,
 )
 from repro.relalg.storage import Table
 
@@ -94,21 +94,6 @@ class _Missing:
 
 
 _MISSING = _Missing()
-
-
-def _misplaced_star(select: SelectStatement) -> bool:
-    """Whether ``select`` or one of its subqueries holds a ``*`` other than a
-    select item or COUNT's argument."""
-    allowed = {id(item.expr) for item in select.items}
-    for expr in clause_exprs(select):
-        for node in walk(expr):
-            if isinstance(node, FunctionExpr) and node.name == "COUNT" and node.args:
-                allowed.add(id(node.args[0]))
-            elif isinstance(node, Star) and id(node) not in allowed:
-                return True
-            elif isinstance(node, ScalarSubquery) and _misplaced_star(node.select):
-                return True
-    return False
 
 
 class InterpretedSelectExecutor:
@@ -129,36 +114,13 @@ class InterpretedSelectExecutor:
     # ------------------------------------------------------------------ #
 
     def execute(self, statement: SelectStatement) -> ResultSet:
-        """Run the statement and return the materialised result."""
+        """Run a statement the planner accepted and return the materialised
+        result."""
         bindings = select_bindings(statement, self.tables)
-        # Reject statically ill-typed statements exactly as the planner does
-        # (same analyzer, same SemanticError), so the reference engine and
-        # the compiled engines stay differentially identical.
-        check_select(statement, self.tables)
         columns = output_columns(statement, bindings)
-        if _misplaced_star(statement) or (statement.is_aggregate_query and any(
-            isinstance(item.expr, Star) for item in statement.items
-        )):
-            # Raised before any row, as the planner raises it compiling the
-            # statement, also on an empty table or when no group reaches the
-            # select list.
-            raise ExecutionError("'*' is only valid in SELECT lists and COUNT(*)")
-        # Resolved before any row is read, exactly where the planner resolves
-        # it, so a bad ORDER BY raises the same error on an empty table.
         order = (
             resolve_order_by(statement, columns) if statement.order_by else []
         )
-        for index, expr, _ascending in order:
-            # A source-row sort key is compiled as a row expression by the
-            # planner, which rejects an aggregate in it before any row.
-            aggregate = None if index is not None else next((
-                node for node in walk(expr)
-                if isinstance(node, FunctionExpr) and node.is_aggregate
-            ), None)
-            if aggregate is not None:
-                raise ExecutionError(
-                    f"aggregate function {aggregate.name} is not allowed here"
-                )
         rows = list(
             self._join_level(bindings, 0, {}, select_conjuncts(statement))
         )
@@ -366,15 +328,9 @@ class InterpretedSelectExecutor:
             found = value in members
             return (not found) if expr.negated else found
         if isinstance(expr, FunctionExpr):
-            if expr.is_aggregate:
-                raise ExecutionError(
-                    f"aggregate function {expr.name} is not allowed here"
-                )
             return self._eval_scalar_function(expr, env)
         if isinstance(expr, ScalarSubquery):
             return self._eval_subquery(expr, env)
-        if isinstance(expr, Star):
-            raise ExecutionError("'*' is only valid in SELECT lists and COUNT(*)")
         raise ExecutionError(f"unsupported expression {expr!r}")
 
     def _eval_binary(
@@ -452,9 +408,7 @@ class InterpretedSelectExecutor:
             if expr.op == "NOT":
                 return None if value is None else (not _is_true(value))
             return _negate(value, expr)
-        # A `*` item raises as it does in the compiled engines, also for an
-        # empty group.
-        if isinstance(expr, (Literal, Placeholder, ScalarSubquery, Star)):
+        if isinstance(expr, (Literal, Placeholder, ScalarSubquery)):
             return self._eval(expr, {})
         # Plain column references inside an aggregate query pick the value of
         # the first row of the group (they are expected to be grouping keys).
@@ -466,8 +420,6 @@ class InterpretedSelectExecutor:
         name = expr.name.upper()
         if name == "COUNT" and (not expr.args or isinstance(expr.args[0], Star)):
             return len(group)
-        if not expr.args:
-            raise ExecutionError(f"aggregate {name} requires an argument")
         values = []
         for env in group:
             value = self._eval(expr.args[0], env)
@@ -482,8 +434,6 @@ class InterpretedSelectExecutor:
                     seen.add(key)
                     unique.append(value)
             values = unique
-        if name not in _AGG_FOLDS:
-            raise ExecutionError(f"unknown aggregate {name}")
         return _apply_fold(name, values, expr)
 
     # ------------------------------------------------------------------ #

@@ -91,7 +91,6 @@ __all__ = [
     "SqlType",
     "Analysis",
     "analyze_select",
-    "check_select",
     "check_delete",
     "output_columns",
     "required_bindings",
@@ -276,18 +275,6 @@ def analyze_select(
         return Analysis(applicable=False)
     analyzer.analyze()
     return analyzer.result
-
-
-def check_select(statement: SelectStatement, tables: Dict[str, Table]) -> None:
-    """Raise the first :class:`SemanticError` of the statement, if any.
-
-    Hook point of the interpreted reference engine, which must reject
-    exactly the statements the planner rejects so differential tests stay
-    green.
-    """
-    analysis = analyze_select(statement, tables)
-    if analysis.errors:
-        raise analysis.errors[0]
 
 
 def check_delete(

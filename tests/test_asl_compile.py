@@ -6,11 +6,13 @@ import math
 
 import pytest
 
+from repro.apprentice.workload import WORKLOAD_FACTORIES
 from repro.asl import AslEvaluationError, AslNameError, check_asl, parse_asl
 from repro.asl.compile import CompiledProperty
 from repro.asl.evaluator import AslEvaluator, PropertyEvaluation
-from repro.asl.specs import COSY_DATA_MODEL
+from repro.asl.specs import COSY_DATA_MODEL, cosy_specification
 from repro.asl.symbols import MISSING, Scope
+from repro.bench import build_scenario
 from repro.datamodel import (
     Function,
     FunctionCall,
@@ -129,6 +131,58 @@ class TestCompiledPropertyParity:
         ):
             with pytest.raises(AslEvaluationError, match="set with 0 elements"):
                 evaluate("EmptyQuotient", {"r": scenario["basis"]})
+
+
+class _BothPaths:
+    """An evaluation strategy that evaluates every context the analyzer
+    builds on the compiled path and on the reference path, and requires the
+    same instance or the same :class:`AslEvaluationError` from both."""
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+
+    def evaluate(self, property_name, parameters):
+        outcomes = []
+        for evaluate in (
+            self.evaluator.evaluate_property,
+            self.evaluator.evaluate_property_interpreted,
+        ):
+            try:
+                outcomes.append(evaluate(property_name, parameters))
+            except AslEvaluationError as error:
+                outcomes.append(error)
+        compiled, reference = outcomes
+        if isinstance(reference, AslEvaluationError):
+            assert (type(compiled), str(compiled)) == (
+                type(reference), str(reference)
+            ), (property_name, parameters)
+            raise compiled
+        assert isinstance(compiled, PropertyEvaluation), (property_name, compiled)
+        assert _decided(compiled) == _decided(reference), (
+            property_name, parameters
+        )
+        return compiled
+
+
+def _decided(evaluation):
+    return (
+        evaluation.conditions, evaluation.holds, evaluation.confidence,
+        evaluation.severity, evaluation.let_values,
+    )
+
+
+class TestBundledSpecificationParity:
+    """The compiled ASL evaluator equals the reference evaluator on every
+    property of the bundled COSY specification, in every context the
+    analyzer builds, for every workload and every run."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_FACTORIES))
+    def test_every_context_of_every_run(self, workload):
+        scenario = build_scenario(workload, pe_counts=(1, 2, 4, 8))
+        strategy = _BothPaths(AslEvaluator(cosy_specification()))
+        for pes in (1, 2, 4, 8):
+            result = scenario.analyzer.analyze(pes=pes, strategy=strategy)
+            assert len(result.instances) > 0
 
 
 class TestEvaluationProtocol:

@@ -1,5 +1,7 @@
 """Tests of the COSY analyzer: ranking, bottleneck, registry, strategies."""
 
+import re
+
 import pytest
 
 from repro.bench import build_scenario, load_into_backend
@@ -44,6 +46,16 @@ Property RunWide(TestRun t, Region Basis) {
 
 Property Unbound() {
     CONDITION: 1 > 0;
+    CONFIDENCE: 1;
+    SEVERITY: 1;
+}
+"""
+
+#: A Region property whose second parameter the analyzer cannot bind: only
+#: a ``TestRun`` (the analysed run) or a ``Region`` (the ranking basis) can.
+CALLER_COST = """
+Property CallerCost(Region r, FunctionCall c) {
+    CONDITION: c.CallingReg == r;
     CONFIDENCE: 1;
     SEVERITY: 1;
 }
@@ -399,6 +411,53 @@ class TestSubjectsFromDeclarations:
             declared.specification, declared.mapping, client, ids
         )
         with pytest.raises(AslTypeError, match=f"{registration.name!r}.*; {found}$"):
+            analyzer.analyze(pes=4, strategy=strategy)
+        assert strategy.statements_issued == 0
+        assert client.backend.statements_executed == executed
+
+
+class TestParameterBinding:
+    """Every parameter after the first is bound by its class, and a class
+    the analyzer cannot bind is rejected before any statement."""
+
+    @pytest.fixture(scope="class")
+    def caller_cost(self):
+        specification = check_asl(
+            parse_asl(COSY_DATA_MODEL)
+            .merge(parse_asl(COSY_PROPERTIES))
+            .merge(parse_asl(CALLER_COST))
+        )
+        return build_scenario("mixed", pe_counts=(1, 4), specification=specification)
+
+    @pytest.mark.parametrize("strategy_name", ["pushdown", "client"])
+    def test_an_unbindable_parameter_raises_before_any_statement(
+        self, caller_cost, strategy_name
+    ):
+        # A valid property comes first: nothing of it may run either.
+        analyzer = CosyAnalyzer(
+            caller_cost.repository,
+            specification=caller_cost.specification,
+            registry=PropertyRegistry([
+                PropertyRegistration("SublinearSpeedup"),
+                PropertyRegistration("CallerCost"),
+            ]),
+        )
+        client, ids = load_into_backend(caller_cost, "ms_access")
+        executed = client.backend.statements_executed
+        if strategy_name == "pushdown":
+            strategy = PushdownStrategy(
+                caller_cost.specification, caller_cost.mapping, client, ids
+            )
+        else:
+            strategy = ClientSideStrategy(
+                caller_cost.specification, client=client, ids=ids
+            )
+        message = (
+            "property 'CallerCost' binds parameter 'c' by its class, which "
+            "must be TestRun (the analysed run) or Region (the ranking "
+            "basis); found FunctionCall"
+        )
+        with pytest.raises(AslTypeError, match=re.escape(message) + "$"):
             analyzer.analyze(pes=4, strategy=strategy)
         assert strategy.statements_issued == 0
         assert client.backend.statements_executed == executed

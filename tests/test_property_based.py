@@ -20,6 +20,7 @@ from repro.asl import parse_expression, unparse_expr
 from repro.datamodel import PerformanceDatabase, TimingType
 from repro.relalg import (
     Database,
+    ExecutionError,
     SemanticError,
     analyze_select,
     parse_sql,
@@ -482,7 +483,10 @@ def _random_multi_key_select(rng, kind):
 #   would be a false positive violating the conservative contract;
 # * one mistyped statement per seed (drawn from the pool below, which covers
 #   every rejection class) must raise a SemanticError whose message —
-#   including the character position — is byte-identical on every engine.
+#   including the character position — is byte-identical on every engine;
+# * so must one planner error per seed (the second pool below), placed in a
+#   scalar subquery of a statement whose outer WHERE selects no row: a
+#   reference that ran before it planned would never reach the subquery.
 
 _MISTYPED_POOL = [
     "SELECT id FROM m WHERE s > 5",
@@ -499,18 +503,33 @@ _MISTYPED_POOL = [
     "SELECT m.id FROM m, r WHERE m.id = r.m_id AND m.s > r.v",
 ]
 
+_PLAN_TIME_POOL = [
+    "SELECT id FROM m WHERE id < 0 AND g = "
+    "(SELECT m_id FROM r ORDER BY COUNT(*) LIMIT 1)",
+    "SELECT id, (SELECT m_id FROM r ORDER BY SUM(v) LIMIT 1) FROM m "
+    "WHERE id < 0",
+    "SELECT id FROM m WHERE id < 0 AND g = (SELECT FOO(v) FROM r)",
+    "SELECT id FROM m WHERE id < 0 AND g = (SELECT SUM() FROM r)",
+    "SELECT id FROM m WHERE id < 0 AND g = "
+    "(SELECT m_id FROM r ORDER BY FOO(v) LIMIT 1)",
+    "SELECT id FROM m WHERE id < 0 AND g = (SELECT m_id FROM r ORDER BY 5)",
+    "SELECT id FROM m WHERE id < 0 AND g = "
+    "(SELECT m_id FROM r GROUP BY FOO(m_id))",
+    "SELECT id FROM m WHERE id < 0 AND g = (SELECT MEDIAN(v) FROM r)",
+]
+
 
 def _assert_analyzer_accepts(sql, tables, seed):
     analysis = analyze_select(parse_sql(sql), tables)
     assert not analysis.errors, (seed, sql, [str(e) for e in analysis.errors])
 
 
-def _assert_identical_rejection(databases, seed, sql):
+def _assert_identical_rejection(databases, seed, sql, error=SemanticError):
     messages = set()
     for database in databases:
-        with pytest.raises(SemanticError) as excinfo:
+        with pytest.raises(error) as excinfo:
             database.execute(sql)
-        messages.add(str(excinfo.value))
+        messages.add((type(excinfo.value), str(excinfo.value)))
     assert len(messages) == 1, (seed, sql, messages)
 
 
@@ -579,6 +598,12 @@ def _run_engine_differential_case(seed):
         [compiled, rowwise, interpreted],
         seed,
         _MISTYPED_POOL[seed % len(_MISTYPED_POOL)],
+    )
+    _assert_identical_rejection(
+        [compiled, rowwise, interpreted],
+        seed,
+        _PLAN_TIME_POOL[seed % len(_PLAN_TIME_POOL)],
+        ExecutionError,
     )
 
 

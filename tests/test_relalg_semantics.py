@@ -55,12 +55,12 @@ def _populate(db: Database) -> Database:
     return db
 
 
-def _engines():
+def _engines(populate=_populate):
     """One database per engine mode; every mode must behave identically."""
     return {
-        "interpreted": _populate(Database(engine="interpreted")),
-        "vectorized": _populate(Database()),
-        "row-at-a-time": _populate(Database(vectorized=False)),
+        "interpreted": populate(Database(engine="interpreted")),
+        "vectorized": populate(Database()),
+        "row-at-a-time": populate(Database(vectorized=False)),
     }
 
 
@@ -125,6 +125,76 @@ class TestTypedRejection:
             with pytest.raises(SemanticError):
                 db.execute("SELECT id FROM m WHERE s > 5")
         assert db.plan_cache_info()["size"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# plan-time rejection: one planner decides for every engine
+# --------------------------------------------------------------------------- #
+
+#: Statements the planner rejects, several only inside a subquery, an ORDER
+#: BY or a GROUP BY that an empty table never evaluates: every engine plans
+#: before it reads a row, so every engine raises the planner's error.
+PLAN_TIME_SWEEP = [
+    "SELECT id FROM t WHERE x = (SELECT k FROM u ORDER BY COUNT(*) LIMIT 1)",
+    "SELECT id, (SELECT k FROM u ORDER BY SUM(k) LIMIT 1) FROM t",
+    "SELECT id FROM t WHERE x = (SELECT FOO(k) FROM u)",
+    "SELECT FOO(x) FROM t",
+    "SELECT id FROM t WHERE x = (SELECT SUM() FROM u)",
+    "SELECT id FROM t ORDER BY FOO(x)",
+    "SELECT id FROM t WHERE x = (SELECT k FROM u ORDER BY FOO(k) LIMIT 1)",
+    "SELECT id FROM t WHERE x = (SELECT k FROM u ORDER BY 5)",
+    "SELECT id FROM t WHERE x = (SELECT k FROM u GROUP BY FOO(k))",
+    "SELECT id FROM t GROUP BY FOO(x)",
+    "SELECT id FROM t WHERE x = (SELECT MEDIAN(k) FROM u)",
+    "SELECT MEDIAN(x) FROM t",
+    # controls
+    "SELECT id FROM t WHERE x = (SELECT t.* + 1 FROM u, t)",
+    "SELECT * FROM t GROUP BY x",
+    "SELECT id FROM t ORDER BY COUNT(*)",
+]
+
+
+def _t_and_u(filled: bool):
+    """A populate function for :func:`_engines`: ``t(id, x)`` and
+    ``u(id, k)``, with a few rows each or empty."""
+
+    def populate(db: Database) -> Database:
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)")
+        db.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, k INTEGER)")
+        if filled:
+            db.executemany(
+                "INSERT INTO t (id, x) VALUES (?, ?)", [(1, 1), (2, 2), (3, 3)]
+            )
+            db.executemany("INSERT INTO u (id, k) VALUES (?, ?)", [(1, 1), (2, 3)])
+        return db
+
+    return populate
+
+
+def _sweep_outcome(db: Database, sql: str):
+    try:
+        return ("rows", db.query(sql).rows)
+    except ExecutionError as error:
+        return (type(error).__name__, str(error))
+
+
+class TestPlanTimeRejectionSweep:
+    @pytest.mark.parametrize("filled", [False, True], ids=["empty", "filled"])
+    @pytest.mark.parametrize("sql", PLAN_TIME_SWEEP)
+    def test_every_engine_gives_the_same_outcome(self, sql, filled):
+        outcomes = {
+            name: _sweep_outcome(db, sql)
+            for name, db in _engines(_t_and_u(filled)).items()
+        }
+        assert len(set(outcomes.values())) == 1, outcomes
+        assert outcomes["interpreted"][0] == "ExecutionError", outcomes
+
+    def test_an_interpreted_database_counts_its_plans(self):
+        db = _engines(_t_and_u(filled=True))["interpreted"]
+        sql = "SELECT id FROM t WHERE x = (SELECT MAX(k) FROM u)"
+        assert db.query(sql).rows == [(3,)]
+        assert db.query(sql).rows == [(3,)]
+        assert db.plan_cache_info() == {"hits": 1, "misses": 1, "size": 1}
 
 
 # --------------------------------------------------------------------------- #

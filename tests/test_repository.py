@@ -80,9 +80,9 @@ class TestNavigation:
 
 class TestAslHelperSemantics:
     def test_duration_is_inclusive_time(self):
-        repo, _, run_small, run_large, body, _ = build_small_repository()
-        assert repo.duration(body, run_small) == 10.0
-        assert repo.duration(body, run_large) == 16.0
+        _, _, run_small, run_large, body, _ = build_small_repository()
+        assert body.duration(run_small) == 10.0
+        assert body.duration(run_large) == 16.0
 
     def test_min_pe_summary_selects_the_smallest_run(self):
         repo, _, run_small, _, body, _ = build_small_repository()
@@ -103,9 +103,9 @@ class TestAslHelperSemantics:
         assert repo.speedup(body, run_large) == pytest.approx(2.5)
 
     def test_typed_cost(self):
-        repo, _, _, run_large, _, loop = build_small_repository()
-        assert repo.typed_cost(loop, run_large, TimingType.Barrier) == 2.5
-        assert repo.typed_cost(loop, run_large, TimingType.IOWrite) == 0.0
+        _, _, _, run_large, _, loop = build_small_repository()
+        assert loop.typed_time(run_large, TimingType.Barrier) == 2.5
+        assert loop.typed_time(run_large, TimingType.IOWrite) == 0.0
 
     def test_min_pe_summary_requires_data(self):
         with pytest.raises(DataModelError):

@@ -360,8 +360,8 @@ class TestTypedErrors:
     def test_a_star_item_of_an_aggregate_query_raises_on_every_engine(
         self, filled
     ):
-        # The interpreter names its columns by the planner's rule, and its
-        # one group raises on an empty table too.
+        # Every engine plans the statement first, so the planner raises on
+        # an empty table too.
         assert _agreed(
             "SELECT *, COUNT(*) FROM t", rows=_THREE if filled else []
         ) == (
@@ -381,9 +381,9 @@ class TestTypedErrors:
     def test_a_star_item_raises_when_no_group_reaches_the_select_list(
         self, sql, filled
     ):
-        # The interpreter rejects the item before it reads a row, where the
-        # planner rejects it, so an empty table or a HAVING that rejects
-        # every group raises too, and ahead of a bad ORDER BY.
+        # The planner rejects the item before any engine reads a row, so an
+        # empty table or a HAVING that rejects every group raises too, and
+        # ahead of a bad ORDER BY.
         assert _agreed(sql, rows=_THREE if filled else []) == (
             "error", "ExecutionError",
             "'*' is only valid in SELECT lists and COUNT(*)",
@@ -400,8 +400,8 @@ class TestTypedErrors:
     def test_a_star_inside_an_expression_raises_before_any_row(
         self, sql, filled
     ):
-        # The compiled engines reject the '*' while they plan; the
-        # interpreter rejects it before it reads a row.
+        # Every engine, the interpreter included, rejects the '*' while it
+        # plans.
         assert _agreed(sql, rows=_THREE if filled else []) == (
             "error", "ExecutionError",
             "'*' is only valid in SELECT lists and COUNT(*)",
