@@ -14,10 +14,16 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import sys
 from typing import Optional, Sequence
 
-from repro.apprentice import SimulationConfig, ExecutionSimulator, synthetic_workload
+from repro.apprentice import (
+    WORKLOAD_FACTORIES,
+    ExecutionSimulator,
+    SimulationConfig,
+    synthetic_workload,
+)
 from repro.asl.specs import cosy_specification
 from repro.compiler import PropertyCompiler, generate_schema, load_repository
 from repro.cosy.analyzer import CosyAnalyzer, DEFAULT_THRESHOLD
@@ -37,9 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workload",
+        choices=tuple(WORKLOAD_FACTORIES),
         default="mixed",
-        help="synthetic workload to simulate (stencil, imbalanced, io_bound, "
-        "comm_bound, mixed, scalable)",
+        help="synthetic workload to simulate",
     )
     parser.add_argument(
         "--pes",
@@ -133,6 +139,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     if args.top < 0:
         parser.error("--top must be >= 0")
+    if math.isnan(args.threshold):
+        # Every severity > nan is false: the report would show no problem.
+        parser.error("--threshold must be a number, got nan")
 
     specification = cosy_specification()
 

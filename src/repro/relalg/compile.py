@@ -19,11 +19,13 @@ the :class:`~repro.relalg.rowset.QueryStats` counters.  This module plans
 nothing: a scalar subquery compiles into a closure over the plan that the
 caller's ``plan_subquery`` callback returns for its SELECT node (the
 planner's per-statement memo, so each node is planned once).  That plan runs
-at most once per execution: the first reference executes it with fresh
-counters, and every later reference in the same execution replays the
-memoized value and merges those counters again (subqueries cannot be
-correlated, so the value depends only on the parameters and the tables,
-which a statement does not change while it reads them).
+at most once per execution: the first reference runs its execution body
+(``QueryPlan._run``) on a child context that shares the statement's
+parameters and subquery memo and counts into fresh counters, and every
+later reference in the same execution replays the memoized value and
+merges those counters again (subqueries cannot be correlated, so the value
+depends only on the parameters and the tables, which a statement does not
+change while it reads them).
 """
 
 from __future__ import annotations
@@ -97,10 +99,14 @@ class ExecContext:
         #: ``opens[len(levels)]`` the plan's joined rows, so ``opens[i + 1]``
         #: is the number of rows that survived level ``i``.
         self.opens = opens
-        #: Lazily built hash-join tables, keyed by plan level index.
-        self.hash_tables: Dict[int, Dict[Any, List[Tuple[Any, ...]]]] = {}
-        #: Scalar subquery results of this execution, keyed by the compiled
-        #: subquery closure: ``(value, QueryStats of the run)``.
+        #: Lazily built hash-join tables, keyed by plan level index; the
+        #: execution's first build creates the dict.
+        self.hash_tables: Optional[
+            Dict[int, Dict[Any, List[Tuple[Any, ...]]]]
+        ] = None
+        #: Scalar subquery results of this statement execution, keyed by the
+        #: compiled subquery closure: ``(value, QueryStats of the run)``.
+        #: The child context of a subquery run shares it.
         self.subquery_memo: Dict[RowFn, Tuple[Any, QueryStats]] = {}
 
 
@@ -494,29 +500,34 @@ def _compile_subquery(
 
     def subquery_fn(row: Sequence[Any], ctx: ExecContext) -> Any:
         stats = ctx.stats
-        memo = ctx.subquery_memo.get(subquery_fn)
-        if memo is not None:
+        memo = ctx.subquery_memo
+        replay = memo.get(subquery_fn)
+        if replay is not None:
             # Replay: charge the counters of the first run again, so the
             # totals equal those of re-running the plan at every reference.
-            value, sub = memo
+            value, sub = replay
             stats.merge(sub)
             stats.subqueries += 1
             stats.subquery_replays += 1 + sub.subqueries - sub.subquery_replays
             return value
-        result = plan.execute(ctx.params, QueryStats())
-        sub = result.stats
+        # The run's own counters are its replay record; its nested
+        # subqueries memoize in the statement's memo.
+        child = ExecContext(ctx.params, QueryStats())
+        child.subquery_memo = memo
+        rows = plan._run(child, False)
+        sub = child.stats
         stats.merge(sub)
         stats.subqueries += 1
-        if len(result.rows) == 0:
+        if not rows:
             value = None
-        elif len(result.rows) != 1 or len(result.columns) != 1:
+        elif len(rows) != 1:
+            # The planner admits only one-column subqueries.
             raise ExecutionError(
-                f"scalar subquery returned {len(result.rows)} row(s) × "
-                f"{len(result.columns)} column(s)"
+                f"scalar subquery returned {len(rows)} row(s) × 1 column(s)"
             )
         else:
-            value = result.rows[0][0]
-        ctx.subquery_memo[subquery_fn] = (value, sub)
+            value = rows[0][0]
+        memo[subquery_fn] = (value, sub)
         return value
 
     return subquery_fn

@@ -376,10 +376,11 @@ class InterpretedSelectExecutor:
         self.stats.subqueries += 1
         if len(result.rows) == 0:
             return None
-        if len(result.rows) != 1 or len(result.columns) != 1:
+        if len(result.rows) != 1:
+            # The planner admits only one-column subqueries.
             raise ExecutionError(
-                f"scalar subquery returned {len(result.rows)} row(s) × "
-                f"{len(result.columns)} column(s)"
+                f"scalar subquery returned {len(result.rows)} row(s) × 1 "
+                "column(s)"
             )
         return result.rows[0][0]
 

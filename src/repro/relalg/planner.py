@@ -70,6 +70,7 @@ from typing import (
 )
 
 from repro.records import Record
+from repro.relalg.errors import SemanticError
 from repro.relalg.compile import (
     BatchPredicate,
     ExecContext,
@@ -143,12 +144,16 @@ class AccessPath:
 
     __slots__ = ()
 
-    def open(self, level: "_Level", index: int, row: List[Any], ctx: ExecContext):
+    def open(
+        self, level: "_Level", index: int, row: Optional[List[Any]],
+        ctx: ExecContext,
+    ):
         """Candidates of ``level`` for the outer levels currently bound in ``row``.
 
         Returns ``(candidates, filters)``: the candidate rows in storage
         order and the filters every candidate must pass.  ``index`` is the
-        level's position (hash-join tables are cached per level).
+        level's position (hash-join tables are cached per level).  ``row``
+        is ``None`` in a single-level plan, which binds no outer level.
         """
         raise NotImplementedError
 
@@ -207,8 +212,8 @@ class IndexProbe(AccessPath):
                 return table.live(), level.fallback_filters
             key = key_fn(row, ctx)
             ctx.stats.index_lookups += 1
-            if matches_nothing(key):
-                return (), level.filters
+            if key is None or key != key:
+                return (), level.filters  # matches_nothing(key), inlined
             return table_index.live_rows(key, table.rows), level.filters
         for column, table_index in self.resolved:
             if indexes.get(column) is not table_index:
@@ -223,8 +228,8 @@ class IndexProbe(AccessPath):
         for _column, key_fn in self.keys:
             key = key_fn(row, ctx)
             stats.index_lookups += 1
-            if matches_nothing(key):
-                nothing = True
+            if key is None or key != key:
+                nothing = True  # matches_nothing(key), inlined
             keys.append(key)
         if nothing:
             return (), level.filters
@@ -247,10 +252,11 @@ class HashJoinBuild(AccessPath):
         self.key = key
 
     def open(self, level, index, row, ctx):
-        hash_table = ctx.hash_tables.get(index)
+        hash_tables = ctx.hash_tables
+        hash_table = None if hash_tables is None else hash_tables.get(index)
         if hash_table is None:
-            hash_table = ctx.hash_tables[index] = _build_hash_table(
-                level.table, self.col_index, ctx.stats
+            hash_table = _build_hash_table(
+                level.table, self.col_index, ctx, index
             )
         key = self.key(row, ctx)
         ctx.stats.hash_probes += 1
@@ -525,9 +531,26 @@ class QueryPlan(Record):
 
         ``opens`` (EXPLAIN ANALYZE only) is a list of ``len(levels) + 1``
         zeros that the execution fills (see :attr:`ExecContext.opens`).
+
+        This is the statement wrapper: it builds the statement's
+        :class:`ExecContext` and :class:`ResultSet` around :meth:`_run`.
         """
         stats = stats if stats is not None else QueryStats()
-        ctx = ExecContext(params, stats, opens)
+        rows = self._run(ExecContext(params, stats, opens), vectorized)
+        return ResultSet(list(self.columns), rows, stats)
+
+    def _run(
+        self, ctx: ExecContext, vectorized: bool
+    ) -> List[Tuple[Any, ...]]:
+        """The one execution body of every plan run: enumerate, aggregate
+        or project, order, deduplicate and cut, charging ``rows_returned``
+        to ``ctx.stats``; returns the result rows.
+
+        A statement runs it through :meth:`execute`; a scalar subquery runs
+        it directly, on a child context of its statement's execution (see
+        :mod:`repro.relalg.compile`), so a subquery run builds no result
+        set.
+        """
         use_vectorized = vectorized and self.vector_eligible
         result_rows: Optional[List[Tuple[Any, ...]]] = None
         rows: List[Tuple[Any, ...]] = []
@@ -599,8 +622,8 @@ class QueryPlan(Record):
             stop = None if self.limit is None else start + self.limit
             result_rows = result_rows[start:stop]
 
-        stats.rows_returned += len(result_rows)
-        return ResultSet(columns=list(self.columns), rows=result_rows, stats=stats)
+        ctx.stats.rows_returned += len(result_rows)
+        return result_rows
 
     def describe(self) -> List[Dict[str, Any]]:
         """Plan shape for EXPLAIN, tests and debugging.
@@ -654,7 +677,11 @@ class QueryPlan(Record):
         if loops is None:
             loops = self._loops = _level_loops(self.levels)
         stats = ctx.stats
-        row: List[Any] = [None] * self.layout.width
+        # A single-level plan needs no slot row: its candidates are whole
+        # rows, and its access keys read no column.
+        row: Optional[List[Any]] = (
+            [None] * self.layout.width if len(loops) > 1 else None
+        )
         out: List[Tuple[Any, ...]] = []
         if driving is None:
             loops[0](row, ctx, out)
@@ -800,10 +827,11 @@ class QueryPlan(Record):
         def join_chunk(survivors) -> None:
             if not survivors:
                 return
-            hash_table = ctx.hash_tables.get(1)
+            hash_tables = ctx.hash_tables
+            hash_table = None if hash_tables is None else hash_tables.get(1)
             if hash_table is None:
-                hash_table = ctx.hash_tables[1] = _build_hash_table(
-                    level.table, level.access.col_index, stats
+                hash_table = _build_hash_table(
+                    level.table, level.access.col_index, ctx, 1
                 )
             n = len(survivors)
             if kkind == "const":
@@ -902,7 +930,9 @@ class QueryPlan(Record):
 
 
 #: One join level's loop: ``loop(row, ctx, out)`` (see :func:`_level_loops`).
-LevelLoop = Callable[[List[Any], ExecContext, List[Tuple[Any, ...]]], None]
+LevelLoop = Callable[
+    [Optional[List[Any]], ExecContext, List[Tuple[Any, ...]]], None
+]
 
 
 def _level_loops(levels: Sequence[_Level]) -> Tuple[LevelLoop, ...]:
@@ -1001,9 +1031,11 @@ def filter_rows(
 
 
 def _build_hash_table(
-    table: Table, col_index: int, stats: QueryStats
+    table: Table, col_index: int, ctx: ExecContext, index: int
 ) -> Dict[Any, List[Tuple[Any, ...]]]:
-    """Build one hash-join table from a scan of ``table``.
+    """Build join level ``index``'s hash table from a scan of ``table`` and
+    keep it in ``ctx.hash_tables`` for the rest of the execution (the
+    execution's first build creates that dict).
 
     Storage-order build keeps every bucket's candidate list in the exact
     order a full scan would produce.
@@ -1015,7 +1047,10 @@ def _build_hash_table(
         value = stored[col_index]
         if value is not None:
             hash_table.setdefault(value, []).append(stored)
-    stats.rows_scanned += built
+    ctx.stats.rows_scanned += built
+    if ctx.hash_tables is None:
+        ctx.hash_tables = {}
+    ctx.hash_tables[index] = hash_table
     return hash_table
 
 
@@ -1054,7 +1089,9 @@ def subquery_planner(
     plan on every later request.  The memo maps ``id()`` of the SELECT node
     to its plan, so a node referenced from several compiled expressions (an
     index probe's key and its stale-index fallback), EXPLAIN and the plan
-    cache's dependencies all see one plan.
+    cache's dependencies all see one plan.  A scalar subquery must return
+    exactly one column: any other raises :class:`SemanticError` here, before
+    any row, on every engine.
     """
     plans: Dict[int, QueryPlan] = {}
     handed = analysis.subqueries if analysis is not None else {}
@@ -1063,6 +1100,11 @@ def subquery_planner(
         plan = plans.get(id(select))
         if plan is None:
             plan = _plan_select(select, tables, handed.get(id(select)))
+            if len(plan.columns) != 1:
+                raise SemanticError(
+                    f"scalar subquery must return exactly one column, got "
+                    f"{len(plan.columns)}"
+                )
             plans[id(select)] = plan
         return plan
 

@@ -22,7 +22,8 @@ def matches_nothing(key: Any) -> bool:
     ``col = NULL`` is UNKNOWN and ``col = NaN`` is false for every row, yet
     a bucket lookup would hit the NULL entries secondary indexes store, or
     the very NaN object stored in an index.  Every engine's index and hash
-    probes consult this one rule before looking a key up.
+    probes apply this one rule before looking a key up (the compiled index
+    probe and batch hash join inline it on their hot paths).
     """
     return key is None or key != key
 

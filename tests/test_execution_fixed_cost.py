@@ -13,7 +13,12 @@ parameters and its rows:
   is read at probe time, after compaction replaced it;
 * a driving scan streams the table's rows unless a batch predicate or the
   batch hash-join probe consumes columnar chunks, so a scan with nothing to
-  filter never builds ``Table.column_chunks``' cache.
+  filter never builds ``Table.column_chunks``' cache;
+* a scalar subquery runs its plan's execution body (``QueryPlan._run``)
+  inside its statement's execution, so a statement builds one result set
+  however many subqueries it runs, and only a hash-join build creates an
+  execution's hash-table dict (compiled engines only: the interpreter
+  runs each subquery as a statement of its own).
 
 Every case runs on the interpreted, row-at-a-time and vectorized engines:
 rows equal the interpreter's, and so do the ``QueryStats`` wherever the
@@ -473,3 +478,153 @@ class TestResolvedProbes:
             (g, a): sorted(database.query(_PROBE, [g, a]).rows)
             for g in range(6) for a in range(4)
         }
+
+
+# --------------------------------------------------------------------------- #
+# scalar subqueries run inside their statement's execution
+# --------------------------------------------------------------------------- #
+
+_COMPILED = ["row-at-a-time", "vectorized"]
+
+#: Two levels of scalar subqueries, each referenced once per outer row.
+_NESTED = (
+    "SELECT u.id, (SELECT MAX(x) FROM t WHERE g = "
+    "(SELECT MIN(g) FROM v WHERE id > ?)) FROM u WHERE u.id < ? ORDER BY u.id"
+)
+
+_HASH_JOIN = "SELECT t.id, v.label FROM t, v WHERE v.g = t.g ORDER BY t.id, v.id"
+
+
+@pytest.fixture()
+def plan_runs(monkeypatch):
+    """``(plan, ctx)`` of every plan run, statement or subquery."""
+    from repro.relalg.planner import QueryPlan
+
+    runs = []
+    run = QueryPlan._run
+
+    def run_spy(plan, ctx, vectorized):
+        runs.append((plan, ctx))
+        return run(plan, ctx, vectorized)
+
+    monkeypatch.setattr(QueryPlan, "_run", run_spy)
+    return runs
+
+
+@pytest.fixture()
+def result_sets(monkeypatch):
+    """A list that grows by one at every ``ResultSet`` construction."""
+    from repro.relalg.rowset import ResultSet
+
+    built = []
+    init = ResultSet.__init__
+
+    def init_spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResultSet, "__init__", init_spy)
+    return built
+
+
+class TestSubqueryRuns:
+    @pytest.mark.parametrize("engine", _COMPILED)
+    def test_a_statement_builds_one_result_set(
+        self, engine, plan_runs, result_sets
+    ):
+        with _database(engine) as database:
+            database.query(_NESTED, [4, 6])
+            del plan_runs[:], result_sets[:]
+            result = database.query(_NESTED, [4, 6])
+        assert len(result.rows) == 5
+        assert len(result_sets) == 1 and result_sets[0] is result
+        # Three plans ran, once each; the other 8 references replayed.
+        assert result.stats.subqueries == 10
+        assert result.stats.subquery_replays == 8
+        (_top, top_ctx), *children = plan_runs
+        assert len(children) == 2
+        for _plan, ctx in children:
+            # A subquery run shares its statement's parameters and memo and
+            # counts into its own replay record.
+            assert ctx.params is top_ctx.params
+            assert ctx.subquery_memo is top_ctx.subquery_memo
+            assert ctx.stats is not top_ctx.stats
+        assert len(top_ctx.subquery_memo) == 2
+
+    @pytest.mark.parametrize("engine", _COMPILED)
+    def test_a_plan_without_a_hash_join_builds_no_hash_table_dict(
+        self, engine, plan_runs
+    ):
+        with _database(engine) as database:
+            database.query(_NESTED, [4, 6])
+            database.query(_PROBE, [2, 2])
+            database.query("SELECT u.id, t.b FROM u, t WHERE t.id = u.t_id")
+            assert plan_runs
+            assert all(ctx.hash_tables is None for _plan, ctx in plan_runs)
+            del plan_runs[:]
+            database.query(_HASH_JOIN)
+        ((plan, ctx),) = plan_runs
+        assert plan.levels[1].access.kind == "hash-probe"
+        assert list(ctx.hash_tables) == [1]
+
+
+#: The inputs of perfbench's ``warm_pushdown`` workload at seed 1.
+_WARM_PES = (1, 2, 3, 4, 32)
+_WARM_THRESHOLD = 0.081
+_WARM_BACKEND = "ms_access"
+
+
+def test_a_warm_pushdown_operation_keeps_its_counters(plan_runs, result_sets):
+    """One analysis of every test run of a loaded database with warm plan
+    caches: 330 statements, whose 1,139 subquery references run 775
+    subquery plans and replay 364, each plan run through the one execution
+    body and only the statements building a result set."""
+    from repro.apprentice import (
+        ExecutionSimulator,
+        SimulationConfig,
+        synthetic_workload,
+    )
+    from repro.asl.specs import cosy_specification
+    from repro.compiler import generate_schema, load_repository
+    from repro.cosy.analyzer import CosyAnalyzer
+    from repro.cosy.strategies import PushdownStrategy
+    from repro.relalg import NativeClient, backend
+
+    spec = cosy_specification()
+    repository = ExecutionSimulator(
+        synthetic_workload("mixed"),
+        SimulationConfig(pe_counts=_WARM_PES, seed=1),
+    ).run()
+    mapping = generate_schema(spec)
+    client = NativeClient(backend(_WARM_BACKEND))
+    try:
+        ids = load_repository(repository, mapping, client)
+        analyzer = CosyAnalyzer(
+            repository, specification=spec, threshold=_WARM_THRESHOLD
+        )
+        strategy = PushdownStrategy(spec, mapping, client, ids)
+
+        def operation():
+            for pes in _WARM_PES:
+                analyzer.analyze(pes=pes, strategy=strategy)
+
+        summary = client.backend.database.summary
+
+        def counters():
+            stats = summary.select_stats
+            return (
+                summary.statements, stats.subqueries, stats.subquery_replays,
+                stats.rows_scanned, stats.index_lookups,
+            )
+
+        operation()  # fills the plan cache and the compiled queries
+        before = counters()
+        del plan_runs[:], result_sets[:]
+        operation()
+        after = counters()
+    finally:
+        client.close()
+    # statements, subquery references, replays, rows scanned, index lookups
+    assert [b - a for a, b in zip(before, after)] == [330, 1139, 364, 7623, 4462]
+    assert len(plan_runs) == 330 + (1139 - 364)
+    assert len(result_sets) == 330

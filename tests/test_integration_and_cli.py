@@ -12,6 +12,7 @@ from repro.apprentice import (
     ApprenticeParser,
     ExecutionSimulator,
     SimulationConfig,
+    WORKLOAD_FACTORIES,
     synthetic_workload,
 )
 from repro.asl import parse_asl, unparse
@@ -127,10 +128,16 @@ class TestCommandLineInterface:
             (["--pes", "1", "-4"], "--pes values must be >= 1"),
             (["--analyze-pes", "3"], "--analyze-pes 3 is not one of --pes"),
             (["--top", "-2"], "--top must be >= 0"),
+            (["--workload", "nosuch"], "invalid choice: 'nosuch'"),
+            (["--show-sql", "--workload", "nosuch"], "invalid choice: 'nosuch'"),
+            # Every severity > nan is false: the run would report nothing.
+            (["--pes", "1", "2", "--threshold", "nan"],
+             "--threshold must be a number, got nan"),
         ],
         ids=[
             "pes-0", "pes-negative",
             "analyze-pes-not-simulated", "top-negative",
+            "unknown-workload", "show-sql-unknown-workload", "threshold-nan",
         ],
     )
     def test_out_of_range_options_are_usage_errors(self, args, message, capsys):
@@ -237,5 +244,18 @@ class TestCommandLineProcess:
         done = self._run(["--strategy", "pushdown", "--pes", "0"])
         assert done.returncode == 2
         assert "--pes values must be >= 1" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--workload", "nosuch"], ["--show-sql", "--workload", "nosuch"]],
+        ids=["run", "show-sql"],
+    )
+    def test_unknown_workload_exits_2_listing_the_kinds(self, args):
+        done = self._run(args)
+        assert done.returncode == 2
+        assert "invalid choice: 'nosuch'" in done.stderr
+        assert all(f"'{kind}'" in done.stderr for kind in WORKLOAD_FACTORIES)
         assert "Traceback" not in done.stderr
         assert done.stdout == ""

@@ -118,20 +118,21 @@ def spies(monkeypatch):
 
 @pytest.fixture()
 def executed(monkeypatch):
-    """``(top-level plan, plan)`` for every ``QueryPlan.execute`` call."""
+    """``(top-level plan, plan)`` for every plan run: every execution, a
+    statement's and a scalar subquery's, passes through ``QueryPlan._run``."""
     runs = []
     stack = []
-    execute = QueryPlan.execute
+    run = QueryPlan._run
 
-    def execute_spy(self, *args, **kwargs):
+    def run_spy(self, *args, **kwargs):
         runs.append((stack[0] if stack else self, self))
         stack.append(self)
         try:
-            return execute(self, *args, **kwargs)
+            return run(self, *args, **kwargs)
         finally:
             stack.pop()
 
-    monkeypatch.setattr(QueryPlan, "execute", execute_spy)
+    monkeypatch.setattr(QueryPlan, "_run", run_spy)
     return runs
 
 

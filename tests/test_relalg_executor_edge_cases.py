@@ -321,13 +321,13 @@ class TestScalarSubqueryStatsMerging:
         )
         params = ["loop", 2, "loop", "loop", "loop"]
         runs = {}
-        execute = QueryPlan.execute
+        run = QueryPlan._run
 
         def spy(plan, *args, **kwargs):
             runs[id(plan)] = runs.get(id(plan), 0) + 1
-            return execute(plan, *args, **kwargs)
+            return run(plan, *args, **kwargs)
 
-        monkeypatch.setattr(QueryPlan, "execute", spy)
+        monkeypatch.setattr(QueryPlan, "_run", spy)
         result = db.query(sql, params)
         monkeypatch.undo()
         assert result.rows == [(8.0 - 4.0,)]

@@ -154,6 +154,15 @@ PLAN_TIME_SWEEP = [
 ]
 
 
+#: Scalar subqueries of two columns, which an empty ``u`` never runs: the
+#: planner rejects each before any row, on every engine.
+MULTI_COLUMN_SUBQUERIES = [
+    "SELECT (SELECT id, k FROM u) FROM t",
+    "SELECT (SELECT * FROM u) FROM t",
+    "SELECT id FROM t WHERE (SELECT id, k FROM u) IS NULL",
+]
+
+
 def _t_and_u(filled: bool):
     """A populate function for :func:`_engines`: ``t(id, x)`` and
     ``u(id, k)``, with a few rows each or empty."""
@@ -188,6 +197,29 @@ class TestPlanTimeRejectionSweep:
         }
         assert len(set(outcomes.values())) == 1, outcomes
         assert outcomes["interpreted"][0] == "ExecutionError", outcomes
+
+    @pytest.mark.parametrize("filled", [False, True], ids=["empty", "filled"])
+    @pytest.mark.parametrize("sql", MULTI_COLUMN_SUBQUERIES)
+    def test_a_scalar_subquery_returns_one_column(self, sql, filled):
+        outcomes = {
+            name: _sweep_outcome(db, sql)
+            for name, db in _engines(_t_and_u(filled)).items()
+        }
+        assert set(outcomes.values()) == {(
+            "SemanticError",
+            "scalar subquery must return exactly one column, got 2",
+        )}, outcomes
+
+    def test_a_one_column_star_subquery_is_accepted(self):
+        def populate(db: Database) -> Database:
+            _t_and_u(filled=True)(db)
+            db.execute("CREATE TABLE d (one INTEGER)")
+            db.execute("INSERT INTO d (one) VALUES (7)")
+            return db
+
+        sql = "SELECT id, (SELECT * FROM d) FROM t ORDER BY id"
+        for name, db in _engines(populate).items():
+            assert db.query(sql).rows == [(1, 7), (2, 7), (3, 7)], name
 
     def test_an_interpreted_database_counts_its_plans(self):
         db = _engines(_t_and_u(filled=True))["interpreted"]
