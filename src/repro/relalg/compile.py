@@ -10,9 +10,11 @@ per-row dict-of-dicts environment.  This module removes both per-row costs:
 * :func:`compile_row_expr` turns an expression into a Python closure
   ``fn(row, ctx) -> value`` — all dispatch on node types happens once, at
   compile time;
-* :func:`compile_group_expr` does the same for expressions evaluated per
-  *group* of rows (aggregate queries), mirroring the reference semantics of
-  the interpreted engine exactly (NULL propagation, DISTINCT, empty groups).
+* :func:`compile_group_expr` compiles a select item or the HAVING of an
+  aggregate query through the row compiler, with the group's row list as
+  the row: it takes over only the aggregate calls, which fold the group,
+  and the nodes that read a row but hold no aggregate, which read the
+  group's first row.
 
 ``ctx`` is an :class:`ExecContext` carrying the positional parameters and
 the :class:`~repro.relalg.rowset.QueryStats` counters.  This module plans
@@ -31,8 +33,9 @@ change while it reads them).
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.relalg.errors import ExecutionError
 from repro.relalg.rowset import QueryStats, _hashable, _is_true
@@ -51,6 +54,7 @@ from repro.relalg.sqlast import (
     SqlExpr,
     Star,
     UnaryOperation,
+    _contains_aggregate,
     format_expr,
     walk,
 )
@@ -79,6 +83,9 @@ GroupFn = Callable[[List[Tuple[Any, ...]], "ExecContext"], Any]
 #: which plans a scalar subquery's SELECT node on first request and returns
 #: that same plan on every later one.
 SubqueryPlanner = Callable[[SelectStatement], Any]
+#: ``hook(node) -> closure or None``: :func:`compile_row_expr` asks it first
+#: at every node, and ``None`` hands the node back.
+CompileHook = Callable[[SqlExpr], Optional[RowFn]]
 
 
 class ExecContext:
@@ -190,9 +197,9 @@ def _apply_binop(
     """Non-logical binary operators with the engine's NULL semantics.
 
     ``source`` is the originating AST node; it is only formatted when an
-    error is raised, so attribution costs nothing on the hot path.  Callers
-    that re-evaluate cloned nodes (the group-level aggregate paths) pass no
-    source, keeping their historical messages.
+    error is raised, so attribution costs nothing on the hot path.  Only
+    the analyzer's constant folder passes none: it discards the error and
+    leaves the expression for the engine to evaluate.
     """
     if left is None or right is None:
         # Simplified NULL semantics: any comparison or arithmetic with NULL
@@ -314,15 +321,56 @@ def _apply_fold(
         ) from None
 
 
+def _counts_rows(call: FunctionExpr) -> bool:
+    """Whether an aggregate call is ``COUNT(*)`` (or ``COUNT()``): its value
+    is the group's row count, and it evaluates no argument."""
+    return call.name.upper() == "COUNT" and (
+        not call.args or isinstance(call.args[0], Star)
+    )
+
+
+def _fold_group(
+    name: str,
+    values: Iterable[Any],
+    distinct: bool,
+    source: Optional[SqlExpr] = None,
+) -> Any:
+    """One aggregate call over one group's argument values, in row order.
+
+    NULLs are skipped, DISTINCT keeps each value's first occurrence, and
+    :func:`_apply_fold` folds what is left.  The row, batch and interpreted
+    aggregates all call it, once per group.
+    """
+    kept = [value for value in values if value is not None]
+    if distinct:
+        first: Dict[Any, Any] = {}
+        for value in kept:
+            first.setdefault(_hashable(value), value)
+        kept = list(first.values())
+    return _apply_fold(name, kept, source)
+
+
 # --------------------------------------------------------------------------- #
 # per-row compilation
 # --------------------------------------------------------------------------- #
 
 
 def compile_row_expr(
-    expr: SqlExpr, layout: SlotLayout, plan_subquery: SubqueryPlanner
+    expr: SqlExpr,
+    layout: SlotLayout,
+    plan_subquery: SubqueryPlanner,
+    hook: Optional[CompileHook] = None,
 ) -> RowFn:
-    """Compile ``expr`` into a closure evaluated against one slot row."""
+    """Compile ``expr`` into a closure evaluated against one slot row.
+
+    ``hook``, when given, sees every node first: a closure it returns
+    compiles that node, and ``None`` hands the node back to this compiler,
+    whose operands meet the hook again (:func:`compile_group_expr`).
+    """
+    if hook is not None:
+        fn = hook(expr)
+        if fn is not None:
+            return fn
     if isinstance(expr, Literal):
         value = expr.value
         return lambda row, ctx: value
@@ -344,7 +392,7 @@ def compile_row_expr(
         slot = layout.resolve(expr)
         return lambda row, ctx: row[slot]
     if isinstance(expr, UnaryOperation):
-        operand = compile_row_expr(expr.operand, layout, plan_subquery)
+        operand = compile_row_expr(expr.operand, layout, plan_subquery, hook)
         if expr.op == "NOT":
             return lambda row, ctx: (
                 None if (v := operand(row, ctx)) is None else not _is_true(v)
@@ -352,12 +400,13 @@ def compile_row_expr(
         return lambda row, ctx: _negate(operand(row, ctx), expr)
     if isinstance(expr, BinaryOperation):
         op = expr.op
-        if op is BinaryOperator.OR:
+        # The hashed OR-set reads ``row[slot]``, which a hook's row may not be.
+        if op is BinaryOperator.OR and hook is None:
             member_fn = _compile_literal_or_set(expr, layout)
             if member_fn is not None:
                 return member_fn
-        left = compile_row_expr(expr.left, layout, plan_subquery)
-        right = compile_row_expr(expr.right, layout, plan_subquery)
+        left = compile_row_expr(expr.left, layout, plan_subquery, hook)
+        right = compile_row_expr(expr.right, layout, plan_subquery, hook)
         if op is BinaryOperator.AND:
             return lambda row, ctx: (
                 _is_true(left(row, ctx)) and _is_true(right(row, ctx))
@@ -380,14 +429,14 @@ def compile_row_expr(
             op, left(row, ctx), right(row, ctx), expr
         )
     if isinstance(expr, IsNull):
-        operand = compile_row_expr(expr.operand, layout, plan_subquery)
+        operand = compile_row_expr(expr.operand, layout, plan_subquery, hook)
         if expr.negated:
             return lambda row, ctx: operand(row, ctx) is not None
         return lambda row, ctx: operand(row, ctx) is None
     if isinstance(expr, InList):
-        operand = compile_row_expr(expr.operand, layout, plan_subquery)
+        operand = compile_row_expr(expr.operand, layout, plan_subquery, hook)
         items = [
-            compile_row_expr(item, layout, plan_subquery)
+            compile_row_expr(item, layout, plan_subquery, hook)
             for item in expr.items
         ]
         negated = expr.negated
@@ -406,7 +455,7 @@ def compile_row_expr(
             raise ExecutionError(
                 f"aggregate function {expr.name} is not allowed here"
             )
-        return _compile_scalar_function(expr, layout, plan_subquery)
+        return _compile_scalar_function(expr, layout, plan_subquery, hook)
     if isinstance(expr, ScalarSubquery):
         return _compile_subquery(expr, plan_subquery)
     if isinstance(expr, Star):
@@ -474,10 +523,15 @@ def _compile_literal_or_set(
 
 
 def _compile_scalar_function(
-    expr: FunctionExpr, layout: SlotLayout, plan_subquery: SubqueryPlanner
+    expr: FunctionExpr,
+    layout: SlotLayout,
+    plan_subquery: SubqueryPlanner,
+    hook: Optional[CompileHook],
 ) -> RowFn:
     name = expr.name.upper()
-    args = [compile_row_expr(arg, layout, plan_subquery) for arg in expr.args]
+    args = [
+        compile_row_expr(arg, layout, plan_subquery, hook) for arg in expr.args
+    ]
     if name == "COALESCE":
         def coalesce_fn(row: Sequence[Any], ctx: ExecContext) -> Any:
             for arg in args:
@@ -919,11 +973,11 @@ def compile_batch_aggregate(
     Instead of materialising ``List[row]`` groups and re-walking each group
     once per aggregate closure, the batch path gathers the referenced
     columns once, assigns group ids in a single pass and folds each
-    COUNT/SUM/MIN/MAX/AVG per-column into per-group accumulators —
-    reproducing the row engine's semantics exactly: NULLs are skipped in row
-    order, DISTINCT dedups on first occurrence via ``_hashable``, group keys
-    are ``_hashable``-wrapped tuples in first-seen order, and float sums
-    accumulate in enumeration order.
+    COUNT/SUM/MIN/MAX/AVG argument column per group with the row path's own
+    per-group rule (:func:`_fold_group`) — reproducing the row engine's
+    semantics exactly: group keys are ``_hashable``-wrapped tuples in
+    first-seen order, and each group's values are folded in enumeration
+    order.
 
     Select items that are not plain batchable aggregates (expressions *of*
     aggregates, grouping keys in the select list, scalar subqueries) fall
@@ -942,7 +996,7 @@ def compile_batch_aggregate(
         if node is None:
             return None
         key_nodes.append(node)
-    #: ("count*",) | ("fold", final_fold, arg_node, distinct) | ("group", fn)
+    #: ("count*",) | ("fold", name, arg_node, distinct) | ("group", fn)
     item_plans: List[Tuple[Any, ...]] = []
     batched = 0
     for index, item in enumerate(statement.items):
@@ -950,14 +1004,12 @@ def compile_batch_aggregate(
         plan: Optional[Tuple[Any, ...]] = None
         if isinstance(expr, FunctionExpr) and expr.is_aggregate:
             name = expr.name.upper()
-            if name == "COUNT" and (
-                not expr.args or isinstance(expr.args[0], Star)
-            ):
+            if _counts_rows(expr):
                 plan = ("count*",)
             elif name in _AGG_FOLDS and expr.args:
                 node = compile_batch_expr(expr.args[0], layout, 0, width)
                 if node is not None:
-                    plan = ("fold", _AGG_FOLDS[name], node, expr.distinct)
+                    plan = ("fold", name, node, expr.distinct)
         if plan is None:
             plan = ("group", item_group_fns[index])
         else:
@@ -1020,27 +1072,15 @@ def compile_batch_aggregate(
                 if kind == "count*":
                     folded[index] = [len(idxs) for idxs in member_idxs]
                 elif kind == "fold":
-                    _, final_fold, node, distinct = plan
+                    _, name, node, distinct = plan
                     if node[0] == "const":
                         col = [node[1](ctx)] * n
                     else:
                         col = node[1](cols, n, ctx)
-                    per_group = []
-                    for idxs in member_idxs:
-                        values = [
-                            v for i in idxs if (v := col[i]) is not None
-                        ]
-                        if distinct and values:
-                            seen: set = set()
-                            unique = []
-                            for value in values:
-                                key = _hashable(value)
-                                if key not in seen:
-                                    seen.add(key)
-                                    unique.append(value)
-                            values = unique
-                        per_group.append(final_fold(values))
-                    folded[index] = per_group
+                    folded[index] = [
+                        _fold_group(name, map(col.__getitem__, idxs), distinct)
+                        for idxs in member_idxs
+                    ]
         except Exception:  # lint: allow-broad-except
             return None
         # Emission is group-major — HAVING first, then the items left to
@@ -1068,78 +1108,61 @@ def compile_batch_aggregate(
 # --------------------------------------------------------------------------- #
 
 
+#: Nodes the group compiler hands back to the row compiler even when they
+#: hold no aggregate: they read no row themselves.
+_GROUP_FREE = (Literal, Placeholder, ScalarSubquery, UnaryOperation,
+               BinaryOperation)
+
+
+def _reads_first_row(node: SqlExpr) -> bool:
+    """Whether a node of an aggregate query's item or HAVING is evaluated on
+    its group's first row (NULL for an empty group): it holds no aggregate
+    and is not a literal, parameter, scalar subquery or operator — a column,
+    or a function, IS NULL or IN over columns.  The interpreter follows the
+    same rule."""
+    return not isinstance(node, _GROUP_FREE) and not _contains_aggregate(node)
+
+
 def compile_group_expr(
     expr: SqlExpr, layout: SlotLayout, plan_subquery: SubqueryPlanner
 ) -> GroupFn:
-    """Compile an expression that may contain aggregate functions.
+    """Compile a select item or the HAVING of an aggregate query into a
+    closure over one group's materialised rows.
 
-    The closure receives the materialised rows of one group.  Semantics follow
-    the reference interpreter: aggregates fold the group, plain column
-    references pick the first row (they are expected to be grouping keys), and
-    literals / parameters / scalar subqueries ignore the group entirely.
+    The row compiler compiles it, with the group's row list as its row, so
+    every operator, function, IS NULL and IN keeps the one evaluation
+    order.  Its hook takes over two kinds of node: an aggregate call folds
+    the group, once per occurrence, when evaluation reaches it (AND/OR and
+    COALESCE skip a fold they do not need), and a node
+    :func:`_reads_first_row` names reads the group's first row.
     """
-    if isinstance(expr, FunctionExpr) and expr.is_aggregate:
-        return _compile_aggregate_function(expr, layout, plan_subquery)
-    if isinstance(expr, BinaryOperation):
-        op = expr.op
-        left = compile_group_expr(expr.left, layout, plan_subquery)
-        right = compile_group_expr(expr.right, layout, plan_subquery)
-        if op in (BinaryOperator.AND, BinaryOperator.OR):
-            # Short-circuit, like the row path and the interpreter: the
-            # right child runs only when the left one did not decide.
-            if op is BinaryOperator.AND:
-                return lambda group, ctx: (
-                    _is_true(left(group, ctx)) and _is_true(right(group, ctx))
-                )
-            return lambda group, ctx: (
-                _is_true(left(group, ctx)) or _is_true(right(group, ctx))
-            )
-        return lambda group, ctx: _apply_binop(
-            op, left(group, ctx), right(group, ctx)
-        )
-    if isinstance(expr, UnaryOperation):
-        operand = compile_group_expr(expr.operand, layout, plan_subquery)
-        if expr.op == "NOT":
-            return lambda group, ctx: (
-                None if (v := operand(group, ctx)) is None else not _is_true(v)
-            )
-        return lambda group, ctx: _negate(operand(group, ctx), expr)
-    if isinstance(expr, (Literal, Placeholder, ScalarSubquery)):
-        row_fn = compile_row_expr(expr, layout, plan_subquery)
-        return lambda group, ctx: row_fn((), ctx)
-    # Plain column references (and scalar functions over them) pick the value
-    # of the first row of the group.
-    row_fn = compile_row_expr(expr, layout, plan_subquery)
-    return lambda group, ctx: (row_fn(group[0], ctx) if group else None)
+
+    def group_node(node: SqlExpr) -> Optional[GroupFn]:
+        if isinstance(node, FunctionExpr) and node.is_aggregate:
+            return _compile_aggregate_function(node, layout, plan_subquery)
+        if not _reads_first_row(node):
+            return None
+        row_fn = compile_row_expr(node, layout, plan_subquery)
+        return lambda group, ctx: (row_fn(group[0], ctx) if group else None)
+
+    return compile_row_expr(expr, layout, plan_subquery, group_node)
 
 
 def _compile_aggregate_function(
     expr: FunctionExpr, layout: SlotLayout, plan_subquery: SubqueryPlanner
 ) -> GroupFn:
-    name = expr.name.upper()
-    if name == "COUNT" and (not expr.args or isinstance(expr.args[0], Star)):
+    if _counts_rows(expr):
         return lambda group, ctx: len(group)
+    name = expr.name.upper()
     if not expr.args:
         raise ExecutionError(f"aggregate {name} requires an argument")
     arg = compile_row_expr(expr.args[0], layout, plan_subquery)
     distinct = expr.distinct
-
-    def values_of(group: List[Tuple[Any, ...]], ctx: ExecContext) -> List[Any]:
-        values = [v for row in group if (v := arg(row, ctx)) is not None]
-        if distinct:
-            seen = set()
-            unique = []
-            for value in values:
-                key = _hashable(value)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(value)
-            values = unique
-        return values
-
     if name not in _AGG_FOLDS:
         raise ExecutionError(f"unknown aggregate {name}")
-    return lambda group, ctx: _apply_fold(name, values_of(group, ctx), expr)
+    return lambda group, ctx: _fold_group(
+        name, map(arg, group, repeat(ctx)), distinct, expr
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -45,9 +45,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from repro.relalg.compile import (
     _SCALAR_FUNCTIONS,
     _apply_binop,
-    _apply_fold,
     _apply_function,
+    _counts_rows,
+    _fold_group,
     _negate,
+    _reads_first_row,
 )
 from repro.relalg.errors import ExecutionError
 from repro.relalg.planner import _probe_keys
@@ -251,11 +253,10 @@ class InterpretedSelectExecutor:
         for key in order:
             group_rows = groups[key]
             if statement.having is not None:
-                if not _is_true(self._eval_aggregate(statement.having, group_rows)):
+                if not _is_true(self._eval(statement.having, {}, group_rows)):
                     continue
             values = tuple(
-                self._eval_aggregate(item.expr, group_rows)
-                for item in statement.items
+                self._eval(item.expr, {}, group_rows) for item in statement.items
             )
             result.append(values)
         return result
@@ -297,7 +298,21 @@ class InterpretedSelectExecutor:
     # expression evaluation
     # ------------------------------------------------------------------ #
 
-    def _eval(self, expr: SqlExpr, env: RowEnv) -> Any:
+    def _eval(
+        self, expr: SqlExpr, env: RowEnv, group: Optional[List[RowEnv]] = None
+    ) -> Any:
+        """The value of ``expr`` in ``env``.
+
+        ``group`` holds the rows of one group when ``expr`` is an aggregate
+        query's item or HAVING: an aggregate call folds them, and a node
+        that ``compile._reads_first_row`` names is evaluated on the first
+        one (NULL for an empty group), as the compiled engine does.
+        """
+        if group is not None:
+            if isinstance(expr, FunctionExpr) and expr.is_aggregate:
+                return self._aggregate_value(expr, group)
+            if _reads_first_row(expr):
+                return self._eval(expr, group[0]) if group else None
         if isinstance(expr, Literal):
             return expr.value
         if isinstance(expr, Placeholder):
@@ -313,58 +328,59 @@ class InterpretedSelectExecutor:
                 raise ExecutionError(f"unknown column {expr}")
             return value
         if isinstance(expr, UnaryOperation):
-            value = self._eval(expr.operand, env)
+            value = self._eval(expr.operand, env, group)
             if expr.op == "NOT":
                 return None if value is None else (not _is_true(value))
             return _negate(value, expr)
         if isinstance(expr, BinaryOperation):
-            return self._eval_binary(expr, env, source=expr)
+            return self._eval_binary(expr, env, group)
         if isinstance(expr, IsNull):
-            value = self._eval(expr.operand, env)
+            value = self._eval(expr.operand, env, group)
             return (value is not None) if expr.negated else (value is None)
         if isinstance(expr, InList):
-            value = self._eval(expr.operand, env)
-            members = [self._eval(item, env) for item in expr.items]
+            value = self._eval(expr.operand, env, group)
+            members = [self._eval(item, env, group) for item in expr.items]
             found = value in members
             return (not found) if expr.negated else found
         if isinstance(expr, FunctionExpr):
-            return self._eval_scalar_function(expr, env)
+            return self._eval_scalar_function(expr, env, group)
         if isinstance(expr, ScalarSubquery):
             return self._eval_subquery(expr, env)
         raise ExecutionError(f"unsupported expression {expr!r}")
 
     def _eval_binary(
-        self,
-        expr: BinaryOperation,
-        env: RowEnv,
-        source: Optional[SqlExpr] = None,
+        self, expr: BinaryOperation, env: RowEnv, group: Optional[List[RowEnv]]
     ) -> Any:
         op = expr.op
         if op is BinaryOperator.AND:
-            return _is_true(self._eval(expr.left, env)) and _is_true(
-                self._eval(expr.right, env)
+            return _is_true(self._eval(expr.left, env, group)) and _is_true(
+                self._eval(expr.right, env, group)
             )
         if op is BinaryOperator.OR:
-            return _is_true(self._eval(expr.left, env)) or _is_true(
-                self._eval(expr.right, env)
+            return _is_true(self._eval(expr.left, env, group)) or _is_true(
+                self._eval(expr.right, env, group)
             )
-        left = self._eval(expr.left, env)
-        right = self._eval(expr.right, env)
+        left = self._eval(expr.left, env, group)
+        right = self._eval(expr.right, env, group)
         # Shared operator semantics (NULL propagation, typed errors) live in
         # compile._apply_binop so both engines raise byte-identical messages.
-        return _apply_binop(op, left, right, source)
+        return _apply_binop(op, left, right, expr)
 
-    def _eval_scalar_function(self, expr: FunctionExpr, env: RowEnv) -> Any:
+    def _eval_scalar_function(
+        self, expr: FunctionExpr, env: RowEnv, group: Optional[List[RowEnv]]
+    ) -> Any:
         name = expr.name.upper()
         if name == "COALESCE":
             # Stops at the first non-NULL argument, like the compiled engine.
             for arg in expr.args:
-                value = self._eval(arg, env)
+                value = self._eval(arg, env, group)
                 if value is not None:
                     return value
             return None
         if name in _SCALAR_FUNCTIONS and len(expr.args) == 1:
-            return _apply_function(name, self._eval(expr.args[0], env), expr)
+            return _apply_function(
+                name, self._eval(expr.args[0], env, group), expr
+            )
         raise ExecutionError(f"unknown function {expr.name!r}")
 
     def _eval_subquery(self, expr: ScalarSubquery, env: RowEnv) -> Any:
@@ -384,58 +400,16 @@ class InterpretedSelectExecutor:
             )
         return result.rows[0][0]
 
-    def _eval_aggregate(self, expr: SqlExpr, group: List[RowEnv]) -> Any:
-        """Evaluate an expression that may contain aggregate functions."""
-        if isinstance(expr, FunctionExpr) and expr.is_aggregate:
-            return self._aggregate_value(expr, group)
-        if isinstance(expr, BinaryOperation):
-            # AND/OR stop at the deciding operand, like every other walk.
-            if expr.op is BinaryOperator.AND:
-                return _is_true(self._eval_aggregate(expr.left, group)) and (
-                    _is_true(self._eval_aggregate(expr.right, group))
-                )
-            if expr.op is BinaryOperator.OR:
-                return _is_true(self._eval_aggregate(expr.left, group)) or (
-                    _is_true(self._eval_aggregate(expr.right, group))
-                )
-            clone = BinaryOperation(
-                op=expr.op,
-                left=Literal(self._eval_aggregate(expr.left, group)),
-                right=Literal(self._eval_aggregate(expr.right, group)),
-            )
-            return self._eval_binary(clone, {})
-        if isinstance(expr, UnaryOperation):
-            value = self._eval_aggregate(expr.operand, group)
-            if expr.op == "NOT":
-                return None if value is None else (not _is_true(value))
-            return _negate(value, expr)
-        if isinstance(expr, (Literal, Placeholder, ScalarSubquery)):
-            return self._eval(expr, {})
-        # Plain column references inside an aggregate query pick the value of
-        # the first row of the group (they are expected to be grouping keys).
-        if not group:
-            return None
-        return self._eval(expr, group[0])
-
     def _aggregate_value(self, expr: FunctionExpr, group: List[RowEnv]) -> Any:
-        name = expr.name.upper()
-        if name == "COUNT" and (not expr.args or isinstance(expr.args[0], Star)):
+        if _counts_rows(expr):
             return len(group)
-        values = []
-        for env in group:
-            value = self._eval(expr.args[0], env)
-            if value is not None:
-                values.append(value)
-        if expr.distinct:
-            seen = set()
-            unique = []
-            for value in values:
-                key = _hashable(value)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(value)
-            values = unique
-        return _apply_fold(name, values, expr)
+        arg = expr.args[0]
+        return _fold_group(
+            expr.name.upper(),
+            (self._eval(arg, env) for env in group),
+            expr.distinct,
+            expr,
+        )
 
     # ------------------------------------------------------------------ #
     # helpers

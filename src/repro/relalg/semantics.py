@@ -592,7 +592,7 @@ class _Analyzer:
                 self.result.item_types.append(None)
                 continue
             self.result.item_types.append(
-                self._infer(item.expr, allow_aggregate=True, in_aggregate=False)
+                self._infer(item.expr, allow_aggregate=True)
             )
         for join in statement.joins:
             if join.on is not None:
@@ -600,7 +600,7 @@ class _Analyzer:
         if statement.where is not None:
             self._check_condition(statement.where, "WHERE clause")
         for expr in statement.group_by:
-            self._infer(expr, allow_aggregate=False, in_aggregate=False)
+            self._infer(expr, allow_aggregate=False)
         if statement.having is not None:
             self._check_condition(
                 statement.having, "HAVING clause", allow_aggregate=True
@@ -610,7 +610,7 @@ class _Analyzer:
         # for coverage, then discard anything it flagged.
         n_errors, n_warnings = len(self.result.errors), len(self.result.warnings)
         for order in statement.order_by:
-            self._infer(order.expr, allow_aggregate=True, in_aggregate=False)
+            self._infer(order.expr, allow_aggregate=True)
         del self.result.errors[n_errors:]
         del self.result.warnings[n_warnings:]
 
@@ -622,9 +622,7 @@ class _Analyzer:
     def _check_condition(
         self, expr: SqlExpr, label: str, allow_aggregate: bool = False
     ) -> None:
-        inferred = self._infer(
-            expr, allow_aggregate=allow_aggregate, in_aggregate=False
-        )
+        inferred = self._infer(expr, allow_aggregate=allow_aggregate)
         if inferred in (SqlType.VARCHAR, SqlType.TIMESTAMP):
             self._error(
                 f"{label} must be a condition, got {inferred.value}",
@@ -928,9 +926,10 @@ class _Analyzer:
     def _error(self, message: str, position: Optional[int]) -> None:
         self.result.errors.append(SemanticError(message, position))
 
-    def _infer(
-        self, expr: SqlExpr, allow_aggregate: bool, in_aggregate: bool
-    ) -> SqlType:
+    def _infer(self, expr: SqlExpr, allow_aggregate: bool) -> SqlType:
+        """The type of ``expr``.  An aggregate call in it is an error unless
+        ``allow_aggregate``: an aggregate query's items and HAVING allow one
+        under any operator or function, an aggregate's argument never."""
         if isinstance(expr, Literal):
             return self._literal_type(expr.value)
         if isinstance(expr, Placeholder):
@@ -940,23 +939,19 @@ class _Analyzer:
         if isinstance(expr, Star):
             return SqlType.UNKNOWN
         if isinstance(expr, UnaryOperation):
-            return self._infer_unary(expr, allow_aggregate, in_aggregate)
+            return self._infer_unary(expr, allow_aggregate)
         if isinstance(expr, BinaryOperation):
-            return self._infer_binary(expr, allow_aggregate, in_aggregate)
-        # Aggregates may sit under arithmetic, comparisons, NOT, AND and OR
-        # only: IS NULL, IN and scalar-function operands are row
-        # expressions in every engine, so an aggregate there is rejected
-        # here, before any row, instead of when (or whether) it is reached.
+            return self._infer_binary(expr, allow_aggregate)
         if isinstance(expr, IsNull):
-            self._infer(expr.operand, False, in_aggregate)
+            self._infer(expr.operand, allow_aggregate)
             return SqlType.BOOLEAN
         if isinstance(expr, InList):
-            self._infer(expr.operand, False, in_aggregate)
+            self._infer(expr.operand, allow_aggregate)
             for item in expr.items:
-                self._infer(item, False, in_aggregate)
+                self._infer(item, allow_aggregate)
             return SqlType.BOOLEAN
         if isinstance(expr, FunctionExpr):
-            return self._infer_function(expr, allow_aggregate, in_aggregate)
+            return self._infer_function(expr, allow_aggregate)
         if isinstance(expr, ScalarSubquery):
             return self._infer_subquery(expr)
         return SqlType.UNKNOWN
@@ -984,9 +979,9 @@ class _Analyzer:
         return _FROM_COLUMN_TYPE[table.schema.columns[index].type]
 
     def _infer_unary(
-        self, expr: UnaryOperation, allow_aggregate: bool, in_aggregate: bool
+        self, expr: UnaryOperation, allow_aggregate: bool
     ) -> SqlType:
-        operand = self._infer(expr.operand, allow_aggregate, in_aggregate)
+        operand = self._infer(expr.operand, allow_aggregate)
         if expr.op == "NOT":
             return SqlType.BOOLEAN
         if operand in (SqlType.VARCHAR, SqlType.TIMESTAMP):
@@ -1001,10 +996,10 @@ class _Analyzer:
         return operand
 
     def _infer_binary(
-        self, expr: BinaryOperation, allow_aggregate: bool, in_aggregate: bool
+        self, expr: BinaryOperation, allow_aggregate: bool
     ) -> SqlType:
-        left = self._infer(expr.left, allow_aggregate, in_aggregate)
-        right = self._infer(expr.right, allow_aggregate, in_aggregate)
+        left = self._infer(expr.left, allow_aggregate)
+        right = self._infer(expr.right, allow_aggregate)
         op = expr.op
         if op in (BinaryOperator.AND, BinaryOperator.OR):
             return SqlType.BOOLEAN
@@ -1056,17 +1051,17 @@ class _Analyzer:
         return SqlType.UNKNOWN
 
     def _infer_function(
-        self, expr: FunctionExpr, allow_aggregate: bool, in_aggregate: bool
+        self, expr: FunctionExpr, allow_aggregate: bool
     ) -> SqlType:
         name = expr.name.upper()
         if expr.is_aggregate:
-            if not allow_aggregate or in_aggregate:
+            if not allow_aggregate:
                 self._error(
                     f"aggregate function {expr.name} is not allowed here",
                     expr.position,
                 )
             arg_types = [
-                self._infer(arg, allow_aggregate=True, in_aggregate=True)
+                self._infer(arg, allow_aggregate=False)
                 for arg in expr.args
                 if not isinstance(arg, Star)
             ]
@@ -1089,7 +1084,7 @@ class _Analyzer:
                     return SqlType.INTEGER
                 return SqlType.FLOAT if arg is SqlType.FLOAT else SqlType.UNKNOWN
             return arg  # MIN / MAX: any homogeneous column type works
-        arg_types = [self._infer(arg, False, in_aggregate) for arg in expr.args]
+        arg_types = [self._infer(arg, allow_aggregate) for arg in expr.args]
         if name == "COALESCE":
             return self._join_types(arg_types)
         if len(arg_types) != 1:

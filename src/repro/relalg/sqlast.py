@@ -433,8 +433,9 @@ class SelectStatement(Record):
 
     @property
     def is_aggregate_query(self) -> bool:
-        """True when the query groups or uses an aggregate in the select list."""
-        if self.group_by:
+        """True when the query groups, has a HAVING (one group of every
+        row, as in standard SQL) or uses an aggregate in the select list."""
+        if self.group_by or self.having is not None:
             return True
         return any(_contains_aggregate(item.expr) for item in self.items)
 

@@ -3,7 +3,8 @@
 The row compiler (:func:`repro.relalg.compile.compile_row_expr`) is the one
 implementation of scalar semantics in the compiled engine: the batch
 compiler behind vectorized scans adds only column-at-a-time work and
-compiles every row-independent subtree through the row compiler.  Every
+compiles every row-independent subtree through the row compiler, and an
+aggregate query's items and HAVING compile through it too.  Every
 engine follows one evaluation-order rule — each operator evaluates all its
 operands left to right, except AND/OR, which stop at the deciding operand,
 and COALESCE, which stops at the first non-NULL argument — and a mistyped
@@ -18,16 +19,18 @@ same typed error message:
   table, committed or staged by a transaction that is still open;
 * the evaluation-order, typed-error and vectorized-filter-error cases, the
   typed errors over committed and over staged rows;
-* aggregates nested under IS NULL, IN, COALESCE or a scalar function,
-  which the analyzer rejects before any row, over a filled and an empty
-  table;
+* aggregates under IS NULL, IN, COALESCE or a scalar function, which every
+  engine answers, and the places that still reject an aggregate, over a
+  filled and an empty table; a HAVING without GROUP BY, which makes one
+  group;
 * ORDER BY items, resolved once per statement by one rule before any row,
   and aggregates in a row query's sort key, rejected before any row, over a
   filled and an empty table;
 * index probes: a probe that falls back to a scan applies its level's
   conjuncts in their original order, and probe keys raise their errors
   before any row, over a filled and an empty table;
-* a seeded evaluation-order fuzzer over random single-table statements.
+* a seeded evaluation-order fuzzer over random single-table statements,
+  and its nested-aggregate kind over a filled and an empty table.
 """
 
 from __future__ import annotations
@@ -321,6 +324,9 @@ _TYPED_ERRORS = [
                  id="max-mixed-grouped"),
     pytest.param("SELECT g FROM t GROUP BY g HAVING -MIN(?) > 0", ["x"],
                  "invalid operand for -: 'x' in -MIN(?)", id="having-negation"),
+    pytest.param("SELECT SUM(x) / (COUNT(*) - 3) FROM t", [],
+                 "division by zero in SUM(x) / (COUNT(*) - 3)",
+                 id="aggregate-division"),
     pytest.param("SELECT COUNT(*) FROM t GROUP BY ABS(?)", ["x"],
                  "invalid argument for ABS: 'x' in ABS(?)", id="group-key"),
     pytest.param("SELECT id FROM t WHERE ABS(COALESCE(x, ?)) > 0", ["x"],
@@ -470,46 +476,125 @@ class TestVectorizedFilterErrors:
 
 
 # --------------------------------------------------------------------------- #
-# aggregates nested under row-level operators
+# aggregates under any scalar operator or function
 # --------------------------------------------------------------------------- #
 
 #: ids 1-8, g = id % 2, x NULL at id 3.
 _NESTED_ROWS = [(i, i % 2, None if i == 3 else float(i), None) for i in range(1, 9)]
 
-#: ``(statement, position of the nested SUM)``.  The interpreter used to
-#: return rows whenever the aggregate was never reached: when the left
-#: operand of AND decided, or when an empty table formed no group.
+#: ``(statement, rows over _NESTED_ROWS, rows over an empty table)``.  The
+#: first five were rejected with ``aggregate function SUM is not allowed
+#: here`` before aggregates could sit under IS NULL, IN and functions.
 _NESTED_AGGREGATES = [
     pytest.param(
         "SELECT g, COUNT(*) FROM t GROUP BY g "
-        "HAVING COUNT(*) > 5 AND SUM(x) IS NULL", 61, id="is-null",
+        "HAVING COUNT(*) > 5 AND SUM(x) IS NULL", (), (), id="is-null",
     ),
     pytest.param(
-        "SELECT g, COALESCE(SUM(x), 0) FROM t GROUP BY g", 19, id="coalesce",
+        "SELECT g, COALESCE(SUM(x), 0) FROM t GROUP BY g",
+        ("(1, 13.0)", "(0, 20.0)"), (), id="coalesce",
     ),
     pytest.param(
-        "SELECT g FROM t GROUP BY g HAVING SUM(x) IN (16, 17)", 34,
+        "SELECT g FROM t GROUP BY g HAVING SUM(x) IN (16, 17)", (), (),
         id="in-operand",
     ),
     pytest.param(
         "SELECT g FROM t GROUP BY g HAVING COUNT(*) > 5 AND 16 IN (SUM(x), 1)",
-        58, id="in-item",
+        (), (), id="in-item",
     ),
     pytest.param(
         "SELECT g FROM t GROUP BY g HAVING COUNT(*) > 5 AND ABS(SUM(x)) > 1",
-        55, id="scalar-function",
+        (), (), id="scalar-function",
+    ),
+    pytest.param(
+        "SELECT COALESCE(MAX(x), 0) FROM t", ("(8.0,)",), ("(0,)",),
+        id="coalesce-max",
+    ),
+    pytest.param(
+        "SELECT ABS(SUM(x)) FROM t", ("(33.0,)",), ("(None,)",), id="abs-sum",
+    ),
+    pytest.param(
+        "SELECT MAX(x) IS NULL FROM t", ("(False,)",), ("(True,)",),
+        id="max-is-null",
+    ),
+    pytest.param(
+        "SELECT g FROM t GROUP BY g HAVING SUM(x) IN (13, 17)", ("(1,)",), (),
+        id="sum-in-list",
+    ),
+    # An OR chain of `col = literal` reads the group's first row through
+    # its operands, not the hashed OR-set's ``row[slot]``.
+    pytest.param(
+        "SELECT g = 1 OR g = 2, COUNT(*) FROM t", ("(True, 8)",),
+        ("(False, 0)",), id="or-chain",
+    ),
+]
+
+#: Statements that must keep raising: a nested aggregate, an aggregate in
+#: WHERE, ON or GROUP BY, and an aggregate sort key of a row query.
+_STILL_REJECTED = [
+    pytest.param(
+        "SELECT SUM(COALESCE(MAX(x), 0)) FROM t", "SemanticError",
+        "aggregate function MAX is not allowed here (at character 20)",
+        id="nested",
+    ),
+    pytest.param(
+        "SELECT id FROM t WHERE COALESCE(MAX(x), 0) > 1", "SemanticError",
+        "aggregate function MAX is not allowed here (at character 32)",
+        id="where",
+    ),
+    pytest.param(
+        "SELECT t.id FROM t JOIN u ON u.k = ABS(SUM(t.x))", "SemanticError",
+        "aggregate function SUM is not allowed here (at character 39)",
+        id="on",
+    ),
+    pytest.param(
+        "SELECT COUNT(*) FROM t GROUP BY MAX(x) IS NULL", "SemanticError",
+        "aggregate function MAX is not allowed here (at character 32)",
+        id="group-by",
+    ),
+    pytest.param(
+        "SELECT id FROM t ORDER BY COALESCE(MAX(x), 0)", "ExecutionError",
+        "aggregate function MAX is not allowed here", id="row-query-order-by",
+    ),
+]
+
+#: ``(statement, its row over an empty table, subqueries charged)``: the
+#: first-row rule over an empty group.  A function, IS NULL or IN over
+#: columns is NULL, unevaluated; operators still combine their operands;
+#: literals and scalar subqueries ignore the group.
+_EMPTY_GROUP = [
+    pytest.param(
+        "SELECT COALESCE(x, 5), COUNT(*) FROM t", "(None, 0)", 0,
+        id="coalesce",
+    ),
+    pytest.param(
+        "SELECT x IS NULL, COUNT(*) FROM t", "(None, 0)", 0, id="is-null",
+    ),
+    pytest.param(
+        "SELECT x > 0 OR g > 0, COUNT(*) FROM t", "(False, 0)", 0, id="or",
+    ),
+    pytest.param(
+        "SELECT COALESCE((SELECT MAX(x) FROM t), 5), COUNT(*) FROM t",
+        "(None, 0)", 0, id="coalesce-subquery",
+    ),
+    pytest.param(
+        "SELECT 5, (SELECT COUNT(*) FROM u), COUNT(*) FROM t", "(5, 5, 0)", 1,
+        id="constants",
     ),
 ]
 
 
-class TestNestedAggregatesRejected:
+class TestNestedAggregates:
+    @pytest.mark.parametrize("sql,filled_rows,empty_rows", _NESTED_AGGREGATES)
+    def test_every_engine_answers(self, sql, filled_rows, empty_rows):
+        assert _agreed(sql, rows=_NESTED_ROWS)[2] == filled_rows
+        assert _agreed(sql, rows=[])[2] == empty_rows
+
     @pytest.mark.parametrize("filled", [True, False], ids=["filled", "empty"])
-    @pytest.mark.parametrize("sql,position", _NESTED_AGGREGATES)
-    def test_every_engine_rejects_before_any_row(self, sql, position, filled):
+    @pytest.mark.parametrize("sql,error,message", _STILL_REJECTED)
+    def test_every_engine_still_rejects(self, sql, error, message, filled):
         assert _agreed(sql, rows=_NESTED_ROWS if filled else []) == (
-            "error",
-            "SemanticError",
-            f"aggregate function SUM is not allowed here (at character {position})",
+            "error", error, message,
         )
 
     @pytest.mark.parametrize("filled", [True, False], ids=["filled", "empty"])
@@ -523,6 +608,72 @@ class TestNestedAggregatesRejected:
         )
         # On the empty table SUM(x) is NULL, so HAVING drops the one group.
         assert outcome[2] == (("(8, 33.0, 8.0, -32.0)",) if filled else ())
+
+    @pytest.mark.parametrize("sql,row,subqueries", _EMPTY_GROUP)
+    def test_an_empty_group_reads_no_row(self, sql, row, subqueries):
+        outcome = _agreed(sql, rows=[])
+        assert outcome[2] == (row,)
+        assert f"subqueries={subqueries}," in outcome[3]
+
+    def test_every_occurrence_of_an_aggregate_folds(self):
+        # Each SUM evaluates its argument, and so references the subquery,
+        # once per row: 2 calls over 5 rows are 10 references.
+        outcome = _agreed(
+            "SELECT SUM(x + (SELECT MAX(x) FROM t)), "
+            "SUM(x + (SELECT MAX(x) FROM t)) FROM t",
+            rows=_NESTED_ROWS[:5],
+        )
+        assert outcome[2] == ("(32.0, 32.0)",)
+        assert "subqueries=10," in outcome[3]
+
+
+# --------------------------------------------------------------------------- #
+# a HAVING alone makes an aggregate query
+# --------------------------------------------------------------------------- #
+
+
+class TestHavingWithoutGroupBy:
+    """A HAVING makes the query an aggregate query of one group, as in
+    standard SQL, whether or not the select list aggregates: a bare column
+    reads the group's first row."""
+
+    @pytest.mark.parametrize(
+        "sql,filled_rows,empty_rows",
+        [
+            pytest.param("SELECT id FROM t HAVING id > 1", (), (), id="column"),
+            pytest.param(
+                "SELECT id FROM t HAVING id < 2", ("(1,)",), (),
+                id="first-row",
+            ),
+            pytest.param(
+                "SELECT 1 FROM t HAVING COUNT(*) > 0", ("(1,)",), (),
+                id="count",
+            ),
+        ],
+    )
+    def test_every_engine_forms_one_group(self, sql, filled_rows, empty_rows):
+        assert _agreed(sql)[2] == filled_rows
+        assert _agreed(sql, rows=[])[2] == empty_rows
+
+    @pytest.mark.parametrize(
+        "sql,message",
+        [
+            pytest.param(
+                "SELECT * FROM t HAVING x > 1",
+                "'*' is only valid in SELECT lists and COUNT(*)", id="star",
+            ),
+            pytest.param(
+                "SELECT id FROM t HAVING id > 0 ORDER BY x",
+                "ORDER BY of an aggregate query must reference output columns",
+                id="order-by",
+            ),
+        ],
+    )
+    def test_the_aggregate_rules_apply(self, sql, message):
+        for rows in (_THREE, []):
+            assert _agreed(sql, rows=rows) == (
+                "error", "ExecutionError", message,
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -757,12 +908,15 @@ class TestProbeKeyErrors:
 #
 # Random single-table statements (no LIMIT, no ordered index) over operands
 # that can be NULL, mistyped, missing or a scalar subquery, run on every
-# engine.  Aggregates appear only under the arithmetic,
-# comparison, logical and unary operators; IS NULL, IN, COALESCE and the
-# scalar functions wrap row-level operands.  Its seed range is its own, so
-# the other fuzzers' draws and corpora do not move.
+# engine.  The first kind's aggregates appear only under the arithmetic,
+# comparison, logical and unary operators, with IS NULL, IN, COALESCE and
+# the scalar functions over row-level operands; the nested-aggregate kind
+# puts aggregates under those too, in the select list and in HAVING, grouped
+# and ungrouped, over a filled and an empty table.  Each kind has its own
+# seed range, so the other fuzzers' draws and corpora do not move.
 
 _FUZZ_SEEDS = range(10_000, 10_300)
+_NESTED_FUZZ_SEEDS = range(20_000, 20_200)
 
 _PARAM_VALUES = [0, 1, 2, -1, 2.5, None, "x", "Ab"]
 _LITERALS = ["0", "1", "2", "0.5", "'a'", "NULL"]
@@ -858,6 +1012,11 @@ class _Statement:
             wrap=lambda d: self.expr(d, self.key_operand),
         )
 
+    def nested_group_expr(self, depth=2):
+        """A group expression whose IS NULL, IN, COALESCE and functions
+        wrap aggregates too."""
+        return self.expr(depth, self.group_operand)
+
 
 def _fuzz_statements(seed):
     rng = random.Random(seed)
@@ -879,10 +1038,27 @@ def _fuzz_statements(seed):
                 f"SELECT g, COUNT(*), {statement.group_expr()} FROM t "
                 f"GROUP BY g HAVING COUNT(*) > 1 AND {statement.group_expr()}"
             )
-        params = statement.params
-        if params and rng.random() < 0.15:
-            params = params[:rng.randrange(len(params))]  # trailing ?s missing
-        drawn.append((sql, params))
+        drawn.append((sql, _maybe_truncated(rng, statement.params)))
+    return drawn
+
+
+def _maybe_truncated(rng, params):
+    """``params``, or now and then a prefix of them: trailing ?s missing."""
+    if params and rng.random() < 0.15:
+        return params[:rng.randrange(len(params))]
+    return params
+
+
+def _nested_fuzz_statements(seed):
+    rng = random.Random(seed)
+    drawn = []
+    for group_by in (" GROUP BY g", ""):
+        statement = _Statement(rng)
+        sql = (
+            f"SELECT {statement.nested_group_expr()} FROM t{group_by} "
+            f"HAVING {statement.nested_group_expr(1)}"
+        )
+        drawn.append((sql, _maybe_truncated(rng, statement.params)))
     return drawn
 
 
@@ -894,23 +1070,49 @@ def fuzz_databases():
         database.close()
 
 
+@pytest.fixture(scope="module")
+def empty_fuzz_databases():
+    databases = {engine: _database(engine, []) for engine in _ENGINES}
+    yield databases
+    for database in databases.values():
+        database.close()
+
+
+def _fuzz_outcome(databases, seed, sql, params):
+    """The outcome every engine gives ``sql`` (asserted identical, rows only
+    where the compiled plan proves a contradiction)."""
+    label = (seed, sql, params)
+    outcomes = {
+        engine: _outcome(database, sql, params)
+        for engine, database in databases.items()
+    }
+    compiled = outcomes["vectorized"]
+    assert outcomes["row-at-a-time"] == compiled, label
+    reference = outcomes["interpreted"]
+    if reference != compiled and _proves_contradiction(
+        sql, databases["vectorized"].tables
+    ):
+        # The compiled plan skips the proven-empty scan: rows only.
+        if reference[0] == "rows":
+            assert reference[:3] == compiled[:3], label
+        return reference
+    assert reference == compiled, (label, outcomes)
+    return reference
+
+
 class TestEvaluationOrderFuzzer:
     @pytest.mark.parametrize("seed", _FUZZ_SEEDS)
     def test_engines_agree(self, seed, fuzz_databases):
         for sql, params in _fuzz_statements(seed):
-            outcomes = {
-                engine: _outcome(database, sql, params)
-                for engine, database in fuzz_databases.items()
-            }
-            label = (seed, sql, params)
-            compiled = outcomes["vectorized"]
-            assert outcomes["row-at-a-time"] == compiled, label
-            reference = outcomes["interpreted"]
-            if reference != compiled and _proves_contradiction(
-                sql, fuzz_databases["vectorized"].tables
-            ):
-                # The compiled plan skips the proven-empty scan: rows only.
-                if reference[0] == "rows":
-                    assert reference[:3] == compiled[:3], label
-                continue
-            assert reference == compiled, (label, outcomes)
+            _fuzz_outcome(fuzz_databases, seed, sql, params)
+
+    @pytest.mark.parametrize("seed", _NESTED_FUZZ_SEEDS)
+    def test_nested_aggregates_agree(
+        self, seed, fuzz_databases, empty_fuzz_databases
+    ):
+        for sql, params in _nested_fuzz_statements(seed):
+            for databases in (fuzz_databases, empty_fuzz_databases):
+                outcome = _fuzz_outcome(databases, seed, sql, params)
+                assert not (
+                    outcome[0] == "error" and "is not allowed here" in outcome[2]
+                ), (seed, sql, params)
